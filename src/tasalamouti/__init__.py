@@ -25,21 +25,12 @@ from .channel import (
     snr_tas_alamouti,
 )
 from .closedform import (
-    CoefficientTable,
-    ClosedFormContext,
     OutageBreakdown,
     closed_form_outage,
     eps_outage_capacity,
     expansion_coeffs,
-    f1_term,
-    f2_term,
     outage_breakdown,
     prob_nonzero_secrecy,
-    psi1,
-    psi2,
-    psi3,
-    psi4,
-    w_integral,
 )
 from .config import Scheme, SystemConfig, db_to_linear, linear_to_db
 from .errors import NumericalFailureError, PrecisionExhaustedError
@@ -89,8 +80,6 @@ __all__ = [
     "AntennaSelection",
     "CSV_COLUMNS",
     "ChannelRealization",
-    "ClosedFormContext",
-    "CoefficientTable",
     "CrossoverResult",
     "DensityGrid",
     "EVALUATORS",
@@ -126,8 +115,6 @@ __all__ = [
     "estimate_nonzero_secrecy",
     "estimate_outage",
     "expansion_coeffs",
-    "f1_term",
-    "f2_term",
     "find_crossover",
     "gamma_branch_density",
     "linear_to_db",
@@ -136,10 +123,6 @@ __all__ = [
     "outage_events",
     "outage_quadrature",
     "prob_nonzero_secrecy",
-    "psi1",
-    "psi2",
-    "psi3",
-    "psi4",
     "run_preset",
     "run_sweep",
     "secrecy_capacity",
@@ -150,7 +133,6 @@ __all__ = [
     "snr_tas_alamouti",
     "validate",
     "validation_grid",
-    "w_integral",
     "write_rows_csv",
     "write_validation_csv",
 ]

@@ -1,61 +1,21 @@
-"""Hot numerical kernels with a numba fast path and a NumPy fallback.
+"""Hot numerical kernels: antenna selection and the closed-form nested sums.
 
 Two kernels live here: the per-trial antenna-selection reduction used by
 the Monte Carlo estimators, and the nested alternating sums behind the
-closed-form outage expression.  The backend is chosen by the
-``TASALAMOUTI_BACKEND`` environment variable (``numba`` or ``numpy``);
-unset, numba is used when importable.
-
-The nested-sum kernel is one plain-Python function; the numba path jits
-that same function, so both backends execute identical arithmetic and
-return bit-identical values.  The Monte Carlo reduction has two
-implementations (a vectorized one and a jitted loop); both consume
-squared norms computed once by the caller and break ties toward the
-lowest antenna index, so they too agree exactly.
+closed-form outage expression.  Each has exactly one implementation, so
+identical inputs give bit-identical outputs on every run.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAS_NUMBA",
-    "active_backend",
     "psi_terms",
     "snr_components",
 ]
-
-_ENV_VAR = "TASALAMOUTI_BACKEND"
-_BACKENDS = ("numba", "numpy")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-
-def active_backend() -> str:
-    """Resolve the kernel backend from the environment.
-
-    Returns ``"numba"`` or ``"numpy"``.  An explicit request for numba
-    without the package installed is an error rather than a silent
-    downgrade; benchmark numbers would otherwise be meaningless.
-    """
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if not choice:
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in _BACKENDS:
-        raise ValueError(
-            f"{_ENV_VAR}={choice!r} not understood; expected one of {_BACKENDS}"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError(f"{_ENV_VAR}=numba requested but numba is not importable")
-    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -63,50 +23,10 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _snr_components_numpy(bob_norms, eve_norms):
-    n = bob_norms.shape[0]
-    rows = np.arange(n)
-    first = np.argmax(bob_norms, axis=1)
-    top1 = bob_norms[rows, first]
-    masked = bob_norms.copy()
-    masked[rows, first] = -np.inf
-    second = np.argmax(masked, axis=1)
-    top2 = top1 + bob_norms[rows, second]
-    eve_first = eve_norms[rows, first]
-    eve_pair = eve_first + eve_norms[rows, second]
-    return top2, top1, eve_pair, eve_first
-
-
-def _snr_components_loop(bob_norms, eve_norms):
-    n, n_alice = bob_norms.shape
-    top2 = np.empty(n)
-    top1 = np.empty(n)
-    eve_pair = np.empty(n)
-    eve_first = np.empty(n)
-    for tr in range(n):
-        best = 0
-        for a in range(1, n_alice):
-            if bob_norms[tr, a] > bob_norms[tr, best]:
-                best = a
-        second = 0 if best != 0 else 1
-        for a in range(n_alice):
-            if a == best:
-                continue
-            if bob_norms[tr, a] > bob_norms[tr, second]:
-                second = a
-        top1[tr] = bob_norms[tr, best]
-        top2[tr] = bob_norms[tr, best] + bob_norms[tr, second]
-        eve_first[tr] = eve_norms[tr, best]
-        eve_pair[tr] = eve_norms[tr, best] + eve_norms[tr, second]
-    return top2, top1, eve_pair, eve_first
-
-
-if HAS_NUMBA:
-    _snr_components_numba = njit(cache=True)(_snr_components_loop)
-
-
 def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
     """Per-trial selection statistics from squared column norms.
+
+    Ties break toward the lowest antenna index.
 
     Parameters
     ----------
@@ -125,16 +45,22 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
         raise ValueError("norm arrays must share a (n_trials, n_alice) shape")
     if bob_norms.shape[1] < 2:
         raise ValueError("selection of two antennas needs n_alice >= 2")
-    if active_backend() == "numba":
-        return _snr_components_numba(bob_norms, eve_norms)
-    return _snr_components_numpy(bob_norms, eve_norms)
+    rows = np.arange(bob_norms.shape[0])
+    first = np.argmax(bob_norms, axis=1)
+    top1 = bob_norms[rows, first]
+    masked = bob_norms.copy()
+    masked[rows, first] = -np.inf
+    second = np.argmax(masked, axis=1)
+    top2 = top1 + bob_norms[rows, second]
+    eve_first = eve_norms[rows, first]
+    eve_pair = eve_first + eve_norms[rows, second]
+    return top2, top1, eve_pair, eve_first
 
 
 # ---------------------------------------------------------------------------
 # Closed-form nested sums.
 #
-# Layout of the shared tables, all built inside the kernel so the jitted
-# and plain paths stay a single function:
+# Layout of the tables built inside the kernel:
 #   fact[q]            q! as float
 #   binom[n, k]        Pascal triangle as float
 #   bracket[l, m, u]   inner signed sum over the eavesdropper expansion
@@ -145,11 +71,32 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
 # halved denominators (fourth sum); level n_a holds phi2 with the plain
 # denominators (second sum).  Every table entry also carries the largest
 # absolute summand that fed it, so the returned magnitude bound is the
-# exact maximum |term| over the fully expanded sum.
+# exact maximum |term| over the fully expanded sum.  Every sum collects
+# its summands in a list and reduces it with math.fsum, which rounds the
+# exact sum once.
 # ---------------------------------------------------------------------------
 
 
-def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
+def psi_terms(
+    n_a: int,
+    n_b: int,
+    n_e: int,
+    gamma_b: float,
+    gamma_e: float,
+    rate: float,
+    a_tab: np.ndarray,
+) -> tuple[float, float, float, float, float]:
+    """Evaluate the four nested sums of the outage expression at once.
+
+    ``a_tab`` is the zero-padded stack of power-expansion coefficient
+    rows, shape ``(n_a - 1, (n_a - 2) * (n_b - 1) + 1)``.  Returns the
+    four signed sums plus the largest absolute summand encountered
+    across all of them (for the cancellation diagnostic).
+    """
+    a_tab = np.ascontiguousarray(a_tab, dtype=np.float64)
+    gamma_b = float(gamma_b)
+    gamma_e = float(gamma_e)
+    rate = float(rate)
     two_rs = 2.0 ** rate
     rho = two_rs * gamma_e / gamma_b
     shift = 2.0 * (two_rs - 1.0) / gamma_b
@@ -191,8 +138,7 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
         for m in range(n_e):
             span = 2 * n_e - m - 2
             for u in range(u_max + 1):
-                acc = 0.0
-                comp = 0.0
+                terms = []
                 mag = 0.0
                 for n in range(span + 1):
                     lam = 2 * n_e + u - m - n - 3
@@ -204,12 +150,10 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
                     coef = fact[n] * binom[span, n] / 2.0 ** (span if dbl else span + 1)
                     term = coef * fval
                     mag = max(mag, abs(term))
-                    new = acc + term
-                    if abs(acc) >= abs(term):
-                        comp += (acc - new) + term
-                    else:
-                        comp += (term - new) + acc
-                    acc = new
+                    terms.append(term)
+                # The q-indexed group takes the inner kernel one index past
+                # the deepest n term (leading coefficient 2 n_e - m - 1):
+                # the reading that agrees with the quadrature oracle.
                 lam = 2 * n_e + u - m - 2
                 if lam < 0:
                     fval = -1.0 / phi
@@ -223,13 +167,8 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
                     )
                     term = sgn * coef * fval
                     mag = max(mag, abs(term))
-                    new = acc + term
-                    if abs(acc) >= abs(term):
-                        comp += (acc - new) + term
-                    else:
-                        comp += (term - new) + acc
-                    acc = new
-                bracket[lvl, m, u] = acc + comp
+                    terms.append(term)
+                bracket[lvl, m, u] = math.fsum(terms)
                 bracket_mag[lvl, m, u] = mag
 
     mixed = np.zeros((n_phi, n_e, w_max + 1))
@@ -237,27 +176,20 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
     for lvl in range(n_phi):
         for m in range(n_e):
             for w in range(w_max + 1):
-                acc = 0.0
-                comp = 0.0
+                terms = []
                 mag = 0.0
                 for u in range(w + 1):
                     pw = shift ** (w - u) if w - u > 0 else 1.0
                     coef = binom[w, u] * rho ** u * pw
                     term = coef * bracket[lvl, m, u]
                     mag = max(mag, coef * bracket_mag[lvl, m, u])
-                    new = acc + term
-                    if abs(acc) >= abs(term):
-                        comp += (acc - new) + term
-                    else:
-                        comp += (term - new) + acc
-                    acc = new
-                mixed[lvl, m, w] = acc + comp
+                    terms.append(term)
+                mixed[lvl, m, w] = math.fsum(terms)
                 mixed_mag[lvl, m, w] = mag
 
     decay = (two_rs - 1.0) / gamma_b
 
-    psi1 = 0.0
-    comp1 = 0.0
+    terms1 = []
     mag_all = 0.0
     for i in range(n_a - 1):
         sgn = -1.0 if i % 2 == 0 else 1.0
@@ -286,16 +218,10 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
                         outer = gpre * a_val * coef * efac
                         term = sgn * outer * mixed[i, m, w1]
                         mag_all = max(mag_all, outer * mixed_mag[i, m, w1])
-                        new = psi1 + term
-                        if abs(psi1) >= abs(term):
-                            comp1 += (psi1 - new) + term
-                        else:
-                            comp1 += (term - new) + psi1
-                        psi1 = new
-    psi1 += comp1
+                        terms1.append(term)
+    psi1 = math.fsum(terms1)
 
-    psi2 = 0.0
-    comp2 = 0.0
+    terms2 = []
     efac2 = math.exp(-2.0 * decay)
     for j in range(n_b):
         for m in range(n_e):
@@ -307,16 +233,10 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
                 outer = hpre * coef * efac2
                 term = sgn * outer * mixed[n_a, m, w]
                 mag_all = max(mag_all, outer * mixed_mag[n_a, m, w])
-                new = psi2 + term
-                if abs(psi2) >= abs(term):
-                    comp2 += (psi2 - new) + term
-                else:
-                    comp2 += (term - new) + psi2
-                psi2 = new
-    psi2 += comp2
+                terms2.append(term)
+    psi2 = math.fsum(terms2)
 
-    psi3 = 0.0
-    comp3 = 0.0
+    terms3 = []
     for i in range(1, n_a - 1):
         sgn = 1.0 if i % 2 == 0 else -1.0
         efac = math.exp(-decay * (i + 2))
@@ -347,16 +267,10 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
                             outer = gpre * a_val * pcoef * coef * efac
                             term = sgn * psgn * outer * mixed[i, m, w1]
                             mag_all = max(mag_all, outer * mixed_mag[i, m, w1])
-                            new = psi3 + term
-                            if abs(psi3) >= abs(term):
-                                comp3 += (psi3 - new) + term
-                            else:
-                                comp3 += (term - new) + psi3
-                            psi3 = new
-    psi3 += comp3
+                            terms3.append(term)
+    psi3 = math.fsum(terms3)
 
-    psi4 = 0.0
-    comp4 = 0.0
+    terms4 = []
     for i in range(1, n_a - 1):
         sgn = 1.0 if i % 2 == 0 else -1.0
         for j in range(n_b):
@@ -383,42 +297,7 @@ def _psi_terms_impl(n_a, n_b, n_e, gamma_b, gamma_e, rate, a_tab):
                         outer = gpre * a_val * coef * efac2
                         term = sgn * psgn * outer * mixed[n_a - 1, m, w3]
                         mag_all = max(mag_all, outer * mixed_mag[n_a - 1, m, w3])
-                        new = psi4 + term
-                        if abs(psi4) >= abs(term):
-                            comp4 += (psi4 - new) + term
-                        else:
-                            comp4 += (term - new) + psi4
-                        psi4 = new
-    psi4 += comp4
+                        terms4.append(term)
+    psi4 = math.fsum(terms4)
 
     return psi1, psi2, psi3, psi4, mag_all
-
-
-if HAS_NUMBA:
-    _psi_terms_numba = njit(cache=True)(_psi_terms_impl)
-
-
-def psi_terms(
-    n_a: int,
-    n_b: int,
-    n_e: int,
-    gamma_b: float,
-    gamma_e: float,
-    rate: float,
-    a_tab: np.ndarray,
-) -> tuple[float, float, float, float, float]:
-    """Evaluate the four nested sums of the outage expression at once.
-
-    ``a_tab`` is the zero-padded stack of power-expansion coefficient
-    rows, shape ``(n_a - 1, (n_a - 2) * (n_b - 1) + 1)``.  Returns the
-    four signed sums plus the largest absolute summand encountered
-    across all of them (for the cancellation diagnostic).
-    """
-    a_tab = np.ascontiguousarray(a_tab, dtype=np.float64)
-    if active_backend() == "numba":
-        return _psi_terms_numba(
-            n_a, n_b, n_e, float(gamma_b), float(gamma_e), float(rate), a_tab
-        )
-    return _psi_terms_impl(
-        n_a, n_b, n_e, float(gamma_b), float(gamma_e), float(rate), a_tab
-    )

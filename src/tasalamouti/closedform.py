@@ -4,10 +4,10 @@ The outage probability has an exact finite-sum expression built from
 four nested alternating sums over the antenna-selection order
 statistics and the eavesdropper's diversity expansion.  This module
 evaluates it with cancellation-aware numerics: factorial-sized factors
-are formed in the log domain, summands are accumulated with compensated
-summation, and every value carries a diagnostic bounding the digits
-lost to cancellation.  Outside the supported envelope the evaluator
-raises instead of returning a silently wrong number.
+are formed in the log domain, every sum is rounded once from its exact
+value (``math.fsum``), and every value carries a diagnostic bounding
+the digits lost to cancellation.  Outside the supported envelope the
+evaluator raises instead of returning a silently wrong number.
 
 Derived metrics: the probability of non-zero secrecy capacity (the
 complement of outage at zero rate) and the epsilon-outage secrecy
@@ -29,22 +29,13 @@ from .errors import NumericalFailureError, PrecisionExhaustedError
 
 __all__ = [
     "CLAMP_SLACK",
-    "ClosedFormContext",
-    "CoefficientTable",
     "MAX_ANTENNAS",
     "OutageBreakdown",
     "closed_form_outage",
     "eps_outage_capacity",
     "expansion_coeffs",
-    "f1_term",
-    "f2_term",
     "outage_breakdown",
     "prob_nonzero_secrecy",
-    "psi1",
-    "psi2",
-    "psi3",
-    "psi4",
-    "w_integral",
 ]
 
 # Antenna counts above this lose too many digits to alternating-sum
@@ -64,41 +55,7 @@ _UNDERFLOW_EXP = 745.0
 _ERROR_BUDGET = 1e-7
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficients of (sum_{k=0}^{n_b-1} z^k / k!) raised to a power.
-
-    ``values[t]`` multiplies ``z^t``; the table length is always
-    ``power * (n_b - 1) + 1``.  Entries are nonnegative and the leading
-    entry is exactly 1.
-    """
-
-    n_b: int
-    power: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        expected = self.power * (self.n_b - 1) + 1
-        if len(self.values) != expected:
-            raise ValueError(
-                f"table must have {expected} entries, got {len(self.values)}"
-            )
-        if self.values[0] != 1.0:
-            raise ValueError("leading coefficient must be 1")
-        if any(v < 0 for v in self.values):
-            raise ValueError("coefficients cannot be negative")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, t: int) -> float:
-        return self.values[t]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-def expansion_coeffs(n_b: int, power: int) -> CoefficientTable:
+def expansion_coeffs(n_b: int, power: int) -> np.ndarray:
     """Expand (sum_{k=0}^{n_b-1} z^k / k!)^power into powers of z.
 
     Parameters
@@ -110,7 +67,9 @@ def expansion_coeffs(n_b: int, power: int) -> CoefficientTable:
 
     Returns
     -------
-    CoefficientTable
+    ndarray
+        ``power * (n_b - 1) + 1`` nonnegative coefficients; entry ``t``
+        multiplies ``z^t`` and the leading entry is exactly 1.
     """
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
@@ -120,107 +79,7 @@ def expansion_coeffs(n_b: int, power: int) -> CoefficientTable:
     coeffs = np.array([1.0])
     for _ in range(power):
         coeffs = np.convolve(coeffs, base)
-    return CoefficientTable(n_b=n_b, power=power, values=tuple(float(c) for c in coeffs))
-
-
-def w_integral(order: int, scale: float) -> float:
-    """The moment integral of x^order * exp(-scale*x) over [0, inf).
-
-    Equals ``order! / scale^(order+1)`` for ``order >= 0`` and 0 for
-    ``order == -1`` (the empty-term convention of the nested sums).
-    Evaluated in the log domain so large orders stay representable.
-    """
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if order < -1:
-        raise ValueError(f"order must be >= -1, got {order}")
-    scale = float(scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
-    if order == -1:
-        return 0.0
-    return math.exp(math.lgamma(order + 1.0) - (order + 1.0) * math.log(scale))
-
-
-def f1_term(n_e: int, m: int, n: int, lam: int, phi: float) -> float:
-    """Signed kernel of the inner diversity-expansion sums.
-
-    ``(2*n_e - m - n - 2) * w_integral(lam, phi) - w_integral(lam+1, phi)``.
-    The q-indexed group of the same sums uses this kernel with
-    ``n = -1`` (one power above the deepest n term), which is what the
-    outage assembly does internally.
-    """
-    return (2 * n_e - m - n - 2) * w_integral(lam, phi) - w_integral(lam + 1, phi)
-
-
-def f2_term(n_e: int, m: int, lam: int, phi: float) -> float:
-    """Variant inner kernel with leading coefficient ``2*n_e - m - 2``.
-
-    Kept for reference and diagnostics; the outage assembly favors
-    ``f1_term`` with ``n = -1`` (leading coefficient one higher), the
-    reading selected by cross-evaluator validation against the
-    quadrature oracle.
-    """
-    return (2 * n_e - m - 2) * w_integral(lam, phi) - w_integral(lam + 1, phi)
-
-
-@dataclass(frozen=True)
-class ClosedFormContext:
-    """Per-evaluation derived quantities of the outage expression.
-
-    Groups the scalar reductions shared by every summand (the SNR ratio
-    ``rho``, the rate shift, the high-order pole ``phi_two``) and the
-    index maps used inside the nested sums.  Exists for inspection and
-    testing; the evaluation kernel re-derives the same quantities in
-    primitive form.
-    """
-
-    config: SystemConfig
-    rate: float
-    rho: float
-    shift: float
-    phi_two: float
-
-    @classmethod
-    def create(cls, config: SystemConfig, rate: float) -> "ClosedFormContext":
-        rate = _checked_rate(rate)
-        two_rs = 2.0 ** rate
-        rho = two_rs * config.gamma_bar_e / config.gamma_bar_b
-        shift = 2.0 * (two_rs - 1.0) / config.gamma_bar_b
-        return cls(config=config, rate=rate, rho=rho, shift=shift, phi_two=1.0 + rho)
-
-    def phi_one(self, i: int) -> float:
-        """Pole of the i-th order-statistic term; always > 1."""
-        return 1.0 + self.rho * (i + 2) / 2.0
-
-    def omega_one(self, t: int, j: int, k: int) -> int:
-        return 2 * self.config.n_bob + t - j - k - 2
-
-    def omega_two(self, p: int, t: int) -> int:
-        return self.config.n_bob + p + t - 1
-
-    def omega_three(self, j: int, p: int) -> int:
-        return self.config.n_bob - j - p - 1
-
-    def lam(self, u: int, m: int, n: int) -> int:
-        return 2 * self.config.n_eve + u - m - n - 3
-
-    def g_prefactor(self, i: int, j: int, m: int) -> float:
-        return float(
-            math.comb(self.config.n_alice - 2, i)
-            * math.factorial(j)
-            * math.comb(self.config.n_bob - 1, j)
-            * math.factorial(m)
-            * math.comb(self.config.n_eve - 1, m)
-        )
-
-    def h_prefactor(self, j: int, m: int) -> float:
-        return float(
-            math.factorial(j)
-            * math.comb(self.config.n_bob - 1, j)
-            * math.factorial(m)
-            * math.comb(self.config.n_eve - 1, m)
-        )
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -277,7 +136,7 @@ def _a_table(n_alice: int, n_bob: int) -> np.ndarray:
     t_max = (n_alice - 2) * (n_bob - 1)
     table = np.zeros((n_alice - 1, t_max + 1))
     for i in range(n_alice - 1):
-        row = expansion_coeffs(n_bob, i).as_array()
+        row = expansion_coeffs(n_bob, i)
         table[i, : row.size] = row
     table.setflags(write=False)
     return table
@@ -291,58 +150,10 @@ def _psi_cached(
     gamma_b: float,
     gamma_e: float,
     rate: float,
-    backend: str,
 ) -> tuple[float, float, float, float, float]:
-    # backend is part of the key so flipping the environment flag
-    # mid-process cannot serve stale values computed by the other path.
     return _kernels.psi_terms(
         n_alice, n_bob, n_eve, gamma_b, gamma_e, rate, _a_table(n_alice, n_bob)
     )
-
-
-def _terms(config: SystemConfig, rate: float) -> tuple[float, float, float, float, float]:
-    return _psi_cached(
-        config.n_alice,
-        config.n_bob,
-        config.n_eve,
-        config.gamma_bar_b,
-        config.gamma_bar_e,
-        rate,
-        _kernels.active_backend(),
-    )
-
-
-def _psi_component(config: SystemConfig, rate: float, index: int) -> float:
-    _check_envelope(config)
-    rate = _checked_rate(rate)
-    if _rate_underflows(config, rate):
-        return 0.0
-    value = _terms(config, rate)[index]
-    if not math.isfinite(value):
-        raise PrecisionExhaustedError(
-            f"nested sum {index + 1} overflowed for {config} at rate {rate}"
-        )
-    return value
-
-
-def psi1(config: SystemConfig, rate: float) -> float:
-    """First nested sum of the outage expression (order-statistic core)."""
-    return _psi_component(config, rate, 0)
-
-
-def psi2(config: SystemConfig, rate: float) -> float:
-    """Second nested sum (the boundary term of the top-two selection)."""
-    return _psi_component(config, rate, 1)
-
-
-def psi3(config: SystemConfig, rate: float) -> float:
-    """Third nested sum; an empty sum (0) when n_alice == 2."""
-    return _psi_component(config, rate, 2)
-
-
-def psi4(config: SystemConfig, rate: float) -> float:
-    """Fourth nested sum; an empty sum (0) when n_alice == 2."""
-    return _psi_component(config, rate, 3)
 
 
 def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
@@ -383,7 +194,14 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
             cancellation_ratio=0.0,
             clamped=False,
         )
-    p1, p2, p3, p4, mag = _terms(config, rate)
+    p1, p2, p3, p4, mag = _psi_cached(
+        config.n_alice,
+        config.n_bob,
+        config.n_eve,
+        config.gamma_bar_b,
+        config.gamma_bar_e,
+        rate,
+    )
     if not all(map(math.isfinite, (p1, p2, p3, p4, mag))):
         raise PrecisionExhaustedError(
             f"nested sums overflowed for {config} at rate {rate}"

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import yaml
+from scipy import special
 
 from . import montecarlo
 from .closedform import (
@@ -866,6 +867,22 @@ class ValidationReport:
     lines: tuple[str, ...]
 
 
+def _binomial_z(n_events: int, n_trials: int, p: float) -> float:
+    """Sigma level of ``n_events`` in ``n_trials`` under Binomial(n_trials, p).
+
+    The exact tail probability on the observed side is converted to the
+    normal quantile with the same tail, floored at 0.  Unlike the normal
+    approximation |k/n - p| / sqrt(p (1 - p) / n), a single event where
+    n p << 1 is not scored as a many-sigma outlier; with many expected
+    events the two agree.  An outcome impossible under p scores inf.
+    """
+    if n_events >= n_trials * p:
+        tail = special.bdtrc(n_events - 1, n_trials, p) if n_events > 0 else 1.0
+    else:
+        tail = special.bdtr(n_events, n_trials, p)
+    return max(0.0, float(-special.ndtri(tail)))
+
+
 def validation_grid(name: str) -> list[dict]:
     """Point dictionaries of a named validation grid."""
     if name == "default":
@@ -913,9 +930,9 @@ def validate(
 
     Hard failures: any |closed-form - quadrature| above 1e-6, a
     Monte Carlo agreement fraction below 99%, or an evaluator error on
-    a grid point.  The Monte Carlo z-score uses the binomial standard
-    error under the closed-form value, so zero-event points at tiny
-    probabilities are judged correctly.
+    a grid point.  The Monte Carlo z-score is the exact binomial tail
+    under the closed-form value, expressed in sigma (``_binomial_z``),
+    so points with few expected events are judged correctly.
 
     ``points`` overrides the named grid (used for focused reports).
     """
@@ -953,13 +970,10 @@ def validate(
                 config.gamma_bar_e,
                 rate,
             )
-            mc_est = float(events.sum()) / n_trials
+            n_events = int(events.sum())
+            mc_est = n_events / n_trials
             mc_se = math.sqrt(max(mc_est * (1.0 - mc_est), 0.0) / n_trials)
-            se_h0 = math.sqrt(max(cf * (1.0 - cf), 0.0) / n_trials)
-            if se_h0 > 0.0:
-                z = abs(mc_est - cf) / se_h0
-            else:
-                z = 0.0 if mc_est == cf else math.inf
+            z = _binomial_z(n_events, n_trials, cf)
         except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
             error = str(exc)
         rows.append(

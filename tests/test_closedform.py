@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
 
 from tasalamouti import (
-    ClosedFormContext,
-    CoefficientTable,
     PrecisionExhaustedError,
     Scheme,
     SystemConfig,
@@ -17,18 +14,11 @@ from tasalamouti import (
     eps_outage_capacity,
     estimate_outage,
     expansion_coeffs,
-    f1_term,
-    f2_term,
     outage_breakdown,
     outage_quadrature,
     prob_nonzero_secrecy,
-    psi1,
-    psi2,
-    psi3,
-    psi4,
-    w_integral,
 )
-from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows
+from tasalamouti.closedform import MAX_ANTENNAS, _psi_cached, _rate_underflows
 
 # Frozen values from an independent adaptive-quadrature evaluator of
 # the outage double integral (nested scipy quad, abs tol 1e-12).
@@ -59,14 +49,14 @@ COUT_ORACLE = [
 class TestExpansionCoeffs:
     def test_reference_table(self):
         table = expansion_coeffs(3, 2)
-        assert list(table.as_array()) == pytest.approx([1.0, 2.0, 2.0, 1.0, 0.25])
+        assert list(table) == pytest.approx([1.0, 2.0, 2.0, 1.0, 0.25])
 
     def test_zeroth_power(self):
-        assert list(expansion_coeffs(3, 0).as_array()) == [1.0]
+        assert list(expansion_coeffs(3, 0)) == [1.0]
 
     def test_first_power_is_reciprocal_factorials(self):
         table = expansion_coeffs(4, 1)
-        assert list(table.as_array()) == pytest.approx([1.0, 1.0, 0.5, 1.0 / 6.0])
+        assert list(table) == pytest.approx([1.0, 1.0, 0.5, 1.0 / 6.0])
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=8))
     def test_length_and_leading_term(self, n_b, power):
@@ -81,97 +71,14 @@ class TestExpansionCoeffs:
         # exponential series at z = 1.
         table = expansion_coeffs(n_b, power)
         base = sum(1.0 / math.factorial(k) for k in range(n_b))
-        assert sum(table.as_array()) == pytest.approx(base**power, rel=1e-12)
+        assert sum(table) == pytest.approx(base**power, rel=1e-12)
 
     def test_table_invariants_enforced(self):
+        # Arguments that cannot yield a valid table are refused.
         with pytest.raises(ValueError):
-            CoefficientTable(n_b=3, power=2, values=(1.0, 2.0))
+            expansion_coeffs(0, 2)
         with pytest.raises(ValueError):
-            CoefficientTable(n_b=2, power=1, values=(2.0, 1.0))
-
-
-class TestWIntegral:
-    def test_reference_values(self):
-        assert w_integral(0, 2.0) == 0.5
-        assert w_integral(-1, 5.0) == 0.0
-        assert w_integral(3, 0.5) == pytest.approx(96.0, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            w_integral(-2, 1.0)
-        with pytest.raises(ValueError):
-            w_integral(0, 0.0)
-
-    def test_matches_defining_integral(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            r = int(rng.integers(0, 12))
-            u = float(rng.uniform(0.05, 12.0))
-            ref, _ = integrate.quad(
-                lambda x: x**r * math.exp(-u * x), 0, np.inf, limit=200
-            )
-            assert w_integral(r, u) == pytest.approx(ref, rel=1e-10)
-
-    def test_large_order_survives(self):
-        # Log-domain evaluation keeps huge factorials finite.
-        value = w_integral(150, 3.0)
-        assert math.isfinite(value) and value > 0.0
-
-
-class TestFTerms:
-    def test_lambda_minus_one_leaves_only_w_term(self):
-        for phi in (0.5, 2.0, 7.0):
-            assert f1_term(2, 0, 2, -1, phi) == pytest.approx(-1.0 / phi)
-
-    def test_reference_value(self):
-        assert f1_term(2, 0, 0, 1, 2.0) == pytest.approx(0.25)
-
-    def test_matches_defining_integrals(self):
-        rng = np.random.default_rng(22)
-        for _ in range(25):
-            n_e = int(rng.integers(1, 4))
-            m = int(rng.integers(0, 2 * n_e))
-            n = int(rng.integers(0, 3))
-            lam = int(rng.integers(0, 6))
-            phi = float(rng.uniform(0.2, 6.0))
-            c1 = 2 * n_e - m - n - 2
-            ref1, _ = integrate.quad(
-                lambda x: (c1 - x) * x**lam * math.exp(-phi * x), 0, np.inf, limit=200
-            )
-            got1 = f1_term(n_e, m, n, lam, phi)
-            assert got1 == pytest.approx(ref1, rel=1e-10, abs=1e-13)
-            c2 = 2 * n_e - m - 2
-            ref2, _ = integrate.quad(
-                lambda x: (c2 - x) * x**lam * math.exp(-phi * x), 0, np.inf, limit=200
-            )
-            assert f2_term(n_e, m, lam, phi) == pytest.approx(
-                ref2, rel=1e-10, abs=1e-13
-            )
-
-    def test_lambda_domain(self):
-        with pytest.raises(ValueError):
-            f1_term(2, 0, 0, -2, 1.0)
-
-
-class TestContext:
-    def test_invariants(self):
-        cfg = SystemConfig(4, 3, 2, db_to_linear(10.0), db_to_linear(5.0))
-        ctx = ClosedFormContext.create(cfg, rate=1.0)
-        assert ctx.rho == pytest.approx(2.0 * db_to_linear(5.0) / db_to_linear(10.0))
-        assert ctx.shift == pytest.approx(2.0 * 1.0 / db_to_linear(10.0))
-        assert ctx.phi_two > 1.0
-        for i in range(cfg.n_alice - 1):
-            assert ctx.phi_one(i) > 1.0
-
-    def test_lambda_lower_bound(self):
-        # Over the index ranges the sums actually visit: m is bounded by
-        # the eavesdropper diversity and n by the bracket order.
-        cfg = SystemConfig(3, 2, 2, 5.0, 1.0)
-        ctx = ClosedFormContext.create(cfg, rate=0.5)
-        for m in range(cfg.n_eve):
-            for n in range(-1, 2 * cfg.n_eve - m - 1):
-                for u in range(4):
-                    assert ctx.lam(u, m, n) >= -1
+            expansion_coeffs(3, -1)
 
 
 class TestPsiComponents:
@@ -179,19 +86,18 @@ class TestPsiComponents:
         # With two transmit antennas the selection-tail terms vanish.
         for gb_db, ge_db, rate in [(10.0, 5.0, 1.0), (0.0, 0.0, 0.0), (20.0, 5.0, 2.0)]:
             cfg = SystemConfig(2, 3, 2, db_to_linear(gb_db), db_to_linear(ge_db))
-            assert psi3(cfg, rate) == 0.0
-            assert psi4(cfg, rate) == 0.0
-            assert psi1(cfg, rate) != 0.0
+            p1, _, p3, p4 = outage_breakdown(cfg, rate).psi
+            assert p3 == 0.0
+            assert p4 == 0.0
+            assert p1 != 0.0
 
     def test_breakdown_recomposition(self):
         cfg = SystemConfig(3, 2, 2, 10.0, 2.0)
         br = outage_breakdown(cfg, 1.0)
-        p = (
-            psi1(cfg, 1.0) - psi2(cfg, 1.0) + psi3(cfg, 1.0) - psi4(cfg, 1.0)
-        )
-        assert br.raw_value == pytest.approx(1.0 - br.prefactor * p, rel=1e-12)
+        p1, p2, p3, p4 = br.psi
+        assert all(math.isfinite(v) for v in br.psi)
+        assert br.raw_value == pytest.approx(1.0 - br.prefactor * (p1 - p2 + p3 - p4), rel=1e-12)
         assert br.value == min(max(br.raw_value, 0.0), 1.0)
-        assert br.psi == (psi1(cfg, 1.0), psi2(cfg, 1.0), psi3(cfg, 1.0), psi4(cfg, 1.0))
 
     def test_mc_agreement_at_reference_point(self):
         # 1e7 trials against the analytic value, binomial stderr under
@@ -265,7 +171,7 @@ class TestClosedFormOutage:
         cfg = SystemConfig(3, 2, 1, 2.0, 1.0)
         assert _rate_underflows(cfg, 1500.0)
         assert closed_form_outage(cfg, 1500.0) == 1.0
-        assert psi1(cfg, 1500.0) == 0.0
+        assert outage_breakdown(cfg, 1500.0).psi == (0.0, 0.0, 0.0, 0.0)
 
     def test_envelope_guard(self):
         with pytest.raises(PrecisionExhaustedError):
@@ -354,51 +260,9 @@ class TestEpsOutageCapacity:
         assert all(b > a for a, b in zip(caps, caps[1:]))
 
 
-@pytest.fixture(scope="module")
-def numba_available():
-    from tasalamouti._kernels import HAS_NUMBA
-
-    if not HAS_NUMBA:
-        pytest.skip("numba backend unavailable")
-
-
-class TestBackendAgreement:
-    CASES = [
-        (2, 1, 1, 10.0, 3.0, 1.0),
-        (4, 3, 2, 10.0, 3.16227766017, 1.0),
-        (6, 3, 3, 100.0, 3.16227766017, 2.0),
-        (8, 3, 3, 100.0, 3.16227766017, 2.0),
-    ]
-
-    def test_psi_components_cross_backend(self, numba_available):
-        from tasalamouti._kernels import _psi_terms_impl, _psi_terms_numba
-        from tasalamouti.closedform import _a_table
-
-        for n_a, n_b, n_e, gb, ge, rate in self.CASES:
-            table = _a_table(n_a, n_b)
-            plain = _psi_terms_impl(n_a, n_b, n_e, gb, ge, rate, table)
-            jitted = _psi_terms_numba(n_a, n_b, n_e, gb, ge, rate, table)
-            for a, b in zip(plain[:4], jitted[:4]):
-                scale = max(abs(a), abs(b), 1e-300)
-                assert abs(a - b) / scale <= 1e-12
-
-    def test_outage_cross_backend(self, numba_available, monkeypatch):
-        from tasalamouti.closedform import _psi_cached
-
-        for n_a, n_b, n_e, gb, ge, rate in self.CASES:
-            cfg = SystemConfig(n_a, n_b, n_e, gb, ge)
-            values = {}
-            for backend in ("numpy", "numba"):
-                monkeypatch.setenv("TASALAMOUTI_BACKEND", backend)
-                _psi_cached.cache_clear()
-                values[backend] = closed_form_outage(cfg, rate)
-            _psi_cached.cache_clear()
-            assert abs(values["numpy"] - values["numba"]) <= 1e-9
-
-    def test_same_backend_is_bit_deterministic(self):
+class TestDeterminism:
+    def test_repeat_evaluation_is_bit_identical(self):
         cfg = SystemConfig(5, 3, 2, 31.6227766017, 3.16227766017)
-        from tasalamouti.closedform import _psi_cached
-
         first = closed_form_outage(cfg, 1.3)
         _psi_cached.cache_clear()
         second = closed_form_outage(cfg, 1.3)

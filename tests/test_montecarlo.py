@@ -10,14 +10,11 @@ from tasalamouti import (
     estimate_nonzero_secrecy,
     estimate_outage,
     outage_events,
+    select_antennas,
     snr_pairs,
 )
 from tasalamouti.montecarlo import BLOCK_SIZE, secrecy_capacity
-from tasalamouti._kernels import (
-    HAS_NUMBA,
-    _snr_components_numpy,
-    snr_components,
-)
+from tasalamouti._kernels import snr_components
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
 
@@ -163,48 +160,28 @@ class TestSecrecyCapacityReexport:
         assert secrecy_capacity(1.0, 3.0) == 0.0
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba backend unavailable")
-class TestBackendEquality:
-    def test_selection_kernel_exact_match(self):
-        from tasalamouti._kernels import _snr_components_numba
-
-        rng = np.random.default_rng(12)
-        bob = rng.gamma(2.0, 1.0, size=(4000, 5))
-        eve = rng.gamma(2.0, 1.0, size=(4000, 5))
-        for a, b in zip(_snr_components_numpy(bob, eve), _snr_components_numba(bob, eve)):
-            assert np.array_equal(a, b)
-
-    def test_selection_kernel_ties_match(self):
-        from tasalamouti._kernels import _snr_components_numba
-
+class TestSnrComponents:
+    def test_ties_select_lowest_columns(self):
+        # With all-equal norms the pair is columns (0, 1).
         rng = np.random.default_rng(13)
         bob = np.repeat(rng.gamma(2.0, 1.0, size=(200, 1)), 4, axis=1)
         eve = rng.gamma(2.0, 1.0, size=(200, 4))
-        res_np = _snr_components_numpy(bob, eve)
-        res_nb = _snr_components_numba(bob, eve)
-        for a, b in zip(res_np, res_nb):
-            assert np.array_equal(a, b)
-        # With all-equal norms the pair is columns (0, 1).
-        top2, top1, eve_pair, eve_first = res_np
+        top2, top1, eve_pair, eve_first = snr_components(bob, eve)
         assert np.allclose(top2, 2.0 * bob[:, 0])
         assert np.array_equal(top1, bob[:, 0])
         assert np.array_equal(eve_pair, eve[:, 0] + eve[:, 1])
         assert np.array_equal(eve_first, eve[:, 0])
 
-    def test_dispatcher_backend_flag(self, monkeypatch):
-        rng = np.random.default_rng(14)
-        bob = rng.gamma(2.0, 1.0, size=(100, 3))
-        eve = rng.gamma(2.0, 1.0, size=(100, 3))
-        monkeypatch.setenv("TASALAMOUTI_BACKEND", "numpy")
-        via_numpy = snr_components(bob, eve)
-        monkeypatch.setenv("TASALAMOUTI_BACKEND", "numba")
-        via_numba = snr_components(bob, eve)
-        for a, b in zip(via_numpy, via_numba):
-            assert np.array_equal(a, b)
-
-    def test_invalid_backend_flag(self, monkeypatch):
-        from tasalamouti._kernels import active_backend
-
-        monkeypatch.setenv("TASALAMOUTI_BACKEND", "fortran")
-        with pytest.raises(ValueError):
-            active_backend()
+    def test_matches_per_trial_selection(self):
+        # The vectorized reduction against the scalar selection of the
+        # physical model, one trial at a time.
+        rng = np.random.default_rng(12)
+        bob = rng.gamma(2.0, 1.0, size=(500, 5))
+        eve = rng.gamma(2.0, 1.0, size=(500, 5))
+        top2, top1, eve_pair, eve_first = snr_components(bob, eve)
+        for tr in range(bob.shape[0]):
+            first, second = select_antennas(bob[tr], 2).indices
+            assert top1[tr] == bob[tr, first]
+            assert top2[tr] == bob[tr, first] + bob[tr, second]
+            assert eve_first[tr] == eve[tr, first]
+            assert eve_pair[tr] == eve[tr, first] + eve[tr, second]

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import pytest
 
@@ -21,6 +22,7 @@ from tasalamouti import (
     write_rows_csv,
 )
 from tasalamouti import cli
+from tasalamouti.sweeps import MC_Z_LIMIT, _binomial_z
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -424,6 +426,21 @@ class TestValidate:
         assert report.error_points == 1
         assert report.rows[0].error != ""
         assert report.lines[-1].endswith("FAIL")
+
+    def test_binomial_z_with_few_expected_events(self):
+        # One event where 0.05 are expected has probability 0.049: an
+        # ordinary draw, not the 14-sigma outlier of the normal
+        # approximation.  The mirror case, one non-event where 0.001 are
+        # expected, has probability 1e-3, i.e. 3.09 sigma.
+        assert _binomial_z(1, 10_000, 5e-6) <= MC_Z_LIMIT
+        assert _binomial_z(9_999, 10_000, 0.9999999) == pytest.approx(3.09, abs=0.01)
+        # Genuine misses are still flagged on both sides.
+        assert _binomial_z(0, 10_000, 25e-4) > MC_Z_LIMIT
+        assert _binomial_z(9_990, 10_000, 0.9999999) > MC_Z_LIMIT
+        assert _binomial_z(1, 10_000, 0.0) == math.inf
+        assert _binomial_z(0, 10_000, 0.0) == 0.0
+        # With many expected events it matches the normal approximation.
+        assert _binomial_z(5_200, 10_000, 0.5) == pytest.approx(4.0, abs=0.02)
 
 
 class TestCli:
