@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -6,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tasalamouti import (
+    EvaluatorSettings,
     PrecisionExhaustedError,
     Scheme,
+    SweepSpec,
     SystemConfig,
     closed_form_outage,
     db_to_linear,
@@ -17,8 +21,11 @@ from tasalamouti import (
     outage_breakdown,
     outage_quadrature,
     prob_nonzero_secrecy,
+    run_sweep,
+    write_rows_csv,
 )
-from tasalamouti.closedform import MAX_ANTENNAS, _psi_cached, _rate_underflows
+from tasalamouti import _kernels
+from tasalamouti.closedform import MAX_ANTENNAS, _a_table, _psi_cached, _rate_underflows
 
 # Frozen values from an independent adaptive-quadrature evaluator of
 # the outage double integral (nested scipy quad, abs tol 1e-12).
@@ -43,6 +50,75 @@ PNZ_ORACLE = [
 COUT_ORACLE = [
     (4, 3, 2, 100.0, 1.0, 0.1, 6.26501756936517),
     (3, 2, 1, 31.6227766017, 3.16227766017, 0.05, 2.7279770254887588),
+]
+
+
+# float.hex of the five psi_terms outputs (psi1..psi4, largest |summand|)
+# at (n_a, n_b, n_e, gamma_b, gamma_e, rate), frozen from the term-by-term
+# scalar kernel.  Rows: one point per antenna triple of the default
+# validation grid; the fig6 and capacity-sweep triples the grid lacks
+# (n_a in {5, 7, 8}); then edge points: rate 0 at (2, 1, 1), a rate just
+# below the underflow shortcut, gamma_e >> gamma_b, and an in-envelope
+# (8, 8, 8) point.  n_a = 2 (empty psi3, psi4) and n_b = 1 are grid rows.
+PSI_GOLDEN = [
+    (2, 1, 1, 1.0, 1.0, 0.0, ("0x1.0000000000000p-3", "-0x1.0000000000000p-3", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-2")),
+    (2, 1, 2, 3.1622776601683795, 3.1622776601683795, 1.0, ("0x1.addb20f0645a4p-9", "-0x1.62896ea16fe46p-7", "0x0.0p+0", "0x0.0p+0", "0x1.6ab0e3cad4acdp-5")),
+    (2, 1, 3, 10.0, 1.0, 2.0, ("0x1.2a8c714f863bcp-3", "-0x1.5976a05fad9cfp-2", "0x0.0p+0", "0x0.0p+0", "0x1.2d0ff858e72f3p-2")),
+    (2, 2, 1, 31.622776601683793, 3.1622776601683795, 0.0, ("0x1.f95217beaced8p-2", "-0x1.a119a4f4090f7p-8", "0x0.0p+0", "0x0.0p+0", "0x1.d1745d1745d17p-3")),
+    (2, 2, 2, 100.0, 1.0, 1.0, ("0x1.fe94b743663b9p-2", "-0x1.6a2bb69a3624bp-10", "0x0.0p+0", "0x0.0p+0", "0x1.ec057394119eap-4")),
+    (2, 2, 3, 1.0, 3.1622776601683795, 2.0, ("0x1.37411d5ff5eedp-25", "-0x1.0a621908b689cp-22", "0x0.0p+0", "0x0.0p+0", "0x1.e204bc830c204p-8")),
+    (2, 3, 1, 3.1622776601683795, 1.0, 0.0, ("0x1.f6db9b3b7ee4bp+0", "-0x1.1308f73b8c799p-5", "0x0.0p+0", "0x0.0p+0", "0x1.23be2970c8c3ap-1")),
+    (2, 3, 2, 10.0, 3.1622776601683795, 1.0, ("0x1.67e69fa9528e0p+0", "-0x1.925799ba90688p-2", "0x0.0p+0", "0x0.0p+0", "0x1.812d73c21e334p-3")),
+    (2, 3, 3, 31.622776601683793, 1.0, 2.0, ("0x1.f0aa1c122cdaap+2", "-0x1.d80c03636f310p-3", "0x0.0p+0", "0x0.0p+0", "0x1.a6f4390a35e8fp-1")),
+    (3, 1, 1, 100.0, 3.1622776601683795, 0.0, ("0x1.53f2a4c29c488p-3", "-0x1.d7e866cf7690bp-6", "0x1.d2ad5665268d2p-1", "0x1.e1178bfa12825p-1", "0x1.f04e319101d24p-1")),
+    (3, 1, 2, 1.0, 1.0, 1.0, ("0x1.9400f8313ec2ap-11", "-0x1.fefd89e9d1da4p-9", "0x1.97db0ccceb0afp-13", "0x1.b5fde3ecfd038p-10", "0x1.718e384ff57bap-6")),
+    (3, 1, 3, 3.1622776601683795, 3.1622776601683795, 2.0, ("0x1.37004b1fbaa88p-16", "-0x1.0d9ae800e5c82p-13", "0x1.0901dfb704b2cp-19", "0x1.420b09c75adaap-15", "0x1.708c91d8dd429p-5")),
+    (3, 2, 1, 10.0, 1.0, 0.0, ("0x1.553499ba4e371p-3", "-0x1.a119a4f4090f7p-8", "-0x1.d808120144df7p+1", "-0x1.d73982363d29bp+1", "0x1.5d1745d1745d1p+2")),
+    (3, 2, 2, 31.622776601683793, 3.1622776601683795, 1.0, ("0x1.4cd23a961e642p-3", "-0x1.f94baab03380ep-5", "-0x1.548c822be9996p+0", "-0x1.45aecb0fd0b1cp+0", "0x1.2c635d39a5164p+1")),
+    (3, 2, 3, 100.0, 1.0, 2.0, ("0x1.55290a8d8669bp-1", "-0x1.5fe56ae592136p-5", "-0x1.8a9b0d466f9e2p+3", "-0x1.893de10120a60p+3", "0x1.04cbdc704cb81p+3")),
+    (3, 3, 1, 1.0, 3.1622776601683795, 0.0, ("0x1.57ad782727fa8p-2", "-0x1.6276c9611f79cp-2", "0x1.8f1829c10d531p+3", "0x1.9759da0a4d9a8p+3", "0x1.59f6e4990f226p+6")),
+    (3, 3, 2, 3.1622776601683795, 1.0, 1.0, ("0x1.2019a75822ec0p-1", "-0x1.da54140dcd7cbp-2", "0x1.801f7f152656ap+3", "0x1.8cc69a1ee2848p+3", "0x1.d4a68e3a2064ep+5")),
+    (3, 3, 3, 10.0, 3.1622776601683795, 2.0, ("0x1.54165f6ca75bcp-1", "-0x1.42d2728aff1e6p+0", "0x1.cedf124182bb3p+0", "0x1.4e138cdb33822p+1", "0x1.05b1fecb00efep+7")),
+    (4, 1, 1, 31.622776601683793, 1.0, 0.0, ("0x1.553972f0049cap-4", "-0x1.d7e866cf76909p-6", "0x1.6173b46b6adcap+0", "0x1.68d1a8fb8de1cp+0", "0x1.f04e319101d24p+0")),
+    (4, 1, 2, 100.0, 3.1622776601683795, 1.0, ("0x1.5197b8b8a729cp-4", "-0x1.9526fab697478p-4", "0x1.0d677a3630ae0p+0", "0x1.268477bbed9f8p+0", "0x1.d8025d423e2cap-1")),
+    (4, 1, 3, 1.0, 1.0, 2.0, ("0x1.51af9ddcbe788p-22", "-0x1.cbea01ec7c8e0p-19", "0x1.1f8b08065f7b9p-27", "0x1.ff04022334cfbp-21", "0x1.2467cf291d928p-9")),
+    (4, 2, 1, 3.1622776601683795, 3.1622776601683795, 0.0, ("0x1.28b5665e0755bp-4", "-0x1.c000000000000p-4", "-0x1.3a7fe337d557dp+0", "-0x1.2000000000000p+0", "0x1.8000000000000p+2")),
+    (4, 2, 2, 10.0, 1.0, 1.0, ("0x1.52aaca241a502p-4", "-0x1.31f57f21e52b5p-4", "-0x1.0dc3bc2018200p+1", "-0x1.0446884b4706dp+1", "0x1.05fe6c5cdfcd8p+2")),
+    (4, 2, 3, 31.622776601683793, 3.1622776601683795, 2.0, ("0x1.172d4400812d6p-2", "-0x1.2eda134c9bb04p-1", "-0x1.30a090350498ap-1", "-0x1.4e63dec844686p-5", "0x1.5453005f2bfd4p+3")),
+    (4, 3, 1, 100.0, 1.0, 0.0, ("0x1.555555555554ap-2", "-0x1.0775b55db2d25p-19", "0x1.517cf79b93b99p+9", "0x1.517cf7ac0b14cp+9", "0x1.646f86562d9fbp+9")),
+    (4, 3, 2, 1.0, 3.1622776601683795, 1.0, ("0x1.1a4832194ec40p-8", "-0x1.da588980cb15ap-7", "0x1.29694eb59ea0bp-7", "0x1.33fe034273664p-6", "0x1.a9b55b7d18f3cp+2")),
+    (4, 3, 3, 3.1622776601683795, 1.0, 2.0, ("0x1.2e45b2ee0e952p-2", "-0x1.c9eab594de403p-1", "0x1.a6a66a2ee18efp-1", "0x1.8284598facd09p+0", "0x1.1e088cff55133p+6")),
+    (6, 1, 1, 10.0, 3.1622776601683795, 0.0, ("0x1.09d229c694f24p-5", "-0x1.1c03177cf9759p-3", "0x1.10823a4b2b8eep+0", "0x1.33d9243fa7b12p+0", "0x1.84fd8c966104dp+1")),
+    (6, 1, 2, 31.622776601683793, 1.0, 1.0, ("0x1.10cffe962686ap-5", "-0x1.c50edd7e8a951p-4", "0x1.6b6e312e22457p+0", "0x1.87bd48166fcbep+0", "0x1.c40831e5d5c86p+0")),
+    (6, 1, 3, 100.0, 3.1622776601683795, 2.0, ("0x1.08ddbdfaeb3e2p-3", "-0x1.5a44131d3dbbdp-1", "0x1.956cb4294588dp+1", "0x1.eb9772e605b0cp+1", "0x1.4107b6488a108p+2")),
+    (6, 2, 1, 1.0, 1.0, 0.0, ("0x1.002ad03f617bep-5", "-0x1.c000000000000p-4", "-0x1.367e400791c15p+1", "-0x1.28a2673e28087p+1", "0x1.8000000000000p+3")),
+    (6, 2, 2, 3.1622776601683795, 3.1622776601683795, 1.0, ("0x1.0754b128e5d9ep-7", "-0x1.4f3abbfe11f01p-5", "0x1.d00ed6e635174p-7", "0x1.a212e442395d0p-5", "0x1.1004aad81f81ap+1")),
+    (6, 2, 3, 10.0, 1.0, 2.0, ("0x1.e8575bb1a48fdp-4", "-0x1.350cb23409a99p-1", "-0x1.d2a6d09a9a9dcp-2", "0x1.1cdac07ab625bp-3", "0x1.c397f4855ac6cp+3")),
+    (6, 3, 1, 31.622776601683793, 3.1622776601683795, 0.0, ("0x1.11111110f1541p-3", "-0x1.b22ae599dc548p-10", "0x1.f1a8ff33d9219p+9", "0x1.f1a9357935d2bp+9", "0x1.4745d1745d174p+10")),
+    (6, 3, 2, 100.0, 1.0, 1.0, ("0x1.11111111110b6p-3", "-0x1.fe064909df628p-14", "0x1.18da351aa17bap+10", "0x1.18da3718a7c48p+10", "0x1.59f3d5441c639p+9")),
+    (6, 3, 3, 1.0, 3.1622776601683795, 2.0, ("0x1.cd5a01290a59dp-20", "-0x1.49e46edf8b6e0p-17", "0x1.95dd94583f5fep-21", "0x1.76dd36b336265p-18", "0x1.91ae9d17df704p-1")),
+    (5, 2, 1, 100.0, 1.0, 1.0, ("0x1.9999999974c69p-5", "-0x1.176483d2c7e8bp-11", "-0x1.839b1697d61cfp+3", "-0x1.8396b905c6f68p+3", "0x1.14c3110349e94p+4")),
+    (5, 2, 2, 100.0, 1.0, 3.0, ("0x1.9998463ca12aep-5", "-0x1.7a31b4b9eb29fp-6", "-0x1.ae683419bbf60p+2", "-0x1.acee04f31d67bp+2", "0x1.cfa860b38df11p+2")),
+    (5, 2, 3, 100.0, 1.0, 5.5, ("0x1.2ee5871ea9895p-3", "-0x1.1f644b3cea3f9p-1", "0x1.745eb1bc5a47ep-3", "0x1.6e0c7a9d4fbffp-1", "0x1.eaee5c2c18be2p+2")),
+    (5, 3, 1, 100.0, 1.0, 1.0, ("0x1.9999999999987p-3", "-0x1.07543254a2b21p-15", "0x1.cc7a780a3bef5p+9", "0x1.cc7a79119021ap+9", "0x1.0376dff3154abp+10")),
+    (5, 3, 2, 100.0, 1.0, 3.0, ("0x1.9999995cffd39p-3", "-0x1.24229da7182b0p-7", "0x1.0f6adf26533b3p+9", "0x1.0f6c0348ed238p+9", "0x1.b2addaa85511fp+8")),
+    (5, 3, 3, 100.0, 1.0, 5.5, ("0x1.8451fa60ddc2cp-1", "-0x1.150125a1ad3ddp+1", "0x1.f3572708aa1c4p+5", "0x1.02363e956f047p+6", "0x1.cc3f766957323p+8")),
+    (7, 2, 1, 100.0, 1.0, 1.0, ("0x1.8618618618585p-6", "-0x1.176483d2c7e8bp-11", "-0x1.238eb7faee6dbp+4", "-0x1.238c8931e6c81p+4", "0x1.cd451c5ad084bp+4")),
+    (7, 2, 2, 100.0, 1.0, 3.0, ("0x1.86185e1f60befp-6", "-0x1.7a31b4b9eb29fp-6", "-0x1.4ba09f52c79d6p+3", "-0x1.4ae3867a0da72p+3", "0x1.8261a5eaf648dp+3")),
+    (7, 2, 3, 100.0, 1.0, 5.5, ("0x1.501cf1963593ap-4", "-0x1.1f644b3cea3f9p-1", "0x1.fc5da5ea8f923p-7", "0x1.2370bb83add28p-1", "0x1.991bf77a149e7p+3")),
+    (7, 3, 1, 100.0, 1.0, 1.0, ("0x1.8618618618591p-4", "-0x1.07543254a2b21p-15", "0x1.66f45723e3717p+10", "0x1.66f457a78d8a9p+10", "0x1.b070ca95237c7p+10")),
+    (7, 3, 2, 100.0, 1.0, 3.0, ("0x1.8618618607a02p-4", "-0x1.24229da7182b0p-7", "0x1.a929c559a367ap+9", "0x1.a92ae97c410e3p+9", "0x1.6a3b8b8c46e44p+9")),
+    (7, 3, 3, 100.0, 1.0, 5.5, ("0x1.7f67d9289fc47p-2", "-0x1.150125a1ad3ddp+1", "0x1.86ee302bb92b8p+6", "0x1.8f918817a1bb4p+6", "0x1.7f8a380273548p+9")),
+    (8, 2, 1, 100.0, 1.0, 1.0, ("0x1.2492492492402p-6", "-0x1.176483d2c7e8bp-11", "-0x1.4e999359e3e00p+4", "-0x1.4e976490dc3a6p+4", "0x1.14c3110349e94p+5")),
+    (8, 2, 2, 100.0, 1.0, 3.0, ("0x1.249248d086d30p-6", "-0x1.7a31b4b9eb29fp-6", "-0x1.7f8f70d73a526p+3", "-0x1.7ed257fd05c57p+3", "0x1.cfa860b38df11p+3")),
+    (8, 2, 3, 100.0, 1.0, 5.5, ("0x1.063e247891d11p-4", "-0x1.1f644b3cea3f9p-1", "-0x1.7d32440a5afa5p-4", "0x1.db0566bc17247p-2", "0x1.eaee5c2c18be2p+3")),
+    (8, 3, 1, 100.0, 1.0, 1.0, ("0x1.249249249234ap-4", "-0x1.07543254a2b21p-15", "0x1.a297f713905e5p+10", "0x1.a297f7973a778p+10", "0x1.0376dff3154abp+11")),
+    (8, 3, 2, 100.0, 1.0, 3.0, ("0x1.2492492491c24p-4", "-0x1.24229da7182b0p-7", "0x1.f0be29de0dcb0p+9", "0x1.f0bf4e00ab722p+9", "0x1.b2addaa85511fp+9")),
+    (8, 3, 3, 100.0, 1.0, 5.5, ("0x1.217730af08de8p-2", "-0x1.150125a1ad3ddp+1", "0x1.c9eac71698e96p+6", "0x1.d290a03554cdcp+6", "0x1.cc3f766957323p+9")),
+    (2, 1, 1, 10.0, 3.0, 0.0, ("0x1.2ef5657dba51cp-2", "-0x1.17a771605d37cp-3", "0x0.0p+0", "0x0.0p+0", "0x1.89d89d89d89d8p-2")),
+    (3, 2, 2, 2.0, 1.0, 9.54, ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0000000043324p-1022")),
+    (4, 3, 2, 0.1, 1000.0, 1.0, ("0x1.d43208a1e64c4p-73", "-0x1.3c7d887bf0180p-69", "0x1.02ab1839ee46fp-81", "0x1.c009308046116p-73", "0x1.d81d489870387p-28")),
+    (8, 8, 8, 0.1, 31.622776601683793, 0.0, ("0x1.0dabe546959ddp-6", "-0x1.e9b9965109cbdp-8", "-0x1.5c82cbfa17865p+19", "-0x1.e9d0f22dfb383p+20", "0x1.ba700c09e0822p+69")),
 ]
 
 
@@ -108,6 +184,30 @@ class TestPsiComponents:
         mc = estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 1.0, n, seed=0)
         se = math.sqrt(cf * (1.0 - cf) / n)
         assert abs(mc.estimate - cf) <= 4.0 * se
+
+
+class TestPsiKernel:
+    @pytest.mark.parametrize("n_a,n_b,n_e,gb,ge,rate,expected", PSI_GOLDEN)
+    def test_golden_bits(self, n_a, n_b, n_e, gb, ge, rate, expected):
+        out = _kernels.psi_terms(n_a, n_b, n_e, gb, ge, rate, _a_table(n_a, n_b))
+        assert tuple(float(v).hex() for v in out) == expected
+
+    def test_rejects_antenna_counts_below_the_minimum(self):
+        table = _a_table(3, 2)
+        for n_a, n_b, n_e in [(1, 2, 2), (3, 0, 2), (3, 2, 0)]:
+            with pytest.raises(ValueError):
+                _kernels.psi_terms(n_a, n_b, n_e, 10.0, 1.0, 1.0, table)
+
+    def test_rejects_a_table_of_the_wrong_shape(self):
+        table = _a_table(4, 3)
+        wider = np.zeros((table.shape[0], table.shape[1] + 1))
+        wider[:, : table.shape[1]] = table
+        for bad in (wider, table[:, :-1], table[:-1]):
+            with pytest.raises(ValueError):
+                _kernels.psi_terms(4, 3, 2, 10.0, 1.0, 1.0, bad)
+        # The table of another n_b does not fit either.
+        with pytest.raises(ValueError):
+            _kernels.psi_terms(4, 2, 2, 10.0, 1.0, 1.0, table)
 
 
 class TestClosedFormOutage:
@@ -267,3 +367,47 @@ class TestDeterminism:
         _psi_cached.cache_clear()
         second = closed_form_outage(cfg, 1.3)
         assert first == second
+
+    def test_cold_plan_matches_warm_plan(self):
+        args = (6, 3, 3, 31.6227766017, 3.16227766017, 1.3, _a_table(6, 3))
+        _kernels._psi_plan.cache_clear()
+        cold = _kernels.psi_terms(*args)
+        warm = _kernels.psi_terms(*args)
+        assert _kernels._psi_plan.cache_info().hits >= 1
+        assert [v.hex() for v in cold] == [v.hex() for v in warm]
+
+    def test_plan_arrays_are_read_only(self):
+        plan = _kernels._psi_plan(4, 3, 2, _a_table(4, 3).tobytes())
+        arrays = [
+            getattr(plan, f.name)
+            for f in dataclasses.fields(plan)
+            if isinstance(getattr(plan, f.name), np.ndarray)
+        ]
+        assert arrays
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_threaded_capacity_sweep_matches_serial_from_cold_caches(self):
+        spec = SweepSpec(
+            name="cout-na",
+            metric="C_out",
+            parameter="n_alice",
+            values=tuple(float(v) for v in range(2, 9)),
+            schemes=(Scheme.TAS_ALAMOUTI,),
+            evaluators=(EvaluatorSettings(name="closed-form"),),
+            n_bob=3,
+            n_eve=3,
+            gamma_bar_b_db=20.0,
+            gamma_bar_e_db=0.0,
+            epsilon=0.01,
+        )
+        outputs = []
+        for workers in (4, 1):
+            _psi_cached.cache_clear()
+            _kernels._psi_plan.cache_clear()
+            _a_table.cache_clear()
+            rows = run_sweep(spec, workers=workers)
+            assert all(not r.error and r.value is not None for r in rows)
+            buffer = io.StringIO()
+            write_rows_csv(rows, buffer)
+            outputs.append((buffer.getvalue(), [r.value.hex() for r in rows]))
+        assert outputs[0] == outputs[1]
