@@ -18,18 +18,13 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .closedform import (
-    closed_form_outage,
-    eps_outage_capacity,
-    prob_nonzero_secrecy,
-)
 from .config import Scheme, SystemConfig, db_to_linear
 from .errors import NumericalFailureError, PrecisionExhaustedError
-from . import montecarlo
-from .quadrature import outage_quadrature
+from .montecarlo import EstimatorResult
 from .sweeps import (
     PRESET_NAMES,
     SweepSpecError,
+    evaluate,
     find_crossover,
     load_sweep_spec,
     run_preset,
@@ -296,45 +291,24 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     evaluator = _canonical_evaluator(args.evaluator)
     scheme = Scheme.from_name(args.scheme)
     config = _config_from_args(args)
-
-    if evaluator == "monte-carlo":
-        if metric == "C_out":
-            raise _UsageError("the monte-carlo evaluator does not support cout")
-        if metric == "P_out":
-            result = montecarlo.estimate_outage(
-                config, scheme, args.rate, args.trials, args.seed
-            )
-        else:
-            result = montecarlo.estimate_nonzero_secrecy(
-                config, scheme, args.trials, args.seed
-            )
-        print(f"value = {result.estimate:.12g}")
-        print(f"stderr = {result.stderr:.12g}")
-        print(f"ci95 = [{result.ci95_low:.12g}, {result.ci95_high:.12g}]")
+    if metric == "C_out" and args.epsilon is None:
+        raise _UsageError("cout needs --epsilon")
+    result = evaluate(
+        config,
+        scheme,
+        metric,
+        evaluator,
+        rate=args.rate,
+        epsilon=args.epsilon,
+        trials=args.trials,
+        seed=args.seed,
+    )
+    if not isinstance(result, EstimatorResult):
+        print(f"value = {result:.12g}")
         return EXIT_OK
-
-    if scheme is not Scheme.TAS_ALAMOUTI:
-        raise _UsageError(
-            f"the {evaluator} evaluator supports only the "
-            f"{Scheme.TAS_ALAMOUTI.value} scheme"
-        )
-    if evaluator == "closed-form":
-        if metric == "P_out":
-            value = closed_form_outage(config, args.rate)
-        elif metric == "Pr_nonzero":
-            value = prob_nonzero_secrecy(config)
-        else:
-            if args.epsilon is None:
-                raise _UsageError("cout needs --epsilon")
-            value = eps_outage_capacity(config, args.epsilon)
-    else:
-        if metric == "P_out":
-            value = outage_quadrature(config, args.rate)
-        elif metric == "Pr_nonzero":
-            value = 1.0 - outage_quadrature(config, 0.0)
-        else:
-            raise _UsageError("the quadrature evaluator does not support cout")
-    print(f"value = {value:.12g}")
+    print(f"value = {result.estimate:.12g}")
+    print(f"stderr = {result.stderr:.12g}")
+    print(f"ci95 = [{result.ci95_low:.12g}, {result.ci95_high:.12g}]")
     return EXIT_OK
 
 

@@ -4,7 +4,10 @@ A sweep walks one parameter (legitimate-link SNR in dB, transmit
 antenna count, or the outage budget epsilon) across a fixed base
 configuration, evaluates one metric with one or more evaluators per
 scheme, and emits rows in a stable order with a fixed CSV schema.
-Presets reproduce the figure-style experiment families.  Validation
+Every evaluation goes through ``evaluate``, whose one table maps a
+(metric, evaluator) pair to its function; the command line's ``eval``
+uses it too.  Presets reproduce the figure-style experiment families
+and, like the validation grids, are data tables.  Validation
 runs the three evaluators against each other over a parameter grid and
 reports hard threshold violations.
 """
@@ -12,10 +15,11 @@ reports hard threshold violations.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +49,7 @@ __all__ = [
     "ValidationReport",
     "ValidationRow",
     "build_preset",
+    "evaluate",
     "find_crossover",
     "load_sweep_spec",
     "run_preset",
@@ -57,10 +62,13 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-CSV_COLUMNS = (
-    "schema_version",
-    "preset",
-    "scheme",
+METRICS = ("P_out", "Pr_nonzero", "C_out")
+EVALUATORS = ("closed-form", "quadrature", "monte-carlo")
+SWEEP_PARAMETERS = ("gamma_bar_b_db", "n_alice", "epsilon")
+
+# The fixed configuration of a sweep: the keys of a sweep file's ``base``
+# section, and the fields of every sweep point.
+_BASE_FIELDS = (
     "n_alice",
     "n_bob",
     "n_eve",
@@ -68,21 +76,7 @@ CSV_COLUMNS = (
     "gamma_bar_e_db",
     "rate_rs",
     "epsilon",
-    "metric",
-    "evaluator",
-    "value",
-    "stderr",
-    "n_trials",
-    "seed",
-    "error",
-    "wall_time_ms",
 )
-
-METRICS = ("P_out", "Pr_nonzero", "C_out")
-EVALUATORS = ("closed-form", "quadrature", "monte-carlo")
-SWEEP_PARAMETERS = ("gamma_bar_b_db", "n_alice", "epsilon")
-
-PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
 # Cross-evaluator thresholds used by validate().
 CF_QUAD_TOL = 1e-6
@@ -210,32 +204,36 @@ class SweepRow:
     wall_time_ms: float | None = None
 
     def to_record(self) -> list[str]:
-        return [
-            SCHEMA_VERSION,
-            self.preset,
-            self.scheme,
-            str(self.n_alice),
-            str(self.n_bob),
-            str(self.n_eve),
-            _fmt(self.gamma_bar_b_db),
-            _fmt(self.gamma_bar_e_db),
-            _fmt(self.rate_rs),
-            _fmt(self.epsilon),
-            self.metric,
-            self.evaluator,
-            _fmt(self.value),
-            _fmt(self.stderr),
-            "" if self.n_trials is None else str(self.n_trials),
-            "" if self.seed is None else str(self.seed),
-            self.error,
-            _fmt(self.wall_time_ms),
-        ]
+        return [SCHEMA_VERSION, *_record(self)]
 
 
-def _fmt(value: float | None) -> str:
+# The fixed CSV schema: the schema version, then the fields of SweepRow.
+CSV_COLUMNS = ("schema_version", *(f.name for f in fields(SweepRow)))
+
+
+def _cell(value) -> str:
+    """One CSV cell: empty for None, 12 significant digits for a float."""
     if value is None:
         return ""
-    return f"{value:.12g}"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _record(row) -> list[str]:
+    """The cells of a row dataclass, in field order."""
+    return [_cell(getattr(row, f.name)) for f in fields(row)]
+
+
+def _write_csv(columns: Sequence[str], records: Iterable[list[str]], destination) -> None:
+    """Write a header and records to a path or a text file object."""
+    if not hasattr(destination, "write"):
+        with open(destination, "w", newline="") as handle:
+            _write_csv(columns, records, handle)
+        return
+    writer = csv.writer(destination, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(records)
 
 
 def write_rows_csv(rows: Iterable[SweepRow], destination) -> None:
@@ -244,18 +242,7 @@ def write_rows_csv(rows: Iterable[SweepRow], destination) -> None:
     ``destination`` is a path or a text file object.  Output is
     byte-deterministic for deterministic rows.
     """
-    if hasattr(destination, "write"):
-        _write_rows(rows, destination)
-    else:
-        with open(destination, "w", newline="") as handle:
-            _write_rows(rows, handle)
-
-
-def _write_rows(rows: Iterable[SweepRow], handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.to_record())
+    _write_csv(CSV_COLUMNS, (row.to_record() for row in rows), destination)
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
@@ -276,6 +263,18 @@ def load_sweep_spec(path: str) -> SweepSpec:
     if not isinstance(raw, dict):
         raise SweepSpecError(f"{path} must hold a mapping at the top level")
     return _spec_from_dict(raw, origin=path)
+
+
+def _integer(value, what: str) -> int:
+    """A count from a sweep file: integral floats such as 3.0 pass, while
+    fractions and booleans are refused instead of truncated."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+    ):
+        raise SweepSpecError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
@@ -299,16 +298,7 @@ def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
     base = raw.get("base", {})
     if not isinstance(base, dict):
         raise SweepSpecError(f"{origin}: base must be a mapping")
-    known_base = {
-        "n_alice",
-        "n_bob",
-        "n_eve",
-        "gamma_bar_b_db",
-        "gamma_bar_e_db",
-        "rate_rs",
-        "epsilon",
-    }
-    unknown = set(base) - known_base
+    unknown = set(base) - set(_BASE_FIELDS)
     if unknown:
         raise SweepSpecError(f"{origin}: unknown base keys {sorted(unknown)}")
 
@@ -336,10 +326,9 @@ def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
                 f"{origin}: unknown evaluator keys {sorted(unknown)} under {name!r}"
             )
         kwargs = {"name": str(name)}
-        if "trials" in settings:
-            kwargs["trials"] = int(settings["trials"])
-        if "seed" in settings:
-            kwargs["seed"] = int(settings["seed"])
+        for key in ("trials", "seed"):
+            if key in settings:
+                kwargs[key] = _integer(settings[key], f"{origin}: {name}.{key}")
         if "schemes" in settings:
             kwargs["schemes"] = tuple(str(s) for s in settings["schemes"])
         evaluators.append(EvaluatorSettings(**kwargs))
@@ -356,9 +345,9 @@ def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
             values=tuple(float(v) for v in values_raw),
             schemes=schemes,
             evaluators=tuple(evaluators),
-            n_alice=int(base.get("n_alice", 2)),
-            n_bob=int(base.get("n_bob", 1)),
-            n_eve=int(base.get("n_eve", 1)),
+            n_alice=_integer(base.get("n_alice", 2), f"{origin}: base.n_alice"),
+            n_bob=_integer(base.get("n_bob", 1), f"{origin}: base.n_bob"),
+            n_eve=_integer(base.get("n_eve", 1), f"{origin}: base.n_eve"),
             gamma_bar_b_db=float(base.get("gamma_bar_b_db", 10.0)),
             gamma_bar_e_db=float(base.get("gamma_bar_e_db", 0.0)),
             rate_rs=float(base.get("rate_rs", 0.0)),
@@ -377,20 +366,77 @@ def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
 
 
 def _point_fields(spec: SweepSpec, value: float) -> dict:
-    fields = {
-        "n_alice": spec.n_alice,
-        "n_bob": spec.n_bob,
-        "n_eve": spec.n_eve,
-        "gamma_bar_b_db": spec.gamma_bar_b_db,
-        "gamma_bar_e_db": spec.gamma_bar_e_db,
-        "rate_rs": spec.rate_rs,
-        "epsilon": spec.epsilon,
-    }
+    point = {key: getattr(spec, key) for key in _BASE_FIELDS}
     if spec.parameter == "n_alice":
-        fields["n_alice"] = int(value)
+        point["n_alice"] = int(value)
     else:
-        fields[spec.parameter] = float(value)
-    return fields
+        point[spec.parameter] = float(value)
+    return point
+
+
+def _config(point: dict) -> SystemConfig:
+    """The system of a sweep or validation point (SNRs given in dB)."""
+    return SystemConfig(
+        n_alice=point["n_alice"],
+        n_bob=point["n_bob"],
+        n_eve=point["n_eve"],
+        gamma_bar_b=db_to_linear(point["gamma_bar_b_db"]),
+        gamma_bar_e=db_to_linear(point["gamma_bar_e_db"]),
+    )
+
+
+# (metric, evaluator) -> fn(config, scheme, rate, epsilon, trials, seed).
+# The entries look the evaluators up in this module's globals at call
+# time, so a wrapper later bound over one of those names (as the span
+# recorder in perfbench/spans.py does) sees every call.
+_EVALUATE = {
+    ("P_out", "closed-form"): lambda c, s, rate, eps, n, seed: closed_form_outage(c, rate),
+    ("Pr_nonzero", "closed-form"): lambda c, s, rate, eps, n, seed: prob_nonzero_secrecy(c),
+    ("C_out", "closed-form"): lambda c, s, rate, eps, n, seed: eps_outage_capacity(c, eps),
+    ("P_out", "quadrature"): lambda c, s, rate, eps, n, seed: outage_quadrature(c, rate),
+    ("Pr_nonzero", "quadrature"): (
+        lambda c, s, rate, eps, n, seed: 1.0 - outage_quadrature(c, 0.0)
+    ),
+    ("P_out", "monte-carlo"): (
+        lambda c, s, rate, eps, n, seed: montecarlo.estimate_outage(c, s, rate, n, seed)
+    ),
+    ("Pr_nonzero", "monte-carlo"): (
+        lambda c, s, rate, eps, n, seed: montecarlo.estimate_nonzero_secrecy(c, s, n, seed)
+    ),
+}
+
+# The analytic evaluators model only the two-antenna selection scheme.
+_ANALYTIC = ("closed-form", "quadrature")
+
+
+def evaluate(
+    config: SystemConfig,
+    scheme: Scheme,
+    metric: str,
+    evaluator: str,
+    *,
+    rate: float = 0.0,
+    epsilon: float | None = None,
+    trials: int = 1_000_000,
+    seed: int = 0,
+) -> float | montecarlo.EstimatorResult:
+    """Evaluate one metric at one operating point with one evaluator.
+
+    ``rate`` is read by P_out only and ``epsilon`` by C_out only;
+    ``trials`` and ``seed`` by Monte Carlo only.  Returns a float from
+    the closed form or the quadrature and an ``EstimatorResult`` from
+    Monte Carlo.  Raises ``ValueError`` when the evaluator does not
+    cover the scheme (checked first) or the metric.
+    """
+    if evaluator in _ANALYTIC and scheme is not Scheme.TAS_ALAMOUTI:
+        raise ValueError(
+            f"the {evaluator} evaluator supports only the "
+            f"{Scheme.TAS_ALAMOUTI.value} scheme"
+        )
+    fn = _EVALUATE.get((metric, evaluator))
+    if fn is None:
+        raise ValueError(f"the {evaluator} evaluator does not support the {metric} metric")
+    return fn(config, scheme, rate, epsilon, trials, seed)
 
 
 def _evaluate_point(
@@ -400,80 +446,45 @@ def _evaluate_point(
     ev: EvaluatorSettings,
     timings: bool,
 ) -> SweepRow:
-    fields = _point_fields(spec, value)
+    point = _point_fields(spec, value)
     metric = spec.metric
-    rate = fields["rate_rs"] if metric == "P_out" else 0.0
-    shared = dict(
-        preset=spec.preset,
-        scheme=scheme.value,
-        n_alice=fields["n_alice"],
-        n_bob=fields["n_bob"],
-        n_eve=fields["n_eve"],
-        gamma_bar_b_db=fields["gamma_bar_b_db"],
-        gamma_bar_e_db=fields["gamma_bar_e_db"],
-        rate_rs=None if metric == "C_out" else rate,
-        epsilon=fields["epsilon"] if metric == "C_out" else None,
-        metric=metric,
-        evaluator=ev.name,
-    )
+    rate = point["rate_rs"] if metric == "P_out" else 0.0
     started = time.perf_counter()
-    value_out: float | None = None
-    stderr: float | None = None
-    n_trials: int | None = None
-    seed: int | None = None
+    value_out = stderr = n_trials = seed = None
     error = ""
     try:
-        config = SystemConfig(
-            n_alice=fields["n_alice"],
-            n_bob=fields["n_bob"],
-            n_eve=fields["n_eve"],
-            gamma_bar_b=db_to_linear(fields["gamma_bar_b_db"]),
-            gamma_bar_e=db_to_linear(fields["gamma_bar_e_db"]),
-        )
+        config = _config(point)
         if ev.name == "monte-carlo":
-            n_trials = ev.trials
-            seed = ev.seed
-            if metric == "P_out":
-                result = montecarlo.estimate_outage(
-                    config, scheme, rate, ev.trials, ev.seed
-                )
-            elif metric == "Pr_nonzero":
-                result = montecarlo.estimate_nonzero_secrecy(
-                    config, scheme, ev.trials, ev.seed
-                )
-            else:
-                raise ValueError(
-                    "the monte-carlo evaluator does not support the C_out metric"
-                )
-            value_out = result.estimate
-            stderr = result.stderr
+            n_trials, seed = ev.trials, ev.seed
+        result = evaluate(
+            config,
+            scheme,
+            metric,
+            ev.name,
+            rate=rate,
+            epsilon=point["epsilon"],
+            trials=ev.trials,
+            seed=ev.seed,
+        )
+        if isinstance(result, montecarlo.EstimatorResult):
+            value_out, stderr = result.estimate, result.stderr
         else:
-            if scheme is not Scheme.TAS_ALAMOUTI:
-                raise ValueError(
-                    f"the {ev.name} evaluator supports only the "
-                    f"{Scheme.TAS_ALAMOUTI.value} scheme"
-                )
-            if ev.name == "closed-form":
-                if metric == "P_out":
-                    value_out = closed_form_outage(config, rate)
-                elif metric == "Pr_nonzero":
-                    value_out = prob_nonzero_secrecy(config)
-                else:
-                    value_out = eps_outage_capacity(config, fields["epsilon"])
-            else:
-                if metric == "P_out":
-                    value_out = outage_quadrature(config, rate)
-                elif metric == "Pr_nonzero":
-                    value_out = 1.0 - outage_quadrature(config, 0.0)
-                else:
-                    raise ValueError(
-                        "the quadrature evaluator does not support the C_out metric"
-                    )
+            value_out = result
     except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
         error = str(exc)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return SweepRow(
-        **shared,
+        preset=spec.preset,
+        scheme=scheme.value,
+        n_alice=point["n_alice"],
+        n_bob=point["n_bob"],
+        n_eve=point["n_eve"],
+        gamma_bar_b_db=point["gamma_bar_b_db"],
+        gamma_bar_e_db=point["gamma_bar_e_db"],
+        rate_rs=None if metric == "C_out" else rate,
+        epsilon=point["epsilon"] if metric == "C_out" else None,
+        metric=metric,
+        evaluator=ev.name,
         value=value_out,
         stderr=stderr,
         n_trials=n_trials,
@@ -497,6 +508,8 @@ def run_sweep(
     aborting.  ``timings`` fills the wall-time column; leaving it off
     keeps output files byte-identical across runs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [
         (value, scheme, ev)
         for value in spec.values
@@ -529,11 +542,53 @@ def _db_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + step * k for k in range(count))
 
 
-def _analytic_and_mc(trials: int, seed: int) -> tuple[EvaluatorSettings, ...]:
-    return (
-        EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI.value,)),
-        EvaluatorSettings(name="monte-carlo", trials=trials, seed=seed),
-    )
+_OUTAGE_CURVES = dict(
+    metric="P_out",
+    values=_db_range(0.0, 25.0, 2.5),
+    n_alice=4,
+    n_bob=3,
+    n_eve=2,
+    gamma_bar_e_db=5.0,
+    rate_rs=1.0,
+)
+
+# name -> (curve tag, per-curve field, its values, fields shared by the
+# curves).  Unless the shared fields say otherwise, a curve sweeps
+# gamma_bar_b_db over both schemes.
+_PRESETS = {
+    "fig2": ("na", "n_alice", (2, 3, 4), _OUTAGE_CURVES),
+    "fig3": ("nb", "n_bob", (2, 3, 4), _OUTAGE_CURVES),
+    "fig4": ("ne", "n_eve", (1, 2, 3), _OUTAGE_CURVES),
+    "fig5": (
+        "ge",
+        "gamma_bar_e_db",
+        (0.0, 5.0),
+        dict(
+            metric="Pr_nonzero",
+            values=_db_range(-10.0, 20.0, 2.5),
+            n_alice=4,
+            n_bob=3,
+            n_eve=2,
+        ),
+    ),
+    "fig6": (
+        "ne",
+        "n_eve",
+        (1, 2, 3),
+        dict(
+            metric="C_out",
+            parameter="n_alice",
+            values=tuple(float(v) for v in range(2, 9)),
+            schemes=(Scheme.TAS_ALAMOUTI,),
+            n_bob=2,
+            gamma_bar_b_db=20.0,
+            gamma_bar_e_db=0.0,
+            epsilon=0.01,
+        ),
+    ),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def build_preset(name: str, *, trials: int = 1_000_000, seed: int = 0) -> list[SweepSpec]:
@@ -545,104 +600,29 @@ def build_preset(name: str, *, trials: int = 1_000_000, seed: int = 0) -> list[S
     fig5: probability of non-zero secrecy vs. legitimate SNR for
           eavesdropper SNR in {0, 5} dB, both schemes.
     fig6: epsilon-outage capacity vs. n_alice for n_eve in {1,2,3}.
+
+    Every curve runs the closed form on the two-antenna scheme, and
+    Monte Carlo on both schemes wherever it supports the metric.
     """
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise SweepSpecError(
             f"unknown preset {name!r}; expected one of {PRESET_NAMES}"
         )
-    both = (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
-    gb_range = _db_range(0.0, 25.0, 2.5)
-    if name == "fig2":
-        return [
-            SweepSpec(
-                name=f"fig2-na{n_a}",
-                preset="fig2",
-                metric="P_out",
-                parameter="gamma_bar_b_db",
-                values=gb_range,
-                schemes=both,
-                evaluators=_analytic_and_mc(trials, seed),
-                n_alice=n_a,
-                n_bob=3,
-                n_eve=2,
-                gamma_bar_e_db=5.0,
-                rate_rs=1.0,
-            )
-            for n_a in (2, 3, 4)
-        ]
-    if name == "fig3":
-        return [
-            SweepSpec(
-                name=f"fig3-nb{n_b}",
-                preset="fig3",
-                metric="P_out",
-                parameter="gamma_bar_b_db",
-                values=gb_range,
-                schemes=both,
-                evaluators=_analytic_and_mc(trials, seed),
-                n_alice=4,
-                n_bob=n_b,
-                n_eve=2,
-                gamma_bar_e_db=5.0,
-                rate_rs=1.0,
-            )
-            for n_b in (2, 3, 4)
-        ]
-    if name == "fig4":
-        return [
-            SweepSpec(
-                name=f"fig4-ne{n_e}",
-                preset="fig4",
-                metric="P_out",
-                parameter="gamma_bar_b_db",
-                values=gb_range,
-                schemes=both,
-                evaluators=_analytic_and_mc(trials, seed),
-                n_alice=4,
-                n_bob=3,
-                n_eve=n_e,
-                gamma_bar_e_db=5.0,
-                rate_rs=1.0,
-            )
-            for n_e in (1, 2, 3)
-        ]
-    if name == "fig5":
-        return [
-            SweepSpec(
-                name=f"fig5-ge{int(ge)}",
-                preset="fig5",
-                metric="Pr_nonzero",
-                parameter="gamma_bar_b_db",
-                values=_db_range(-10.0, 20.0, 2.5),
-                schemes=both,
-                evaluators=_analytic_and_mc(trials, seed),
-                n_alice=4,
-                n_bob=3,
-                n_eve=2,
-                gamma_bar_e_db=ge,
-            )
-            for ge in (0.0, 5.0)
-        ]
+    tag, field, curve_values, shared = _PRESETS[name]
+    evaluators = (
+        EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI.value,)),
+    )
+    if (shared["metric"], "monte-carlo") in _EVALUATE:
+        evaluators += (EvaluatorSettings(name="monte-carlo", trials=trials, seed=seed),)
+    base = {
+        "parameter": "gamma_bar_b_db",
+        "schemes": (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS),
+        "evaluators": evaluators,
+        **shared,
+    }
     return [
-        SweepSpec(
-            name=f"fig6-ne{n_e}",
-            preset="fig6",
-            metric="C_out",
-            parameter="n_alice",
-            values=tuple(float(v) for v in range(2, 9)),
-            schemes=(Scheme.TAS_ALAMOUTI,),
-            evaluators=(
-                EvaluatorSettings(
-                    name="closed-form", schemes=(Scheme.TAS_ALAMOUTI.value,)
-                ),
-            ),
-            n_bob=2,
-            n_eve=n_e,
-            gamma_bar_b_db=20.0,
-            gamma_bar_e_db=0.0,
-            epsilon=0.01,
-        )
-        for n_e in (1, 2, 3)
+        SweepSpec(name=f"{name}-{tag}{value:g}", preset=name, **{**base, field: value})
+        for value in curve_values
     ]
 
 
@@ -883,40 +863,34 @@ def _binomial_z(n_events: int, n_trials: int, p: float) -> float:
     return max(0.0, float(-special.ndtri(tail)))
 
 
+# name -> the values of each point field; a grid is their product, with
+# the first field varying slowest.
+_GRIDS = {
+    "default": {
+        "n_alice": (2, 3, 4, 6),
+        "n_bob": (1, 2, 3),
+        "n_eve": (1, 2, 3),
+        "gamma_bar_b_db": (0.0, 5.0, 10.0, 15.0, 20.0),
+        "gamma_bar_e_db": (0.0, 5.0),
+        "rate_rs": (0.0, 1.0, 2.0),
+    },
+    "quick": {
+        "n_alice": (2, 3),
+        "n_bob": (1, 2),
+        "n_eve": (1, 2),
+        "gamma_bar_b_db": (0.0, 10.0),
+        "gamma_bar_e_db": (0.0, 5.0),
+        "rate_rs": (0.0, 1.0),
+    },
+}
+
+
 def validation_grid(name: str) -> list[dict]:
     """Point dictionaries of a named validation grid."""
-    if name == "default":
-        n_alice_values = (2, 3, 4, 6)
-        n_bob_values = (1, 2, 3)
-        n_eve_values = (1, 2, 3)
-        gb_values = (0.0, 5.0, 10.0, 15.0, 20.0)
-        ge_values = (0.0, 5.0)
-        rate_values = (0.0, 1.0, 2.0)
-    elif name == "quick":
-        n_alice_values = (2, 3)
-        n_bob_values = (1, 2)
-        n_eve_values = (1, 2)
-        gb_values = (0.0, 10.0)
-        ge_values = (0.0, 5.0)
-        rate_values = (0.0, 1.0)
-    else:
+    if name not in _GRIDS:
         raise ValueError(f"unknown validation grid {name!r}")
-    return [
-        {
-            "n_alice": n_a,
-            "n_bob": n_b,
-            "n_eve": n_e,
-            "gamma_bar_b_db": gb,
-            "gamma_bar_e_db": ge,
-            "rate_rs": rs,
-        }
-        for n_a in n_alice_values
-        for n_b in n_bob_values
-        for n_e in n_eve_values
-        for gb in gb_values
-        for ge in ge_values
-        for rs in rate_values
-    ]
+    axes = _GRIDS[name]
+    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
 def validate(
@@ -945,13 +919,7 @@ def validate(
         if key not in draws_cache:
             draws_cache[key] = montecarlo.draw_components(*key, n_trials, seed)
         draws = draws_cache[key]
-        config = SystemConfig(
-            n_alice=pt["n_alice"],
-            n_bob=pt["n_bob"],
-            n_eve=pt["n_eve"],
-            gamma_bar_b=db_to_linear(pt["gamma_bar_b_db"]),
-            gamma_bar_e=db_to_linear(pt["gamma_bar_e_db"]),
-        )
+        config = _config(pt)
         rate = float(pt["rate_rs"])
         cf = quad = mc_est = mc_se = diff = z = p3 = p4 = ratio = None
         error = ""
@@ -970,10 +938,9 @@ def validate(
                 config.gamma_bar_e,
                 rate,
             )
-            n_events = int(events.sum())
-            mc_est = n_events / n_trials
-            mc_se = math.sqrt(max(mc_est * (1.0 - mc_est), 0.0) / n_trials)
-            z = _binomial_z(n_events, n_trials, cf)
+            mc = montecarlo._bernoulli_result(int(events.sum()), n_trials)
+            mc_est, mc_se = mc.estimate, mc.stderr
+            z = _binomial_z(mc.n_events, n_trials, cf)
         except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
             error = str(exc)
         rows.append(
@@ -1037,58 +1004,9 @@ def validate(
     )
 
 
-_VALIDATION_COLUMNS = (
-    "n_alice",
-    "n_bob",
-    "n_eve",
-    "gamma_bar_b_db",
-    "gamma_bar_e_db",
-    "rate_rs",
-    "closed_form",
-    "quadrature",
-    "mc_estimate",
-    "mc_stderr",
-    "cf_quad_diff",
-    "mc_z_score",
-    "psi3",
-    "psi4",
-    "cancellation_ratio",
-    "error",
-)
+_VALIDATION_COLUMNS = tuple(f.name for f in fields(ValidationRow))
 
 
 def write_validation_csv(report: ValidationReport, destination) -> None:
     """Write per-point validation rows as CSV."""
-    if hasattr(destination, "write"):
-        handle = destination
-        close = False
-    else:
-        handle = open(destination, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_VALIDATION_COLUMNS)
-        for r in report.rows:
-            writer.writerow(
-                [
-                    str(r.n_alice),
-                    str(r.n_bob),
-                    str(r.n_eve),
-                    _fmt(r.gamma_bar_b_db),
-                    _fmt(r.gamma_bar_e_db),
-                    _fmt(r.rate_rs),
-                    _fmt(r.closed_form),
-                    _fmt(r.quadrature),
-                    _fmt(r.mc_estimate),
-                    _fmt(r.mc_stderr),
-                    _fmt(r.cf_quad_diff),
-                    _fmt(r.mc_z_score),
-                    _fmt(r.psi3),
-                    _fmt(r.psi4),
-                    _fmt(r.cancellation_ratio),
-                    r.error,
-                ]
-            )
-    finally:
-        if close:
-            handle.close()
+    _write_csv(_VALIDATION_COLUMNS, map(_record, report.rows), destination)

@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from tasalamouti import (
     CSV_COLUMNS,
+    EVALUATORS,
+    METRICS,
     CrossoverResult,
     EvaluatorSettings,
     PRESET_NAMES,
@@ -16,10 +21,12 @@ from tasalamouti import (
     build_preset,
     find_crossover,
     load_sweep_spec,
+    run_preset,
     run_sweep,
     validate,
     validation_grid,
     write_rows_csv,
+    write_validation_csv,
 )
 from tasalamouti import cli
 from tasalamouti.sweeps import MC_Z_LIMIT, _binomial_z
@@ -282,6 +289,33 @@ evaluators:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_sweep_spec(str(tmp_path / "absent.yaml"))
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("  n_alice: 3", "  n_alice: 2.7"),
+            ("  n_bob: 2", "  n_bob: true"),
+            ("  n_eve: 1", "  n_eve: 1.5"),
+            ("    trials: 50000", "    trials: 1000.9"),
+            ("    trials: 50000", "    trials: '50000'"),
+            ("    seed: 3", "    seed: 0.5"),
+            ("    seed: 3", "    seed: false"),
+        ],
+    )
+    def test_non_integer_counts_are_refused(self, tmp_path, line, bad):
+        # A count used to be truncated by int(): 2.7 antennas ran as 2.
+        text = self.GOOD.replace(line, bad)
+        assert text != self.GOOD
+        with pytest.raises(SweepSpecError, match="must be an integer"):
+            load_sweep_spec(self.write(tmp_path, text))
+
+    def test_integral_float_counts_are_accepted(self, tmp_path):
+        text = self.GOOD.replace("  n_alice: 3", "  n_alice: 3.0").replace(
+            "    trials: 50000", "    trials: 50000.0"
+        )
+        spec = load_sweep_spec(self.write(tmp_path, text))
+        assert spec.n_alice == 3 and isinstance(spec.n_alice, int)
+        assert spec.evaluators[1].trials == 50_000
 
 
 class TestPresets:
@@ -577,6 +611,20 @@ class TestCli:
     def test_preset_rejects_unknown_name(self, capsys):
         assert cli.main(["preset", "fig9"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "preset"])
+    def test_workers_below_one_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, workers
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec_path = tmp_path / "s.yaml"
+        spec_path.write_text(TestLoadSweepSpec.GOOD)
+        target = ["--spec", str(spec_path)] if command == "sweep" else ["fig6"]
+        code = cli.main([command, *target, "--workers", workers])
+        assert code == cli.EXIT_USAGE
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "fig6.csv").exists()
+
     def test_crossover_smoke(self, capsys):
         code = cli.main(
             [
@@ -643,3 +691,98 @@ class TestCli:
         assert out_path.exists()
         captured = capsys.readouterr().out
         assert "PASS" in captured
+
+
+class TestEvalAgreesWithSweep:
+    """``eval`` prints what the one-row sweep at the same point records."""
+
+    ARGS = [
+        "--n-alice", "3",
+        "--n-bob", "2",
+        "--n-eve", "1",
+        "--gamma-b-db", "10",
+        "--gamma-e-db", "0",
+        "--rate", "1.0",
+        "--epsilon", "0.1",
+        "--trials", "5000",
+        "--seed", "3",
+    ]
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_same_value_or_same_error(self, capsys, metric, evaluator, scheme):
+        spec = small_spec(
+            metric=metric,
+            values=(10.0,),
+            schemes=(scheme,),
+            evaluators=(EvaluatorSettings(name=evaluator, trials=5000, seed=3),),
+            epsilon=0.1,
+        )
+        [row] = run_sweep(spec)
+        record = dict(zip(CSV_COLUMNS, row.to_record()))
+        code = cli.main(
+            ["eval", "--metric", metric, "--evaluator", evaluator,
+             "--scheme", scheme.value, *self.ARGS]
+        )
+        captured = capsys.readouterr()
+        if row.error:
+            assert code == cli.EXIT_USAGE
+            assert captured.err == f"error: {row.error}\n"
+            assert captured.out == ""
+        else:
+            assert code == cli.EXIT_OK
+            lines = captured.out.splitlines()
+            assert lines[0] == f"value = {record['value']}"
+            if evaluator == "monte-carlo":
+                assert lines[1] == f"stderr = {record['stderr']}"
+            else:
+                assert len(lines) == 1
+
+
+EXAMPLE_SPEC = Path(__file__).resolve().parents[1] / "configs" / "example_sweep.yaml"
+
+
+def _example_rows():
+    spec = load_sweep_spec(str(EXAMPLE_SPEC))
+    evaluators = tuple(
+        replace(ev, trials=2000) if ev.name == "monte-carlo" else ev
+        for ev in spec.evaluators
+    )
+    return run_sweep(replace(spec, evaluators=evaluators))
+
+
+def _validation_text():
+    buffer = io.StringIO()
+    write_validation_csv(validate("quick", n_trials=2000), buffer)
+    return buffer.getvalue()
+
+
+class TestGoldenCsv:
+    """SHA-256 of whole CSV outputs, frozen before the evaluator table and
+    the preset table replaced their hand-written forms."""
+
+    CASES = {
+        "fig2": lambda: rows_to_csv_text(run_preset("fig2", trials=2000, seed=1)),
+        "fig3": lambda: rows_to_csv_text(run_preset("fig3", trials=2000, seed=1)),
+        "fig4": lambda: rows_to_csv_text(run_preset("fig4", trials=2000, seed=1)),
+        "fig5": lambda: rows_to_csv_text(run_preset("fig5", trials=2000, seed=1)),
+        "fig6": lambda: rows_to_csv_text(run_preset("fig6")),
+        "example": lambda: rows_to_csv_text(_example_rows()),
+        "validate-quick": _validation_text,
+    }
+
+    DIGESTS = {
+        "fig2": "113a86608b631046e7c6d5b5d9126fcb4a2bdf0abb1c9e12efe0a96a06c41732",
+        "fig3": "5775393cc01012fb1145b4b5cccb342c55b5a3f7cf302fe0b923b508f549f39b",
+        "fig4": "dcae6453a9730029dd95b10eab47e6b14e8aef8fce344a6899ee33da53f8427c",
+        "fig5": "10534b9ace86042f8f379eb71175e9cb647b848ba497645fde80f40c5ef05b9c",
+        "fig6": "4d291ebf4eb20f7d121192a498aed231dd940ad28596dba86e7f40fb1f773f30",
+        "example": "4c38182197eb2418f08598a27d583bfdd069c6ac70104f61e4e7dc4dfaace367",
+        "validate-quick": "a606482132aba79706a752f978b134f4784c9602b94d4175b1f59e8f8bfa9b91",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_digest(self, case):
+        text = self.CASES[case]()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
