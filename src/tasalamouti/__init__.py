@@ -43,12 +43,7 @@ from .montecarlo import (
     outage_events,
     snr_pairs,
 )
-from .quadrature import (
-    DensityGrid,
-    density_sum_two_largest,
-    gamma_branch_density,
-    outage_quadrature,
-)
+from .quadrature import outage_quadrature
 from .sweeps import (
     CSV_COLUMNS,
     EVALUATORS,
@@ -82,7 +77,6 @@ __all__ = [
     "CSV_COLUMNS",
     "ChannelRealization",
     "CrossoverResult",
-    "DensityGrid",
     "EVALUATORS",
     "EstimatorResult",
     "EvaluatorSettings",
@@ -109,7 +103,6 @@ __all__ = [
     "closed_form_outage",
     "column_norms",
     "db_to_linear",
-    "density_sum_two_largest",
     "draw_channel",
     "draw_components",
     "eps_outage_capacity",
@@ -118,7 +111,6 @@ __all__ = [
     "estimate_outage",
     "expansion_coeffs",
     "find_crossover",
-    "gamma_branch_density",
     "linear_to_db",
     "load_sweep_spec",
     "outage_breakdown",

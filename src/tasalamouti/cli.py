@@ -15,6 +15,9 @@ failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import os
 import sys
 from dataclasses import replace
 
@@ -333,8 +336,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    # A command prints into a buffer that is written in one piece, so a
+    # reader that leaves early breaks that write and not the command.
+    out = io.StringIO()
     try:
-        return _COMMANDS[args.command](args)
+        with contextlib.redirect_stdout(out):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
@@ -344,6 +351,19 @@ def main(argv: list[str] | None = None) -> int:
     except (PrecisionExhaustedError, NumericalFailureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        _emit(out.getvalue())
+
+
+def _emit(text: str) -> None:
+    """Write to stdout; if the reader has gone (``... | head``), point
+    stdout at devnull, as the Python signal docs recommend, so that the
+    flush at interpreter exit cannot raise again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

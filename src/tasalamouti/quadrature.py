@@ -1,8 +1,8 @@
-"""Semi-analytic oracle via order-statistic densities and integration.
+"""Semi-analytic oracle via order-statistic distributions and integration.
 
-Builds the exact distribution of the legitimate link's post-combining
-SNR (the sum of the two largest of n_alice i.i.d. Gamma norms, from the
-joint order-statistic density) and the eavesdropper's plain Gamma SNR,
+Builds the exact cdf of the legitimate link's post-combining SNR (the
+sum of the two largest of n_alice i.i.d. Gamma norms, from the joint
+order-statistic density) and the eavesdropper's plain Gamma density,
 then computes the outage probability by numerical integration.  Shares
 no code with the closed-form evaluator, so agreement between the two is
 meaningful evidence of correctness.
@@ -11,7 +11,6 @@ meaningful evidence of correctness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -21,15 +20,7 @@ from scipy import special
 from .config import SystemConfig
 from .errors import NumericalFailureError
 
-__all__ = [
-    "DensityGrid",
-    "INNER_TOL",
-    "OUTER_TOL",
-    "TAIL_MASS",
-    "density_sum_two_largest",
-    "gamma_branch_density",
-    "outage_quadrature",
-]
+__all__ = ["INNER_TOL", "OUTER_TOL", "TAIL_MASS", "outage_quadrature"]
 
 # Truncated tail mass of every support bound.
 TAIL_MASS = 1e-13
@@ -49,91 +40,46 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) * 0.5, w * 0.5
 
 
-def _composite_rule(x_max: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    t, wt = _gauss_nodes(order)
-    edges = np.linspace(0.0, x_max, panels + 1)
-    widths = np.diff(edges)
-    nodes = (edges[:-1, None] + widths[:, None] * t[None, :]).ravel()
-    weights = (widths[:, None] * wt[None, :]).ravel()
-    return nodes, weights
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """A distribution on [0, x_max] with pdf/cdf evaluators.
-
-    ``x_max`` truncates less than ``TAIL_MASS`` of probability;
-    ``nodes``/``weights`` form a fixed composite quadrature rule over
-    the support for integrating functions against the density.
-    """
-
-    x_max: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[np.ndarray], np.ndarray]
-
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integrate ``fn`` over the support with the grid's rule."""
-        return float(np.sum(self.weights * np.asarray(fn(self.nodes), dtype=float)))
-
-
-def gamma_branch_density(shape: int, scale: float) -> DensityGrid:
-    """Gamma distribution of one squared channel-vector norm.
-
-    Integer shape (Erlang): the cdf is the finite exponential sum
-    1 - e^{-x/scale} * sum_{k<shape} (x/scale)^k / k!.
-
-    Parameters
-    ----------
-    shape : int
-        Diversity order (>= 1).
-    scale : float
-        Mean of each exponential branch (> 0).
-    """
-    if not isinstance(shape, int) or isinstance(shape, bool) or shape < 1:
-        raise ValueError(f"shape must be an integer >= 1, got {shape!r}")
-    scale = float(scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
-
+def _erlang_pdf(x: np.ndarray, shape: int, scale: float) -> np.ndarray:
+    """Density of a Gamma norm with integer shape, at x >= 0."""
     log_norm = math.lgamma(shape) + shape * math.log(scale)
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        xp = x[pos]
-        out[pos] = np.exp((shape - 1) * np.log(xp) - xp / scale - log_norm)
-        if shape == 1:
-            out = np.where(x == 0.0, 1.0 / scale, out)
-        return out
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        y = np.maximum(x, 0.0) / scale
-        term = np.ones_like(y)
-        total = np.ones_like(y)
-        for k in range(1, shape):
-            term = term * y / k
-            total = total + term
-        return np.where(x <= 0.0, 0.0, 1.0 - np.exp(-y) * total)
-
-    x_max = float(special.gammainccinv(shape, TAIL_MASS)) * scale
-    nodes, weights = _composite_rule(x_max, panels=32, order=32)
-    return DensityGrid(x_max=x_max, nodes=nodes, weights=weights, pdf=pdf, cdf=cdf)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = np.exp((shape - 1) * np.log(xp) - xp / scale - log_norm)
+    if shape == 1:
+        out = np.where(x == 0.0, 1.0 / scale, out)
+    return out
 
 
-def _refined_scaled_integral(
-    upper: np.ndarray,
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _erlang_cdf(x: np.ndarray, shape: int, scale: float) -> np.ndarray:
+    """Cdf of a Gamma norm with integer shape, at x >= 0: the finite
+    exponential sum 1 - e^{-x/scale} * sum_{k<shape} (x/scale)^k / k!."""
+    y = x / scale
+    term = np.ones_like(y)
+    total = np.ones_like(y)
+    for k in range(1, shape):
+        term = term * y / k
+        total = total + term
+    return 1.0 - np.exp(-y) * total
+
+
+def _support(shape: int, scale: float) -> float:
+    """Upper end of an Erlang support that truncates ``TAIL_MASS``."""
+    return float(special.gammainccinv(shape, TAIL_MASS)) * scale
+
+
+def _refined_integral(
+    upper: np.ndarray | float,
+    integrand: Callable[[np.ndarray], np.ndarray],
     tol: float,
     what: str,
 ) -> np.ndarray:
-    """Integrate ``integrand(y, upper)`` over y in [0, upper] per entry.
+    """Integrate ``integrand(y)`` over y in [0, upper] per entry.
 
     Single-panel Gauss-Legendre with node doubling until successive
-    refinements agree within ``tol`` (absolute, elementwise).
+    refinements agree within ``tol`` (absolute, elementwise).  The
+    integrand sees ``y`` with the nodes along a new last axis.
     """
     upper = np.asarray(upper, dtype=float)
     col = upper[..., None]
@@ -141,8 +87,7 @@ def _refined_scaled_integral(
     order = 64
     while order <= _MAX_ORDER:
         t, wt = _gauss_nodes(order)
-        y = col * t
-        vals = np.sum(integrand(y, col) * wt, axis=-1) * upper
+        vals = np.sum(integrand(col * t) * wt, axis=-1) * upper
         if prev is not None and np.max(np.abs(vals - prev)) <= tol:
             return vals
         prev = vals
@@ -152,74 +97,30 @@ def _refined_scaled_integral(
     )
 
 
-def density_sum_two_largest(
-    n_candidates: int, branch_shape: int, scale: float, *, tol: float = INNER_TOL
-) -> DensityGrid:
-    """Distribution of the sum of the two largest of i.i.d. Gamma norms.
+def _top_two_cdf(
+    s: np.ndarray, n: int, shape: int, scale: float, s_max: float
+) -> np.ndarray:
+    """Cdf of the sum of the two largest of n i.i.d. Gamma norms.
 
-    From the joint order-statistic density
-    n(n-1) f(x) f(y) F(y)^(n-2) on x >= y: the pdf marginalizes over
-    the smaller coordinate, the cdf integrates the joint density over
-    the triangle x + y <= s.
-
-    Parameters
-    ----------
-    n_candidates : int
-        Number of i.i.d. norms to select from (>= 2).
-    branch_shape : int
-        Gamma shape of each norm (>= 1).
-    scale : float
-        Gamma scale of each norm (> 0).
+    Integrates the joint order-statistic density
+    n(n-1) f(x) f(y) F(y)^(n-2) on x >= y over the triangle x + y <= s,
+    for a 1-D ``s`` in [0, s_max]; ``s_max`` is the support bound, where
+    the cdf is taken as 1.
     """
-    if not isinstance(n_candidates, int) or n_candidates < 2:
-        raise ValueError(f"n_candidates must be an integer >= 2, got {n_candidates!r}")
-    branch = gamma_branch_density(branch_shape, scale)
-    pair_count = float(n_candidates * (n_candidates - 1))
-    tail_power = n_candidates - 2
+    half = s * 0.5
+    upper = half[:, None]
 
-    def pdf(s):
-        s = np.asarray(s, dtype=float)
-        flat = np.maximum(s.reshape(-1), 0.0)
+    def integrand(y):
+        f_y = _erlang_cdf(y, shape, scale)
+        bigger = _erlang_cdf(2.0 * upper - y, shape, scale) - f_y
+        return _erlang_pdf(y, shape, scale) * f_y ** (n - 2) * np.maximum(bigger, 0.0)
 
-        def integrand(y, upper):
-            # upper is s/2 scaled below via the half-range substitution
-            return (
-                branch.pdf(2.0 * upper - y)
-                * branch.pdf(y)
-                * branch.cdf(y) ** tail_power
-            )
-
-        vals = _refined_scaled_integral(flat * 0.5, integrand, tol, "top-two sum pdf")
-        vals = pair_count * vals
-        return np.where(s.reshape(-1) <= 0.0, 0.0, vals).reshape(s.shape)
-
-    def cdf(s):
-        s = np.asarray(s, dtype=float)
-        flat = np.maximum(s.reshape(-1), 0.0)
-        capped = np.minimum(flat, x_max)
-
-        def integrand(y, upper):
-            bigger = branch.cdf(2.0 * upper - y) - branch.cdf(y)
-            return branch.pdf(y) * branch.cdf(y) ** tail_power * np.maximum(bigger, 0.0)
-
-        vals = _refined_scaled_integral(capped * 0.5, integrand, tol, "top-two sum cdf")
-        vals = np.clip(pair_count * vals, 0.0, 1.0)
-        vals = np.where(flat >= x_max, 1.0, vals)
-        return np.where(s.reshape(-1) <= 0.0, 0.0, vals).reshape(s.shape)
-
-    # The sum of the two largest never exceeds the sum of all norms.
-    x_max = float(special.gammainccinv(n_candidates * branch_shape, TAIL_MASS)) * scale
-    nodes, weights = _composite_rule(x_max, panels=32, order=32)
-    return DensityGrid(x_max=x_max, nodes=nodes, weights=weights, pdf=pdf, cdf=cdf)
+    vals = _refined_integral(half, integrand, INNER_TOL, "top-two sum cdf")
+    vals = np.clip(n * (n - 1) * vals, 0.0, 1.0)
+    return np.where(s >= s_max, 1.0, vals)
 
 
-def outage_quadrature(
-    config: SystemConfig,
-    rate: float,
-    *,
-    inner_tol: float = INNER_TOL,
-    outer_tol: float = OUTER_TOL,
-) -> float:
+def outage_quadrature(config: SystemConfig, rate: float) -> float:
     """Secrecy outage probability by density integration.
 
     Integrates the eavesdropper SNR density against the legitimate
@@ -227,6 +128,8 @@ def outage_quadrature(
     ``2^rate * (1 + gamma_e) - 1``.  The eavesdropper SNR is
     Gamma(2*n_eve, gamma_bar_e/2): her two effective antennas are
     picked by the legitimate receiver's channel, independent of hers.
+    Both the outer integral and the cdf refine to ``OUTER_TOL`` and
+    ``INNER_TOL``.
 
     Parameters
     ----------
@@ -234,9 +137,6 @@ def outage_quadrature(
         Needs n_alice >= 2 (the two-antenna selection scheme).
     rate : float
         Target secrecy rate in bits per channel use (>= 0).
-    inner_tol, outer_tol : float
-        Node-doubling convergence targets of the cdf construction and
-        the outer integral.
 
     Returns
     -------
@@ -247,26 +147,19 @@ def outage_quadrature(
     if not math.isfinite(rate) or rate < 0.0:
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
 
-    eve = gamma_branch_density(2 * config.n_eve, config.gamma_bar_e / 2.0)
-    bob = density_sum_two_largest(
-        config.n_alice, config.n_bob, config.gamma_bar_b / 2.0, tol=inner_tol
-    )
+    eve_shape, eve_scale = 2 * config.n_eve, config.gamma_bar_e / 2.0
+    bob_scale = config.gamma_bar_b / 2.0
+    # The sum of the two largest never exceeds the sum of all norms.
+    bob_max = _support(config.n_alice * config.n_bob, bob_scale)
     growth = 2.0 ** min(rate, 1023.0)
 
-    prev = None
-    order = 64
-    while order <= _MAX_ORDER:
-        t, wt = _gauss_nodes(order)
-        y = eve.x_max * t
+    def integrand(y):
         with np.errstate(over="ignore"):
-            threshold = np.minimum(growth * (1.0 + y) - 1.0, bob.x_max)
-        vals = eve.pdf(y) * bob.cdf(threshold)
-        total = float(np.sum(vals * wt) * eve.x_max)
-        if prev is not None and abs(total - prev) <= outer_tol:
-            return min(1.0, max(0.0, total))
-        prev = total
-        order *= 2
-    raise NumericalFailureError(
-        f"outer outage integral did not converge to {outer_tol} "
-        f"within {_MAX_ORDER} nodes"
-    )
+            threshold = np.minimum(growth * (1.0 + y) - 1.0, bob_max)
+        return _erlang_pdf(y, eve_shape, eve_scale) * _top_two_cdf(
+            threshold, config.n_alice, config.n_bob, bob_scale, bob_max
+        )
+
+    eve_max = _support(eve_shape, eve_scale)
+    total = _refined_integral(eve_max, integrand, OUTER_TOL, "outer outage integral")
+    return min(1.0, max(0.0, float(total)))

@@ -157,6 +157,8 @@ class SweepSpec:
             )
         if not self.values:
             raise SweepSpecError("sweep needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise SweepSpecError(f"sweep values must be finite, got {self.values!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise SweepSpecError("sweep values must be strictly increasing")
         if not self.schemes:
@@ -330,7 +332,12 @@ def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
             if key in settings:
                 kwargs[key] = _integer(settings[key], f"{origin}: {name}.{key}")
         if "schemes" in settings:
-            kwargs["schemes"] = tuple(str(s) for s in settings["schemes"])
+            subset = settings["schemes"]
+            if not isinstance(subset, (list, tuple)) or not subset:
+                raise SweepSpecError(
+                    f"{origin}: {name}.schemes must be a non-empty list"
+                )
+            kwargs["schemes"] = tuple(str(s) for s in subset)
         evaluators.append(EvaluatorSettings(**kwargs))
 
     values_raw = raw["values"]

@@ -23,16 +23,15 @@ from tasalamouti import (
     alamouti_roundtrip,
     closed_form_outage,
     db_to_linear,
-    density_sum_two_largest,
     draw_channel,
     eps_outage_capacity,
     estimate_nonzero_secrecy,
     find_crossover,
-    gamma_branch_density,
     outage_breakdown,
     prob_nonzero_secrecy,
     validate,
 )
+from tasalamouti.quadrature import _erlang_cdf, _support, _top_two_cdf
 
 
 def report(n: int, text: str) -> None:
@@ -219,10 +218,12 @@ class TestCriterion6StructuralIdentities:
 
         # With two candidates the selected pair is the whole set, so
         # the top-two sum is a plain Erlang variable.
-        top2 = density_sum_two_largest(2, 3, 1.0)
-        erlang = gamma_branch_density(6, 1.0)
-        xs = np.linspace(0.0, min(top2.x_max, erlang.x_max), 400)
-        sup = float(np.max(np.abs(top2.pdf(xs) - erlang.pdf(xs))))
+        # Checked on the top-two cdf, the function the quadrature
+        # route integrates.
+        s_max = _support(6, 1.0)
+        xs = np.linspace(0.0, s_max, 400)
+        top2 = _top_two_cdf(xs, 2, 3, 1.0, s_max)
+        sup = float(np.max(np.abs(top2 - _erlang_cdf(xs, 6, 1.0))))
         assert sup <= 1e-8
 
         # The combining chain delivers the predicted decision SNR.

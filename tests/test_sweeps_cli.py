@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,6 +310,26 @@ evaluators:
         text = self.GOOD.replace(line, bad)
         assert text != self.GOOD
         with pytest.raises(SweepSpecError, match="must be an integer"):
+            load_sweep_spec(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("bad", [".inf", ".nan"])
+    def test_non_finite_values_are_refused(self, tmp_path, capsys, bad):
+        # .inf used to escape as an OverflowError from int(v).
+        text = self.GOOD.replace("parameter: gamma_bar_b_db", "parameter: n_alice")
+        text = text.replace("values: [0, 5, 10]", f"values: [2, {bad}]")
+        path = self.write(tmp_path, text)
+        with pytest.raises(SweepSpecError, match="sweep values must be finite"):
+            load_sweep_spec(path)
+        assert cli.main(["sweep", "--spec", path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_scalar_evaluator_schemes_are_refused(self, tmp_path):
+        # A bare string used to be iterated character by character.
+        text = self.GOOD.replace("    schemes: [tas_alamouti]", "    schemes: tas_alamouti")
+        assert text != self.GOOD
+        with pytest.raises(
+            SweepSpecError, match="closed-form.schemes must be a non-empty list"
+        ):
             load_sweep_spec(self.write(tmp_path, text))
 
     def test_integral_float_counts_are_accepted(self, tmp_path):
@@ -665,6 +688,25 @@ class TestCli:
         code = cli.main(["validate", "--grid", "quick", "--trials", "1000"])
         assert code == cli.EXIT_VALIDATION
         assert "FAIL" in capsys.readouterr().out
+
+    def test_reader_closing_early_is_quiet(self):
+        # ``validate ... | head -1``: the reader is gone before the first
+        # write, so the flush fails.  No traceback; the command's own code.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tasalamouti.cli", "validate",
+             "--grid", "quick", "--trials", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == cli.EXIT_OK
+        assert err == b""
 
     def test_validate_passing_run(self, capsys, monkeypatch, tmp_path):
         real_validate = validate
