@@ -4,9 +4,19 @@ Trials are partitioned into fixed-size blocks, each bound to its own
 deterministic substream derived from (seed, block index), and reduced
 by exact event counting.  The same (config, scheme, trials, seed)
 therefore reproduces bit-identical estimates regardless of how blocks
-would be scheduled.  The per-trial channel statistics are normalized
-(unit average branch SNR), so one set of draws serves every SNR point
-of a sweep and both schemes share draws for paired comparisons.
+would be scheduled.
+
+The per-trial channel statistics are normalized (unit average branch
+SNR), so one draw set, fixed by (n_alice, n_bob, n_eve, trials, seed),
+serves every SNR and rate point and both schemes.  ``draw_components``
+makes a set, and ``count_outage`` and ``count_nonzero_secrecy`` count
+events on a supplied set without drawing.  A set's arrays are
+read-only, so the rows that share it cannot change it.  The sweeps,
+presets and validation grids of ``sweeps`` draw each distinct set
+once per call and hold one set at a time, so their memory is bounded
+by a single set (4 arrays of ``trials`` float64) and not by the number
+of sets.  ``estimate_outage`` and ``estimate_nonzero_secrecy`` check
+their inputs, then draw for themselves.
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ __all__ = [
     "BLOCK_SIZE",
     "EstimatorResult",
     "NormalizedDraws",
+    "check_inputs",
+    "count_nonzero_secrecy",
+    "count_outage",
     "draw_components",
     "estimate_nonzero_secrecy",
     "estimate_outage",
@@ -63,7 +76,8 @@ class NormalizedDraws:
     largest squared column norms of the legitimate link; ``eve_pair``
     and ``eve_first`` are the eavesdropper norms gathered at the same
     antenna indices.  ``top2``/``eve_pair`` are None when n_alice == 1
-    (only the single-antenna scheme is defined there).
+    (only the single-antenna scheme is defined there).  Every array is
+    made read-only, since one set serves many estimates.
     """
 
     n_alice: int
@@ -75,6 +89,11 @@ class NormalizedDraws:
     top1: np.ndarray
     eve_pair: np.ndarray | None
     eve_first: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.top2, self.top1, self.eve_pair, self.eve_first):
+            if array is not None:
+                array.setflags(write=False)
 
 
 def draw_components(
@@ -168,6 +187,27 @@ def snr_pairs(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _checked_rate(rate: float) -> float:
+    rate = float(rate)
+    if not math.isfinite(rate) or rate < 0.0:
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    return rate
+
+
+def check_inputs(config: SystemConfig, scheme: Scheme, rate: float = 0.0) -> None:
+    """Refuse a point before anything is drawn for it.
+
+    The scheme must be a ``Scheme``, the Alamouti selection scheme needs
+    n_alice >= 2, and the rate must be finite and >= 0.  The average
+    SNRs were checked when ``config`` was made.
+    """
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme is Scheme.TAS_ALAMOUTI:
+        config.require_two_transmit_antennas()
+    _checked_rate(rate)
+
+
 def outage_events(
     draws: NormalizedDraws,
     scheme: Scheme,
@@ -181,9 +221,7 @@ def outage_events(
     strictly positive), the exact complement of the non-zero-secrecy
     event; for positive rates it is secrecy capacity below ``rate``.
     """
-    rate = float(rate)
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    rate = _checked_rate(rate)
     gamma_b, gamma_e = snr_pairs(draws, scheme, gamma_bar_b, gamma_bar_e)
     if rate == 0.0:
         return gamma_b <= gamma_e
@@ -210,6 +248,34 @@ def _bernoulli_result(n_events: int, n_trials: int) -> EstimatorResult:
     )
 
 
+def _matching(draws: NormalizedDraws, config: SystemConfig) -> NormalizedDraws:
+    drawn = (draws.n_alice, draws.n_bob, draws.n_eve)
+    wanted = (config.n_alice, config.n_bob, config.n_eve)
+    if drawn != wanted:
+        raise ValueError(f"draws have antennas {drawn}, the configuration {wanted}")
+    return draws
+
+
+def count_outage(
+    draws: NormalizedDraws, config: SystemConfig, scheme: Scheme, rate: float
+) -> EstimatorResult:
+    """Secrecy outage counted on a supplied draw set of ``config``'s antennas."""
+    events = outage_events(
+        _matching(draws, config), scheme, config.gamma_bar_b, config.gamma_bar_e, rate
+    )
+    return _bernoulli_result(int(events.sum()), draws.n_trials)
+
+
+def count_nonzero_secrecy(
+    draws: NormalizedDraws, config: SystemConfig, scheme: Scheme
+) -> EstimatorResult:
+    """Non-zero secrecy counted on a supplied draw set of ``config``'s antennas."""
+    events = ~outage_events(
+        _matching(draws, config), scheme, config.gamma_bar_b, config.gamma_bar_e, 0.0
+    )
+    return _bernoulli_result(int(events.sum()), draws.n_trials)
+
+
 def estimate_outage(
     config: SystemConfig,
     scheme: Scheme,
@@ -218,6 +284,8 @@ def estimate_outage(
     seed: int = 0,
 ) -> EstimatorResult:
     """Estimate the secrecy outage probability by simulation.
+
+    The inputs are checked before the draw (``check_inputs``).
 
     Parameters
     ----------
@@ -235,13 +303,9 @@ def estimate_outage(
     -------
     EstimatorResult
     """
-    if scheme is Scheme.TAS_ALAMOUTI:
-        config.require_two_transmit_antennas()
+    check_inputs(config, scheme, rate)
     draws = draw_components(config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-    events = outage_events(
-        draws, scheme, config.gamma_bar_b, config.gamma_bar_e, rate
-    )
-    return _bernoulli_result(int(events.sum()), n_trials)
+    return count_outage(draws, config, scheme, rate)
 
 
 def estimate_nonzero_secrecy(
@@ -255,10 +319,6 @@ def estimate_nonzero_secrecy(
     Complementary to ``estimate_outage`` at rate 0 on the same seed:
     the two estimates sum to 1 exactly.
     """
-    if scheme is Scheme.TAS_ALAMOUTI:
-        config.require_two_transmit_antennas()
+    check_inputs(config, scheme)
     draws = draw_components(config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-    events = ~outage_events(
-        draws, scheme, config.gamma_bar_b, config.gamma_bar_e, 0.0
-    )
-    return _bernoulli_result(int(events.sum()), n_trials)
+    return count_nonzero_secrecy(draws, config, scheme)

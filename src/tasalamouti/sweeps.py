@@ -4,12 +4,17 @@ A sweep walks one parameter (legitimate-link SNR in dB, transmit
 antenna count, or the outage budget epsilon) across a fixed base
 configuration, evaluates one metric with one or more evaluators per
 scheme, and emits rows in a stable order with a fixed CSV schema.
-Every evaluation goes through ``evaluate``, whose one table maps a
-(metric, evaluator) pair to its function; the command line's ``eval``
-uses it too.  Presets reproduce the figure-style experiment families
-and, like the validation grids, are data tables.  Validation
-runs the three evaluators against each other over a parameter grid and
-reports hard threshold violations.
+Every evaluation goes through one table that maps a (metric,
+evaluator) pair to its function; ``evaluate`` and the command line's
+``eval`` use it too.  Its Monte Carlo entries count events on a
+supplied draw set.  A sweep, a preset and a validation run each plan
+their Monte Carlo rows by draw key (n_alice, n_bob, n_eve, trials,
+seed): every distinct key is drawn once per call, its rows are all
+counted on that one set, and one set is held at a time.  Presets
+reproduce the figure-style experiment families and, like the
+validation grids, are data tables.  Validation runs the three
+evaluators against each other over a parameter grid and reports hard
+threshold violations.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -392,28 +398,48 @@ def _config(point: dict) -> SystemConfig:
     )
 
 
-# (metric, evaluator) -> fn(config, scheme, rate, epsilon, trials, seed).
-# The entries look the evaluators up in this module's globals at call
-# time, so a wrapper later bound over one of those names (as the span
-# recorder in perfbench/spans.py does) sees every call.
+# (metric, evaluator) -> fn(config, scheme, rate, epsilon, draws), where
+# ``draws`` is the Monte Carlo draw set of the point (None for the
+# analytic evaluators).  The entries look the evaluators up in this
+# module's globals at call time, so a wrapper later bound over one of
+# those names (as the span recorder in perfbench/spans.py does) sees
+# every call.
 _EVALUATE = {
-    ("P_out", "closed-form"): lambda c, s, rate, eps, n, seed: closed_form_outage(c, rate),
-    ("Pr_nonzero", "closed-form"): lambda c, s, rate, eps, n, seed: prob_nonzero_secrecy(c),
-    ("C_out", "closed-form"): lambda c, s, rate, eps, n, seed: eps_outage_capacity(c, eps),
-    ("P_out", "quadrature"): lambda c, s, rate, eps, n, seed: outage_quadrature(c, rate),
+    ("P_out", "closed-form"): lambda c, s, rate, eps, draws: closed_form_outage(c, rate),
+    ("Pr_nonzero", "closed-form"): lambda c, s, rate, eps, draws: prob_nonzero_secrecy(c),
+    ("C_out", "closed-form"): lambda c, s, rate, eps, draws: eps_outage_capacity(c, eps),
+    ("P_out", "quadrature"): lambda c, s, rate, eps, draws: outage_quadrature(c, rate),
     ("Pr_nonzero", "quadrature"): (
-        lambda c, s, rate, eps, n, seed: 1.0 - outage_quadrature(c, 0.0)
+        lambda c, s, rate, eps, draws: 1.0 - outage_quadrature(c, 0.0)
     ),
     ("P_out", "monte-carlo"): (
-        lambda c, s, rate, eps, n, seed: montecarlo.estimate_outage(c, s, rate, n, seed)
+        lambda c, s, rate, eps, draws: montecarlo.count_outage(draws, c, s, rate)
     ),
     ("Pr_nonzero", "monte-carlo"): (
-        lambda c, s, rate, eps, n, seed: montecarlo.estimate_nonzero_secrecy(c, s, n, seed)
+        lambda c, s, rate, eps, draws: montecarlo.count_nonzero_secrecy(draws, c, s)
     ),
 }
 
 # The analytic evaluators model only the two-antenna selection scheme.
 _ANALYTIC = ("closed-form", "quadrature")
+
+
+def _checked(
+    config: SystemConfig, scheme: Scheme, metric: str, evaluator: str, rate: float
+):
+    """The table function of a point whose inputs pass; raises ``ValueError``
+    otherwise, before anything is drawn.  The scheme is checked first."""
+    if evaluator in _ANALYTIC and scheme is not Scheme.TAS_ALAMOUTI:
+        raise ValueError(
+            f"the {evaluator} evaluator supports only the "
+            f"{Scheme.TAS_ALAMOUTI.value} scheme"
+        )
+    fn = _EVALUATE.get((metric, evaluator))
+    if fn is None:
+        raise ValueError(f"the {evaluator} evaluator does not support the {metric} metric")
+    if evaluator == "monte-carlo":
+        montecarlo.check_inputs(config, scheme, rate if metric == "P_out" else 0.0)
+    return fn
 
 
 def evaluate(
@@ -433,17 +459,63 @@ def evaluate(
     ``trials`` and ``seed`` by Monte Carlo only.  Returns a float from
     the closed form or the quadrature and an ``EstimatorResult`` from
     Monte Carlo.  Raises ``ValueError`` when the evaluator does not
-    cover the scheme (checked first) or the metric.
+    cover the scheme (checked first) or the metric, or when Monte Carlo
+    inputs are refused; all of that is checked before Monte Carlo draws.
     """
-    if evaluator in _ANALYTIC and scheme is not Scheme.TAS_ALAMOUTI:
-        raise ValueError(
-            f"the {evaluator} evaluator supports only the "
-            f"{Scheme.TAS_ALAMOUTI.value} scheme"
+    fn = _checked(config, scheme, metric, evaluator, rate)
+    draws = None
+    if evaluator == "monte-carlo":
+        draws = montecarlo.draw_components(
+            config.n_alice, config.n_bob, config.n_eve, trials, seed
         )
-    fn = _EVALUATE.get((metric, evaluator))
-    if fn is None:
-        raise ValueError(f"the {evaluator} evaluator does not support the {metric} metric")
-    return fn(config, scheme, rate, epsilon, trials, seed)
+    return fn(config, scheme, rate, epsilon, draws)
+
+
+class _DrawSlot:
+    """The one Monte Carlo draw set that a run holds.
+
+    Asking for another key drops the held set before drawing the new
+    one, so at most one set is alive.  A caller that asks key by key,
+    never coming back to a key it has left, draws each key once.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+        self._draws: montecarlo.NormalizedDraws | None = None
+
+    def get(self, key: tuple) -> montecarlo.NormalizedDraws:
+        if key != self._key:
+            self._key = self._draws = None
+            self._draws = montecarlo.draw_components(*key)
+            self._key = key
+        return self._draws
+
+
+# The slot of the run_preset call in progress, if any.  run_preset runs
+# each curve through run_sweep, so that each curve stays one sweep; the
+# curves share their draws through this slot, which lives only as long
+# as the run_preset call.
+_PRESET_DRAWS: ContextVar[_DrawSlot | None] = ContextVar("_PRESET_DRAWS", default=None)
+
+
+def _rate(spec: SweepSpec, point: dict) -> float:
+    return point["rate_rs"] if spec.metric == "P_out" else 0.0
+
+
+def _draw_key(
+    spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
+) -> tuple | None:
+    """The draw set a sweep row counts on, (n_alice, n_bob, n_eve,
+    trials, seed); None for a row that draws nothing, being analytic or
+    refused by its input checks."""
+    if ev.name != "monte-carlo":
+        return None
+    point = _point_fields(spec, value)
+    try:
+        _checked(_config(point), scheme, spec.metric, ev.name, _rate(spec, point))
+    except ValueError:
+        return None
+    return (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
 
 
 def _evaluate_point(
@@ -452,10 +524,11 @@ def _evaluate_point(
     scheme: Scheme,
     ev: EvaluatorSettings,
     timings: bool,
+    draws: montecarlo.NormalizedDraws | None,
 ) -> SweepRow:
     point = _point_fields(spec, value)
     metric = spec.metric
-    rate = point["rate_rs"] if metric == "P_out" else 0.0
+    rate = _rate(spec, point)
     started = time.perf_counter()
     value_out = stderr = n_trials = seed = None
     error = ""
@@ -463,16 +536,8 @@ def _evaluate_point(
         config = _config(point)
         if ev.name == "monte-carlo":
             n_trials, seed = ev.trials, ev.seed
-        result = evaluate(
-            config,
-            scheme,
-            metric,
-            ev.name,
-            rate=rate,
-            epsilon=point["epsilon"],
-            trials=ev.trials,
-            seed=ev.seed,
-        )
+        fn = _checked(config, scheme, metric, ev.name, rate)
+        result = fn(config, scheme, rate, point["epsilon"], draws)
         if isinstance(result, montecarlo.EstimatorResult):
             value_out, stderr = result.estimate, result.stderr
         else:
@@ -512,8 +577,14 @@ def run_sweep(
     Rows come back ordered by sweep value, then scheme order, then
     evaluator order, regardless of worker scheduling.  Evaluator
     failures are recorded in the row's error column instead of
-    aborting.  ``timings`` fills the wall-time column; leaving it off
-    keeps output files byte-identical across runs.
+    aborting.  ``timings`` fills the wall-time column (a Monte Carlo
+    row's time excludes the draw it shares); leaving it off keeps
+    output files byte-identical across runs.
+
+    Rows are evaluated in batches: the rows that draw nothing, and the
+    Monte Carlo rows of each draw key.  A key's set is drawn once,
+    before its rows fan out to ``workers`` threads, and is dropped
+    before the next key's set is drawn.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -524,15 +595,21 @@ def run_sweep(
         for ev in spec.evaluators
         if ev.applies_to(scheme)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda job: _evaluate_point(spec, *job, timings=timings), jobs
-                )
+    batches: dict[tuple | None, list[int]] = {}
+    for index, job in enumerate(jobs):
+        batches.setdefault(_draw_key(spec, *job), []).append(index)
+    slot = _PRESET_DRAWS.get() or _DrawSlot()
+    rows: list[SweepRow] = [None] * len(jobs)  # type: ignore[list-item]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = pool.map if workers > 1 else map
+        for key, indices in batches.items():
+            draws = None if key is None else slot.get(key)
+            batch = mapper(
+                lambda i: _evaluate_point(spec, *jobs[i], timings, draws), indices
             )
-    else:
-        rows = [_evaluate_point(spec, *job, timings=timings) for job in jobs]
+            for index, row in zip(indices, batch):
+                rows[index] = row
+            del draws  # the slot alone holds the set, so the next key's draw frees it
     if spec.output is not None:
         write_rows_csv(rows, spec.output)
     return rows
@@ -641,11 +718,20 @@ def run_preset(
     workers: int = 1,
     timings: bool = False,
 ) -> list[SweepRow]:
-    """Run every curve of a preset and return the concatenated rows."""
-    rows: list[SweepRow] = []
-    for spec in build_preset(name, trials=trials, seed=seed):
-        rows.extend(run_sweep(spec, workers=workers, timings=timings))
-    return rows
+    """Run every curve of a preset and return the concatenated rows.
+
+    The curves share one draw slot, so consecutive curves with the same
+    draw key (as fig5's two eavesdropper SNRs have) count on one set.
+    """
+    token = _PRESET_DRAWS.set(_DrawSlot())
+    try:
+        return [
+            row
+            for spec in build_preset(name, trials=trials, seed=seed)
+            for row in run_sweep(spec, workers=workers, timings=timings)
+        ]
+    finally:
+        _PRESET_DRAWS.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -703,13 +789,13 @@ def find_crossover(
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
     if not lo_db < hi_db:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket_db!r}")
-    if scheme_a is Scheme.TAS_ALAMOUTI or scheme_b is Scheme.TAS_ALAMOUTI:
-        config.require_two_transmit_antennas()
+    event_rate = rate if metric == "P_out" else 0.0
+    for scheme in (scheme_a, scheme_b):
+        montecarlo.check_inputs(config, scheme, event_rate)
 
     draws = montecarlo.draw_components(
         config.n_alice, config.n_bob, config.n_eve, n_trials, seed
     )
-    event_rate = rate if metric == "P_out" else 0.0
 
     def paired_difference(g_db: float) -> tuple[float, float]:
         gb = db_to_linear(g_db)
@@ -900,6 +986,46 @@ def validation_grid(name: str) -> list[dict]:
     return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
+def _validation_row(pt: dict, draws: montecarlo.NormalizedDraws) -> ValidationRow:
+    """The three-way comparison at one grid point, counting Monte Carlo
+    events on ``draws``, the draw set of the point's antennas."""
+    config = _config(pt)
+    rate = float(pt["rate_rs"])
+    cf = quad = mc_est = mc_se = diff = z = p3 = p4 = ratio = None
+    error = ""
+    try:
+        breakdown = outage_breakdown(config, rate)
+        cf = breakdown.value
+        p3 = breakdown.psi[2]
+        p4 = breakdown.psi[3]
+        ratio = breakdown.cancellation_ratio
+        quad = outage_quadrature(config, rate)
+        diff = abs(cf - quad)
+        mc = montecarlo.count_outage(draws, config, Scheme.TAS_ALAMOUTI, rate)
+        mc_est, mc_se = mc.estimate, mc.stderr
+        z = _binomial_z(mc.n_events, draws.n_trials, cf)
+    except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
+        error = str(exc)
+    return ValidationRow(
+        n_alice=pt["n_alice"],
+        n_bob=pt["n_bob"],
+        n_eve=pt["n_eve"],
+        gamma_bar_b_db=pt["gamma_bar_b_db"],
+        gamma_bar_e_db=pt["gamma_bar_e_db"],
+        rate_rs=rate,
+        closed_form=cf,
+        quadrature=quad,
+        mc_estimate=mc_est,
+        mc_stderr=mc_se,
+        cf_quad_diff=diff,
+        mc_z_score=z,
+        psi3=p3,
+        psi4=p4,
+        cancellation_ratio=ratio,
+        error=error,
+    )
+
+
 def validate(
     grid: str = "default",
     *,
@@ -916,60 +1042,24 @@ def validate(
     so points with few expected events are judged correctly.
 
     ``points`` overrides the named grid (used for focused reports).
+
+    Points are evaluated key by key (n_alice, n_bob, n_eve), in the
+    order each key first appears.  A key's draw set is made once and
+    freed before the next key's is drawn, so one set is held at a time.
+    Rows keep the order of the points.
     """
     grid_points = list(points) if points is not None else validation_grid(grid)
 
-    draws_cache: dict[tuple[int, int, int], montecarlo.NormalizedDraws] = {}
-    rows: list[ValidationRow] = []
-    for pt in grid_points:
-        key = (pt["n_alice"], pt["n_bob"], pt["n_eve"])
-        if key not in draws_cache:
-            draws_cache[key] = montecarlo.draw_components(*key, n_trials, seed)
-        draws = draws_cache[key]
-        config = _config(pt)
-        rate = float(pt["rate_rs"])
-        cf = quad = mc_est = mc_se = diff = z = p3 = p4 = ratio = None
-        error = ""
-        try:
-            breakdown = outage_breakdown(config, rate)
-            cf = breakdown.value
-            p3 = breakdown.psi[2]
-            p4 = breakdown.psi[3]
-            ratio = breakdown.cancellation_ratio
-            quad = outage_quadrature(config, rate)
-            diff = abs(cf - quad)
-            events = montecarlo.outage_events(
-                draws,
-                Scheme.TAS_ALAMOUTI,
-                config.gamma_bar_b,
-                config.gamma_bar_e,
-                rate,
-            )
-            mc = montecarlo._bernoulli_result(int(events.sum()), n_trials)
-            mc_est, mc_se = mc.estimate, mc.stderr
-            z = _binomial_z(mc.n_events, n_trials, cf)
-        except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
-            error = str(exc)
-        rows.append(
-            ValidationRow(
-                n_alice=pt["n_alice"],
-                n_bob=pt["n_bob"],
-                n_eve=pt["n_eve"],
-                gamma_bar_b_db=pt["gamma_bar_b_db"],
-                gamma_bar_e_db=pt["gamma_bar_e_db"],
-                rate_rs=rate,
-                closed_form=cf,
-                quadrature=quad,
-                mc_estimate=mc_est,
-                mc_stderr=mc_se,
-                cf_quad_diff=diff,
-                mc_z_score=z,
-                psi3=p3,
-                psi4=p4,
-                cancellation_ratio=ratio,
-                error=error,
-            )
-        )
+    by_key: dict[tuple, list[int]] = {}
+    for index, pt in enumerate(grid_points):
+        key = (pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed)
+        by_key.setdefault(key, []).append(index)
+    rows: list[ValidationRow] = [None] * len(grid_points)  # type: ignore[list-item]
+    for key, indices in by_key.items():
+        draws = montecarlo.draw_components(*key)
+        for index in indices:
+            rows[index] = _validation_row(grid_points[index], draws)
+        del draws  # free this key's set before the next key's is drawn
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)

@@ -1,4 +1,9 @@
+import weakref
+
 import hypothesis
+import pytest
+
+from tasalamouti import montecarlo
 
 hypothesis.settings.register_profile(
     "package",
@@ -7,3 +12,32 @@ hypothesis.settings.register_profile(
     derandomize=True,
 )
 hypothesis.settings.load_profile("package")
+
+
+class DrawSpy:
+    """Stands in for ``montecarlo.draw_components``: records the arguments
+    of every draw, and how many earlier draw sets were still alive when
+    each draw started."""
+
+    def __init__(self, original):
+        self._original = original
+        self._refs = []
+        self.calls = []
+        self.most_held = 0
+
+    def held(self) -> int:
+        return sum(ref() is not None for ref in self._refs)
+
+    def __call__(self, *args, **kwargs):
+        self.most_held = max(self.most_held, self.held())
+        draws = self._original(*args, **kwargs)
+        self.calls.append(args + tuple(kwargs.values()))
+        self._refs.append(weakref.ref(draws))
+        return draws
+
+
+@pytest.fixture
+def draw_spy(monkeypatch):
+    spy = DrawSpy(montecarlo.draw_components)
+    monkeypatch.setattr(montecarlo, "draw_components", spy)
+    return spy

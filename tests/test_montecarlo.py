@@ -13,7 +13,12 @@ from tasalamouti import (
     select_antennas,
     snr_pairs,
 )
-from tasalamouti.montecarlo import BLOCK_SIZE, secrecy_capacity
+from tasalamouti.montecarlo import (
+    BLOCK_SIZE,
+    count_nonzero_secrecy,
+    count_outage,
+    secrecy_capacity,
+)
 from tasalamouti._kernels import snr_components
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
@@ -61,6 +66,17 @@ class TestDrawComponents:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             draw_components(**kwargs)
+
+    @pytest.mark.parametrize("n_alice", [1, 3])
+    def test_arrays_are_read_only(self, n_alice):
+        # One set serves many rows; none of them may change it.
+        draws = draw_components(n_alice, 2, 2, 100, seed=0)
+        arrays = [draws.top2, draws.top1, draws.eve_pair, draws.eve_first]
+        for array in (a for a in arrays if a is not None):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array *= 2.0
 
     def test_norm_distribution_mean(self):
         # Each squared norm is Gamma(n_bob, 1): mean of the single best
@@ -152,6 +168,52 @@ class TestEstimators:
         ala = estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 1.0, 1_000_000, seed=2)
         single = estimate_outage(cfg, Scheme.SINGLE_TAS, 1.0, 1_000_000, seed=2)
         assert ala.n_events < single.n_events
+
+
+class TestCountOnSuppliedDraws:
+    def test_counts_equal_the_estimators(self):
+        draws = draw_components(3, 3, 2, 20_000, seed=4)
+        for scheme in Scheme:
+            assert count_outage(draws, CFG, scheme, 1.0) == estimate_outage(
+                CFG, scheme, 1.0, 20_000, seed=4
+            )
+            assert count_nonzero_secrecy(draws, CFG, scheme) == (
+                estimate_nonzero_secrecy(CFG, scheme, 20_000, seed=4)
+            )
+
+    def test_draws_of_other_antennas_are_refused(self):
+        draws = draw_components(3, 2, 2, 100, seed=0)
+        with pytest.raises(ValueError, match="antennas"):
+            count_outage(draws, CFG, Scheme.SINGLE_TAS, 1.0)
+        with pytest.raises(ValueError, match="antennas"):
+            count_nonzero_secrecy(draws, CFG, Scheme.SINGLE_TAS)
+
+
+class TestRefusedBeforeDrawing:
+    """A refused input costs no draw, however many trials were asked for."""
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_bad_rate(self, draw_spy, rate):
+        with pytest.raises(ValueError, match="rate"):
+            estimate_outage(CFG, Scheme.TAS_ALAMOUTI, rate, 3_000_000)
+        assert draw_spy.calls == []
+
+    def test_alamouti_with_one_antenna(self, draw_spy):
+        cfg = SystemConfig(1, 2, 1, 10.0, 1.0)
+        with pytest.raises(ValueError, match="n_alice >= 2"):
+            estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 1.0, 3_000_000)
+        with pytest.raises(ValueError, match="n_alice >= 2"):
+            estimate_nonzero_secrecy(cfg, Scheme.TAS_ALAMOUTI, 3_000_000)
+        assert draw_spy.calls == []
+
+    def test_unknown_scheme(self, draw_spy):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            estimate_outage(CFG, "tas_alamouti", 1.0, 3_000_000)
+        assert draw_spy.calls == []
+
+    def test_accepted_inputs_draw_once(self, draw_spy):
+        estimate_outage(CFG, Scheme.SINGLE_TAS, 1.0, 1000, seed=3)
+        assert draw_spy.calls == [(3, 3, 2, 1000, 3)]
 
 
 class TestSecrecyCapacityReexport:

@@ -22,6 +22,7 @@ from tasalamouti import (
     SweepSpecError,
     SystemConfig,
     build_preset,
+    evaluate,
     find_crossover,
     load_sweep_spec,
     run_preset,
@@ -498,6 +499,95 @@ class TestValidate:
         assert _binomial_z(0, 10_000, 0.0) == 0.0
         # With many expected events it matches the normal approximation.
         assert _binomial_z(5_200, 10_000, 0.5) == pytest.approx(4.0, abs=0.02)
+
+
+class TestDrawOnce:
+    """Each distinct draw key (n_alice, n_bob, n_eve, trials, seed) is
+    drawn once per run_preset, run_sweep or validate call, and one set
+    is alive at a time."""
+
+    @pytest.mark.parametrize(
+        "name, sets", [("fig2", 3), ("fig3", 3), ("fig4", 3), ("fig5", 1), ("fig6", 0)]
+    )
+    def test_preset(self, draw_spy, name, sets):
+        run_preset(name, trials=2000, seed=1)
+        assert len(draw_spy.calls) == len(set(draw_spy.calls)) == sets
+        assert draw_spy.most_held == 0
+        assert draw_spy.held() == 0
+
+    def test_validate_quick(self, draw_spy):
+        validate("quick", n_trials=2000)
+        assert len(draw_spy.calls) == len(set(draw_spy.calls)) == 8
+        assert draw_spy.most_held == 0
+        assert draw_spy.held() == 0
+
+    def test_validate_interleaved_points(self, draw_spy):
+        grid = validation_grid("quick")
+        # Each (rate, gamma_b) pair walks all eight antenna triples.
+        interleaved = sorted(grid, key=lambda pt: (pt["rate_rs"], pt["gamma_bar_b_db"]))
+        rows = validate(points=interleaved, n_trials=2000).rows
+        assert len(draw_spy.calls) == len(set(draw_spy.calls)) == 8
+        assert draw_spy.most_held == 0
+        in_grid_order = validate("quick", n_trials=2000).rows
+        by_point = {tuple(pt.values()): row for pt, row in zip(grid, in_grid_order)}
+        assert list(rows) == [by_point[tuple(pt.values())] for pt in interleaved]
+
+    def test_preset_bytes_do_not_depend_on_workers(self, draw_spy):
+        serial = rows_to_csv_text(run_preset("fig2", trials=2000, seed=1, workers=1))
+        threaded = rows_to_csv_text(run_preset("fig2", trials=2000, seed=1, workers=2))
+        assert serial == threaded
+        assert len(draw_spy.calls) == 6
+        assert draw_spy.most_held == 0
+
+    def test_shared_draws_give_the_values_of_lone_evaluations(self, draw_spy):
+        # Two seeds over an n_alice sweep: four keys, whose rows interleave.
+        spec = small_spec(
+            parameter="n_alice",
+            values=(2.0, 3.0),
+            evaluators=(
+                EvaluatorSettings(name="monte-carlo", trials=3000, seed=7),
+                EvaluatorSettings(name="monte-carlo", trials=3000, seed=8),
+            ),
+        )
+        rows = run_sweep(spec, workers=2)
+        assert sorted(draw_spy.calls) == [
+            (2, 2, 1, 3000, 7), (2, 2, 1, 3000, 8), (3, 2, 1, 3000, 7), (3, 2, 1, 3000, 8),
+        ]
+        assert draw_spy.most_held == 0
+        for row in rows:
+            config = SystemConfig(row.n_alice, row.n_bob, row.n_eve, 10.0, 1.0)
+            alone = evaluate(
+                config, Scheme.from_name(row.scheme), "P_out", "monte-carlo",
+                rate=1.0, trials=3000, seed=row.seed,
+            )
+            assert (row.value, row.stderr) == (alone.estimate, alone.stderr)
+
+    def test_refused_sweep_rows_draw_nothing(self, draw_spy):
+        spec = small_spec(
+            rate_rs=-1.0,
+            evaluators=(EvaluatorSettings(name="monte-carlo", trials=1_000_000),),
+        )
+        rows = run_sweep(spec)
+        assert rows and all(row.error.startswith("rate must be") for row in rows)
+        assert draw_spy.calls == []
+
+    def test_eval_refused_rate_draws_nothing(self, draw_spy, capsys):
+        code = cli.main(
+            ["eval", "--metric", "pout", "--evaluator", "mc", "--rate", "-1",
+             "--trials", "3000000"]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "rate must be finite and >= 0" in capsys.readouterr().err
+        assert draw_spy.calls == []
+
+    def test_crossover_refused_rate_draws_nothing(self, draw_spy):
+        config = SystemConfig(3, 2, 1, 10.0, 1.0)
+        with pytest.raises(ValueError, match="rate"):
+            find_crossover(
+                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
+                (0.0, 20.0), 1_000_000, rate=math.nan,
+            )
+        assert draw_spy.calls == []
 
 
 class TestCli:
