@@ -4,8 +4,9 @@ The package evaluates the secrecy outage probability, the probability
 of non-zero secrecy capacity, and the epsilon-outage secrecy capacity
 of a multi-antenna wiretap link three independent ways: an analytic
 closed form, numerical quadrature on the SNR densities, and Monte
-Carlo channel simulation.  The three routes cross-validate each other;
-see the ``validate`` helpers and the command line interface.
+Carlo channel simulation.  ``evaluate`` runs any (metric, evaluator)
+pair at one point, and the three routes cross-validate each other; see
+the ``validate`` helpers and the command line interface.
 """
 
 from .channel import (
@@ -34,15 +35,7 @@ from .closedform import (
 )
 from .config import Scheme, SystemConfig, db_to_linear, linear_to_db
 from .errors import NumericalFailureError, PrecisionExhaustedError
-from .montecarlo import (
-    EstimatorResult,
-    NormalizedDraws,
-    draw_components,
-    estimate_nonzero_secrecy,
-    estimate_outage,
-    outage_events,
-    snr_pairs,
-)
+from .montecarlo import EstimatorResult
 from .quadrature import outage_quadrature
 from .sweeps import (
     CSV_COLUMNS,
@@ -81,7 +74,6 @@ __all__ = [
     "EstimatorResult",
     "EvaluatorSettings",
     "METRICS",
-    "NormalizedDraws",
     "NumericalFailureError",
     "OutageBreakdown",
     "PRESET_NAMES",
@@ -104,24 +96,19 @@ __all__ = [
     "column_norms",
     "db_to_linear",
     "draw_channel",
-    "draw_components",
     "eps_outage_capacity",
-    "estimate_nonzero_secrecy",
     "evaluate",
-    "estimate_outage",
     "expansion_coeffs",
     "find_crossover",
     "linear_to_db",
     "load_sweep_spec",
     "outage_breakdown",
-    "outage_events",
     "outage_quadrature",
     "prob_nonzero_secrecy",
     "run_preset",
     "run_sweep",
     "secrecy_capacity",
     "select_antennas",
-    "snr_pairs",
     "snr_sample",
     "snr_single_tas",
     "snr_tas_alamouti",

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .config import SystemConfig
+from .config import SystemConfig, checked_rate
 from .errors import NumericalFailureError, PrecisionExhaustedError
 
 __all__ = [
@@ -101,13 +101,6 @@ class OutageBreakdown:
     clamped: bool
 
 
-def _checked_rate(rate: float) -> float:
-    rate = float(rate)
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ValueError(f"rate must be finite and >= 0 bits, got {rate!r}")
-    return rate
-
-
 def _check_envelope(config: SystemConfig) -> None:
     config.require_two_transmit_antennas()
     if max(config.n_alice, config.n_bob, config.n_eve) > MAX_ANTENNAS:
@@ -178,7 +171,7 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
         value leaves [0, 1] by more than the documented slack.
     """
     _check_envelope(config)
-    rate = _checked_rate(rate)
+    rate = checked_rate(rate)
     prefactor = (
         config.n_alice
         * (config.n_alice - 1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 __all__ = [
     "Scheme",
     "SystemConfig",
+    "checked_rate",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -92,9 +93,22 @@ class SystemConfig:
             )
 
 
+def checked_rate(rate: float) -> float:
+    """A target secrecy rate in bits per channel use, as a float; raises
+    ``ValueError`` unless it is finite and >= 0."""
+    rate = float(rate)
+    if not math.isfinite(rate) or rate < 0.0:
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    return rate
+
+
 def db_to_linear(value_db: float) -> float:
-    """Convert a dB quantity to linear scale."""
-    return 10.0 ** (float(value_db) / 10.0)
+    """Convert a dB quantity to linear scale; raises ``ValueError`` when
+    the linear value overflows a float."""
+    try:
+        return 10.0 ** (float(value_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db!r} dB overflows on the linear scale") from None
 
 
 def linear_to_db(value: float) -> float:

@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of the secrecy metrics.
+"""Monte Carlo counting of the secrecy metrics on shared channel draws.
 
 Trials are partitioned into fixed-size blocks, each bound to its own
 deterministic substream derived from (seed, block index), and reduced
@@ -11,12 +11,12 @@ SNR), so one draw set, fixed by (n_alice, n_bob, n_eve, trials, seed),
 serves every SNR and rate point and both schemes.  ``draw_components``
 makes a set, and ``count_outage`` and ``count_nonzero_secrecy`` count
 events on a supplied set without drawing.  A set's arrays are
-read-only, so the rows that share it cannot change it.  The sweeps,
-presets and validation grids of ``sweeps`` draw each distinct set
-once per call and hold one set at a time, so their memory is bounded
-by a single set (4 arrays of ``trials`` float64) and not by the number
-of sets.  ``estimate_outage`` and ``estimate_nonzero_secrecy`` check
-their inputs, then draw for themselves.
+read-only, so the rows that share it cannot change it.  The callers
+decide when to draw: ``sweeps.evaluate`` checks one point's inputs
+(``check_inputs``) and draws its set, while the sweeps, presets and
+validation grids of ``sweeps`` draw each distinct set once per call
+and hold one set at a time, so their memory is bounded by a single set
+(4 arrays of ``trials`` float64) and not by the number of sets.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel import secrecy_capacity
-from .config import Scheme, SystemConfig
+from .config import Scheme, SystemConfig, checked_rate
 
 __all__ = [
     "BLOCK_SIZE",
@@ -38,10 +37,7 @@ __all__ = [
     "count_nonzero_secrecy",
     "count_outage",
     "draw_components",
-    "estimate_nonzero_secrecy",
-    "estimate_outage",
     "outage_events",
-    "secrecy_capacity",
     "snr_pairs",
 ]
 
@@ -187,13 +183,6 @@ def snr_pairs(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _checked_rate(rate: float) -> float:
-    rate = float(rate)
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
-    return rate
-
-
 def check_inputs(config: SystemConfig, scheme: Scheme, rate: float = 0.0) -> None:
     """Refuse a point before anything is drawn for it.
 
@@ -205,7 +194,7 @@ def check_inputs(config: SystemConfig, scheme: Scheme, rate: float = 0.0) -> Non
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme is Scheme.TAS_ALAMOUTI:
         config.require_two_transmit_antennas()
-    _checked_rate(rate)
+    checked_rate(rate)
 
 
 def outage_events(
@@ -221,7 +210,7 @@ def outage_events(
     strictly positive), the exact complement of the non-zero-secrecy
     event; for positive rates it is secrecy capacity below ``rate``.
     """
-    rate = _checked_rate(rate)
+    rate = checked_rate(rate)
     gamma_b, gamma_e = snr_pairs(draws, scheme, gamma_bar_b, gamma_bar_e)
     if rate == 0.0:
         return gamma_b <= gamma_e
@@ -274,51 +263,3 @@ def count_nonzero_secrecy(
         _matching(draws, config), scheme, config.gamma_bar_b, config.gamma_bar_e, 0.0
     )
     return _bernoulli_result(int(events.sum()), draws.n_trials)
-
-
-def estimate_outage(
-    config: SystemConfig,
-    scheme: Scheme,
-    rate: float,
-    n_trials: int,
-    seed: int = 0,
-) -> EstimatorResult:
-    """Estimate the secrecy outage probability by simulation.
-
-    The inputs are checked before the draw (``check_inputs``).
-
-    Parameters
-    ----------
-    config : SystemConfig
-    scheme : Scheme
-        The Alamouti selection scheme requires n_alice >= 2.
-    rate : float
-        Target secrecy rate in bits per channel use (>= 0).
-    n_trials : int
-        Number of channel realizations (>= 1).
-    seed : int
-        Root seed of the reproducible block substreams.
-
-    Returns
-    -------
-    EstimatorResult
-    """
-    check_inputs(config, scheme, rate)
-    draws = draw_components(config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-    return count_outage(draws, config, scheme, rate)
-
-
-def estimate_nonzero_secrecy(
-    config: SystemConfig,
-    scheme: Scheme,
-    n_trials: int,
-    seed: int = 0,
-) -> EstimatorResult:
-    """Estimate the probability of strictly positive secrecy capacity.
-
-    Complementary to ``estimate_outage`` at rate 0 on the same seed:
-    the two estimates sum to 1 exactly.
-    """
-    check_inputs(config, scheme)
-    draws = draw_components(config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-    return count_nonzero_secrecy(draws, config, scheme)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .config import SystemConfig
+from .config import SystemConfig, checked_rate
 from .errors import NumericalFailureError
 
 __all__ = ["INNER_TOL", "OUTER_TOL", "TAIL_MASS", "outage_quadrature"]
@@ -143,9 +143,7 @@ def outage_quadrature(config: SystemConfig, rate: float) -> float:
     float
     """
     config.require_two_transmit_antennas()
-    rate = float(rate)
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    rate = checked_rate(rate)
 
     eve_shape, eve_scale = 2 * config.n_eve, config.gamma_bar_e / 2.0
     bob_scale = config.gamma_bar_b / 2.0

@@ -5,11 +5,13 @@ antenna count, or the outage budget epsilon) across a fixed base
 configuration, evaluates one metric with one or more evaluators per
 scheme, and emits rows in a stable order with a fixed CSV schema.
 Every evaluation goes through one table that maps a (metric,
-evaluator) pair to its function; ``evaluate`` and the command line's
-``eval`` use it too.  Its Monte Carlo entries count events on a
-supplied draw set.  A sweep, a preset and a validation run each plan
-their Monte Carlo rows by draw key (n_alice, n_bob, n_eve, trials,
-seed): every distinct key is drawn once per call, its rows are all
+evaluator) pair to its function.  ``evaluate`` is the one single-point
+entry for all three evaluators, Monte Carlo included, and the command
+line's ``eval`` calls it.  The table's Monte Carlo entries count events
+on a supplied draw set: ``evaluate`` draws the set of its one point,
+while a sweep, a preset and a validation run group their Monte Carlo
+rows by draw key (n_alice, n_bob, n_eve, trials, seed) through one
+helper, so every distinct key is drawn once per call, its rows are all
 counted on that one set, and one set is held at a time.  Presets
 reproduce the figure-style experiment families and, like the
 validation grids, are data tables.  Validation runs the three
@@ -20,13 +22,14 @@ threshold violations.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -88,6 +91,9 @@ _BASE_FIELDS = (
 CF_QUAD_TOL = 1e-6
 MC_Z_LIMIT = 4.0
 MC_PASS_FRACTION = 0.99
+
+# Width in dB of the bracket at which find_crossover stops bisecting.
+CROSSOVER_TOL_DB = 0.01
 
 
 class SweepSpecError(ValueError):
@@ -351,21 +357,27 @@ def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
         raise SweepSpecError(f"{origin}: values must be a non-empty list")
 
     try:
+        values = tuple(float(v) for v in values_raw)
+        # Only the keys present; SweepSpec holds the defaults.
+        fixed = {}
+        for key in _BASE_FIELDS:
+            if key not in base:
+                continue
+            if key in ("n_alice", "n_bob", "n_eve"):
+                fixed[key] = _integer(base[key], f"{origin}: base.{key}")
+            elif key == "epsilon" and base[key] is None:
+                fixed[key] = None
+            else:
+                fixed[key] = float(base[key])
         return SweepSpec(
             name=str(raw.get("name", "sweep")),
             metric=str(raw["metric"]),
             parameter=str(raw["parameter"]),
-            values=tuple(float(v) for v in values_raw),
+            values=values,
             schemes=schemes,
             evaluators=tuple(evaluators),
-            n_alice=_integer(base.get("n_alice", 2), f"{origin}: base.n_alice"),
-            n_bob=_integer(base.get("n_bob", 1), f"{origin}: base.n_bob"),
-            n_eve=_integer(base.get("n_eve", 1), f"{origin}: base.n_eve"),
-            gamma_bar_b_db=float(base.get("gamma_bar_b_db", 10.0)),
-            gamma_bar_e_db=float(base.get("gamma_bar_e_db", 0.0)),
-            rate_rs=float(base.get("rate_rs", 0.0)),
-            epsilon=None if base.get("epsilon") is None else float(base["epsilon"]),
             output=None if raw.get("output") is None else str(raw["output"]),
+            **fixed,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, SweepSpecError):
@@ -458,9 +470,11 @@ def evaluate(
     ``rate`` is read by P_out only and ``epsilon`` by C_out only;
     ``trials`` and ``seed`` by Monte Carlo only.  Returns a float from
     the closed form or the quadrature and an ``EstimatorResult`` from
-    Monte Carlo.  Raises ``ValueError`` when the evaluator does not
-    cover the scheme (checked first) or the metric, or when Monte Carlo
-    inputs are refused; all of that is checked before Monte Carlo draws.
+    Monte Carlo, which draws ``trials`` channel realizations from
+    ``seed`` and counts on them.  Raises ``ValueError`` when the
+    evaluator does not cover the scheme (checked first) or the metric,
+    or when Monte Carlo inputs are refused; all of that is checked
+    before Monte Carlo draws.
     """
     fn = _checked(config, scheme, metric, evaluator, rate)
     draws = None
@@ -498,54 +512,52 @@ class _DrawSlot:
 _PRESET_DRAWS: ContextVar[_DrawSlot | None] = ContextVar("_PRESET_DRAWS", default=None)
 
 
-def _rate(spec: SweepSpec, point: dict) -> float:
-    return point["rate_rs"] if spec.metric == "P_out" else 0.0
+def _by_draw_key(
+    keys: Iterable[tuple | None],
+    evaluate_at: Callable[[int, montecarlo.NormalizedDraws | None], object],
+    slot: _DrawSlot,
+    mapper=map,
+) -> list:
+    """``evaluate_at(index, draws)`` for every index of ``keys``, in index
+    order.  The indices are grouped by draw key, in first-appearance
+    order; a key's set is taken from ``slot`` once, before its indices
+    are mapped, and a None key gets no set."""
+    groups: dict[tuple | None, list[int]] = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    results: list = [None] * sum(len(indices) for indices in groups.values())
+    for key, indices in groups.items():
+        draws = None if key is None else slot.get(key)
+        batch = mapper(lambda i: evaluate_at(i, draws), indices)
+        for index, result in zip(indices, batch):
+            results[index] = result
+        del draws  # the slot alone holds the set, so the next key's draw frees it
+    return results
 
 
-def _draw_key(
+def _sweep_job(
     spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
-) -> tuple | None:
-    """The draw set a sweep row counts on, (n_alice, n_bob, n_eve,
-    trials, seed); None for a row that draws nothing, being analytic or
-    refused by its input checks."""
-    if ev.name != "monte-carlo":
-        return None
-    point = _point_fields(spec, value)
-    try:
-        _checked(_config(point), scheme, spec.metric, ev.name, _rate(spec, point))
-    except ValueError:
-        return None
-    return (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
-
-
-def _evaluate_point(
-    spec: SweepSpec,
-    value: float,
-    scheme: Scheme,
-    ev: EvaluatorSettings,
-    timings: bool,
-    draws: montecarlo.NormalizedDraws | None,
-) -> SweepRow:
+) -> tuple[SweepRow, Callable | None, tuple | None]:
+    """One sweep row, derived once: the row with its input cells filled
+    in, the call that evaluates it on a draw set (None when its inputs
+    are refused, with the reason in the row's error cell), and the draw
+    key of a Monte Carlo row (None for a row that draws nothing)."""
     point = _point_fields(spec, value)
     metric = spec.metric
-    rate = _rate(spec, point)
-    started = time.perf_counter()
-    value_out = stderr = n_trials = seed = None
+    rate = point["rate_rs"] if metric == "P_out" else 0.0
+    config = call = key = None
     error = ""
     try:
         config = _config(point)
-        if ev.name == "monte-carlo":
-            n_trials, seed = ev.trials, ev.seed
         fn = _checked(config, scheme, metric, ev.name, rate)
-        result = fn(config, scheme, rate, point["epsilon"], draws)
-        if isinstance(result, montecarlo.EstimatorResult):
-            value_out, stderr = result.estimate, result.stderr
-        else:
-            value_out = result
-    except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
+        call = functools.partial(fn, config, scheme, rate, point["epsilon"])
+    except ValueError as exc:
         error = str(exc)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return SweepRow(
+    if call is not None and ev.name == "monte-carlo":
+        key = (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
+    # A row refused for its system records no sampling settings.
+    sampled = ev.name == "monte-carlo" and config is not None
+    row = SweepRow(
         preset=spec.preset,
         scheme=scheme.value,
         n_alice=point["n_alice"],
@@ -557,10 +569,38 @@ def _evaluate_point(
         epsilon=point["epsilon"] if metric == "C_out" else None,
         metric=metric,
         evaluator=ev.name,
-        value=value_out,
+        value=None,
+        stderr=None,
+        n_trials=ev.trials if sampled else None,
+        seed=ev.seed if sampled else None,
+        error=error,
+    )
+    return row, call, key
+
+
+def _sweep_row(
+    job: tuple, timings: bool, draws: montecarlo.NormalizedDraws | None
+) -> SweepRow:
+    """The row of a ``_sweep_job`` with the outcome of its call on
+    ``draws`` filled in."""
+    row, call, _ = job
+    started = time.perf_counter()
+    value = stderr = None
+    error = row.error
+    if call is not None:
+        try:
+            result = call(draws)
+            if isinstance(result, montecarlo.EstimatorResult):
+                value, stderr = result.estimate, result.stderr
+            else:
+                value = result
+        except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
+            error = str(exc)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return replace(
+        row,
+        value=value,
         stderr=stderr,
-        n_trials=n_trials,
-        seed=seed,
         error=error,
         wall_time_ms=elapsed_ms if timings else None,
     )
@@ -589,27 +629,19 @@ def run_sweep(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [
-        (value, scheme, ev)
+        _sweep_job(spec, value, scheme, ev)
         for value in spec.values
         for scheme in spec.schemes
         for ev in spec.evaluators
         if ev.applies_to(scheme)
     ]
-    batches: dict[tuple | None, list[int]] = {}
-    for index, job in enumerate(jobs):
-        batches.setdefault(_draw_key(spec, *job), []).append(index)
-    slot = _PRESET_DRAWS.get() or _DrawSlot()
-    rows: list[SweepRow] = [None] * len(jobs)  # type: ignore[list-item]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        mapper = pool.map if workers > 1 else map
-        for key, indices in batches.items():
-            draws = None if key is None else slot.get(key)
-            batch = mapper(
-                lambda i: _evaluate_point(spec, *jobs[i], timings, draws), indices
-            )
-            for index, row in zip(indices, batch):
-                rows[index] = row
-            del draws  # the slot alone holds the set, so the next key's draw frees it
+        rows = _by_draw_key(
+            (key for _, _, key in jobs),
+            lambda i, draws: _sweep_row(jobs[i], timings, draws),
+            _PRESET_DRAWS.get() or _DrawSlot(),
+            pool.map if workers > 1 else map,
+        )
     if spec.output is not None:
         write_rows_csv(rows, spec.output)
     return rows
@@ -769,15 +801,15 @@ def find_crossover(
     seed: int = 0,
     *,
     rate: float = 0.0,
-    tol_db: float = 0.01,
 ) -> CrossoverResult:
     """Locate where two schemes' metric curves cross in gamma_bar_b.
 
     Both schemes are evaluated on the same channel draws at every
     probe, so the per-trial difference cancels most Monte Carlo noise;
     the crossover is the sign change of that paired difference, found
-    by bisection.  ``config.gamma_bar_b`` is ignored (it is the swept
-    quantity); ``rate`` matters only for the P_out metric.
+    by bisection to ``CROSSOVER_TOL_DB``.  ``config.gamma_bar_b`` is
+    ignored (it is the swept quantity); ``rate`` matters only for the
+    P_out metric.
 
     Returns a no-crossover result (found=False) when the difference
     has the same sign at both bracket ends.
@@ -821,11 +853,8 @@ def find_crossover(
         # An exact-zero endpoint (no events under either scheme) can
         # mask an interior sign change, so scan a coarse grid and look
         # for adjacent points with resolvable opposite signs.
-        probes = [
-            (lo_db + (hi_db - lo_db) * k / 16.0,) for k in range(17)
-        ]
         signed = []
-        for (x,) in probes:
+        for x in (lo_db + (hi_db - lo_db) * k / 16.0 for k in range(17)):
             if x == lo_db:
                 d = d_lo
             elif x == hi_db:
@@ -857,7 +886,7 @@ def find_crossover(
                 ),
             )
         (lo, d_at_lo), (hi, _d) = pair
-    while hi - lo > tol_db:
+    while hi - lo > CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
         d_mid, _ = paired_difference(mid)
         if d_mid == 0.0 or (d_mid > 0.0) == (d_at_lo > 0.0):
@@ -989,11 +1018,11 @@ def validation_grid(name: str) -> list[dict]:
 def _validation_row(pt: dict, draws: montecarlo.NormalizedDraws) -> ValidationRow:
     """The three-way comparison at one grid point, counting Monte Carlo
     events on ``draws``, the draw set of the point's antennas."""
-    config = _config(pt)
     rate = float(pt["rate_rs"])
     cf = quad = mc_est = mc_se = diff = z = p3 = p4 = ratio = None
     error = ""
     try:
+        config = _config(pt)
         breakdown = outage_breakdown(config, rate)
         cf = breakdown.value
         p3 = breakdown.psi[2]
@@ -1050,16 +1079,11 @@ def validate(
     """
     grid_points = list(points) if points is not None else validation_grid(grid)
 
-    by_key: dict[tuple, list[int]] = {}
-    for index, pt in enumerate(grid_points):
-        key = (pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed)
-        by_key.setdefault(key, []).append(index)
-    rows: list[ValidationRow] = [None] * len(grid_points)  # type: ignore[list-item]
-    for key, indices in by_key.items():
-        draws = montecarlo.draw_components(*key)
-        for index in indices:
-            rows[index] = _validation_row(grid_points[index], draws)
-        del draws  # free this key's set before the next key's is drawn
+    rows = _by_draw_key(
+        ((pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed) for pt in grid_points),
+        lambda i, draws: _validation_row(grid_points[i], draws),
+        _DrawSlot(),
+    )
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)

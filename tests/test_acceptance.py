@@ -25,7 +25,7 @@ from tasalamouti import (
     db_to_linear,
     draw_channel,
     eps_outage_capacity,
-    estimate_nonzero_secrecy,
+    evaluate,
     find_crossover,
     outage_breakdown,
     prob_nonzero_secrecy,
@@ -161,7 +161,7 @@ class TestCriterion4NonzeroSecrecyCrossover:
         # Positive secrecy probability survives a 10 dB disadvantage.
         cfg = SystemConfig(4, 3, 2, db_to_linear(-5.0), db_to_linear(5.0))
         assert prob_nonzero_secrecy(cfg) > 0.0
-        mc = estimate_nonzero_secrecy(cfg, Scheme.TAS_ALAMOUTI, 1_000_000, 0)
+        mc = evaluate(cfg, Scheme.TAS_ALAMOUTI, "Pr_nonzero", "monte-carlo", trials=1_000_000)
         assert mc.n_events > 0
         report(
             4,

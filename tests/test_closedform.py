@@ -16,7 +16,7 @@ from tasalamouti import (
     closed_form_outage,
     db_to_linear,
     eps_outage_capacity,
-    estimate_outage,
+    evaluate,
     expansion_coeffs,
     outage_breakdown,
     outage_quadrature,
@@ -181,7 +181,7 @@ class TestPsiComponents:
         cfg = SystemConfig(3, 3, 2, db_to_linear(15.0), db_to_linear(5.0))
         cf = closed_form_outage(cfg, 1.0)
         n = 10_000_000
-        mc = estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 1.0, n, seed=0)
+        mc = evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", "monte-carlo", rate=1.0, trials=n)
         se = math.sqrt(cf * (1.0 - cf) / n)
         assert abs(mc.estimate - cf) <= 4.0 * se
 

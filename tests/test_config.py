@@ -64,6 +64,11 @@ class TestDecibels:
         assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-12)
         assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
 
+    @pytest.mark.parametrize("value_db", [4000.0, 1e6])
+    def test_overflow_is_a_value_error(self, value_db):
+        with pytest.raises(ValueError, match="overflows"):
+            db_to_linear(value_db)
+
     @given(st.floats(min_value=-80.0, max_value=80.0))
     def test_round_trip(self, value_db):
         assert linear_to_db(db_to_linear(value_db)) == pytest.approx(

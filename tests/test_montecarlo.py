@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 
 from tasalamouti import (
+    ChannelRealization,
     Scheme,
     SystemConfig,
-    draw_components,
-    estimate_nonzero_secrecy,
-    estimate_outage,
-    outage_events,
+    evaluate,
+    secrecy_capacity,
     select_antennas,
-    snr_pairs,
+    snr_sample,
 )
 from tasalamouti.montecarlo import (
     BLOCK_SIZE,
     count_nonzero_secrecy,
     count_outage,
-    secrecy_capacity,
+    draw_components,
+    outage_events,
+    snr_pairs,
 )
 from tasalamouti._kernels import snr_components
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
+MC = "monte-carlo"
 
 
 class TestDrawComponents:
@@ -126,38 +128,40 @@ class TestOutageEvents:
 
 
 class TestEstimators:
+    """Monte Carlo through ``evaluate``, the package's one estimator route."""
+
     def test_deterministic(self):
-        a = estimate_outage(CFG, Scheme.TAS_ALAMOUTI, 1.0, 50_000, seed=5)
-        b = estimate_outage(CFG, Scheme.TAS_ALAMOUTI, 1.0, 50_000, seed=5)
+        a = evaluate(CFG, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=1.0, trials=50_000, seed=5)
+        b = evaluate(CFG, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=1.0, trials=50_000, seed=5)
         assert a == b
 
     def test_complement_is_exact(self):
-        pnz = estimate_nonzero_secrecy(CFG, Scheme.TAS_ALAMOUTI, 30_000, seed=1)
-        out0 = estimate_outage(CFG, Scheme.TAS_ALAMOUTI, 0.0, 30_000, seed=1)
+        pnz = evaluate(CFG, Scheme.TAS_ALAMOUTI, "Pr_nonzero", MC, trials=30_000, seed=1)
+        out0 = evaluate(CFG, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=0.0, trials=30_000, seed=1)
         assert pnz.estimate + out0.estimate == 1.0
         assert pnz.n_events + out0.n_events == 30_000
 
     def test_symmetric_config_is_half(self):
         cfg = SystemConfig(2, 2, 2, 5.0, 5.0)
-        result = estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 0.0, 200_000, seed=0)
+        result = evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=0.0, trials=200_000)
         assert abs(result.estimate - 0.5) < 4.0 * result.stderr
 
     def test_nonzero_secrecy_with_weaker_main_channel(self):
         cfg = SystemConfig(4, 3, 2, 0.1, 1.0)
-        result = estimate_nonzero_secrecy(cfg, Scheme.TAS_ALAMOUTI, 100_000, seed=0)
+        result = evaluate(cfg, Scheme.TAS_ALAMOUTI, "Pr_nonzero", MC, trials=100_000)
         assert result.estimate > 0.0
         assert result.n_events > 0
 
     def test_zero_event_interval_rule_of_three(self):
         cfg = SystemConfig(2, 3, 1, 1000.0, 0.001)
-        result = estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 0.5, 10_000, seed=0)
+        result = evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=0.5, trials=10_000)
         assert result.estimate == 0.0
         assert result.stderr == 0.0
         assert result.ci95_low == 0.0
         assert result.ci95_high == pytest.approx(3.0 / 10_000)
 
     def test_ci_brackets_estimate(self):
-        result = estimate_outage(CFG, Scheme.SINGLE_TAS, 1.0, 50_000, seed=9)
+        result = evaluate(CFG, Scheme.SINGLE_TAS, "P_out", MC, rate=1.0, trials=50_000, seed=9)
         assert result.ci95_low <= result.estimate <= result.ci95_high
         width = result.ci95_high - result.ci95_low
         assert width == pytest.approx(2 * 1.959963984540054 * result.stderr, rel=1e-9)
@@ -165,8 +169,8 @@ class TestEstimators:
     def test_alamouti_beats_single_at_high_snr(self):
         # Same seed means shared draws, so the comparison is paired.
         cfg = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
-        ala = estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 1.0, 1_000_000, seed=2)
-        single = estimate_outage(cfg, Scheme.SINGLE_TAS, 1.0, 1_000_000, seed=2)
+        ala = evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=1.0, trials=1_000_000, seed=2)
+        single = evaluate(cfg, Scheme.SINGLE_TAS, "P_out", MC, rate=1.0, trials=1_000_000, seed=2)
         assert ala.n_events < single.n_events
 
 
@@ -174,11 +178,11 @@ class TestCountOnSuppliedDraws:
     def test_counts_equal_the_estimators(self):
         draws = draw_components(3, 3, 2, 20_000, seed=4)
         for scheme in Scheme:
-            assert count_outage(draws, CFG, scheme, 1.0) == estimate_outage(
-                CFG, scheme, 1.0, 20_000, seed=4
+            assert count_outage(draws, CFG, scheme, 1.0) == evaluate(
+                CFG, scheme, "P_out", MC, rate=1.0, trials=20_000, seed=4
             )
-            assert count_nonzero_secrecy(draws, CFG, scheme) == (
-                estimate_nonzero_secrecy(CFG, scheme, 20_000, seed=4)
+            assert count_nonzero_secrecy(draws, CFG, scheme) == evaluate(
+                CFG, scheme, "Pr_nonzero", MC, trials=20_000, seed=4
             )
 
     def test_draws_of_other_antennas_are_refused(self):
@@ -195,31 +199,63 @@ class TestRefusedBeforeDrawing:
     @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
     def test_bad_rate(self, draw_spy, rate):
         with pytest.raises(ValueError, match="rate"):
-            estimate_outage(CFG, Scheme.TAS_ALAMOUTI, rate, 3_000_000)
+            evaluate(CFG, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=rate, trials=3_000_000)
         assert draw_spy.calls == []
 
     def test_alamouti_with_one_antenna(self, draw_spy):
         cfg = SystemConfig(1, 2, 1, 10.0, 1.0)
         with pytest.raises(ValueError, match="n_alice >= 2"):
-            estimate_outage(cfg, Scheme.TAS_ALAMOUTI, 1.0, 3_000_000)
+            evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=1.0, trials=3_000_000)
         with pytest.raises(ValueError, match="n_alice >= 2"):
-            estimate_nonzero_secrecy(cfg, Scheme.TAS_ALAMOUTI, 3_000_000)
+            evaluate(cfg, Scheme.TAS_ALAMOUTI, "Pr_nonzero", MC, trials=3_000_000)
         assert draw_spy.calls == []
 
     def test_unknown_scheme(self, draw_spy):
         with pytest.raises(ValueError, match="unknown scheme"):
-            estimate_outage(CFG, "tas_alamouti", 1.0, 3_000_000)
+            evaluate(CFG, "tas_alamouti", "P_out", MC, rate=1.0, trials=3_000_000)
         assert draw_spy.calls == []
 
     def test_accepted_inputs_draw_once(self, draw_spy):
-        estimate_outage(CFG, Scheme.SINGLE_TAS, 1.0, 1000, seed=3)
+        evaluate(CFG, Scheme.SINGLE_TAS, "P_out", MC, rate=1.0, trials=1000, seed=3)
         assert draw_spy.calls == [(3, 3, 2, 1000, 3)]
 
 
-class TestSecrecyCapacityReexport:
-    def test_reference_values(self):
-        assert secrecy_capacity(3.0, 1.0) == 1.0
-        assert secrecy_capacity(1.0, 3.0) == 0.0
+class TestAgainstChannelReference:
+    """Trial by trial, the vectorized draw gives the SNR pair that the
+    readable per-realization model of ``channel`` gives on the same
+    channel matrices."""
+
+    N_TRIALS = BLOCK_SIZE + 5
+    # The first and last trial of the first block and the whole second one.
+    TRIALS = (0, 1, BLOCK_SIZE - 1, *range(BLOCK_SIZE, BLOCK_SIZE + 5))
+
+    @staticmethod
+    def realization(n_alice, n_bob, n_eve, seed, trial):
+        # Rebuild the block's substream in draw order: f_re, f_im, g_re, g_im.
+        block, index = divmod(trial, BLOCK_SIZE)
+        count = min(BLOCK_SIZE, TestAgainstChannelReference.N_TRIALS - block * BLOCK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+        f_re = rng.standard_normal((count, n_bob, n_alice))[index]
+        f_im = rng.standard_normal((count, n_bob, n_alice))[index]
+        g_re = rng.standard_normal((count, n_eve, n_alice))[index]
+        g_im = rng.standard_normal((count, n_eve, n_alice))[index]
+        return ChannelRealization(
+            bob=(f_re + 1j * f_im) / math.sqrt(2.0),
+            eve=(g_re + 1j * g_im) / math.sqrt(2.0),
+        )
+
+    @pytest.mark.parametrize("antennas", [(2, 1, 1), (2, 3, 2), (4, 3, 2), (5, 1, 3)])
+    def test_snr_pairs_equal_snr_sample(self, antennas):
+        seed = 17
+        config = SystemConfig(*antennas, 10.0, 2.0)
+        draws = draw_components(*antennas, self.N_TRIALS, seed)
+        for scheme in Scheme:
+            gamma_b, gamma_e = snr_pairs(draws, scheme, 10.0, 2.0)
+            for trial in self.TRIALS:
+                channel = self.realization(*antennas, seed, trial)
+                sample = snr_sample(config, scheme, channel)
+                assert gamma_b[trial] == pytest.approx(sample.gamma_b, rel=1e-13)
+                assert gamma_e[trial] == pytest.approx(sample.gamma_e, rel=1e-13)
 
 
 class TestSnrComponents:

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -210,6 +210,16 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert path.read_text() == rows_to_csv_text(rows)
 
+    def test_overflowing_snr_refuses_only_its_rows(self):
+        # 4000 dB overflows a float on the linear scale; it used to abort
+        # the whole sweep with an OverflowError.
+        rows = run_sweep(small_spec(values=(10.0, 4000.0)))
+        good = [row for row in rows if row.gamma_bar_b_db == 10.0]
+        bad = [row for row in rows if row.gamma_bar_b_db == 4000.0]
+        assert len(good) == len(bad) == 3
+        assert all(row.error == "" and row.value is not None for row in good)
+        assert all("overflows" in row.error and row.value is None for row in bad)
+
     def test_swept_parameter_lands_in_rows(self):
         spec = small_spec(
             parameter="n_alice",
@@ -332,6 +342,18 @@ evaluators:
             SweepSpecError, match="closed-form.schemes must be a non-empty list"
         ):
             load_sweep_spec(self.write(tmp_path, text))
+
+    def test_absent_base_keys_take_the_spec_defaults(self, tmp_path):
+        text = self.GOOD[: self.GOOD.index("base:")] + self.GOOD[
+            self.GOOD.index("evaluators:"):
+        ]
+        spec = load_sweep_spec(self.write(tmp_path, text))
+        defaults = {f.name: f.default for f in fields(SweepSpec)}
+        for key in ("n_alice", "n_bob", "n_eve", "gamma_bar_b_db", "gamma_bar_e_db",
+                    "rate_rs", "epsilon"):
+            assert getattr(spec, key) == defaults[key]
+        null_epsilon = self.GOOD.replace("  rate_rs: 1.0", "  rate_rs: 1.0\n  epsilon:")
+        assert load_sweep_spec(self.write(tmp_path, null_epsilon)).epsilon is None
 
     def test_integral_float_counts_are_accepted(self, tmp_path):
         text = self.GOOD.replace("  n_alice: 3", "  n_alice: 3.0").replace(
@@ -484,6 +506,16 @@ class TestValidate:
         assert report.error_points == 1
         assert report.rows[0].error != ""
         assert report.lines[-1].endswith("FAIL")
+
+    def test_overflowing_snr_point_is_an_error_row(self):
+        # 4000 dB overflows a float on the linear scale; the point used
+        # to abort the whole report.
+        good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
+                    gamma_bar_e_db=0.0, rate_rs=1.0)
+        report = validate(points=[good, dict(good, gamma_bar_b_db=4000.0)], n_trials=1000)
+        assert report.rows[0].error == ""
+        assert "overflows" in report.rows[1].error
+        assert report.error_points == 1 and not report.passed
 
     def test_binomial_z_with_few_expected_events(self):
         # One event where 0.05 are expected has probability 0.049: an
@@ -651,6 +683,16 @@ class TestCli:
             ["eval", "--metric", "pout", "--evaluator", "cf", "--scheme", "single_tas"]
         )
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("evaluator", ["cf", "mc"])
+    def test_eval_overflowing_snr_is_an_error(self, capsys, evaluator):
+        code = cli.main(
+            ["eval", "--metric", "pout", "--evaluator", evaluator,
+             "--gamma-b-db", "4000", "--rate", "1", "--trials", "1000"]
+        )
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err
 
     def test_eval_cout_requires_epsilon(self, capsys):
         code = cli.main(["eval", "--metric", "cout", "--evaluator", "cf"])
@@ -827,6 +869,14 @@ class TestCli:
 
 class TestEvalAgreesWithSweep:
     """``eval`` prints what the one-row sweep at the same point records."""
+
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_one_rate_refusal_for_every_evaluator(self, evaluator):
+        # The closed form used to say ">= 0 bits" where the others did not.
+        config = SystemConfig(3, 2, 1, 10.0, 1.0)
+        with pytest.raises(ValueError) as refused:
+            evaluate(config, Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate=-1.0, trials=10)
+        assert str(refused.value) == "rate must be finite and >= 0, got -1.0"
 
     ARGS = [
         "--n-alice", "3",
