@@ -2,8 +2,10 @@
 
 Two kernels live here: the per-trial antenna-selection reduction used by
 the Monte Carlo estimators, and the nested alternating sums behind the
-closed-form outage expression.  Each has exactly one implementation, so
-identical inputs give bit-identical outputs on every run.
+closed-form outage expression, together with the power-expansion
+coefficients their plan is built from.  Each has exactly one
+implementation, so identical inputs give bit-identical outputs on every
+run.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "expansion_coeffs",
     "psi_terms",
     "snr_components",
 ]
@@ -65,10 +68,14 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
 #
 # The kernel is split into a plan and a per-call evaluation.
 #
-# The plan (``_psi_plan``) is static: it depends only on the antenna triple
-# and the coefficient table, is built on first use, cached and read-only.
+# The plan (``_psi_plan``) is static: it depends only on the antenna triple,
+# is built on first use, cached and read-only.  It is the closed form's only
+# cache.
 #   fact[q], binom[n, k]  q! and the Pascal triangle as float; used only
 #                         while the plan is built
+#   a_rows[i]             expansion_coeffs(n_b, i), the power-expansion
+#                         coefficients of the selection order statistic;
+#                         used only while the plan is built
 #   bracket[l, m, u]      inner signed sum over the eavesdropper expansion
 #                         indices (n and q) at exponent u, for phi level l.
 #                         Per summand: its coefficient (one row per phi
@@ -143,14 +150,38 @@ def _group_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.fmax(np.fmax.reduceat(values, starts, axis=1), 0.0).ravel()
 
 
-@lru_cache(maxsize=64)
-def _psi_plan(n_a: int, n_b: int, n_e: int, table: bytes) -> _PsiPlan:
-    """Static part of ``psi_terms``; ``table`` is the bytes of ``a_tab``.
+def expansion_coeffs(n_b: int, power: int) -> np.ndarray:
+    """Expand (sum_{k=0}^{n_b-1} z^k / k!)^power into powers of z.
 
-    Keying on the table's bytes means a plan is never reused for
-    another coefficient table.
+    Parameters
+    ----------
+    n_b : int
+        Number of terms in the truncated exponential series (>= 1).
+    power : int
+        Exponent of the polynomial (>= 0); zero yields the table [1].
+
+    Returns
+    -------
+    ndarray
+        ``power * (n_b - 1) + 1`` nonnegative coefficients; entry ``t``
+        multiplies ``z^t`` and the leading entry is exactly 1.
     """
-    a_rows = np.frombuffer(table).reshape(n_a - 1, -1).tolist()
+    if n_b < 1:
+        raise ValueError(f"n_b must be >= 1, got {n_b}")
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    base = np.array([1.0 / math.factorial(k) for k in range(n_b)])
+    coeffs = np.array([1.0])
+    for _ in range(power):
+        coeffs = np.convolve(coeffs, base)
+    return coeffs
+
+
+@lru_cache(maxsize=64)
+def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
+    """Static part of ``psi_terms`` for one antenna triple."""
+    # Row i holds exactly the i (n_b - 1) + 1 coefficients the t loops read.
+    a_rows = [expansion_coeffs(n_b, i).tolist() for i in range(n_a - 1)]
     t_max = (n_a - 2) * (n_b - 1)
     w_max = max(2 * n_b - 2 + t_max, 2 * n_b - 1)
     size = 2 * n_b + t_max + 2 * n_e + w_max + 4
@@ -217,8 +248,6 @@ def _psi_plan(n_a: int, n_b: int, n_e: int, table: bytes) -> _PsiPlan:
                 g = gpre(i, j, m)
                 for t in range(i * (n_b - 1) + 1):
                     a_val = a_rows[i][t]
-                    if a_val == 0.0:
-                        continue
                     span = 2 * n_b + t - j - 2
                     for k in range(span + 1):
                         w1 = span - k
@@ -244,8 +273,6 @@ def _psi_plan(n_a: int, n_b: int, n_e: int, table: bytes) -> _PsiPlan:
                 g = gpre(i, j, m)
                 for t in range(i * (n_b - 1) + 1):
                     a_val = a_rows[i][t]
-                    if a_val == 0.0:
-                        continue
                     for p in range(n_b - j):
                         psgn = -1.0 if p % 2 == 1 else 1.0
                         pcoef = binom[n_b - j - 1][p]
@@ -263,8 +290,6 @@ def _psi_plan(n_a: int, n_b: int, n_e: int, table: bytes) -> _PsiPlan:
                 g = gpre(i, j, m)
                 for t in range(i * (n_b - 1) + 1):
                     a_val = a_rows[i][t]
-                    if a_val == 0.0:
-                        continue
                     for p in range(n_b - j):
                         psgn = -1.0 if p % 2 == 1 else 1.0
                         coef = (
@@ -304,30 +329,24 @@ def psi_terms(
     gamma_b: float,
     gamma_e: float,
     rate: float,
-    a_tab: np.ndarray,
 ) -> tuple[float, float, float, float, float]:
     """Evaluate the four nested sums of the outage expression at once.
 
-    ``a_tab`` is the zero-padded stack of power-expansion coefficient
-    rows, shape ``(n_a - 1, (n_a - 2) * (n_b - 1) + 1)``.  Returns the
-    four signed sums plus the largest absolute summand encountered
+    The antenna triple selects a cached plan (built on first use); the
+    SNRs and the rate are evaluated against it on every call.  Returns
+    the four signed sums plus the largest absolute summand encountered
     across all of them (for the cancellation diagnostic).
 
     Raises
     ------
     ValueError
-        If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``, or if ``a_tab`` does
-        not have the shape above.
+        If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``.
     """
     if n_a < 2 or n_b < 1 or n_e < 1:
         raise ValueError(
             f"psi_terms needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
         )
-    a_tab = np.ascontiguousarray(a_tab, dtype=np.float64)
-    shape = (n_a - 1, (n_a - 2) * (n_b - 1) + 1)
-    if a_tab.shape != shape:
-        raise ValueError(f"a_tab must have shape {shape}, got {a_tab.shape}")
-    plan = _psi_plan(n_a, n_b, n_e, a_tab.tobytes())
+    plan = _psi_plan(n_a, n_b, n_e)
     gamma_b = float(gamma_b)
     gamma_e = float(gamma_e)
     rate = float(rate)

@@ -7,7 +7,9 @@ evaluates it with cancellation-aware numerics: factorial-sized factors
 are formed in the log domain, every sum is rounded once from its exact
 value (``math.fsum``), and every value carries a diagnostic bounding
 the digits lost to cancellation.  Outside the supported envelope the
-evaluator raises instead of returning a silently wrong number.
+evaluator raises instead of returning a silently wrong number.  The
+four sums come from ``_kernels.psi_terms``; its per-antenna-triple plan
+is the only cache, so every call evaluates its point afresh.
 
 Derived metrics: the probability of non-zero secrecy capacity (the
 complement of outage at zero rate) and the epsilon-outage secrecy
@@ -19,11 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from . import _kernels
+from ._kernels import expansion_coeffs
 from .config import SystemConfig, checked_rate
 from .errors import NumericalFailureError, PrecisionExhaustedError
 
@@ -53,33 +53,6 @@ _UNDERFLOW_EXP = 745.0
 # Largest certified absolute error of the assembled sum
 # (max |summand| * prefactor * machine epsilon-ish) before refusing.
 _ERROR_BUDGET = 1e-7
-
-
-def expansion_coeffs(n_b: int, power: int) -> np.ndarray:
-    """Expand (sum_{k=0}^{n_b-1} z^k / k!)^power into powers of z.
-
-    Parameters
-    ----------
-    n_b : int
-        Number of terms in the truncated exponential series (>= 1).
-    power : int
-        Exponent of the polynomial (>= 0); zero yields the table [1].
-
-    Returns
-    -------
-    ndarray
-        ``power * (n_b - 1) + 1`` nonnegative coefficients; entry ``t``
-        multiplies ``z^t`` and the leading entry is exactly 1.
-    """
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    base = np.array([1.0 / math.factorial(k) for k in range(n_b)])
-    coeffs = np.array([1.0])
-    for _ in range(power):
-        coeffs = np.convolve(coeffs, base)
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -124,31 +97,6 @@ def _rate_underflows(config: SystemConfig, rate: float) -> bool:
     return shift >= _UNDERFLOW_EXP
 
 
-@lru_cache(maxsize=64)
-def _a_table(n_alice: int, n_bob: int) -> np.ndarray:
-    t_max = (n_alice - 2) * (n_bob - 1)
-    table = np.zeros((n_alice - 1, t_max + 1))
-    for i in range(n_alice - 1):
-        row = expansion_coeffs(n_bob, i)
-        table[i, : row.size] = row
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=4096)
-def _psi_cached(
-    n_alice: int,
-    n_bob: int,
-    n_eve: int,
-    gamma_b: float,
-    gamma_e: float,
-    rate: float,
-) -> tuple[float, float, float, float, float]:
-    return _kernels.psi_terms(
-        n_alice, n_bob, n_eve, gamma_b, gamma_e, rate, _a_table(n_alice, n_bob)
-    )
-
-
 def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
     """Secrecy outage probability with numerical diagnostics.
 
@@ -187,7 +135,7 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
             cancellation_ratio=0.0,
             clamped=False,
         )
-    p1, p2, p3, p4, mag = _psi_cached(
+    p1, p2, p3, p4, mag = _kernels.psi_terms(
         config.n_alice,
         config.n_bob,
         config.n_eve,

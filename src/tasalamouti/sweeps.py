@@ -177,6 +177,10 @@ class SweepSpec:
             raise SweepSpecError("sweep needs at least one scheme")
         if not self.evaluators:
             raise SweepSpecError("sweep needs at least one evaluator")
+        for name in ("n_alice", "n_bob", "n_eve"):
+            count = getattr(self, name)
+            if count < 1:
+                raise SweepSpecError(f"{name} must be >= 1, got {count!r}")
         if self.parameter == "n_alice":
             for v in self.values:
                 if v != int(v) or int(v) < 1:
@@ -545,7 +549,7 @@ def _sweep_job(
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = point["rate_rs"] if metric == "P_out" else 0.0
-    config = call = key = None
+    call = key = None
     error = ""
     try:
         config = _config(point)
@@ -555,8 +559,7 @@ def _sweep_job(
         error = str(exc)
     if call is not None and ev.name == "monte-carlo":
         key = (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
-    # A row refused for its system records no sampling settings.
-    sampled = ev.name == "monte-carlo" and config is not None
+    sampled = ev.name == "monte-carlo"
     row = SweepRow(
         preset=spec.preset,
         scheme=scheme.value,
@@ -1015,9 +1018,20 @@ def validation_grid(name: str) -> list[dict]:
     return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
-def _validation_row(pt: dict, draws: montecarlo.NormalizedDraws) -> ValidationRow:
+def _validation_key(pt: dict, n_trials: int, seed: int) -> tuple | None:
+    """Draw key of a validation point; None (nothing is drawn) when the
+    point's system is refused, which ``_validation_row`` then records."""
+    try:
+        _config(pt)
+    except ValueError:
+        return None
+    return (pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed)
+
+
+def _validation_row(pt: dict, draws: montecarlo.NormalizedDraws | None) -> ValidationRow:
     """The three-way comparison at one grid point, counting Monte Carlo
-    events on ``draws``, the draw set of the point's antennas."""
+    events on ``draws``, the draw set of the point's antennas (None for
+    a point whose system is refused)."""
     rate = float(pt["rate_rs"])
     cf = quad = mc_est = mc_se = diff = z = p3 = p4 = ratio = None
     error = ""
@@ -1080,7 +1094,7 @@ def validate(
     grid_points = list(points) if points is not None else validation_grid(grid)
 
     rows = _by_draw_key(
-        ((pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed) for pt in grid_points),
+        (_validation_key(pt, n_trials, seed) for pt in grid_points),
         lambda i, draws: _validation_row(grid_points[i], draws),
         _DrawSlot(),
     )

@@ -25,7 +25,7 @@ from tasalamouti import (
     write_rows_csv,
 )
 from tasalamouti import _kernels
-from tasalamouti.closedform import MAX_ANTENNAS, _a_table, _psi_cached, _rate_underflows
+from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows
 
 # Frozen values from an independent adaptive-quadrature evaluator of
 # the outage double integral (nested scipy quad, abs tol 1e-12).
@@ -189,25 +189,13 @@ class TestPsiComponents:
 class TestPsiKernel:
     @pytest.mark.parametrize("n_a,n_b,n_e,gb,ge,rate,expected", PSI_GOLDEN)
     def test_golden_bits(self, n_a, n_b, n_e, gb, ge, rate, expected):
-        out = _kernels.psi_terms(n_a, n_b, n_e, gb, ge, rate, _a_table(n_a, n_b))
+        out = _kernels.psi_terms(n_a, n_b, n_e, gb, ge, rate)
         assert tuple(float(v).hex() for v in out) == expected
 
     def test_rejects_antenna_counts_below_the_minimum(self):
-        table = _a_table(3, 2)
         for n_a, n_b, n_e in [(1, 2, 2), (3, 0, 2), (3, 2, 0)]:
             with pytest.raises(ValueError):
-                _kernels.psi_terms(n_a, n_b, n_e, 10.0, 1.0, 1.0, table)
-
-    def test_rejects_a_table_of_the_wrong_shape(self):
-        table = _a_table(4, 3)
-        wider = np.zeros((table.shape[0], table.shape[1] + 1))
-        wider[:, : table.shape[1]] = table
-        for bad in (wider, table[:, :-1], table[:-1]):
-            with pytest.raises(ValueError):
-                _kernels.psi_terms(4, 3, 2, 10.0, 1.0, 1.0, bad)
-        # The table of another n_b does not fit either.
-        with pytest.raises(ValueError):
-            _kernels.psi_terms(4, 2, 2, 10.0, 1.0, 1.0, table)
+                _kernels.psi_terms(n_a, n_b, n_e, 10.0, 1.0, 1.0)
 
 
 class TestClosedFormOutage:
@@ -364,12 +352,11 @@ class TestDeterminism:
     def test_repeat_evaluation_is_bit_identical(self):
         cfg = SystemConfig(5, 3, 2, 31.6227766017, 3.16227766017)
         first = closed_form_outage(cfg, 1.3)
-        _psi_cached.cache_clear()
         second = closed_form_outage(cfg, 1.3)
         assert first == second
 
     def test_cold_plan_matches_warm_plan(self):
-        args = (6, 3, 3, 31.6227766017, 3.16227766017, 1.3, _a_table(6, 3))
+        args = (6, 3, 3, 31.6227766017, 3.16227766017, 1.3)
         _kernels._psi_plan.cache_clear()
         cold = _kernels.psi_terms(*args)
         warm = _kernels.psi_terms(*args)
@@ -377,7 +364,7 @@ class TestDeterminism:
         assert [v.hex() for v in cold] == [v.hex() for v in warm]
 
     def test_plan_arrays_are_read_only(self):
-        plan = _kernels._psi_plan(4, 3, 2, _a_table(4, 3).tobytes())
+        plan = _kernels._psi_plan(4, 3, 2)
         arrays = [
             getattr(plan, f.name)
             for f in dataclasses.fields(plan)
@@ -402,9 +389,7 @@ class TestDeterminism:
         )
         outputs = []
         for workers in (4, 1):
-            _psi_cached.cache_clear()
             _kernels._psi_plan.cache_clear()
-            _a_table.cache_clear()
             rows = run_sweep(spec, workers=workers)
             assert all(not r.error and r.value is not None for r in rows)
             buffer = io.StringIO()

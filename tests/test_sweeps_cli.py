@@ -219,6 +219,10 @@ class TestRunSweep:
         assert len(good) == len(bad) == 3
         assert all(row.error == "" and row.value is not None for row in good)
         assert all("overflows" in row.error and row.value is None for row in bad)
+        # Every Monte Carlo row records its sampling settings, refused or not.
+        for row in good + bad:
+            sampled = row.evaluator == "monte-carlo"
+            assert (row.n_trials, row.seed) == ((20_000, 7) if sampled else (None, None))
 
     def test_swept_parameter_lands_in_rows(self):
         spec = small_spec(
@@ -333,6 +337,26 @@ evaluators:
             load_sweep_spec(path)
         assert cli.main(["sweep", "--spec", path]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("  n_alice: 3", "  n_alice: 0"),
+            ("  n_bob: 2", "  n_bob: 0"),
+            ("  n_eve: 1", "  n_eve: -1"),
+        ],
+    )
+    def test_antenna_counts_below_one_are_refused(self, tmp_path, capsys, line, bad):
+        # n_bob: 0 used to run, exit 0 and write only error rows.
+        text = self.GOOD.replace(line, bad)
+        assert text != self.GOOD
+        path = self.write(tmp_path, text)
+        with pytest.raises(SweepSpecError, match="must be >= 1"):
+            load_sweep_spec(path)
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--spec", path, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_scalar_evaluator_schemes_are_refused(self, tmp_path):
         # A bare string used to be iterated character by character.
@@ -516,6 +540,17 @@ class TestValidate:
         assert report.rows[0].error == ""
         assert "overflows" in report.rows[1].error
         assert report.error_points == 1 and not report.passed
+
+    def test_refused_antenna_count_is_an_error_row(self, draw_spy):
+        # n_bob = 0 used to abort the whole report from the draw.
+        good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
+                    gamma_bar_e_db=0.0, rate_rs=1.0)
+        report = validate(points=[good, dict(good, n_bob=0)], n_trials=1000)
+        assert report.rows[0] == validate(points=[good], n_trials=1000).rows[0]
+        assert report.rows[1].error == "n_bob must be >= 1, got 0"
+        assert report.rows[1].closed_form is None and report.rows[1].mc_estimate is None
+        assert report.error_points == 1 and not report.passed
+        assert set(draw_spy.calls) == {(3, 2, 1, 1000, 0)}
 
     def test_binomial_z_with_few_expected_events(self):
         # One event where 0.05 are expected has probability 0.049: an
