@@ -9,22 +9,6 @@ pair at one point, and the three routes cross-validate each other; see
 the ``validate`` helpers and the command line interface.
 """
 
-from .channel import (
-    AlamoutiRoundtrip,
-    AntennaSelection,
-    ChannelRealization,
-    SnrSample,
-    alamouti_combine,
-    alamouti_encode,
-    alamouti_roundtrip,
-    column_norms,
-    draw_channel,
-    secrecy_capacity,
-    select_antennas,
-    snr_sample,
-    snr_single_tas,
-    snr_tas_alamouti,
-)
 from .closedform import (
     OutageBreakdown,
     closed_form_outage,
@@ -65,10 +49,7 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlamoutiRoundtrip",
-    "AntennaSelection",
     "CSV_COLUMNS",
-    "ChannelRealization",
     "CrossoverResult",
     "EVALUATORS",
     "EstimatorResult",
@@ -80,7 +61,6 @@ __all__ = [
     "PrecisionExhaustedError",
     "SCHEMA_VERSION",
     "Scheme",
-    "SnrSample",
     "SweepRow",
     "SweepSpec",
     "SweepSpecError",
@@ -88,14 +68,9 @@ __all__ = [
     "ValidationReport",
     "ValidationRow",
     "__version__",
-    "alamouti_combine",
-    "alamouti_encode",
-    "alamouti_roundtrip",
     "build_preset",
     "closed_form_outage",
-    "column_norms",
     "db_to_linear",
-    "draw_channel",
     "eps_outage_capacity",
     "evaluate",
     "expansion_coeffs",
@@ -107,11 +82,6 @@ __all__ = [
     "prob_nonzero_secrecy",
     "run_preset",
     "run_sweep",
-    "secrecy_capacity",
-    "select_antennas",
-    "snr_sample",
-    "snr_single_tas",
-    "snr_tas_alamouti",
     "validate",
     "validation_grid",
     "write_rows_csv",

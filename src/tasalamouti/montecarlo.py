@@ -9,14 +9,15 @@ would be scheduled.
 The per-trial channel statistics are normalized (unit average branch
 SNR), so one draw set, fixed by (n_alice, n_bob, n_eve, trials, seed),
 serves every SNR and rate point and both schemes.  ``draw_components``
-makes a set, and ``count_outage`` and ``count_nonzero_secrecy`` count
-events on a supplied set without drawing.  A set's arrays are
-read-only, so the rows that share it cannot change it.  The callers
-decide when to draw: ``sweeps.evaluate`` checks one point's inputs
-(``check_inputs``) and draws its set, while the sweeps, presets and
-validation grids of ``sweeps`` draw each distinct set once per call
-and hold one set at a time, so their memory is bounded by a single set
-(4 arrays of ``trials`` float64) and not by the number of sets.
+makes a set, and ``count_outage`` counts outage events on a supplied
+set without drawing; non-zero secrecy is the complement of its rate-0
+count.  A set's arrays are read-only, so the rows that share it cannot
+change it.  The callers decide when to draw: ``sweeps.evaluate``
+checks one point's inputs (``check_inputs``) and draws its set, while
+a sweep, a preset or a validation grid of ``sweeps`` is planned as one
+run that draws each distinct set once and holds one set at a time, so
+its memory is bounded by a single set (4 arrays of ``trials`` float64)
+and not by the number of sets.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "EstimatorResult",
     "NormalizedDraws",
     "check_inputs",
-    "count_nonzero_secrecy",
     "count_outage",
     "draw_components",
     "outage_events",
@@ -254,12 +254,3 @@ def count_outage(
     )
     return _bernoulli_result(int(events.sum()), draws.n_trials)
 
-
-def count_nonzero_secrecy(
-    draws: NormalizedDraws, config: SystemConfig, scheme: Scheme
-) -> EstimatorResult:
-    """Non-zero secrecy counted on a supplied draw set of ``config``'s antennas."""
-    events = ~outage_events(
-        _matching(draws, config), scheme, config.gamma_bar_b, config.gamma_bar_e, 0.0
-    )
-    return _bernoulli_result(int(events.sum()), draws.n_trials)

@@ -27,7 +27,6 @@ import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
@@ -432,9 +431,16 @@ _EVALUATE = {
         lambda c, s, rate, eps, draws: montecarlo.count_outage(draws, c, s, rate)
     ),
     ("Pr_nonzero", "monte-carlo"): (
-        lambda c, s, rate, eps, draws: montecarlo.count_nonzero_secrecy(draws, c, s)
+        lambda c, s, rate, eps, draws: _complement(montecarlo.count_outage(draws, c, s, 0.0))
     ),
 }
+
+
+def _complement(result: montecarlo.EstimatorResult) -> montecarlo.EstimatorResult:
+    """The estimate of the complementary event on the same trials: non-zero
+    secrecy is exactly the absence of rate-0 outage."""
+    return montecarlo._bernoulli_result(result.n_trials - result.n_events, result.n_trials)
+
 
 # The analytic evaluators model only the two-antenna selection scheme.
 _ANALYTIC = ("closed-form", "quadrature")
@@ -489,53 +495,28 @@ def evaluate(
     return fn(config, scheme, rate, epsilon, draws)
 
 
-class _DrawSlot:
-    """The one Monte Carlo draw set that a run holds.
-
-    Asking for another key drops the held set before drawing the new
-    one, so at most one set is alive.  A caller that asks key by key,
-    never coming back to a key it has left, draws each key once.
-    """
-
-    def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._draws: montecarlo.NormalizedDraws | None = None
-
-    def get(self, key: tuple) -> montecarlo.NormalizedDraws:
-        if key != self._key:
-            self._key = self._draws = None
-            self._draws = montecarlo.draw_components(*key)
-            self._key = key
-        return self._draws
-
-
-# The slot of the run_preset call in progress, if any.  run_preset runs
-# each curve through run_sweep, so that each curve stays one sweep; the
-# curves share their draws through this slot, which lives only as long
-# as the run_preset call.
-_PRESET_DRAWS: ContextVar[_DrawSlot | None] = ContextVar("_PRESET_DRAWS", default=None)
-
-
 def _by_draw_key(
     keys: Iterable[tuple | None],
     evaluate_at: Callable[[int, montecarlo.NormalizedDraws | None], object],
-    slot: _DrawSlot,
     mapper=map,
 ) -> list:
     """``evaluate_at(index, draws)`` for every index of ``keys``, in index
     order.  The indices are grouped by draw key, in first-appearance
-    order; a key's set is taken from ``slot`` once, before its indices
-    are mapped, and a None key gets no set."""
+    order.  A key's set is drawn once, before its indices are mapped, and
+    the previous key's set is dropped before the next one is drawn, so
+    one set is held at a time; a None key gets no set.  A run passes all
+    of its rows in one call, so it draws each distinct key once."""
     groups: dict[tuple | None, list[int]] = {}
     for index, key in enumerate(keys):
         groups.setdefault(key, []).append(index)
     results: list = [None] * sum(len(indices) for indices in groups.values())
     for key, indices in groups.items():
-        draws = None if key is None else slot.get(key)
+        draws = None  # frees the previous key's set before the next draw
+        if key is not None:
+            draws = montecarlo.draw_components(*key)
         batch = mapper(lambda i: evaluate_at(i, draws), indices)
         for index, result in zip(indices, batch):
             results[index] = result
-        del draws  # the slot alone holds the set, so the next key's draw frees it
     return results
 
 
@@ -609,6 +590,29 @@ def _sweep_row(
     )
 
 
+def _run_specs(
+    specs: Sequence[SweepSpec], workers: int, timings: bool
+) -> list[SweepRow]:
+    """The rows of every spec, in spec order, evaluated as one
+    ``_by_draw_key`` plan, so a key shared by several specs is drawn once."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [
+        _sweep_job(spec, value, scheme, ev)
+        for spec in specs
+        for value in spec.values
+        for scheme in spec.schemes
+        for ev in spec.evaluators
+        if ev.applies_to(scheme)
+    ]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _by_draw_key(
+            (key for _, _, key in jobs),
+            lambda i, draws: _sweep_row(jobs[i], timings, draws),
+            pool.map if workers > 1 else map,
+        )
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -629,22 +633,7 @@ def run_sweep(
     before its rows fan out to ``workers`` threads, and is dropped
     before the next key's set is drawn.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [
-        _sweep_job(spec, value, scheme, ev)
-        for value in spec.values
-        for scheme in spec.schemes
-        for ev in spec.evaluators
-        if ev.applies_to(scheme)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = _by_draw_key(
-            (key for _, _, key in jobs),
-            lambda i, draws: _sweep_row(jobs[i], timings, draws),
-            _PRESET_DRAWS.get() or _DrawSlot(),
-            pool.map if workers > 1 else map,
-        )
+    rows = _run_specs([spec], workers, timings)
     if spec.output is not None:
         write_rows_csv(rows, spec.output)
     return rows
@@ -755,18 +744,12 @@ def run_preset(
 ) -> list[SweepRow]:
     """Run every curve of a preset and return the concatenated rows.
 
-    The curves share one draw slot, so consecutive curves with the same
-    draw key (as fig5's two eavesdropper SNRs have) count on one set.
+    The curves are planned as one run, so each distinct draw key is
+    drawn once for the whole preset (fig5's two eavesdropper SNRs count
+    on one set) and one set is held at a time.  Row order and bytes are
+    those of running each curve through ``run_sweep`` in turn.
     """
-    token = _PRESET_DRAWS.set(_DrawSlot())
-    try:
-        return [
-            row
-            for spec in build_preset(name, trials=trials, seed=seed)
-            for row in run_sweep(spec, workers=workers, timings=timings)
-        ]
-    finally:
-        _PRESET_DRAWS.reset(token)
+    return _run_specs(build_preset(name, trials=trials, seed=seed), workers, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -815,15 +798,17 @@ def find_crossover(
     P_out metric.
 
     Returns a no-crossover result (found=False) when the difference
-    has the same sign at both bracket ends.
+    has the same sign at both bracket ends.  Raises ``ValueError``,
+    before anything is drawn, unless both bracket ends are finite and
+    lo < hi.
     """
     if metric not in ("P_out", "Pr_nonzero"):
         raise ValueError(
             f"crossover metric must be P_out or Pr_nonzero, got {metric!r}"
         )
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
-    if not lo_db < hi_db:
-        raise ValueError(f"bracket must satisfy lo < hi, got {bracket_db!r}")
+    if not (math.isfinite(lo_db) and math.isfinite(hi_db) and lo_db < hi_db):
+        raise ValueError(f"bracket must be finite with lo < hi, got {bracket_db!r}")
     event_rate = rate if metric == "P_out" else 0.0
     for scheme in (scheme_a, scheme_b):
         montecarlo.check_inputs(config, scheme, event_rate)
@@ -904,7 +889,7 @@ def find_crossover(
         for side in (root - half, root + half):
             probe = min(max(side, lo_db), hi_db)
             mean, se = paired_difference(probe)
-            if abs(mean) <= 1.959963984540054 * se:
+            if abs(mean) <= montecarlo._Z95 * se:
                 grown = True
         if not grown:
             break
@@ -1096,7 +1081,6 @@ def validate(
     rows = _by_draw_key(
         (_validation_key(pt, n_trials, seed) for pt in grid_points),
         lambda i, draws: _validation_row(grid_points[i], draws),
-        _DrawSlot(),
     )
 
     error_points = sum(1 for r in rows if r.error)

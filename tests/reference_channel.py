@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Scheme, SystemConfig
+from tasalamouti.config import Scheme, SystemConfig
 
 __all__ = [
     "AlamoutiRoundtrip",

@@ -17,13 +17,12 @@ import math
 import numpy as np
 import pytest
 
+from reference_channel import alamouti_roundtrip, draw_channel
 from tasalamouti import (
     Scheme,
     SystemConfig,
-    alamouti_roundtrip,
     closed_form_outage,
     db_to_linear,
-    draw_channel,
     eps_outage_capacity,
     evaluate,
     find_crossover,

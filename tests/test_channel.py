@@ -1,13 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tasalamouti import (
+import reference_channel
+import tasalamouti
+from reference_channel import (
     ChannelRealization,
-    Scheme,
-    SystemConfig,
     alamouti_combine,
     alamouti_encode,
     alamouti_roundtrip,
@@ -19,6 +21,7 @@ from tasalamouti import (
     snr_single_tas,
     snr_tas_alamouti,
 )
+from tasalamouti import Scheme, SystemConfig, montecarlo
 
 norm_arrays = hnp.arrays(
     dtype=float,
@@ -253,3 +256,21 @@ class TestRoundtrip:
             alamouti_roundtrip(f, f, -1.0, 10, np.random.default_rng(0))
         with pytest.raises(ValueError):
             alamouti_roundtrip(f, f, 1.0, 0, np.random.default_rng(0))
+
+
+class TestPackageSurface:
+    """The channel reference is test code: the package neither ships nor
+    re-exports it, and has one Monte Carlo counter."""
+
+    def test_reference_names_are_not_public(self):
+        assert len(reference_channel.__all__) == 14
+        assert not set(reference_channel.__all__) & set(tasalamouti.__all__)
+        assert not any(hasattr(tasalamouti, name) for name in reference_channel.__all__)
+
+    def test_channel_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("tasalamouti.channel")
+
+    def test_one_monte_carlo_counter(self):
+        assert "count_nonzero_secrecy" not in montecarlo.__all__
+        assert not hasattr(montecarlo, "count_nonzero_secrecy")

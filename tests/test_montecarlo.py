@@ -3,27 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from tasalamouti import (
+from reference_channel import (
     ChannelRealization,
-    Scheme,
-    SystemConfig,
-    evaluate,
     secrecy_capacity,
     select_antennas,
     snr_sample,
 )
+from tasalamouti import Scheme, SystemConfig, evaluate
 from tasalamouti.montecarlo import (
     BLOCK_SIZE,
-    count_nonzero_secrecy,
     count_outage,
     draw_components,
     outage_events,
     snr_pairs,
 )
 from tasalamouti._kernels import snr_components
+from tasalamouti.sweeps import _EVALUATE
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
 MC = "monte-carlo"
+
+
+def count_nonzero_secrecy(draws, config, scheme):
+    """Non-zero secrecy counted on a supplied draw set, by the evaluator
+    table's Monte Carlo entry (the one sweeps and presets use)."""
+    return _EVALUATE[("Pr_nonzero", MC)](config, scheme, 0.0, None, draws)
 
 
 class TestDrawComponents:

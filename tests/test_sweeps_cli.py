@@ -481,6 +481,17 @@ class TestCrossover:
                 (10.0, 10.0), 1000,
             )
 
+    @pytest.mark.parametrize("bracket", [(0.0, math.inf), (-math.inf, 20.0)])
+    def test_non_finite_bracket_is_refused_before_drawing(self, draw_spy, bracket):
+        # (4,3,2) at 5 dB crosses near 8.5 dB, which [0, inf] used to miss.
+        config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
+        with pytest.raises(ValueError, match="finite"):
+            find_crossover(
+                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
+                bracket, 20_000, rate=1.0,
+            )
+        assert draw_spy.calls == []
+
 
 def db_to_linear_5db() -> float:
     return 10.0 ** 0.5
@@ -834,6 +845,23 @@ class TestCli:
 
     def test_crossover_requires_bracket(self, capsys):
         assert cli.main(["crossover"]) == cli.EXIT_USAGE
+
+    def test_crossover_refuses_infinite_bracket(self, capsys, draw_spy):
+        code = cli.main(
+            [
+                "crossover",
+                "--n-alice", "4",
+                "--n-bob", "3",
+                "--n-eve", "2",
+                "--gamma-e-db", "5",
+                "--rate", "1",
+                "--bracket", "0", "inf",
+                "--trials", "20000",
+            ]
+        )
+        assert code == cli.EXIT_USAGE == 1
+        assert "bracket must be finite" in capsys.readouterr().err
+        assert draw_spy.calls == []
 
     def test_validate_exit_codes(self, capsys, monkeypatch):
         from tasalamouti.sweeps import ValidationReport
