@@ -100,6 +100,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="has no effect: rows run in order on one thread (must be >= 1)",
+    )
+    parser.add_argument(
+        "--timings", action="store_true", help="fill the wall_time_ms column"
+    )
+
+
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:
     return SystemConfig(
         n_alice=args.n_alice,
@@ -132,10 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--seed", type=int, help="override the Monte Carlo seed for every evaluator"
     )
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker threads")
-    p_sweep.add_argument(
-        "--timings", action="store_true", help="fill the wall_time_ms column"
-    )
+    _add_run_flags(p_sweep)
 
     p_preset = sub.add_parser(
         "preset",
@@ -148,10 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=1_000_000, help="Monte Carlo trials"
     )
     p_preset.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p_preset.add_argument("--workers", type=int, default=1, help="worker threads")
-    p_preset.add_argument(
-        "--timings", action="store_true", help="fill the wall_time_ms column"
-    )
+    _add_run_flags(p_preset)
 
     p_cross = sub.add_parser(
         "crossover",
@@ -219,7 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_workers(args: argparse.Namespace) -> None:
+    """Refuse a ``--workers`` below 1; any other value is ignored, since
+    rows run in order on one thread."""
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_workers(args)
     spec = load_sweep_spec(args.spec)
     if args.output is not None:
         spec = replace(spec, output=args.output)
@@ -234,7 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 )
             evaluators.append(ev)
         spec = replace(spec, evaluators=tuple(evaluators))
-    rows = run_sweep(spec, workers=args.workers, timings=args.timings)
+    rows = run_sweep(spec, timings=args.timings)
     if spec.output is None:
         write_rows_csv(rows, sys.stdout)
     else:
@@ -243,13 +257,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    rows = run_preset(
-        args.name,
-        trials=args.trials,
-        seed=args.seed,
-        workers=args.workers,
-        timings=args.timings,
-    )
+    _check_workers(args)
+    rows = run_preset(args.name, trials=args.trials, seed=args.seed, timings=args.timings)
     output = args.output if args.output is not None else f"{args.name}.csv"
     write_rows_csv(rows, output)
     print(f"{len(rows)} rows -> {output}")
@@ -345,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (SweepSpecError, FileNotFoundError, ValueError) as exc:
+    except (SweepSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PrecisionExhaustedError, NumericalFailureError) as exc:

@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
 
@@ -119,10 +118,12 @@ class EvaluatorSettings:
             raise SweepSpecError(
                 f"unknown evaluator {self.name!r}; expected one of {EVALUATORS}"
             )
-        if self.trials < 1:
-            raise SweepSpecError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise SweepSpecError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("trials", 1), ("seed", 0)):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise SweepSpecError(f"{name} must be an integer, got {count!r}")
+            if count < least:
+                raise SweepSpecError(f"{name} must be >= {least}, got {count}")
         if self.schemes is not None:
             for name in self.schemes:
                 Scheme.from_name(name)
@@ -498,14 +499,14 @@ def evaluate(
 def _by_draw_key(
     keys: Iterable[tuple | None],
     evaluate_at: Callable[[int, montecarlo.NormalizedDraws | None], object],
-    mapper=map,
 ) -> list:
     """``evaluate_at(index, draws)`` for every index of ``keys``, in index
     order.  The indices are grouped by draw key, in first-appearance
-    order.  A key's set is drawn once, before its indices are mapped, and
-    the previous key's set is dropped before the next one is drawn, so
-    one set is held at a time; a None key gets no set.  A run passes all
-    of its rows in one call, so it draws each distinct key once."""
+    order, and evaluated in turn.  A key's set is drawn once, before its
+    indices are evaluated, and the previous key's set is dropped before
+    the next one is drawn, so one set is held at a time; a None key gets
+    no set.  A run passes all of its rows in one call, so it draws each
+    distinct key once."""
     groups: dict[tuple | None, list[int]] = {}
     for index, key in enumerate(keys):
         groups.setdefault(key, []).append(index)
@@ -514,9 +515,8 @@ def _by_draw_key(
         draws = None  # frees the previous key's set before the next draw
         if key is not None:
             draws = montecarlo.draw_components(*key)
-        batch = mapper(lambda i: evaluate_at(i, draws), indices)
-        for index, result in zip(indices, batch):
-            results[index] = result
+        for index in indices:
+            results[index] = evaluate_at(index, draws)
     return results
 
 
@@ -590,13 +590,9 @@ def _sweep_row(
     )
 
 
-def _run_specs(
-    specs: Sequence[SweepSpec], workers: int, timings: bool
-) -> list[SweepRow]:
+def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
     """The rows of every spec, in spec order, evaluated as one
     ``_by_draw_key`` plan, so a key shared by several specs is drawn once."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [
         _sweep_job(spec, value, scheme, ev)
         for spec in specs
@@ -605,35 +601,27 @@ def _run_specs(
         for ev in spec.evaluators
         if ev.applies_to(scheme)
     ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _by_draw_key(
-            (key for _, _, key in jobs),
-            lambda i, draws: _sweep_row(jobs[i], timings, draws),
-            pool.map if workers > 1 else map,
-        )
+    return _by_draw_key(
+        (key for _, _, key in jobs),
+        lambda i, draws: _sweep_row(jobs[i], timings, draws),
+    )
 
 
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    workers: int = 1,
-    timings: bool = False,
-) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
     """Evaluate every (value, scheme, evaluator) combination of a sweep.
 
     Rows come back ordered by sweep value, then scheme order, then
-    evaluator order, regardless of worker scheduling.  Evaluator
-    failures are recorded in the row's error column instead of
-    aborting.  ``timings`` fills the wall-time column (a Monte Carlo
-    row's time excludes the draw it shares); leaving it off keeps
-    output files byte-identical across runs.
+    evaluator order.  Evaluator failures are recorded in the row's
+    error column instead of aborting.  ``timings`` fills the wall-time
+    column (a Monte Carlo row's time excludes the draw it shares);
+    leaving it off keeps output files byte-identical across runs.
 
-    Rows are evaluated in batches: the rows that draw nothing, and the
-    Monte Carlo rows of each draw key.  A key's set is drawn once,
-    before its rows fan out to ``workers`` threads, and is dropped
-    before the next key's set is drawn.
+    Rows are evaluated in order on the calling thread, in batches: the
+    rows that draw nothing, and the Monte Carlo rows of each draw key.
+    A key's set is drawn once, before its rows are counted, and is
+    dropped before the next key's set is drawn.
     """
-    rows = _run_specs([spec], workers, timings)
+    rows = _run_specs([spec], timings)
     if spec.output is not None:
         write_rows_csv(rows, spec.output)
     return rows
@@ -739,17 +727,17 @@ def run_preset(
     *,
     trials: int = 1_000_000,
     seed: int = 0,
-    workers: int = 1,
     timings: bool = False,
 ) -> list[SweepRow]:
     """Run every curve of a preset and return the concatenated rows.
 
-    The curves are planned as one run, so each distinct draw key is
-    drawn once for the whole preset (fig5's two eavesdropper SNRs count
-    on one set) and one set is held at a time.  Row order and bytes are
-    those of running each curve through ``run_sweep`` in turn.
+    The curves are planned as one run, evaluated in order on the
+    calling thread, so each distinct draw key is drawn once for the
+    whole preset (fig5's two eavesdropper SNRs count on one set) and one
+    set is held at a time.  Row order and bytes are those of running
+    each curve through ``run_sweep`` in turn.
     """
-    return _run_specs(build_preset(name, trials=trials, seed=seed), workers, timings)
+    return _run_specs(build_preset(name, trials=trials, seed=seed), timings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import io
+import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -34,6 +36,9 @@ from tasalamouti import (
 )
 from tasalamouti import cli
 from tasalamouti.sweeps import MC_Z_LIMIT, _binomial_z
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -125,6 +130,12 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             EvaluatorSettings(name="monte-carlo", schemes=("laser",))
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_evaluator_counts_must_be_integers(self, field, value):
+        with pytest.raises(SweepSpecError, match=f"{field} must be an integer"):
+            EvaluatorSettings(name="monte-carlo", **{field: value})
+
     def test_applies_to(self):
         restricted = EvaluatorSettings(name="closed-form", schemes=("tas_alamouti",))
         assert restricted.applies_to(Scheme.TAS_ALAMOUTI)
@@ -148,11 +159,6 @@ class TestRunSweep:
         first = rows_to_csv_text(run_sweep(small_spec()))
         second = rows_to_csv_text(run_sweep(small_spec()))
         assert first == second
-
-    def test_workers_do_not_change_output(self):
-        serial = rows_to_csv_text(run_sweep(small_spec(), workers=1))
-        threaded = rows_to_csv_text(run_sweep(small_spec(), workers=4))
-        assert serial == threaded
 
     def test_timings_column_only_when_requested(self):
         bare = run_sweep(small_spec())
@@ -610,10 +616,12 @@ class TestDrawOnce:
         by_point = {tuple(pt.values()): row for pt, row in zip(grid, in_grid_order)}
         assert list(rows) == [by_point[tuple(pt.values())] for pt in interleaved]
 
-    def test_preset_bytes_do_not_depend_on_workers(self, draw_spy):
-        serial = rows_to_csv_text(run_preset("fig2", trials=2000, seed=1, workers=1))
-        threaded = rows_to_csv_text(run_preset("fig2", trials=2000, seed=1, workers=2))
-        assert serial == threaded
+    def test_preset_bytes_do_not_depend_on_workers(self, draw_spy, tmp_path, capsys):
+        command = ["preset", "fig2", "--trials", "2000", "--seed", "1"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert cli.main([*command, "--output", str(plain)]) == cli.EXIT_OK
+        assert cli.main([*command, "--workers", "2", "--output", str(flagged)]) == cli.EXIT_OK
+        assert plain.read_bytes() == flagged.read_bytes()
         assert len(draw_spy.calls) == 6
         assert draw_spy.most_held == 0
 
@@ -627,7 +635,7 @@ class TestDrawOnce:
                 EvaluatorSettings(name="monte-carlo", trials=3000, seed=8),
             ),
         )
-        rows = run_sweep(spec, workers=2)
+        rows = run_sweep(spec)
         assert sorted(draw_spy.calls) == [
             (2, 2, 1, 3000, 7), (2, 2, 1, 3000, 8), (3, 2, 1, 3000, 7), (3, 2, 1, 3000, 8),
         ]
@@ -796,6 +804,22 @@ class TestCli:
         code = cli.main(["sweep", "--spec", str(tmp_path / "nope.yaml")])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["preset", "fig6", "--output"],
+            ["validate", "--grid", "quick", "--trials", "100", "--output"],
+            ["sweep", "--spec"],
+        ],
+        ids=["preset-output", "validate-output", "sweep-spec"],
+    )
+    def test_directory_path_is_usage_error(self, tmp_path, capsys, command):
+        code = cli.main([*command, str(tmp_path)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_sweep_invalid_spec(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.yaml"
         spec_path.write_text("metric: P_out\n")
@@ -825,6 +849,18 @@ class TestCli:
         assert code == cli.EXIT_USAGE
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "fig6.csv").exists()
+
+    @pytest.mark.parametrize(
+        "workload", [w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]]
+    )
+    def test_benchmark_command_lines_parse(self, tmp_path, workload):
+        # Reads the benchmark's command lines without importing its package,
+        # so that nothing is written under perfbench/.
+        cli_calls = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["cli_calls"]
+        argvs = cli_calls(workload, 0, tmp_path)
+        assert argvs
+        for argv in argvs:
+            assert cli.build_parser().parse_args(argv).command == argv[0]
 
     def test_crossover_smoke(self, capsys):
         code = cli.main(
