@@ -13,7 +13,6 @@ from .closedform import (
     OutageBreakdown,
     closed_form_outage,
     eps_outage_capacity,
-    expansion_coeffs,
     outage_breakdown,
     prob_nonzero_secrecy,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "db_to_linear",
     "eps_outage_capacity",
     "evaluate",
-    "expansion_coeffs",
     "find_crossover",
     "linear_to_db",
     "load_sweep_spec",

@@ -36,8 +36,9 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
 
     Parameters
     ----------
-    bob_norms, eve_norms : ndarray, shape (n_trials, n_alice)
-        Squared column norms of the legitimate and eavesdropper links.
+    bob_norms, eve_norms : float64 ndarray, shape (n_trials, n_alice)
+        Squared column norms of the legitimate and eavesdropper links;
+        n_alice >= 2.
 
     Returns
     -------
@@ -45,12 +46,6 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
         Sum of the two largest legitimate norms, the largest one, and
         the eavesdropper norms gathered at the same antenna indices.
     """
-    bob_norms = np.ascontiguousarray(bob_norms, dtype=np.float64)
-    eve_norms = np.ascontiguousarray(eve_norms, dtype=np.float64)
-    if bob_norms.shape != eve_norms.shape or bob_norms.ndim != 2:
-        raise ValueError("norm arrays must share a (n_trials, n_alice) shape")
-    if bob_norms.shape[1] < 2:
-        raise ValueError("selection of two antennas needs n_alice >= 2")
     rows = np.arange(bob_norms.shape[0])
     first = np.argmax(bob_norms, axis=1)
     top1 = bob_norms[rows, first]
@@ -81,14 +76,22 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
 #                         Per summand: its coefficient (one row per phi
 #                         level), its kernel order lam and the integer
 #                         offset c of its kernel value
-#                         W_lam(phi) * (c - (lam + 1) / phi)
+#                         W_lam(phi) * (c - (lam + 1) / phi).  Levels
+#                         0..n_a-1 share the halved-denominator row; the
+#                         plain-denominator row of level n_a is 0.5 times
+#                         it, which is exact for these normal constants
 #   mixed[l, m, w]        binomial mix sum_u C(w,u) rho^u shift^(w-u) *
 #                         bracket[l, m, u].  Per summand: C(w, u), u, w - u
 #   psi1 .. psi4          per summand: the signed product of every factor
 #                         left of efac, and its gather index into the
 #                         flattened mixed table.  The cell's phi level
 #                         also picks the efac: exp(-decay (i + 2)) at
-#                         level i, exp(-2 decay) at levels n_a-1 and n_a
+#                         level i, exp(-2 decay) at levels n_a-1 and n_a.
+#                         One (j, m, i, t) loop nest builds all four
+#                         groups: psi2 at each (j, m), psi1 at each
+#                         (i, t), psi3 and psi4 at each (i >= 1, t, p).
+#                         Each summand goes to its own group's arrays,
+#                         and the groups are joined psi1..psi4
 #   slices                the summands of each bracket, mixed and psi sum
 # The per-call part depends on (gamma_b, gamma_e, rate): rho, shift and
 # decay; the phi levels and log(phi); one W_lam(phi) =
@@ -98,7 +101,9 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
 # which rounds the exact sum once.  Each summand is formed from the same
 # operands in the same left-to-right order as the sums written out term by
 # term, and every transcendental is a scalar math.exp, math.lgamma or
-# float ** int, so no bit depends on the vectorization.
+# float ** int, so no bit depends on the vectorization.  The order of the
+# summands within a group is free: math.fsum gives the same bits in any
+# order, and the magnitude bound is a maximum.
 #
 # Phi levels 0..n_a-2 hold phi1(i) with the halved denominators used by
 # the first, third and fourth sums; level n_a-1 holds phi2 with the same
@@ -195,7 +200,7 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
         pascal[nn, 1 : nn + 1] = pascal[nn - 1, :nn] + pascal[nn - 1, 1 : nn + 1]
     binom = pascal.tolist()
 
-    b_lam, b_off, b_half, b_plain, b_bounds = [], [], [], [], [0]
+    b_lam, b_off, b_half, b_bounds = [], [], [], [0]
     for m in range(n_e):
         span = 2 * n_e - m - 2
         for u in range(w_max + 1):
@@ -204,7 +209,6 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
                 b_lam.append(2 * n_e + u - m - n - 3)
                 b_off.append(span - n)
                 b_half.append(head / 2.0**span)
-                b_plain.append(head / 2.0 ** (span + 1))
             # The q-indexed group takes the inner kernel one index past
             # the deepest n term (leading coefficient 2 n_e - m - 1):
             # the reading that agrees with the quadrature oracle.
@@ -214,10 +218,10 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
                 b_lam.append(2 * n_e + u - m - 2)
                 b_off.append(2 * n_e - m - 1)
                 b_half.append(sgn * (head / (2.0 ** (n_e + q - 1) * (n_e + q))))
-                b_plain.append(sgn * (head / (2.0 ** (n_e + q) * (n_e + q))))
             b_bounds.append(len(b_lam))
     lam = np.array(b_lam)
     lam_max = int(lam.max())
+    half = np.array(b_half)
 
     m_binom, m_u, m_k, m_bounds = [], [], [], [0]
     for w in range(w_max + 1):
@@ -227,84 +231,54 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
             m_k.append(w - u)
         m_bounds.append(len(m_u))
 
-    def gpre(i, j, m):
-        return (
-            binom[n_a - 2][i]
-            * fact[j]
-            * binom[n_b - 1][j]
-            * fact[m]
-            * binom[n_e - 1][m]
-        )
-
     def cell(lvl, m, w):
         return (lvl * n_e + m) * (w_max + 1) + w
 
-    # Typed arrays hold the per-summand values without an object each.
-    pre, gather, p_bounds = array("d"), array("q"), [0]
-    for i in range(n_a - 1):
-        sgn = -1.0 if i % 2 == 0 else 1.0
-        for j in range(n_b):
-            for m in range(n_e):
-                g = gpre(i, j, m)
-                for t in range(i * (n_b - 1) + 1):
-                    a_val = a_rows[i][t]
-                    span = 2 * n_b + t - j - 2
-                    for k in range(span + 1):
-                        w1 = span - k
-                        coef = fact[k] * binom[span][k] / (2.0**w1 * (i + 2.0) ** (k + 1))
-                        pre.append(sgn * (g * a_val * coef))
-                        gather.append(cell(i, m, w1))
-    p_bounds.append(len(pre))
-
+    # One typed array pair per psi group holds the per-summand values
+    # without an object each; the groups are joined psi1..psi4 at the end.
+    pre = [array("d") for _ in range(4)]
+    gather = [array("q") for _ in range(4)]
     for j in range(n_b):
         for m in range(n_e):
             hpre = fact[j] * binom[n_b - 1][j] * fact[m] * binom[n_e - 1][m]
             for p in range(n_b - j):
                 sgn = -1.0 if p % 2 == 1 else 1.0
                 coef = binom[n_b - j - 1][p] / (2.0 ** (n_b + p - 1) * (n_b + p))
-                pre.append(sgn * (hpre * coef))
-                gather.append(cell(n_a, m, 2 * n_b - j - 1))
-    p_bounds.append(len(pre))
-
-    for i in range(1, n_a - 1):
-        sgn = 1.0 if i % 2 == 0 else -1.0
-        for j in range(n_b):
-            for m in range(n_e):
-                g = gpre(i, j, m)
+                pre[1].append(sgn * (hpre * coef))
+                gather[1].append(cell(n_a, m, 2 * n_b - j - 1))
+            for i in range(n_a - 1):
+                sgn = -1.0 if i % 2 == 0 else 1.0
+                g = (
+                    binom[n_a - 2][i] * fact[j] * binom[n_b - 1][j]
+                    * fact[m] * binom[n_e - 1][m]
+                )
                 for t in range(i * (n_b - 1) + 1):
                     a_val = a_rows[i][t]
+                    span = 2 * n_b + t - j - 2
+                    for k in range(span + 1):
+                        w1 = span - k
+                        coef = fact[k] * binom[span][k] / (2.0**w1 * (i + 2.0) ** (k + 1))
+                        pre[0].append(sgn * (g * a_val * coef))
+                        gather[0].append(cell(i, m, w1))
+                    if i == 0:
+                        continue  # psi3 and psi4 start at i = 1
                     for p in range(n_b - j):
-                        psgn = -1.0 if p % 2 == 1 else 1.0
+                        psgn = sgn if p % 2 == 1 else -sgn  # (-1)^(i + p)
                         pcoef = binom[n_b - j - 1][p]
                         w2 = n_b + p + t - 1
                         for k in range(w2 + 1):
                             coef = fact[k] * binom[w2][k] / (2.0 ** (w2 - k) * float(i) ** (k + 1))
-                            pre.append(sgn * psgn * (g * a_val * pcoef * coef))
-                            gather.append(cell(i, m, 2 * n_b + t - j - k - 2))
-    p_bounds.append(len(pre))
-
-    for i in range(1, n_a - 1):
-        sgn = 1.0 if i % 2 == 0 else -1.0
-        for j in range(n_b):
-            for m in range(n_e):
-                g = gpre(i, j, m)
-                for t in range(i * (n_b - 1) + 1):
-                    a_val = a_rows[i][t]
-                    for p in range(n_b - j):
-                        psgn = -1.0 if p % 2 == 1 else 1.0
-                        coef = (
-                            binom[n_b - j - 1][p]
-                            * fact[n_b + p + t - 1]
-                            / float(i) ** (n_b + p + t)
-                        )
-                        pre.append(sgn * psgn * (g * a_val * coef))
-                        gather.append(cell(n_a - 1, m, n_b - j - p - 1))
-    p_bounds.append(len(pre))
+                            pre[2].append(psgn * (g * a_val * pcoef * coef))
+                            gather[2].append(cell(i, m, 2 * n_b + t - j - k - 2))
+                        coef = pcoef * fact[w2] / float(i) ** (w2 + 1)
+                        pre[3].append(psgn * (g * a_val * coef))
+                        gather[3].append(cell(n_a - 1, m, n_b - j - p - 1))
+    p_bounds = np.cumsum([0] + [len(group) for group in pre]).tolist()
 
     return _PsiPlan(
         lgam=_frozen([math.lgamma(v + 1.0) for v in range(lam_max + 1)]),
         lam_p1=_frozen(np.arange(lam_max + 1) + 1.0),
-        b_coef=_frozen([b_half] * n_a + [b_plain]),
+        b_coef=_frozen([half] * n_a + [0.5 * half]),
         b_lam=_frozen(np.maximum(lam, 0), np.intp),
         b_lam_p1=_frozen(lam + 1.0),
         b_neg=_frozen(lam < 0, bool),
@@ -316,8 +290,8 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
         m_k=_frozen(m_k, np.intp),
         m_starts=_frozen(m_bounds[:-1], np.intp),
         m_slices=_slices(m_bounds),
-        p_pre=_frozen(pre),
-        p_gather=_frozen(gather, np.intp),
+        p_pre=_frozen(np.concatenate(pre)),
+        p_gather=_frozen(np.concatenate(gather), np.intp),
         p_slices=_slices(p_bounds),
     )
 

@@ -25,6 +25,8 @@ from .config import Scheme, SystemConfig, db_to_linear
 from .errors import NumericalFailureError, PrecisionExhaustedError
 from .montecarlo import EstimatorResult
 from .sweeps import (
+    EVALUATORS,
+    METRICS,
     PRESET_NAMES,
     SweepSpecError,
     evaluate,
@@ -42,23 +44,15 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_METRIC_ALIASES = {
-    "pout": "P_out",
-    "p_out": "P_out",
-    "pnz": "Pr_nonzero",
-    "pr_nonzero": "Pr_nonzero",
-    "cout": "C_out",
-    "c_out": "C_out",
-}
 
-_EVALUATOR_ALIASES = {
-    "cf": "closed-form",
-    "closed-form": "closed-form",
-    "quad": "quadrature",
-    "quadrature": "quadrature",
-    "mc": "monte-carlo",
-    "monte-carlo": "monte-carlo",
-}
+def _aliases(short: tuple[str, ...], names: tuple[str, ...]) -> dict[str, str]:
+    """Lower-case spelling -> canonical name: the short forms first, then
+    the canonical names themselves."""
+    return {**dict(zip(short, names)), **{name.lower(): name for name in names}}
+
+
+_METRIC_ALIASES = _aliases(("pout", "pnz", "cout"), METRICS)
+_EVALUATOR_ALIASES = _aliases(("cf", "quad", "mc"), EVALUATORS)
 
 
 class _UsageError(Exception):
@@ -70,22 +64,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _canonical_metric(name: str) -> str:
+def _canonical(what: str, name: str, aliases: dict[str, str]) -> str:
+    """The canonical metric or evaluator that ``name`` spells, in any case."""
     key = name.strip().lower()
-    if key not in _METRIC_ALIASES:
+    if key not in aliases:
+        first, second, third = list(aliases)[:3]  # the short forms
         raise _UsageError(
-            f"unknown metric {name!r}; expected pout, pnz, or cout"
+            f"unknown {what} {name!r}; expected {first}, {second}, or {third}"
         )
-    return _METRIC_ALIASES[key]
-
-
-def _canonical_evaluator(name: str) -> str:
-    key = name.strip().lower()
-    if key not in _EVALUATOR_ALIASES:
-        raise _UsageError(
-            f"unknown evaluator {name!r}; expected cf, quad, or mc"
-        )
-    return _EVALUATOR_ALIASES[key]
+    return aliases[key]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -271,7 +258,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
         config,
         Scheme.from_name(args.scheme_a),
         Scheme.from_name(args.scheme_b),
-        _canonical_metric(args.metric),
+        _canonical("metric", args.metric, _METRIC_ALIASES),
         (args.bracket[0], args.bracket[1]),
         args.trials,
         args.seed,
@@ -299,8 +286,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    metric = _canonical_metric(args.metric)
-    evaluator = _canonical_evaluator(args.evaluator)
+    metric = _canonical("metric", args.metric, _METRIC_ALIASES)
+    evaluator = _canonical("evaluator", args.evaluator, _EVALUATOR_ALIASES)
     scheme = Scheme.from_name(args.scheme)
     config = _config_from_args(args)
     if metric == "C_out" and args.epsilon is None:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from ._kernels import expansion_coeffs
 from .config import SystemConfig, checked_rate
 from .errors import NumericalFailureError, PrecisionExhaustedError
 
@@ -33,7 +32,6 @@ __all__ = [
     "OutageBreakdown",
     "closed_form_outage",
     "eps_outage_capacity",
-    "expansion_coeffs",
     "outage_breakdown",
     "prob_nonzero_secrecy",
 ]
@@ -71,7 +69,6 @@ class OutageBreakdown:
     prefactor: float
     max_term: float
     cancellation_ratio: float
-    clamped: bool
 
 
 def _check_envelope(config: SystemConfig) -> None:
@@ -133,7 +130,6 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
             prefactor=prefactor,
             max_term=0.0,
             cancellation_ratio=0.0,
-            clamped=False,
         )
     p1, p2, p3, p4, mag = _kernels.psi_terms(
         config.n_alice,
@@ -163,7 +159,6 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
             f"{CLAMP_SLACK} for {config} at rate {rate} "
             f"(cancellation ratio {ratio:.3e})"
         )
-    clamped = raw < 0.0 or raw > 1.0
     value = min(1.0, max(0.0, raw))
     return OutageBreakdown(
         value=value,
@@ -172,7 +167,6 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
         prefactor=prefactor,
         max_term=max_term,
         cancellation_ratio=ratio,
-        clamped=clamped,
     )
 
 

@@ -98,6 +98,14 @@ class SweepSpecError(ValueError):
     """A sweep description failed validation before any computation."""
 
 
+def _check_count(name: str, count, least: int) -> None:
+    """Refuse a count that is a bool, not an int, or below ``least``."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise SweepSpecError(f"{name} must be an integer, got {count!r}")
+    if count < least:
+        raise SweepSpecError(f"{name} must be >= {least}, got {count}")
+
+
 @dataclass(frozen=True)
 class EvaluatorSettings:
     """One evaluator to run, with its sampling settings.
@@ -119,11 +127,7 @@ class EvaluatorSettings:
                 f"unknown evaluator {self.name!r}; expected one of {EVALUATORS}"
             )
         for name, least in (("trials", 1), ("seed", 0)):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise SweepSpecError(f"{name} must be an integer, got {count!r}")
-            if count < least:
-                raise SweepSpecError(f"{name} must be >= {least}, got {count}")
+            _check_count(name, getattr(self, name), least)
         if self.schemes is not None:
             for name in self.schemes:
                 Scheme.from_name(name)
@@ -178,9 +182,7 @@ class SweepSpec:
         if not self.evaluators:
             raise SweepSpecError("sweep needs at least one evaluator")
         for name in ("n_alice", "n_bob", "n_eve"):
-            count = getattr(self, name)
-            if count < 1:
-                raise SweepSpecError(f"{name} must be >= 1, got {count!r}")
+            _check_count(name, getattr(self, name), 1)
         if self.parameter == "n_alice":
             for v in self.values:
                 if v != int(v) or int(v) < 1:
@@ -195,8 +197,13 @@ class SweepSpec:
                     raise SweepSpecError(
                         f"epsilon values must lie in (0, 1), got {v!r}"
                     )
-        if self.metric == "C_out" and self.parameter != "epsilon" and self.epsilon is None:
-            raise SweepSpecError("metric C_out needs an epsilon in the base config")
+        if self.metric == "C_out" and self.parameter != "epsilon":
+            if self.epsilon is None:
+                raise SweepSpecError("metric C_out needs an epsilon in the base config")
+            if not (0.0 < self.epsilon < 1.0):
+                raise SweepSpecError(
+                    f"base epsilon must lie in (0, 1), got {self.epsilon!r}"
+                )
 
 
 @dataclass(frozen=True)

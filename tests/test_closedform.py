@@ -17,7 +17,6 @@ from tasalamouti import (
     db_to_linear,
     eps_outage_capacity,
     evaluate,
-    expansion_coeffs,
     outage_breakdown,
     outage_quadrature,
     prob_nonzero_secrecy,
@@ -25,6 +24,7 @@ from tasalamouti import (
     write_rows_csv,
 )
 from tasalamouti import _kernels
+from tasalamouti._kernels import expansion_coeffs
 from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows
 
 # Frozen values from an independent adaptive-quadrature evaluator of
@@ -271,6 +271,20 @@ class TestClosedFormOutage:
             SystemConfig(MAX_ANTENNAS, 3, 3, 100.0, 3.16227766017), 2.0
         )
         assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize(
+        "antennas, gb_db, ge_db, message",
+        [
+            # The largest summand, 1.4e10, bounds the error at 1.4e-5 > 1e-7.
+            ((8, 8, 8), -20.0, -20.0, "cancellation too severe"),
+            # The raw value is about -1.99e-7.
+            ((6, 6, 6), 10.0, -20.0, r"assembled probability -\S+ outside \[0, 1\]"),
+        ],
+    )
+    def test_refuses_what_it_cannot_certify(self, antennas, gb_db, ge_db, message):
+        cfg = SystemConfig(*antennas, db_to_linear(gb_db), db_to_linear(ge_db))
+        with pytest.raises(PrecisionExhaustedError, match=message):
+            outage_breakdown(cfg, 0.0)
 
     def test_rate_validation(self):
         cfg = SystemConfig(2, 1, 1, 1.0, 1.0)

@@ -120,6 +120,23 @@ class TestSweepSpecValidation:
                 epsilon=None,
             )
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", ["n_alice", "n_bob", "n_eve"])
+    def test_antenna_counts_must_be_integers(self, field, value):
+        # n_bob=2.5 used to build a spec whose every row was an error.
+        with pytest.raises(SweepSpecError, match=f"{field} must be an integer"):
+            small_spec(**{field: value})
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, math.nan])
+    def test_cout_base_epsilon_in_unit_interval(self, epsilon):
+        with pytest.raises(SweepSpecError, match=r"base epsilon must lie in \(0, 1\)"):
+            small_spec(
+                metric="C_out",
+                schemes=(Scheme.TAS_ALAMOUTI,),
+                evaluators=(EvaluatorSettings(name="closed-form"),),
+                epsilon=epsilon,
+            )
+
     def test_evaluator_settings_validation(self):
         with pytest.raises(SweepSpecError):
             EvaluatorSettings(name="bayes")
@@ -240,6 +257,27 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert [row.n_alice for row in rows] == [2, 4]
         assert all(row.n_bob == spec.n_bob for row in rows)
+
+    def test_row_refused_during_evaluation_keeps_the_other_rows(self):
+        # n_alice = 9 passes the spec and the row's input checks; the
+        # closed form refuses it only when the row is evaluated.
+        spec = small_spec(
+            parameter="n_alice",
+            values=tuple(float(v) for v in range(2, 10)),
+            schemes=(Scheme.TAS_ALAMOUTI,),
+            evaluators=(EvaluatorSettings(name="closed-form"),),
+        )
+        rows = run_sweep(spec)
+        assert [row.n_alice for row in rows] == list(range(2, 10))
+        *kept, refused = rows
+        assert refused.value is None
+        assert "exceed the cancellation-safe envelope" in refused.error
+        for row in kept:
+            config = SystemConfig(row.n_alice, 2, 1, 10.0, 1.0)
+            assert row.error == ""
+            assert row.value == evaluate(
+                config, Scheme.TAS_ALAMOUTI, "P_out", "closed-form", rate=1.0
+            )
 
 
 class TestLoadSweepSpec:
@@ -362,6 +400,19 @@ evaluators:
         out = tmp_path / "out.csv"
         assert cli.main(["sweep", "--spec", path, "--output", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_cout_base_epsilon_outside_unit_interval_is_refused(self, tmp_path, capsys):
+        # epsilon: 1.5 used to load, write one error row per point and exit 0.
+        text = self.GOOD.replace("metric: P_out", "metric: C_out").replace(
+            "  rate_rs: 1.0", "  rate_rs: 1.0\n  epsilon: 1.5"
+        )
+        path = self.write(tmp_path, text)
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--spec", path, "--output", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "base epsilon must lie in (0, 1), got 1.5" in err
         assert not out.exists()
 
     def test_scalar_evaluator_schemes_are_refused(self, tmp_path):
@@ -732,6 +783,37 @@ class TestCli:
         code = cli.main(["eval", "--metric", "pout", "--evaluator", "fft"])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "what, spelling, canonical",
+        [
+            ("metric", "pout", "P_out"),
+            ("metric", "p_out", "P_out"),
+            ("metric", "pnz", "Pr_nonzero"),
+            ("metric", "pr_nonzero", "Pr_nonzero"),
+            ("metric", "cout", "C_out"),
+            ("metric", "c_out", "C_out"),
+            ("evaluator", "cf", "closed-form"),
+            ("evaluator", "closed-form", "closed-form"),
+            ("evaluator", "quad", "quadrature"),
+            ("evaluator", "quadrature", "quadrature"),
+            ("evaluator", "mc", "monte-carlo"),
+            ("evaluator", "monte-carlo", "monte-carlo"),
+            ("metric", "ber", None),
+            ("evaluator", "fft", None),
+        ],
+    )
+    def test_metric_and_evaluator_spellings(self, what, spelling, canonical):
+        aliases = {"metric": cli._METRIC_ALIASES, "evaluator": cli._EVALUATOR_ALIASES}
+        assert len(aliases[what]) == 6
+        if canonical is not None:
+            for text in (spelling, f" {spelling.upper()} "):
+                assert cli._canonical(what, text, aliases[what]) == canonical
+            return
+        short = {"metric": "pout, pnz, or cout", "evaluator": "cf, quad, or mc"}
+        with pytest.raises(cli._UsageError) as refused:
+            cli._canonical(what, spelling, aliases[what])
+        assert str(refused.value) == f"unknown {what} {spelling!r}; expected {short[what]}"
+
     def test_eval_single_tas_analytic_is_usage_error(self, capsys):
         code = cli.main(
             ["eval", "--metric", "pout", "--evaluator", "cf", "--scheme", "single_tas"]
@@ -878,6 +960,22 @@ class TestCli:
         )
         assert code == cli.EXIT_OK
         assert "crossover at" in capsys.readouterr().out
+
+    def test_crossover_not_found_exits_zero(self, capsys):
+        code = cli.main(
+            [
+                "crossover",
+                "--n-alice", "2",
+                "--n-bob", "1",
+                "--n-eve", "1",
+                "--gamma-e-db", "5",
+                "--rate", "1",
+                "--bracket", "0", "5",
+                "--trials", "20000",
+            ]
+        )
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("no crossover: no sign change")
 
     def test_crossover_requires_bracket(self, capsys):
         assert cli.main(["crossover"]) == cli.EXIT_USAGE
