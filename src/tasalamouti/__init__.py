@@ -16,7 +16,7 @@ from .closedform import (
     outage_breakdown,
     prob_nonzero_secrecy,
 )
-from .config import Scheme, SystemConfig, db_to_linear, linear_to_db
+from .config import Scheme, SystemConfig, db_to_linear
 from .errors import NumericalFailureError, PrecisionExhaustedError
 from .montecarlo import EstimatorResult
 from .quadrature import outage_quadrature
@@ -73,7 +73,6 @@ __all__ = [
     "eps_outage_capacity",
     "evaluate",
     "find_crossover",
-    "linear_to_db",
     "load_sweep_spec",
     "outage_breakdown",
     "outage_quadrature",

@@ -87,6 +87,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_sampling_flags(parser: argparse.ArgumentParser, trials_help: str) -> None:
+    parser.add_argument("--trials", type=int, default=1_000_000, help=trials_help)
+    parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
@@ -140,10 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_preset.add_argument("name", choices=PRESET_NAMES, metavar="name")
     p_preset.add_argument("--output", help="CSV output path (default: <name>.csv)")
-    p_preset.add_argument(
-        "--trials", type=int, default=1_000_000, help="Monte Carlo trials"
-    )
-    p_preset.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    _add_sampling_flags(p_preset, "Monte Carlo trials")
     _add_run_flags(p_preset)
 
     p_cross = sub.add_parser(
@@ -171,10 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="legitimate-SNR bracket in dB",
     )
     p_cross.add_argument("--rate", type=float, default=0.0, help="secrecy rate for pout")
-    p_cross.add_argument(
-        "--trials", type=int, default=1_000_000, help="Monte Carlo trials"
-    )
-    p_cross.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    _add_sampling_flags(p_cross, "Monte Carlo trials")
 
     p_val = sub.add_parser(
         "validate",
@@ -185,10 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--grid", choices=("default", "quick"), default="default", help="grid name"
     )
-    p_val.add_argument(
-        "--trials", type=int, default=1_000_000, help="Monte Carlo trials per point"
-    )
-    p_val.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    _add_sampling_flags(p_val, "Monte Carlo trials per point")
     p_val.add_argument("--output", help="optional per-point CSV path")
 
     p_eval = sub.add_parser(
@@ -204,10 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--rate", type=float, default=0.0, help="secrecy rate for pout")
     p_eval.add_argument("--epsilon", type=float, help="outage budget for cout")
-    p_eval.add_argument(
-        "--trials", type=int, default=1_000_000, help="Monte Carlo trials"
-    )
-    p_eval.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    _add_sampling_flags(p_eval, "Monte Carlo trials")
 
     return parser
 
@@ -224,17 +217,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec)
     if args.output is not None:
         spec = replace(spec, output=args.output)
-    if args.trials is not None or args.seed is not None:
-        evaluators = []
-        for ev in spec.evaluators:
-            if ev.name == "monte-carlo":
-                ev = replace(
-                    ev,
-                    trials=args.trials if args.trials is not None else ev.trials,
-                    seed=args.seed if args.seed is not None else ev.seed,
-                )
-            evaluators.append(ev)
-        spec = replace(spec, evaluators=tuple(evaluators))
+    overrides = {
+        key: value
+        for key, value in (("trials", args.trials), ("seed", args.seed))
+        if value is not None
+    }
+    evaluators = tuple(
+        replace(ev, **overrides) if ev.name == "monte-carlo" else ev
+        for ev in spec.evaluators
+    )
+    spec = replace(spec, evaluators=evaluators)
     rows = run_sweep(spec, timings=args.timings)
     if spec.output is None:
         write_rows_csv(rows, sys.stdout)

@@ -18,7 +18,6 @@ __all__ = [
     "SystemConfig",
     "checked_rate",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
@@ -110,10 +109,3 @@ def db_to_linear(value_db: float) -> float:
     except OverflowError:
         raise ValueError(f"{value_db!r} dB overflows on the linear scale") from None
 
-
-def linear_to_db(value: float) -> float:
-    """Convert a positive linear quantity to dB."""
-    value = float(value)
-    if value <= 0.0:
-        raise ValueError(f"dB conversion needs a positive value, got {value!r}")
-    return 10.0 * math.log10(value)

@@ -13,7 +13,7 @@ makes a set, and ``count_outage`` counts outage events on a supplied
 set without drawing; non-zero secrecy is the complement of its rate-0
 count.  A set's arrays are read-only, so the rows that share it cannot
 change it.  The callers decide when to draw: ``sweeps.evaluate``
-checks one point's inputs (``check_inputs``) and draws its set, while
+checks one point's inputs and draws its set, while
 a sweep, a preset or a validation grid of ``sweeps`` is planned as one
 run that draws each distinct set once and holds one set at a time, so
 its memory is bounded by a single set (4 arrays of ``trials`` float64)
@@ -34,7 +34,6 @@ __all__ = [
     "BLOCK_SIZE",
     "EstimatorResult",
     "NormalizedDraws",
-    "check_inputs",
     "count_outage",
     "draw_components",
     "outage_events",
@@ -114,6 +113,8 @@ def draw_components(
     for name, value in (("n_alice", n_alice), ("n_bob", n_bob), ("n_eve", n_eve)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if isinstance(n_trials, bool) or not isinstance(n_trials, int):
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -181,20 +182,6 @@ def snr_pairs(
     if scheme is Scheme.SINGLE_TAS:
         return draws.top1 * gamma_bar_b, draws.eve_first * gamma_bar_e
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def check_inputs(config: SystemConfig, scheme: Scheme, rate: float = 0.0) -> None:
-    """Refuse a point before anything is drawn for it.
-
-    The scheme must be a ``Scheme``, the Alamouti selection scheme needs
-    n_alice >= 2, and the rate must be finite and >= 0.  The average
-    SNRs were checked when ``config`` was made.
-    """
-    if not isinstance(scheme, Scheme):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme is Scheme.TAS_ALAMOUTI:
-        config.require_two_transmit_antennas()
-    checked_rate(rate)
 
 
 def outage_events(

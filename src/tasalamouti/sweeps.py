@@ -40,7 +40,7 @@ from .closedform import (
     outage_breakdown,
     prob_nonzero_secrecy,
 )
-from .config import Scheme, SystemConfig, db_to_linear
+from .config import Scheme, SystemConfig, checked_rate, db_to_linear
 from .errors import NumericalFailureError, PrecisionExhaustedError
 from .quadrature import outage_quadrature
 
@@ -129,8 +129,11 @@ class EvaluatorSettings:
         for name, least in (("trials", 1), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
         if self.schemes is not None:
-            for name in self.schemes:
-                Scheme.from_name(name)
+            try:
+                for name in self.schemes:
+                    Scheme.from_name(name)
+            except ValueError as exc:
+                raise SweepSpecError(str(exc)) from None
 
     def applies_to(self, scheme: Scheme) -> bool:
         return self.schemes is None or scheme.value in self.schemes
@@ -179,6 +182,9 @@ class SweepSpec:
             raise SweepSpecError("sweep values must be strictly increasing")
         if not self.schemes:
             raise SweepSpecError("sweep needs at least one scheme")
+        for scheme in self.schemes:
+            if not isinstance(scheme, Scheme):
+                raise SweepSpecError(f"sweep schemes must be Scheme members, got {scheme!r}")
         if not self.evaluators:
             raise SweepSpecError("sweep needs at least one evaluator")
         for name in ("n_alice", "n_bob", "n_eve"):
@@ -204,6 +210,18 @@ class SweepSpec:
                 raise SweepSpecError(
                     f"base epsilon must lie in (0, 1), got {self.epsilon!r}"
                 )
+        # A fixed input that every row reads is refused here, with the
+        # text its rows would carry.  A swept SNR is refused in its own
+        # row, so 0 dB stands in for the base value that it replaces.
+        fixed = {key: getattr(self, key) for key in _BASE_FIELDS}
+        if self.parameter == "gamma_bar_b_db":
+            fixed["gamma_bar_b_db"] = 0.0
+        try:
+            _config(fixed)
+            if self.metric == "P_out":
+                checked_rate(self.rate_rs)
+        except ValueError as exc:
+            raise SweepSpecError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -278,16 +296,36 @@ def load_sweep_spec(path: str) -> SweepSpec:
     configuration (``n_alice``, ``n_bob``, ``n_eve``,
     ``gamma_bar_b_db``, ``gamma_bar_e_db``, ``rate_rs``, ``epsilon``);
     an ``evaluators`` section mapping evaluator names to their settings
-    (``trials``, ``seed``, ``schemes``).
+    (``trials``, ``seed``, ``schemes``).  Every refusal is a
+    ``SweepSpecError`` whose text starts with ``path``.
     """
     with open(path) as handle:
         try:
             raw = yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             raise SweepSpecError(f"could not parse {path}: {exc}") from exc
+    try:
+        return _spec_from_dict(raw)
+    except (TypeError, ValueError) as exc:
+        raise SweepSpecError(f"{path}: {exc}") from exc
+
+
+def _section(raw, keys: Sequence[str], what: str) -> dict:
+    """A mapping of a sweep file with no key outside ``keys``; ``what``
+    names it in a refusal."""
     if not isinstance(raw, dict):
-        raise SweepSpecError(f"{path} must hold a mapping at the top level")
-    return _spec_from_dict(raw, origin=path)
+        raise SweepSpecError(f"{what} must be a mapping")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise SweepSpecError(f"unknown keys {sorted(unknown)} in {what}")
+    return raw
+
+
+def _entries(raw, what: str):
+    """A non-empty list of a sweep file; ``what`` names it in a refusal."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise SweepSpecError(f"{what} must be a non-empty list")
+    return raw
 
 
 def _integer(value, what: str) -> int:
@@ -302,98 +340,56 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _spec_from_dict(raw: dict, origin: str) -> SweepSpec:
-    known_top = {
-        "name",
-        "metric",
-        "parameter",
-        "values",
-        "schemes",
-        "base",
-        "evaluators",
-        "output",
-    }
-    unknown = set(raw) - known_top
-    if unknown:
-        raise SweepSpecError(f"{origin}: unknown keys {sorted(unknown)}")
-    for key in ("metric", "parameter", "values", "schemes", "evaluators"):
+def _spec_from_dict(raw) -> SweepSpec:
+    """The spec of a parsed sweep file.  Refusals name what they refuse
+    but not the file, which ``load_sweep_spec`` adds."""
+    required = ("metric", "parameter", "values", "schemes", "evaluators")
+    _section(raw, (*required, "name", "base", "output"), "the top level")
+    for key in required:
         if key not in raw:
-            raise SweepSpecError(f"{origin}: missing required key {key!r}")
-
-    base = raw.get("base", {})
-    if not isinstance(base, dict):
-        raise SweepSpecError(f"{origin}: base must be a mapping")
-    unknown = set(base) - set(_BASE_FIELDS)
-    if unknown:
-        raise SweepSpecError(f"{origin}: unknown base keys {sorted(unknown)}")
-
-    schemes_raw = raw["schemes"]
-    if not isinstance(schemes_raw, (list, tuple)) or not schemes_raw:
-        raise SweepSpecError(f"{origin}: schemes must be a non-empty list")
-    try:
-        schemes = tuple(Scheme.from_name(str(s)) for s in schemes_raw)
-    except ValueError as exc:
-        raise SweepSpecError(f"{origin}: {exc}") from exc
+            raise SweepSpecError(f"missing required key {key!r}")
+    base = _section(raw.get("base", {}), _BASE_FIELDS, "base")
+    schemes = tuple(Scheme.from_name(str(s)) for s in _entries(raw["schemes"], "schemes"))
 
     evaluators_raw = raw["evaluators"]
     if not isinstance(evaluators_raw, dict) or not evaluators_raw:
-        raise SweepSpecError(
-            f"{origin}: evaluators must be a non-empty mapping of name -> settings"
-        )
+        raise SweepSpecError("evaluators must be a non-empty mapping of name -> settings")
     evaluators = []
     for name in sorted(evaluators_raw):
-        settings = evaluators_raw[name] or {}
-        if not isinstance(settings, dict):
-            raise SweepSpecError(f"{origin}: settings of {name!r} must be a mapping")
-        unknown = set(settings) - {"trials", "seed", "schemes"}
-        if unknown:
-            raise SweepSpecError(
-                f"{origin}: unknown evaluator keys {sorted(unknown)} under {name!r}"
-            )
+        settings = _section(
+            evaluators_raw[name] or {}, ("trials", "seed", "schemes"), f"evaluator {name!r}"
+        )
         kwargs = {"name": str(name)}
         for key in ("trials", "seed"):
             if key in settings:
-                kwargs[key] = _integer(settings[key], f"{origin}: {name}.{key}")
+                kwargs[key] = _integer(settings[key], f"{name}.{key}")
         if "schemes" in settings:
-            subset = settings["schemes"]
-            if not isinstance(subset, (list, tuple)) or not subset:
-                raise SweepSpecError(
-                    f"{origin}: {name}.schemes must be a non-empty list"
-                )
+            subset = _entries(settings["schemes"], f"{name}.schemes")
             kwargs["schemes"] = tuple(str(s) for s in subset)
         evaluators.append(EvaluatorSettings(**kwargs))
 
-    values_raw = raw["values"]
-    if not isinstance(values_raw, (list, tuple)) or not values_raw:
-        raise SweepSpecError(f"{origin}: values must be a non-empty list")
-
-    try:
-        values = tuple(float(v) for v in values_raw)
-        # Only the keys present; SweepSpec holds the defaults.
-        fixed = {}
-        for key in _BASE_FIELDS:
-            if key not in base:
-                continue
-            if key in ("n_alice", "n_bob", "n_eve"):
-                fixed[key] = _integer(base[key], f"{origin}: base.{key}")
-            elif key == "epsilon" and base[key] is None:
-                fixed[key] = None
-            else:
-                fixed[key] = float(base[key])
-        return SweepSpec(
-            name=str(raw.get("name", "sweep")),
-            metric=str(raw["metric"]),
-            parameter=str(raw["parameter"]),
-            values=values,
-            schemes=schemes,
-            evaluators=tuple(evaluators),
-            output=None if raw.get("output") is None else str(raw["output"]),
-            **fixed,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SweepSpecError):
-            raise
-        raise SweepSpecError(f"{origin}: {exc}") from exc
+    values = tuple(float(v) for v in _entries(raw["values"], "values"))
+    # Only the keys present; SweepSpec holds the defaults.
+    fixed = {}
+    for key in _BASE_FIELDS:
+        if key not in base:
+            continue
+        if key in ("n_alice", "n_bob", "n_eve"):
+            fixed[key] = _integer(base[key], f"base.{key}")
+        elif key == "epsilon" and base[key] is None:
+            fixed[key] = None
+        else:
+            fixed[key] = float(base[key])
+    return SweepSpec(
+        name=str(raw.get("name", "sweep")),
+        metric=str(raw["metric"]),
+        parameter=str(raw["parameter"]),
+        values=values,
+        schemes=schemes,
+        evaluators=tuple(evaluators),
+        output=None if raw.get("output") is None else str(raw["output"]),
+        **fixed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +454,10 @@ def _checked(
     config: SystemConfig, scheme: Scheme, metric: str, evaluator: str, rate: float
 ):
     """The table function of a point whose inputs pass; raises ``ValueError``
-    otherwise, before anything is drawn.  The scheme is checked first."""
+    otherwise, before anything is drawn.  The scheme is checked first,
+    then the (metric, evaluator) pair, then the scheme's type, the two
+    antennas of the Alamouti selection scheme and, for P_out, the rate.
+    The average SNRs were checked when ``config`` was made."""
     if evaluator in _ANALYTIC and scheme is not Scheme.TAS_ALAMOUTI:
         raise ValueError(
             f"the {evaluator} evaluator supports only the "
@@ -467,8 +466,11 @@ def _checked(
     fn = _EVALUATE.get((metric, evaluator))
     if fn is None:
         raise ValueError(f"the {evaluator} evaluator does not support the {metric} metric")
-    if evaluator == "monte-carlo":
-        montecarlo.check_inputs(config, scheme, rate if metric == "P_out" else 0.0)
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme is Scheme.TAS_ALAMOUTI:
+        config.require_two_transmit_antennas()
+    checked_rate(rate if metric == "P_out" else 0.0)
     return fn
 
 
@@ -491,8 +493,8 @@ def evaluate(
     Monte Carlo, which draws ``trials`` channel realizations from
     ``seed`` and counts on them.  Raises ``ValueError`` when the
     evaluator does not cover the scheme (checked first) or the metric,
-    or when Monte Carlo inputs are refused; all of that is checked
-    before Monte Carlo draws.
+    or when the scheme, antennas or rate are refused; all of that is
+    checked before Monte Carlo draws.
     """
     fn = _checked(config, scheme, metric, evaluator, rate)
     draws = None
@@ -793,25 +795,32 @@ def find_crossover(
     P_out metric.
 
     Returns a no-crossover result (found=False) when the difference
-    has the same sign at both bracket ends.  Raises ``ValueError``,
-    before anything is drawn, unless both bracket ends are finite and
-    lo < hi.
+    has the same sign at both bracket ends and no scan point between
+    them resolves a sign change.  Raises ``ValueError``, before anything
+    is drawn, when ``evaluate`` would refuse either scheme with the
+    Monte Carlo evaluator (the same checks, with the same texts) and
+    unless both bracket ends are finite and lo < hi.
     """
-    if metric not in ("P_out", "Pr_nonzero"):
-        raise ValueError(
-            f"crossover metric must be P_out or Pr_nonzero, got {metric!r}"
-        )
+    for scheme in (scheme_a, scheme_b):
+        _checked(config, scheme, metric, "monte-carlo", rate)
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
     if not (math.isfinite(lo_db) and math.isfinite(hi_db) and lo_db < hi_db):
         raise ValueError(f"bracket must be finite with lo < hi, got {bracket_db!r}")
     event_rate = rate if metric == "P_out" else 0.0
-    for scheme in (scheme_a, scheme_b):
-        montecarlo.check_inputs(config, scheme, event_rate)
+    result = functools.partial(
+        CrossoverResult,
+        bracket_db=(lo_db, hi_db),
+        metric=metric,
+        n_trials=n_trials,
+        seed=seed,
+    )
 
     draws = montecarlo.draw_components(
         config.n_alice, config.n_bob, config.n_eve, n_trials, seed
     )
 
+    # Every probe is counted once, however often the search visits it.
+    @functools.cache
     def paired_difference(g_db: float) -> tuple[float, float]:
         gb = db_to_linear(g_db)
         ev_a = montecarlo.outage_events(
@@ -838,12 +847,7 @@ def find_crossover(
         # for adjacent points with resolvable opposite signs.
         signed = []
         for x in (lo_db + (hi_db - lo_db) * k / 16.0 for k in range(17)):
-            if x == lo_db:
-                d = d_lo
-            elif x == hi_db:
-                d = d_hi
-            else:
-                d, _ = paired_difference(x)
+            d, _ = paired_difference(x)
             if d != 0.0:
                 signed.append((x, d))
         pair = next(
@@ -855,14 +859,10 @@ def find_crossover(
             None,
         )
         if pair is None:
-            return CrossoverResult(
+            return result(
                 found=False,
                 gamma_db=None,
                 half_width_db=None,
-                bracket_db=(lo_db, hi_db),
-                metric=metric,
-                n_trials=n_trials,
-                seed=seed,
                 message=(
                     f"no sign change of the {metric} difference on "
                     f"[{lo_db}, {hi_db}] dB (endpoints {d_lo:.3e}, {d_hi:.3e})"
@@ -891,15 +891,7 @@ def find_crossover(
         half *= 2.0
     half = min(half, hi_db - lo_db)
 
-    return CrossoverResult(
-        found=True,
-        gamma_db=root,
-        half_width_db=half,
-        bracket_db=(lo_db, hi_db),
-        metric=metric,
-        n_trials=n_trials,
-        seed=seed,
-    )
+    return result(found=True, gamma_db=root, half_width_db=half)
 
 
 # ---------------------------------------------------------------------------

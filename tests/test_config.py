@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tasalamouti import Scheme, SystemConfig, db_to_linear, linear_to_db
+from tasalamouti import Scheme, SystemConfig, db_to_linear
 
 
 class TestScheme:
@@ -62,7 +62,6 @@ class TestDecibels:
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
         assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-12)
-        assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
 
     @pytest.mark.parametrize("value_db", [4000.0, 1e6])
     def test_overflow_is_a_value_error(self, value_db):
@@ -71,6 +70,6 @@ class TestDecibels:
 
     @given(st.floats(min_value=-80.0, max_value=80.0))
     def test_round_trip(self, value_db):
-        assert linear_to_db(db_to_linear(value_db)) == pytest.approx(
+        assert 10 * math.log10(db_to_linear(value_db)) == pytest.approx(
             value_db, abs=1e-9
         )

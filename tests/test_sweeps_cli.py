@@ -34,7 +34,7 @@ from tasalamouti import (
     write_rows_csv,
     write_validation_csv,
 )
-from tasalamouti import cli
+from tasalamouti import cli, montecarlo
 from tasalamouti.sweeps import MC_Z_LIMIT, _binomial_z
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,6 +136,42 @@ class TestSweepSpecValidation:
                 evaluators=(EvaluatorSettings(name="closed-form"),),
                 epsilon=epsilon,
             )
+
+    @pytest.mark.parametrize(
+        "overrides, text",
+        [
+            (dict(rate_rs=-1.0), "rate must be finite and >= 0, got -1.0"),
+            (dict(rate_rs=math.inf), "rate must be finite and >= 0, got inf"),
+            (dict(gamma_bar_e_db=math.nan), "gamma_bar_e must be finite and > 0, got nan"),
+            (dict(gamma_bar_e_db=4000.0), "4000.0 dB overflows on the linear scale"),
+            (dict(gamma_bar_e_db=-4000.0), "gamma_bar_e must be finite and > 0, got 0.0"),
+            (
+                dict(parameter="n_alice", values=(2.0, 3.0), gamma_bar_b_db=math.nan),
+                "gamma_bar_b must be finite and > 0, got nan",
+            ),
+        ],
+    )
+    def test_fixed_inputs_every_row_reads_are_refused(self, overrides, text):
+        # Each of these used to build a spec whose every row carried
+        # this text in its error cell.
+        with pytest.raises(SweepSpecError) as caught:
+            small_spec(**overrides)
+        assert str(caught.value) == text
+
+    def test_inputs_no_row_reads_are_not_refused(self):
+        # Only P_out reads the rate, and a swept SNR replaces the base one.
+        assert small_spec(metric="Pr_nonzero", rate_rs=-1.0).rate_rs == -1.0
+        assert math.isnan(small_spec(gamma_bar_b_db=math.nan).gamma_bar_b_db)
+
+    def test_schemes_must_be_scheme_members(self):
+        # A wire name used to build and then fail in run_sweep with an
+        # AttributeError.
+        with pytest.raises(SweepSpecError, match="'tas_alamouti'"):
+            small_spec(schemes=(Scheme.TAS_ALAMOUTI, "tas_alamouti"))
+
+    def test_unknown_evaluator_scheme_is_a_spec_error(self):
+        with pytest.raises(SweepSpecError, match="unknown scheme 'laser'"):
+            EvaluatorSettings(name="monte-carlo", schemes=("laser",))
 
     def test_evaluator_settings_validation(self):
         with pytest.raises(SweepSpecError):
@@ -322,12 +358,14 @@ evaluators:
 
     def test_unknown_base_key(self, tmp_path):
         text = self.GOOD.replace("  rate_rs: 1.0", "  rate_rs: 1.0\n  power: 3")
-        with pytest.raises(SweepSpecError, match="unknown base keys"):
+        with pytest.raises(SweepSpecError, match=r"unknown keys \['power'\] in base"):
             load_sweep_spec(self.write(tmp_path, text))
 
     def test_unknown_evaluator_key(self, tmp_path):
         text = self.GOOD.replace("    seed: 3", "    seed: 3\n    burn_in: 10")
-        with pytest.raises(SweepSpecError, match="unknown evaluator keys"):
+        with pytest.raises(
+            SweepSpecError, match=r"unknown keys \['burn_in'\] in evaluator 'monte-carlo'"
+        ):
             load_sweep_spec(self.write(tmp_path, text))
 
     def test_missing_required_key(self, tmp_path):
@@ -413,6 +451,55 @@ evaluators:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "base epsilon must lie in (0, 1), got 1.5" in err
+        assert not out.exists()
+
+    def test_unknown_evaluator_scheme_names_the_file(self, tmp_path):
+        # It used to escape as a ValueError without the file name.
+        text = self.GOOD.replace("    schemes: [tas_alamouti]", "    schemes: [bogus]")
+        assert text != self.GOOD
+        path = self.write(tmp_path, text)
+        with pytest.raises(SweepSpecError) as caught:
+            load_sweep_spec(path)
+        assert str(caught.value).startswith(f"{path}: unknown scheme 'bogus'")
+
+    @pytest.mark.parametrize(
+        "line, bad, text",
+        [
+            # SweepSpec's refusals used to leave the file out.
+            ("values: [0, 5, 10]", "values: [5, 0]", "sweep values must be strictly increasing"),
+            # Sorting mixed evaluator names used to escape as a TypeError.
+            ("  monte-carlo:\n", "  1: {}\n  monte-carlo:\n", "'<' not supported"),
+        ],
+    )
+    def test_refusals_name_the_file(self, tmp_path, capsys, line, bad, text):
+        spec_text = self.GOOD.replace(line, bad)
+        assert spec_text != self.GOOD
+        path = self.write(tmp_path, spec_text)
+        with pytest.raises(SweepSpecError) as caught:
+            load_sweep_spec(path)
+        assert str(caught.value).startswith(f"{path}: {text}")
+        assert cli.main(["sweep", "--spec", path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {path}: {text}")
+
+    @pytest.mark.parametrize(
+        "line, bad, text",
+        [
+            ("  rate_rs: 1.0", "  rate_rs: -1", "rate must be finite and >= 0, got -1.0"),
+            (
+                "  gamma_bar_e_db: 0.0",
+                "  gamma_bar_e_db: .nan",
+                "gamma_bar_e must be finite and > 0, got nan",
+            ),
+        ],
+    )
+    def test_fixed_input_every_row_reads_is_refused(self, tmp_path, capsys, line, bad, text):
+        # Both used to load, write one error row per point and exit 0.
+        spec_text = self.GOOD.replace(line, bad)
+        assert spec_text != self.GOOD
+        path = self.write(tmp_path, spec_text)
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--spec", path, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: {text}\n"
         assert not out.exists()
 
     def test_scalar_evaluator_schemes_are_refused(self, tmp_path):
@@ -548,6 +635,69 @@ class TestCrossover:
                 bracket, 20_000, rate=1.0,
             )
         assert draw_spy.calls == []
+
+
+    @pytest.mark.parametrize(
+        "n_alice, scheme, metric, rate",
+        [
+            (3, Scheme.TAS_ALAMOUTI, "C_out", 0.0),
+            (3, "tas_alamouti", "P_out", 1.0),
+            (1, Scheme.TAS_ALAMOUTI, "P_out", 1.0),
+            (3, Scheme.TAS_ALAMOUTI, "P_out", math.nan),
+        ],
+    )
+    def test_refuses_what_evaluate_refuses_before_drawing(
+        self, draw_spy, n_alice, scheme, metric, rate
+    ):
+        config = SystemConfig(n_alice, 2, 2, 10.0, 1.0)
+        with pytest.raises(ValueError) as expected:
+            evaluate(config, scheme, metric, "monte-carlo", rate=rate, trials=1000)
+        with pytest.raises(ValueError) as caught:
+            find_crossover(
+                config, scheme, Scheme.SINGLE_TAS, metric, (0.0, 10.0), 1000, rate=rate
+            )
+        assert str(caught.value) == str(expected.value)
+        assert draw_spy.calls == []
+
+    def test_cout_refusal_is_the_table_text(self):
+        config = SystemConfig(3, 2, 2, 10.0, 1.0)
+        with pytest.raises(
+            ValueError, match="^the monte-carlo evaluator does not support the C_out metric$"
+        ):
+            find_crossover(
+                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "C_out", (0.0, 10.0), 1000
+            )
+
+    def test_each_probe_is_counted_once(self, monkeypatch):
+        # The clamped half-width probes at the bracket ends were counted
+        # again: 78 event scans for 74 distinct (scheme, SNR) pairs.
+        counted = []
+        original = montecarlo.outage_events
+
+        def spy(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
+            counted.append((scheme, gamma_bar_b))
+            return original(draws, scheme, gamma_bar_b, gamma_bar_e, rate)
+
+        monkeypatch.setattr(montecarlo, "outage_events", spy)
+        config = SystemConfig(3, 3, 2, 10.0, db_to_linear_5db())
+        result = find_crossover(
+            config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
+            (5.0, 15.0), 5000, 0, rate=1.0,
+        )
+        assert (result.gamma_db, result.half_width_db) == (9.9951171875, 10.0)
+        assert len(counted) == 74
+        assert len(set(counted)) == len(counted)
+
+    def test_scan_finds_a_crossover_masked_at_both_ends(self):
+        # The paired difference is exactly zero at -30 and at 60 dB, so
+        # the crossover is found through the coarse scan.
+        config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
+        result = find_crossover(
+            config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
+            (-30.0, 60.0), 50_000, 3, rate=2.0,
+        )
+        assert result.found
+        assert (result.gamma_db, result.half_width_db) == (11.76727294921875, 0.4)
 
 
 def db_to_linear_5db() -> float:
@@ -701,11 +851,14 @@ class TestDrawOnce:
 
     def test_refused_sweep_rows_draw_nothing(self, draw_spy):
         spec = small_spec(
-            rate_rs=-1.0,
+            n_alice=1,
+            schemes=(Scheme.TAS_ALAMOUTI,),
             evaluators=(EvaluatorSettings(name="monte-carlo", trials=1_000_000),),
         )
         rows = run_sweep(spec)
-        assert rows and all(row.error.startswith("rate must be") for row in rows)
+        assert rows and all(
+            row.error.startswith("the Alamouti selection scheme needs") for row in rows
+        )
         assert draw_spy.calls == []
 
     def test_eval_refused_rate_draws_nothing(self, draw_spy, capsys):
@@ -716,6 +869,24 @@ class TestDrawOnce:
         assert code == cli.EXIT_USAGE
         assert "rate must be finite and >= 0" in capsys.readouterr().err
         assert draw_spy.calls == []
+
+    @pytest.mark.parametrize("n_trials", [1e4, 2.5, True])
+    @pytest.mark.parametrize("entry", ["evaluate", "validate", "find_crossover"])
+    def test_trial_count_must_be_an_integer(self, entry, n_trials):
+        # These used to fail inside numpy with a TypeError.
+        config = SystemConfig(3, 2, 1, 10.0, 1.0)
+        calls = {
+            "evaluate": lambda: evaluate(
+                config, Scheme.TAS_ALAMOUTI, "P_out", "monte-carlo", trials=n_trials
+            ),
+            "validate": lambda: validate("quick", n_trials=n_trials),
+            "find_crossover": lambda: find_crossover(
+                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
+                (0.0, 20.0), n_trials,
+            ),
+        }
+        with pytest.raises(ValueError, match=f"^n_trials must be an integer, got {n_trials!r}$"):
+            calls[entry]()
 
     def test_crossover_refused_rate_draws_nothing(self, draw_spy):
         config = SystemConfig(3, 2, 1, 10.0, 1.0)
@@ -976,6 +1147,15 @@ class TestCli:
         )
         assert code == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("no crossover: no sign change")
+
+    def test_crossover_cout_gives_the_table_text(self, capsys):
+        code = cli.main(
+            ["crossover", "--metric", "cout", "--bracket", "0", "5", "--trials", "1000"]
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: the monte-carlo evaluator does not support the C_out metric\n"
+        )
 
     def test_crossover_requires_bracket(self, capsys):
         assert cli.main(["crossover"]) == cli.EXIT_USAGE
