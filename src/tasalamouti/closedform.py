@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .config import SystemConfig, checked_rate
+from .config import SystemConfig, checked_epsilon, checked_rate
 from .errors import NumericalFailureError, PrecisionExhaustedError
 
 __all__ = [
@@ -214,9 +214,7 @@ def eps_outage_capacity(
         If bracketing or bisection fails to converge (monotonicity of
         the outage in rate makes this unreachable for valid inputs).
     """
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie strictly in (0, 1), got {epsilon!r}")
+    epsilon = checked_epsilon(epsilon)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if closed_form_outage(config, 0.0) > epsilon:

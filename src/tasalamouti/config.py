@@ -16,6 +16,8 @@ from dataclasses import dataclass
 __all__ = [
     "Scheme",
     "SystemConfig",
+    "checked_count",
+    "checked_epsilon",
     "checked_rate",
     "db_to_linear",
 ]
@@ -72,11 +74,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_alice", "n_bob", "n_eve"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            checked_count(name, getattr(self, name), 1)
         for name in ("gamma_bar_b", "gamma_bar_e"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value <= 0.0:
@@ -90,6 +88,23 @@ class SystemConfig:
                 "the Alamouti selection scheme needs n_alice >= 2, "
                 f"got n_alice={self.n_alice}"
             )
+
+
+def checked_count(name: str, value, least: int) -> None:
+    """Refuse, with ``ValueError``, a count named ``name`` that is a bool,
+    not an int, or below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def checked_epsilon(value, name: str = "epsilon") -> float:
+    """An outage budget named ``name``, as a float; raises ``ValueError``
+    unless it lies strictly between 0 and 1 (None and NaN do not)."""
+    if value is None or not 0.0 < float(value) < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return float(value)
 
 
 def checked_rate(rate: float) -> float:

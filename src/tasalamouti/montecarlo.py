@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import Scheme, SystemConfig, checked_rate
+from .config import Scheme, SystemConfig, checked_count, checked_rate
 
 __all__ = [
     "BLOCK_SIZE",
@@ -110,15 +110,11 @@ def draw_components(
     -------
     NormalizedDraws
     """
-    for name, value in (("n_alice", n_alice), ("n_bob", n_bob), ("n_eve", n_eve)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if isinstance(n_trials, bool) or not isinstance(n_trials, int):
-        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    checked_count("n_alice", n_alice, 1)
+    checked_count("n_bob", n_bob, 1)
+    checked_count("n_eve", n_eve, 1)
+    checked_count("n_trials", n_trials, 1)
+    checked_count("seed", seed, 0)
 
     top1 = np.empty(n_trials)
     eve_first = np.empty(n_trials)
@@ -170,8 +166,8 @@ def snr_pairs(
     gamma_bar_e: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scale normalized draws to instantaneous SNR pairs for a scheme."""
-    if gamma_bar_b <= 0 or gamma_bar_e <= 0:
-        raise ValueError("average SNRs must be > 0")
+    if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
+        raise ValueError("average SNRs must be finite and > 0")
     if scheme is Scheme.TAS_ALAMOUTI:
         if draws.top2 is None:
             raise ValueError(

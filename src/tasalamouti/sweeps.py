@@ -40,7 +40,14 @@ from .closedform import (
     outage_breakdown,
     prob_nonzero_secrecy,
 )
-from .config import Scheme, SystemConfig, checked_rate, db_to_linear
+from .config import (
+    Scheme,
+    SystemConfig,
+    checked_count,
+    checked_epsilon,
+    checked_rate,
+    db_to_linear,
+)
 from .errors import NumericalFailureError, PrecisionExhaustedError
 from .quadrature import outage_quadrature
 
@@ -98,14 +105,6 @@ class SweepSpecError(ValueError):
     """A sweep description failed validation before any computation."""
 
 
-def _check_count(name: str, count, least: int) -> None:
-    """Refuse a count that is a bool, not an int, or below ``least``."""
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise SweepSpecError(f"{name} must be an integer, got {count!r}")
-    if count < least:
-        raise SweepSpecError(f"{name} must be >= {least}, got {count}")
-
-
 @dataclass(frozen=True)
 class EvaluatorSettings:
     """One evaluator to run, with its sampling settings.
@@ -126,14 +125,13 @@ class EvaluatorSettings:
             raise SweepSpecError(
                 f"unknown evaluator {self.name!r}; expected one of {EVALUATORS}"
             )
-        for name, least in (("trials", 1), ("seed", 0)):
-            _check_count(name, getattr(self, name), least)
-        if self.schemes is not None:
-            try:
-                for name in self.schemes:
-                    Scheme.from_name(name)
-            except ValueError as exc:
-                raise SweepSpecError(str(exc)) from None
+        try:
+            for name, least in (("trials", 1), ("seed", 0)):
+                checked_count(name, getattr(self, name), least)
+            for name in self.schemes or ():
+                Scheme.from_name(name)
+        except ValueError as exc:
+            raise SweepSpecError(str(exc)) from None
 
     def applies_to(self, scheme: Scheme) -> bool:
         return self.schemes is None or scheme.value in self.schemes
@@ -187,36 +185,26 @@ class SweepSpec:
                 raise SweepSpecError(f"sweep schemes must be Scheme members, got {scheme!r}")
         if not self.evaluators:
             raise SweepSpecError("sweep needs at least one evaluator")
-        for name in ("n_alice", "n_bob", "n_eve"):
-            _check_count(name, getattr(self, name), 1)
         if self.parameter == "n_alice":
             for v in self.values:
                 if v != int(v) or int(v) < 1:
                     raise SweepSpecError(
                         f"n_alice sweep values must be integers >= 1, got {v!r}"
                     )
-        if self.parameter == "epsilon":
-            if self.metric != "C_out":
-                raise SweepSpecError("an epsilon sweep only makes sense for C_out")
-            for v in self.values:
-                if not (0.0 < v < 1.0):
-                    raise SweepSpecError(
-                        f"epsilon values must lie in (0, 1), got {v!r}"
-                    )
-        if self.metric == "C_out" and self.parameter != "epsilon":
-            if self.epsilon is None:
-                raise SweepSpecError("metric C_out needs an epsilon in the base config")
-            if not (0.0 < self.epsilon < 1.0):
-                raise SweepSpecError(
-                    f"base epsilon must lie in (0, 1), got {self.epsilon!r}"
-                )
-        # A fixed input that every row reads is refused here, with the
-        # text its rows would carry.  A swept SNR is refused in its own
-        # row, so 0 dB stands in for the base value that it replaces.
-        fixed = {key: getattr(self, key) for key in _BASE_FIELDS}
-        if self.parameter == "gamma_bar_b_db":
-            fixed["gamma_bar_b_db"] = 0.0
+        if self.parameter == "epsilon" and self.metric != "C_out":
+            raise SweepSpecError("an epsilon sweep only makes sense for C_out")
         try:
+            if self.parameter == "epsilon":
+                for v in self.values:
+                    checked_epsilon(v, "epsilon values")
+            elif self.metric == "C_out":
+                checked_epsilon(self.epsilon, "base epsilon")
+            # A fixed input that every row reads is refused here, with the
+            # text its rows would carry.  A swept SNR is refused in its own
+            # row, so 0 dB stands in for the base value that it replaces.
+            fixed = {key: getattr(self, key) for key in _BASE_FIELDS}
+            if self.parameter == "gamma_bar_b_db":
+                fixed["gamma_bar_b_db"] = 0.0
             _config(fixed)
             if self.metric == "P_out":
                 checked_rate(self.rate_rs)
@@ -239,10 +227,10 @@ class SweepRow:
     epsilon: float | None
     metric: str
     evaluator: str
-    value: float | None
-    stderr: float | None
-    n_trials: int | None
-    seed: int | None
+    value: float | None = None
+    stderr: float | None = None
+    n_trials: int | None = None
+    seed: int | None = None
     error: str = ""
     wall_time_ms: float | None = None
 
@@ -451,13 +439,19 @@ _ANALYTIC = ("closed-form", "quadrature")
 
 
 def _checked(
-    config: SystemConfig, scheme: Scheme, metric: str, evaluator: str, rate: float
+    config: SystemConfig,
+    scheme: Scheme,
+    metric: str,
+    evaluator: str,
+    rate: float,
+    epsilon: float | None,
 ):
     """The table function of a point whose inputs pass; raises ``ValueError``
-    otherwise, before anything is drawn.  The scheme is checked first,
-    then the (metric, evaluator) pair, then the scheme's type, the two
-    antennas of the Alamouti selection scheme and, for P_out, the rate.
-    The average SNRs were checked when ``config`` was made."""
+    otherwise, before anything is drawn or evaluated.  The scheme is
+    checked first, then the (metric, evaluator) pair, then the scheme's
+    type, the two antennas of the Alamouti selection scheme and, for
+    P_out, the rate or, for C_out, the epsilon.  The average SNRs were
+    checked when ``config`` was made."""
     if evaluator in _ANALYTIC and scheme is not Scheme.TAS_ALAMOUTI:
         raise ValueError(
             f"the {evaluator} evaluator supports only the "
@@ -470,7 +464,10 @@ def _checked(
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme is Scheme.TAS_ALAMOUTI:
         config.require_two_transmit_antennas()
-    checked_rate(rate if metric == "P_out" else 0.0)
+    if metric == "P_out":
+        checked_rate(rate)
+    elif metric == "C_out":
+        checked_epsilon(epsilon)
     return fn
 
 
@@ -493,10 +490,10 @@ def evaluate(
     Monte Carlo, which draws ``trials`` channel realizations from
     ``seed`` and counts on them.  Raises ``ValueError`` when the
     evaluator does not cover the scheme (checked first) or the metric,
-    or when the scheme, antennas or rate are refused; all of that is
-    checked before Monte Carlo draws.
+    or when the scheme, antennas, rate or epsilon are refused; all of
+    that is checked before anything is drawn or evaluated.
     """
-    fn = _checked(config, scheme, metric, evaluator, rate)
+    fn = _checked(config, scheme, metric, evaluator, rate, epsilon)
     draws = None
     if evaluator == "monte-carlo":
         draws = montecarlo.draw_components(
@@ -505,114 +502,97 @@ def evaluate(
     return fn(config, scheme, rate, epsilon, draws)
 
 
-def _by_draw_key(
-    keys: Iterable[tuple | None],
-    evaluate_at: Callable[[int, montecarlo.NormalizedDraws | None], object],
-) -> list:
-    """``evaluate_at(index, draws)`` for every index of ``keys``, in index
-    order.  The indices are grouped by draw key, in first-appearance
-    order, and evaluated in turn.  A key's set is drawn once, before its
-    indices are evaluated, and the previous key's set is dropped before
-    the next one is drawn, so one set is held at a time; a None key gets
-    no set.  A run passes all of its rows in one call, so it draws each
-    distinct key once."""
-    groups: dict[tuple | None, list[int]] = {}
-    for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-    results: list = [None] * sum(len(indices) for indices in groups.values())
-    for key, indices in groups.items():
+def _by_draw_key(jobs: Iterable[tuple[tuple | None, Callable]]) -> list:
+    """``make(draws)`` for every ``(key, make)`` job, in job order.  The
+    jobs are grouped by draw key, in first-appearance order, and run in
+    turn.  A key's set is drawn once, before its jobs run, and the
+    previous key's set is dropped before the next one is drawn, so one
+    set is held at a time; a None key gets no set.  A run passes all of
+    its rows in one call, so it draws each distinct key once."""
+    groups: dict[tuple | None, list[tuple[int, Callable]]] = {}
+    for index, (key, make) in enumerate(jobs):
+        groups.setdefault(key, []).append((index, make))
+    results: list = [None] * sum(len(members) for members in groups.values())
+    for key, members in groups.items():
         draws = None  # frees the previous key's set before the next draw
         if key is not None:
             draws = montecarlo.draw_components(*key)
-        for index in indices:
-            results[index] = evaluate_at(index, draws)
+        for index, make in members:
+            results[index] = make(draws)
     return results
 
 
 def _sweep_job(
-    spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
-) -> tuple[SweepRow, Callable | None, tuple | None]:
-    """One sweep row, derived once: the row with its input cells filled
-    in, the call that evaluates it on a draw set (None when its inputs
-    are refused, with the reason in the row's error cell), and the draw
-    key of a Monte Carlo row (None for a row that draws nothing)."""
+    spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings, timings: bool
+) -> tuple[tuple | None, Callable]:
+    """One sweep row, planned once: ``(key, make_row)``.  ``key`` is the
+    draw key of a Monte Carlo row, or None for a row that draws nothing,
+    including one whose inputs are refused.  ``make_row(draws)`` builds
+    the ``SweepRow`` from the row's input cells and the outcome of its
+    call on ``draws``; a refused row carries the reason in its error
+    cell and has no call."""
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = point["rate_rs"] if metric == "P_out" else 0.0
-    call = key = None
-    error = ""
-    try:
-        config = _config(point)
-        fn = _checked(config, scheme, metric, ev.name, rate)
-        call = functools.partial(fn, config, scheme, rate, point["epsilon"])
-    except ValueError as exc:
-        error = str(exc)
-    if call is not None and ev.name == "monte-carlo":
-        key = (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
-    sampled = ev.name == "monte-carlo"
-    row = SweepRow(
+    # The point's fields are the row's input cells, except that the rate
+    # and the epsilon cells show what the metric reads.
+    cells = dict(
+        point,
         preset=spec.preset,
         scheme=scheme.value,
-        n_alice=point["n_alice"],
-        n_bob=point["n_bob"],
-        n_eve=point["n_eve"],
-        gamma_bar_b_db=point["gamma_bar_b_db"],
-        gamma_bar_e_db=point["gamma_bar_e_db"],
         rate_rs=None if metric == "C_out" else rate,
         epsilon=point["epsilon"] if metric == "C_out" else None,
         metric=metric,
         evaluator=ev.name,
-        value=None,
-        stderr=None,
-        n_trials=ev.trials if sampled else None,
-        seed=ev.seed if sampled else None,
-        error=error,
     )
-    return row, call, key
+    if ev.name == "monte-carlo":
+        cells.update(n_trials=ev.trials, seed=ev.seed)
+    call = key = None
+    try:
+        config = _config(point)
+        fn = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
+    except ValueError as exc:
+        cells["error"] = str(exc)
+    else:
+        call = functools.partial(fn, config, scheme, rate, point["epsilon"])
+        if ev.name == "monte-carlo":
+            key = (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
+    return key, functools.partial(_sweep_row, cells, call, timings)
 
 
 def _sweep_row(
-    job: tuple, timings: bool, draws: montecarlo.NormalizedDraws | None
+    cells: dict, call: Callable | None, timings: bool, draws: montecarlo.NormalizedDraws | None
 ) -> SweepRow:
-    """The row of a ``_sweep_job`` with the outcome of its call on
-    ``draws`` filled in."""
-    row, call, _ = job
+    """The ``SweepRow`` of a ``_sweep_job``: its input ``cells`` with the
+    value, standard error or error of ``call`` on ``draws`` (no call for
+    a refused row) and, under ``timings``, the wall time."""
     started = time.perf_counter()
-    value = stderr = None
-    error = row.error
+    outcome = {}
     if call is not None:
         try:
             result = call(draws)
-            if isinstance(result, montecarlo.EstimatorResult):
-                value, stderr = result.estimate, result.stderr
-            else:
-                value = result
         except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
-            error = str(exc)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return replace(
-        row,
-        value=value,
-        stderr=stderr,
-        error=error,
-        wall_time_ms=elapsed_ms if timings else None,
-    )
+            outcome["error"] = str(exc)
+        else:
+            if isinstance(result, montecarlo.EstimatorResult):
+                outcome.update(value=result.estimate, stderr=result.stderr)
+            else:
+                outcome["value"] = result
+    if timings:
+        outcome["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
+    return SweepRow(**cells, **outcome)
 
 
 def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
-    """The rows of every spec, in spec order, evaluated as one
-    ``_by_draw_key`` plan, so a key shared by several specs is drawn once."""
-    jobs = [
-        _sweep_job(spec, value, scheme, ev)
+    """The rows of every spec, in spec order, made as one ``_by_draw_key``
+    plan, so a key shared by several specs is drawn once."""
+    return _by_draw_key(
+        _sweep_job(spec, value, scheme, ev, timings)
         for spec in specs
         for value in spec.values
         for scheme in spec.schemes
         for ev in spec.evaluators
         if ev.applies_to(scheme)
-    ]
-    return _by_draw_key(
-        (key for _, _, key in jobs),
-        lambda i, draws: _sweep_row(jobs[i], timings, draws),
     )
 
 
@@ -799,13 +779,19 @@ def find_crossover(
     them resolves a sign change.  Raises ``ValueError``, before anything
     is drawn, when ``evaluate`` would refuse either scheme with the
     Monte Carlo evaluator (the same checks, with the same texts) and
-    unless both bracket ends are finite and lo < hi.
+    unless lo < hi and both bracket ends pass ``SystemConfig``'s SNR
+    rule (finite and > 0 on the linear scale).
     """
     for scheme in (scheme_a, scheme_b):
-        _checked(config, scheme, metric, "monte-carlo", rate)
+        _checked(config, scheme, metric, "monte-carlo", rate, None)
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
-    if not (math.isfinite(lo_db) and math.isfinite(hi_db) and lo_db < hi_db):
-        raise ValueError(f"bracket must be finite with lo < hi, got {bracket_db!r}")
+    try:
+        for end_db in (lo_db, hi_db):
+            replace(config, gamma_bar_b=db_to_linear(end_db))
+    except ValueError as exc:
+        raise ValueError(f"bracket must be finite on the linear scale: {exc}") from None
+    if not lo_db < hi_db:
+        raise ValueError(f"bracket must have lo < hi, got {bracket_db!r}")
     event_rate = rate if metric == "P_out" else 0.0
     result = functools.partial(
         CrossoverResult,
@@ -909,15 +895,15 @@ class ValidationRow:
     gamma_bar_b_db: float
     gamma_bar_e_db: float
     rate_rs: float
-    closed_form: float | None
-    quadrature: float | None
-    mc_estimate: float | None
-    mc_stderr: float | None
-    cf_quad_diff: float | None
-    mc_z_score: float | None
-    psi3: float | None
-    psi4: float | None
-    cancellation_ratio: float | None
+    closed_form: float | None = None
+    quadrature: float | None = None
+    mc_estimate: float | None = None
+    mc_stderr: float | None = None
+    cf_quad_diff: float | None = None
+    mc_z_score: float | None = None
+    psi3: float | None = None
+    psi4: float | None = None
+    cancellation_ratio: float | None = None
     error: str = ""
 
     @property
@@ -1003,42 +989,34 @@ def _validation_key(pt: dict, n_trials: int, seed: int) -> tuple | None:
 def _validation_row(pt: dict, draws: montecarlo.NormalizedDraws | None) -> ValidationRow:
     """The three-way comparison at one grid point, counting Monte Carlo
     events on ``draws``, the draw set of the point's antennas (None for
-    a point whose system is refused)."""
+    a point whose system is refused).  The cells are filled as they are
+    computed, so a refusal part-way keeps those filled before it."""
     rate = float(pt["rate_rs"])
-    cf = quad = mc_est = mc_se = diff = z = p3 = p4 = ratio = None
-    error = ""
-    try:
-        config = _config(pt)
-        breakdown = outage_breakdown(config, rate)
-        cf = breakdown.value
-        p3 = breakdown.psi[2]
-        p4 = breakdown.psi[3]
-        ratio = breakdown.cancellation_ratio
-        quad = outage_quadrature(config, rate)
-        diff = abs(cf - quad)
-        mc = montecarlo.count_outage(draws, config, Scheme.TAS_ALAMOUTI, rate)
-        mc_est, mc_se = mc.estimate, mc.stderr
-        z = _binomial_z(mc.n_events, draws.n_trials, cf)
-    except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
-        error = str(exc)
-    return ValidationRow(
+    cells = dict(
         n_alice=pt["n_alice"],
         n_bob=pt["n_bob"],
         n_eve=pt["n_eve"],
         gamma_bar_b_db=pt["gamma_bar_b_db"],
         gamma_bar_e_db=pt["gamma_bar_e_db"],
         rate_rs=rate,
-        closed_form=cf,
-        quadrature=quad,
-        mc_estimate=mc_est,
-        mc_stderr=mc_se,
-        cf_quad_diff=diff,
-        mc_z_score=z,
-        psi3=p3,
-        psi4=p4,
-        cancellation_ratio=ratio,
-        error=error,
     )
+    try:
+        config = _config(pt)
+        breakdown = outage_breakdown(config, rate)
+        cells.update(
+            closed_form=breakdown.value,
+            psi3=breakdown.psi[2],
+            psi4=breakdown.psi[3],
+            cancellation_ratio=breakdown.cancellation_ratio,
+        )
+        quad = outage_quadrature(config, rate)
+        cells.update(quadrature=quad, cf_quad_diff=abs(breakdown.value - quad))
+        mc = montecarlo.count_outage(draws, config, Scheme.TAS_ALAMOUTI, rate)
+        cells.update(mc_estimate=mc.estimate, mc_stderr=mc.stderr)
+        cells["mc_z_score"] = _binomial_z(mc.n_events, draws.n_trials, breakdown.value)
+    except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
+        cells["error"] = str(exc)
+    return ValidationRow(**cells)
 
 
 def validate(
@@ -1063,11 +1041,10 @@ def validate(
     freed before the next key's is drawn, so one set is held at a time.
     Rows keep the order of the points.
     """
-    grid_points = list(points) if points is not None else validation_grid(grid)
-
+    grid_points = points if points is not None else validation_grid(grid)
     rows = _by_draw_key(
-        (_validation_key(pt, n_trials, seed) for pt in grid_points),
-        lambda i, draws: _validation_row(grid_points[i], draws),
+        (_validation_key(pt, n_trials, seed), functools.partial(_validation_row, pt))
+        for pt in grid_points
     )
 
     error_points = sum(1 for r in rows if r.error)

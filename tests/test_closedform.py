@@ -352,7 +352,7 @@ class TestEpsOutageCapacity:
 
     def test_epsilon_domain(self):
         cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
-        for eps in (0.0, 1.0, -0.1, 1.5, math.nan):
+        for eps in (0.0, 1.0, -0.1, 1.5, math.nan, None):
             with pytest.raises(ValueError):
                 eps_outage_capacity(cfg, eps)
 

@@ -66,11 +66,22 @@ class TestDrawComponents:
         assert np.all(draws.top1 >= draws.top2 / 2.0)
         assert np.all(draws.top2 > 0)
 
-    @pytest.mark.parametrize("bad", [dict(n_alice=0), dict(n_trials=0), dict(seed=-1)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(n_alice=0),
+            dict(n_trials=0),
+            dict(seed=-1),
+            # These used to fail inside numpy with a TypeError.
+            dict(n_bob=2.5),
+            dict(n_alice=True),
+            dict(n_eve=2.0),
+        ],
+    )
     def test_validation(self, bad):
         kwargs = dict(n_alice=2, n_bob=1, n_eve=1, n_trials=10, seed=0)
         kwargs.update(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             draw_components(**kwargs)
 
     @pytest.mark.parametrize("n_alice", [1, 3])
@@ -108,6 +119,13 @@ class TestSnrPairs:
         draws = draw_components(1, 2, 2, 10, seed=0)
         with pytest.raises(ValueError):
             snr_pairs(draws, Scheme.TAS_ALAMOUTI, 1.0, 1.0)
+
+    @pytest.mark.parametrize("snrs", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_snrs_must_be_finite_and_positive(self, snrs):
+        # A NaN SNR used to count no outage event at all.
+        draws = draw_components(3, 2, 2, 10, seed=0)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            outage_events(draws, Scheme.TAS_ALAMOUTI, *snrs, 1.0)
 
 
 class TestOutageEvents:

@@ -18,6 +18,7 @@ from tasalamouti import (
     METRICS,
     CrossoverResult,
     EvaluatorSettings,
+    NumericalFailureError,
     PRESET_NAMES,
     Scheme,
     SweepSpec,
@@ -34,7 +35,7 @@ from tasalamouti import (
     write_rows_csv,
     write_validation_csv,
 )
-from tasalamouti import cli, montecarlo
+from tasalamouti import cli, montecarlo, sweeps
 from tasalamouti.sweeps import MC_Z_LIMIT, _binomial_z
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,7 +128,7 @@ class TestSweepSpecValidation:
         with pytest.raises(SweepSpecError, match=f"{field} must be an integer"):
             small_spec(**{field: value})
 
-    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, math.nan, None])
     def test_cout_base_epsilon_in_unit_interval(self, epsilon):
         with pytest.raises(SweepSpecError, match=r"base epsilon must lie in \(0, 1\)"):
             small_spec(
@@ -218,6 +219,13 @@ class TestRunSweep:
         timed = run_sweep(small_spec(), timings=True)
         assert all(row.wall_time_ms is None for row in bare)
         assert all(row.wall_time_ms is not None for row in timed)
+
+    def test_timings_fill_refused_rows_too(self):
+        # The closed form refuses the single-antenna scheme before evaluating.
+        spec = small_spec(evaluators=(EvaluatorSettings(name="closed-form"),))
+        rows = run_sweep(spec, timings=True)
+        assert any(row.error for row in rows)
+        assert all(row.wall_time_ms is not None for row in rows)
 
     def test_analytic_error_row_for_single_antenna_scheme(self):
         spec = small_spec(
@@ -625,7 +633,11 @@ class TestCrossover:
                 (10.0, 10.0), 1000,
             )
 
-    @pytest.mark.parametrize("bracket", [(0.0, math.inf), (-math.inf, 20.0)])
+    @pytest.mark.parametrize(
+        "bracket",
+        # The last two are finite in dB but not on the linear scale.
+        [(0.0, math.inf), (-math.inf, 20.0), (-4000.0, 20.0), (0.0, 4000.0)],
+    )
     def test_non_finite_bracket_is_refused_before_drawing(self, draw_spy, bracket):
         # (4,3,2) at 5 dB crosses near 8.5 dB, which [0, inf] used to miss.
         config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
@@ -769,6 +781,21 @@ class TestValidate:
         assert report.rows[1].closed_form is None and report.rows[1].mc_estimate is None
         assert report.error_points == 1 and not report.passed
         assert set(draw_spy.calls) == {(3, 2, 1, 1000, 0)}
+
+    def test_quadrature_failure_keeps_the_closed_form_cells(self, monkeypatch):
+        def fail(config, rate):
+            raise NumericalFailureError("quadrature did not converge")
+
+        monkeypatch.setattr(sweeps, "outage_quadrature", fail)
+        point = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
+                     gamma_bar_e_db=0.0, rate_rs=1.0)
+        [row] = validate(points=[point], n_trials=1000).rows
+        assert row.error == "quadrature did not converge"
+        filled = (row.closed_form, row.psi3, row.psi4, row.cancellation_ratio)
+        assert all(cell is not None for cell in filled)
+        empty = (row.quadrature, row.cf_quad_diff, row.mc_estimate, row.mc_stderr,
+                 row.mc_z_score)
+        assert all(cell is None for cell in empty)
 
     def test_binomial_z_with_few_expected_events(self):
         # One event where 0.05 are expected has probability 0.049: an
@@ -1254,6 +1281,13 @@ class TestEvalAgreesWithSweep:
         with pytest.raises(ValueError) as refused:
             evaluate(config, Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate=-1.0, trials=10)
         assert str(refused.value) == "rate must be finite and >= 0, got -1.0"
+
+    def test_cout_needs_an_epsilon_before_it_evaluates(self, monkeypatch):
+        # It used to fail inside the evaluation with a TypeError.
+        monkeypatch.setattr(sweeps, "eps_outage_capacity", lambda *a: pytest.fail("evaluated"))
+        config = SystemConfig(3, 2, 1, 10.0, 1.0)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got None"):
+            evaluate(config, Scheme.TAS_ALAMOUTI, "C_out", "closed-form")
 
     ARGS = [
         "--n-alice", "3",
