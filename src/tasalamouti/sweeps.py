@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import yaml
-from scipy import special
 
 from . import montecarlo
 from .closedform import (
@@ -930,6 +929,48 @@ class ValidationReport:
     lines: tuple[str, ...]
 
 
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _stirling_error(x: int) -> float:
+    """log(x!) - [(x + 1/2) log x - x + log sqrt(2 pi)], for x >= 1."""
+    if x <= 15:
+        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * _LOG_2PI
+    inv2 = 1.0 / (x * x)
+    return (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / x
+
+
+def _deviance(x: int, mean: float) -> float:
+    """x log(x / mean) + mean - x, without cancellation when x ~ mean."""
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    total, term, j = (x - mean) * v, 2.0 * x * v, 1
+    while True:
+        term *= v * v
+        nxt = total + term / (2 * j + 1)
+        if nxt == total:
+            return total
+        total, j = nxt, j + 1
+
+
+def _binomial_log_pmf(k: int, n: int, p: float) -> float:
+    """log Pr(X = k) for X ~ Binomial(n, p), 0 < p < 1.
+
+    Loader's saddle-point form: accurate to rounding, relative, where
+    differences of log-gammas of n ~ 1e7 would lose eight digits.
+    """
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    return (
+        _stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+        - _deviance(k, n * p) - _deviance(n - k, n * (1.0 - p))
+        - 0.5 * (_LOG_2PI + math.log(k) + math.log((n - k) / n))
+    )
+
+
 def _binomial_z(n_events: int, n_trials: int, p: float) -> float:
     """Sigma level of ``n_events`` in ``n_trials`` under Binomial(n_trials, p).
 
@@ -938,12 +979,34 @@ def _binomial_z(n_events: int, n_trials: int, p: float) -> float:
     approximation |k/n - p| / sqrt(p (1 - p) / n), a single event where
     n p << 1 is not scored as a many-sigma outlier; with many expected
     events the two agree.  An outcome impossible under p scores inf.
+
+    The tail starts from the probability of ``n_events`` and sums the
+    terms away from the mean in log space, from the cumulative sum of
+    the log ratios of successive terms.  The terms fall from the first
+    one on, like a Gaussian of width sqrt(n p (1 - p)) or faster, so
+    the sum stops after 64 + 16 widths, where they are below e^-100 of
+    the first.
     """
-    if n_events >= n_trials * p:
-        tail = special.bdtrc(n_events - 1, n_trials, p) if n_events > 0 else 1.0
+    k, n = n_events, n_trials
+    if p in (0.0, 1.0):
+        return 0.0 if k == n * p else math.inf
+    width = 64 + math.ceil(16.0 * math.sqrt(n * p * (1.0 - p)))
+    log_odds = math.log(p) - math.log1p(-p)
+    if k >= n * p:
+        j = np.arange(k, min(n, k + width), dtype=float)
+        log_ratios = np.log((n - j) / (j + 1.0)) + log_odds
     else:
-        tail = special.bdtr(n_events, n_trials, p)
-    return max(0.0, float(-special.ndtri(tail)))
+        j = np.arange(k, max(0, k - width), -1, dtype=float)
+        log_ratios = np.log(j / (n - j + 1.0)) - log_odds
+    rest = float(np.sum(np.exp(np.cumsum(log_ratios))))
+    tail = math.exp(_binomial_log_pmf(k, n, p) + math.log1p(rest))
+    if tail == 0.0:
+        return math.inf
+    if tail >= 0.5:
+        return 0.0
+    from statistics import NormalDist  # here, not at import: it costs startup
+
+    return -NormalDist().inv_cdf(tail)
 
 
 # name -> the values of each point field; a grid is their product, with

@@ -5,8 +5,10 @@ import pytest
 
 from tasalamouti import SystemConfig, db_to_linear, outage_quadrature
 from tasalamouti.quadrature import (
+    TAIL_MASS,
     _erlang_cdf,
     _erlang_pdf,
+    _kronrod_rule,
     _support,
     _top_two_cdf,
 )
@@ -15,49 +17,92 @@ from tasalamouti.quadrature import (
 # density: mean of the sum of the two largest of 4 i.i.d. Erlang(3, 1).
 MEAN_TOP2_4_OF_ERLANG3 = 8.199557583027907
 
-# float.hex of outage_quadrature, frozen before the route was reduced to
-# private cdf functions: one point per default-grid antenna triple at
-# rate 1, plus one point each at rate 0 and rate 2.
+# float.hex of outage_quadrature with the Gauss-Kronrod rule: one point
+# per default-grid antenna triple at rate 1, plus one point each at
+# rate 0 and rate 2.
 # (n_alice, n_bob, n_eve, gamma_bar_b_db, gamma_bar_e_db, rate, value)
 GOLDEN_BITS = [
-    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea3292372886p-1"),
-    (2, 1, 2, 5.0, 5.0, 1.0, "0x1.f18ffe49139a8p-1"),
-    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c832ap-2"),
-    (2, 2, 1, 15.0, 5.0, 1.0, "0x1.16b1221962b40p-8"),
-    (2, 2, 2, 20.0, 0.0, 1.0, "0x1.1d05ff8d99b3bp-17"),
-    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc3fap-1"),
-    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b940cp-5"),
-    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048e68p-4"),
-    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec8064bp-16"),
-    (3, 1, 1, 20.0, 5.0, 1.0, "0x1.7f836f0f342ccp-10"),
-    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d734ff4p-1"),
-    (3, 1, 3, 5.0, 5.0, 1.0, "0x1.fbbd7a0f012b9p-1"),
-    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce52f4cp-11"),
-    (3, 2, 2, 15.0, 5.0, 1.0, "0x1.acdd6de9c56b7p-9"),
-    (3, 2, 3, 20.0, 0.0, 1.0, "0x1.1801e95f0faaap-23"),
-    (3, 3, 1, 0.0, 5.0, 1.0, "0x1.94323f48ccabcp-1"),
-    (3, 3, 2, 5.0, 0.0, 1.0, "0x1.bc4fedb15996ap-5"),
-    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5919p-4"),
-    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80e4bp-12"),
-    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c1f8ap-10"),
-    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf424p-1"),
-    (4, 2, 1, 5.0, 5.0, 1.0, "0x1.55db0ce783ed4p-2"),
-    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab567ap-10"),
-    (4, 2, 3, 15.0, 5.0, 1.0, "0x1.a4c771f836e1ep-9"),
-    (4, 3, 1, 20.0, 0.0, 1.0, "0x1.6256791e6587bp-56"),
-    (4, 3, 2, 0.0, 5.0, 1.0, "0x1.f21508ff15b0ap-1"),
-    (4, 3, 3, 5.0, 0.0, 1.0, "0x1.725aaa064542fp-4"),
-    (6, 1, 1, 10.0, 5.0, 1.0, "0x1.4ad549fc33401p-4"),
-    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa38d0p-14"),
-    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb86bp-12"),
-    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b4342p-2"),
-    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b4febp-1"),
-    (6, 2, 3, 10.0, 0.0, 1.0, "0x1.0f84858d9d298p-11"),
-    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd5e2p-28"),
-    (6, 3, 2, 20.0, 0.0, 1.0, "0x1.b9025d2937a5ap-72"),
-    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ce9dfp-1"),
-    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84c03p-17"),
-    (6, 3, 3, 20.0, 0.0, 2.0, "0x1.37b904b5420bcp-50"),
+    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea32923727f3p-1"),
+    (2, 1, 2, 5.0, 5.0, 1.0, "0x1.f18ffe49137dap-1"),
+    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c8389p-2"),
+    (2, 2, 1, 15.0, 5.0, 1.0, "0x1.16b1221962c1cp-8"),
+    (2, 2, 2, 20.0, 0.0, 1.0, "0x1.1d05ff8d99c0dp-17"),
+    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc535p-1"),
+    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b94e7p-5"),
+    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048fa3p-4"),
+    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec80791p-16"),
+    (3, 1, 1, 20.0, 5.0, 1.0, "0x1.7f836f0f34404p-10"),
+    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d7351c6p-1"),
+    (3, 1, 3, 5.0, 5.0, 1.0, "0x1.fbbd7a0f0146ep-1"),
+    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce53074p-11"),
+    (3, 2, 2, 15.0, 5.0, 1.0, "0x1.acdd6de9c57f8p-9"),
+    (3, 2, 3, 20.0, 0.0, 1.0, "0x1.1801e95f0fb79p-23"),
+    (3, 3, 1, 0.0, 5.0, 1.0, "0x1.94323f48ccc6cp-1"),
+    (3, 3, 2, 5.0, 0.0, 1.0, "0x1.bc4fedb159abbp-5"),
+    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5a86p-4"),
+    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80f6dp-12"),
+    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c2072p-10"),
+    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf5d2p-1"),
+    (4, 2, 1, 5.0, 5.0, 1.0, "0x1.55db0ce783ff4p-2"),
+    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab5748p-10"),
+    (4, 2, 3, 15.0, 5.0, 1.0, "0x1.a4c771f836f5ap-9"),
+    (4, 3, 1, 20.0, 0.0, 1.0, "0x1.6256791e65972p-56"),
+    (4, 3, 2, 0.0, 5.0, 1.0, "0x1.f21508ff15cb8p-1"),
+    (4, 3, 3, 5.0, 0.0, 1.0, "0x1.725aaa0645542p-4"),
+    (6, 1, 1, 10.0, 5.0, 1.0, "0x1.4ad549fc33509p-4"),
+    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa39e9p-14"),
+    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb936p-12"),
+    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b4492p-2"),
+    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b50f0p-1"),
+    (6, 2, 3, 10.0, 0.0, 1.0, "0x1.0f84858d9d366p-11"),
+    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd71ep-28"),
+    (6, 3, 2, 20.0, 0.0, 1.0, "0x1.b9025d2937bc2p-72"),
+    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ceb61p-1"),
+    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84d0ap-17"),
+    (6, 3, 3, 20.0, 0.0, 2.0, "0x1.37b904b5421a0p-50"),
+]
+
+# float.hex of the same points from the Gauss-Legendre node-doubling
+# rule the Gauss-Kronrod rule replaced, kept as a reference.
+GAUSS_LEGENDRE_DOUBLING_BITS = [
+    "0x1.dea3292372886p-1",
+    "0x1.f18ffe49139a8p-1",
+    "0x1.964d4961c832ap-2",
+    "0x1.16b1221962b40p-8",
+    "0x1.1d05ff8d99b3bp-17",
+    "0x1.fff2c251bc3fap-1",
+    "0x1.14c912a0b940cp-5",
+    "0x1.9c1bcf4048e68p-4",
+    "0x1.b73c07ec8064bp-16",
+    "0x1.7f836f0f342ccp-10",
+    "0x1.f63114d734ff4p-1",
+    "0x1.fbbd7a0f012b9p-1",
+    "0x1.82b6acce52f4cp-11",
+    "0x1.acdd6de9c56b7p-9",
+    "0x1.1801e95f0faaap-23",
+    "0x1.94323f48ccabcp-1",
+    "0x1.bc4fedb15996ap-5",
+    "0x1.e894e55ef5919p-4",
+    "0x1.69651afa80e4bp-12",
+    "0x1.336ec5b1c1f8ap-10",
+    "0x1.fd9efb1eaf424p-1",
+    "0x1.55db0ce783ed4p-2",
+    "0x1.1293fc6ab567ap-10",
+    "0x1.a4c771f836e1ep-9",
+    "0x1.6256791e6587bp-56",
+    "0x1.f21508ff15b0ap-1",
+    "0x1.725aaa064542fp-4",
+    "0x1.4ad549fc33401p-4",
+    "0x1.744fc36fa38d0p-14",
+    "0x1.0d9a72eceb86bp-12",
+    "0x1.8094bd94b4342p-2",
+    "0x1.465ea3b8b4febp-1",
+    "0x1.0f84858d9d298p-11",
+    "0x1.7eab9354dd5e2p-28",
+    "0x1.b9025d2937a5ap-72",
+    "0x1.fe616d15ce9dfp-1",
+    "0x1.60b5d33a84c03p-17",
+    "0x1.37b904b5420bcp-50",
 ]
 
 
@@ -76,6 +121,46 @@ def top_two_mean(n, shape, scale):
     s_max = _support(n * shape, scale)
     nodes, weights = gauss_rule(s_max)
     return float(np.sum(weights * (1.0 - _top_two_cdf(nodes, n, shape, scale, s_max))))
+
+
+@pytest.mark.parametrize("n", [7, 32, 64, 1024])
+class TestKronrodRule:
+    def test_exact_through_degree_3n_plus_1(self, n):
+        t, w_kronrod, _ = _kronrod_rule(n)
+        degrees = np.arange(3 * n + 2)
+        moments = (t[None, :] ** degrees[:, None]) @ w_kronrod
+        assert np.max(np.abs(moments - 1.0 / (degrees + 1))) <= 1e-14
+
+    def test_embedded_gauss_rule_is_numpys(self, n):
+        t, _, w_gauss = _kronrod_rule(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(2.0 * t[1::2] - 1.0 - x)) <= 2e-15
+        # Near +-1 a weight moves by about n^2 times its node's rounding,
+        # relative, so the weights are compared in absolute terms.
+        assert np.max(np.abs(2.0 * w_gauss - w)) <= 2e-14
+
+    def test_interior_nodes_positive_weights(self, n):
+        t, w_kronrod, w_gauss = _kronrod_rule(n)
+        assert t.shape == (2 * n + 1,)
+        assert 0.0 < t[0] and t[-1] < 1.0 and np.all(np.diff(t) > 0.0)
+        assert np.all(w_kronrod > 0.0) and np.all(w_gauss > 0.0)
+
+
+def test_gk15_matches_quadpack():
+    # The outermost node of QUADPACK's 15-point rule (qk15) and its
+    # Kronrod weight, on [-1, 1].
+    t, w_kronrod, _ = _kronrod_rule(7)
+    assert 2.0 * t[-1] - 1.0 == pytest.approx(0.991455371120812639, rel=1e-15, abs=0.0)
+    assert 2.0 * w_kronrod[-1] == pytest.approx(0.022935322010529224, rel=1e-14, abs=0.0)
+
+
+def test_support_matches_inverse_regularized_gamma():
+    from scipy.special import gammainccinv
+
+    for shape in range(1, 25):
+        for scale in (0.05, 1.0, 50.0):
+            expected = gammainccinv(shape, TAIL_MASS) * scale
+            assert _support(shape, scale) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestGammaBranchDensity:
@@ -208,6 +293,15 @@ class TestOutageQuadrature:
             if got != expected:
                 changed.append((n_a, n_b, n_e, gb_db, ge_db, rate, got, expected))
         assert not changed
+
+    def test_near_gauss_legendre_doubling(self):
+        worst = 0.0
+        for point, reference in zip(GOLDEN_BITS, GAUSS_LEGENDRE_DOUBLING_BITS, strict=True):
+            n_a, n_b, n_e, gb_db, ge_db, rate, _ = point
+            cfg = SystemConfig(n_a, n_b, n_e, db_to_linear(gb_db), db_to_linear(ge_db))
+            old = float.fromhex(reference)
+            worst = max(worst, abs(outage_quadrature(cfg, rate) - old) / old)
+        assert worst <= 1e-12
 
     def test_rate_validation(self):
         cfg = SystemConfig(2, 1, 1, 1.0, 1.0)

@@ -812,6 +812,62 @@ class TestValidate:
         # With many expected events it matches the normal approximation.
         assert _binomial_z(5_200, 10_000, 0.5) == pytest.approx(4.0, abs=0.02)
 
+    def test_binomial_z_matches_scipy(self):
+        from scipy import special
+
+        def scipy_z(k, n, p):
+            if k >= n * p:
+                tail = special.bdtrc(k - 1, n, p) if k > 0 else 1.0
+            else:
+                tail = special.bdtr(k, n, p)
+            return max(0.0, float(-special.ndtri(tail)))
+
+        # Interior counts stop at n = 1e5: at n = 1e7 scipy's incomplete
+        # beta is off by up to 3e-3 in z near the mean (see the next
+        # test); the edge counts' tails are a few terms at any n.
+        checked = 0
+        for n in (1, 10, 1_000, 100_000, 10_000_000):
+            for p in (0.0, 1e-9, 1e-3, 0.5, 1.0 - 1e-7, 1.0):
+                counts = {0, 1, 2, n - 2, n - 1, n}
+                if n <= 100_000:
+                    sigma = math.sqrt(n * p * (1.0 - p))
+                    counts |= {round(n * p + f * sigma) for f in (-5, -2, -0.3, 0.3, 2, 5)}
+                for k in sorted(c for c in counts if 0 <= c <= n):
+                    got, expected = _binomial_z(k, n, p), scipy_z(k, n, p)
+                    if math.isinf(expected) and math.isinf(got):
+                        continue
+                    assert abs(got - expected) <= 1e-9, (k, n, p, got, expected)
+                    checked += 1
+        assert checked > 50
+
+    def test_binomial_z_exact_at_large_n(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+
+        def exact_z(k, n, p):
+            # The tail by direct summation of the pmf in 30 digits.
+            p = mp.mpf(p)
+            q = 1 - p
+            upper = k >= n * p
+            term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+                          + k * mp.log(p) + (n - k) * mp.log(q))
+            tail = mp.mpf(0)
+            while term > tail * mp.mpf(10) ** -25:
+                tail += term
+                term *= (n - k) * p / ((k + 1) * q) if upper else k * q / ((n - k + 1) * p)
+                k += 1 if upper else -1
+            return max(0.0, float(-mp.sqrt(2) * mp.erfinv(2 * tail - 1)))
+
+        n = 10_000_000
+        for p in (1e-3, 0.5):
+            mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+            for f in (-5, -2, -0.3, 0.3, 2, 5):
+                k = round(mean + f * sigma)
+                assert _binomial_z(k, n, p) == pytest.approx(exact_z(k, n, p), abs=1e-11)
+            assert _binomial_z(round(mean) + 1, n, p) == pytest.approx(
+                exact_z(round(mean) + 1, n, p), abs=1e-11
+            )
+
 
 class TestDrawOnce:
     """Each distinct draw key (n_alice, n_bob, n_eve, trials, seed) is
@@ -1244,6 +1300,18 @@ class TestCli:
         assert proc.wait(timeout=300) == cli.EXIT_OK
         assert err == b""
 
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test-only oracle: importing the CLI must not load it.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import tasalamouti.cli, sys; sys.exit('scipy' in sys.modules)"],
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+
     def test_validate_passing_run(self, capsys, monkeypatch, tmp_path):
         real_validate = validate
 
@@ -1372,7 +1440,9 @@ class TestGoldenCsv:
         "fig5": "10534b9ace86042f8f379eb71175e9cb647b848ba497645fde80f40c5ef05b9c",
         "fig6": "4d291ebf4eb20f7d121192a498aed231dd940ad28596dba86e7f40fb1f773f30",
         "example": "4c38182197eb2418f08598a27d583bfdd069c6ac70104f61e4e7dc4dfaace367",
-        "validate-quick": "a606482132aba79706a752f978b134f4784c9602b94d4175b1f59e8f8bfa9b91",
+        # Re-frozen when the quadrature became one Gauss-Kronrod pass per
+        # level and the z-score's binomial tail left scipy.
+        "validate-quick": "fd1d3edce54e3e4082128369dbb067450df12584710af1429bff5458ae27c181",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
