@@ -13,8 +13,9 @@ is the only cache, so every call evaluates its point afresh.
 
 Derived metrics: the probability of non-zero secrecy capacity (the
 complement of outage at zero rate) and the epsilon-outage secrecy
-capacity (the largest rate whose outage stays below a target, located
-by bracketing and bisection).
+capacity (the largest rate whose outage stays below a target: a
+doubling bracket fixes bisection's grid of rates, and Illinois false
+position finds bisection's answer on that grid).
 """
 
 from __future__ import annotations
@@ -193,51 +194,107 @@ def eps_outage_capacity(
 ) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
+    The outage is probed at 0, then at 1, 2, 4, ... until it exceeds
+    epsilon at a rate ``hi``; ``lo`` is the last rate probed before
+    ``hi``.  Halving ``[lo, hi]`` until its width is at most ``tol``
+    takes N halvings, so bisection could only ever probe the grid
+    ``lo + k*h`` with ``h = (hi - lo) / 2**N``.  The search runs on that
+    grid: Illinois false position on ``log P - log epsilon`` against k,
+    each estimate rounded strictly inside the bracket ``(k_lo, k_hi)``.
+    It steps to the bracket's midpoint instead when the low end's
+    outage is 0 (no logarithm), or when bisection could no longer
+    finish within 2N grid probes after a false-position step.  It stops
+    when ``k_hi = k_lo + 1`` and returns ``lo + k_lo*h``.  Whenever the
+    outage is monotone in rate over the probed points, that is bit for
+    bit the rate that bisection to ``tol`` returns.
+
     Parameters
     ----------
     config : SystemConfig
     epsilon : float
         Outage budget, strictly between 0 and 1.
     tol : float
-        Absolute bisection tolerance in bits (default 1e-6).
+        Absolute tolerance in bits (default 1e-6): it fixes the grid
+        step h, the largest power-of-two fraction of ``hi - lo`` that
+        is at most ``tol``.
 
     Returns
     -------
     float
         The capacity in bits per channel use; 0 when even zero-rate
         transmission violates the budget.  The returned value r
-        satisfies ``closed_form_outage(config, r) <= epsilon``.
+        satisfies ``closed_form_outage(config, r) <= epsilon`` and, for
+        r > 0, ``closed_form_outage(config, r + h) > epsilon``.
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not finite and positive, or epsilon is out of range.
     NumericalFailureError
-        If bracketing or bisection fails to converge (monotonicity of
-        the outage in rate makes this unreachable for valid inputs).
+        If bracketing fails (monotonicity of the outage in rate makes
+        this unreachable for valid inputs), or if bisection to ``tol``
+        would fail: it needs 200 or more halvings, or its answer lies on
+        a grid rate that is not a float.  The refusal spends no probe of
+        the grid beyond, at most, one at the last float grid rate.
     """
     epsilon = checked_epsilon(epsilon)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if closed_form_outage(config, 0.0) > epsilon:
+    p_lo = closed_form_outage(config, 0.0)
+    if p_lo > epsilon:
         return 0.0
     lo = 0.0
     hi = 1.0
     for _ in range(80):
-        if closed_form_outage(config, hi) > epsilon:
+        p_hi = closed_form_outage(config, hi)
+        if p_hi > epsilon:
             break
-        lo = hi
+        lo, p_lo = hi, p_hi
         hi *= 2.0
     else:
         raise NumericalFailureError(
             f"no rate with outage above {epsilon} found while bracketing {config}"
         )
-    for _ in range(200):
-        if hi - lo <= tol:
-            return lo
-        mid = 0.5 * (lo + hi)
-        if closed_form_outage(config, mid) <= epsilon:
-            lo = mid
+    n, h = 0, hi - lo
+    while h > tol and n < 200:
+        n, h = n + 1, 0.5 * h
+    # lo is 0 or a power of two and h is a power of two, so every grid
+    # rate with lo/h + k <= 2**53 is a float.  Bisection meets a midpoint
+    # that is not, rounds it to an end and stalls, exactly when its
+    # answer's index is k_top or more.
+    k_lo, k_hi, spent = 0, 2**n, 0
+    k_top = 2**53 - int(lo / h)
+    stalls = n >= 200 or k_top <= 0
+    if not stalls and k_top < k_hi:
+        k_hi, p_hi, spent = k_top, closed_form_outage(config, k_top * h), 1
+        stalls = p_hi <= epsilon
+    if stalls:
+        raise NumericalFailureError(
+            f"bisection failed to reach tolerance {tol} for {config}, epsilon={epsilon}"
+        )
+
+    def gap(p: float) -> float:
+        return math.log(p) - math.log(epsilon) if p > 0.0 else -math.inf
+
+    g_lo, g_hi = gap(p_lo), gap(p_hi)
+    moved = 0  # +1 after a step that moved k_hi, -1 after one that moved k_lo
+    while k_hi - k_lo > 1:
+        width = k_hi - k_lo
+        # Bisection from here needs ceil(log2(width)) more probes; take
+        # a false-position step only if it and they still fit in 2N.
+        if -math.inf < g_lo < g_hi and spent + (width - 1).bit_length() < 2 * n:
+            k = k_lo + round(width * g_lo / (g_lo - g_hi))
+            k = min(max(k, k_lo + 1), k_hi - 1)
         else:
-            hi = mid
-    raise NumericalFailureError(
-        f"bisection failed to reach tolerance {tol} for {config}, epsilon={epsilon}"
-    )
+            k = (k_lo + k_hi) // 2
+        p = closed_form_outage(config, lo + k * h)
+        spent += 1
+        if p <= epsilon:
+            if moved < 0:
+                g_hi *= 0.5
+            k_lo, g_lo, moved = k, gap(p), -1
+        else:
+            if moved > 0:
+                g_lo *= 0.5
+            k_hi, g_hi, moved = k, gap(p), 1
+    return lo + k_lo * h

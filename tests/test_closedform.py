@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tasalamouti import (
     EvaluatorSettings,
+    NumericalFailureError,
     PrecisionExhaustedError,
     Scheme,
     SweepSpec,
@@ -23,7 +24,7 @@ from tasalamouti import (
     run_sweep,
     write_rows_csv,
 )
-from tasalamouti import _kernels
+from tasalamouti import _kernels, closedform
 from tasalamouti._kernels import expansion_coeffs
 from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows
 
@@ -51,6 +52,82 @@ COUT_ORACLE = [
     (4, 3, 2, 100.0, 1.0, 0.1, 6.26501756936517),
     (3, 2, 1, 31.6227766017, 3.16227766017, 0.05, 2.7279770254887588),
 ]
+
+
+# The benchmark's capacity workload: preset fig6 (n_bob = 2, n_eve 1..3)
+# and the n_bob = n_eve = 3 sweep, each over n_alice 2..8 at 20/0 dB
+# and epsilon 0.01.  At (8, 3, 3) the closed form clamps P(0) and P(1)
+# to 0.
+CAPACITY_POINTS = [
+    (n_a, n_b, n_e, 100.0, 1.0, 0.01)
+    for n_b, n_e in ((2, 1), (2, 2), (2, 3), (3, 3))
+    for n_a in range(2, 9)
+]
+
+
+def bisection_capacity(config, epsilon, tol=1e-6, outage=closed_form_outage):
+    """Reference epsilon-outage capacity: doubling bracket, then bisection
+    of [lo, hi] to width tol (the package's search before false position)."""
+    if outage(config, 0.0) > epsilon:
+        return 0.0
+    lo = 0.0
+    hi = 1.0
+    for _ in range(80):
+        if outage(config, hi) > epsilon:
+            break
+        lo = hi
+        hi *= 2.0
+    else:
+        raise NumericalFailureError("no rate with outage above epsilon")
+    for _ in range(200):
+        if hi - lo <= tol:
+            return lo
+        mid = 0.5 * (lo + hi)
+        if outage(config, mid) <= epsilon:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalFailureError("bisection failed to reach tolerance")
+
+
+def capacity_grid(rate, tol=1e-6):
+    """(bracket probes, N, h) of the search that returned ``rate`` > 0:
+    the outage was probed at 0, 1, 2, ..., hi, and h = (hi - lo) / 2**N
+    is the first halving of the bracket that is at most tol."""
+    hi = 1.0 if rate < 1.0 else 2.0 ** math.frexp(rate)[1]
+    width = hi if hi == 1.0 else hi / 2.0
+    n = 0
+    while width > tol:
+        width /= 2.0
+        n += 1
+    return 2 + int(math.log2(hi)), n, width
+
+
+class OutageSpy:
+    """Counts the calls to an outage function of (config, rate)."""
+
+    def __init__(self, outage):
+        self.outage = outage
+        self.calls = 0
+
+    def __call__(self, config, rate):
+        self.calls += 1
+        return self.outage(config, rate)
+
+
+def unit_step(config, rate):
+    return 0.0 if rate < 2.3456789 else 1.0
+
+
+def flat_then_steep(config, rate):
+    return max(1e-300, math.exp(min(0.0, 1e9 * (rate - 8.5))))
+
+
+def capacity_outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs).hex()
+    except NumericalFailureError:
+        return "refused"
 
 
 # float.hex of the five psi_terms outputs (psi1..psi4, largest |summand|)
@@ -360,6 +437,91 @@ class TestEpsOutageCapacity:
         cfg = SystemConfig(4, 2, 2, 50.0, 1.0)
         caps = [eps_outage_capacity(cfg, e) for e in (0.01, 0.05, 0.1, 0.3)]
         assert all(b > a for a, b in zip(caps, caps[1:]))
+
+
+
+class TestCapacitySearch:
+    """False position on bisection's grid returns bisection's bits."""
+
+    def test_bits_match_bisection(self):
+        rng = np.random.default_rng(17)
+        random_points = [
+            (
+                int(rng.integers(2, 9)),
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 4)),
+                float(db_to_linear(rng.uniform(-5.0, 30.0))),
+                float(db_to_linear(rng.uniform(-5.0, 10.0))),
+                float(rng.uniform(0.001, 0.6)),
+            )
+            for _ in range(370)
+        ]
+        zero_capacity = (2, 1, 2, 0.5, 5.0, 0.05)
+        below_one = (2, 1, 1, 5.0, 1.0, 0.3)
+        clamped = SystemConfig(8, 3, 3, 100.0, 1.0)
+        assert closed_form_outage(clamped, 0.0) == closed_form_outage(clamped, 1.0) == 0.0
+        assert closed_form_outage(SystemConfig(*zero_capacity[:5]), 0.0) > zero_capacity[5]
+        caps = {}
+        for point in CAPACITY_POINTS + [zero_capacity, below_one] + random_points:
+            cfg = SystemConfig(*point[:5])
+            eps = point[5]
+            cap = caps[point] = eps_outage_capacity(cfg, eps)
+            assert cap.hex() == bisection_capacity(cfg, eps).hex(), point
+            if cap > 0.0:
+                _, _, h = capacity_grid(cap)
+                assert closed_form_outage(cfg, cap) <= eps < closed_form_outage(cfg, cap + h)
+        assert caps[zero_capacity] == 0.0
+        assert 0.0 < caps[below_one] < 1.0
+
+    def test_capacity_workload_evaluations(self, monkeypatch):
+        spy = OutageSpy(closed_form_outage)
+        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        for *system, eps in CAPACITY_POINTS:
+            eps_outage_capacity(SystemConfig(*system), eps)
+        # Bisection makes 752 evaluations here.
+        assert spy.calls <= 360
+
+    @pytest.mark.parametrize("curve", [unit_step, flat_then_steep])
+    @pytest.mark.parametrize("eps", [0.01, 0.5])
+    def test_adversarial_curves_cost_at_most_twice_bisection(self, monkeypatch, curve, eps):
+        cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
+        expected = bisection_capacity(cfg, eps, outage=curve)
+        spy = OutageSpy(curve)
+        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        cap = eps_outage_capacity(cfg, eps)
+        assert cap.hex() == expected.hex()
+        probes, n, _ = capacity_grid(cap)
+        assert spy.calls <= probes + 2 * n
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_tol_domain(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            eps_outage_capacity(SystemConfig(4, 3, 2, 100.0, 1.0), 0.1, tol=tol)
+
+    def test_unreachable_tolerance_is_refused_before_any_grid_probe(self, monkeypatch):
+        cfg = SystemConfig(4, 3, 2, 100.0, 1.0)
+        spy = OutageSpy(closed_form_outage)
+        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        with pytest.raises(
+            NumericalFailureError, match="bisection failed to reach tolerance 1e-70"
+        ):
+            eps_outage_capacity(cfg, 0.1, tol=1e-70)
+        # Capacity 6.27: the bracket probes 0, 1, 2, 4 and 8, then nothing.
+        assert spy.calls == 5
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-20, 2.0**-199, 2.0**-200])
+    @pytest.mark.parametrize("step_at", [1e-50, 1e-12, 0.3, 3.0])
+    def test_tiny_tolerance_answers_or_refuses_as_bisection(self, monkeypatch, tol, step_at):
+        # Below 2**-53 of the bracket, grid rates stop being floats and
+        # bisection stalls unless its answer is near 0; past 200 halvings
+        # it always refuses.
+        def step(config, rate):
+            return 0.0 if rate < step_at else 1.0
+
+        cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
+        expected = capacity_outcome(bisection_capacity, cfg, 0.01, tol, outage=step)
+        monkeypatch.setattr(closedform, "closed_form_outage", step)
+        assert capacity_outcome(eps_outage_capacity, cfg, 0.01, tol=tol) == expected
 
 
 class TestDeterminism:
