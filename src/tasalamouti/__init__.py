@@ -23,6 +23,7 @@ from .quadrature import outage_quadrature
 from .sweeps import (
     CSV_COLUMNS,
     EVALUATORS,
+    GRID_NAMES,
     METRICS,
     PRESET_NAMES,
     SCHEMA_VERSION,
@@ -53,6 +54,7 @@ __all__ = [
     "EVALUATORS",
     "EstimatorResult",
     "EvaluatorSettings",
+    "GRID_NAMES",
     "METRICS",
     "NumericalFailureError",
     "OutageBreakdown",

@@ -4,7 +4,7 @@ Subcommands
 -----------
 sweep      run a sweep described by a YAML file
 preset     run a named figure-style experiment family
-crossover  locate where two schemes perform equally
+crossover  locate where TAS-Alamouti and single TAS perform equally
 validate   cross-check the three evaluators over a grid
 eval       evaluate one metric at one operating point
 
@@ -26,6 +26,7 @@ from .errors import NumericalFailureError, PrecisionExhaustedError
 from .montecarlo import EstimatorResult
 from .sweeps import (
     EVALUATORS,
+    GRID_NAMES,
     METRICS,
     PRESET_NAMES,
     SweepSpecError,
@@ -80,9 +81,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-bob", type=int, default=1, help="legitimate receive antennas")
     parser.add_argument("--n-eve", type=int, default=1, help="eavesdropper antennas")
     parser.add_argument(
-        "--gamma-b-db", type=float, default=10.0, help="mean legitimate SNR in dB"
-    )
-    parser.add_argument(
         "--gamma-e-db", type=float, default=0.0, help="mean eavesdropper SNR in dB"
     )
 
@@ -105,11 +103,12 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:
+    # crossover sweeps the legitimate SNR, so it has no --gamma-b-db.
     return SystemConfig(
         n_alice=args.n_alice,
         n_bob=args.n_bob,
         n_eve=args.n_eve,
-        gamma_bar_b=db_to_linear(args.gamma_b_db),
+        gamma_bar_b=db_to_linear(getattr(args, "gamma_b_db", 0.0)),
         gamma_bar_e=db_to_linear(args.gamma_e_db),
     )
 
@@ -150,17 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser(
         "crossover",
-        help="locate equal performance between two schemes",
+        help="locate equal performance of TAS-Alamouti and single TAS",
         description="Bisect the paired Monte Carlo difference of a metric "
-        "between two schemes over a legitimate-SNR bracket.",
+        "between TAS-Alamouti and single TAS over a legitimate-SNR bracket.",
     )
     _add_config_flags(p_cross)
-    p_cross.add_argument(
-        "--scheme-a", default=Scheme.TAS_ALAMOUTI.value, help="first scheme"
-    )
-    p_cross.add_argument(
-        "--scheme-b", default=Scheme.SINGLE_TAS.value, help="second scheme"
-    )
     p_cross.add_argument(
         "--metric", default="pout", help="pout or pnz (C_out has no estimator)"
     )
@@ -182,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "parameter grid; exit 2 on hard failure.",
     )
     p_val.add_argument(
-        "--grid", choices=("default", "quick"), default="default", help="grid name"
+        "--grid", choices=GRID_NAMES, default="default", help="grid name"
     )
     _add_sampling_flags(p_val, "Monte Carlo trials per point")
     p_val.add_argument("--output", help="optional per-point CSV path")
@@ -193,6 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate pout, pnz, or cout once with cf, quad, or mc.",
     )
     _add_config_flags(p_eval)
+    p_eval.add_argument(
+        "--gamma-b-db", type=float, default=10.0, help="mean legitimate SNR in dB"
+    )
     p_eval.add_argument("--metric", required=True, help="pout, pnz, or cout")
     p_eval.add_argument("--evaluator", required=True, help="cf, quad, or mc")
     p_eval.add_argument(
@@ -245,11 +241,10 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     result = find_crossover(
-        config,
-        Scheme.from_name(args.scheme_a),
-        Scheme.from_name(args.scheme_b),
+        _config_from_args(args),
+        Scheme.TAS_ALAMOUTI,
+        Scheme.SINGLE_TAS,
         _canonical("metric", args.metric, _METRIC_ALIASES),
         (args.bracket[0], args.bracket[1]),
         args.trials,

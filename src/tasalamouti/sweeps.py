@@ -54,6 +54,7 @@ __all__ = [
     "CSV_COLUMNS",
     "CrossoverResult",
     "EvaluatorSettings",
+    "GRID_NAMES",
     "PRESET_NAMES",
     "SCHEMA_VERSION",
     "SweepRow",
@@ -808,52 +809,42 @@ def find_crossover(
     @functools.cache
     def paired_difference(g_db: float) -> tuple[float, float]:
         gb = db_to_linear(g_db)
-        ev_a = montecarlo.outage_events(
-            draws, scheme_a, gb, config.gamma_bar_e, event_rate
+        a, b = (
+            montecarlo.outage_events(draws, scheme, gb, config.gamma_bar_e, event_rate)
+            for scheme in (scheme_a, scheme_b)
         )
-        ev_b = montecarlo.outage_events(
-            draws, scheme_b, gb, config.gamma_bar_e, event_rate
-        )
-        # For Pr_nonzero the complement flips both signs; the
-        # difference just negates, which bisection handles the same.
-        diff = ev_a.astype(np.int8) - ev_b.astype(np.int8)
-        mean = float(diff.sum()) / n_trials
-        var = float(np.mean(diff.astype(np.float64) ** 2)) - mean * mean
-        se = math.sqrt(max(var, 0.0) / n_trials)
-        return mean, se
+        # The per-trial differences are -1, 0 or 1, so three event counts
+        # give their mean and second moment exactly.  For Pr_nonzero the
+        # complement flips both signs; the difference just negates, which
+        # bisection handles the same.
+        n_a, n_b, n_both = (int(np.count_nonzero(events)) for events in (a, b, a & b))
+        mean = (n_a - n_b) / n_trials
+        var = (n_a + n_b - 2 * n_both) / n_trials - mean * mean
+        return mean, math.sqrt(max(var, 0.0) / n_trials)
 
     d_lo, _ = paired_difference(lo_db)
     d_hi, _ = paired_difference(hi_db)
-    if d_lo * d_hi < 0.0:
-        lo, hi, d_at_lo = lo_db, hi_db, d_lo
-    else:
-        # An exact-zero endpoint (no events under either scheme) can
-        # mask an interior sign change, so scan a coarse grid and look
-        # for adjacent points with resolvable opposite signs.
-        signed = []
-        for x in (lo_db + (hi_db - lo_db) * k / 16.0 for k in range(17)):
-            d, _ = paired_difference(x)
-            if d != 0.0:
-                signed.append((x, d))
-        pair = next(
-            (
-                (a, b)
-                for a, b in zip(signed, signed[1:])
-                if a[1] * b[1] < 0.0
+    # The search brackets the first two adjacent probes that are nonzero
+    # and of opposite sign.  An exact-zero end (no events under either
+    # scheme) can mask an interior sign change, so unless the ends
+    # already differ in sign, the probes are a coarse grid.
+    probes = (
+        (lo_db, hi_db) if d_lo * d_hi < 0.0
+        else [lo_db + (hi_db - lo_db) * k / 16.0 for k in range(17)]
+    )
+    signed = [(x, d) for x in probes if (d := paired_difference(x)[0]) != 0.0]
+    pair = next(((a, b) for a, b in zip(signed, signed[1:]) if a[1] * b[1] < 0.0), None)
+    if pair is None:
+        return result(
+            found=False,
+            gamma_db=None,
+            half_width_db=None,
+            message=(
+                f"no sign change of the {metric} difference on "
+                f"[{lo_db}, {hi_db}] dB (endpoints {d_lo:.3e}, {d_hi:.3e})"
             ),
-            None,
         )
-        if pair is None:
-            return result(
-                found=False,
-                gamma_db=None,
-                half_width_db=None,
-                message=(
-                    f"no sign change of the {metric} difference on "
-                    f"[{lo_db}, {hi_db}] dB (endpoints {d_lo:.3e}, {d_hi:.3e})"
-                ),
-            )
-        (lo, d_at_lo), (hi, _d) = pair
+    (lo, d_at_lo), (hi, _d) = pair
     while hi - lo > CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
         d_mid, _ = paired_difference(mid)
@@ -863,15 +854,15 @@ def find_crossover(
             hi = mid
     root = 0.5 * (lo + hi)
 
+    # Double the half width while either side, both probed every round,
+    # is within the 95% band of zero.
     half = 0.05
     while half < (hi_db - lo_db):
-        grown = False
-        for side in (root - half, root + half):
-            probe = min(max(side, lo_db), hi_db)
-            mean, se = paired_difference(probe)
-            if abs(mean) <= montecarlo._Z95 * se:
-                grown = True
-        if not grown:
+        sides = [
+            paired_difference(min(max(side, lo_db), hi_db))
+            for side in (root - half, root + half)
+        ]
+        if all(abs(mean) > montecarlo._Z95 * se for mean, se in sides):
             break
         half *= 2.0
     half = min(half, hi_db - lo_db)
@@ -1030,6 +1021,8 @@ _GRIDS = {
     },
 }
 
+GRID_NAMES = tuple(_GRIDS)
+
 
 def validation_grid(name: str) -> list[dict]:
     """Point dictionaries of a named validation grid."""
@@ -1041,9 +1034,9 @@ def validation_grid(name: str) -> list[dict]:
 
 def _validation_key(pt: dict, n_trials: int, seed: int) -> tuple | None:
     """Draw key of a validation point; None (nothing is drawn) when the
-    point's system is refused, which ``_validation_row`` then records."""
+    point's inputs are refused, which ``_validation_row`` then records."""
     try:
-        _config(pt)
+        _checked(_config(pt), Scheme.TAS_ALAMOUTI, "P_out", "monte-carlo", pt["rate_rs"], None)
     except ValueError:
         return None
     return (pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed)

@@ -782,6 +782,19 @@ class TestValidate:
         assert report.error_points == 1 and not report.passed
         assert set(draw_spy.calls) == {(3, 2, 1, 1000, 0)}
 
+    def test_refused_points_draw_nothing(self, draw_spy):
+        # A point's inputs pass the checks of evaluate before its key is
+        # drawn, so a point that they refuse draws nothing.
+        good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
+                    gamma_bar_e_db=0.0, rate_rs=1.0)
+        points = [dict(good, n_alice=1), dict(good, n_alice=4, rate_rs=-1.0)]
+        report = validate(points=points, n_trials=1000)
+        assert [row.error for row in report.rows] == [
+            "the Alamouti selection scheme needs n_alice >= 2, got n_alice=1",
+            "rate must be finite and >= 0, got -1.0",
+        ]
+        assert draw_spy.calls == []
+
     def test_quadrature_failure_keeps_the_closed_form_cells(self, monkeypatch):
         def fail(config, rate):
             raise NumericalFailureError("quadrature did not converge")
@@ -1259,6 +1272,24 @@ class TestCli:
         assert code == cli.EXIT_USAGE == 1
         assert "bracket must be finite" in capsys.readouterr().err
         assert draw_spy.calls == []
+
+    @pytest.mark.parametrize(
+        "flag", [("--gamma-b-db", "10"), ("--scheme-a", "single_tas"),
+                 ("--scheme-b", "tas_alamouti")]
+    )
+    def test_crossover_has_no_snr_or_scheme_flags(self, capsys, draw_spy, flag):
+        # crossover sweeps the legitimate SNR and always compares
+        # TAS-Alamouti with single TAS.
+        code = cli.main(["crossover", *flag, "--bracket", "0", "25", "--trials", "1000"])
+        assert code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert draw_spy.calls == []
+
+    def test_every_grid_name_parses(self):
+        assert sweeps.GRID_NAMES == ("default", "quick")
+        for name in sweeps.GRID_NAMES:
+            assert validation_grid(name)
+            assert cli.build_parser().parse_args(["validate", "--grid", name]).grid == name
 
     def test_validate_exit_codes(self, capsys, monkeypatch):
         from tasalamouti.sweeps import ValidationReport
