@@ -6,6 +6,13 @@ by exact event counting.  The same (config, scheme, trials, seed)
 therefore reproduces bit-identical estimates regardless of how blocks
 would be scheduled.
 
+Under Rayleigh fading the squared norm of a transmit antenna's channel
+column is Gamma(n_bob, 1) towards the receiver and Gamma(n_eve, 1)
+towards the eavesdropper, so each norm is one ``standard_gamma``
+variate (Marsaglia & Tsang, ACM TOMS 26(3), 2000), not a sum of
+2*n_bob or 2*n_eve squared Gaussians.  A block's working set is these
+two (block, n_alice) arrays of norms.
+
 The per-trial channel statistics are normalized (unit average branch
 SNR), so one draw set, fixed by (n_alice, n_bob, n_eve, trials, seed),
 serves every SNR and rate point and both schemes.  ``draw_components``
@@ -17,7 +24,7 @@ checks one point's inputs and draws its set, while
 a sweep, a preset or a validation grid of ``sweeps`` is planned as one
 run that draws each distinct set once and holds one set at a time, so
 its memory is bounded by a single set (4 arrays of ``trials`` float64)
-and not by the number of sets.
+and one block's norms, and not by the number of sets.
 """
 
 from __future__ import annotations
@@ -128,13 +135,10 @@ def draw_components(
     for block, start in enumerate(range(0, n_trials, BLOCK_SIZE)):
         count = min(BLOCK_SIZE, n_trials - start)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        f_re = rng.standard_normal((count, n_bob, n_alice))
-        f_im = rng.standard_normal((count, n_bob, n_alice))
-        g_re = rng.standard_normal((count, n_eve, n_alice))
-        g_im = rng.standard_normal((count, n_eve, n_alice))
-        # column norms of entries drawn as (re + 1j*im)/sqrt(2)
-        bob_norms = (f_re * f_re + f_im * f_im).sum(axis=1) * 0.5
-        eve_norms = (g_re * g_re + g_im * g_im).sum(axis=1) * 0.5
+        # A column of n unit-power complex Gaussian entries has a squared
+        # norm that is Gamma(n, 1); each is drawn as one variate.
+        bob_norms = rng.standard_gamma(n_bob, (count, n_alice))
+        eve_norms = rng.standard_gamma(n_eve, (count, n_alice))
         stop = start + count
         if n_alice >= 2:
             b2, b1, e2, e1 = _kernels.snr_components(bob_norms, eve_norms)

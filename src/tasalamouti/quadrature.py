@@ -116,28 +116,21 @@ def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (1.0 + x) * 0.5, w_kronrod * 0.5, w_gauss * 0.5
 
 
-def _erlang_pdf(x: np.ndarray, shape: int, scale: float) -> np.ndarray:
-    """Density of a Gamma norm with integer shape, at x >= 0."""
-    log_norm = math.lgamma(shape) + shape * math.log(scale)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = np.exp((shape - 1) * np.log(xp) - xp / scale - log_norm)
-    if shape == 1:
-        out = np.where(x == 0.0, 1.0 / scale, out)
-    return out
+def _erlang(x: np.ndarray, shape: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Density and cdf of a Gamma norm with integer shape, at x >= 0.
 
-
-def _erlang_cdf(x: np.ndarray, shape: int, scale: float) -> np.ndarray:
-    """Cdf of a Gamma norm with integer shape, at x >= 0: the finite
-    exponential sum 1 - e^{-x/scale} * sum_{k<shape} (x/scale)^k / k!."""
+    With y = x/scale and the terms t_k = y^k / k!, the cdf is the finite
+    exponential sum 1 - e^{-y} * sum_{k<shape} t_k and the density is
+    e^{-y} * t_{shape-1} / scale: one ``exp`` serves both.
+    """
     y = x / scale
     term = np.ones_like(y)
     total = np.ones_like(y)
     for k in range(1, shape):
         term = term * y / k
         total = total + term
-    return 1.0 - np.exp(-y) * total
+    decay = np.exp(-y)
+    return decay * term / scale, 1.0 - decay * total
 
 
 def _support(shape: int, scale: float) -> float:
@@ -206,9 +199,9 @@ def _top_two_cdf(
     upper = half[:, None]
 
     def integrand(y):
-        f_y = _erlang_cdf(y, shape, scale)
-        bigger = _erlang_cdf(2.0 * upper - y, shape, scale) - f_y
-        return _erlang_pdf(y, shape, scale) * f_y ** (n - 2) * np.maximum(bigger, 0.0)
+        pdf_y, f_y = _erlang(y, shape, scale)
+        bigger = _erlang(2.0 * upper - y, shape, scale)[1] - f_y
+        return pdf_y * f_y ** (n - 2) * np.maximum(bigger, 0.0)
 
     vals = _refined_integral(half, integrand, INNER_TOL, "top-two sum cdf")
     vals = np.clip(n * (n - 1) * vals, 0.0, 1.0)
@@ -248,7 +241,7 @@ def outage_quadrature(config: SystemConfig, rate: float) -> float:
     def integrand(y):
         with np.errstate(over="ignore"):
             threshold = np.minimum(growth * (1.0 + y) - 1.0, bob_max)
-        return _erlang_pdf(y, eve_shape, eve_scale) * _top_two_cdf(
+        return _erlang(y, eve_shape, eve_scale)[0] * _top_two_cdf(
             threshold, config.n_alice, config.n_bob, bob_scale, bob_max
         )
 

@@ -845,11 +845,14 @@ def find_crossover(
             ),
         )
     (lo, d_at_lo), (hi, _d) = pair
+    # A zero probe moves lo but not the low side's sign, which stays that
+    # of the last nonzero low probe, so [lo, hi] keeps its sign change.
+    low_positive = d_at_lo > 0.0
     while hi - lo > CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
         d_mid, _ = paired_difference(mid)
-        if d_mid == 0.0 or (d_mid > 0.0) == (d_at_lo > 0.0):
-            lo, d_at_lo = mid, d_mid
+        if d_mid == 0.0 or (d_mid > 0.0) == low_positive:
+            lo = mid
         else:
             hi = mid
     root = 0.5 * (lo + hi)

@@ -30,7 +30,7 @@ from tasalamouti import (
     prob_nonzero_secrecy,
     validate,
 )
-from tasalamouti.quadrature import _erlang_cdf, _support, _top_two_cdf
+from tasalamouti.quadrature import _erlang, _support, _top_two_cdf
 
 
 def report(n: int, text: str) -> None:
@@ -222,7 +222,7 @@ class TestCriterion6StructuralIdentities:
         s_max = _support(6, 1.0)
         xs = np.linspace(0.0, s_max, 400)
         top2 = _top_two_cdf(xs, 2, 3, 1.0, s_max)
-        sup = float(np.max(np.abs(top2 - _erlang_cdf(xs, 6, 1.0))))
+        sup = float(np.max(np.abs(top2 - _erlang(xs, 6, 1.0)[1])))
         assert sup <= 1e-8
 
         # The combining chain delivers the predicted decision SNR.

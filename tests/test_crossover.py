@@ -17,7 +17,9 @@ def reference_crossover(
     """Reference crossover search on accepted inputs: the package's search
     before each probe was read off three event counts.  It differences
     int8 casts of the two event masks, brackets the root on two paths
-    (the ends, or a scan) and widens the half width under a flag."""
+    (the ends, or a scan) and widens the half width under a flag.  A
+    bisection probe whose difference is exactly 0 moves lo and keeps the
+    low side's sign."""
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
     event_rate = rate if metric == "P_out" else 0.0
     result = functools.partial(
@@ -71,7 +73,9 @@ def reference_crossover(
     while hi - lo > CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
         d_mid, _ = paired_difference(mid)
-        if d_mid == 0.0 or (d_mid > 0.0) == (d_at_lo > 0.0):
+        if d_mid == 0.0:
+            lo = mid
+        elif (d_mid > 0.0) == (d_at_lo > 0.0):
             lo, d_at_lo = mid, d_mid
         else:
             hi = mid
@@ -98,11 +102,11 @@ def reference_crossover(
 # ends, 20 000 trials, seed 0).
 CASES = {
     # The ends differ in sign: the ends bracket the root.
-    "pout-opposite-ends": ((3, 3, 2, 5.0), "P_out", (5.0, 15.0), 1.0, (1, -1)),
+    "pout-opposite-ends": ((3, 3, 2, 5.0), "P_out", (5.0, 12.0), 1.0, (1, -1)),
     # One end or both are exactly 0: the grid brackets the root.
     "pout-zero-end": ((4, 3, 2, 5.0), "P_out", (0.0, 25.0), 1.0, (1, 0)),
     "pout-zero-ends": ((4, 3, 2, 5.0), "P_out", (-30.0, 60.0), 2.0, (0, 0)),
-    "pnz-zero-end": ((4, 3, 2, 0.0), "Pr_nonzero", (-7.0, 7.0), 0.0, (1, 0)),
+    "pnz-zero-end": ((4, 3, 2, 0.0), "Pr_nonzero", (-7.0, 9.0), 0.0, (1, 0)),
     # The ends have one sign and so has the grid: no crossover.
     "no-crossover": ((2, 1, 1, 5.0), "P_out", (0.0, 5.0), 1.0, (1, 1)),
 }
@@ -148,3 +152,28 @@ def test_cases_take_the_named_path(case):
         )
         ends.append(int(np.sign(int(a.sum()) - int(b.sum()))))
     assert tuple(ends) == signs
+
+
+def test_a_zero_probe_keeps_the_sign_change(monkeypatch):
+    # At 500 trials and seed 3, bisection probes of this case have a
+    # paired difference of exactly 0.  Such a probe used to become lo with
+    # the low side then read as negative, and the search ended between
+    # two probes of one sign: 0 at 8.887 dB and +1 at 8.896 dB.
+    counts = {}
+    original = montecarlo.outage_events
+
+    def spy(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
+        events = original(draws, scheme, gamma_bar_b, gamma_bar_e, rate)
+        counts[scheme, gamma_bar_b] = int(events.sum())
+        return events
+
+    monkeypatch.setattr(montecarlo, "outage_events", spy)
+    pair = (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
+    config = SystemConfig(3, 3, 2, 1.0, db_to_linear(5.0))
+    result = find_crossover(config, *pair, "P_out", (5.0, 15.0), 500, 3, rate=1.0)
+    diff = {gb: counts[pair[0], gb] - counts[pair[1], gb] for _, gb in counts}
+    root = db_to_linear(result.gamma_db)
+    assert any(d == 0 for gb, d in diff.items() if gb < root)
+    lo = max(gb for gb in diff if gb < root)
+    hi = min(gb for gb in diff if gb > root)
+    assert diff[lo] * diff[hi] < 0

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from reference_channel import (
-    ChannelRealization,
+    draw_channel,
     secrecy_capacity,
     select_antennas,
     snr_sample,
@@ -243,41 +245,53 @@ class TestRefusedBeforeDrawing:
 
 
 class TestAgainstChannelReference:
-    """Trial by trial, the vectorized draw gives the SNR pair that the
-    readable per-realization model of ``channel`` gives on the same
-    channel matrices."""
+    """In distribution, the Gamma-variate norms give the selection
+    statistics that the readable per-realization model of
+    ``reference_channel`` gives on Gaussian channel matrices."""
 
-    N_TRIALS = BLOCK_SIZE + 5
-    # The first and last trial of the first block and the whole second one.
-    TRIALS = (0, 1, BLOCK_SIZE - 1, *range(BLOCK_SIZE, BLOCK_SIZE + 5))
+    N_DRAWS = 20_000
+    N_REFERENCE = 4_000
+    # Smallest two-sample KS p-value accepted; every sample has a fixed seed.
+    MIN_P_VALUE = 1e-3
 
     @staticmethod
-    def realization(n_alice, n_bob, n_eve, seed, trial):
-        # Rebuild the block's substream in draw order: f_re, f_im, g_re, g_im.
-        block, index = divmod(trial, BLOCK_SIZE)
-        count = min(BLOCK_SIZE, TestAgainstChannelReference.N_TRIALS - block * BLOCK_SIZE)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        f_re = rng.standard_normal((count, n_bob, n_alice))[index]
-        f_im = rng.standard_normal((count, n_bob, n_alice))[index]
-        g_re = rng.standard_normal((count, n_eve, n_alice))[index]
-        g_im = rng.standard_normal((count, n_eve, n_alice))[index]
-        return ChannelRealization(
-            bob=(f_re + 1j * f_im) / math.sqrt(2.0),
-            eve=(g_re + 1j * g_im) / math.sqrt(2.0),
-        )
+    def reference_components(config, n_trials, seed):
+        # At unit average SNRs the scheme's SNR pair is (top2, eve_pair) / 2
+        # for TAS-Alamouti and (top1, eve_first) for single TAS.
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(n_trials):
+            channel = draw_channel(config, rng)
+            pair = snr_sample(config, Scheme.TAS_ALAMOUTI, channel)
+            single = snr_sample(config, Scheme.SINGLE_TAS, channel)
+            rows.append((2.0 * pair.gamma_b, single.gamma_b, 2.0 * pair.gamma_e, single.gamma_e))
+        return np.array(rows).T
 
     @pytest.mark.parametrize("antennas", [(2, 1, 1), (2, 3, 2), (4, 3, 2), (5, 1, 3)])
-    def test_snr_pairs_equal_snr_sample(self, antennas):
-        seed = 17
-        config = SystemConfig(*antennas, 10.0, 2.0)
-        draws = draw_components(*antennas, self.N_TRIALS, seed)
-        for scheme in Scheme:
-            gamma_b, gamma_e = snr_pairs(draws, scheme, 10.0, 2.0)
-            for trial in self.TRIALS:
-                channel = self.realization(*antennas, seed, trial)
-                sample = snr_sample(config, scheme, channel)
-                assert gamma_b[trial] == pytest.approx(sample.gamma_b, rel=1e-13)
-                assert gamma_e[trial] == pytest.approx(sample.gamma_e, rel=1e-13)
+    def test_components_match_snr_sample_in_distribution(self, antennas):
+        config = SystemConfig(*antennas, 1.0, 1.0)
+        draws = draw_components(*antennas, self.N_DRAWS, seed=17)
+        reference = self.reference_components(config, self.N_REFERENCE, seed=18)
+        drawn = (draws.top2, draws.top1, draws.eve_pair, draws.eve_first)
+        names = ("top2", "top1", "eve_pair", "eve_first")
+        p_values = {
+            name: ks_2samp(got, expected).pvalue
+            for name, got, expected in zip(names, drawn, reference, strict=True)
+        }
+        assert min(p_values.values()) > self.MIN_P_VALUE, p_values
+
+
+def test_one_block_peak_memory_is_bounded():
+    # One (8,8,8) block's norms are two (65536, 8) float64 arrays, 8.4 MB;
+    # the bound leaves room for the selection's temporaries, not for
+    # (65536, n_rx, 8) Gaussian entries.
+    tracemalloc.start()
+    try:
+        draw_components(8, 8, 8, BLOCK_SIZE, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 class TestSnrComponents:

@@ -6,8 +6,7 @@ import pytest
 from tasalamouti import SystemConfig, db_to_linear, outage_quadrature
 from tasalamouti.quadrature import (
     TAIL_MASS,
-    _erlang_cdf,
-    _erlang_pdf,
+    _erlang,
     _kronrod_rule,
     _support,
     _top_two_cdf,
@@ -17,49 +16,49 @@ from tasalamouti.quadrature import (
 # density: mean of the sum of the two largest of 4 i.i.d. Erlang(3, 1).
 MEAN_TOP2_4_OF_ERLANG3 = 8.199557583027907
 
-# float.hex of outage_quadrature with the Gauss-Kronrod rule: one point
-# per default-grid antenna triple at rate 1, plus one point each at
-# rate 0 and rate 2.
+# float.hex of outage_quadrature with the Gauss-Kronrod rule and the
+# Erlang density and cdf from one exp: one point per default-grid antenna
+# triple at rate 1, plus one point each at rate 0 and rate 2.
 # (n_alice, n_bob, n_eve, gamma_bar_b_db, gamma_bar_e_db, rate, value)
 GOLDEN_BITS = [
-    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea32923727f3p-1"),
-    (2, 1, 2, 5.0, 5.0, 1.0, "0x1.f18ffe49137dap-1"),
-    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c8389p-2"),
-    (2, 2, 1, 15.0, 5.0, 1.0, "0x1.16b1221962c1cp-8"),
-    (2, 2, 2, 20.0, 0.0, 1.0, "0x1.1d05ff8d99c0dp-17"),
-    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc535p-1"),
-    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b94e7p-5"),
-    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048fa3p-4"),
-    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec80791p-16"),
-    (3, 1, 1, 20.0, 5.0, 1.0, "0x1.7f836f0f34404p-10"),
-    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d7351c6p-1"),
-    (3, 1, 3, 5.0, 5.0, 1.0, "0x1.fbbd7a0f0146ep-1"),
-    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce53074p-11"),
-    (3, 2, 2, 15.0, 5.0, 1.0, "0x1.acdd6de9c57f8p-9"),
-    (3, 2, 3, 20.0, 0.0, 1.0, "0x1.1801e95f0fb79p-23"),
-    (3, 3, 1, 0.0, 5.0, 1.0, "0x1.94323f48ccc6cp-1"),
+    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea32923727f5p-1"),
+    (2, 1, 2, 5.0, 5.0, 1.0, "0x1.f18ffe49137dcp-1"),
+    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c838ep-2"),
+    (2, 2, 1, 15.0, 5.0, 1.0, "0x1.16b1221962c1ap-8"),
+    (2, 2, 2, 20.0, 0.0, 1.0, "0x1.1d05ff8d99c0fp-17"),
+    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc544p-1"),
+    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b94e5p-5"),
+    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048fa1p-4"),
+    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec80796p-16"),
+    (3, 1, 1, 20.0, 5.0, 1.0, "0x1.7f836f0f34402p-10"),
+    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d7351cbp-1"),
+    (3, 1, 3, 5.0, 5.0, 1.0, "0x1.fbbd7a0f0147cp-1"),
+    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce53072p-11"),
+    (3, 2, 2, 15.0, 5.0, 1.0, "0x1.acdd6de9c57f7p-9"),
+    (3, 2, 3, 20.0, 0.0, 1.0, "0x1.1801e95f0fb7ep-23"),
+    (3, 3, 1, 0.0, 5.0, 1.0, "0x1.94323f48ccc6bp-1"),
     (3, 3, 2, 5.0, 0.0, 1.0, "0x1.bc4fedb159abbp-5"),
-    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5a86p-4"),
-    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80f6dp-12"),
-    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c2072p-10"),
-    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf5d2p-1"),
+    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5a8bp-4"),
+    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80f6bp-12"),
+    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c2073p-10"),
+    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf5dap-1"),
     (4, 2, 1, 5.0, 5.0, 1.0, "0x1.55db0ce783ff4p-2"),
-    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab5748p-10"),
-    (4, 2, 3, 15.0, 5.0, 1.0, "0x1.a4c771f836f5ap-9"),
-    (4, 3, 1, 20.0, 0.0, 1.0, "0x1.6256791e65972p-56"),
-    (4, 3, 2, 0.0, 5.0, 1.0, "0x1.f21508ff15cb8p-1"),
-    (4, 3, 3, 5.0, 0.0, 1.0, "0x1.725aaa0645542p-4"),
-    (6, 1, 1, 10.0, 5.0, 1.0, "0x1.4ad549fc33509p-4"),
-    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa39e9p-14"),
-    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb936p-12"),
-    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b4492p-2"),
-    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b50f0p-1"),
-    (6, 2, 3, 10.0, 0.0, 1.0, "0x1.0f84858d9d366p-11"),
-    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd71ep-28"),
-    (6, 3, 2, 20.0, 0.0, 1.0, "0x1.b9025d2937bc2p-72"),
-    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ceb61p-1"),
-    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84d0ap-17"),
-    (6, 3, 3, 20.0, 0.0, 2.0, "0x1.37b904b5421a0p-50"),
+    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab5749p-10"),
+    (4, 2, 3, 15.0, 5.0, 1.0, "0x1.a4c771f836f5ep-9"),
+    (4, 3, 1, 20.0, 0.0, 1.0, "0x1.6256791e6596dp-56"),
+    (4, 3, 2, 0.0, 5.0, 1.0, "0x1.f21508ff15cb6p-1"),
+    (4, 3, 3, 5.0, 0.0, 1.0, "0x1.725aaa0645546p-4"),
+    (6, 1, 1, 10.0, 5.0, 1.0, "0x1.4ad549fc33508p-4"),
+    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa39eap-14"),
+    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb93bp-12"),
+    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b4493p-2"),
+    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b50f1p-1"),
+    (6, 2, 3, 10.0, 0.0, 1.0, "0x1.0f84858d9d36bp-11"),
+    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd71fp-28"),
+    (6, 3, 2, 20.0, 0.0, 1.0, "0x1.b9025d2937bc7p-72"),
+    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ceb6cp-1"),
+    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84d08p-17"),
+    (6, 3, 3, 20.0, 0.0, 2.0, "0x1.37b904b5421a4p-50"),
 ]
 
 # float.hex of the same points from the Gauss-Legendre node-doubling
@@ -166,34 +165,42 @@ def test_support_matches_inverse_regularized_gamma():
 class TestGammaBranchDensity:
     def test_exponential_pdf(self):
         xs = np.linspace(0.0, 10.0, 50)
-        assert _erlang_pdf(xs, 1, 1.0) == pytest.approx(np.exp(-xs), rel=1e-12)
+        assert _erlang(xs, 1, 1.0)[0] == pytest.approx(np.exp(-xs), rel=1e-12)
 
     def test_erlang_two_reference(self):
-        value = float(_erlang_pdf(np.array([1.0]), 2, 1.0)[0])
+        value = float(_erlang(np.array([1.0]), 2, 1.0)[0][0])
         assert value == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_mean(self):
         nodes, weights = gauss_rule(_support(3, 0.5))
-        mean = float(np.sum(weights * nodes * _erlang_pdf(nodes, 3, 0.5)))
+        mean = float(np.sum(weights * nodes * _erlang(nodes, 3, 0.5)[0]))
         assert mean == pytest.approx(1.5, abs=1e-9)
 
     @pytest.mark.parametrize("shape,scale", [(1, 1.0), (2, 0.5), (4, 2.0), (6, 0.25)])
     def test_grid_invariants(self, shape, scale):
         x_max = _support(shape, scale)
         nodes, weights = gauss_rule(x_max)
-        pdf_vals = _erlang_pdf(nodes, shape, scale)
+        pdf_vals = _erlang(nodes, shape, scale)[0]
         assert float(np.sum(weights * pdf_vals)) == pytest.approx(1.0, abs=1e-9)
         assert np.all(pdf_vals >= 0.0)
-        assert np.all(np.diff(_erlang_cdf(nodes, shape, scale)) >= -1e-12)
+        assert np.all(np.diff(_erlang(nodes, shape, scale)[1]) >= -1e-12)
         # Tail mass beyond the support edge.
-        tail = 1.0 - float(_erlang_cdf(np.array([x_max]), shape, scale)[0])
+        tail = 1.0 - float(_erlang(np.array([x_max]), shape, scale)[1][0])
         assert tail < 1e-12
 
     def test_cdf_matches_regularized_gamma(self):
         from scipy.special import gammainc
 
         xs = np.array([0.5, 2.0, 5.0, 20.0])
-        assert _erlang_cdf(xs, 3, 2.0) == pytest.approx(gammainc(3, xs / 2.0), abs=1e-12)
+        assert _erlang(xs, 3, 2.0)[1] == pytest.approx(gammainc(3, xs / 2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("shape,scale", [(1, 1.0), (2, 0.5), (4, 2.0), (16, 0.25)])
+    def test_density_matches_gamma_pdf(self, shape, scale):
+        from scipy.stats import gamma
+
+        xs = np.array([0.0, 1e-3, 0.5, 2.0, 5.0, 20.0])
+        expected = gamma.pdf(xs, shape, scale=scale)
+        assert _erlang(xs, shape, scale)[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 class TestSumTwoLargest:
@@ -203,7 +210,7 @@ class TestSumTwoLargest:
         s_max = _support(4, 1.0)
         xs = np.linspace(0.0, s_max, 300)
         top2 = _top_two_cdf(xs, 2, 2, 1.0, s_max)
-        assert np.max(np.abs(top2 - _erlang_cdf(xs, 4, 1.0))) < 1e-8
+        assert np.max(np.abs(top2 - _erlang(xs, 4, 1.0)[1])) < 1e-8
 
     def test_mean_against_frozen_oracle(self):
         assert top_two_mean(4, 3, 1.0) == pytest.approx(MEAN_TOP2_4_OF_ERLANG3, abs=1e-6)
@@ -267,7 +274,7 @@ class TestOutageQuadrature:
         bob_scale = cfg.gamma_bar_b / 2.0
         bob_max = _support(cfg.n_alice * cfg.n_bob, bob_scale)
         nodes, weights = gauss_rule(_support(eve_shape, eve_scale))
-        eve_pdf = _erlang_pdf(nodes, eve_shape, eve_scale)
+        eve_pdf = _erlang(nodes, eve_shape, eve_scale)[0]
 
         def bob_cdf(s):
             return _top_two_cdf(np.minimum(s, bob_max), cfg.n_alice, cfg.n_bob, bob_scale, bob_max)

@@ -696,7 +696,7 @@ class TestCrossover:
             config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
             (5.0, 15.0), 5000, 0, rate=1.0,
         )
-        assert (result.gamma_db, result.half_width_db) == (9.9951171875, 10.0)
+        assert (result.gamma_db, result.half_width_db) == (9.7509765625, 10.0)
         assert len(counted) == 74
         assert len(set(counted)) == len(counted)
 
@@ -709,7 +709,7 @@ class TestCrossover:
             (-30.0, 60.0), 50_000, 3, rate=2.0,
         )
         assert result.found
-        assert (result.gamma_db, result.half_width_db) == (11.76727294921875, 0.4)
+        assert (result.gamma_db, result.half_width_db) == (11.87164306640625, 0.4)
 
 
 def db_to_linear_5db() -> float:
@@ -1221,7 +1221,9 @@ class TestCli:
                 "--gamma-e-db", "5",
                 "--metric", "pout",
                 "--rate", "1.0",
-                "--bracket", "5", "15",
+                # The root sits near 14-15 dB, where the difference is
+                # about 1e-4, so the bracket holds it well inside.
+                "--bracket", "10", "20",
                 "--trials", "50000",
             ]
         )
@@ -1452,7 +1454,9 @@ def _validation_text():
 
 class TestGoldenCsv:
     """SHA-256 of whole CSV outputs, frozen before the evaluator table and
-    the preset table replaced their hand-written forms."""
+    the preset table replaced their hand-written forms.  Every digest but
+    fig6's (closed form only) was re-frozen when the column norms became
+    Gamma variates."""
 
     CASES = {
         "fig2": lambda: rows_to_csv_text(run_preset("fig2", trials=2000, seed=1)),
@@ -1465,15 +1469,16 @@ class TestGoldenCsv:
     }
 
     DIGESTS = {
-        "fig2": "113a86608b631046e7c6d5b5d9126fcb4a2bdf0abb1c9e12efe0a96a06c41732",
-        "fig3": "5775393cc01012fb1145b4b5cccb342c55b5a3f7cf302fe0b923b508f549f39b",
-        "fig4": "dcae6453a9730029dd95b10eab47e6b14e8aef8fce344a6899ee33da53f8427c",
-        "fig5": "10534b9ace86042f8f379eb71175e9cb647b848ba497645fde80f40c5ef05b9c",
+        "fig2": "a253dab527f136747a75f5fcb6861378290735f1a4671220ee3884f19ac53926",
+        "fig3": "809f9af7120ee6b877750403e5820161ba3a350037493d1cb2b40b14102d3892",
+        "fig4": "cab76028dd4af3fd577f9d4a9bf7b0dff1a04f3904cc0bc0345679fe7de15e1d",
+        "fig5": "08758dd9b956e5d7b4f9b7ad7c12dae3726ee2db6dcf8d9952160b80aaf3b1fb",
         "fig6": "4d291ebf4eb20f7d121192a498aed231dd940ad28596dba86e7f40fb1f773f30",
-        "example": "4c38182197eb2418f08598a27d583bfdd069c6ac70104f61e4e7dc4dfaace367",
+        "example": "c8e016685121efacbf4697baeea95139273afa734022aae9cf29531b85db1843",
         # Re-frozen when the quadrature became one Gauss-Kronrod pass per
-        # level and the z-score's binomial tail left scipy.
-        "validate-quick": "fd1d3edce54e3e4082128369dbb067450df12584710af1429bff5458ae27c181",
+        # level and the z-score's binomial tail left scipy, and again when
+        # the Erlang density and cdf came from one exp.
+        "validate-quick": "f9236ac5216cddd8a2776031d0ee7f0d8a8d2395ab15e888011b40453220efd3",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
