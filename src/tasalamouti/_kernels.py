@@ -14,6 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -93,17 +94,22 @@ def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
 #                         Each summand goes to its own group's arrays,
 #                         and the groups are joined psi1..psi4
 #   slices                the summands of each bracket, mixed and psi sum
-# The per-call part depends on (gamma_b, gamma_e, rate): rho, shift and
-# decay; the phi levels and log(phi); one W_lam(phi) =
+# The per-call part depends on each point's (gamma_b, gamma_e, rate): rho,
+# shift and decay; the phi levels and log(phi); one W_lam(phi) =
 # exp(lgamma(lam + 1) - (lam + 1) log phi) per (level, lam); the rho^u and
 # shift^k tables; one efac per i.  The summands are numpy products and
 # gathers of these with the plan, and every sum is reduced with math.fsum,
 # which rounds the exact sum once.  Each summand is formed from the same
 # operands in the same left-to-right order as the sums written out term by
-# term, and every transcendental is a scalar math.exp, math.lgamma or
+# term (a product may swap its two operands, which IEEE multiplication
+# ignores), and every transcendental is a scalar math.exp, math.lgamma or
 # float ** int, so no bit depends on the vectorization.  The order of the
 # summands within a group is free: math.fsum gives the same bits in any
-# order, and the magnitude bound is a maximum.
+# order, and the magnitude bound is a maximum.  One call takes a sequence
+# of points of one triple: the bracket and mixed stages stack them along a
+# leading axis, and the psi summands, the largest table, are built one
+# point at a time.  No operation mixes two points' entries, so a point's
+# bits do not depend on the others in its call.
 #
 # Phi levels 0..n_a-2 hold phi1(i) with the halved denominators used by
 # the first, third and fourth sums; level n_a-1 holds phi2 with the same
@@ -146,13 +152,17 @@ def _slices(bounds: list[int]) -> tuple[slice, ...]:
 
 
 def _group_fsums(terms: np.ndarray, slices: tuple[slice, ...]) -> np.ndarray:
-    """math.fsum of each group of each row, flattened row by row."""
-    return np.array([math.fsum(row[s]) for row in terms.tolist() for s in slices])
+    """math.fsum of each group of each row of each point's (row, summand)
+    block, flattened.  One point's block at a time becomes Python lists,
+    so they never hold the whole batch."""
+    return np.array(
+        [math.fsum(row[s]) for block in terms for row in block.tolist() for s in slices]
+    )
 
 
 def _group_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # fmax skips NaN and the floor of 0 matches a running max(0.0, ...).
-    return np.fmax(np.fmax.reduceat(values, starts, axis=1), 0.0).ravel()
+    return np.fmax(np.fmax.reduceat(values, starts, axis=-1), 0.0)
 
 
 def expansion_coeffs(n_b: int, power: int) -> np.ndarray:
@@ -300,63 +310,93 @@ def psi_terms(
     n_a: int,
     n_b: int,
     n_e: int,
-    gamma_b: float,
-    gamma_e: float,
-    rate: float,
-) -> tuple[float, float, float, float, float]:
-    """Evaluate the four nested sums of the outage expression at once.
+    gamma_b: Sequence[float],
+    gamma_e: Sequence[float],
+    rate: Sequence[float],
+) -> list[tuple[float, float, float, float, float]]:
+    """Evaluate the four nested sums of the outage expression at each point.
 
-    The antenna triple selects a cached plan (built on first use); the
-    SNRs and the rate are evaluated against it on every call.  Returns
-    the four signed sums plus the largest absolute summand encountered
-    across all of them (for the cancellation diagnostic).
+    ``gamma_b``, ``gamma_e`` and ``rate`` are sequences of one length,
+    one entry per point.  The antenna triple selects a cached plan
+    (built on first use), and the points are evaluated against it in
+    one pass: the stages up to the mixed table stack the points along
+    a leading axis, and the psi summands are built one point at a time.
+    Returns, per point, the four signed sums plus the largest absolute
+    summand encountered across all of them (for the cancellation
+    diagnostic).  A point's values do not depend on the other points:
+    every operation acts on each point's entries alone.
 
     Raises
     ------
     ValueError
-        If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``.
+        If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``, or the sequences
+        differ in length.  A point whose sums overflow makes the call
+        raise what ``math.fsum`` or ``float ** int`` raise there.
     """
     if n_a < 2 or n_b < 1 or n_e < 1:
         raise ValueError(
             f"psi_terms needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
         )
+    if not len(gamma_b) == len(gamma_e) == len(rate):
+        raise ValueError(
+            f"psi_terms needs one gamma_b, gamma_e and rate per point, got "
+            f"{len(gamma_b)}, {len(gamma_e)} and {len(rate)}"
+        )
     plan = _psi_plan(n_a, n_b, n_e)
-    gamma_b = float(gamma_b)
-    gamma_e = float(gamma_e)
-    rate = float(rate)
-    two_rs = 2.0**rate
-    rho = two_rs * gamma_e / gamma_b
-    shift = 2.0 * (two_rs - 1.0) / gamma_b
-    decay = (two_rs - 1.0) / gamma_b
+    rhos, shifts, decays = [], [], []
+    for gb, ge, rs in zip(gamma_b, gamma_e, rate):
+        gb, ge = float(gb), float(ge)
+        two_rs = 2.0 ** float(rs)
+        rhos.append(two_rs * ge / gb)
+        shifts.append(2.0 * (two_rs - 1.0) / gb)
+        decays.append((two_rs - 1.0) / gb)
+    n_points = len(rhos)
+    if not n_points:
+        return []
 
-    phis = [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
-    phi = np.array(phis)[:, None]
-    log_phi = np.array([math.log(v) for v in phis])[:, None]
+    phis = [
+        v
+        for rho in rhos
+        for v in [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
+    ]
+    phi = np.array(phis).reshape(n_points, n_a + 1, 1)
+    log_phi = np.array(list(map(math.log, phis))).reshape(phi.shape)
     exponent = plan.lgam - plan.lam_p1 * log_phi
-    w_lam = np.array([math.exp(v) for v in exponent.ravel().tolist()])
+    w_lam = np.array(list(map(math.exp, exponent.ravel().tolist())))
     w_lam = w_lam.reshape(exponent.shape)
-    fval = np.where(
-        plan.b_neg,
-        -1.0 / phi,
-        w_lam[:, plan.b_lam] * (plan.b_off - plan.b_lam_p1 / phi),
-    )
-    terms = plan.b_coef * fval
-    n_rows = len(phis) * n_e
-    bracket = _group_fsums(terms, plan.b_slices).reshape(n_rows, -1)
-    bracket_mag = _group_max(np.abs(terms), plan.b_starts).reshape(n_rows, -1)
+    # The stacked stages work in place, so each holds one array of
+    # (point, row, summand) values at a time.
+    terms = plan.b_lam_p1 / phi
+    np.subtract(plan.b_off, terms, out=terms)
+    terms *= w_lam[:, :, plan.b_lam]
+    np.copyto(terms, -1.0 / phi, where=plan.b_neg)
+    terms *= plan.b_coef
+    bracket = _group_fsums(terms, plan.b_slices).reshape(n_points, (n_a + 1) * n_e, -1)
+    bracket_mag = _group_max(np.abs(terms, out=terms), plan.b_starts).reshape(bracket.shape)
+    del terms
 
-    n_pow = bracket.shape[1]
-    rho_pow = np.array([rho**u for u in range(n_pow)])
-    shift_pow = np.array([1.0] + [shift**k for k in range(1, n_pow)])
-    coef = plan.m_binom * rho_pow[plan.m_u] * shift_pow[plan.m_k]
-    mixed = _group_fsums(coef * bracket[:, plan.m_u], plan.m_slices)
-    mixed_mag = _group_max(coef * bracket_mag[:, plan.m_u], plan.m_starts)
+    n_pow = bracket.shape[2]
+    rho_pow = np.array([rho**u for rho in rhos for u in range(n_pow)])
+    shift_pow = np.array([shift**k for shift in shifts for k in range(n_pow)])
+    coef = rho_pow.reshape(n_points, 1, -1).take(plan.m_u, axis=2)
+    coef *= plan.m_binom
+    coef *= shift_pow.reshape(n_points, 1, -1).take(plan.m_k, axis=2)
+    mixed_terms = bracket.take(plan.m_u, axis=2)
+    mixed_terms *= coef
+    mixed = _group_fsums(mixed_terms, plan.m_slices).reshape(n_points, -1)
+    bracket_mag.take(plan.m_u, axis=2, out=mixed_terms)
+    mixed_terms *= coef
+    mixed_mag = _group_max(mixed_terms, plan.m_starts).reshape(mixed.shape)
+    del mixed_terms
 
-    level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
-    level_efac += [math.exp(-2.0 * decay)] * 2
-    cell_efac = np.repeat(level_efac, mixed.size // len(level_efac))
-    outer = plan.p_pre * cell_efac[plan.p_gather]
-    summands = (outer * mixed[plan.p_gather]).tolist()
-    psi1, psi2, psi3, psi4 = (math.fsum(summands[s]) for s in plan.p_slices)
-    mag_all = np.fmax.reduce(np.abs(outer) * mixed_mag[plan.p_gather], initial=0.0)
-    return psi1, psi2, psi3, psi4, float(mag_all)
+    sums = []
+    for decay, point_mixed, point_mag in zip(decays, mixed, mixed_mag):
+        level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
+        level_efac += [math.exp(-2.0 * decay)] * 2
+        cell_efac = np.repeat(level_efac, point_mixed.size // len(level_efac))
+        outer = plan.p_pre * cell_efac[plan.p_gather]
+        summands = memoryview(outer * point_mixed[plan.p_gather])
+        psi1, psi2, psi3, psi4 = (math.fsum(summands[s]) for s in plan.p_slices)
+        mag_all = np.fmax.reduce(np.abs(outer) * point_mag[plan.p_gather], initial=0.0)
+        sums.append((psi1, psi2, psi3, psi4, float(mag_all)))
+    return sums

@@ -9,7 +9,10 @@ value (``math.fsum``), and every value carries a diagnostic bounding
 the digits lost to cancellation.  Outside the supported envelope the
 evaluator raises instead of returning a silently wrong number.  The
 four sums come from ``_kernels.psi_terms``; its per-antenna-triple plan
-is the only cache, so every call evaluates its point afresh.
+is the only cache, so every call evaluates its points afresh.
+``outage_breakdowns`` takes the points of one antenna triple together:
+their sums come from one batched pass of the kernel, with the bits each
+point gets alone, and ``outage_breakdown`` is its one-point case.
 
 Derived metrics: the probability of non-zero secrecy capacity (the
 complement of outage at zero rate) and the epsilon-outage secrecy
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _kernels
 from .config import SystemConfig, checked_epsilon, checked_rate
@@ -34,6 +38,7 @@ __all__ = [
     "closed_form_outage",
     "eps_outage_capacity",
     "outage_breakdown",
+    "outage_breakdowns",
     "prob_nonzero_secrecy",
 ]
 
@@ -95,8 +100,119 @@ def _rate_underflows(config: SystemConfig, rate: float) -> bool:
     return shift >= _UNDERFLOW_EXP
 
 
+def outage_breakdowns(
+    configs: Sequence[SystemConfig], rates: Sequence[float]
+) -> list[OutageBreakdown | ArithmeticError | ValueError]:
+    """``outage_breakdown`` at each (config, rate) pair of one antenna triple.
+
+    The points that reach the nested sums share one ``psi_terms`` pass.
+    Each entry is the point's breakdown, or the error that
+    ``outage_breakdown`` raises at that point alone; a refused point
+    leaves the others unchanged.  Raises ``ValueError`` when the
+    configs do not share one antenna triple or the sequences differ in
+    length.
+    """
+    if len(configs) != len(rates):
+        raise ValueError(
+            f"outage_breakdowns needs one rate per config, got {len(rates)} "
+            f"for {len(configs)}"
+        )
+    triples = {(c.n_alice, c.n_bob, c.n_eve) for c in configs}
+    if len(triples) > 1:
+        raise ValueError("outage_breakdowns needs configs of one antenna triple")
+    results: list = []
+    pending = []  # (index, config, rate) of each point that reaches the sums
+    for config, rate in zip(configs, rates):
+        try:
+            _check_envelope(config)
+            rate = checked_rate(rate)
+        except (ArithmeticError, ValueError) as exc:
+            results.append(exc)
+            continue
+        if _rate_underflows(config, rate):
+            results.append(
+                OutageBreakdown(
+                    value=1.0,
+                    raw_value=1.0,
+                    psi=(0.0, 0.0, 0.0, 0.0),
+                    prefactor=_prefactor(config),
+                    max_term=0.0,
+                    cancellation_ratio=0.0,
+                )
+            )
+        else:
+            pending.append((len(results), config, rate))
+            results.append(None)
+    if pending:
+        (triple,) = triples
+        points = [(config.gamma_bar_b, config.gamma_bar_e, rate) for _, config, rate in pending]
+        for (index, config, rate), sums in zip(pending, _psi_sums(triple, points)):
+            if not isinstance(sums, Exception):
+                sums = _assembled(config, rate, sums)
+            results[index] = sums
+    return results
+
+
+def _psi_sums(triple: tuple[int, int, int], points: list[tuple[float, float, float]]) -> list:
+    """``psi_terms`` of each (gamma_b, gamma_e, rate) point, from one
+    pass, or the error the point raises alone.  A pass that raises is
+    redone one point at a time, so each point gets its own outcome."""
+    try:
+        return _kernels.psi_terms(*triple, *zip(*points))
+    except (ArithmeticError, ValueError) as exc:
+        if len(points) == 1:
+            return [exc]
+    return [_psi_sums(triple, [point])[0] for point in points]
+
+
+def _prefactor(config: SystemConfig) -> float:
+    return (
+        config.n_alice
+        * (config.n_alice - 1)
+        / (math.factorial(config.n_bob - 1) * math.factorial(config.n_eve - 1)) ** 2
+    )
+
+
+def _assembled(
+    config: SystemConfig, rate: float, sums: tuple[float, float, float, float, float]
+) -> OutageBreakdown | PrecisionExhaustedError:
+    """The breakdown of one point from its nested sums, or its refusal."""
+    p1, p2, p3, p4, mag = sums
+    if not all(map(math.isfinite, sums)):
+        return PrecisionExhaustedError(
+            f"nested sums overflowed for {config} at rate {rate}"
+        )
+    prefactor = _prefactor(config)
+    bracket = (p1 - p2) + (p3 - p4)
+    raw = 1.0 - prefactor * bracket
+    max_term = prefactor * mag
+    total = abs(prefactor * bracket)
+    ratio = max_term / total if total > 0.0 else math.inf
+    if max_term * 1e-15 > _ERROR_BUDGET:
+        return PrecisionExhaustedError(
+            f"cancellation too severe: max summand {max_term:.3e} cannot "
+            f"certify the accuracy budget {_ERROR_BUDGET} for {config} at rate {rate}"
+        )
+    if raw < -CLAMP_SLACK or raw > 1.0 + CLAMP_SLACK:
+        return PrecisionExhaustedError(
+            f"assembled probability {raw!r} outside [0, 1] beyond slack "
+            f"{CLAMP_SLACK} for {config} at rate {rate} "
+            f"(cancellation ratio {ratio:.3e})"
+        )
+    value = min(1.0, max(0.0, raw))
+    return OutageBreakdown(
+        value=value,
+        raw_value=raw,
+        psi=(p1, p2, p3, p4),
+        prefactor=prefactor,
+        max_term=max_term,
+        cancellation_ratio=ratio,
+    )
+
+
 def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
-    """Secrecy outage probability with numerical diagnostics.
+    """Secrecy outage probability with numerical diagnostics: the
+    one-point case of ``outage_breakdowns``.
 
     Parameters
     ----------
@@ -116,59 +232,10 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
         cancellation error exceeds the accuracy budget, or when the raw
         value leaves [0, 1] by more than the documented slack.
     """
-    _check_envelope(config)
-    rate = checked_rate(rate)
-    prefactor = (
-        config.n_alice
-        * (config.n_alice - 1)
-        / (math.factorial(config.n_bob - 1) * math.factorial(config.n_eve - 1)) ** 2
-    )
-    if _rate_underflows(config, rate):
-        return OutageBreakdown(
-            value=1.0,
-            raw_value=1.0,
-            psi=(0.0, 0.0, 0.0, 0.0),
-            prefactor=prefactor,
-            max_term=0.0,
-            cancellation_ratio=0.0,
-        )
-    p1, p2, p3, p4, mag = _kernels.psi_terms(
-        config.n_alice,
-        config.n_bob,
-        config.n_eve,
-        config.gamma_bar_b,
-        config.gamma_bar_e,
-        rate,
-    )
-    if not all(map(math.isfinite, (p1, p2, p3, p4, mag))):
-        raise PrecisionExhaustedError(
-            f"nested sums overflowed for {config} at rate {rate}"
-        )
-    bracket = (p1 - p2) + (p3 - p4)
-    raw = 1.0 - prefactor * bracket
-    max_term = prefactor * mag
-    total = abs(prefactor * bracket)
-    ratio = max_term / total if total > 0.0 else math.inf
-    if max_term * 1e-15 > _ERROR_BUDGET:
-        raise PrecisionExhaustedError(
-            f"cancellation too severe: max summand {max_term:.3e} cannot "
-            f"certify the accuracy budget {_ERROR_BUDGET} for {config} at rate {rate}"
-        )
-    if raw < -CLAMP_SLACK or raw > 1.0 + CLAMP_SLACK:
-        raise PrecisionExhaustedError(
-            f"assembled probability {raw!r} outside [0, 1] beyond slack "
-            f"{CLAMP_SLACK} for {config} at rate {rate} "
-            f"(cancellation ratio {ratio:.3e})"
-        )
-    value = min(1.0, max(0.0, raw))
-    return OutageBreakdown(
-        value=value,
-        raw_value=raw,
-        psi=(p1, p2, p3, p4),
-        prefactor=prefactor,
-        max_term=max_term,
-        cancellation_ratio=ratio,
-    )
+    (result,) = outage_breakdowns([config], [rate])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def closed_form_outage(config: SystemConfig, rate: float) -> float:

@@ -9,6 +9,12 @@ evaluations is the error estimate.  The rule's nodes are built here
 from the Legendre recurrence with ``numpy.linalg``.  Shares no code
 with the closed-form evaluator, so agreement between the two is
 meaningful evidence of correctness.
+
+Each call integrates one point.  A validation run takes a triple's
+closed-form values from one batched pass, but not its quadratures:
+stacked over a triple's points, every point runs to the level that the
+hardest one needs, on temporaries that outgrow the cache, and the
+stacked matrix products round differently.
 """
 
 from __future__ import annotations
@@ -116,31 +122,55 @@ def _kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (1.0 + x) * 0.5, w_kronrod * 0.5, w_gauss * 0.5
 
 
+def _erlang_terms(y: np.ndarray, shape: int) -> tuple[np.ndarray, np.ndarray]:
+    """t_{shape-1} and sum_{k<shape} t_k, where t_k = y^k / k! and
+    shape >= 2.  The series starts from t_1 = y."""
+    term, total = y, 1.0 + y
+    for k in range(2, shape):
+        term = term * y / k
+        total += term
+    return term, total
+
+
 def _erlang(x: np.ndarray, shape: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Density and cdf of a Gamma norm with integer shape, at x >= 0.
 
     With y = x/scale and the terms t_k = y^k / k!, the cdf is the finite
     exponential sum 1 - e^{-y} * sum_{k<shape} t_k and the density is
-    e^{-y} * t_{shape-1} / scale: one ``exp`` serves both.
+    e^{-y} * t_{shape-1} / scale: one ``exp`` serves both.  Shape 1 has
+    the one term t_0 = 1 and needs no series.
     """
     y = x / scale
-    term = np.ones_like(y)
-    total = np.ones_like(y)
-    for k in range(1, shape):
-        term = term * y / k
-        total = total + term
     decay = np.exp(-y)
+    if shape == 1:
+        return decay / scale, 1.0 - decay
+    term, total = _erlang_terms(y, shape)
     return decay * term / scale, 1.0 - decay * total
 
 
-def _support(shape: int, scale: float) -> float:
-    """Upper end of an Erlang support that truncates ``TAIL_MASS``.
+def _erlang_cdf(x: np.ndarray, shape: int, scale: float) -> np.ndarray:
+    """The cdf of ``_erlang`` alone."""
+    y = x / scale
+    decay = np.exp(-y)
+    if shape == 1:
+        return 1.0 - decay
+    return 1.0 - decay * _erlang_terms(y, shape)[1]
 
-    Newton's method on the log of the finite survival function
-    Q(x) = e^{-x} sum_{k<shape} x^k / k!, in units of ``scale``.  log Q
-    is concave, so from the first step on the iterates fall to the
-    root from above, where x >= shape - 1: the sum, taken from its last
-    term down in units of that term, then has no term above 1.
+
+def _support(shape: int, scale: float) -> float:
+    """Upper end of an Erlang support that truncates ``TAIL_MASS``:
+    ``scale`` times the bound of the unit-scale Erlang(shape)."""
+    return _unit_support(shape) * scale
+
+
+@lru_cache(maxsize=None)
+def _unit_support(shape: int) -> float:
+    """Newton's method on the log of the finite survival function
+    Q(x) = e^{-x} sum_{k<shape} x^k / k!, for the root of
+    log Q = log ``TAIL_MASS``.  log Q is concave, so from the first step
+    on the iterates fall to the root from above, where x >= shape - 1:
+    the sum, taken from its last term down in units of that term, then
+    has no term above 1.
     """
     target = math.log(TAIL_MASS)
     x = float(shape)
@@ -153,7 +183,7 @@ def _support(shape: int, scale: float) -> float:
         step = (log_q - target) * total
         x += step
         if abs(step) <= 1e-13 * x:
-            return x * scale
+            return x
     raise NumericalFailureError(f"Erlang({shape}) support bound did not converge")
 
 
@@ -178,7 +208,7 @@ def _refined_integral(
         vals = integrand(col * t)
         kronrod = (vals @ w_kronrod) * upper
         gauss = (vals[..., 1::2] @ w_gauss) * upper
-        if np.max(np.abs(kronrod - gauss)) <= tol:
+        if np.abs(kronrod - gauss).max() <= tol:
             return kronrod
     raise NumericalFailureError(
         f"{what} did not converge to {tol} within {2 * _GAUSS_ORDERS[-1] + 1} nodes"
@@ -196,12 +226,18 @@ def _top_two_cdf(
     the cdf is taken as 1.
     """
     half = s * 0.5
-    upper = half[:, None]
+    twice_upper = 2.0 * half[:, None]
 
     def integrand(y):
+        # In place on fresh arrays; f_y ** 0 would only multiply by 1.
         pdf_y, f_y = _erlang(y, shape, scale)
-        bigger = _erlang(2.0 * upper - y, shape, scale)[1] - f_y
-        return pdf_y * f_y ** (n - 2) * np.maximum(bigger, 0.0)
+        bigger = _erlang_cdf(twice_upper - y, shape, scale)
+        bigger -= f_y
+        np.maximum(bigger, 0.0, out=bigger)
+        if n > 2:
+            pdf_y *= f_y ** (n - 2)
+        pdf_y *= bigger
+        return pdf_y
 
     vals = _refined_integral(half, integrand, INNER_TOL, "top-two sum cdf")
     vals = np.clip(n * (n - 1) * vals, 0.0, 1.0)

@@ -34,9 +34,10 @@ import yaml
 
 from . import montecarlo
 from .closedform import (
+    OutageBreakdown,
     closed_form_outage,
     eps_outage_capacity,
-    outage_breakdown,
+    outage_breakdowns,
     prob_nonzero_secrecy,
 )
 from .config import (
@@ -1045,11 +1046,50 @@ def _validation_key(pt: dict, n_trials: int, seed: int) -> tuple | None:
     return (pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed)
 
 
-def _validation_row(pt: dict, draws: montecarlo.NormalizedDraws | None) -> ValidationRow:
-    """The three-way comparison at one grid point, counting Monte Carlo
-    events on ``draws``, the draw set of the point's antennas (None for
-    a point whose system is refused).  The cells are filled as they are
-    computed, so a refusal part-way keeps those filled before it."""
+def _closed_forms(points: Sequence[dict]) -> list[tuple]:
+    """(config, closed form) of each validation point.  The closed form is
+    the point's ``outage_breakdowns`` entry, from one call per antenna
+    triple.  A point whose system is refused has no config, and the
+    refusal stands in for its closed form."""
+    pairs: list[tuple] = []
+    batches: dict[tuple, list[int]] = {}
+    for index, pt in enumerate(points):
+        try:
+            config = _config(pt)
+        except ValueError as exc:
+            pairs.append((None, exc))
+            continue
+        pairs.append((config, None))
+        batches.setdefault((config.n_alice, config.n_bob, config.n_eve), []).append(index)
+    for members in batches.values():
+        configs = [pairs[i][0] for i in members]
+        rates = [float(points[i]["rate_rs"]) for i in members]
+        for index, config, result in zip(members, configs, outage_breakdowns(configs, rates)):
+            pairs[index] = (config, result)
+    return pairs
+
+
+def _validation_rows(
+    points: list[dict], draws: montecarlo.NormalizedDraws | None
+) -> list[ValidationRow]:
+    """The rows of points that share one draw key, in order."""
+    return [
+        _validation_row(pt, config, closed_form, draws)
+        for pt, (config, closed_form) in zip(points, _closed_forms(points))
+    ]
+
+
+def _validation_row(
+    pt: dict,
+    config: SystemConfig | None,
+    closed_form: OutageBreakdown | Exception,
+    draws: montecarlo.NormalizedDraws | None,
+) -> ValidationRow:
+    """The three-way comparison at one grid point, from its
+    ``_closed_forms`` pair, counting Monte Carlo events on ``draws``,
+    the draw set of the point's antennas (None for a point whose system
+    is refused).  The cells are filled as they are computed, so a
+    refusal part-way keeps those filled before it."""
     rate = float(pt["rate_rs"])
     cells = dict(
         n_alice=pt["n_alice"],
@@ -1060,19 +1100,19 @@ def _validation_row(pt: dict, draws: montecarlo.NormalizedDraws | None) -> Valid
         rate_rs=rate,
     )
     try:
-        config = _config(pt)
-        breakdown = outage_breakdown(config, rate)
+        if isinstance(closed_form, Exception):
+            raise closed_form
         cells.update(
-            closed_form=breakdown.value,
-            psi3=breakdown.psi[2],
-            psi4=breakdown.psi[3],
-            cancellation_ratio=breakdown.cancellation_ratio,
+            closed_form=closed_form.value,
+            psi3=closed_form.psi[2],
+            psi4=closed_form.psi[3],
+            cancellation_ratio=closed_form.cancellation_ratio,
         )
         quad = outage_quadrature(config, rate)
-        cells.update(quadrature=quad, cf_quad_diff=abs(breakdown.value - quad))
+        cells.update(quadrature=quad, cf_quad_diff=abs(closed_form.value - quad))
         mc = montecarlo.count_outage(draws, config, Scheme.TAS_ALAMOUTI, rate)
         cells.update(mc_estimate=mc.estimate, mc_stderr=mc.stderr)
-        cells["mc_z_score"] = _binomial_z(mc.n_events, draws.n_trials, breakdown.value)
+        cells["mc_z_score"] = _binomial_z(mc.n_events, draws.n_trials, closed_form.value)
     except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
         cells["error"] = str(exc)
     return ValidationRow(**cells)
@@ -1098,13 +1138,21 @@ def validate(
     Points are evaluated key by key (n_alice, n_bob, n_eve), in the
     order each key first appears.  A key's draw set is made once and
     freed before the next key's is drawn, so one set is held at a time.
+    A key's closed-form values come from one ``outage_breakdowns`` call.
     Rows keep the order of the points.
     """
     grid_points = points if points is not None else validation_grid(grid)
-    rows = _by_draw_key(
-        (_validation_key(pt, n_trials, seed), functools.partial(_validation_row, pt))
-        for pt in grid_points
+    by_key: dict[tuple | None, list[int]] = {}
+    for index, pt in enumerate(grid_points):
+        by_key.setdefault(_validation_key(pt, n_trials, seed), []).append(index)
+    made = _by_draw_key(
+        (key, functools.partial(_validation_rows, [grid_points[i] for i in members]))
+        for key, members in by_key.items()
     )
+    rows: list = [None] * len(grid_points)
+    for members, key_rows in zip(by_key.values(), made):
+        for index, row in zip(members, key_rows):
+            rows[index] = row
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)

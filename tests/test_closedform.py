@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import math
 
@@ -26,7 +27,7 @@ from tasalamouti import (
 )
 from tasalamouti import _kernels, closedform
 from tasalamouti._kernels import expansion_coeffs
-from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows
+from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows, outage_breakdowns
 
 # Frozen values from an independent adaptive-quadrature evaluator of
 # the outage double integral (nested scipy quad, abs tol 1e-12).
@@ -266,13 +267,104 @@ class TestPsiComponents:
 class TestPsiKernel:
     @pytest.mark.parametrize("n_a,n_b,n_e,gb,ge,rate,expected", PSI_GOLDEN)
     def test_golden_bits(self, n_a, n_b, n_e, gb, ge, rate, expected):
-        out = _kernels.psi_terms(n_a, n_b, n_e, gb, ge, rate)
+        (out,) = _kernels.psi_terms(n_a, n_b, n_e, [gb], [ge], [rate])
         assert tuple(float(v).hex() for v in out) == expected
 
     def test_rejects_antenna_counts_below_the_minimum(self):
         for n_a, n_b, n_e in [(1, 2, 2), (3, 0, 2), (3, 2, 0)]:
             with pytest.raises(ValueError):
-                _kernels.psi_terms(n_a, n_b, n_e, 10.0, 1.0, 1.0)
+                _kernels.psi_terms(n_a, n_b, n_e, [10.0], [1.0], [1.0])
+
+
+def breakdown_outcome(result):
+    """float.hex of a breakdown's value, psi, max_term and cancellation
+    ratio; the type and text of a refusal."""
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    numbers = (result.value, *result.psi, result.max_term, result.cancellation_ratio)
+    return tuple(v.hex() for v in numbers)
+
+
+def one_point_outcome(config, rate):
+    try:
+        return breakdown_outcome(outage_breakdown(config, rate))
+    except (ArithmeticError, ValueError) as exc:
+        return breakdown_outcome(exc)
+
+
+# Antenna triples of the batch tests: the envelope's corners and
+# triples of the default validation grid, fig6 and the capacity sweep.
+BATCH_TRIPLES = [
+    (2, 1, 1), (3, 2, 2), (4, 3, 2), (6, 3, 3), (5, 1, 3), (7, 2, 4), (8, 3, 3), (8, 8, 8)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def envelope_batch(triple):
+    """(configs, rates) of one antenna triple: random points over the
+    envelope, two at rate 0, one past the underflow shortcut and one
+    refused rate.  (8, 8, 8), whose points cost 0.3 s each, keeps one
+    random point and adds the cancellation refusal at -20 dB; (3, 2, 2)
+    adds a point whose nested sums overflow a float power."""
+    rng = np.random.default_rng(list(triple))
+    n_random = 1 if triple == (8, 8, 8) else 10
+    points = [
+        (rng.uniform(-20.0, 40.0), rng.uniform(-20.0, 30.0), rate)
+        for rate in [0.0, 0.0, *rng.uniform(0.0, 4.0, n_random)]
+    ]
+    points += [(10.0, 5.0, 1500.0), (10.0, 5.0, -0.5)]
+    if triple == (8, 8, 8):
+        points.insert(1, (-20.0, -20.0, 0.0))
+    if triple == (3, 2, 2):
+        points.insert(5, (-3000.0, -300.0, 0.0))
+    configs = [
+        SystemConfig(*triple, db_to_linear(gb), db_to_linear(ge)) for gb, ge, _ in points
+    ]
+    return configs, [rate for _, _, rate in points]
+
+
+@functools.lru_cache(maxsize=None)
+def batched_outcomes(triple):
+    return [breakdown_outcome(r) for r in outage_breakdowns(*envelope_batch(triple))]
+
+
+class TestBatchedBreakdown:
+    @pytest.mark.parametrize("triple", BATCH_TRIPLES, ids=lambda t: "-".join(map(str, t)))
+    def test_batch_matches_one_point_calls_bit_for_bit(self, triple):
+        configs, rates = envelope_batch(triple)
+        one_point = [one_point_outcome(c, r) for c, r in zip(configs, rates)]
+        assert batched_outcomes(triple) == one_point
+
+    def test_batches_hold_every_kind_of_outcome(self):
+        outcomes = [o for triple in BATCH_TRIPLES for o in batched_outcomes(triple)]
+        refusals = {o.split(":")[0] for o in outcomes if isinstance(o, str)}
+        assert refusals == {"ValueError", "OverflowError", "PrecisionExhaustedError"}
+        assert any(isinstance(o, str) and "cancellation too severe" in o for o in outcomes)
+        # The underflow shortcut: value 1 and four zero sums.
+        underflow = ((1.0).hex(), *[(0.0).hex()] * 4)
+        assert underflow in {o[:5] for o in outcomes if isinstance(o, tuple)}
+
+    @pytest.mark.parametrize(
+        "triple", [(3, 2, 2), (6, 3, 3), (8, 8, 8)], ids=lambda t: "-".join(map(str, t))
+    )
+    def test_a_refused_point_leaves_the_others_unchanged(self, triple):
+        configs, rates = envelope_batch(triple)
+        full = batched_outcomes(triple)
+        kept = [i for i, o in enumerate(full) if isinstance(o, tuple)]
+        assert len(kept) < len(full)
+        alone = outage_breakdowns([configs[i] for i in kept], [rates[i] for i in kept])
+        assert [full[i] for i in kept] == [breakdown_outcome(r) for r in alone]
+
+    def test_refuses_mixed_triples_and_unequal_lengths(self):
+        a, b = SystemConfig(2, 1, 1, 10.0, 1.0), SystemConfig(3, 1, 1, 10.0, 1.0)
+        with pytest.raises(ValueError, match="one antenna triple"):
+            outage_breakdowns([a, b], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one rate per config"):
+            outage_breakdowns([a, a], [1.0])
+        with pytest.raises(ValueError, match="one gamma_b, gamma_e and rate per point"):
+            _kernels.psi_terms(2, 1, 1, [10.0, 5.0], [1.0], [1.0])
+        assert outage_breakdowns([], []) == []
+        assert _kernels.psi_terms(2, 1, 1, [], [], []) == []
 
 
 class TestClosedFormOutage:
@@ -532,12 +624,12 @@ class TestDeterminism:
         assert first == second
 
     def test_cold_plan_matches_warm_plan(self):
-        args = (6, 3, 3, 31.6227766017, 3.16227766017, 1.3)
+        args = (6, 3, 3, [31.6227766017], [3.16227766017], [1.3])
         _kernels._psi_plan.cache_clear()
         cold = _kernels.psi_terms(*args)
         warm = _kernels.psi_terms(*args)
         assert _kernels._psi_plan.cache_info().hits >= 1
-        assert [v.hex() for v in cold] == [v.hex() for v in warm]
+        assert [v.hex() for v in cold[0]] == [v.hex() for v in warm[0]]
 
     def test_plan_arrays_are_read_only(self):
         plan = _kernels._psi_plan(4, 3, 2)

@@ -7,6 +7,7 @@ from tasalamouti import SystemConfig, db_to_linear, outage_quadrature
 from tasalamouti.quadrature import (
     TAIL_MASS,
     _erlang,
+    _erlang_cdf,
     _kronrod_rule,
     _support,
     _top_two_cdf,
@@ -160,6 +161,45 @@ def test_support_matches_inverse_regularized_gamma():
         for scale in (0.05, 1.0, 50.0):
             expected = gammainccinv(shape, TAIL_MASS) * scale
             assert _support(shape, scale) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_support_scales_the_unit_bound_exactly():
+    for shape in range(1, 25):
+        for scale in (1e-3, 0.05, 0.5, 1.0, 3.16227766017, 50.0, 1e4):
+            assert _support(shape, scale) == _support(shape, 1.0) * scale
+
+
+def reference_erlang(x, shape, scale):
+    """The Erlang density and cdf as computed before the series started
+    from t_1 = y: every term from t_0 = 1, for every shape."""
+    y = x / scale
+    term = np.ones_like(y)
+    total = np.ones_like(y)
+    for k in range(1, shape):
+        term = term * y / k
+        total = total + term
+    decay = np.exp(-y)
+    return decay * term / scale, 1.0 - decay * total
+
+
+@pytest.mark.parametrize("shape", range(1, 17))
+def test_erlang_matches_the_untrimmed_series_bit_for_bit(shape):
+    rng = np.random.default_rng(shape)
+    for scale in (1e-3, 0.05, 0.5, 1.0, 3.16227766017, 50.0, 1e4):
+        x_max = _support(shape, scale)
+        xs = np.concatenate(
+            ([0.0, 5e-324, 1e-300], rng.uniform(0.0, 3.0 * x_max, 200), [x_max, 1e300])
+        )
+        grid = xs.reshape(-1, 41)
+        for x in (xs, grid):
+            # At x = 1e300 the terms overflow and inf * 0 is NaN, alike.
+            with np.errstate(over="ignore", invalid="ignore"):
+                density, cdf = _erlang(x, shape, scale)
+                ref_density, ref_cdf = reference_erlang(x, shape, scale)
+                cdf_alone = _erlang_cdf(x, shape, scale)
+            assert density.tobytes() == ref_density.tobytes()
+            assert cdf.tobytes() == ref_cdf.tobytes()
+            assert cdf_alone.tobytes() == ref_cdf.tobytes()
 
 
 class TestGammaBranchDensity:

@@ -1446,9 +1446,9 @@ def _example_rows():
     return run_sweep(replace(spec, evaluators=evaluators))
 
 
-def _validation_text():
+def _validation_text(grid="quick"):
     buffer = io.StringIO()
-    write_validation_csv(validate("quick", n_trials=2000), buffer)
+    write_validation_csv(validate(grid, n_trials=2000), buffer)
     return buffer.getvalue()
 
 
@@ -1466,6 +1466,7 @@ class TestGoldenCsv:
         "fig6": lambda: rows_to_csv_text(run_preset("fig6")),
         "example": lambda: rows_to_csv_text(_example_rows()),
         "validate-quick": _validation_text,
+        "validate-default": lambda: _validation_text("default"),
     }
 
     DIGESTS = {
@@ -1479,6 +1480,9 @@ class TestGoldenCsv:
         # level and the z-score's binomial tail left scipy, and again when
         # the Erlang density and cdf came from one exp.
         "validate-quick": "f9236ac5216cddd8a2776031d0ee7f0d8a8d2395ab15e888011b40453220efd3",
+        # Frozen before a triple's closed-form values came from one
+        # batched psi pass and the quadrature integrand was trimmed.
+        "validate-default": "3b2158824e8eabe9389cfce9c2510c7a04cd4368890c197853e097d08d5d19d2",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
