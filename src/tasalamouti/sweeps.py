@@ -1036,14 +1036,19 @@ def validation_grid(name: str) -> list[dict]:
     return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
-def _validation_key(pt: dict, n_trials: int, seed: int) -> tuple | None:
+def _validation_key(
+    pt: dict, config: SystemConfig | None, n_trials: int, seed: int
+) -> tuple | None:
     """Draw key of a validation point; None (nothing is drawn) when the
-    point's inputs are refused, which ``_validation_row`` then records."""
+    point's system (``config`` None) or inputs are refused, which
+    ``_validation_row`` then records."""
+    if config is None:
+        return None
     try:
-        _checked(_config(pt), Scheme.TAS_ALAMOUTI, "P_out", "monte-carlo", pt["rate_rs"], None)
+        _checked(config, Scheme.TAS_ALAMOUTI, "P_out", "monte-carlo", pt["rate_rs"], None)
     except ValueError:
         return None
-    return (pt["n_alice"], pt["n_bob"], pt["n_eve"], n_trials, seed)
+    return (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
 
 
 def _closed_forms(points: Sequence[dict]) -> list[tuple]:
@@ -1067,16 +1072,6 @@ def _closed_forms(points: Sequence[dict]) -> list[tuple]:
         for index, config, result in zip(members, configs, outage_breakdowns(configs, rates)):
             pairs[index] = (config, result)
     return pairs
-
-
-def _validation_rows(
-    points: list[dict], draws: montecarlo.NormalizedDraws | None
-) -> list[ValidationRow]:
-    """The rows of points that share one draw key, in order."""
-    return [
-        _validation_row(pt, config, closed_form, draws)
-        for pt, (config, closed_form) in zip(points, _closed_forms(points))
-    ]
 
 
 def _validation_row(
@@ -1135,24 +1130,20 @@ def validate(
 
     ``points`` overrides the named grid (used for focused reports).
 
-    Points are evaluated key by key (n_alice, n_bob, n_eve), in the
-    order each key first appears.  A key's draw set is made once and
-    freed before the next key's is drawn, so one set is held at a time.
-    A key's closed-form values come from one ``outage_breakdowns`` call.
-    Rows keep the order of the points.
+    The closed-form values come first, from one ``outage_breakdowns``
+    call per antenna triple.  The rows are then one ``_by_draw_key``
+    plan: a draw key's set is made once and freed before the next key's
+    is drawn, so one set is held at a time.  Rows keep the order of the
+    points.
     """
     grid_points = points if points is not None else validation_grid(grid)
-    by_key: dict[tuple | None, list[int]] = {}
-    for index, pt in enumerate(grid_points):
-        by_key.setdefault(_validation_key(pt, n_trials, seed), []).append(index)
-    made = _by_draw_key(
-        (key, functools.partial(_validation_rows, [grid_points[i] for i in members]))
-        for key, members in by_key.items()
+    rows = _by_draw_key(
+        (
+            _validation_key(pt, config, n_trials, seed),
+            functools.partial(_validation_row, pt, config, closed_form),
+        )
+        for pt, (config, closed_form) in zip(grid_points, _closed_forms(grid_points))
     )
-    rows: list = [None] * len(grid_points)
-    for members, key_rows in zip(by_key.values(), made):
-        for index, row in zip(members, key_rows):
-            rows[index] = row
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)
