@@ -1,11 +1,13 @@
 """Hot numerical kernels: antenna selection and the closed-form nested sums.
 
 Two kernels live here: the per-trial antenna-selection reduction used by
-the Monte Carlo estimators, and the nested alternating sums behind the
-closed-form outage expression, together with the power-expansion
-coefficients their plan is built from.  Each has exactly one
-implementation, so identical inputs give bit-identical outputs on every
-run.
+the Monte Carlo estimators (the values of the legitimate link's two
+largest column norms, by running maxima; Eve's norms are drawn apart,
+since the selection never reads them), and the nested alternating sums
+behind the closed-form outage expression, together with the
+power-expansion coefficients their plan is built from.  Each has
+exactly one implementation, so identical inputs give bit-identical
+outputs on every run.
 """
 
 from __future__ import annotations
@@ -30,33 +32,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def snr_components(bob_norms: np.ndarray, eve_norms: np.ndarray):
-    """Per-trial selection statistics from squared column norms.
-
-    Ties break toward the lowest antenna index.
-
-    Parameters
-    ----------
-    bob_norms, eve_norms : float64 ndarray, shape (n_trials, n_alice)
-        Squared column norms of the legitimate and eavesdropper links;
-        n_alice >= 2.
-
-    Returns
-    -------
-    (top2, top1, eve_pair, eve_first)
-        Sum of the two largest legitimate norms, the largest one, and
-        the eavesdropper norms gathered at the same antenna indices.
-    """
-    rows = np.arange(bob_norms.shape[0])
-    first = np.argmax(bob_norms, axis=1)
-    top1 = bob_norms[rows, first]
-    masked = bob_norms.copy()
-    masked[rows, first] = -np.inf
-    second = np.argmax(masked, axis=1)
-    top2 = top1 + bob_norms[rows, second]
-    eve_first = eve_norms[rows, first]
-    eve_pair = eve_first + eve_norms[rows, second]
-    return top2, top1, eve_pair, eve_first
+def snr_components(bob_norms: np.ndarray):
+    """(top2, top1) of each column of (n_alice, n_trials) squared norms:
+    the sum of its two largest entries and its largest, by a running top
+    two over the contiguous rows.  With one row, top2 equals top1."""
+    top1 = bob_norms[0].copy()
+    second = np.zeros_like(top1)  # every norm is >= 0
+    low = np.empty_like(top1)
+    for row in bob_norms[1:]:
+        np.minimum(top1, row, out=low)
+        np.maximum(second, low, out=second)
+        np.maximum(top1, row, out=top1)
+    return top1 + second, top1
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,10 @@ def outage_breakdowns(
     The points that reach the nested sums share one ``psi_terms`` pass.
     Each entry is the point's breakdown, or the error that
     ``outage_breakdown`` raises at that point alone; a refused point
-    leaves the others unchanged.  Raises ``ValueError`` when the
-    configs do not share one antenna triple or the sequences differ in
-    length.
+    leaves the others unchanged.  A point whose sums overflow is refused
+    with ``PrecisionExhaustedError``, whether the kernel raised or
+    returned a non-finite sum.  Raises ``ValueError`` when the configs
+    do not share one antenna triple or the sequences differ in length.
     """
     if len(configs) != len(rates):
         raise ValueError(
@@ -147,10 +148,16 @@ def outage_breakdowns(
         (triple,) = triples
         points = [(config.gamma_bar_b, config.gamma_bar_e, rate) for _, config, rate in pending]
         for (index, config, rate), sums in zip(pending, _psi_sums(triple, points)):
-            if not isinstance(sums, Exception):
+            if isinstance(sums, ArithmeticError):
+                sums = _overflowed(config, rate)
+            elif not isinstance(sums, Exception):
                 sums = _assembled(config, rate, sums)
             results[index] = sums
     return results
+
+
+def _overflowed(config: SystemConfig, rate: float) -> PrecisionExhaustedError:
+    return PrecisionExhaustedError(f"nested sums overflowed for {config} at rate {rate}")
 
 
 def _psi_sums(triple: tuple[int, int, int], points: list[tuple[float, float, float]]) -> list:
@@ -179,9 +186,7 @@ def _assembled(
     """The breakdown of one point from its nested sums, or its refusal."""
     p1, p2, p3, p4, mag = sums
     if not all(map(math.isfinite, sums)):
-        return PrecisionExhaustedError(
-            f"nested sums overflowed for {config} at rate {rate}"
-        )
+        return _overflowed(config, rate)
     prefactor = _prefactor(config)
     bracket = (p1 - p2) + (p3 - p4)
     raw = 1.0 - prefactor * bracket

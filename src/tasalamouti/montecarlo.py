@@ -10,8 +10,18 @@ Under Rayleigh fading the squared norm of a transmit antenna's channel
 column is Gamma(n_bob, 1) towards the receiver and Gamma(n_eve, 1)
 towards the eavesdropper, so each norm is one ``standard_gamma``
 variate (Marsaglia & Tsang, ACM TOMS 26(3), 2000), not a sum of
-2*n_bob or 2*n_eve squared Gaussians.  A block's working set is these
-two (block, n_alice) arrays of norms.
+2*n_bob or 2*n_eve squared Gaussians.  Only what the selection reads is
+drawn.  Alice selects her antennas from the receiver's feedback alone
+and has no eavesdropper CSI, and the eavesdropper's channel is
+independent of the receiver's, so the eavesdropper norms at the
+selected antennas are iid Gamma(n_eve, 1) whatever the selection: each
+trial draws min(n_alice, 2) of them, not n_alice.  The analytic routes
+rest on the same fact (Gamma(2 n_eve) for the pair).  The check that
+the fact holds stays independent: the tests compare these draws in
+distribution with full channel matrices selected by index.  A block's
+working set is an (n_alice, block) array of receiver norms, reduced to
+its top two values by running maxima, and a (min(n_alice, 2), block)
+array of eavesdropper norms.
 
 The per-trial channel statistics are normalized (unit average branch
 SNR), so one draw set, fixed by (n_alice, n_bob, n_eve, trials, seed),
@@ -44,7 +54,6 @@ __all__ = [
     "count_outage",
     "draw_components",
     "outage_events",
-    "snr_pairs",
 ]
 
 BLOCK_SIZE = 65536
@@ -72,14 +81,16 @@ class EstimatorResult:
 
 @dataclass(frozen=True)
 class NormalizedDraws:
-    """Per-trial selection statistics at unit average branch SNR.
+    """Per-trial (receiver, eavesdropper) SNRs of each scheme at unit
+    average branch SNR.
 
-    ``top2``/``top1`` are the sum of the two largest and the single
-    largest squared column norms of the legitimate link; ``eve_pair``
-    and ``eve_first`` are the eavesdropper norms gathered at the same
-    antenna indices.  ``top2``/``eve_pair`` are None when n_alice == 1
-    (only the single-antenna scheme is defined there).  Every array is
-    made read-only, since one set serves many estimates.
+    ``pairs[Scheme.SINGLE_TAS]`` is (top1, eve_first): the largest
+    squared column norm of the legitimate link and one eavesdropper
+    norm.  ``pairs[Scheme.TAS_ALAMOUTI]`` is (top2 / 2, eve_pair / 2):
+    the sum of the two largest legitimate norms and of two eavesdropper
+    norms, the first of them ``eve_first``, each halved by the
+    Alamouti code's power split; it is absent when n_alice == 1.  Every
+    array is made read-only, since one set serves many estimates.
     """
 
     n_alice: int
@@ -87,21 +98,18 @@ class NormalizedDraws:
     n_eve: int
     n_trials: int
     seed: int
-    top2: np.ndarray | None
-    top1: np.ndarray
-    eve_pair: np.ndarray | None
-    eve_first: np.ndarray
+    pairs: dict[Scheme, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
-        for array in (self.top2, self.top1, self.eve_pair, self.eve_first):
-            if array is not None:
+        for pair in self.pairs.values():
+            for array in pair:
                 array.setflags(write=False)
 
 
 def draw_components(
     n_alice: int, n_bob: int, n_eve: int, n_trials: int, seed: int
 ) -> NormalizedDraws:
-    """Sample the scheme-independent per-trial channel statistics.
+    """Sample each scheme's normalized per-trial SNR pair.
 
     Parameters
     ----------
@@ -123,32 +131,23 @@ def draw_components(
     checked_count("n_trials", n_trials, 1)
     checked_count("seed", seed, 0)
 
-    top1 = np.empty(n_trials)
-    eve_first = np.empty(n_trials)
+    single = (np.empty(n_trials), np.empty(n_trials))
+    pairs = {Scheme.SINGLE_TAS: single}
     if n_alice >= 2:
-        top2 = np.empty(n_trials)
-        eve_pair = np.empty(n_trials)
-    else:
-        top2 = None
-        eve_pair = None
-
+        alamouti = pairs[Scheme.TAS_ALAMOUTI] = (np.empty(n_trials), np.empty(n_trials))
     for block, start in enumerate(range(0, n_trials, BLOCK_SIZE)):
         count = min(BLOCK_SIZE, n_trials - start)
+        span = slice(start, start + count)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
         # A column of n unit-power complex Gaussian entries has a squared
         # norm that is Gamma(n, 1); each is drawn as one variate.
-        bob_norms = rng.standard_gamma(n_bob, (count, n_alice))
-        eve_norms = rng.standard_gamma(n_eve, (count, n_alice))
-        stop = start + count
+        top2, top1 = _kernels.snr_components(rng.standard_gamma(n_bob, (n_alice, count)))
+        eve = rng.standard_gamma(n_eve, (min(n_alice, 2), count))
+        single[0][span] = top1
+        single[1][span] = eve[0]
         if n_alice >= 2:
-            b2, b1, e2, e1 = _kernels.snr_components(bob_norms, eve_norms)
-            top2[start:stop] = b2
-            top1[start:stop] = b1
-            eve_pair[start:stop] = e2
-            eve_first[start:stop] = e1
-        else:
-            top1[start:stop] = bob_norms[:, 0]
-            eve_first[start:stop] = eve_norms[:, 0]
+            np.multiply(top2, 0.5, out=alamouti[0][span])
+            np.multiply(eve[0] + eve[1], 0.5, out=alamouti[1][span])
 
     return NormalizedDraws(
         n_alice=n_alice,
@@ -156,32 +155,8 @@ def draw_components(
         n_eve=n_eve,
         n_trials=n_trials,
         seed=seed,
-        top2=top2,
-        top1=top1,
-        eve_pair=eve_pair,
-        eve_first=eve_first,
+        pairs=pairs,
     )
-
-
-def snr_pairs(
-    draws: NormalizedDraws,
-    scheme: Scheme,
-    gamma_bar_b: float,
-    gamma_bar_e: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scale normalized draws to instantaneous SNR pairs for a scheme."""
-    if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
-        raise ValueError("average SNRs must be finite and > 0")
-    if scheme is Scheme.TAS_ALAMOUTI:
-        if draws.top2 is None:
-            raise ValueError(
-                "the Alamouti selection scheme needs n_alice >= 2, "
-                f"draws have n_alice={draws.n_alice}"
-            )
-        return draws.top2 * (gamma_bar_b / 2.0), draws.eve_pair * (gamma_bar_e / 2.0)
-    if scheme is Scheme.SINGLE_TAS:
-        return draws.top1 * gamma_bar_b, draws.eve_first * gamma_bar_e
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def outage_events(
@@ -193,15 +168,34 @@ def outage_events(
 ) -> np.ndarray:
     """Boolean per-trial secrecy outage indicators.
 
-    At ``rate == 0`` the event is gamma_b <= gamma_e (capacity not
-    strictly positive), the exact complement of the non-zero-secrecy
-    event; for positive rates it is secrecy capacity below ``rate``.
+    With the scheme's normalized pair (X, Y), the event at ``rate == 0``
+    is gamma_bar_b X <= gamma_bar_e Y (capacity not strictly positive),
+    the exact complement of the non-zero-secrecy event; at a positive
+    rate it is secrecy capacity below ``rate``, tested without a divide
+    or a logarithm as gamma_bar_b X < 2^rate (1 + gamma_bar_e Y) - 1.
+    A product that overflows becomes +inf, without an error or a
+    warning, so every finite rate is answered; a threshold beyond the
+    float range puts the trial in outage.
     """
     rate = checked_rate(rate)
-    gamma_b, gamma_e = snr_pairs(draws, scheme, gamma_bar_b, gamma_bar_e)
-    if rate == 0.0:
-        return gamma_b <= gamma_e
-    return np.log2((1.0 + gamma_b) / (1.0 + gamma_e)) < rate
+    if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
+        raise ValueError("average SNRs must be finite and > 0")
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in draws.pairs:
+        raise ValueError(
+            "the Alamouti selection scheme needs n_alice >= 2, "
+            f"draws have n_alice={draws.n_alice}"
+        )
+    bob, eve = draws.pairs[scheme]
+    with np.errstate(over="ignore"):
+        threshold = eve * gamma_bar_e
+        if rate > 0.0:
+            threshold += 1.0
+            threshold *= np.exp2(rate)
+            threshold -= 1.0
+            return bob * gamma_bar_b < threshold
+        return bob * gamma_bar_b <= threshold
 
 
 def _bernoulli_result(n_events: int, n_trials: int) -> EstimatorResult:

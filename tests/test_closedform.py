@@ -338,7 +338,9 @@ class TestBatchedBreakdown:
     def test_batches_hold_every_kind_of_outcome(self):
         outcomes = [o for triple in BATCH_TRIPLES for o in batched_outcomes(triple)]
         refusals = {o.split(":")[0] for o in outcomes if isinstance(o, str)}
-        assert refusals == {"ValueError", "OverflowError", "PrecisionExhaustedError"}
+        # An overflow inside the kernel is refused like a non-finite sum.
+        assert refusals == {"ValueError", "PrecisionExhaustedError"}
+        assert any(isinstance(o, str) and "nested sums overflowed" in o for o in outcomes)
         assert any(isinstance(o, str) and "cancellation too severe" in o for o in outcomes)
         # The underflow shortcut: value 1 and four zero sums.
         underflow = ((1.0).hex(), *[(0.0).hex()] * 4)

@@ -155,10 +155,11 @@ def test_cases_take_the_named_path(case):
 
 
 def test_a_zero_probe_keeps_the_sign_change(monkeypatch):
-    # At 500 trials and seed 3, bisection probes of this case have a
-    # paired difference of exactly 0.  Such a probe used to become lo with
-    # the low side then read as negative, and the search ended between
-    # two probes of one sign: 0 at 8.887 dB and +1 at 8.896 dB.
+    # At 500 trials and seed 19, bisection probes of this case below the
+    # root (10.3125 and 10.390625 dB) have a paired difference of exactly
+    # 0.  Such a probe used to become lo with the low side then read as
+    # negative, and the search ended between two probes of one sign: -6
+    # at 10.615 dB and -6 at 10.625 dB.
     counts = {}
     original = montecarlo.outage_events
 
@@ -170,7 +171,7 @@ def test_a_zero_probe_keeps_the_sign_change(monkeypatch):
     monkeypatch.setattr(montecarlo, "outage_events", spy)
     pair = (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
     config = SystemConfig(3, 3, 2, 1.0, db_to_linear(5.0))
-    result = find_crossover(config, *pair, "P_out", (5.0, 15.0), 500, 3, rate=1.0)
+    result = find_crossover(config, *pair, "P_out", (5.0, 15.0), 500, 19, rate=1.0)
     diff = {gb: counts[pair[0], gb] - counts[pair[1], gb] for _, gb in counts}
     root = db_to_linear(result.gamma_db)
     assert any(d == 0 for gb, d in diff.items() if gb < root)

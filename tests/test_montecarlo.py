@@ -17,13 +17,24 @@ from tasalamouti.montecarlo import (
     count_outage,
     draw_components,
     outage_events,
-    snr_pairs,
 )
 from tasalamouti._kernels import snr_components
 from tasalamouti.sweeps import _EVALUATE
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
 MC = "monte-carlo"
+ALA, SINGLE = Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS
+
+
+def scaled_snr_outage(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
+    """The oracle for ``outage_events``: the scheme's pair scaled to
+    instantaneous SNRs, and the secrecy capacity's log2 of their ratio
+    against the rate (``<=`` of the SNRs at rate 0)."""
+    bob, eve = draws.pairs[scheme]
+    gamma_b, gamma_e = bob * gamma_bar_b, eve * gamma_bar_e
+    if rate == 0.0:
+        return gamma_b <= gamma_e
+    return np.log2((1.0 + gamma_b) / (1.0 + gamma_e)) < rate
 
 
 def count_nonzero_secrecy(draws, config, scheme):
@@ -35,38 +46,43 @@ def count_nonzero_secrecy(draws, config, scheme):
 class TestDrawComponents:
     def test_shapes(self):
         draws = draw_components(3, 2, 2, 1000, seed=0)
-        assert draws.top2.shape == (1000,)
-        assert draws.top1.shape == (1000,)
-        assert draws.eve_pair.shape == (1000,)
-        assert draws.eve_first.shape == (1000,)
+        assert set(draws.pairs) == {ALA, SINGLE}
+        for pair in draws.pairs.values():
+            assert [a.shape for a in pair] == [(1000,), (1000,)]
         assert draws.n_trials == 1000
 
     def test_single_antenna_has_no_pair_components(self):
         draws = draw_components(1, 2, 1, 100, seed=0)
-        assert draws.top2 is None and draws.eve_pair is None
-        assert draws.top1.shape == (100,)
+        assert set(draws.pairs) == {SINGLE}
+        assert draws.pairs[SINGLE][0].shape == (100,)
 
     def test_deterministic_in_seed(self):
         a = draw_components(2, 2, 1, 500, seed=42)
         b = draw_components(2, 2, 1, 500, seed=42)
-        assert np.array_equal(a.top2, b.top2)
-        assert np.array_equal(a.eve_first, b.eve_first)
+        for scheme in (ALA, SINGLE):
+            for got, again in zip(a.pairs[scheme], b.pairs[scheme]):
+                assert np.array_equal(got, again)
         c = draw_components(2, 2, 1, 500, seed=43)
-        assert not np.array_equal(a.top2, c.top2)
+        assert not np.array_equal(a.pairs[ALA][0], c.pairs[ALA][0])
 
     def test_block_boundary_is_prefix_stable(self):
         # Per-block seeding: the first trials do not depend on how many
         # more are requested.
         short = draw_components(2, 1, 1, BLOCK_SIZE, seed=7)
         longer = draw_components(2, 1, 1, BLOCK_SIZE + 123, seed=7)
-        assert np.array_equal(short.top1, longer.top1[:BLOCK_SIZE])
+        for scheme in (ALA, SINGLE):
+            for got, extended in zip(short.pairs[scheme], longer.pairs[scheme]):
+                assert np.array_equal(got, extended[:BLOCK_SIZE])
 
     def test_ordering_invariants(self):
         draws = draw_components(4, 2, 3, 2000, seed=1)
+        (half_top2, half_eve_pair), (top1, eve_first) = draws.pairs[ALA], draws.pairs[SINGLE]
         # The best single antenna is part of the best pair.
-        assert np.all(draws.top2 >= draws.top1)
-        assert np.all(draws.top1 >= draws.top2 / 2.0)
-        assert np.all(draws.top2 > 0)
+        assert np.all(2.0 * half_top2 >= top1)
+        assert np.all(top1 >= half_top2)
+        assert np.all(half_top2 > 0)
+        # The pair's first eavesdropper norm is the single scheme's.
+        assert np.all(2.0 * half_eve_pair > eve_first)
 
     @pytest.mark.parametrize(
         "bad",
@@ -90,8 +106,7 @@ class TestDrawComponents:
     def test_arrays_are_read_only(self, n_alice):
         # One set serves many rows; none of them may change it.
         draws = draw_components(n_alice, 2, 2, 100, seed=0)
-        arrays = [draws.top2, draws.top1, draws.eve_pair, draws.eve_first]
-        for array in (a for a in arrays if a is not None):
+        for array in (a for pair in draws.pairs.values() for a in pair):
             with pytest.raises(ValueError):
                 array[0] = 0.0
             with pytest.raises(ValueError):
@@ -101,48 +116,78 @@ class TestDrawComponents:
         # Each squared norm is Gamma(n_bob, 1): mean of the single best
         # of one candidate equals n_bob.
         draws = draw_components(1, 3, 1, 200_000, seed=3)
-        assert draws.top1.mean() == pytest.approx(3.0, rel=0.01)
+        assert draws.pairs[SINGLE][0].mean() == pytest.approx(3.0, rel=0.01)
+
+    def test_eavesdropper_norms_are_gamma(self):
+        # Eve's norms at the selected antennas are iid Gamma(n_eve, 1)
+        # whatever the selection: the pair sum has mean and variance 2 n_eve.
+        draws = draw_components(6, 3, 2, 200_000, seed=5)
+        eve_pair = 2.0 * draws.pairs[ALA][1]
+        assert eve_pair.mean() == pytest.approx(4.0, rel=0.01)
+        assert eve_pair.var() == pytest.approx(4.0, rel=0.02)
 
 
-class TestSnrPairs:
-    def test_alamouti_scaling(self):
-        draws = draw_components(3, 2, 2, 100, seed=0)
-        gb, ge = snr_pairs(draws, Scheme.TAS_ALAMOUTI, 10.0, 2.0)
-        assert np.allclose(gb, draws.top2 * 5.0)
-        assert np.allclose(ge, draws.eve_pair * 1.0)
-
-    def test_single_scaling(self):
-        draws = draw_components(3, 2, 2, 100, seed=0)
-        gb, ge = snr_pairs(draws, Scheme.SINGLE_TAS, 10.0, 2.0)
-        assert np.allclose(gb, draws.top1 * 10.0)
-        assert np.allclose(ge, draws.eve_first * 2.0)
-
-    def test_alamouti_requires_two_antennas(self):
-        draws = draw_components(1, 2, 2, 10, seed=0)
-        with pytest.raises(ValueError):
-            snr_pairs(draws, Scheme.TAS_ALAMOUTI, 1.0, 1.0)
-
+class TestOutageEvents:
     @pytest.mark.parametrize("snrs", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
     def test_snrs_must_be_finite_and_positive(self, snrs):
         # A NaN SNR used to count no outage event at all.
         draws = draw_components(3, 2, 2, 10, seed=0)
         with pytest.raises(ValueError, match="finite and > 0"):
-            outage_events(draws, Scheme.TAS_ALAMOUTI, *snrs, 1.0)
+            outage_events(draws, ALA, *snrs, 1.0)
 
+    def test_alamouti_refused_on_a_one_antenna_set(self):
+        draws = draw_components(1, 2, 2, 10, seed=0)
+        message = "the Alamouti selection scheme needs n_alice >= 2, draws have n_alice=1"
+        with pytest.raises(ValueError, match=message):
+            outage_events(draws, ALA, 1.0, 1.0, 1.0)
+        assert outage_events(draws, SINGLE, 1.0, 1.0, 1.0).shape == (10,)
 
-class TestOutageEvents:
+    def test_unknown_scheme(self):
+        draws = draw_components(3, 2, 2, 10, seed=0)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            outage_events(draws, "tas_alamouti", 1.0, 1.0, 1.0)
+
     def test_zero_rate_is_snr_ordering(self):
         draws = draw_components(2, 2, 2, 5000, seed=2)
-        events = outage_events(draws, Scheme.TAS_ALAMOUTI, 3.0, 3.0, 0.0)
-        gb, ge = snr_pairs(draws, Scheme.TAS_ALAMOUTI, 3.0, 3.0)
-        assert np.array_equal(events, gb <= ge)
+        events = outage_events(draws, ALA, 3.0, 3.0, 0.0)
+        bob, eve = draws.pairs[ALA]
+        assert np.array_equal(events, bob * 3.0 <= eve * 3.0)
 
     def test_positive_rate_threshold(self):
         draws = draw_components(2, 1, 1, 5000, seed=2)
-        events = outage_events(draws, Scheme.TAS_ALAMOUTI, 5.0, 1.0, 1.0)
-        gb, ge = snr_pairs(draws, Scheme.TAS_ALAMOUTI, 5.0, 1.0)
-        expected = secrecy_capacity(gb, ge) < 1.0
+        events = outage_events(draws, ALA, 5.0, 1.0, 1.0)
+        bob, eve = draws.pairs[ALA]
+        expected = secrecy_capacity(bob * 5.0, eve * 1.0) < 1.0
         assert np.array_equal(events, expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counts_match_the_scaled_snr_oracle(self, seed):
+        # The division-free predicate against the log2 one it replaced,
+        # trial by trial, on one set, over gamma_bar_b / gamma_bar_e from
+        # -10 to 30 dB: no tie flips on these sets.
+        draws = draw_components(4, 3, 2, 20_000, seed=seed)
+        for scheme in (ALA, SINGLE):
+            for rate in (0.0, 0.5, 1.0, 2.0, 3.3):
+                for ratio_db in range(-10, 31, 4):
+                    gamma_bar_b = 10.0 ** (ratio_db / 10.0) * 2.0
+                    got = outage_events(draws, scheme, gamma_bar_b, 2.0, rate)
+                    expected = scaled_snr_outage(draws, scheme, gamma_bar_b, 2.0, rate)
+                    assert np.array_equal(got, expected), (scheme, rate, ratio_db)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "gamma_bar_b, gamma_bar_e, rate",
+        [(10.0, 1.0, 1e4), (1e300, 1e300, 1023.5), (1.0, 1e308, 1e4), (1e308, 1.0, 5.0)],
+    )
+    def test_huge_rates_and_snrs_raise_nothing(self, gamma_bar_b, gamma_bar_e, rate):
+        # 2^rate and the products overflow to +inf silently; at rate 1e4
+        # every trial is in outage.
+        draws = draw_components(3, 2, 2, 1000, seed=0)
+        for scheme in (ALA, SINGLE):
+            events = outage_events(draws, scheme, gamma_bar_b, gamma_bar_e, rate)
+            assert events.shape == (1000,)
+            if rate == 1e4:
+                assert events.all()
 
     def test_monotone_in_rate(self):
         draws = draw_components(3, 2, 1, 5000, seed=4)
@@ -256,15 +301,15 @@ class TestAgainstChannelReference:
 
     @staticmethod
     def reference_components(config, n_trials, seed):
-        # At unit average SNRs the scheme's SNR pair is (top2, eve_pair) / 2
-        # for TAS-Alamouti and (top1, eve_first) for single TAS.
+        # At unit average SNRs each scheme's SNR pair is its normalized
+        # pair; the eavesdropper's norms are read at the selected indices.
         rng = np.random.default_rng(seed)
         rows = []
         for _ in range(n_trials):
             channel = draw_channel(config, rng)
-            pair = snr_sample(config, Scheme.TAS_ALAMOUTI, channel)
-            single = snr_sample(config, Scheme.SINGLE_TAS, channel)
-            rows.append((2.0 * pair.gamma_b, single.gamma_b, 2.0 * pair.gamma_e, single.gamma_e))
+            pair = snr_sample(config, ALA, channel)
+            single = snr_sample(config, SINGLE, channel)
+            rows.append((pair.gamma_b, pair.gamma_e, single.gamma_b, single.gamma_e))
         return np.array(rows).T
 
     @pytest.mark.parametrize("antennas", [(2, 1, 1), (2, 3, 2), (4, 3, 2), (5, 1, 3)])
@@ -272,8 +317,8 @@ class TestAgainstChannelReference:
         config = SystemConfig(*antennas, 1.0, 1.0)
         draws = draw_components(*antennas, self.N_DRAWS, seed=17)
         reference = self.reference_components(config, self.N_REFERENCE, seed=18)
-        drawn = (draws.top2, draws.top1, draws.eve_pair, draws.eve_first)
-        names = ("top2", "top1", "eve_pair", "eve_first")
+        drawn = (*draws.pairs[ALA], *draws.pairs[SINGLE])
+        names = ("top2 / 2", "eve_pair / 2", "top1", "eve_first")
         p_values = {
             name: ks_2samp(got, expected).pvalue
             for name, got, expected in zip(names, drawn, reference, strict=True)
@@ -282,9 +327,9 @@ class TestAgainstChannelReference:
 
 
 def test_one_block_peak_memory_is_bounded():
-    # One (8,8,8) block's norms are two (65536, 8) float64 arrays, 8.4 MB;
-    # the bound leaves room for the selection's temporaries, not for
-    # (65536, n_rx, 8) Gaussian entries.
+    # One (8,8,8) block's norms are an (8, 65536) and a (2, 65536) float64
+    # array, 5.2 MB; the bound leaves room for the selection's temporaries,
+    # not for (65536, n_rx, 8) Gaussian entries.
     tracemalloc.start()
     try:
         draw_components(8, 8, 8, BLOCK_SIZE, 0)
@@ -295,27 +340,19 @@ def test_one_block_peak_memory_is_bounded():
 
 
 class TestSnrComponents:
-    def test_ties_select_lowest_columns(self):
-        # With all-equal norms the pair is columns (0, 1).
-        rng = np.random.default_rng(13)
-        bob = np.repeat(rng.gamma(2.0, 1.0, size=(200, 1)), 4, axis=1)
-        eve = rng.gamma(2.0, 1.0, size=(200, 4))
-        top2, top1, eve_pair, eve_first = snr_components(bob, eve)
-        assert np.allclose(top2, 2.0 * bob[:, 0])
-        assert np.array_equal(top1, bob[:, 0])
-        assert np.array_equal(eve_pair, eve[:, 0] + eve[:, 1])
-        assert np.array_equal(eve_first, eve[:, 0])
-
     def test_matches_per_trial_selection(self):
-        # The vectorized reduction against the scalar selection of the
-        # physical model, one trial at a time.
+        # The running top two against the scalar selection of the physical
+        # model, one trial at a time; small integer norms make many ties,
+        # which give the same values whichever tied antenna is chosen.
         rng = np.random.default_rng(12)
-        bob = rng.gamma(2.0, 1.0, size=(500, 5))
-        eve = rng.gamma(2.0, 1.0, size=(500, 5))
-        top2, top1, eve_pair, eve_first = snr_components(bob, eve)
-        for tr in range(bob.shape[0]):
-            first, second = select_antennas(bob[tr], 2).indices
-            assert top1[tr] == bob[tr, first]
-            assert top2[tr] == bob[tr, first] + bob[tr, second]
-            assert eve_first[tr] == eve[tr, first]
-            assert eve_pair[tr] == eve[tr, first] + eve[tr, second]
+        bob = rng.integers(0, 4, size=(5, 500)).astype(float)
+        top2, top1 = snr_components(bob)
+        for tr in range(bob.shape[1]):
+            first, second = select_antennas(bob[:, tr], 2).indices
+            assert top1[tr] == bob[first, tr]
+            assert top2[tr] == bob[first, tr] + bob[second, tr]
+
+    def test_one_antenna(self):
+        bob = np.random.default_rng(3).gamma(2.0, 1.0, size=(1, 50))
+        top2, top1 = snr_components(bob)
+        assert np.array_equal(top1, bob[0]) and np.array_equal(top2, bob[0])

@@ -696,7 +696,7 @@ class TestCrossover:
             config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
             (5.0, 15.0), 5000, 0, rate=1.0,
         )
-        assert (result.gamma_db, result.half_width_db) == (9.7509765625, 10.0)
+        assert (result.gamma_db, result.half_width_db) == (9.9365234375, 10.0)
         assert len(counted) == 74
         assert len(set(counted)) == len(counted)
 
@@ -709,7 +709,7 @@ class TestCrossover:
             (-30.0, 60.0), 50_000, 3, rate=2.0,
         )
         assert result.found
-        assert (result.gamma_db, result.half_width_db) == (11.87164306640625, 0.4)
+        assert (result.gamma_db, result.half_width_db) == (11.92108154296875, 0.2)
 
 
 def db_to_linear_5db() -> float:
@@ -769,6 +769,20 @@ class TestValidate:
         report = validate(points=[good, dict(good, gamma_bar_b_db=4000.0)], n_trials=1000)
         assert report.rows[0].error == ""
         assert "overflows" in report.rows[1].error
+        assert report.error_points == 1 and not report.passed
+
+    def test_overflowing_nested_sums_are_an_error_row(self):
+        # The closed form's kernel overflows at gamma_bar_b = -1550 dB; the
+        # point used to end the whole report with an OverflowError.
+        good = dict(n_alice=3, n_bob=2, n_eve=2, gamma_bar_b_db=10.0,
+                    gamma_bar_e_db=0.0, rate_rs=0.0)
+        points = [good, dict(good, gamma_bar_b_db=-1550.0), dict(good, rate_rs=1.0)]
+        report = validate(points=points, n_trials=1000)
+        assert report.rows[1].error.startswith("nested sums overflowed for SystemConfig(")
+        assert report.rows[1].closed_form is None and report.rows[1].mc_estimate is None
+        for index in (0, 2):
+            alone = validate(points=[points[index]], n_trials=1000).rows[0]
+            assert report.rows[index] == alone and alone.error == ""
         assert report.error_points == 1 and not report.passed
 
     def test_refused_antenna_count_is_an_error_row(self, draw_spy):
@@ -1116,6 +1130,24 @@ class TestCli:
         assert code == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_eval_overflowing_nested_sums_map_to_exit_3(self, capsys):
+        # gamma_bar_e / gamma_bar_b = 1e155 overflows rho**u inside the
+        # kernel; that used to end the run with an OverflowError traceback.
+        code = cli.main(
+            [
+                "eval",
+                "--metric", "pout",
+                "--evaluator", "cf",
+                "--n-alice", "3",
+                "--n-bob", "2",
+                "--n-eve", "2",
+                "--gamma-b-db", "-1550",
+                "--rate", "0",
+            ]
+        )
+        assert code == cli.EXIT_NUMERICAL
+        assert "nested sums overflowed" in capsys.readouterr().err
+
     def test_sweep_to_stdout(self, tmp_path, capsys):
         spec_path = tmp_path / "s.yaml"
         spec_path.write_text(TestLoadSweepSpec.GOOD)
@@ -1456,7 +1488,8 @@ class TestGoldenCsv:
     """SHA-256 of whole CSV outputs, frozen before the evaluator table and
     the preset table replaced their hand-written forms.  Every digest but
     fig6's (closed form only) was re-frozen when the column norms became
-    Gamma variates."""
+    Gamma variates, and again when the draws kept only what the selection
+    reads (Bob's top two values, two eavesdropper norms per trial)."""
 
     CASES = {
         "fig2": lambda: rows_to_csv_text(run_preset("fig2", trials=2000, seed=1)),
@@ -1470,19 +1503,20 @@ class TestGoldenCsv:
     }
 
     DIGESTS = {
-        "fig2": "a253dab527f136747a75f5fcb6861378290735f1a4671220ee3884f19ac53926",
-        "fig3": "809f9af7120ee6b877750403e5820161ba3a350037493d1cb2b40b14102d3892",
-        "fig4": "cab76028dd4af3fd577f9d4a9bf7b0dff1a04f3904cc0bc0345679fe7de15e1d",
-        "fig5": "08758dd9b956e5d7b4f9b7ad7c12dae3726ee2db6dcf8d9952160b80aaf3b1fb",
+        "fig2": "28a373a563d55906d5bf2306374c8b931d35ed1b9924882295dfa65f42012baa",
+        "fig3": "abdba0eb7c6d1a6024463e00c3b742b12adee9286b7bb154b7a24a1ebbeecd55",
+        "fig4": "19cb8a3820dc5ed8cf88a4fd10ef830e854c396f8f589ea443156fe28cd99691",
+        "fig5": "d20242631302367d93a6b5d1e086a73efd7bd623296092d504a7e075df11c9d0",
         "fig6": "4d291ebf4eb20f7d121192a498aed231dd940ad28596dba86e7f40fb1f773f30",
-        "example": "c8e016685121efacbf4697baeea95139273afa734022aae9cf29531b85db1843",
+        "example": "cdb8027eeb08d2627f6ff5e4e227bd6daf155d66f7d1354df4a09742ad925897",
         # Re-frozen when the quadrature became one Gauss-Kronrod pass per
         # level and the z-score's binomial tail left scipy, and again when
         # the Erlang density and cdf came from one exp.
-        "validate-quick": "f9236ac5216cddd8a2776031d0ee7f0d8a8d2395ab15e888011b40453220efd3",
-        # Frozen before a triple's closed-form values came from one
-        # batched psi pass and the quadrature integrand was trimmed.
-        "validate-default": "3b2158824e8eabe9389cfce9c2510c7a04cd4368890c197853e097d08d5d19d2",
+        "validate-quick": "821a7c49ccb674f9737511d4d6b44fc9f65d28099722c42f4746e8e64a1408f1",
+        # Its closed-form and quadrature cells were frozen before a
+        # triple's closed-form values came from one batched psi pass and
+        # the quadrature integrand was trimmed.
+        "validate-default": "85d3f677b43bc159079b856949afc7b75e9314d8f0d7597ba77aa96472380581",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
