@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import io
 import math
 
@@ -199,6 +200,9 @@ PSI_GOLDEN = [
     (8, 8, 8, 0.1, 31.622776601683793, 0.0, ("0x1.0dabe546959ddp-6", "-0x1.e9b9965109cbdp-8", "-0x1.5c82cbfa17865p+19", "-0x1.e9d0f22dfb383p+20", "0x1.ba700c09e0822p+69")),
 ]
 
+# SHA-256 of TestPsiKernel.test_digest_over_every_small_triple's lines.
+PSI_DIGEST = "aaf8335ef178b76c82beedf3429a7150c8ed25abe56d1cb55aafc26febb02cba"
+
 
 class TestExpansionCoeffs:
     def test_reference_table(self):
@@ -269,6 +273,32 @@ class TestPsiKernel:
     def test_golden_bits(self, n_a, n_b, n_e, gb, ge, rate, expected):
         (out,) = _kernels.psi_terms(n_a, n_b, n_e, [gb], [ge], [rate])
         assert tuple(float(v).hex() for v in out) == expected
+
+    def test_digest_over_every_small_triple(self):
+        # Every triple with n_a 2..8 and n_b, n_e 1..4, three points each
+        # in one call, one of them at rate 0.  The digest was frozen from
+        # the rectangular-table kernel, which summed every cell.
+        lines = []
+        for n_a in range(2, 9):
+            for n_b in range(1, 5):
+                for n_e in range(1, 5):
+                    gb_db = -10.0 + 5.0 * ((n_a + 2 * n_b + 3 * n_e) % 7)
+                    ge_db = -10.0 + 5.0 * ((2 * n_a + n_b + n_e) % 5)
+                    points = [
+                        (gb_db, ge_db, 0.0),
+                        (gb_db + 10.0, ge_db, 1.0 + 0.25 * n_e),
+                        (30.0, 5.0, 2.5),
+                    ]
+                    gb, ge, rate = ([p[k] for p in points] for k in range(3))
+                    outs = _kernels.psi_terms(
+                        n_a, n_b, n_e, [10.0 ** (v / 10.0) for v in gb],
+                        [10.0 ** (v / 10.0) for v in ge], rate,
+                    )
+                    for point, out in zip(points, outs):
+                        values = " ".join(float(v).hex() for v in out)
+                        lines.append(f"{n_a} {n_b} {n_e} {point}: {values}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == PSI_DIGEST
 
     def test_rejects_antenna_counts_below_the_minimum(self):
         for n_a, n_b, n_e in [(1, 2, 2), (3, 0, 2), (3, 2, 0)]:
