@@ -51,80 +51,108 @@ def snr_components(bob_norms: np.ndarray):
 #
 # The kernel is split into a plan and a per-call evaluation.
 #
+# Three stages feed the four psi sums.  A bracket cell (l, m, u) is an inner
+# signed sum over the eavesdropper expansion indices (n and q) at exponent u,
+# evaluated at phi level l.  A mixed cell (l, m, w) is the binomial mix
+# sum_u C(w,u) rho^u shift^(w-u) bracket(l, m, u), u = 0..w.  Each psi
+# summand reads one mixed cell.  Phi levels 0..n_a-2 hold phi1(i) with the
+# halved denominators used by the first and third sums; level n_a-1 holds
+# phi2 with the same halved denominators (fourth sum); level n_a holds phi2
+# with the plain denominators (second sum).
+#
+# Only the cells some psi summand reads are built.  With j < n_b, p < n_b - j
+# and t <= i (n_b - 1), the psi loops read:
+#   level i <= n_a-2   w in [0, 2 n_b - 2 + i (n_b - 1)]: psi1 reads
+#                      w = 2 n_b + t - j - 2 - k for every k up to that span,
+#                      psi3 a subrange of it;
+#   level n_a-1        w in [0, n_b - 1]: psi4 reads w = n_b - j - p - 1, and
+#                      nothing when n_a = 2 (psi3 and psi4 start at i = 1);
+#   level n_a          w in [n_b, 2 n_b - 1]: psi2 reads w = 2 n_b - j - 1.
+# A mixed cell (l, m, w) reads the bracket cells (l, m, u <= w), so a level's
+# bracket u runs over [0, its largest w], and a bracket cell needs
+# W_lam(phi_l) only for the lam of its own summands.  So the plan keeps
+# exactly the (level, lam) pairs, bracket cells and mixed cells that reach a
+# psi sum; at (8, 3, 3) that is 249 of the 459 mixed cells a rectangle over
+# (level, m, w <= w_max) would hold.
+#
 # The plan (``_psi_plan``) is static: it depends only on the antenna triple,
 # is built on first use, cached and read-only.  It is the closed form's only
-# cache.
+# cache.  Every table is flat, one entry per summand or cell, in
+# (level, m, u or w) order, and each summand carries its own level.
 #   fact[q], binom[n, k]  q! and the Pascal triangle as float; used only
 #                         while the plan is built
 #   a_rows[i]             expansion_coeffs(n_b, i), the power-expansion
 #                         coefficients of the selection order statistic;
 #                         used only while the plan is built
-#   bracket[l, m, u]      inner signed sum over the eavesdropper expansion
-#                         indices (n and q) at exponent u, for phi level l.
-#                         Per summand: its coefficient (one row per phi
-#                         level), its kernel order lam and the integer
-#                         offset c of its kernel value
-#                         W_lam(phi) * (c - (lam + 1) / phi).  Levels
-#                         0..n_a-1 share the halved-denominator row; the
-#                         plain-denominator row of level n_a is 0.5 times
-#                         it, which is exact for these normal constants
-#   mixed[l, m, w]        binomial mix sum_u C(w,u) rho^u shift^(w-u) *
-#                         bracket[l, m, u].  Per summand: C(w, u), u, w - u
-#   psi1 .. psi4          per summand: the signed product of every factor
-#                         left of efac, and its gather index into the
-#                         flattened mixed table.  The cell's phi level
-#                         also picks the efac: exp(-decay (i + 2)) at
-#                         level i, exp(-2 decay) at levels n_a-1 and n_a.
-#                         One (j, m, i, t) loop nest builds all four
-#                         groups: psi2 at each (j, m), psi1 at each
-#                         (i, t), psi3 and psi4 at each (i >= 1, t, p).
-#                         Each summand goes to its own group's arrays,
-#                         and the groups are joined psi1..psi4
-#   slices                the summands of each bracket, mixed and psi sum
+#   w_*                   per kept (level, lam) pair: level, lgamma(lam + 1)
+#                         and lam + 1
+#   b_*                   per bracket summand: its level, its coefficient, its
+#                         W_lam pair (lam clipped at 0), lam + 1, whether
+#                         lam < 0, and the integer offset c of its kernel
+#                         value W_lam(phi) * (c - (lam + 1) / phi), or -1 / phi
+#                         when lam < 0.  The plain-denominator coefficient of
+#                         level n_a is 0.5 times the halved one, which is
+#                         exact for these normal constants
+#   m_*                   per mixed summand: its bracket cell, C(w, u), u and
+#                         w - u
+#   p_pre, p_gather,      per psi summand: the signed product of every factor
+#   p_level               left of efac, its mixed cell and that cell's level,
+#                         which picks the efac: exp(-decay (i + 2)) at level
+#                         i, exp(-2 decay) at levels n_a-1 and n_a.  One
+#                         (j, m, i, t) loop nest builds all four groups: psi2
+#                         at each (j, m), psi1 at each (i, t), psi3 and psi4
+#                         at each (i >= 1, t, p).  Each summand goes to its
+#                         own group's arrays, and the groups are joined
+#                         psi1..psi4
+#   *_slices              the summands of each bracket cell, mixed cell and
+#                         psi sum
 # The per-call part depends on each point's (gamma_b, gamma_e, rate): rho,
 # shift and decay; the phi levels and log(phi); one W_lam(phi) =
-# exp(lgamma(lam + 1) - (lam + 1) log phi) per (level, lam); the rho^u and
-# shift^k tables; one efac per i.  The summands are numpy products and
-# gathers of these with the plan, and every sum is reduced with math.fsum,
-# which rounds the exact sum once.  Each summand is formed from the same
-# operands in the same left-to-right order as the sums written out term by
-# term (a product may swap its two operands, which IEEE multiplication
-# ignores), and every transcendental is a scalar math.exp, math.lgamma or
-# float ** int, so no bit depends on the vectorization.  The order of the
-# summands within a group is free: math.fsum gives the same bits in any
-# order, and the magnitude bound is a maximum.  One call takes a sequence
-# of points of one triple: the bracket and mixed stages stack them along a
-# leading axis, and the psi summands, the largest table, are built one
-# point at a time.  No operation mixes two points' entries, so a point's
-# bits do not depend on the others in its call.
+# exp(lgamma(lam + 1) - (lam + 1) log phi) per kept (level, lam); the rho^u
+# and shift^k tables; one efac per level.  The summands are numpy products
+# and gathers of these with the plan, and every sum is reduced with
+# math.fsum, which rounds the exact sum once.  Each summand is formed from
+# the same operands in the same left-to-right order as the sums written out
+# term by term (a product may swap its two operands, which IEEE
+# multiplication ignores), and every transcendental is a scalar math.exp,
+# math.lgamma or float ** int, so no bit depends on the vectorization or on
+# which unread cells are left out.  The order of the summands within a
+# group is free: math.fsum gives the same bits in any order, and the
+# magnitude bound is a maximum.  One call takes a sequence of points of one
+# triple: the bracket and mixed stages stack them along a leading axis, and
+# the psi summands, the largest table, are built one point at a time.  No
+# operation mixes two points' entries, so a point's bits do not depend on
+# the others in its call.
 #
-# Phi levels 0..n_a-2 hold phi1(i) with the halved denominators used by
-# the first, third and fourth sums; level n_a-1 holds phi2 with the same
-# halved denominators (fourth sum); level n_a holds phi2 with the plain
-# denominators (second sum).  Every table entry also carries the largest
-# absolute summand that fed it, so the returned magnitude bound is the
-# exact maximum |term| over the fully expanded sum.
+# Every cell also carries the largest absolute summand that fed it, so the
+# returned magnitude bound is the exact maximum |term| over the fully
+# expanded sum.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _PsiPlan:
-    lgam: np.ndarray  # lgamma(lam + 1) for lam = 0..lam_max
-    lam_p1: np.ndarray  # lam + 1 for lam = 0..lam_max
-    b_coef: np.ndarray  # (n_phi, n_bracket_terms)
-    b_lam: np.ndarray  # lam of each bracket summand, clipped at 0
+    w_level: np.ndarray  # phi level of each kept (level, lam) pair
+    w_lgam: np.ndarray  # lgamma(lam + 1) of each pair
+    w_lam_p1: np.ndarray  # lam + 1 of each pair
+    b_level: np.ndarray  # phi level of each bracket summand
+    b_coef: np.ndarray  # coefficient of each bracket summand
+    b_w: np.ndarray  # its (level, lam) pair, lam clipped at 0
     b_lam_p1: np.ndarray  # lam + 1 of each bracket summand
     b_neg: np.ndarray  # lam < 0: the kernel value is -1 / phi
     b_off: np.ndarray  # c of each bracket summand
-    b_starts: np.ndarray  # first summand of each group
-    b_slices: tuple[slice, ...]  # summands of each group, within a row
+    b_starts: np.ndarray  # first summand of each bracket cell
+    b_slices: tuple[slice, ...]  # summands of each bracket cell
+    n_pow: int  # powers of rho and shift the mixed summands read: w_max + 1
+    m_cell: np.ndarray  # bracket cell of each mixed summand
     m_binom: np.ndarray  # C(w, u) of each mixed summand
     m_u: np.ndarray
     m_k: np.ndarray  # w - u
     m_starts: np.ndarray
     m_slices: tuple[slice, ...]
     p_pre: np.ndarray  # signed static prefix of each psi summand
-    p_gather: np.ndarray  # its cell in the flattened mixed table
+    p_gather: np.ndarray  # its mixed cell
+    p_level: np.ndarray  # the phi level of that cell
     p_slices: tuple[slice, ...]  # psi1 .. psi4
 
 
@@ -139,12 +167,18 @@ def _slices(bounds: list[int]) -> tuple[slice, ...]:
 
 
 def _group_fsums(terms: np.ndarray, slices: tuple[slice, ...]) -> np.ndarray:
-    """math.fsum of each group of each row of each point's (row, summand)
-    block, flattened.  One point's block at a time becomes Python lists,
-    so they never hold the whole batch."""
-    return np.array(
-        [math.fsum(row[s]) for block in terms for row in block.tolist() for s in slices]
-    )
+    """math.fsum of each group of each point's row of summands, as a
+    (point, group) array.  One point's row at a time becomes a Python
+    list, so they never hold the whole batch."""
+    return np.array([[math.fsum(row[s]) for s in slices] for row in map(np.ndarray.tolist, terms)])
+
+
+def _kept(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in [0, n_keys), ascending, and each key's index
+    among them."""
+    read = np.zeros(n_keys, bool)
+    read[keys] = True
+    return np.flatnonzero(read), (np.cumsum(read) - 1)[keys]
 
 
 def _group_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -216,20 +250,13 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
                 b_off.append(2 * n_e - m - 1)
                 b_half.append(sgn * (head / (2.0 ** (n_e + q - 1) * (n_e + q))))
             b_bounds.append(len(b_lam))
-    lam = np.array(b_lam)
-    lam_max = int(lam.max())
-    half = np.array(b_half)
 
-    m_binom, m_u, m_k, m_bounds = [], [], [], [0]
-    for w in range(w_max + 1):
-        for u in range(w + 1):
-            m_binom.append(binom[w][u])
-            m_u.append(u)
-            m_k.append(w - u)
-        m_bounds.append(len(m_u))
+    # A cell's key numbers it in the rectangle over (level, m, w <= w_max);
+    # key % per_level is the (m, u) group of the bracket summands above.
+    per_level = n_e * (w_max + 1)
 
     def cell(lvl, m, w):
-        return (lvl * n_e + m) * (w_max + 1) + w
+        return lvl * per_level + m * (w_max + 1) + w
 
     # One typed array pair per psi group holds the per-summand values
     # without an object each; the groups are joined psi1..psi4 at the end.
@@ -272,23 +299,49 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
                         gather[3].append(cell(n_a - 1, m, n_b - j - p - 1))
     p_bounds = np.cumsum([0] + [len(group) for group in pre]).tolist()
 
+    # Keep the mixed cells the psi summands gather, then the bracket cells
+    # those read, then the (level, lam) pairs those read; each in key order.
+    cells, p_gather = _kept(np.concatenate(gather), (n_a + 1) * per_level)
+    w_cell = cells % (w_max + 1)
+    m_bounds = np.concatenate(([0], np.cumsum(w_cell + 1)))
+    m_u = np.arange(m_bounds[-1]) - np.repeat(m_bounds[:-1], w_cell + 1)
+    m_w = np.repeat(w_cell, w_cell + 1)
+    m_key = np.repeat(cells - w_cell, w_cell + 1) + m_u
+    brackets, m_cell = _kept(m_key, (n_a + 1) * per_level)
+    starts = np.array(b_bounds)[brackets % per_level]
+    sizes = np.diff(b_bounds)[brackets % per_level]
+    b_bounds = np.concatenate(([0], np.cumsum(sizes)))
+    kept = np.arange(b_bounds[-1]) + np.repeat(starts - b_bounds[:-1], sizes)
+    b_level = np.repeat(brackets // per_level, sizes)
+    lam = np.array(b_lam)[kept]
+    half = np.array(b_half)[kept]
+    lam_clip = np.maximum(lam, 0)
+    n_lam = int(lam_clip.max()) + 1
+    pairs, b_w = _kept(b_level * n_lam + lam_clip, (n_a + 1) * n_lam)
+    w_lam = pairs % n_lam
+
     return _PsiPlan(
-        lgam=_frozen([math.lgamma(v + 1.0) for v in range(lam_max + 1)]),
-        lam_p1=_frozen(np.arange(lam_max + 1) + 1.0),
-        b_coef=_frozen([half] * n_a + [0.5 * half]),
-        b_lam=_frozen(np.maximum(lam, 0), np.intp),
+        w_level=_frozen(pairs // n_lam, np.intp),
+        w_lgam=_frozen([math.lgamma(v + 1.0) for v in w_lam.tolist()]),
+        w_lam_p1=_frozen(w_lam + 1.0),
+        b_level=_frozen(b_level, np.intp),
+        b_coef=_frozen(np.where(b_level == n_a, 0.5 * half, half)),
+        b_w=_frozen(b_w, np.intp),
         b_lam_p1=_frozen(lam + 1.0),
         b_neg=_frozen(lam < 0, bool),
-        b_off=_frozen(b_off),
+        b_off=_frozen(np.array(b_off)[kept]),
         b_starts=_frozen(b_bounds[:-1], np.intp),
-        b_slices=_slices(b_bounds),
-        m_binom=_frozen(m_binom),
+        b_slices=_slices(b_bounds.tolist()),
+        n_pow=w_max + 1,
+        m_cell=_frozen(m_cell, np.intp),
+        m_binom=_frozen(pascal[m_w, m_u]),
         m_u=_frozen(m_u, np.intp),
-        m_k=_frozen(m_k, np.intp),
+        m_k=_frozen(m_w - m_u, np.intp),
         m_starts=_frozen(m_bounds[:-1], np.intp),
-        m_slices=_slices(m_bounds),
+        m_slices=_slices(m_bounds.tolist()),
         p_pre=_frozen(np.concatenate(pre)),
-        p_gather=_frozen(np.concatenate(gather), np.intp),
+        p_gather=_frozen(p_gather, np.intp),
+        p_level=_frozen(cells[p_gather] // per_level, np.intp),
         p_slices=_slices(p_bounds),
     )
 
@@ -346,42 +399,40 @@ def psi_terms(
         for rho in rhos
         for v in [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
     ]
-    phi = np.array(phis).reshape(n_points, n_a + 1, 1)
+    phi = np.array(phis).reshape(n_points, n_a + 1)
     log_phi = np.array(list(map(math.log, phis))).reshape(phi.shape)
-    exponent = plan.lgam - plan.lam_p1 * log_phi
+    exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[:, plan.w_level]
     w_lam = np.array(list(map(math.exp, exponent.ravel().tolist())))
     w_lam = w_lam.reshape(exponent.shape)
     # The stacked stages work in place, so each holds one array of
-    # (point, row, summand) values at a time.
-    terms = plan.b_lam_p1 / phi
+    # (point, summand) values at a time.
+    terms = plan.b_lam_p1 / phi[:, plan.b_level]
     np.subtract(plan.b_off, terms, out=terms)
-    terms *= w_lam[:, :, plan.b_lam]
-    np.copyto(terms, -1.0 / phi, where=plan.b_neg)
+    terms *= w_lam[:, plan.b_w]
+    np.copyto(terms, (-1.0 / phi)[:, plan.b_level], where=plan.b_neg)
     terms *= plan.b_coef
-    bracket = _group_fsums(terms, plan.b_slices).reshape(n_points, (n_a + 1) * n_e, -1)
-    bracket_mag = _group_max(np.abs(terms, out=terms), plan.b_starts).reshape(bracket.shape)
+    bracket = _group_fsums(terms, plan.b_slices)
+    bracket_mag = _group_max(np.abs(terms, out=terms), plan.b_starts)
     del terms
 
-    n_pow = bracket.shape[2]
-    rho_pow = np.array([rho**u for rho in rhos for u in range(n_pow)])
-    shift_pow = np.array([shift**k for shift in shifts for k in range(n_pow)])
-    coef = rho_pow.reshape(n_points, 1, -1).take(plan.m_u, axis=2)
+    rho_pow = np.array([rho**u for rho in rhos for u in range(plan.n_pow)])
+    shift_pow = np.array([shift**k for shift in shifts for k in range(plan.n_pow)])
+    coef = rho_pow.reshape(n_points, -1).take(plan.m_u, axis=1)
     coef *= plan.m_binom
-    coef *= shift_pow.reshape(n_points, 1, -1).take(plan.m_k, axis=2)
-    mixed_terms = bracket.take(plan.m_u, axis=2)
+    coef *= shift_pow.reshape(n_points, -1).take(plan.m_k, axis=1)
+    mixed_terms = bracket.take(plan.m_cell, axis=1)
     mixed_terms *= coef
-    mixed = _group_fsums(mixed_terms, plan.m_slices).reshape(n_points, -1)
-    bracket_mag.take(plan.m_u, axis=2, out=mixed_terms)
+    mixed = _group_fsums(mixed_terms, plan.m_slices)
+    bracket_mag.take(plan.m_cell, axis=1, out=mixed_terms)
     mixed_terms *= coef
-    mixed_mag = _group_max(mixed_terms, plan.m_starts).reshape(mixed.shape)
+    mixed_mag = _group_max(mixed_terms, plan.m_starts)
     del mixed_terms
 
     sums = []
     for decay, point_mixed, point_mag in zip(decays, mixed, mixed_mag):
         level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
         level_efac += [math.exp(-2.0 * decay)] * 2
-        cell_efac = np.repeat(level_efac, point_mixed.size // len(level_efac))
-        outer = plan.p_pre * cell_efac[plan.p_gather]
+        outer = plan.p_pre * np.array(level_efac)[plan.p_level]
         summands = memoryview(outer * point_mixed[plan.p_gather])
         psi1, psi2, psi3, psi4 = (math.fsum(summands[s]) for s in plan.p_slices)
         mag_all = np.fmax.reduce(np.abs(outer) * point_mag[plan.p_gather], initial=0.0)

@@ -300,6 +300,22 @@ class TestPsiKernel:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == PSI_DIGEST
 
+    @pytest.mark.parametrize(
+        "triple", [(2, 1, 1), (2, 3, 2), (3, 1, 4), (4, 3, 2), (8, 3, 3), (8, 8, 8)],
+        ids=lambda t: "-".join(map(str, t)),
+    )
+    def test_plan_holds_only_cells_that_a_psi_sum_reads(self, triple):
+        n_a, n_b, n_e = triple
+        plan = _kernels._psi_plan(*triple)
+        assert sorted(set(plan.p_gather.tolist())) == list(range(len(plan.m_slices)))
+        assert sorted(set(plan.m_cell.tolist())) == list(range(len(plan.b_slices)))
+        assert sorted(set(plan.b_w.tolist())) == list(range(len(plan.w_level)))
+        # Per m: w <= 2 n_b - 2 + i (n_b - 1) at level i <= n_a - 2, n_b
+        # cells at level n_a - 1 (none when n_a = 2) and n_b at level n_a.
+        per_m = sum(2 * n_b - 1 + i * (n_b - 1) for i in range(n_a - 1))
+        per_m += (n_b if n_a > 2 else 0) + n_b
+        assert len(plan.m_slices) == n_e * per_m
+
     def test_rejects_antenna_counts_below_the_minimum(self):
         for n_a, n_b, n_e in [(1, 2, 2), (3, 0, 2), (3, 2, 0)]:
             with pytest.raises(ValueError):
