@@ -60,6 +60,9 @@ BLOCK_SIZE = 65536
 
 _Z95 = 1.959963984540054
 
+# outage_events scales SNRs of 2^_SNR_EXPONENT and above below it.
+_SNR_EXPONENT = 512
+
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -173,9 +176,14 @@ def outage_events(
     the exact complement of the non-zero-secrecy event; at a positive
     rate it is secrecy capacity below ``rate``, tested without a divide
     or a logarithm as gamma_bar_b X < 2^rate (1 + gamma_bar_e Y) - 1.
-    A product that overflows becomes +inf, without an error or a
-    warning, so every finite rate is answered; a threshold beyond the
-    float range puts the trial in outage.
+    When an SNR reaches 2^512, both SNRs and both constants 1 are first
+    scaled by one power of two, which brings the larger below 2^512, so
+    gamma_bar_b X cannot overflow: unscaled, both sides could overflow,
+    and inf <= inf is true where inf < inf is false.  Scaling by 2^-k is
+    exact, so it moves no event unless a scaled product leaves the
+    normal range.  A threshold that overflows becomes +inf, without an
+    error or a warning, so every finite rate is answered; a threshold
+    beyond the float range puts the trial in outage.
     """
     rate = checked_rate(rate)
     if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
@@ -188,12 +196,18 @@ def outage_events(
             f"draws have n_alice={draws.n_alice}"
         )
     bob, eve = draws.pairs[scheme]
+    one = 1.0
+    exponent = math.frexp(max(gamma_bar_b, gamma_bar_e))[1]
+    if exponent > _SNR_EXPONENT:
+        one = math.ldexp(1.0, _SNR_EXPONENT - exponent)
+        gamma_bar_b *= one
+        gamma_bar_e *= one
     with np.errstate(over="ignore"):
         threshold = eve * gamma_bar_e
         if rate > 0.0:
-            threshold += 1.0
+            threshold += one
             threshold *= np.exp2(rate)
-            threshold -= 1.0
+            threshold -= one
             return bob * gamma_bar_b < threshold
         return bob * gamma_bar_b <= threshold
 

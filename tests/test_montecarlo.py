@@ -1,8 +1,11 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from reference_channel import (
@@ -11,7 +14,7 @@ from reference_channel import (
     select_antennas,
     snr_sample,
 )
-from tasalamouti import Scheme, SystemConfig, evaluate
+from tasalamouti import Scheme, SystemConfig, db_to_linear, evaluate
 from tasalamouti.montecarlo import (
     BLOCK_SIZE,
     count_outage,
@@ -35,6 +38,11 @@ def scaled_snr_outage(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
     if rate == 0.0:
         return gamma_b <= gamma_e
     return np.log2((1.0 + gamma_b) / (1.0 + gamma_e)) < rate
+
+
+@functools.lru_cache(maxsize=None)
+def subset_draws():
+    return draw_components(4, 3, 2, 5000, seed=11)
 
 
 def count_nonzero_secrecy(draws, config, scheme):
@@ -186,6 +194,41 @@ class TestOutageEvents:
         low = outage_events(draws, Scheme.SINGLE_TAS, 5.0, 1.0, 0.5)
         high = outage_events(draws, Scheme.SINGLE_TAS, 5.0, 1.0, 2.0)
         assert np.all(high[low])  # outage at a low rate implies it at a higher
+
+    def test_snrs_near_the_float_maximum_count_as_at_30_db(self):
+        # Unscaled, both products overflowed at 3080 dB: inf <= inf put
+        # 0.5654 in outage at rate 0, and inf < inf only 0.2211 at 0.5.
+        def estimate(snr_db, rate):
+            config = SystemConfig(3, 2, 2, db_to_linear(snr_db), db_to_linear(snr_db))
+            return evaluate(config, ALA, "P_out", MC, rate=rate, trials=10_000, seed=0)
+
+        at_zero = estimate(3080.0, 0.0)
+        assert at_zero.n_events == estimate(30.0, 0.0).n_events
+        assert estimate(3080.0, 0.5).estimate >= at_zero.estimate
+
+    @given(
+        st.floats(min_value=-300.0, max_value=308.0),
+        st.floats(min_value=-300.0, max_value=308.0),
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    @example(308.0, 308.0, [0.0, 0.5])
+    @example(308.0, -300.0, [0.0, 1.0])
+    @example(-300.0, 308.0, [0.5, 2.0])
+    def test_events_at_a_lower_rate_are_among_those_at_a_higher(self, b_exp, e_exp, rates):
+        # SNRs from 1e-300 to 1e308.  A positive rate starts at 1e-3: at
+        # about 1e-16, 2^rate rounds to 1 and rate 0's events need not
+        # be among its own.
+        low_rate, high_rate = sorted(rates)
+        gamma_bar_b, gamma_bar_e = 10.0**b_exp, 10.0**e_exp
+        draws = subset_draws()
+        for scheme in (ALA, SINGLE):
+            low = outage_events(draws, scheme, gamma_bar_b, gamma_bar_e, low_rate)
+            high = outage_events(draws, scheme, gamma_bar_b, gamma_bar_e, high_rate)
+            assert np.all(high[low]), (scheme, low_rate, high_rate)
 
 
 class TestEstimators:
