@@ -77,8 +77,9 @@ def snr_components(bob_norms: np.ndarray):
 #
 # The plan (``_psi_plan``) is static: it depends only on the antenna triple,
 # is built on first use, cached and read-only.  It is the closed form's only
-# cache.  Every table is flat, one entry per summand or cell, in
-# (level, m, u or w) order, and each summand carries its own level.
+# cache.  Its tables are flat, one entry per kept pair, cell or summand, in
+# (level, m, u or w) order; a bracket summand finds its level through its
+# (level, lam) pair, and a psi summand through its mixed cell.
 #   fact[q], binom[n, k]  q! and the Pascal triangle as float; used only
 #                         while the plan is built
 #   a_rows[i]             expansion_coeffs(n_b, i), the power-expansion
@@ -86,25 +87,26 @@ def snr_components(bob_norms: np.ndarray):
 #                         used only while the plan is built
 #   w_*                   per kept (level, lam) pair: level, lgamma(lam + 1)
 #                         and lam + 1
-#   b_*                   per bracket summand: its level, its coefficient, its
-#                         W_lam pair (lam clipped at 0), lam + 1, whether
-#                         lam < 0, and the integer offset c of its kernel
-#                         value W_lam(phi) * (c - (lam + 1) / phi), or -1 / phi
-#                         when lam < 0.  The plain-denominator coefficient of
-#                         level n_a is 0.5 times the halved one, which is
-#                         exact for these normal constants
-#   m_*                   per mixed summand: its bracket cell, C(w, u), u and
-#                         w - u
-#   p_pre, p_gather,      per psi summand: the signed product of every factor
-#   p_level               left of efac, its mixed cell and that cell's level,
-#                         which picks the efac: exp(-decay (i + 2)) at level
-#                         i, exp(-2 decay) at levels n_a-1 and n_a.  One
-#                         (j, m, i, t) loop nest builds all four groups: psi2
-#                         at each (j, m), psi1 at each (i, t), psi3 and psi4
-#                         at each (i >= 1, t, p).  Each summand goes to its
-#                         own group's arrays, and the groups are joined
+#   b_*                   per bracket summand: its coefficient, its
+#                         (level, lam) pair (lam clipped at 0), lam + 1,
+#                         whether lam < 0, and the integer offset c of its
+#                         kernel value W_lam(phi) * (c - (lam + 1) / phi), or
+#                         -1 / phi when lam < 0.  The plain-denominator
+#                         coefficient of level n_a is 0.5 times the halved
+#                         one, which is exact for these normal constants
+#   wu_*                  per (w, u <= w) with w <= w_max: C(w, u), u, w - u
+#   m_*                   per mixed summand: its bracket cell and its (w, u)
+#   cell_level            per mixed cell: its level, which picks the efac:
+#                         exp(-decay (i + 2)) at level i, exp(-2 decay) at
+#                         levels n_a-1 and n_a
+#   p_pre, p_gather       per psi summand: the signed product of every factor
+#                         left of efac, and its mixed cell.  One (j, m, i, t)
+#                         loop nest builds all four groups: psi2 at each
+#                         (j, m), psi1 at each (i, t), psi3 and psi4 at each
+#                         (i >= 1, t, p).  Each summand goes to its own
+#                         group's arrays, and the groups are joined
 #                         psi1..psi4
-#   *_slices              the summands of each bracket cell, mixed cell and
+#   *_starts, *_slices    the summands of each bracket cell, mixed cell and
 #                         psi sum
 # The per-call part depends on each point's (gamma_b, gamma_e, rate): rho,
 # shift and decay; the phi levels and log(phi); one W_lam(phi) =
@@ -135,7 +137,6 @@ class _PsiPlan:
     w_level: np.ndarray  # phi level of each kept (level, lam) pair
     w_lgam: np.ndarray  # lgamma(lam + 1) of each pair
     w_lam_p1: np.ndarray  # lam + 1 of each pair
-    b_level: np.ndarray  # phi level of each bracket summand
     b_coef: np.ndarray  # coefficient of each bracket summand
     b_w: np.ndarray  # its (level, lam) pair, lam clipped at 0
     b_lam_p1: np.ndarray  # lam + 1 of each bracket summand
@@ -144,20 +145,21 @@ class _PsiPlan:
     b_starts: np.ndarray  # first summand of each bracket cell
     b_slices: tuple[slice, ...]  # summands of each bracket cell
     n_pow: int  # powers of rho and shift the mixed summands read: w_max + 1
+    wu_binom: np.ndarray  # C(w, u) of each (w, u <= w), w < n_pow
+    wu_u: np.ndarray
+    wu_k: np.ndarray  # w - u
     m_cell: np.ndarray  # bracket cell of each mixed summand
-    m_binom: np.ndarray  # C(w, u) of each mixed summand
-    m_u: np.ndarray
-    m_k: np.ndarray  # w - u
+    m_wu: np.ndarray  # its (w, u) pair
     m_starts: np.ndarray
     m_slices: tuple[slice, ...]
+    cell_level: np.ndarray  # phi level of each mixed cell
     p_pre: np.ndarray  # signed static prefix of each psi summand
     p_gather: np.ndarray  # its mixed cell
-    p_level: np.ndarray  # the phi level of that cell
     p_slices: tuple[slice, ...]  # psi1 .. psi4
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
-    frozen = np.array(values, dtype=dtype)
+    frozen = np.asarray(values, dtype=dtype)
     frozen.setflags(write=False)
     return frozen
 
@@ -319,12 +321,12 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
     n_lam = int(lam_clip.max()) + 1
     pairs, b_w = _kept(b_level * n_lam + lam_clip, (n_a + 1) * n_lam)
     w_lam = pairs % n_lam
+    wu_w, wu_u = np.tril_indices(w_max + 1)
 
     return _PsiPlan(
         w_level=_frozen(pairs // n_lam, np.intp),
         w_lgam=_frozen([math.lgamma(v + 1.0) for v in w_lam.tolist()]),
         w_lam_p1=_frozen(w_lam + 1.0),
-        b_level=_frozen(b_level, np.intp),
         b_coef=_frozen(np.where(b_level == n_a, 0.5 * half, half)),
         b_w=_frozen(b_w, np.intp),
         b_lam_p1=_frozen(lam + 1.0),
@@ -333,15 +335,16 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
         b_starts=_frozen(b_bounds[:-1], np.intp),
         b_slices=_slices(b_bounds.tolist()),
         n_pow=w_max + 1,
+        wu_binom=_frozen(pascal[wu_w, wu_u]),
+        wu_u=_frozen(wu_u, np.intp),
+        wu_k=_frozen(wu_w - wu_u, np.intp),
         m_cell=_frozen(m_cell, np.intp),
-        m_binom=_frozen(pascal[m_w, m_u]),
-        m_u=_frozen(m_u, np.intp),
-        m_k=_frozen(m_w - m_u, np.intp),
+        m_wu=_frozen(m_w * (m_w + 1) // 2 + m_u, np.intp),
         m_starts=_frozen(m_bounds[:-1], np.intp),
         m_slices=_slices(m_bounds.tolist()),
         p_pre=_frozen(np.concatenate(pre)),
         p_gather=_frozen(p_gather, np.intp),
-        p_level=_frozen(cells[p_gather] // per_level, np.intp),
+        cell_level=_frozen(cells // per_level, np.intp),
         p_slices=_slices(p_bounds),
     )
 
@@ -404,12 +407,12 @@ def psi_terms(
     exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[:, plan.w_level]
     w_lam = np.array(list(map(math.exp, exponent.ravel().tolist())))
     w_lam = w_lam.reshape(exponent.shape)
-    # The stacked stages work in place, so each holds one array of
-    # (point, summand) values at a time.
-    terms = plan.b_lam_p1 / phi[:, plan.b_level]
+    # The stacked stages work in place on (point, summand) arrays.
+    phi_b = phi[:, plan.w_level].take(plan.b_w, axis=1)  # each summand's level
+    terms = plan.b_lam_p1 / phi_b
     np.subtract(plan.b_off, terms, out=terms)
     terms *= w_lam[:, plan.b_w]
-    np.copyto(terms, (-1.0 / phi)[:, plan.b_level], where=plan.b_neg)
+    np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
     terms *= plan.b_coef
     bracket = _group_fsums(terms, plan.b_slices)
     bracket_mag = _group_max(np.abs(terms, out=terms), plan.b_starts)
@@ -417,9 +420,10 @@ def psi_terms(
 
     rho_pow = np.array([rho**u for rho in rhos for u in range(plan.n_pow)])
     shift_pow = np.array([shift**k for shift in shifts for k in range(plan.n_pow)])
-    coef = rho_pow.reshape(n_points, -1).take(plan.m_u, axis=1)
-    coef *= plan.m_binom
-    coef *= shift_pow.reshape(n_points, -1).take(plan.m_k, axis=1)
+    coef = rho_pow.reshape(n_points, -1).take(plan.wu_u, axis=1)
+    coef *= plan.wu_binom
+    coef *= shift_pow.reshape(n_points, -1).take(plan.wu_k, axis=1)
+    coef = coef.take(plan.m_wu, axis=1)
     mixed_terms = bracket.take(plan.m_cell, axis=1)
     mixed_terms *= coef
     mixed = _group_fsums(mixed_terms, plan.m_slices)
@@ -432,7 +436,7 @@ def psi_terms(
     for decay, point_mixed, point_mag in zip(decays, mixed, mixed_mag):
         level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
         level_efac += [math.exp(-2.0 * decay)] * 2
-        outer = plan.p_pre * np.array(level_efac)[plan.p_level]
+        outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
         summands = memoryview(outer * point_mixed[plan.p_gather])
         psi1, psi2, psi3, psi4 = (math.fsum(summands[s]) for s in plan.p_slices)
         mag_all = np.fmax.reduce(np.abs(outer) * point_mag[plan.p_gather], initial=0.0)
