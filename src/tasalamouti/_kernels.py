@@ -408,7 +408,7 @@ def psi_terms(
     w_lam = np.array(list(map(math.exp, exponent.ravel().tolist())))
     w_lam = w_lam.reshape(exponent.shape)
     # The stacked stages work in place on (point, summand) arrays.
-    phi_b = phi[:, plan.w_level].take(plan.b_w, axis=1)  # each summand's level
+    phi_b = phi[:, plan.w_level].take(plan.b_w, axis=1)  # each summand's phi
     terms = plan.b_lam_p1 / phi_b
     np.subtract(plan.b_off, terms, out=terms)
     terms *= w_lam[:, plan.b_w]
