@@ -24,9 +24,10 @@ from tasalamouti import (
     outage_quadrature,
     prob_nonzero_secrecy,
     run_sweep,
+    validation_grid,
     write_rows_csv,
 )
-from tasalamouti import _kernels, closedform
+from tasalamouti import _kernels, closedform, sweeps
 from tasalamouti._kernels import expansion_coeffs
 from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows, outage_breakdowns
 
@@ -367,6 +368,39 @@ def envelope_batch(triple):
         SystemConfig(*triple, db_to_linear(gb), db_to_linear(ge)) for gb, ge, _ in points
     ]
     return configs, [rate for _, _, rate in points]
+
+
+def near_float_max_points():
+    """(config, rate) with gamma_bar_e / gamma_bar_b from 1e306 to 1.7e308
+    at n_b = 1, where psi4 is subnormal; at 1.7e308 and rate 0.5 the
+    nested sums overflow, and at gamma_bar_b = 1e-3 and rate 0.5 the
+    underflow shortcut answers."""
+    return [
+        (SystemConfig(*triple, gb, gb * ratio), rate)
+        for triple in [(2, 1, 1), (3, 1, 1), (4, 1, 2), (6, 1, 3)]
+        for ratio in (1e306, 1e307, 3e307, 1e308, 1.7e308)
+        for gb in (1.0, 1e-3)
+        for rate in (0.0, 0.5)
+    ]
+
+
+# SHA-256 of the one-point outage_breakdown outcomes over envelope_batch's
+# points of every BATCH_TRIPLES triple, the 1080 default validation grid
+# points and near_float_max_points; frozen from the kernel that evaluated
+# a triple's points in one batched pass.
+BREAKDOWN_DIGEST = "96b0c4feac93be334f98e06db6f73df69c831b9e73b0817fa68c0c12adad0315"
+
+
+def test_one_point_breakdowns_match_the_frozen_digest():
+    points = [
+        pair for triple in BATCH_TRIPLES for pair in zip(*envelope_batch(triple))
+    ]
+    points += [(sweeps._config(pt), pt["rate_rs"]) for pt in validation_grid("default")]
+    points += near_float_max_points()
+    lines = [f"{config} {rate!r}: {one_point_outcome(config, rate)}" for config, rate in points]
+    assert len(lines) == sum(len(envelope_batch(t)[1]) for t in BATCH_TRIPLES) + 1080 + 80
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == BREAKDOWN_DIGEST
 
 
 @functools.lru_cache(maxsize=None)
