@@ -16,7 +16,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -108,7 +107,7 @@ def snr_components(bob_norms: np.ndarray):
 #                         psi1..psi4
 #   *_starts, *_slices    the summands of each bracket cell, mixed cell and
 #                         psi sum
-# The per-call part depends on each point's (gamma_b, gamma_e, rate): rho,
+# The per-call part depends on the point's (gamma_b, gamma_e, rate): rho,
 # shift and decay; the phi levels and log(phi); one W_lam(phi) =
 # exp(lgamma(lam + 1) - (lam + 1) log phi) per kept (level, lam); the rho^u
 # and shift^k tables; one efac per level.  The summands are numpy products
@@ -120,11 +119,7 @@ def snr_components(bob_norms: np.ndarray):
 # math.lgamma or float ** int, so no bit depends on the vectorization or on
 # which unread cells are left out.  The order of the summands within a
 # group is free: math.fsum gives the same bits in any order, and the
-# magnitude bound is a maximum.  One call takes a sequence of points of one
-# triple: the bracket and mixed stages stack them along a leading axis, and
-# the psi summands, the largest table, are built one point at a time.  No
-# operation mixes two points' entries, so a point's bits do not depend on
-# the others in its call.
+# magnitude bound is a maximum.
 #
 # Every cell also carries the largest absolute summand that fed it, so the
 # returned magnitude bound is the exact maximum |term| over the fully
@@ -169,10 +164,9 @@ def _slices(bounds: list[int]) -> tuple[slice, ...]:
 
 
 def _group_fsums(terms: np.ndarray, slices: tuple[slice, ...]) -> np.ndarray:
-    """math.fsum of each group of each point's row of summands, as a
-    (point, group) array.  One point's row at a time becomes a Python
-    list, so they never hold the whole batch."""
-    return np.array([[math.fsum(row[s]) for s in slices] for row in map(np.ndarray.tolist, terms)])
+    """math.fsum of each group of summands."""
+    summands = memoryview(terms)
+    return np.array([math.fsum(summands[s]) for s in slices])
 
 
 def _kept(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +179,7 @@ def _kept(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _group_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # fmax skips NaN and the floor of 0 matches a running max(0.0, ...).
-    return np.fmax(np.fmax.reduceat(values, starts, axis=-1), 0.0)
+    return np.fmax(np.fmax.reduceat(values, starts), 0.0)
 
 
 def expansion_coeffs(n_b: int, power: int) -> np.ndarray:
@@ -353,92 +347,58 @@ def psi_terms(
     n_a: int,
     n_b: int,
     n_e: int,
-    gamma_b: Sequence[float],
-    gamma_e: Sequence[float],
-    rate: Sequence[float],
-) -> list[tuple[float, float, float, float, float]]:
-    """Evaluate the four nested sums of the outage expression at each point.
+    gamma_b: float,
+    gamma_e: float,
+    rate: float,
+) -> tuple[float, float, float, float, float]:
+    """Evaluate the four nested sums of the outage expression at one point.
 
-    ``gamma_b``, ``gamma_e`` and ``rate`` are sequences of one length,
-    one entry per point.  The antenna triple selects a cached plan
-    (built on first use), and the points are evaluated against it in
-    one pass: the stages up to the mixed table stack the points along
-    a leading axis, and the psi summands are built one point at a time.
-    Returns, per point, the four signed sums plus the largest absolute
-    summand encountered across all of them (for the cancellation
-    diagnostic).  A point's values do not depend on the other points:
-    every operation acts on each point's entries alone.
+    The antenna triple selects a cached plan (built on first use), and
+    the point is evaluated against it on 1-D arrays.  Returns the four
+    signed sums plus the largest absolute summand encountered across all
+    of them (for the cancellation diagnostic).
 
     Raises
     ------
     ValueError
-        If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``, or the sequences
-        differ in length.  A point whose sums overflow makes the call
-        raise what ``math.fsum`` or ``float ** int`` raise there.
+        If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``.  When the sums
+        overflow, the call raises what ``math.fsum`` or ``float ** int``
+        raise there.
     """
     if n_a < 2 or n_b < 1 or n_e < 1:
         raise ValueError(
             f"psi_terms needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
         )
-    if not len(gamma_b) == len(gamma_e) == len(rate):
-        raise ValueError(
-            f"psi_terms needs one gamma_b, gamma_e and rate per point, got "
-            f"{len(gamma_b)}, {len(gamma_e)} and {len(rate)}"
-        )
     plan = _psi_plan(n_a, n_b, n_e)
-    rhos, shifts, decays = [], [], []
-    for gb, ge, rs in zip(gamma_b, gamma_e, rate):
-        gb, ge = float(gb), float(ge)
-        two_rs = 2.0 ** float(rs)
-        rhos.append(two_rs * ge / gb)
-        shifts.append(2.0 * (two_rs - 1.0) / gb)
-        decays.append((two_rs - 1.0) / gb)
-    n_points = len(rhos)
-    if not n_points:
-        return []
+    gamma_b = float(gamma_b)
+    two_rs = 2.0 ** float(rate)
+    rho = two_rs * float(gamma_e) / gamma_b
+    shift = 2.0 * (two_rs - 1.0) / gamma_b
+    decay = (two_rs - 1.0) / gamma_b
 
-    phis = [
-        v
-        for rho in rhos
-        for v in [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
-    ]
-    phi = np.array(phis).reshape(n_points, n_a + 1)
-    log_phi = np.array(list(map(math.log, phis))).reshape(phi.shape)
-    exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[:, plan.w_level]
-    w_lam = np.array(list(map(math.exp, exponent.ravel().tolist())))
-    w_lam = w_lam.reshape(exponent.shape)
-    # The stacked stages work in place on (point, summand) arrays.
-    phi_b = phi[:, plan.w_level].take(plan.b_w, axis=1)  # each summand's phi
+    phis = [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
+    log_phi = np.array(list(map(math.log, phis)))
+    exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[plan.w_level]
+    w_lam = np.array(list(map(math.exp, exponent.tolist())))
+    phi_b = np.array(phis)[plan.w_level][plan.b_w]  # each summand's phi
     terms = plan.b_lam_p1 / phi_b
     np.subtract(plan.b_off, terms, out=terms)
-    terms *= w_lam[:, plan.b_w]
+    terms *= w_lam[plan.b_w]
     np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
     terms *= plan.b_coef
     bracket = _group_fsums(terms, plan.b_slices)
-    bracket_mag = _group_max(np.abs(terms, out=terms), plan.b_starts)
-    del terms
+    bracket_mag = _group_max(np.abs(terms), plan.b_starts)
 
-    rho_pow = np.array([rho**u for rho in rhos for u in range(plan.n_pow)])
-    shift_pow = np.array([shift**k for shift in shifts for k in range(plan.n_pow)])
-    coef = rho_pow.reshape(n_points, -1).take(plan.wu_u, axis=1)
-    coef *= plan.wu_binom
-    coef *= shift_pow.reshape(n_points, -1).take(plan.wu_k, axis=1)
-    coef = coef.take(plan.m_wu, axis=1)
-    mixed_terms = bracket.take(plan.m_cell, axis=1)
-    mixed_terms *= coef
-    mixed = _group_fsums(mixed_terms, plan.m_slices)
-    bracket_mag.take(plan.m_cell, axis=1, out=mixed_terms)
-    mixed_terms *= coef
-    mixed_mag = _group_max(mixed_terms, plan.m_starts)
-    del mixed_terms
+    rho_pow = np.array([rho**u for u in range(plan.n_pow)])
+    shift_pow = np.array([shift**k for k in range(plan.n_pow)])
+    coef = (rho_pow[plan.wu_u] * plan.wu_binom * shift_pow[plan.wu_k])[plan.m_wu]
+    mixed = _group_fsums(bracket[plan.m_cell] * coef, plan.m_slices)
+    mixed_mag = _group_max(bracket_mag[plan.m_cell] * coef, plan.m_starts)
 
-    sums = []
-    for decay, point_mixed, point_mag in zip(decays, mixed, mixed_mag):
-        level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
-        level_efac += [math.exp(-2.0 * decay)] * 2
-        outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
-        summands = memoryview(outer * point_mixed[plan.p_gather])
-        psi1, psi2, psi3, psi4 = (math.fsum(summands[s]) for s in plan.p_slices)
-        mag_all = np.fmax.reduce(np.abs(outer) * point_mag[plan.p_gather], initial=0.0)
-        sums.append((psi1, psi2, psi3, psi4, float(mag_all)))
-    return sums
+    level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
+    level_efac += [math.exp(-2.0 * decay)] * 2
+    outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
+    summands = memoryview(outer * mixed[plan.p_gather])
+    psi1, psi2, psi3, psi4 = (math.fsum(summands[s]) for s in plan.p_slices)
+    mag_all = np.fmax.reduce(np.abs(outer) * mixed_mag[plan.p_gather], initial=0.0)
+    return psi1, psi2, psi3, psi4, float(mag_all)

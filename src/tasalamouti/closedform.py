@@ -8,11 +8,9 @@ are formed in the log domain, every sum is rounded once from its exact
 value (``math.fsum``), and every value carries a diagnostic bounding
 the digits lost to cancellation.  Outside the supported envelope the
 evaluator raises instead of returning a silently wrong number.  The
-four sums come from ``_kernels.psi_terms``; its per-antenna-triple plan
-is the only cache, so every call evaluates its points afresh.
-``outage_breakdowns`` takes the points of one antenna triple together:
-their sums come from one batched pass of the kernel, with the bits each
-point gets alone, and ``outage_breakdown`` is its one-point case.
+four sums come from ``_kernels.psi_terms``, one point per call; its
+per-antenna-triple plan is the only cache, so every call evaluates its
+point afresh.
 
 Derived metrics: the probability of non-zero secrecy capacity (the
 complement of outage at zero rate) and the epsilon-outage secrecy
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import _kernels
 from .config import SystemConfig, checked_epsilon, checked_rate
@@ -38,7 +35,6 @@ __all__ = [
     "closed_form_outage",
     "eps_outage_capacity",
     "outage_breakdown",
-    "outage_breakdowns",
     "prob_nonzero_secrecy",
 ]
 
@@ -100,76 +96,8 @@ def _rate_underflows(config: SystemConfig, rate: float) -> bool:
     return shift >= _UNDERFLOW_EXP
 
 
-def outage_breakdowns(
-    configs: Sequence[SystemConfig], rates: Sequence[float]
-) -> list[OutageBreakdown | ArithmeticError | ValueError]:
-    """``outage_breakdown`` at each (config, rate) pair of one antenna triple.
-
-    The points that reach the nested sums share one ``psi_terms`` pass.
-    Each entry is the point's breakdown, or the error that
-    ``outage_breakdown`` raises at that point alone; a refused point
-    leaves the others unchanged.  A point whose sums overflow is refused
-    with ``PrecisionExhaustedError``, whether the kernel raised or
-    returned a non-finite sum.  Raises ``ValueError`` when the configs
-    do not share one antenna triple or the sequences differ in length.
-    """
-    if len(configs) != len(rates):
-        raise ValueError(
-            f"outage_breakdowns needs one rate per config, got {len(rates)} "
-            f"for {len(configs)}"
-        )
-    triples = {(c.n_alice, c.n_bob, c.n_eve) for c in configs}
-    if len(triples) > 1:
-        raise ValueError("outage_breakdowns needs configs of one antenna triple")
-    results: list = []
-    pending = []  # (index, config, rate) of each point that reaches the sums
-    for config, rate in zip(configs, rates):
-        try:
-            _check_envelope(config)
-            rate = checked_rate(rate)
-        except (ArithmeticError, ValueError) as exc:
-            results.append(exc)
-            continue
-        if _rate_underflows(config, rate):
-            results.append(
-                OutageBreakdown(
-                    value=1.0,
-                    raw_value=1.0,
-                    psi=(0.0, 0.0, 0.0, 0.0),
-                    prefactor=_prefactor(config),
-                    max_term=0.0,
-                    cancellation_ratio=0.0,
-                )
-            )
-        else:
-            pending.append((len(results), config, rate))
-            results.append(None)
-    if pending:
-        (triple,) = triples
-        points = [(config.gamma_bar_b, config.gamma_bar_e, rate) for _, config, rate in pending]
-        for (index, config, rate), sums in zip(pending, _psi_sums(triple, points)):
-            if isinstance(sums, ArithmeticError):
-                sums = _overflowed(config, rate)
-            elif not isinstance(sums, Exception):
-                sums = _assembled(config, rate, sums)
-            results[index] = sums
-    return results
-
-
 def _overflowed(config: SystemConfig, rate: float) -> PrecisionExhaustedError:
     return PrecisionExhaustedError(f"nested sums overflowed for {config} at rate {rate}")
-
-
-def _psi_sums(triple: tuple[int, int, int], points: list[tuple[float, float, float]]) -> list:
-    """``psi_terms`` of each (gamma_b, gamma_e, rate) point, from one
-    pass, or the error the point raises alone.  A pass that raises is
-    redone one point at a time, so each point gets its own outcome."""
-    try:
-        return _kernels.psi_terms(*triple, *zip(*points))
-    except (ArithmeticError, ValueError) as exc:
-        if len(points) == 1:
-            return [exc]
-    return [_psi_sums(triple, [point])[0] for point in points]
 
 
 def _prefactor(config: SystemConfig) -> float:
@@ -182,11 +110,11 @@ def _prefactor(config: SystemConfig) -> float:
 
 def _assembled(
     config: SystemConfig, rate: float, sums: tuple[float, float, float, float, float]
-) -> OutageBreakdown | PrecisionExhaustedError:
-    """The breakdown of one point from its nested sums, or its refusal."""
+) -> OutageBreakdown:
+    """The breakdown of one point from its nested sums; raises its refusal."""
     p1, p2, p3, p4, mag = sums
     if not all(map(math.isfinite, sums)):
-        return _overflowed(config, rate)
+        raise _overflowed(config, rate)
     prefactor = _prefactor(config)
     bracket = (p1 - p2) + (p3 - p4)
     raw = 1.0 - prefactor * bracket
@@ -194,12 +122,12 @@ def _assembled(
     total = abs(prefactor * bracket)
     ratio = max_term / total if total > 0.0 else math.inf
     if max_term * 1e-15 > _ERROR_BUDGET:
-        return PrecisionExhaustedError(
+        raise PrecisionExhaustedError(
             f"cancellation too severe: max summand {max_term:.3e} cannot "
             f"certify the accuracy budget {_ERROR_BUDGET} for {config} at rate {rate}"
         )
     if raw < -CLAMP_SLACK or raw > 1.0 + CLAMP_SLACK:
-        return PrecisionExhaustedError(
+        raise PrecisionExhaustedError(
             f"assembled probability {raw!r} outside [0, 1] beyond slack "
             f"{CLAMP_SLACK} for {config} at rate {rate} "
             f"(cancellation ratio {ratio:.3e})"
@@ -216,8 +144,7 @@ def _assembled(
 
 
 def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
-    """Secrecy outage probability with numerical diagnostics: the
-    one-point case of ``outage_breakdowns``.
+    """Secrecy outage probability with numerical diagnostics.
 
     Parameters
     ----------
@@ -232,15 +159,32 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
 
     Raises
     ------
+    ValueError
+        If n_alice < 2, or the rate is negative or not finite.
     PrecisionExhaustedError
         Outside the antenna envelope, on overflow, when the estimated
         cancellation error exceeds the accuracy budget, or when the raw
         value leaves [0, 1] by more than the documented slack.
     """
-    (result,) = outage_breakdowns([config], [rate])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    _check_envelope(config)
+    rate = checked_rate(rate)
+    if _rate_underflows(config, rate):
+        return OutageBreakdown(
+            value=1.0,
+            raw_value=1.0,
+            psi=(0.0, 0.0, 0.0, 0.0),
+            prefactor=_prefactor(config),
+            max_term=0.0,
+            cancellation_ratio=0.0,
+        )
+    try:
+        sums = _kernels.psi_terms(
+            config.n_alice, config.n_bob, config.n_eve,
+            config.gamma_bar_b, config.gamma_bar_e, rate,
+        )
+    except ArithmeticError as exc:
+        raise _overflowed(config, rate) from exc
+    return _assembled(config, rate, sums)
 
 
 def closed_form_outage(config: SystemConfig, rate: float) -> float:

@@ -10,8 +10,7 @@ from the Legendre recurrence with ``numpy.linalg``.  Shares no code
 with the closed-form evaluator, so agreement between the two is
 meaningful evidence of correctness.
 
-Each call integrates one point.  A validation run takes a triple's
-closed-form values from one batched pass, but not its quadratures.  A
+Each call integrates one point, as each closed-form call does.  A
 stacked pass that kept each point's own inner and outer levels and its
 own 1-D Kronrod and Gauss sums moved none of the 1080 default-grid
 values, but it was no faster: over five alternating runs on a shared

@@ -37,7 +37,7 @@ from .closedform import (
     OutageBreakdown,
     closed_form_outage,
     eps_outage_capacity,
-    outage_breakdowns,
+    outage_breakdown,
     prob_nonzero_secrecy,
 )
 from .config import (
@@ -1036,41 +1036,19 @@ def validation_grid(name: str) -> list[dict]:
     return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
-def _validation_key(
-    pt: dict, config: SystemConfig | None, n_trials: int, seed: int
-) -> tuple | None:
-    """Draw key of a validation point; None (nothing is drawn) when the
-    point's system (``config`` None) or inputs are refused, which
-    ``_validation_row`` then records."""
-    if config is None:
-        return None
-    try:
-        _checked(config, Scheme.TAS_ALAMOUTI, "P_out", "monte-carlo", pt["rate_rs"], None)
-    except ValueError:
-        return None
-    return (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-
-
 def _closed_forms(points: Sequence[dict]) -> list[tuple]:
-    """(config, closed form) of each validation point.  The closed form is
-    the point's ``outage_breakdowns`` entry, from one call per antenna
-    triple.  A point whose system is refused has no config, and the
-    refusal stands in for its closed form."""
+    """(config, closed form) of each validation point: its
+    ``outage_breakdown``, or the refusal in its place.  A point whose
+    system is refused has no config, and that refusal stands in for its
+    closed form."""
     pairs: list[tuple] = []
-    batches: dict[tuple, list[int]] = {}
-    for index, pt in enumerate(points):
+    for pt in points:
+        config = None
         try:
             config = _config(pt)
-        except ValueError as exc:
-            pairs.append((None, exc))
-            continue
-        pairs.append((config, None))
-        batches.setdefault((config.n_alice, config.n_bob, config.n_eve), []).append(index)
-    for members in batches.values():
-        configs = [pairs[i][0] for i in members]
-        rates = [float(points[i]["rate_rs"]) for i in members]
-        for index, config, result in zip(members, configs, outage_breakdowns(configs, rates)):
-            pairs[index] = (config, result)
+            pairs.append((config, outage_breakdown(config, float(pt["rate_rs"]))))
+        except (ArithmeticError, ValueError) as exc:
+            pairs.append((config, exc))
     return pairs
 
 
@@ -1130,16 +1108,18 @@ def validate(
 
     ``points`` overrides the named grid (used for focused reports).
 
-    The closed-form values come first, from one ``outage_breakdowns``
-    call per antenna triple.  The rows are then one ``_by_draw_key``
-    plan: a draw key's set is made once and freed before the next key's
-    is drawn, so one set is held at a time.  Rows keep the order of the
-    points.
+    The closed-form values come first, one ``outage_breakdown`` call per
+    point.  The rows are then one ``_by_draw_key`` plan: a draw key's
+    set is made once and freed before the next key's is drawn, so one
+    set is held at a time, and a point whose closed form is refused
+    draws nothing.  Rows keep the order of the points.
     """
     grid_points = points if points is not None else validation_grid(grid)
     rows = _by_draw_key(
         (
-            _validation_key(pt, config, n_trials, seed),
+            None
+            if isinstance(closed_form, Exception)
+            else (config.n_alice, config.n_bob, config.n_eve, n_trials, seed),
             functools.partial(_validation_row, pt, config, closed_form),
         )
         for pt, (config, closed_form) in zip(grid_points, _closed_forms(grid_points))

@@ -29,7 +29,7 @@ from tasalamouti import (
 )
 from tasalamouti import _kernels, closedform, sweeps
 from tasalamouti._kernels import expansion_coeffs
-from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows, outage_breakdowns
+from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows
 
 # Frozen values from an independent adaptive-quadrature evaluator of
 # the outage double integral (nested scipy quad, abs tol 1e-12).
@@ -272,13 +272,13 @@ class TestPsiComponents:
 class TestPsiKernel:
     @pytest.mark.parametrize("n_a,n_b,n_e,gb,ge,rate,expected", PSI_GOLDEN)
     def test_golden_bits(self, n_a, n_b, n_e, gb, ge, rate, expected):
-        (out,) = _kernels.psi_terms(n_a, n_b, n_e, [gb], [ge], [rate])
+        out = _kernels.psi_terms(n_a, n_b, n_e, gb, ge, rate)
         assert tuple(float(v).hex() for v in out) == expected
 
     def test_digest_over_every_small_triple(self):
-        # Every triple with n_a 2..8 and n_b, n_e 1..4, three points each
-        # in one call, one of them at rate 0.  The digest was frozen from
-        # the rectangular-table kernel, which summed every cell.
+        # Every triple with n_a 2..8 and n_b, n_e 1..4, three points each,
+        # one of them at rate 0.  The digest was frozen from the
+        # rectangular-table kernel, which summed every cell.
         lines = []
         for n_a in range(2, 9):
             for n_b in range(1, 5):
@@ -290,12 +290,11 @@ class TestPsiKernel:
                         (gb_db + 10.0, ge_db, 1.0 + 0.25 * n_e),
                         (30.0, 5.0, 2.5),
                     ]
-                    gb, ge, rate = ([p[k] for p in points] for k in range(3))
-                    outs = _kernels.psi_terms(
-                        n_a, n_b, n_e, [10.0 ** (v / 10.0) for v in gb],
-                        [10.0 ** (v / 10.0) for v in ge], rate,
-                    )
-                    for point, out in zip(points, outs):
+                    for point in points:
+                        gb, ge, rate = point
+                        out = _kernels.psi_terms(
+                            n_a, n_b, n_e, 10.0 ** (gb / 10.0), 10.0 ** (ge / 10.0), rate
+                        )
                         values = " ".join(float(v).hex() for v in out)
                         lines.append(f"{n_a} {n_b} {n_e} {point}: {values}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -320,7 +319,7 @@ class TestPsiKernel:
     def test_rejects_antenna_counts_below_the_minimum(self):
         for n_a, n_b, n_e in [(1, 2, 2), (3, 0, 2), (3, 2, 0)]:
             with pytest.raises(ValueError):
-                _kernels.psi_terms(n_a, n_b, n_e, [10.0], [1.0], [1.0])
+                _kernels.psi_terms(n_a, n_b, n_e, 10.0, 1.0, 1.0)
 
 
 def breakdown_outcome(result):
@@ -339,7 +338,7 @@ def one_point_outcome(config, rate):
         return breakdown_outcome(exc)
 
 
-# Antenna triples of the batch tests: the envelope's corners and
+# Antenna triples of the envelope batches: the envelope's corners and
 # triples of the default validation grid, fig6 and the capacity sweep.
 BATCH_TRIPLES = [
     (2, 1, 1), (3, 2, 2), (4, 3, 2), (6, 3, 3), (5, 1, 3), (7, 2, 4), (8, 3, 3), (8, 8, 8)
@@ -403,20 +402,13 @@ def test_one_point_breakdowns_match_the_frozen_digest():
     assert digest == BREAKDOWN_DIGEST
 
 
-@functools.lru_cache(maxsize=None)
-def batched_outcomes(triple):
-    return [breakdown_outcome(r) for r in outage_breakdowns(*envelope_batch(triple))]
-
-
 class TestBatchedBreakdown:
-    @pytest.mark.parametrize("triple", BATCH_TRIPLES, ids=lambda t: "-".join(map(str, t)))
-    def test_batch_matches_one_point_calls_bit_for_bit(self, triple):
-        configs, rates = envelope_batch(triple)
-        one_point = [one_point_outcome(c, r) for c, r in zip(configs, rates)]
-        assert batched_outcomes(triple) == one_point
-
     def test_batches_hold_every_kind_of_outcome(self):
-        outcomes = [o for triple in BATCH_TRIPLES for o in batched_outcomes(triple)]
+        outcomes = [
+            one_point_outcome(config, rate)
+            for triple in BATCH_TRIPLES
+            for config, rate in zip(*envelope_batch(triple))
+        ]
         refusals = {o.split(":")[0] for o in outcomes if isinstance(o, str)}
         # An overflow inside the kernel is refused like a non-finite sum.
         assert refusals == {"ValueError", "PrecisionExhaustedError"}
@@ -425,28 +417,6 @@ class TestBatchedBreakdown:
         # The underflow shortcut: value 1 and four zero sums.
         underflow = ((1.0).hex(), *[(0.0).hex()] * 4)
         assert underflow in {o[:5] for o in outcomes if isinstance(o, tuple)}
-
-    @pytest.mark.parametrize(
-        "triple", [(3, 2, 2), (6, 3, 3), (8, 8, 8)], ids=lambda t: "-".join(map(str, t))
-    )
-    def test_a_refused_point_leaves_the_others_unchanged(self, triple):
-        configs, rates = envelope_batch(triple)
-        full = batched_outcomes(triple)
-        kept = [i for i, o in enumerate(full) if isinstance(o, tuple)]
-        assert len(kept) < len(full)
-        alone = outage_breakdowns([configs[i] for i in kept], [rates[i] for i in kept])
-        assert [full[i] for i in kept] == [breakdown_outcome(r) for r in alone]
-
-    def test_refuses_mixed_triples_and_unequal_lengths(self):
-        a, b = SystemConfig(2, 1, 1, 10.0, 1.0), SystemConfig(3, 1, 1, 10.0, 1.0)
-        with pytest.raises(ValueError, match="one antenna triple"):
-            outage_breakdowns([a, b], [1.0, 1.0])
-        with pytest.raises(ValueError, match="one rate per config"):
-            outage_breakdowns([a, a], [1.0])
-        with pytest.raises(ValueError, match="one gamma_b, gamma_e and rate per point"):
-            _kernels.psi_terms(2, 1, 1, [10.0, 5.0], [1.0], [1.0])
-        assert outage_breakdowns([], []) == []
-        assert _kernels.psi_terms(2, 1, 1, [], [], []) == []
 
 
 class TestClosedFormOutage:
@@ -706,12 +676,12 @@ class TestDeterminism:
         assert first == second
 
     def test_cold_plan_matches_warm_plan(self):
-        args = (6, 3, 3, [31.6227766017], [3.16227766017], [1.3])
+        args = (6, 3, 3, 31.6227766017, 3.16227766017, 1.3)
         _kernels._psi_plan.cache_clear()
         cold = _kernels.psi_terms(*args)
         warm = _kernels.psi_terms(*args)
         assert _kernels._psi_plan.cache_info().hits >= 1
-        assert [v.hex() for v in cold[0]] == [v.hex() for v in warm[0]]
+        assert [v.hex() for v in cold] == [v.hex() for v in warm]
 
     def test_plan_arrays_are_read_only(self):
         plan = _kernels._psi_plan(4, 3, 2)

@@ -797,8 +797,7 @@ class TestValidate:
         assert set(draw_spy.calls) == {(3, 2, 1, 1000, 0)}
 
     def test_refused_points_draw_nothing(self, draw_spy):
-        # A point's inputs pass the checks of evaluate before its key is
-        # drawn, so a point that they refuse draws nothing.
+        # A point whose closed form is refused draws nothing.
         good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                     gamma_bar_e_db=0.0, rate_rs=1.0)
         points = [dict(good, n_alice=1), dict(good, n_alice=4, rate_rs=-1.0)]
@@ -807,6 +806,13 @@ class TestValidate:
             "the Alamouti selection scheme needs n_alice >= 2, got n_alice=1",
             "rate must be finite and >= 0, got -1.0",
         ]
+        assert draw_spy.calls == []
+
+    def test_a_refused_closed_form_draws_nothing(self, draw_spy):
+        point = dict(n_alice=8, n_bob=8, n_eve=8, gamma_bar_b_db=-20.0,
+                     gamma_bar_e_db=-20.0, rate_rs=0.0)
+        (row,) = validate(points=[point], n_trials=1000).rows
+        assert row.error.startswith("cancellation too severe")
         assert draw_spy.calls == []
 
     def test_quadrature_failure_keeps_the_closed_form_cells(self, monkeypatch):
