@@ -175,15 +175,19 @@ def outage_events(
     is gamma_bar_b X <= gamma_bar_e Y (capacity not strictly positive),
     the exact complement of the non-zero-secrecy event; at a positive
     rate it is secrecy capacity below ``rate``, tested without a divide
-    or a logarithm as gamma_bar_b X < 2^rate (1 + gamma_bar_e Y) - 1.
-    When an SNR reaches 2^512, both SNRs and both constants 1 are first
-    scaled by one power of two, which brings the larger below 2^512, so
-    gamma_bar_b X cannot overflow: unscaled, both sides could overflow,
-    and inf <= inf is true where inf < inf is false.  Scaling by 2^-k is
-    exact, so it moves no event unless a scaled product leaves the
-    normal range.  A threshold that overflows becomes +inf, without an
-    error or a warning, so every finite rate is answered; a threshold
-    beyond the float range puts the trial in outage.
+    or a logarithm as gamma_bar_b X < gamma_bar_e Y 2^rate + (2^rate - 1),
+    which is 2^rate (1 + gamma_bar_e Y) - 1 without the round trip
+    through 1 + gamma_bar_e Y: that sum loses gamma_bar_e Y below 2^-53,
+    and 2^rate - 1 is taken as expm1(rate ln 2), which keeps a rate so
+    small that 2^rate rounds to 1.  When an SNR reaches 2^512, both SNRs
+    and the 2^rate - 1 term are first scaled by one power of two, which
+    brings the larger SNR below 2^512, so gamma_bar_b X cannot overflow:
+    unscaled, both sides could overflow, and inf <= inf is true where
+    inf < inf is false.  Scaling by 2^-k is exact, so it moves no event
+    unless a scaled product leaves the normal range.  A threshold that
+    overflows becomes +inf, without an error or a warning, so every
+    finite rate is answered; a threshold beyond the float range puts the
+    trial in outage.
     """
     rate = checked_rate(rate)
     if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
@@ -196,18 +200,20 @@ def outage_events(
             f"draws have n_alice={draws.n_alice}"
         )
     bob, eve = draws.pairs[scheme]
-    one = 1.0
+    scale = 1.0
     exponent = math.frexp(max(gamma_bar_b, gamma_bar_e))[1]
     if exponent > _SNR_EXPONENT:
-        one = math.ldexp(1.0, _SNR_EXPONENT - exponent)
-        gamma_bar_b *= one
-        gamma_bar_e *= one
+        scale = math.ldexp(1.0, _SNR_EXPONENT - exponent)
+        gamma_bar_b *= scale
+        gamma_bar_e *= scale
     with np.errstate(over="ignore"):
         threshold = eve * gamma_bar_e
         if rate > 0.0:
-            threshold += one
-            threshold *= np.exp2(rate)
-            threshold -= one
+            two_rate = np.exp2(rate)
+            if two_rate == math.inf:  # an infinite threshold: all in outage
+                return np.ones(bob.shape, bool)
+            threshold *= two_rate
+            threshold += scale * np.expm1(rate * math.log(2.0))
             return bob * gamma_bar_b < threshold
         return bob * gamma_bar_b <= threshold
 

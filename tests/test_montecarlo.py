@@ -210,7 +210,7 @@ class TestOutageEvents:
         st.floats(min_value=-300.0, max_value=308.0),
         st.floats(min_value=-300.0, max_value=308.0),
         st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+            st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e3)),
             min_size=2,
             max_size=2,
         ),
@@ -218,10 +218,11 @@ class TestOutageEvents:
     @example(308.0, 308.0, [0.0, 0.5])
     @example(308.0, -300.0, [0.0, 1.0])
     @example(-300.0, 308.0, [0.5, 2.0])
+    @example(-16.0, -16.5, [0.0, 1e-300])
+    @example(-16.0, -16.5, [0.0, 5e-324])
     def test_events_at_a_lower_rate_are_among_those_at_a_higher(self, b_exp, e_exp, rates):
-        # SNRs from 1e-300 to 1e308.  A positive rate starts at 1e-3: at
-        # about 1e-16, 2^rate rounds to 1 and rate 0's events need not
-        # be among its own.
+        # SNRs from 1e-300 to 1e308 and every positive rate down to the
+        # smallest subnormal, where 2^rate rounds to 1.
         low_rate, high_rate = sorted(rates)
         gamma_bar_b, gamma_bar_e = 10.0**b_exp, 10.0**e_exp
         draws = subset_draws()

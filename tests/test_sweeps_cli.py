@@ -1061,6 +1061,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "stderr = " in out and "ci95 = [" in out
 
+    def test_eval_mc_at_a_tiny_rate_matches_rate_zero(self, capsys):
+        # 2^1e-300 rounds to 1, and 1 + gamma_bar_e Y loses gamma_bar_e Y
+        # near 1e-16.5, so a threshold formed through them read 0.0034.
+        outputs = []
+        for rate in ("0", "1e-300"):
+            code = cli.main(
+                ["eval", "--metric", "pout", "--evaluator", "mc", "--trials", "5000",
+                 "--n-alice", "4", "--n-bob", "3", "--n-eve", "2",
+                 "--gamma-b-db", "-160", "--gamma-e-db", "-165", "--rate", rate]
+            )
+            assert code == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("value = 0.0002\n")
+
     def test_eval_bad_metric(self, capsys):
         code = cli.main(["eval", "--metric", "ber", "--evaluator", "cf"])
         assert code == cli.EXIT_USAGE
