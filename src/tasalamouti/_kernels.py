@@ -398,7 +398,6 @@ def psi_terms(
     level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
     level_efac += [math.exp(-2.0 * decay)] * 2
     outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
-    summands = memoryview(outer * mixed[plan.p_gather])
-    psi1, psi2, psi3, psi4 = (math.fsum(summands[s]) for s in plan.p_slices)
+    psi1, psi2, psi3, psi4 = _group_fsums(outer * mixed[plan.p_gather], plan.p_slices).tolist()
     mag_all = np.fmax.reduce(np.abs(outer) * mixed_mag[plan.p_gather], initial=0.0)
     return psi1, psi2, psi3, psi4, float(mag_all)

@@ -1060,8 +1060,8 @@ def _validation_row(
 ) -> ValidationRow:
     """The three-way comparison at one grid point, from its
     ``_closed_forms`` pair, counting Monte Carlo events on ``draws``,
-    the draw set of the point's antennas (None for a point whose system
-    is refused).  The cells are filled as they are computed, so a
+    the draw set of the point's antennas (None for a point whose closed
+    form is refused).  The cells are filled as they are computed, so a
     refusal part-way keeps those filled before it."""
     rate = float(pt["rate_rs"])
     cells = dict(

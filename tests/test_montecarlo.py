@@ -177,11 +177,17 @@ class TestOutageEvents:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "gamma_bar_b, gamma_bar_e, rate",
-        [(10.0, 1.0, 1e4), (1e300, 1e300, 1023.5), (1.0, 1e308, 1e4), (1e308, 1.0, 5.0)],
+        [
+            (10.0, 1.0, 1e4),
+            (1e300, 1e300, 1023.5),
+            (1.0, 1e308, 1e4),
+            (1e308, 1.0, 5.0),
+            (1.0, 5e-324, 1e4),
+        ],
     )
     def test_huge_rates_and_snrs_raise_nothing(self, gamma_bar_b, gamma_bar_e, rate):
         # 2^rate and the products overflow to +inf silently; at rate 1e4
-        # every trial is in outage.
+        # every trial is in outage, also where gamma_bar_e Y rounds to 0.
         draws = draw_components(3, 2, 2, 1000, seed=0)
         for scheme in (ALA, SINGLE):
             events = outage_events(draws, scheme, gamma_bar_b, gamma_bar_e, rate)
