@@ -346,12 +346,13 @@ BATCH_TRIPLES = [
 
 
 @functools.lru_cache(maxsize=None)
-def envelope_batch(triple):
-    """(configs, rates) of one antenna triple: random points over the
-    envelope, two at rate 0, one past the underflow shortcut and one
-    refused rate.  (8, 8, 8), whose points cost 0.3 s each, keeps one
-    random point and adds the cancellation refusal at -20 dB; (3, 2, 2)
-    adds a point whose nested sums overflow a float power."""
+def envelope_points(triple):
+    """(gamma_bar_b_db, gamma_bar_e_db, rate) of one antenna triple:
+    random points over the envelope, two at rate 0, one past the
+    underflow shortcut and one refused rate.  (8, 8, 8), whose points
+    cost 0.3 s each, keeps one random point and adds the cancellation
+    refusal at -20 dB; (3, 2, 2) adds a point whose nested sums overflow
+    a float power."""
     rng = np.random.default_rng(list(triple))
     n_random = 1 if triple == (8, 8, 8) else 10
     points = [
@@ -363,6 +364,12 @@ def envelope_batch(triple):
         points.insert(1, (-20.0, -20.0, 0.0))
     if triple == (3, 2, 2):
         points.insert(5, (-3000.0, -300.0, 0.0))
+    return points
+
+
+def envelope_batch(triple):
+    """(configs, rates) of ``envelope_points(triple)``."""
+    points = envelope_points(triple)
     configs = [
         SystemConfig(*triple, db_to_linear(gb), db_to_linear(ge)) for gb, ge, _ in points
     ]
@@ -383,23 +390,41 @@ def near_float_max_points():
     ]
 
 
-# SHA-256 of the one-point outage_breakdown outcomes over envelope_batch's
-# points of every BATCH_TRIPLES triple, the 1080 default validation grid
-# points and near_float_max_points; frozen from the kernel that evaluated
-# a triple's points in one batched pass.
-BREAKDOWN_DIGEST = "96b0c4feac93be334f98e06db6f73df69c831b9e73b0817fa68c0c12adad0315"
-
-
-def test_one_point_breakdowns_match_the_frozen_digest():
-    points = [
-        pair for triple in BATCH_TRIPLES for pair in zip(*envelope_batch(triple))
+def breakdown_groups():
+    """The (config, rate) points of the frozen outcome digests, by group:
+    envelope_batch of each BATCH_TRIPLES triple, the 1080 default
+    validation grid points and near_float_max_points."""
+    groups = {"-".join(map(str, t)): list(zip(*envelope_batch(t))) for t in BATCH_TRIPLES}
+    groups["default-grid"] = [
+        (sweeps._config(pt), pt["rate_rs"]) for pt in validation_grid("default")
     ]
-    points += [(sweeps._config(pt), pt["rate_rs"]) for pt in validation_grid("default")]
-    points += near_float_max_points()
+    groups["near-float-max"] = near_float_max_points()
+    return groups
+
+
+# SHA-256 of the one-point outage_breakdown outcomes of each
+# breakdown_groups group; frozen from the kernel that evaluated a
+# triple's points in one batched pass.
+BREAKDOWN_DIGESTS = {
+    "2-1-1": "2e50be27fa9971e3c5a0721512fe7f8f3b4e15a7cb6a85b26ab82d6398e582d9",
+    "3-2-2": "6d96f2a514ed39e87037f1bab56ed4e2cbe26e9b53c5a36f99202ec07fa6221d",
+    "4-3-2": "f8acfb13d41927463716d9a0868c546cec51aaa9fa4df6d76d46d289f2924818",
+    "6-3-3": "b66b303b9a03b140487d5e3ef68ef6236770e3e846e40d865735ccc668483af2",
+    "5-1-3": "df3afa7bd0cf1994cc34fb6473edd485b453677b21a06d5352e1973c18a40399",
+    "7-2-4": "95d7e911d42c8d9848429c9a679007de11987b460b942ebdf3f798d517e9519b",
+    "8-3-3": "36cb075b34889ba523188f8499f8421e37a2455fa272b6becdd5ad983353afd7",
+    "8-8-8": "b89f030bd481d74fdcc9e82318a1326a0b95b7f7d8d8170a38e9d1042a53f38c",
+    "default-grid": "56a171daeaced7780a531c11134a14063d2dcc6f52211c79540a031a4c16f169",
+    "near-float-max": "408e81a600977e02c25f8ff13bd65ba713cd8b7748c794b4dc2af8e8af90bd3b",
+}
+
+
+@pytest.mark.parametrize("group", list(BREAKDOWN_DIGESTS))
+def test_one_point_breakdowns_match_the_frozen_digest(group):
+    points = breakdown_groups()[group]
     lines = [f"{config} {rate!r}: {one_point_outcome(config, rate)}" for config, rate in points]
-    assert len(lines) == sum(len(envelope_batch(t)[1]) for t in BATCH_TRIPLES) + 1080 + 80
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == BREAKDOWN_DIGEST
+    assert digest == BREAKDOWN_DIGESTS[group]
 
 
 class TestBatchedBreakdown:
@@ -417,6 +442,24 @@ class TestBatchedBreakdown:
         # The underflow shortcut: value 1 and four zero sums.
         underflow = ((1.0).hex(), *[(0.0).hex()] * 4)
         assert underflow in {o[:5] for o in outcomes if isinstance(o, tuple)}
+
+    @pytest.mark.parametrize(
+        "triple", [(3, 2, 2), (6, 3, 3), (8, 8, 8)], ids=lambda t: "-".join(map(str, t))
+    )
+    def test_a_refused_point_leaves_the_others_unchanged(self, triple):
+        # Validate's closed forms of a grid: a refusal takes the place of
+        # its point's closed form and leaves every other point as it
+        # reads alone.
+        n_a, n_b, n_e = triple
+        points = [
+            dict(n_alice=n_a, n_bob=n_b, n_eve=n_e, gamma_bar_b_db=gb, gamma_bar_e_db=ge, rate_rs=r)
+            for gb, ge, r in envelope_points(triple)
+        ]
+        full = [breakdown_outcome(cf) for _, cf in sweeps._closed_forms(points)]
+        kept = [i for i, o in enumerate(full) if isinstance(o, tuple)]
+        assert len(kept) < len(full)
+        alone = sweeps._closed_forms([points[i] for i in kept])
+        assert [full[i] for i in kept] == [breakdown_outcome(cf) for _, cf in alone]
 
 
 class TestClosedFormOutage:
