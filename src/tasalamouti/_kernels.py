@@ -362,8 +362,8 @@ def psi_terms(
     ------
     ValueError
         If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``.  When the sums
-        overflow, the call raises what ``math.fsum`` or ``float ** int``
-        raise there.
+        overflow, the call raises ``OverflowError`` (rho itself, before
+        any array) or what ``math.fsum`` or ``float ** int`` raise there.
     """
     if n_a < 2 or n_b < 1 or n_e < 1:
         raise ValueError(
@@ -373,6 +373,8 @@ def psi_terms(
     gamma_b = float(gamma_b)
     two_rs = 2.0 ** float(rate)
     rho = two_rs * float(gamma_e) / gamma_b
+    if rho == math.inf:
+        raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
     shift = 2.0 * (two_rs - 1.0) / gamma_b
     decay = (two_rs - 1.0) / gamma_b
 

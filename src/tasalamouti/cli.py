@@ -243,8 +243,6 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 def _cmd_crossover(args: argparse.Namespace) -> int:
     result = find_crossover(
         _config_from_args(args),
-        Scheme.TAS_ALAMOUTI,
-        Scheme.SINGLE_TAS,
         _canonical("metric", args.metric, _METRIC_ALIASES),
         (args.bracket[0], args.bracket[1]),
         args.trials,

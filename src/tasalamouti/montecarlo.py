@@ -27,14 +27,16 @@ The per-trial channel statistics are normalized (unit average branch
 SNR), so one draw set, fixed by (n_alice, n_bob, n_eve, trials, seed),
 serves every SNR and rate point and both schemes.  ``draw_components``
 makes a set, and ``count_outage`` counts outage events on a supplied
-set without drawing; non-zero secrecy is the complement of its rate-0
-count.  A set's arrays are read-only, so the rows that share it cannot
-change it.  The callers decide when to draw: ``sweeps.evaluate``
-checks one point's inputs and draws its set, while
-a sweep, a preset or a validation grid of ``sweeps`` is planned as one
-run that draws each distinct set once and holds one set at a time, so
-its memory is bounded by a single set (4 arrays of ``trials`` float64)
-and one block's norms, and not by the number of sets.
+set without drawing; non-zero secrecy is ``EstimatorResult.complement``
+of its rate-0 count, and ``binomial_z``, the exact binomial tail of a
+count in sigma, scores ``sweeps.validate``'s estimates.  A set's arrays
+are read-only, so the rows that share it cannot change it.  The callers
+decide when to draw: ``sweeps.evaluate`` checks one point's inputs and
+draws its set, while a sweep, a preset or a validation grid of
+``sweeps`` is planned as one run that draws each distinct set once and
+holds one set at a time, so its memory is bounded by a single set (4
+arrays of ``trials`` float64) and one block's norms, and not by the
+number of sets.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ __all__ = [
     "BLOCK_SIZE",
     "EstimatorResult",
     "NormalizedDraws",
+    "Z95",
+    "binomial_z",
     "count_outage",
     "draw_components",
     "outage_events",
@@ -58,7 +62,7 @@ __all__ = [
 
 BLOCK_SIZE = 65536
 
-_Z95 = 1.959963984540054
+Z95 = 1.959963984540054
 
 # outage_events scales SNRs of 2^_SNR_EXPONENT and above below it.
 _SNR_EXPONENT = 512
@@ -80,6 +84,10 @@ class EstimatorResult:
     n_events: int
     ci95_low: float
     ci95_high: float
+
+    def complement(self) -> EstimatorResult:
+        """The estimate of the complementary event on the same trials."""
+        return _bernoulli_result(self.n_trials - self.n_events, self.n_trials)
 
 
 @dataclass(frozen=True)
@@ -226,8 +234,8 @@ def _bernoulli_result(n_events: int, n_trials: int) -> EstimatorResult:
     elif n_events == n_trials:
         low, high = max(0.0, 1.0 - 3.0 / n_trials), 1.0
     else:
-        low = max(0.0, p - _Z95 * stderr)
-        high = min(1.0, p + _Z95 * stderr)
+        low = max(0.0, p - Z95 * stderr)
+        high = min(1.0, p + Z95 * stderr)
     return EstimatorResult(
         estimate=p,
         stderr=stderr,
@@ -255,3 +263,82 @@ def count_outage(
     )
     return _bernoulli_result(int(events.sum()), draws.n_trials)
 
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _stirling_error(x: int) -> float:
+    """log(x!) - [(x + 1/2) log x - x + log sqrt(2 pi)], for x >= 1."""
+    if x <= 15:
+        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * _LOG_2PI
+    inv2 = 1.0 / (x * x)
+    return (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / x
+
+
+def _deviance(x: int, mean: float) -> float:
+    """x log(x / mean) + mean - x, without cancellation when x ~ mean."""
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    total, term, j = (x - mean) * v, 2.0 * x * v, 1
+    while True:
+        term *= v * v
+        nxt = total + term / (2 * j + 1)
+        if nxt == total:
+            return total
+        total, j = nxt, j + 1
+
+
+def _binomial_log_pmf(k: int, n: int, p: float) -> float:
+    """log Pr(X = k) for X ~ Binomial(n, p), 0 < p < 1.
+
+    Loader's saddle-point form: accurate to rounding, relative, where
+    differences of log-gammas of n ~ 1e7 would lose eight digits.
+    """
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    return (
+        _stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+        - _deviance(k, n * p) - _deviance(n - k, n * (1.0 - p))
+        - 0.5 * (_LOG_2PI + math.log(k) + math.log((n - k) / n))
+    )
+
+
+def binomial_z(n_events: int, n_trials: int, p: float) -> float:
+    """Sigma level of ``n_events`` in ``n_trials`` under Binomial(n_trials, p).
+
+    The exact tail probability on the observed side is converted to the
+    normal quantile with the same tail, floored at 0.  Unlike the normal
+    approximation |k/n - p| / sqrt(p (1 - p) / n), a single event where
+    n p << 1 is not scored as a many-sigma outlier; with many expected
+    events the two agree.  An outcome impossible under p scores inf.
+
+    The tail starts from the probability of ``n_events`` and sums the
+    terms away from the mean in log space, from the cumulative sum of
+    the log ratios of successive terms.  The terms fall from the first
+    one on, like a Gaussian of width sqrt(n p (1 - p)) or faster, so
+    the sum stops after 64 + 16 widths, where they are below e^-100 of
+    the first.
+    """
+    k, n = n_events, n_trials
+    if p in (0.0, 1.0):
+        return 0.0 if k == n * p else math.inf
+    width = 64 + math.ceil(16.0 * math.sqrt(n * p * (1.0 - p)))
+    log_odds = math.log(p) - math.log1p(-p)
+    if k >= n * p:
+        j = np.arange(k, min(n, k + width), dtype=float)
+        log_ratios = np.log((n - j) / (j + 1.0)) + log_odds
+    else:
+        j = np.arange(k, max(0, k - width), -1, dtype=float)
+        log_ratios = np.log(j / (n - j + 1.0)) - log_odds
+    rest = float(np.sum(np.exp(np.cumsum(log_ratios))))
+    tail = math.exp(_binomial_log_pmf(k, n, p) + math.log1p(rest))
+    if tail == 0.0:
+        return math.inf
+    if tail >= 0.5:
+        return 0.0
+    from statistics import NormalDist  # here, not at import: it costs startup
+
+    return -NormalDist().inv_cdf(tail)

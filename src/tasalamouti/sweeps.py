@@ -424,15 +424,9 @@ _EVALUATE = {
         lambda c, s, rate, eps, draws: montecarlo.count_outage(draws, c, s, rate)
     ),
     ("Pr_nonzero", "monte-carlo"): (
-        lambda c, s, rate, eps, draws: _complement(montecarlo.count_outage(draws, c, s, 0.0))
+        lambda c, s, rate, eps, draws: montecarlo.count_outage(draws, c, s, 0.0).complement()
     ),
 }
-
-
-def _complement(result: montecarlo.EstimatorResult) -> montecarlo.EstimatorResult:
-    """The estimate of the complementary event on the same trials: non-zero
-    secrecy is exactly the absence of rate-0 outage."""
-    return montecarlo._bernoulli_result(result.n_trials - result.n_events, result.n_trials)
 
 
 # The analytic evaluators model only the two-antenna selection scheme.
@@ -737,7 +731,7 @@ def run_preset(
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Location of equal performance between two schemes.
+    """Location of equal performance between TAS-Alamouti and single TAS.
 
     ``found`` is False when the metric difference does not change sign
     over the bracket; ``half_width_db`` spans the region where the
@@ -757,8 +751,6 @@ class CrossoverResult:
 
 def find_crossover(
     config: SystemConfig,
-    scheme_a: Scheme,
-    scheme_b: Scheme,
     metric: str,
     bracket_db: tuple[float, float],
     n_trials: int,
@@ -766,7 +758,7 @@ def find_crossover(
     *,
     rate: float = 0.0,
 ) -> CrossoverResult:
-    """Locate where two schemes' metric curves cross in gamma_bar_b.
+    """Locate where the TAS-Alamouti and single-TAS curves cross in gamma_bar_b.
 
     Both schemes are evaluated on the same channel draws at every
     probe, so the per-trial difference cancels most Monte Carlo noise;
@@ -778,13 +770,12 @@ def find_crossover(
     Returns a no-crossover result (found=False) when the difference
     has the same sign at both bracket ends and no scan point between
     them resolves a sign change.  Raises ``ValueError``, before anything
-    is drawn, when ``evaluate`` would refuse either scheme with the
+    is drawn, when ``evaluate`` would refuse TAS-Alamouti with the
     Monte Carlo evaluator (the same checks, with the same texts) and
     unless lo < hi and both bracket ends pass ``SystemConfig``'s SNR
     rule (finite and > 0 on the linear scale).
     """
-    for scheme in (scheme_a, scheme_b):
-        _checked(config, scheme, metric, "monte-carlo", rate, None)
+    _checked(config, Scheme.TAS_ALAMOUTI, metric, "monte-carlo", rate, None)
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
     try:
         for end_db in (lo_db, hi_db):
@@ -812,7 +803,7 @@ def find_crossover(
         gb = db_to_linear(g_db)
         a, b = (
             montecarlo.outage_events(draws, scheme, gb, config.gamma_bar_e, event_rate)
-            for scheme in (scheme_a, scheme_b)
+            for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
         )
         # The per-trial differences are -1, 0 or 1, so three event counts
         # give their mean and second moment exactly.  For Pr_nonzero the
@@ -866,7 +857,7 @@ def find_crossover(
             paired_difference(min(max(side, lo_db), hi_db))
             for side in (root - half, root + half)
         ]
-        if all(abs(mean) > montecarlo._Z95 * se for mean, se in sides):
+        if all(abs(mean) > montecarlo.Z95 * se for mean, se in sides):
             break
         half *= 2.0
     half = min(half, hi_db - lo_db)
@@ -922,86 +913,6 @@ class ValidationReport:
     error_points: int
     passed: bool
     lines: tuple[str, ...]
-
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _stirling_error(x: int) -> float:
-    """log(x!) - [(x + 1/2) log x - x + log sqrt(2 pi)], for x >= 1."""
-    if x <= 15:
-        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * _LOG_2PI
-    inv2 = 1.0 / (x * x)
-    return (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / x
-
-
-def _deviance(x: int, mean: float) -> float:
-    """x log(x / mean) + mean - x, without cancellation when x ~ mean."""
-    if abs(x - mean) >= 0.1 * (x + mean):
-        return x * math.log(x / mean) + mean - x
-    v = (x - mean) / (x + mean)
-    total, term, j = (x - mean) * v, 2.0 * x * v, 1
-    while True:
-        term *= v * v
-        nxt = total + term / (2 * j + 1)
-        if nxt == total:
-            return total
-        total, j = nxt, j + 1
-
-
-def _binomial_log_pmf(k: int, n: int, p: float) -> float:
-    """log Pr(X = k) for X ~ Binomial(n, p), 0 < p < 1.
-
-    Loader's saddle-point form: accurate to rounding, relative, where
-    differences of log-gammas of n ~ 1e7 would lose eight digits.
-    """
-    if k == 0:
-        return n * math.log1p(-p)
-    if k == n:
-        return n * math.log(p)
-    return (
-        _stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
-        - _deviance(k, n * p) - _deviance(n - k, n * (1.0 - p))
-        - 0.5 * (_LOG_2PI + math.log(k) + math.log((n - k) / n))
-    )
-
-
-def _binomial_z(n_events: int, n_trials: int, p: float) -> float:
-    """Sigma level of ``n_events`` in ``n_trials`` under Binomial(n_trials, p).
-
-    The exact tail probability on the observed side is converted to the
-    normal quantile with the same tail, floored at 0.  Unlike the normal
-    approximation |k/n - p| / sqrt(p (1 - p) / n), a single event where
-    n p << 1 is not scored as a many-sigma outlier; with many expected
-    events the two agree.  An outcome impossible under p scores inf.
-
-    The tail starts from the probability of ``n_events`` and sums the
-    terms away from the mean in log space, from the cumulative sum of
-    the log ratios of successive terms.  The terms fall from the first
-    one on, like a Gaussian of width sqrt(n p (1 - p)) or faster, so
-    the sum stops after 64 + 16 widths, where they are below e^-100 of
-    the first.
-    """
-    k, n = n_events, n_trials
-    if p in (0.0, 1.0):
-        return 0.0 if k == n * p else math.inf
-    width = 64 + math.ceil(16.0 * math.sqrt(n * p * (1.0 - p)))
-    log_odds = math.log(p) - math.log1p(-p)
-    if k >= n * p:
-        j = np.arange(k, min(n, k + width), dtype=float)
-        log_ratios = np.log((n - j) / (j + 1.0)) + log_odds
-    else:
-        j = np.arange(k, max(0, k - width), -1, dtype=float)
-        log_ratios = np.log(j / (n - j + 1.0)) - log_odds
-    rest = float(np.sum(np.exp(np.cumsum(log_ratios))))
-    tail = math.exp(_binomial_log_pmf(k, n, p) + math.log1p(rest))
-    if tail == 0.0:
-        return math.inf
-    if tail >= 0.5:
-        return 0.0
-    from statistics import NormalDist  # here, not at import: it costs startup
-
-    return -NormalDist().inv_cdf(tail)
 
 
 # name -> the values of each point field; a grid is their product, with
@@ -1085,7 +996,7 @@ def _validation_row(
         cells.update(quadrature=quad, cf_quad_diff=abs(closed_form.value - quad))
         mc = montecarlo.count_outage(draws, config, Scheme.TAS_ALAMOUTI, rate)
         cells.update(mc_estimate=mc.estimate, mc_stderr=mc.stderr)
-        cells["mc_z_score"] = _binomial_z(mc.n_events, draws.n_trials, closed_form.value)
+        cells["mc_z_score"] = montecarlo.binomial_z(mc.n_events, draws.n_trials, closed_form.value)
     except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
         cells["error"] = str(exc)
     return ValidationRow(**cells)
@@ -1103,7 +1014,7 @@ def validate(
     Hard failures: any |closed-form - quadrature| above 1e-6, a
     Monte Carlo agreement fraction below 99%, or an evaluator error on
     a grid point.  The Monte Carlo z-score is the exact binomial tail
-    under the closed-form value, expressed in sigma (``_binomial_z``),
+    under the closed-form value, expressed in sigma (``montecarlo.binomial_z``),
     so points with few expected events are judged correctly.
 
     ``points`` overrides the named grid (used for focused reports).

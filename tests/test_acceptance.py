@@ -62,8 +62,6 @@ class TestCriterion2SchemeCrossover:
         base = dict(n_bob=3, n_eve=2, gamma_bar_b=10.0, gamma_bar_e=db_to_linear(5.0))
         three = find_crossover(
             SystemConfig(n_alice=3, **base),
-            Scheme.TAS_ALAMOUTI,
-            Scheme.SINGLE_TAS,
             "P_out",
             (5.0, 15.0),
             10_000_000,
@@ -75,8 +73,6 @@ class TestCriterion2SchemeCrossover:
 
         four = find_crossover(
             SystemConfig(n_alice=4, **base),
-            Scheme.TAS_ALAMOUTI,
-            Scheme.SINGLE_TAS,
             "P_out",
             (5.0, 15.0),
             10_000_000,
@@ -112,8 +108,6 @@ class TestCriterion3ReceiveAndEavesdropperTrends:
         def crossover(nb: int, ne: int):
             result = find_crossover(
                 SystemConfig(4, nb, ne, 10.0, ge),
-                Scheme.TAS_ALAMOUTI,
-                Scheme.SINGLE_TAS,
                 "P_out",
                 (2.0, 18.0),
                 1_000_000,
@@ -146,8 +140,6 @@ class TestCriterion4NonzeroSecrecyCrossover:
         for ge_db, bracket in ((0.0, (-7.0, 7.0)), (5.0, (-2.0, 12.0))):
             result = find_crossover(
                 SystemConfig(4, 3, 2, 10.0, db_to_linear(ge_db)),
-                Scheme.TAS_ALAMOUTI,
-                Scheme.SINGLE_TAS,
                 "Pr_nonzero",
                 bracket,
                 2_000_000,

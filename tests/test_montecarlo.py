@@ -17,12 +17,13 @@ from reference_channel import (
 from tasalamouti import Scheme, SystemConfig, db_to_linear, evaluate
 from tasalamouti.montecarlo import (
     BLOCK_SIZE,
+    binomial_z,
     count_outage,
     draw_components,
     outage_events,
 )
 from tasalamouti._kernels import snr_components
-from tasalamouti.sweeps import _EVALUATE
+from tasalamouti.sweeps import _EVALUATE, MC_Z_LIMIT
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
 MC = "monte-carlo"
@@ -252,6 +253,12 @@ class TestEstimators:
         assert pnz.estimate + out0.estimate == 1.0
         assert pnz.n_events + out0.n_events == 30_000
 
+    def test_nonzero_secrecy_is_the_complement_of_rate_zero_outage(self):
+        draws = draw_components(3, 3, 2, 30_000, seed=1)
+        for scheme in Scheme:
+            pnz = evaluate(CFG, scheme, "Pr_nonzero", MC, trials=30_000, seed=1)
+            assert pnz == count_outage(draws, CFG, scheme, 0.0).complement()
+
     def test_symmetric_config_is_half(self):
         cfg = SystemConfig(2, 2, 2, 5.0, 5.0)
         result = evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=0.0, trials=200_000)
@@ -283,6 +290,81 @@ class TestEstimators:
         ala = evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=1.0, trials=1_000_000, seed=2)
         single = evaluate(cfg, Scheme.SINGLE_TAS, "P_out", MC, rate=1.0, trials=1_000_000, seed=2)
         assert ala.n_events < single.n_events
+
+
+class TestBinomialZ:
+    """The exact binomial score that ``validate`` puts on a Monte Carlo count."""
+
+    def test_binomial_z_with_few_expected_events(self):
+        # One event where 0.05 are expected has probability 0.049: an
+        # ordinary draw, not the 14-sigma outlier of the normal
+        # approximation.  The mirror case, one non-event where 0.001 are
+        # expected, has probability 1e-3, i.e. 3.09 sigma.
+        assert binomial_z(1, 10_000, 5e-6) <= MC_Z_LIMIT
+        assert binomial_z(9_999, 10_000, 0.9999999) == pytest.approx(3.09, abs=0.01)
+        # Genuine misses are still flagged on both sides.
+        assert binomial_z(0, 10_000, 25e-4) > MC_Z_LIMIT
+        assert binomial_z(9_990, 10_000, 0.9999999) > MC_Z_LIMIT
+        assert binomial_z(1, 10_000, 0.0) == math.inf
+        assert binomial_z(0, 10_000, 0.0) == 0.0
+        # With many expected events it matches the normal approximation.
+        assert binomial_z(5_200, 10_000, 0.5) == pytest.approx(4.0, abs=0.02)
+
+    def test_binomial_z_matches_scipy(self):
+        from scipy import special
+
+        def scipy_z(k, n, p):
+            if k >= n * p:
+                tail = special.bdtrc(k - 1, n, p) if k > 0 else 1.0
+            else:
+                tail = special.bdtr(k, n, p)
+            return max(0.0, float(-special.ndtri(tail)))
+
+        # Interior counts stop at n = 1e5: at n = 1e7 scipy's incomplete
+        # beta is off by up to 3e-3 in z near the mean (see the next
+        # test); the edge counts' tails are a few terms at any n.
+        checked = 0
+        for n in (1, 10, 1_000, 100_000, 10_000_000):
+            for p in (0.0, 1e-9, 1e-3, 0.5, 1.0 - 1e-7, 1.0):
+                counts = {0, 1, 2, n - 2, n - 1, n}
+                if n <= 100_000:
+                    sigma = math.sqrt(n * p * (1.0 - p))
+                    counts |= {round(n * p + f * sigma) for f in (-5, -2, -0.3, 0.3, 2, 5)}
+                for k in sorted(c for c in counts if 0 <= c <= n):
+                    got, expected = binomial_z(k, n, p), scipy_z(k, n, p)
+                    if math.isinf(expected) and math.isinf(got):
+                        continue
+                    assert abs(got - expected) <= 1e-9, (k, n, p, got, expected)
+                    checked += 1
+        assert checked > 50
+
+    def test_binomial_z_exact_at_large_n(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+
+        def exact_z(k, n, p):
+            # The tail by direct summation of the pmf in 30 digits.
+            p = mp.mpf(p)
+            q = 1 - p
+            upper = k >= n * p
+            term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+                          + k * mp.log(p) + (n - k) * mp.log(q))
+            tail = mp.mpf(0)
+            while term > tail * mp.mpf(10) ** -25:
+                tail += term
+                term *= (n - k) * p / ((k + 1) * q) if upper else k * q / ((n - k + 1) * p)
+                k += 1 if upper else -1
+            return max(0.0, float(-mp.sqrt(2) * mp.erfinv(2 * tail - 1)))
+
+        n = 10_000_000
+        for p in (1e-3, 0.5):
+            mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+            for f in (-5, -2, -0.3, 0.3, 2, 5):
+                k = round(mean + f * sigma)
+                assert binomial_z(k, n, p) == pytest.approx(exact_z(k, n, p), abs=1e-11)
+            assert binomial_z(round(mean) + 1, n, p) == pytest.approx(
+                exact_z(round(mean) + 1, n, p), abs=1e-11
+            )
 
 
 class TestCountOnSuppliedDraws:

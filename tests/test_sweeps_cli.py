@@ -36,7 +36,6 @@ from tasalamouti import (
     write_validation_csv,
 )
 from tasalamouti import cli, montecarlo, sweeps
-from tasalamouti.sweeps import MC_Z_LIMIT, _binomial_z
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -573,65 +572,39 @@ class TestPresets:
 class TestCrossover:
     def test_result_found_at_moderate_snr(self):
         config = SystemConfig(3, 2, 2, 10.0, db_to_linear_5db())
-        result = find_crossover(
-            config,
-            Scheme.TAS_ALAMOUTI,
-            Scheme.SINGLE_TAS,
-            "P_out",
-            (5.0, 15.0),
-            100_000,
-            seed=2,
-            rate=1.0,
-        )
+        result = find_crossover(config, "P_out", (5.0, 15.0), 100_000, seed=2, rate=1.0)
         assert result.found
         assert 5.0 < result.gamma_db < 15.0
         assert result.half_width_db is not None and result.half_width_db > 0.0
         assert result.bracket_db == (5.0, 15.0)
 
     def test_no_crossover_reported_honestly(self):
-        # Identical schemes never cross.
-        config = SystemConfig(3, 2, 2, 10.0, 1.0)
-        result = find_crossover(
-            config,
-            Scheme.TAS_ALAMOUTI,
-            Scheme.TAS_ALAMOUTI,
-            "P_out",
-            (0.0, 10.0),
-            10_000,
-            rate=1.0,
-        )
+        # Far below the crossover every trial is in outage under both
+        # schemes, so the difference is 0 on the whole bracket.
+        config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
+        result = find_crossover(config, "P_out", (-60.0, -50.0), 10_000, rate=1.0)
         assert not result.found
         assert result.gamma_db is None
-        assert result.message != ""
+        assert result.message == (
+            "no sign change of the P_out difference on [-60.0, -50.0] dB "
+            "(endpoints 0.000e+00, 0.000e+00)"
+        )
 
     def test_same_seed_is_deterministic(self):
         config = SystemConfig(3, 2, 2, 10.0, db_to_linear_5db())
-        kwargs = dict(rate=1.0)
-        a = find_crossover(
-            config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-            (5.0, 15.0), 50_000, 4, **kwargs,
-        )
-        b = find_crossover(
-            config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-            (5.0, 15.0), 50_000, 4, **kwargs,
-        )
+        a = find_crossover(config, "P_out", (5.0, 15.0), 50_000, 4, rate=1.0)
+        b = find_crossover(config, "P_out", (5.0, 15.0), 50_000, 4, rate=1.0)
         assert a == b
 
     def test_bad_metric(self):
         config = SystemConfig(3, 2, 2, 10.0, 1.0)
         with pytest.raises(ValueError):
-            find_crossover(
-                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "C_out",
-                (0.0, 10.0), 1000,
-            )
+            find_crossover(config, "C_out", (0.0, 10.0), 1000)
 
     def test_bad_bracket(self):
         config = SystemConfig(3, 2, 2, 10.0, 1.0)
         with pytest.raises(ValueError):
-            find_crossover(
-                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-                (10.0, 10.0), 1000,
-            )
+            find_crossover(config, "P_out", (10.0, 10.0), 1000)
 
     @pytest.mark.parametrize(
         "bracket",
@@ -642,10 +615,7 @@ class TestCrossover:
         # (4,3,2) at 5 dB crosses near 8.5 dB, which [0, inf] used to miss.
         config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
         with pytest.raises(ValueError, match="finite"):
-            find_crossover(
-                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-                bracket, 20_000, rate=1.0,
-            )
+            find_crossover(config, "P_out", bracket, 20_000, rate=1.0)
         assert draw_spy.calls == []
 
 
@@ -653,7 +623,6 @@ class TestCrossover:
         "n_alice, scheme, metric, rate",
         [
             (3, Scheme.TAS_ALAMOUTI, "C_out", 0.0),
-            (3, "tas_alamouti", "P_out", 1.0),
             (1, Scheme.TAS_ALAMOUTI, "P_out", 1.0),
             (3, Scheme.TAS_ALAMOUTI, "P_out", math.nan),
         ],
@@ -665,9 +634,7 @@ class TestCrossover:
         with pytest.raises(ValueError) as expected:
             evaluate(config, scheme, metric, "monte-carlo", rate=rate, trials=1000)
         with pytest.raises(ValueError) as caught:
-            find_crossover(
-                config, scheme, Scheme.SINGLE_TAS, metric, (0.0, 10.0), 1000, rate=rate
-            )
+            find_crossover(config, metric, (0.0, 10.0), 1000, rate=rate)
         assert str(caught.value) == str(expected.value)
         assert draw_spy.calls == []
 
@@ -676,9 +643,7 @@ class TestCrossover:
         with pytest.raises(
             ValueError, match="^the monte-carlo evaluator does not support the C_out metric$"
         ):
-            find_crossover(
-                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "C_out", (0.0, 10.0), 1000
-            )
+            find_crossover(config, "C_out", (0.0, 10.0), 1000)
 
     def test_each_probe_is_counted_once(self, monkeypatch):
         # The clamped half-width probes at the bracket ends were counted
@@ -692,10 +657,7 @@ class TestCrossover:
 
         monkeypatch.setattr(montecarlo, "outage_events", spy)
         config = SystemConfig(3, 3, 2, 10.0, db_to_linear_5db())
-        result = find_crossover(
-            config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-            (5.0, 15.0), 5000, 0, rate=1.0,
-        )
+        result = find_crossover(config, "P_out", (5.0, 15.0), 5000, 0, rate=1.0)
         assert (result.gamma_db, result.half_width_db) == (9.9365234375, 10.0)
         assert len(counted) == 74
         assert len(set(counted)) == len(counted)
@@ -704,10 +666,7 @@ class TestCrossover:
         # The paired difference is exactly zero at -30 and at 60 dB, so
         # the crossover is found through the coarse scan.
         config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
-        result = find_crossover(
-            config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-            (-30.0, 60.0), 50_000, 3, rate=2.0,
-        )
+        result = find_crossover(config, "P_out", (-30.0, 60.0), 50_000, 3, rate=2.0)
         assert result.found
         assert (result.gamma_db, result.half_width_db) == (11.92108154296875, 0.2)
 
@@ -830,77 +789,6 @@ class TestValidate:
                  row.mc_z_score)
         assert all(cell is None for cell in empty)
 
-    def test_binomial_z_with_few_expected_events(self):
-        # One event where 0.05 are expected has probability 0.049: an
-        # ordinary draw, not the 14-sigma outlier of the normal
-        # approximation.  The mirror case, one non-event where 0.001 are
-        # expected, has probability 1e-3, i.e. 3.09 sigma.
-        assert _binomial_z(1, 10_000, 5e-6) <= MC_Z_LIMIT
-        assert _binomial_z(9_999, 10_000, 0.9999999) == pytest.approx(3.09, abs=0.01)
-        # Genuine misses are still flagged on both sides.
-        assert _binomial_z(0, 10_000, 25e-4) > MC_Z_LIMIT
-        assert _binomial_z(9_990, 10_000, 0.9999999) > MC_Z_LIMIT
-        assert _binomial_z(1, 10_000, 0.0) == math.inf
-        assert _binomial_z(0, 10_000, 0.0) == 0.0
-        # With many expected events it matches the normal approximation.
-        assert _binomial_z(5_200, 10_000, 0.5) == pytest.approx(4.0, abs=0.02)
-
-    def test_binomial_z_matches_scipy(self):
-        from scipy import special
-
-        def scipy_z(k, n, p):
-            if k >= n * p:
-                tail = special.bdtrc(k - 1, n, p) if k > 0 else 1.0
-            else:
-                tail = special.bdtr(k, n, p)
-            return max(0.0, float(-special.ndtri(tail)))
-
-        # Interior counts stop at n = 1e5: at n = 1e7 scipy's incomplete
-        # beta is off by up to 3e-3 in z near the mean (see the next
-        # test); the edge counts' tails are a few terms at any n.
-        checked = 0
-        for n in (1, 10, 1_000, 100_000, 10_000_000):
-            for p in (0.0, 1e-9, 1e-3, 0.5, 1.0 - 1e-7, 1.0):
-                counts = {0, 1, 2, n - 2, n - 1, n}
-                if n <= 100_000:
-                    sigma = math.sqrt(n * p * (1.0 - p))
-                    counts |= {round(n * p + f * sigma) for f in (-5, -2, -0.3, 0.3, 2, 5)}
-                for k in sorted(c for c in counts if 0 <= c <= n):
-                    got, expected = _binomial_z(k, n, p), scipy_z(k, n, p)
-                    if math.isinf(expected) and math.isinf(got):
-                        continue
-                    assert abs(got - expected) <= 1e-9, (k, n, p, got, expected)
-                    checked += 1
-        assert checked > 50
-
-    def test_binomial_z_exact_at_large_n(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-
-        def exact_z(k, n, p):
-            # The tail by direct summation of the pmf in 30 digits.
-            p = mp.mpf(p)
-            q = 1 - p
-            upper = k >= n * p
-            term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
-                          + k * mp.log(p) + (n - k) * mp.log(q))
-            tail = mp.mpf(0)
-            while term > tail * mp.mpf(10) ** -25:
-                tail += term
-                term *= (n - k) * p / ((k + 1) * q) if upper else k * q / ((n - k + 1) * p)
-                k += 1 if upper else -1
-            return max(0.0, float(-mp.sqrt(2) * mp.erfinv(2 * tail - 1)))
-
-        n = 10_000_000
-        for p in (1e-3, 0.5):
-            mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
-            for f in (-5, -2, -0.3, 0.3, 2, 5):
-                k = round(mean + f * sigma)
-                assert _binomial_z(k, n, p) == pytest.approx(exact_z(k, n, p), abs=1e-11)
-            assert _binomial_z(round(mean) + 1, n, p) == pytest.approx(
-                exact_z(round(mean) + 1, n, p), abs=1e-11
-            )
-
 
 class TestDrawOnce:
     """Each distinct draw key (n_alice, n_bob, n_eve, trials, seed) is
@@ -996,10 +884,7 @@ class TestDrawOnce:
                 config, Scheme.TAS_ALAMOUTI, "P_out", "monte-carlo", trials=n_trials
             ),
             "validate": lambda: validate("quick", n_trials=n_trials),
-            "find_crossover": lambda: find_crossover(
-                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-                (0.0, 20.0), n_trials,
-            ),
+            "find_crossover": lambda: find_crossover(config, "P_out", (0.0, 20.0), n_trials),
         }
         with pytest.raises(ValueError, match=f"^n_trials must be an integer, got {n_trials!r}$"):
             calls[entry]()
@@ -1007,10 +892,7 @@ class TestDrawOnce:
     def test_crossover_refused_rate_draws_nothing(self, draw_spy):
         config = SystemConfig(3, 2, 1, 10.0, 1.0)
         with pytest.raises(ValueError, match="rate"):
-            find_crossover(
-                config, Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS, "P_out",
-                (0.0, 20.0), 1_000_000, rate=math.nan,
-            )
+            find_crossover(config, "P_out", (0.0, 20.0), 1_000_000, rate=math.nan)
         assert draw_spy.calls == []
 
 
@@ -1168,6 +1050,26 @@ class TestCli:
         )
         assert code == cli.EXIT_NUMERICAL
         assert "nested sums overflowed" in capsys.readouterr().err
+
+    def test_eval_overflowing_rho_writes_one_stderr_line(self):
+        # 2^0.5 gamma_bar_e / gamma_bar_b overflows to inf at 3082.3 dB;
+        # the kernel met it as inf * 0 and printed two numpy RuntimeWarnings
+        # before the refusal.  A child process sees what a user sees.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tasalamouti.cli", "eval", "--metric", "pout",
+             "--evaluator", "cf", "--n-alice", "2", "--n-bob", "1", "--n-eve", "1",
+             "--gamma-b-db", "0", "--gamma-e-db", "3082.3", "--rate", "0.5"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert proc.stderr.startswith("numerical failure: nested sums overflowed")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
     def test_sweep_to_stdout(self, tmp_path, capsys):
         spec_path = tmp_path / "s.yaml"
