@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,13 +112,14 @@ CASES = {
     "no-crossover": ((2, 1, 1, 5.0), "P_out", (0.0, 5.0), 1.0, (1, 1)),
 }
 SCHEME_PAIRS = {"alamouti-single": (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)}
+SEEDS = [0, 1, 2, 3, 4, 5]
 
 
 def hexed(value):
     return None if value is None else value.hex()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("pair", list(SCHEME_PAIRS))
 @pytest.mark.parametrize("case", list(CASES))
 def test_same_result_as_reference(case, pair, seed):
@@ -131,6 +133,34 @@ def test_same_result_as_reference(case, pair, seed):
     assert hexed(got.half_width_db) == hexed(expected.half_width_db)
     assert got == expected
     assert got.found == (case != "no-crossover")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_reversed_pair_only_negates_the_difference(case, seed):
+    # find_crossover fixes the pair to (TAS-Alamouti, single TAS).  The
+    # reversed pair negates every paired difference, so it brackets and
+    # bisects alike: the same root and half width, and a no-crossover
+    # message whose endpoints change sign.
+    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate, _ = CASES[case]
+    config = SystemConfig(n_a, n_b, n_e, 1.0, db_to_linear(gamma_e_db))
+    args = (metric, bracket, 20_000, seed)
+    got = find_crossover(config, *args, rate=rate)
+    reversed_ = reference_crossover(
+        config, Scheme.SINGLE_TAS, Scheme.TAS_ALAMOUTI, *args, rate=rate
+    )
+    assert got.found == reversed_.found
+    assert hexed(got.gamma_db) == hexed(reversed_.gamma_db)
+    assert hexed(got.half_width_db) == hexed(reversed_.half_width_db)
+    if got.found:
+        assert got == reversed_
+    else:
+        endpoints = r"endpoints (\S+), (\S+)\)$"
+        own = re.search(endpoints, got.message).groups()
+        flipped = re.search(endpoints, reversed_.message).groups()
+        assert [float(x) for x in own] == [-float(x) for x in flipped]
+        stem = re.sub(endpoints, "", got.message)
+        assert stem == re.sub(endpoints, "", reversed_.message)
 
 
 @pytest.mark.parametrize("case", list(CASES))
