@@ -25,6 +25,7 @@ from .config import Scheme, SystemConfig, db_to_linear
 from .errors import NumericalFailureError, PrecisionExhaustedError
 from .montecarlo import EstimatorResult
 from .sweeps import (
+    CROSSOVER_TOL_DB,
     EVALUATORS,
     GRID_NAMES,
     METRICS,
@@ -150,8 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser(
         "crossover",
         help="locate equal performance of TAS-Alamouti and single TAS",
-        description="Bisect the paired Monte Carlo difference of a metric "
-        "between TAS-Alamouti and single TAS over a legitimate-SNR bracket.",
+        description="Count the paired Monte Carlo difference of a metric "
+        "between TAS-Alamouti and single TAS at legitimate SNRs at most "
+        f"{CROSSOVER_TOL_DB:g} dB apart across a bracket, and report its "
+        "first sign change.",
     )
     _add_config_flags(p_cross)
     p_cross.add_argument(

@@ -24,25 +24,31 @@ its top two values by running maxima, and a (min(n_alice, 2), block)
 array of eavesdropper norms.
 
 The per-trial channel statistics are normalized (unit average branch
-SNR), so one draw set, fixed by (n_alice, n_bob, n_eve, trials, seed),
-serves every SNR and rate point and both schemes.  ``draw_components``
-makes a set, and ``count_outage`` counts outage events on a supplied
-set without drawing; non-zero secrecy is ``EstimatorResult.complement``
-of its rate-0 count, and ``binomial_z``, the exact binomial tail of a
-count in sigma, scores ``sweeps.validate``'s estimates.  A set's arrays
-are read-only, so the rows that share it cannot change it.  The callers
+SNR), so one draw set, fixed by the draw key (n_alice, n_bob, n_eve,
+trials, seed), serves every SNR and rate point and both schemes.  One
+block generator draws every key, block by block, with the same
+substreams and checks.  ``draw_components`` gathers its blocks into a
+set, and ``count_outage`` counts outage events on a supplied set without
+drawing; non-zero secrecy is ``EstimatorResult.complement`` of its
+rate-0 count, and ``binomial_z``, the exact binomial tail of a count in
+sigma, scores ``sweeps.validate``'s estimates.  A set's arrays are
+read-only, so the rows that share it cannot change it.  The callers
 decide when to draw: ``sweeps.evaluate`` checks one point's inputs and
 draws its set, while a sweep, a preset or a validation grid of
 ``sweeps`` is planned as one run that draws each distinct set once and
 holds one set at a time, so its memory is bounded by a single set (4
 arrays of ``trials`` float64) and one block's norms, and not by the
-number of sets.
+number of sets.  ``count_outage_grid``, which ``sweeps.find_crossover``
+reads, counts both schemes at every point of a gamma_bar_b grid as each
+block is drawn, so it holds one block and the grid's counts, never a
+set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +62,7 @@ __all__ = [
     "Z95",
     "binomial_z",
     "count_outage",
+    "count_outage_grid",
     "draw_components",
     "outage_events",
 ]
@@ -66,6 +73,9 @@ Z95 = 1.959963984540054
 
 # outage_events scales SNRs of 2^_SNR_EXPONENT and above below it.
 _SNR_EXPONENT = 512
+
+# The least rate whose 2^rate overflows a float.
+_RATE_OVERFLOW = 1024.0
 
 
 @dataclass(frozen=True)
@@ -136,30 +146,13 @@ def draw_components(
     -------
     NormalizedDraws
     """
-    checked_count("n_alice", n_alice, 1)
-    checked_count("n_bob", n_bob, 1)
-    checked_count("n_eve", n_eve, 1)
-    checked_count("n_trials", n_trials, 1)
-    checked_count("seed", seed, 0)
-
-    single = (np.empty(n_trials), np.empty(n_trials))
-    pairs = {Scheme.SINGLE_TAS: single}
-    if n_alice >= 2:
-        alamouti = pairs[Scheme.TAS_ALAMOUTI] = (np.empty(n_trials), np.empty(n_trials))
-    for block, start in enumerate(range(0, n_trials, BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, n_trials - start)
-        span = slice(start, start + count)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        # A column of n unit-power complex Gaussian entries has a squared
-        # norm that is Gamma(n, 1); each is drawn as one variate.
-        top2, top1 = _kernels.snr_components(rng.standard_gamma(n_bob, (n_alice, count)))
-        eve = rng.standard_gamma(n_eve, (min(n_alice, 2), count))
-        single[0][span] = top1
-        single[1][span] = eve[0]
-        if n_alice >= 2:
-            np.multiply(top2, 0.5, out=alamouti[0][span])
-            np.multiply(eve[0] + eve[1], 0.5, out=alamouti[1][span])
-
+    blocks = _blocks(n_alice, n_bob, n_eve, n_trials, seed)
+    schemes = [Scheme.SINGLE_TAS] + [Scheme.TAS_ALAMOUTI] * (n_alice >= 2)
+    pairs = {scheme: (np.empty(n_trials), np.empty(n_trials)) for scheme in schemes}
+    for span, block in blocks:
+        for scheme, (bob, eve) in block.items():
+            pairs[scheme][0][span] = bob
+            pairs[scheme][1][span] = eve
     return NormalizedDraws(
         n_alice=n_alice,
         n_bob=n_bob,
@@ -168,6 +161,33 @@ def draw_components(
         seed=seed,
         pairs=pairs,
     )
+
+
+def _blocks(n_alice: int, n_bob: int, n_eve: int, n_trials: int, seed: int):
+    """The ``(span, pairs)`` of each block of a draw key: its slice of the
+    trials and its ``NormalizedDraws.pairs``.  The key is checked before
+    the iterator is made, so a refused key draws nothing."""
+    checked_count("n_alice", n_alice, 1)
+    checked_count("n_bob", n_bob, 1)
+    checked_count("n_eve", n_eve, 1)
+    checked_count("n_trials", n_trials, 1)
+    checked_count("seed", seed, 0)
+    return (
+        _block(n_alice, n_bob, n_eve, seed, block, start, min(BLOCK_SIZE, n_trials - start))
+        for block, start in enumerate(range(0, n_trials, BLOCK_SIZE))
+    )
+
+
+def _block(n_alice, n_bob, n_eve, seed, block, start, count):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+    # A column of n unit-power complex Gaussian entries has a squared
+    # norm that is Gamma(n, 1); each is drawn as one variate.
+    top2, top1 = _kernels.snr_components(rng.standard_gamma(n_bob, (n_alice, count)))
+    eve = rng.standard_gamma(n_eve, (min(n_alice, 2), count))
+    pairs = {Scheme.SINGLE_TAS: (top1, eve[0])}
+    if n_alice >= 2:
+        pairs[Scheme.TAS_ALAMOUTI] = (top2 * 0.5, (eve[0] + eve[1]) * 0.5)
+    return slice(start, start + count), pairs
 
 
 def outage_events(
@@ -208,22 +228,100 @@ def outage_events(
             f"draws have n_alice={draws.n_alice}"
         )
     bob, eve = draws.pairs[scheme]
-    scale = 1.0
+    if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
+        return np.ones(bob.shape, bool)
+    return _below(bob, eve, *_scaled(gamma_bar_b, gamma_bar_e), rate)
+
+
+def _scaled(gamma_bar_b: float, gamma_bar_e: float) -> tuple[float, float, float]:
+    """(gamma_bar_b, gamma_bar_e, scale): both SNRs times ``scale``, the
+    power of two (1 unless one reaches 2^512) that brings the larger
+    below 2^512."""
     exponent = math.frexp(max(gamma_bar_b, gamma_bar_e))[1]
-    if exponent > _SNR_EXPONENT:
-        scale = math.ldexp(1.0, _SNR_EXPONENT - exponent)
-        gamma_bar_b *= scale
-        gamma_bar_e *= scale
+    if exponent <= _SNR_EXPONENT:
+        return gamma_bar_b, gamma_bar_e, 1.0
+    scale = math.ldexp(1.0, _SNR_EXPONENT - exponent)
+    return gamma_bar_b * scale, gamma_bar_e * scale, scale
+
+
+def _below(bob, eve, gamma_bar_b, gamma_bar_e, scale, rate: float) -> np.ndarray:
+    """``outage_events``' comparison on SNRs scaled by ``_scaled``; the
+    SNRs and the scale are floats or arrays of one per trial."""
     with np.errstate(over="ignore"):
         threshold = eve * gamma_bar_e
         if rate > 0.0:
-            two_rate = np.exp2(rate)
-            if two_rate == math.inf:  # an infinite threshold: all in outage
-                return np.ones(bob.shape, bool)
-            threshold *= two_rate
+            threshold *= np.exp2(rate)
             threshold += scale * np.expm1(rate * math.log(2.0))
             return bob * gamma_bar_b < threshold
         return bob * gamma_bar_b <= threshold
+
+
+def count_outage_grid(
+    key: tuple[int, int, int, int, int],
+    gamma_bar_bs: Sequence[float],
+    gamma_bar_e: float,
+    rate: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outage counts of both schemes at every point of a gamma_bar_b grid.
+
+    ``key`` is a draw key (n_alice >= 2, n_bob, n_eve, n_trials, seed)
+    and ``gamma_bar_bs`` an increasing grid.  Returns int64 arrays
+    ``(n_alamouti, n_single, n_both)``: at each point, the trials that
+    ``outage_events`` on ``draw_components(*key)`` puts in outage under
+    TAS-Alamouti, under single TAS and under both.  The set is drawn and
+    counted one block at a time, and never held whole.
+    """
+    rate = checked_rate(rate)
+    gammas = np.array(gamma_bar_bs, float)
+    if not (0.0 < gamma_bar_e < math.inf and np.all((gammas > 0.0) & (gammas < math.inf))):
+        raise ValueError("average SNRs must be finite and > 0")
+    if gammas.ndim != 1 or not gammas.size or np.any(gammas[1:] <= gammas[:-1]):
+        raise ValueError("gamma_bar_bs must be a nonempty increasing sequence")
+    checked_count("n_alice", key[0], 2)
+    blocks = _blocks(*key)
+    if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
+        return tuple(np.full((3, gammas.size), key[3], np.int64))
+    scaled = [np.array(column) for column in zip(*(_scaled(g, gamma_bar_e) for g in gammas))]
+    bins = np.zeros((3, gammas.size + 1), np.int64)
+    for _, pairs in blocks:
+        a, b = (
+            _outage_prefix(*pairs[scheme], gammas, scaled, gamma_bar_e, rate)
+            for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
+        )
+        for row, prefix in zip(bins, (a, b, np.minimum(a, b))):
+            row += np.bincount(prefix, minlength=gammas.size + 1)
+    # Point k counts the trials in outage at more than k points.
+    return tuple(np.cumsum(bins[:, ::-1], axis=1)[:, -2::-1])
+
+
+def _outage_prefix(bob, eve, gammas, scaled, gamma_bar_e, rate):
+    """Per trial, the number of points of ``gammas`` at which it is in
+    outage: a prefix of the grid, since outage is monotone in
+    gamma_bar_b.  The critical SNR, threshold / X, places each trial;
+    one misplaced by rounding then moves a point at a time until
+    ``outage_events``' comparison, on each point's ``_scaled`` SNRs, puts
+    it in outage at the point below and not at its own."""
+    top = gammas.size - 1
+    # The log of the critical SNR, with the threshold's two coefficients
+    # divided by the larger, so that nothing overflows.  A one-point grid
+    # has no span to interpolate over.
+    log_2_rate = rate * math.log(2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_eve, log_one = math.log(gamma_bar_e) + log_2_rate, np.log(np.expm1(log_2_rate))
+        largest = max(log_eve, log_one)
+        critical = np.log(eve * math.exp(log_eve - largest) + math.exp(log_one - largest))
+        critical -= np.log(bob)
+        low, high = np.log(gammas[[0, -1]])
+        place = np.floor((critical + (largest - low)) * (top / ((high - low) or 1.0))) + 1.0
+    prefix = np.fmax(np.fmin(place, top + 1), 0).astype(np.int64)
+    while True:
+        own, below = np.minimum(prefix, top), np.maximum(prefix - 1, 0)
+        up = (prefix <= top) & _below(bob, eve, *(column[own] for column in scaled), rate)
+        down = (prefix > 0) & ~_below(bob, eve, *(column[below] for column in scaled), rate)
+        if not np.any(up != down):
+            return prefix
+        prefix += up
+        prefix -= down
 
 
 def _bernoulli_result(n_events: int, n_trials: int) -> EstimatorResult:

@@ -98,7 +98,7 @@ CF_QUAD_TOL = 1e-6
 MC_Z_LIMIT = 4.0
 MC_PASS_FRACTION = 0.99
 
-# Width in dB of the bracket at which find_crossover stops bisecting.
+# Largest step in dB of the gamma_bar_b grid that find_crossover counts on.
 CROSSOVER_TOL_DB = 0.01
 
 
@@ -733,10 +733,12 @@ def run_preset(
 class CrossoverResult:
     """Location of equal performance between TAS-Alamouti and single TAS.
 
-    ``found`` is False when the metric difference does not change sign
-    over the bracket; ``half_width_db`` spans the region where the
-    paired difference is not statistically distinguishable from zero
-    (95% level).
+    ``found`` is False when the paired difference does not change sign
+    on the bracket's grid.  ``gamma_db`` is the midpoint of the first two
+    nonzero grid points of opposite sign; ``half_width_db`` reaches from
+    it to the nearer grid point, on each side, whose difference is
+    distinguishable from zero (95% level), or to the bracket end, and is
+    the longer of the two reaches.
     """
 
     found: bool
@@ -760,20 +762,15 @@ def find_crossover(
 ) -> CrossoverResult:
     """Locate where the TAS-Alamouti and single-TAS curves cross in gamma_bar_b.
 
-    Both schemes are evaluated on the same channel draws at every
-    probe, so the per-trial difference cancels most Monte Carlo noise;
-    the crossover is the sign change of that paired difference, found
-    by bisection to ``CROSSOVER_TOL_DB``.  ``config.gamma_bar_b`` is
-    ignored (it is the swept quantity); ``rate`` matters only for the
-    P_out metric.
-
-    Returns a no-crossover result (found=False) when the difference
-    has the same sign at both bracket ends and no scan point between
-    them resolves a sign change.  Raises ``ValueError``, before anything
-    is drawn, when ``evaluate`` would refuse TAS-Alamouti with the
-    Monte Carlo evaluator (the same checks, with the same texts) and
-    unless lo < hi and both bracket ends pass ``SystemConfig``'s SNR
-    rule (finite and > 0 on the linear scale).
+    Both schemes are counted on the same draws, so the per-trial
+    difference cancels most Monte Carlo noise, at every point of the grid
+    lo + (hi - lo) k / K dB, K the fewest steps of at most
+    ``CROSSOVER_TOL_DB``, in one streamed pass (``montecarlo.count_outage_grid``).
+    ``config.gamma_bar_b`` is ignored; ``rate`` is read by P_out only.
+    Raises ``ValueError``, before anything is drawn, where ``evaluate``
+    would refuse TAS-Alamouti with the Monte Carlo evaluator (with the
+    same texts) and unless lo < hi and both bracket ends pass
+    ``SystemConfig``'s SNR rule (finite and > 0 on the linear scale).
     """
     _checked(config, Scheme.TAS_ALAMOUTI, metric, "monte-carlo", rate, None)
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
@@ -784,85 +781,33 @@ def find_crossover(
         raise ValueError(f"bracket must be finite on the linear scale: {exc}") from None
     if not lo_db < hi_db:
         raise ValueError(f"bracket must have lo < hi, got {bracket_db!r}")
+    steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
+    grid = [lo_db + (hi_db - lo_db) * k / steps for k in range(steps + 1)]
+    key = (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
+    gammas = [db_to_linear(g_db) for g_db in grid]
     event_rate = rate if metric == "P_out" else 0.0
-    result = functools.partial(
-        CrossoverResult,
-        bracket_db=(lo_db, hi_db),
-        metric=metric,
-        n_trials=n_trials,
-        seed=seed,
-    )
-
-    draws = montecarlo.draw_components(
-        config.n_alice, config.n_bob, config.n_eve, n_trials, seed
-    )
-
-    # Every probe is counted once, however often the search visits it.
-    @functools.cache
-    def paired_difference(g_db: float) -> tuple[float, float]:
-        gb = db_to_linear(g_db)
-        a, b = (
-            montecarlo.outage_events(draws, scheme, gb, config.gamma_bar_e, event_rate)
-            for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
-        )
-        # The per-trial differences are -1, 0 or 1, so three event counts
-        # give their mean and second moment exactly.  For Pr_nonzero the
-        # complement flips both signs; the difference just negates, which
-        # bisection handles the same.
-        n_a, n_b, n_both = (int(np.count_nonzero(events)) for events in (a, b, a & b))
-        mean = (n_a - n_b) / n_trials
-        var = (n_a + n_b - 2 * n_both) / n_trials - mean * mean
-        return mean, math.sqrt(max(var, 0.0) / n_trials)
-
-    d_lo, _ = paired_difference(lo_db)
-    d_hi, _ = paired_difference(hi_db)
-    # The search brackets the first two adjacent probes that are nonzero
-    # and of opposite sign.  An exact-zero end (no events under either
-    # scheme) can mask an interior sign change, so unless the ends
-    # already differ in sign, the probes are a coarse grid.
-    probes = (
-        (lo_db, hi_db) if d_lo * d_hi < 0.0
-        else [lo_db + (hi_db - lo_db) * k / 16.0 for k in range(17)]
-    )
-    signed = [(x, d) for x in probes if (d := paired_difference(x)[0]) != 0.0]
+    n_a, n_b, n_both = montecarlo.count_outage_grid(key, gammas, config.gamma_bar_e, event_rate)
+    # The per-trial differences are -1, 0 or 1, so three counts give their
+    # mean and second moment exactly.  For Pr_nonzero both signs flip.
+    mean = (n_a - n_b) / n_trials
+    var = (n_a + n_b - 2 * n_both) / n_trials - mean * mean
+    distinct = np.abs(mean) > montecarlo.Z95 * np.sqrt(np.maximum(var, 0.0) / n_trials)
+    signed = [(g_db, d) for g_db, d in zip(grid, mean.tolist()) if d != 0.0]
     pair = next(((a, b) for a, b in zip(signed, signed[1:]) if a[1] * b[1] < 0.0), None)
+    result = functools.partial(
+        CrossoverResult, bracket_db=(lo_db, hi_db), metric=metric, n_trials=n_trials, seed=seed
+    )
     if pair is None:
-        return result(
-            found=False,
-            gamma_db=None,
-            half_width_db=None,
-            message=(
-                f"no sign change of the {metric} difference on "
-                f"[{lo_db}, {hi_db}] dB (endpoints {d_lo:.3e}, {d_hi:.3e})"
-            ),
+        message = (
+            f"no sign change of the {metric} difference on "
+            f"[{lo_db}, {hi_db}] dB (endpoints {mean[0]:.3e}, {mean[-1]:.3e})"
         )
-    (lo, d_at_lo), (hi, _d) = pair
-    # A zero probe moves lo but not the low side's sign, which stays that
-    # of the last nonzero low probe, so [lo, hi] keeps its sign change.
-    low_positive = d_at_lo > 0.0
-    while hi - lo > CROSSOVER_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        d_mid, _ = paired_difference(mid)
-        if d_mid == 0.0 or (d_mid > 0.0) == low_positive:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-
-    # Double the half width while either side, both probed every round,
-    # is within the 95% band of zero.
-    half = 0.05
-    while half < (hi_db - lo_db):
-        sides = [
-            paired_difference(min(max(side, lo_db), hi_db))
-            for side in (root - half, root + half)
-        ]
-        if all(abs(mean) > montecarlo.Z95 * se for mean, se in sides):
-            break
-        half *= 2.0
-    half = min(half, hi_db - lo_db)
-
-    return result(found=True, gamma_db=root, half_width_db=half)
+        return result(found=False, gamma_db=None, half_width_db=None, message=message)
+    root = 0.5 * (pair[0][0] + pair[1][0])
+    band = [g_db for g_db, d in zip(grid, distinct) if d]
+    below = max((g_db for g_db in band if g_db < root), default=lo_db)
+    above = min((g_db for g_db in band if g_db > root), default=hi_db)
+    return result(found=True, gamma_db=root, half_width_db=max(root - below, above - root))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ hypothesis.settings.load_profile("package")
 
 
 class DrawSpy:
-    """Stands in for ``montecarlo.draw_components``: records the arguments
-    of every draw, and how many earlier draw sets were still alive when
-    each draw started."""
+    """Stands in for ``montecarlo.draw_components`` or for the block
+    generator ``montecarlo._blocks``: records the arguments of every call
+    that returns (a refused key raises first), and how many earlier draw
+    sets or block generators were still alive when each call started."""
 
     def __init__(self, original):
         self._original = original
@@ -40,4 +41,13 @@ class DrawSpy:
 def draw_spy(monkeypatch):
     spy = DrawSpy(montecarlo.draw_components)
     monkeypatch.setattr(montecarlo, "draw_components", spy)
+    return spy
+
+
+@pytest.fixture
+def block_spy(monkeypatch):
+    """A spy on the block generator, which every Monte Carlo draw reads:
+    ``draw_components`` and ``count_outage_grid`` alike."""
+    spy = DrawSpy(montecarlo._blocks)
+    monkeypatch.setattr(montecarlo, "_blocks", spy)
     return spy

@@ -1,8 +1,9 @@
-"""find_crossover against the search it replaced, bit for bit."""
+"""find_crossover against a brute-force count of every grid point, bit for bit."""
 
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from tasalamouti.sweeps import CROSSOVER_TOL_DB
 def reference_crossover(
     config, scheme_a, scheme_b, metric, bracket_db, n_trials, seed=0, *, rate=0.0
 ):
-    """Reference crossover search on accepted inputs: the package's search
-    before each probe was read off three event counts.  It differences
-    int8 casts of the two event masks, brackets the root on two paths
-    (the ends, or a scan) and widens the half width under a flag.  A
-    bisection probe whose difference is exactly 0 moves lo and keeps the
-    low side's sign."""
+    """Brute-force crossover on accepted inputs.  Every point of the grid
+    lo + (hi - lo) k / K dB, K = ceil((hi - lo) / CROSSOVER_TOL_DB), is
+    counted with ``outage_events`` on the whole ``draw_components`` set,
+    from int8 casts of the two event masks; the root is the midpoint of
+    the first two nonzero points of opposite sign, and the half width the
+    larger distance from it to the nearest point on each side whose
+    difference is beyond the 95% band (or to the bracket end)."""
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
     event_rate = rate if metric == "P_out" else 0.0
     result = functools.partial(
@@ -34,9 +36,10 @@ def reference_crossover(
     draws = montecarlo.draw_components(
         config.n_alice, config.n_bob, config.n_eve, n_trials, seed
     )
-
-    @functools.cache
-    def paired_difference(g_db):
+    steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
+    points = []  # (g_db, mean difference, beyond the 95% band)
+    for k in range(steps + 1):
+        g_db = lo_db + (hi_db - lo_db) * k / steps
         gb = db_to_linear(g_db)
         ev_a = montecarlo.outage_events(draws, scheme_a, gb, config.gamma_bar_e, event_rate)
         ev_b = montecarlo.outage_events(draws, scheme_b, gb, config.gamma_bar_e, event_rate)
@@ -44,72 +47,47 @@ def reference_crossover(
         mean = float(diff.sum()) / n_trials
         var = float(np.mean(diff.astype(np.float64) ** 2)) - mean * mean
         se = math.sqrt(max(var, 0.0) / n_trials)
-        return mean, se
+        points.append((g_db, mean, abs(mean) > montecarlo.Z95 * se))
 
-    d_lo, _ = paired_difference(lo_db)
-    d_hi, _ = paired_difference(hi_db)
-    if d_lo * d_hi < 0.0:
-        lo, hi, d_at_lo = lo_db, hi_db, d_lo
-    else:
-        signed = []
-        for x in (lo_db + (hi_db - lo_db) * k / 16.0 for k in range(17)):
-            d, _ = paired_difference(x)
-            if d != 0.0:
-                signed.append((x, d))
-        pair = next(
-            ((a, b) for a, b in zip(signed, signed[1:]) if a[1] * b[1] < 0.0),
-            None,
-        )
-        if pair is None:
-            return result(
-                found=False,
-                gamma_db=None,
-                half_width_db=None,
-                message=(
-                    f"no sign change of the {metric} difference on "
-                    f"[{lo_db}, {hi_db}] dB (endpoints {d_lo:.3e}, {d_hi:.3e})"
-                ),
-            )
-        (lo, d_at_lo), (hi, _d) = pair
-    while hi - lo > CROSSOVER_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        d_mid, _ = paired_difference(mid)
-        if d_mid == 0.0:
-            lo = mid
-        elif (d_mid > 0.0) == (d_at_lo > 0.0):
-            lo, d_at_lo = mid, d_mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-
-    half = 0.05
-    while half < (hi_db - lo_db):
-        grown = False
-        for side in (root - half, root + half):
-            probe = min(max(side, lo_db), hi_db)
-            mean, se = paired_difference(probe)
-            if abs(mean) <= montecarlo.Z95 * se:
-                grown = True
-        if not grown:
+    root = previous = None
+    for g_db, mean, _ in points:
+        if mean == 0.0:
+            continue
+        if previous is not None and previous[1] * mean < 0.0:
+            root = 0.5 * (previous[0] + g_db)
             break
-        half *= 2.0
-    half = min(half, hi_db - lo_db)
+        previous = (g_db, mean)
+    if root is None:
+        return result(
+            found=False,
+            gamma_db=None,
+            half_width_db=None,
+            message=(
+                f"no sign change of the {metric} difference on "
+                f"[{lo_db}, {hi_db}] dB (endpoints {points[0][1]:.3e}, {points[-1][1]:.3e})"
+            ),
+        )
+    below, above = lo_db, hi_db
+    for g_db, _, distinct in points:
+        if distinct and g_db < root:
+            below = g_db
+        if distinct and g_db > root:
+            above = g_db
+            break
+    return result(found=True, gamma_db=root, half_width_db=max(root - below, above - root))
 
-    return result(found=True, gamma_db=root, half_width_db=half)
 
-
-# name -> ((n_alice, n_bob, n_eve, gamma_bar_e_db), metric, bracket_db, rate,
-# the signs of TAS-Alamouti minus single TAS event counts at the bracket
-# ends, 20 000 trials, seed 0).
+# name -> ((n_alice, n_bob, n_eve, gamma_bar_e_db), metric, bracket_db, rate).
 CASES = {
-    # The ends differ in sign: the ends bracket the root.
-    "pout-opposite-ends": ((3, 3, 2, 5.0), "P_out", (5.0, 12.0), 1.0, (1, -1)),
-    # One end or both are exactly 0: the grid brackets the root.
-    "pout-zero-end": ((4, 3, 2, 5.0), "P_out", (0.0, 25.0), 1.0, (1, 0)),
-    "pout-zero-ends": ((4, 3, 2, 5.0), "P_out", (-30.0, 60.0), 2.0, (0, 0)),
-    "pnz-zero-end": ((4, 3, 2, 0.0), "Pr_nonzero", (-7.0, 9.0), 0.0, (1, 0)),
-    # The ends have one sign and so has the grid: no crossover.
-    "no-crossover": ((2, 1, 1, 5.0), "P_out", (0.0, 5.0), 1.0, (1, 1)),
+    # The difference has opposite signs at the bracket ends.
+    "pout-opposite-ends": ((3, 3, 2, 5.0), "P_out", (5.0, 12.0), 1.0),
+    # One end or both are exactly 0 (at 20 000 trials, seed 0): only
+    # interior points show the sign change.
+    "pout-zero-end": ((4, 3, 2, 5.0), "P_out", (0.0, 25.0), 1.0),
+    "pout-zero-ends": ((4, 3, 2, 5.0), "P_out", (-30.0, 60.0), 2.0),
+    "pnz-zero-end": ((4, 3, 2, 0.0), "Pr_nonzero", (-7.0, 9.0), 0.0),
+    # The difference has one sign on the whole grid: no crossover.
+    "no-crossover": ((2, 1, 1, 5.0), "P_out", (0.0, 5.0), 1.0),
 }
 SCHEME_PAIRS = {"alamouti-single": (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)}
 SEEDS = [0, 1, 2, 3, 4, 5]
@@ -123,7 +101,7 @@ def hexed(value):
 @pytest.mark.parametrize("pair", list(SCHEME_PAIRS))
 @pytest.mark.parametrize("case", list(CASES))
 def test_same_result_as_reference(case, pair, seed):
-    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate, _ = CASES[case]
+    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate = CASES[case]
     config = SystemConfig(n_a, n_b, n_e, 1.0, db_to_linear(gamma_e_db))
     args = (metric, bracket, 20_000, seed)
     got = find_crossover(config, *args, rate=rate)
@@ -139,10 +117,10 @@ def test_same_result_as_reference(case, pair, seed):
 @pytest.mark.parametrize("case", list(CASES))
 def test_reversed_pair_only_negates_the_difference(case, seed):
     # find_crossover fixes the pair to (TAS-Alamouti, single TAS).  The
-    # reversed pair negates every paired difference, so it brackets and
-    # bisects alike: the same root and half width, and a no-crossover
-    # message whose endpoints change sign.
-    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate, _ = CASES[case]
+    # reversed pair negates every paired difference, so it finds the same
+    # sign change and band: the same root and half width, and a
+    # no-crossover message whose endpoints change sign.
+    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate = CASES[case]
     config = SystemConfig(n_a, n_b, n_e, 1.0, db_to_linear(gamma_e_db))
     args = (metric, bracket, 20_000, seed)
     got = find_crossover(config, *args, rate=rate)
@@ -163,44 +141,93 @@ def test_reversed_pair_only_negates_the_difference(case, seed):
         assert stem == re.sub(endpoints, "", reversed_.message)
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_cases_take_the_named_path(case):
-    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate, signs = CASES[case]
-    draws = montecarlo.draw_components(n_a, n_b, n_e, 20_000, 0)
-    event_rate = rate if metric == "P_out" else 0.0
-    ends = []
-    for g_db in bracket:
+# name -> ((n_alice, n_bob, n_eve, trials, seed), bracket_db, gamma_bar_e_db, rate).
+GRIDS = {
+    # Rate 0 compares with <=: the P_out metric at rate 0 and Pr_nonzero.
+    "rate-0": ((4, 3, 2, 20_000, 1), (-7.0, 9.0), 0.0, 0.0),
+    # A positive rate compares with <.
+    "rate-1": ((4, 3, 2, 20_000, 0), (0.0, 25.0), 5.0, 1.0),
+    "rate-2-single-eve": ((3, 3, 1, 20_000, 2), (-30.0, 60.0), 5.0, 2.0),
+    "tiny-rate": ((4, 3, 2, 5000, 3), (-170.0, -150.0), -165.0, 1e-300),
+    # Grid points past 2^512, where outage_events scales both SNRs.
+    "past-2^512-rate-0": ((4, 3, 2, 20_000, 3), (1500.0, 1560.0), 1530.0, 0.0),
+    "past-2^512-rate-1": ((4, 3, 2, 20_000, 3), (1500.0, 1560.0), 1530.0, 1.0),
+    # Near the float maximum gamma_bar_e Y 2^rate overflows unscaled.
+    "near-float-max": ((4, 3, 2, 5000, 4), (3070.0, 3080.0), 3075.0, 1.0),
+    # 2^rate overflows: every trial is in outage at every point.
+    "2^rate-overflows": ((2, 1, 1, 5000, 5), (0.0, 5.0), 5.0, 1100.0),
+    # More trials than one block: the counts of two blocks add up.
+    "two-blocks": ((3, 2, 2, montecarlo.BLOCK_SIZE + 999, 6), (5.0, 6.0), 5.0, 1.0),
+}
+
+
+def counted_on_the_set(key, gammas, gamma_e, rate):
+    """``count_outage_grid``'s counts, and ``outage_events``' counts on
+    the whole set at each grid point, as lists of (a, b, both)."""
+    n_a, n_b, n_both = montecarlo.count_outage_grid(key, gammas, gamma_e, rate)
+    draws = montecarlo.draw_components(*key)
+    expected = []
+    for gb in gammas:
         a, b = (
-            montecarlo.outage_events(
-                draws, scheme, db_to_linear(g_db), db_to_linear(gamma_e_db), event_rate
-            )
+            montecarlo.outage_events(draws, scheme, gb, gamma_e, rate)
             for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
         )
-        ends.append(int(np.sign(int(a.sum()) - int(b.sum()))))
-    assert tuple(ends) == signs
+        expected.append((int(a.sum()), int(b.sum()), int((a & b).sum())))
+    return list(zip(n_a.tolist(), n_b.tolist(), n_both.tolist())), expected
 
 
-def test_a_zero_probe_keeps_the_sign_change(monkeypatch):
-    # At 500 trials and seed 19, bisection probes of this case below the
-    # root (10.3125 and 10.390625 dB) have a paired difference of exactly
-    # 0.  Such a probe used to become lo with the low side then read as
-    # negative, and the search ended between two probes of one sign: -6
-    # at 10.615 dB and -6 at 10.625 dB.
-    counts = {}
-    original = montecarlo.outage_events
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_streamed_grid_counts_equal_outage_events(grid):
+    key, (lo_db, hi_db), gamma_e_db, rate = GRIDS[grid]
+    steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
+    gammas = [db_to_linear(lo_db + (hi_db - lo_db) * k / steps) for k in range(steps + 1)]
+    got, expected = counted_on_the_set(key, gammas, db_to_linear(gamma_e_db), rate)
+    assert got == expected
+    if grid == "2^rate-overflows":
+        assert set(expected) == {(key[3],) * 3}
+    else:  # the grid sees events come and go
+        assert len(set(expected)) > 1
 
-    def spy(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
-        events = original(draws, scheme, gamma_bar_b, gamma_bar_e, rate)
-        counts[scheme, gamma_bar_b] = int(events.sum())
-        return events
 
-    monkeypatch.setattr(montecarlo, "outage_events", spy)
-    pair = (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
-    config = SystemConfig(3, 3, 2, 1.0, db_to_linear(5.0))
-    result = find_crossover(config, "P_out", (5.0, 15.0), 500, 19, rate=1.0)
-    diff = {gb: counts[pair[0], gb] - counts[pair[1], gb] for _, gb in counts}
-    root = db_to_linear(result.gamma_db)
-    assert any(d == 0 for gb, d in diff.items() if gb < root)
-    lo = max(gb for gb in diff if gb < root)
-    hi = min(gb for gb in diff if gb > root)
-    assert diff[lo] * diff[hi] < 0
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_grid_counts_are_exact_where_the_placement_is_off(rate):
+    # The critical SNR places a trial by interpolating log gamma_bar_b
+    # between the grid's ends, which is exact only on a grid even in dB.
+    # On this one, even on the linear scale, most trials are placed many
+    # points off and walk to their place.
+    gammas = [0.25 * k for k in range(1, 201)]
+    got, expected = counted_on_the_set((4, 3, 2, 20_000, 7), gammas, 2.0, rate)
+    assert got == expected
+    assert len(set(expected)) > 20
+
+
+@pytest.mark.parametrize(
+    "gammas, match",
+    [([], "increasing"), ([2.0, 1.0], "increasing"), ([1.0, 1.0], "increasing"),
+     ([0.0, 1.0], "finite"), ([1.0, math.inf], "finite"), ([1.0, math.nan], "finite")],
+)
+def test_grid_counts_refuse_a_bad_grid_before_drawing(block_spy, gammas, match):
+    with pytest.raises(ValueError, match=match):
+        montecarlo.count_outage_grid((3, 2, 2, 1000, 0), gammas, 1.0, 1.0)
+    assert block_spy.calls == []
+
+
+def test_one_streamed_pass_and_no_draw_set(draw_spy, block_spy):
+    config = SystemConfig(3, 2, 2, 10.0, db_to_linear(5.0))
+    find_crossover(config, "P_out", (5.0, 15.0), 50_000, 4, rate=1.0)
+    assert block_spy.calls == [(3, 2, 2, 50_000, 4)]
+    assert draw_spy.calls == []
+
+
+def test_memory_is_one_block_not_a_draw_set():
+    # A draw set of 1e6 trials alone is 32 MB (4 float64 arrays); one
+    # 65 536-trial block and the grid's counts are a few MB.
+    config = SystemConfig(4, 3, 2, 10.0, db_to_linear(5.0))
+    tracemalloc.start()
+    try:
+        result = find_crossover(config, "P_out", (0.0, 25.0), 1_000_000, rate=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.found
+    assert peak < 16 * 2**20

@@ -35,7 +35,7 @@ from tasalamouti import (
     write_rows_csv,
     write_validation_csv,
 )
-from tasalamouti import cli, montecarlo, sweeps
+from tasalamouti import cli, sweeps
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -611,12 +611,12 @@ class TestCrossover:
         # The last two are finite in dB but not on the linear scale.
         [(0.0, math.inf), (-math.inf, 20.0), (-4000.0, 20.0), (0.0, 4000.0)],
     )
-    def test_non_finite_bracket_is_refused_before_drawing(self, draw_spy, bracket):
+    def test_non_finite_bracket_is_refused_before_drawing(self, block_spy, bracket):
         # (4,3,2) at 5 dB crosses near 8.5 dB, which [0, inf] used to miss.
         config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
         with pytest.raises(ValueError, match="finite"):
             find_crossover(config, "P_out", bracket, 20_000, rate=1.0)
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
 
     @pytest.mark.parametrize(
@@ -628,7 +628,7 @@ class TestCrossover:
         ],
     )
     def test_refuses_what_evaluate_refuses_before_drawing(
-        self, draw_spy, n_alice, scheme, metric, rate
+        self, block_spy, n_alice, scheme, metric, rate
     ):
         config = SystemConfig(n_alice, 2, 2, 10.0, 1.0)
         with pytest.raises(ValueError) as expected:
@@ -636,7 +636,7 @@ class TestCrossover:
         with pytest.raises(ValueError) as caught:
             find_crossover(config, metric, (0.0, 10.0), 1000, rate=rate)
         assert str(caught.value) == str(expected.value)
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
     def test_cout_refusal_is_the_table_text(self):
         config = SystemConfig(3, 2, 2, 10.0, 1.0)
@@ -645,30 +645,13 @@ class TestCrossover:
         ):
             find_crossover(config, "C_out", (0.0, 10.0), 1000)
 
-    def test_each_probe_is_counted_once(self, monkeypatch):
-        # The clamped half-width probes at the bracket ends were counted
-        # again: 78 event scans for 74 distinct (scheme, SNR) pairs.
-        counted = []
-        original = montecarlo.outage_events
-
-        def spy(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
-            counted.append((scheme, gamma_bar_b))
-            return original(draws, scheme, gamma_bar_b, gamma_bar_e, rate)
-
-        monkeypatch.setattr(montecarlo, "outage_events", spy)
-        config = SystemConfig(3, 3, 2, 10.0, db_to_linear_5db())
-        result = find_crossover(config, "P_out", (5.0, 15.0), 5000, 0, rate=1.0)
-        assert (result.gamma_db, result.half_width_db) == (9.9365234375, 10.0)
-        assert len(counted) == 74
-        assert len(set(counted)) == len(counted)
-
     def test_scan_finds_a_crossover_masked_at_both_ends(self):
         # The paired difference is exactly zero at -30 and at 60 dB, so
-        # the crossover is found through the coarse scan.
+        # only the interior grid points show the sign change.
         config = SystemConfig(4, 3, 2, 10.0, db_to_linear_5db())
         result = find_crossover(config, "P_out", (-30.0, 60.0), 50_000, 3, rate=2.0)
         assert result.found
-        assert (result.gamma_db, result.half_width_db) == (11.92108154296875, 0.2)
+        assert (result.gamma_db, result.half_width_db) == (11.925, 0.1750000000000007)
 
 
 def db_to_linear_5db() -> float:
@@ -876,7 +859,7 @@ class TestDrawOnce:
 
     @pytest.mark.parametrize("n_trials", [1e4, 2.5, True])
     @pytest.mark.parametrize("entry", ["evaluate", "validate", "find_crossover"])
-    def test_trial_count_must_be_an_integer(self, entry, n_trials):
+    def test_trial_count_must_be_an_integer(self, block_spy, entry, n_trials):
         # These used to fail inside numpy with a TypeError.
         config = SystemConfig(3, 2, 1, 10.0, 1.0)
         calls = {
@@ -888,12 +871,13 @@ class TestDrawOnce:
         }
         with pytest.raises(ValueError, match=f"^n_trials must be an integer, got {n_trials!r}$"):
             calls[entry]()
+        assert block_spy.calls == []
 
-    def test_crossover_refused_rate_draws_nothing(self, draw_spy):
+    def test_crossover_refused_rate_draws_nothing(self, block_spy):
         config = SystemConfig(3, 2, 1, 10.0, 1.0)
         with pytest.raises(ValueError, match="rate"):
             find_crossover(config, "P_out", (0.0, 20.0), 1_000_000, rate=math.nan)
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
 
 class TestCli:
@@ -1213,7 +1197,7 @@ class TestCli:
     def test_crossover_requires_bracket(self, capsys):
         assert cli.main(["crossover"]) == cli.EXIT_USAGE
 
-    def test_crossover_refuses_infinite_bracket(self, capsys, draw_spy):
+    def test_crossover_refuses_infinite_bracket(self, capsys, block_spy):
         code = cli.main(
             [
                 "crossover",
@@ -1228,19 +1212,19 @@ class TestCli:
         )
         assert code == cli.EXIT_USAGE == 1
         assert "bracket must be finite" in capsys.readouterr().err
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
     @pytest.mark.parametrize(
         "flag", [("--gamma-b-db", "10"), ("--scheme-a", "single_tas"),
                  ("--scheme-b", "tas_alamouti")]
     )
-    def test_crossover_has_no_snr_or_scheme_flags(self, capsys, draw_spy, flag):
+    def test_crossover_has_no_snr_or_scheme_flags(self, capsys, block_spy, flag):
         # crossover sweeps the legitimate SNR and always compares
         # TAS-Alamouti with single TAS.
         code = cli.main(["crossover", *flag, "--bracket", "0", "25", "--trials", "1000"])
         assert code == cli.EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
     def test_every_grid_name_parses(self):
         assert sweeps.GRID_NAMES == ("default", "quick")
