@@ -24,24 +24,18 @@ its top two values by running maxima, and a (min(n_alice, 2), block)
 array of eavesdropper norms.
 
 The per-trial channel statistics are normalized (unit average branch
-SNR), so one draw set, fixed by the draw key (n_alice, n_bob, n_eve,
-trials, seed), serves every SNR and rate point and both schemes.  One
-block generator draws every key, block by block, with the same
-substreams and checks.  ``draw_components`` gathers its blocks into a
-set, and ``count_outage`` counts outage events on a supplied set without
-drawing; non-zero secrecy is ``EstimatorResult.complement`` of its
-rate-0 count, and ``binomial_z``, the exact binomial tail of a count in
-sigma, scores ``sweeps.validate``'s estimates.  A set's arrays are
-read-only, so the rows that share it cannot change it.  The callers
-decide when to draw: ``sweeps.evaluate`` checks one point's inputs and
-draws its set, while a sweep, a preset or a validation grid of
-``sweeps`` is planned as one run that draws each distinct set once and
-holds one set at a time, so its memory is bounded by a single set (4
-arrays of ``trials`` float64) and one block's norms, and not by the
-number of sets.  ``count_outage_grid``, which ``sweeps.find_crossover``
-reads, counts both schemes at every point of a gamma_bar_b grid as each
-block is drawn, so it holds one block and the grid's counts, never a
-set.
+SNR), so the trials of one draw key (n_alice, n_bob, n_eve, trials,
+seed) serve every SNR and rate point and both schemes.  One block
+generator draws every key, block by block, with the same substreams and
+checks, and nothing gathers its blocks: counts add over blocks, so each
+counter adds a block's counts and drops it.  ``count_outage`` counts any
+number of (scheme, SNR, rate) outage events on one key in one pass;
+non-zero secrecy is ``EstimatorResult.complement`` of its rate-0 count,
+and ``binomial_z``, the exact binomial tail of a count in sigma, scores
+``sweeps.validate``'s estimates.  ``count_outage_grid``, which
+``sweeps.find_crossover`` reads, counts both schemes and their
+intersection at every point of a gamma_bar_b grid.  Either counter
+holds one block's working set and its counts, whatever the trial count.
 """
 
 from __future__ import annotations
@@ -53,25 +47,22 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .config import Scheme, SystemConfig, checked_count, checked_rate
+from .config import Scheme, checked_count, checked_rate
 
 __all__ = [
     "BLOCK_SIZE",
     "EstimatorResult",
-    "NormalizedDraws",
     "Z95",
     "binomial_z",
     "count_outage",
     "count_outage_grid",
-    "draw_components",
-    "outage_events",
 ]
 
 BLOCK_SIZE = 65536
 
 Z95 = 1.959963984540054
 
-# outage_events scales SNRs of 2^_SNR_EXPONENT and above below it.
+# _scaled brings SNRs of 2^_SNR_EXPONENT and above below it.
 _SNR_EXPONENT = 512
 
 # The least rate whose 2^rate overflows a float.
@@ -100,85 +91,29 @@ class EstimatorResult:
         return _bernoulli_result(self.n_trials - self.n_events, self.n_trials)
 
 
-@dataclass(frozen=True)
-class NormalizedDraws:
-    """Per-trial (receiver, eavesdropper) SNRs of each scheme at unit
-    average branch SNR.
-
-    ``pairs[Scheme.SINGLE_TAS]`` is (top1, eve_first): the largest
-    squared column norm of the legitimate link and one eavesdropper
-    norm.  ``pairs[Scheme.TAS_ALAMOUTI]`` is (top2 / 2, eve_pair / 2):
-    the sum of the two largest legitimate norms and of two eavesdropper
-    norms, the first of them ``eve_first``, each halved by the
-    Alamouti code's power split; it is absent when n_alice == 1.  Every
-    array is made read-only, since one set serves many estimates.
-    """
-
-    n_alice: int
-    n_bob: int
-    n_eve: int
-    n_trials: int
-    seed: int
-    pairs: dict[Scheme, tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self) -> None:
-        for pair in self.pairs.values():
-            for array in pair:
-                array.setflags(write=False)
-
-
-def draw_components(
-    n_alice: int, n_bob: int, n_eve: int, n_trials: int, seed: int
-) -> NormalizedDraws:
-    """Sample each scheme's normalized per-trial SNR pair.
-
-    Parameters
-    ----------
-    n_alice, n_bob, n_eve : int
-        Antenna counts (>= 1).
-    n_trials : int
-        Number of independent channel realizations (>= 1).
-    seed : int
-        Nonnegative root seed; block b uses the substream seeded by
-        (seed, b).
-
-    Returns
-    -------
-    NormalizedDraws
-    """
-    blocks = _blocks(n_alice, n_bob, n_eve, n_trials, seed)
-    schemes = [Scheme.SINGLE_TAS] + [Scheme.TAS_ALAMOUTI] * (n_alice >= 2)
-    pairs = {scheme: (np.empty(n_trials), np.empty(n_trials)) for scheme in schemes}
-    for span, block in blocks:
-        for scheme, (bob, eve) in block.items():
-            pairs[scheme][0][span] = bob
-            pairs[scheme][1][span] = eve
-    return NormalizedDraws(
-        n_alice=n_alice,
-        n_bob=n_bob,
-        n_eve=n_eve,
-        n_trials=n_trials,
-        seed=seed,
-        pairs=pairs,
-    )
-
-
 def _blocks(n_alice: int, n_bob: int, n_eve: int, n_trials: int, seed: int):
-    """The ``(span, pairs)`` of each block of a draw key: its slice of the
-    trials and its ``NormalizedDraws.pairs``.  The key is checked before
-    the iterator is made, so a refused key draws nothing."""
+    """The ``pairs`` of each block of a draw key, in trial order: per
+    scheme, the (receiver, eavesdropper) SNRs of the block's trials at
+    unit average branch SNR.  ``pairs[Scheme.SINGLE_TAS]`` is
+    (top1, eve_first): the largest squared column norm of the legitimate
+    link and one eavesdropper norm.  ``pairs[Scheme.TAS_ALAMOUTI]`` is
+    (top2 / 2, eve_pair / 2): the sum of the two largest legitimate norms
+    and of two eavesdropper norms, the first of them ``eve_first``, each
+    halved by the Alamouti code's power split; it is absent when
+    n_alice == 1.  The key is checked before the iterator is made, so a
+    refused key draws nothing."""
     checked_count("n_alice", n_alice, 1)
     checked_count("n_bob", n_bob, 1)
     checked_count("n_eve", n_eve, 1)
     checked_count("n_trials", n_trials, 1)
     checked_count("seed", seed, 0)
     return (
-        _block(n_alice, n_bob, n_eve, seed, block, start, min(BLOCK_SIZE, n_trials - start))
+        _block(n_alice, n_bob, n_eve, seed, block, min(BLOCK_SIZE, n_trials - start))
         for block, start in enumerate(range(0, n_trials, BLOCK_SIZE))
     )
 
 
-def _block(n_alice, n_bob, n_eve, seed, block, start, count):
+def _block(n_alice, n_bob, n_eve, seed, block, count):
     rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
     # A column of n unit-power complex Gaussian entries has a squared
     # norm that is Gamma(n, 1); each is drawn as one variate.
@@ -187,50 +122,7 @@ def _block(n_alice, n_bob, n_eve, seed, block, start, count):
     pairs = {Scheme.SINGLE_TAS: (top1, eve[0])}
     if n_alice >= 2:
         pairs[Scheme.TAS_ALAMOUTI] = (top2 * 0.5, (eve[0] + eve[1]) * 0.5)
-    return slice(start, start + count), pairs
-
-
-def outage_events(
-    draws: NormalizedDraws,
-    scheme: Scheme,
-    gamma_bar_b: float,
-    gamma_bar_e: float,
-    rate: float,
-) -> np.ndarray:
-    """Boolean per-trial secrecy outage indicators.
-
-    With the scheme's normalized pair (X, Y), the event at ``rate == 0``
-    is gamma_bar_b X <= gamma_bar_e Y (capacity not strictly positive),
-    the exact complement of the non-zero-secrecy event; at a positive
-    rate it is secrecy capacity below ``rate``, tested without a divide
-    or a logarithm as gamma_bar_b X < gamma_bar_e Y 2^rate + (2^rate - 1),
-    which is 2^rate (1 + gamma_bar_e Y) - 1 without the round trip
-    through 1 + gamma_bar_e Y: that sum loses gamma_bar_e Y below 2^-53,
-    and 2^rate - 1 is taken as expm1(rate ln 2), which keeps a rate so
-    small that 2^rate rounds to 1.  When an SNR reaches 2^512, both SNRs
-    and the 2^rate - 1 term are first scaled by one power of two, which
-    brings the larger SNR below 2^512, so gamma_bar_b X cannot overflow:
-    unscaled, both sides could overflow, and inf <= inf is true where
-    inf < inf is false.  Scaling by 2^-k is exact, so it moves no event
-    unless a scaled product leaves the normal range.  A threshold that
-    overflows becomes +inf, without an error or a warning, so every
-    finite rate is answered; a threshold beyond the float range puts the
-    trial in outage.
-    """
-    rate = checked_rate(rate)
-    if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
-        raise ValueError("average SNRs must be finite and > 0")
-    if not isinstance(scheme, Scheme):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme not in draws.pairs:
-        raise ValueError(
-            "the Alamouti selection scheme needs n_alice >= 2, "
-            f"draws have n_alice={draws.n_alice}"
-        )
-    bob, eve = draws.pairs[scheme]
-    if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
-        return np.ones(bob.shape, bool)
-    return _below(bob, eve, *_scaled(gamma_bar_b, gamma_bar_e), rate)
+    return pairs
 
 
 def _scaled(gamma_bar_b: float, gamma_bar_e: float) -> tuple[float, float, float]:
@@ -245,8 +137,26 @@ def _scaled(gamma_bar_b: float, gamma_bar_e: float) -> tuple[float, float, float
 
 
 def _below(bob, eve, gamma_bar_b, gamma_bar_e, scale, rate: float) -> np.ndarray:
-    """``outage_events``' comparison on SNRs scaled by ``_scaled``; the
-    SNRs and the scale are floats or arrays of one per trial."""
+    """Boolean per-trial secrecy outage indicators of a scheme's
+    normalized pair (X, Y) = (``bob``, ``eve``), on SNRs scaled by
+    ``_scaled``; the SNRs and the scale are floats or arrays of one per
+    trial, and the rate is below ``_RATE_OVERFLOW``.
+
+    The event at ``rate == 0`` is gamma_bar_b X <= gamma_bar_e Y
+    (capacity not strictly positive), the exact complement of the
+    non-zero-secrecy event; at a positive rate it is secrecy capacity
+    below ``rate``, tested without a divide or a logarithm as
+    gamma_bar_b X < gamma_bar_e Y 2^rate + (2^rate - 1), which is
+    2^rate (1 + gamma_bar_e Y) - 1 without the round trip through
+    1 + gamma_bar_e Y: that sum loses gamma_bar_e Y below 2^-53, and
+    2^rate - 1 is taken as expm1(rate ln 2), which keeps a rate so small
+    that 2^rate rounds to 1.  ``_scaled`` brings the larger SNR below
+    2^512 and scales the 2^rate - 1 term with it, so gamma_bar_b X cannot
+    overflow: unscaled, both sides could overflow, and inf <= inf is true
+    where inf < inf is false.  Scaling by 2^-k is exact, so it moves no
+    event unless a scaled product leaves the normal range.  A threshold
+    that overflows becomes +inf, without an error or a warning, and puts
+    the trial in outage."""
     with np.errstate(over="ignore"):
         threshold = eve * gamma_bar_e
         if rate > 0.0:
@@ -254,6 +164,44 @@ def _below(bob, eve, gamma_bar_b, gamma_bar_e, scale, rate: float) -> np.ndarray
             threshold += scale * np.expm1(rate * math.log(2.0))
             return bob * gamma_bar_b < threshold
         return bob * gamma_bar_b <= threshold
+
+
+def count_outage(
+    key: tuple[int, int, int, int, int],
+    events: Sequence[tuple[Scheme, float, float, float]],
+) -> list[EstimatorResult]:
+    """Secrecy outage of each event, counted on the trials of one draw key.
+
+    ``key`` is a draw key (n_alice, n_bob, n_eve, n_trials, seed) and each
+    event a ``(scheme, gamma_bar_b, gamma_bar_e, rate)``.  Every event and
+    the key are checked before anything is drawn, so one refused event
+    draws nothing.  The key's blocks are then drawn once, and each event's
+    outage count on a block (``_below``) is added to its total and the
+    block dropped.  A rate whose 2^rate overflows puts every trial in
+    outage, so every finite rate is answered.  Non-zero secrecy is
+    ``EstimatorResult.complement`` of the rate-0 count.
+    """
+    checked = []
+    for scheme, gamma_bar_b, gamma_bar_e, rate in events:
+        rate = checked_rate(rate)
+        if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
+            raise ValueError("average SNRs must be finite and > 0")
+        if not isinstance(scheme, Scheme):
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if scheme is Scheme.TAS_ALAMOUTI and key[0] < 2:
+            raise ValueError(
+                "the Alamouti selection scheme needs n_alice >= 2, "
+                f"the draw key has n_alice={key[0]}"
+            )
+        checked.append((scheme, _scaled(gamma_bar_b, gamma_bar_e), rate))
+    counts = [0] * len(checked)
+    for pairs in _blocks(*key):
+        for index, (scheme, scaled, rate) in enumerate(checked):
+            if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
+                counts[index] += pairs[scheme][0].size
+            else:
+                counts[index] += int(np.count_nonzero(_below(*pairs[scheme], *scaled, rate)))
+    return [_bernoulli_result(count, key[3]) for count in counts]
 
 
 def count_outage_grid(
@@ -266,10 +214,10 @@ def count_outage_grid(
 
     ``key`` is a draw key (n_alice >= 2, n_bob, n_eve, n_trials, seed)
     and ``gamma_bar_bs`` an increasing grid.  Returns int64 arrays
-    ``(n_alamouti, n_single, n_both)``: at each point, the trials that
-    ``outage_events`` on ``draw_components(*key)`` puts in outage under
-    TAS-Alamouti, under single TAS and under both.  The set is drawn and
-    counted one block at a time, and never held whole.
+    ``(n_alamouti, n_single, n_both)``: at each point, the trials of the
+    key that ``count_outage``'s comparison puts in outage under
+    TAS-Alamouti, under single TAS and under both.  The key's trials are
+    drawn and counted one block at a time.
     """
     rate = checked_rate(rate)
     gammas = np.array(gamma_bar_bs, float)
@@ -283,7 +231,7 @@ def count_outage_grid(
         return tuple(np.full((3, gammas.size), key[3], np.int64))
     scaled = [np.array(column) for column in zip(*(_scaled(g, gamma_bar_e) for g in gammas))]
     bins = np.zeros((3, gammas.size + 1), np.int64)
-    for _, pairs in blocks:
+    for pairs in blocks:
         a, b = (
             _outage_prefix(*pairs[scheme], gammas, scaled, gamma_bar_e, rate)
             for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
@@ -299,8 +247,8 @@ def _outage_prefix(bob, eve, gammas, scaled, gamma_bar_e, rate):
     outage: a prefix of the grid, since outage is monotone in
     gamma_bar_b.  The critical SNR, threshold / X, places each trial;
     one misplaced by rounding then moves a point at a time until
-    ``outage_events``' comparison, on each point's ``_scaled`` SNRs, puts
-    it in outage at the point below and not at its own."""
+    ``_below``'s comparison, on each point's ``_scaled`` SNRs, puts it in
+    outage at the point below and not at its own."""
     top = gammas.size - 1
     # The log of the critical SNR, with the threshold's two coefficients
     # divided by the larger, so that nothing overflows.  A one-point grid
@@ -342,24 +290,6 @@ def _bernoulli_result(n_events: int, n_trials: int) -> EstimatorResult:
         ci95_low=low,
         ci95_high=high,
     )
-
-
-def _matching(draws: NormalizedDraws, config: SystemConfig) -> NormalizedDraws:
-    drawn = (draws.n_alice, draws.n_bob, draws.n_eve)
-    wanted = (config.n_alice, config.n_bob, config.n_eve)
-    if drawn != wanted:
-        raise ValueError(f"draws have antennas {drawn}, the configuration {wanted}")
-    return draws
-
-
-def count_outage(
-    draws: NormalizedDraws, config: SystemConfig, scheme: Scheme, rate: float
-) -> EstimatorResult:
-    """Secrecy outage counted on a supplied draw set of ``config``'s antennas."""
-    events = outage_events(
-        _matching(draws, config), scheme, config.gamma_bar_b, config.gamma_bar_e, rate
-    )
-    return _bernoulli_result(int(events.sum()), draws.n_trials)
 
 
 _LOG_2PI = math.log(2.0 * math.pi)

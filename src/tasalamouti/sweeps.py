@@ -7,12 +7,12 @@ scheme, and emits rows in a stable order with a fixed CSV schema.
 Every evaluation goes through one table that maps a (metric,
 evaluator) pair to its function.  ``evaluate`` is the one single-point
 entry for all three evaluators, Monte Carlo included, and the command
-line's ``eval`` calls it.  The table's Monte Carlo entries count events
-on a supplied draw set: ``evaluate`` draws the set of its one point,
-while a sweep, a preset and a validation run group their Monte Carlo
-rows by draw key (n_alice, n_bob, n_eve, trials, seed) through one
-helper, so every distinct key is drawn once per call, its rows are all
-counted on that one set, and one set is held at a time.  Presets
+line's ``eval`` calls it.  The table's Monte Carlo entries read the
+point's outage count (``montecarlo.count_outage``): ``evaluate`` counts
+the one event of its point, while a sweep, a preset and a validation run
+group their Monte Carlo rows by draw key (n_alice, n_bob, n_eve, trials,
+seed) through one helper, so every distinct key is drawn once per call,
+in one streamed pass that counts all of its rows' events.  Presets
 reproduce the figure-style experiment families and, like the
 validation grids, are data tables.  Validation runs the three
 evaluators against each other over a parameter grid and reports hard
@@ -406,27 +406,30 @@ def _config(point: dict) -> SystemConfig:
     )
 
 
-# (metric, evaluator) -> fn(config, scheme, rate, epsilon, draws), where
-# ``draws`` is the Monte Carlo draw set of the point (None for the
-# analytic evaluators).  The entries look the evaluators up in this
-# module's globals at call time, so a wrapper later bound over one of
-# those names (as the span recorder in perfbench/spans.py does) sees
-# every call.
+# (metric, evaluator) -> fn(config, scheme, rate, epsilon, counted), where
+# ``counted`` is the Monte Carlo outage count of the point's event (see
+# ``_event``; None for the analytic evaluators).  The entries look the
+# evaluators up in this module's globals at call time, so a wrapper later
+# bound over one of those names (as the span recorder in
+# perfbench/spans.py does) sees every call.
 _EVALUATE = {
-    ("P_out", "closed-form"): lambda c, s, rate, eps, draws: closed_form_outage(c, rate),
-    ("Pr_nonzero", "closed-form"): lambda c, s, rate, eps, draws: prob_nonzero_secrecy(c),
-    ("C_out", "closed-form"): lambda c, s, rate, eps, draws: eps_outage_capacity(c, eps),
-    ("P_out", "quadrature"): lambda c, s, rate, eps, draws: outage_quadrature(c, rate),
+    ("P_out", "closed-form"): lambda c, s, rate, eps, counted: closed_form_outage(c, rate),
+    ("Pr_nonzero", "closed-form"): lambda c, s, rate, eps, counted: prob_nonzero_secrecy(c),
+    ("C_out", "closed-form"): lambda c, s, rate, eps, counted: eps_outage_capacity(c, eps),
+    ("P_out", "quadrature"): lambda c, s, rate, eps, counted: outage_quadrature(c, rate),
     ("Pr_nonzero", "quadrature"): (
-        lambda c, s, rate, eps, draws: 1.0 - outage_quadrature(c, 0.0)
+        lambda c, s, rate, eps, counted: 1.0 - outage_quadrature(c, 0.0)
     ),
-    ("P_out", "monte-carlo"): (
-        lambda c, s, rate, eps, draws: montecarlo.count_outage(draws, c, s, rate)
-    ),
-    ("Pr_nonzero", "monte-carlo"): (
-        lambda c, s, rate, eps, draws: montecarlo.count_outage(draws, c, s, 0.0).complement()
-    ),
+    ("P_out", "monte-carlo"): lambda c, s, rate, eps, counted: counted,
+    ("Pr_nonzero", "monte-carlo"): lambda c, s, rate, eps, counted: counted.complement(),
 }
+
+
+def _event(config: SystemConfig, scheme: Scheme, metric: str, rate: float) -> tuple:
+    """The outage event that a Monte Carlo entry reads the count of:
+    P_out's at its rate, and Pr_nonzero's complement at rate 0."""
+    event_rate = rate if metric == "P_out" else 0.0
+    return (scheme, config.gamma_bar_b, config.gamma_bar_e, event_rate)
 
 
 # The analytic evaluators model only the two-antenna selection scheme.
@@ -483,49 +486,50 @@ def evaluate(
     ``trials`` and ``seed`` by Monte Carlo only.  Returns a float from
     the closed form or the quadrature and an ``EstimatorResult`` from
     Monte Carlo, which draws ``trials`` channel realizations from
-    ``seed`` and counts on them.  Raises ``ValueError`` when the
-    evaluator does not cover the scheme (checked first) or the metric,
-    or when the scheme, antennas, rate or epsilon are refused; all of
-    that is checked before anything is drawn or evaluated.
+    ``seed`` and counts the point's event on them, one block at a time.
+    Raises ``ValueError`` when the evaluator does not cover the scheme
+    (checked first) or the metric, or when the scheme, antennas, rate or
+    epsilon are refused; all of that is checked before anything is drawn
+    or evaluated.
     """
     fn = _checked(config, scheme, metric, evaluator, rate, epsilon)
-    draws = None
+    counted = None
     if evaluator == "monte-carlo":
-        draws = montecarlo.draw_components(
-            config.n_alice, config.n_bob, config.n_eve, trials, seed
-        )
-    return fn(config, scheme, rate, epsilon, draws)
+        key = (config.n_alice, config.n_bob, config.n_eve, trials, seed)
+        (counted,) = montecarlo.count_outage(key, [_event(config, scheme, metric, rate)])
+    return fn(config, scheme, rate, epsilon, counted)
 
 
-def _by_draw_key(jobs: Iterable[tuple[tuple | None, Callable]]) -> list:
-    """``make(draws)`` for every ``(key, make)`` job, in job order.  The
-    jobs are grouped by draw key, in first-appearance order, and run in
-    turn.  A key's set is drawn once, before its jobs run, and the
-    previous key's set is dropped before the next one is drawn, so one
-    set is held at a time; a None key gets no set.  A run passes all of
+def _by_draw_key(jobs: Iterable[tuple[tuple | None, tuple | None, Callable]]) -> list:
+    """``make(counted)`` for every ``(key, event, make)`` job, in job
+    order.  The jobs are grouped by draw key, in first-appearance order,
+    and run in turn.  A key's events are counted in one
+    ``montecarlo.count_outage`` call, before its jobs run, and each job
+    gets its event's count; a None key gets None.  A run passes all of
     its rows in one call, so it draws each distinct key once."""
-    groups: dict[tuple | None, list[tuple[int, Callable]]] = {}
-    for index, (key, make) in enumerate(jobs):
-        groups.setdefault(key, []).append((index, make))
+    groups: dict[tuple | None, list[tuple[int, tuple | None, Callable]]] = {}
+    for index, (key, event, make) in enumerate(jobs):
+        groups.setdefault(key, []).append((index, event, make))
     results: list = [None] * sum(len(members) for members in groups.values())
     for key, members in groups.items():
-        draws = None  # frees the previous key's set before the next draw
+        counts = [None] * len(members)
         if key is not None:
-            draws = montecarlo.draw_components(*key)
-        for index, make in members:
-            results[index] = make(draws)
+            counts = montecarlo.count_outage(key, [event for _, event, _ in members])
+        for (index, _, make), counted in zip(members, counts):
+            results[index] = make(counted)
     return results
 
 
 def _sweep_job(
     spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings, timings: bool
-) -> tuple[tuple | None, Callable]:
-    """One sweep row, planned once: ``(key, make_row)``.  ``key`` is the
-    draw key of a Monte Carlo row, or None for a row that draws nothing,
-    including one whose inputs are refused.  ``make_row(draws)`` builds
-    the ``SweepRow`` from the row's input cells and the outcome of its
-    call on ``draws``; a refused row carries the reason in its error
-    cell and has no call."""
+) -> tuple[tuple | None, tuple | None, Callable]:
+    """One sweep row, planned once: ``(key, event, make_row)``.  ``key``
+    and ``event`` are the draw key and the outage event of a Monte Carlo
+    row, or None for a row that draws nothing, including one whose inputs
+    are refused.  ``make_row(counted)`` builds the ``SweepRow`` from the
+    row's input cells and the outcome of its call on ``counted``, the
+    event's count; a refused row carries the reason in its error cell
+    and has no call."""
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = point["rate_rs"] if metric == "P_out" else 0.0
@@ -542,7 +546,7 @@ def _sweep_job(
     )
     if ev.name == "monte-carlo":
         cells.update(n_trials=ev.trials, seed=ev.seed)
-    call = key = None
+    call = key = event = None
     try:
         config = _config(point)
         fn = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
@@ -552,20 +556,24 @@ def _sweep_job(
         call = functools.partial(fn, config, scheme, rate, point["epsilon"])
         if ev.name == "monte-carlo":
             key = (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
-    return key, functools.partial(_sweep_row, cells, call, timings)
+            event = _event(config, scheme, metric, rate)
+    return key, event, functools.partial(_sweep_row, cells, call, timings)
 
 
 def _sweep_row(
-    cells: dict, call: Callable | None, timings: bool, draws: montecarlo.NormalizedDraws | None
+    cells: dict,
+    call: Callable | None,
+    timings: bool,
+    counted: montecarlo.EstimatorResult | None,
 ) -> SweepRow:
     """The ``SweepRow`` of a ``_sweep_job``: its input ``cells`` with the
-    value, standard error or error of ``call`` on ``draws`` (no call for
-    a refused row) and, under ``timings``, the wall time."""
+    value, standard error or error of ``call`` on ``counted`` (no call
+    for a refused row) and, under ``timings``, the wall time."""
     started = time.perf_counter()
     outcome = {}
     if call is not None:
         try:
-            result = call(draws)
+            result = call(counted)
         except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
             outcome["error"] = str(exc)
         else:
@@ -597,13 +605,14 @@ def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
     Rows come back ordered by sweep value, then scheme order, then
     evaluator order.  Evaluator failures are recorded in the row's
     error column instead of aborting.  ``timings`` fills the wall-time
-    column (a Monte Carlo row's time excludes the draw it shares);
-    leaving it off keeps output files byte-identical across runs.
+    column (a Monte Carlo row's time excludes its key's streamed count,
+    which the key's rows share); leaving it off keeps output files
+    byte-identical across runs.
 
     Rows are evaluated in order on the calling thread, in batches: the
     rows that draw nothing, and the Monte Carlo rows of each draw key.
-    A key's set is drawn once, before its rows are counted, and is
-    dropped before the next key's set is drawn.
+    A key's rows are counted in one streamed pass over its blocks,
+    before they are made.
     """
     rows = _run_specs([spec], timings)
     if spec.output is not None:
@@ -717,9 +726,9 @@ def run_preset(
 
     The curves are planned as one run, evaluated in order on the
     calling thread, so each distinct draw key is drawn once for the
-    whole preset (fig5's two eavesdropper SNRs count on one set) and one
-    set is held at a time.  Row order and bytes are those of running
-    each curve through ``run_sweep`` in turn.
+    whole preset (fig5's two eavesdropper SNRs count on one pass).  Row
+    order and bytes are those of running each curve through
+    ``run_sweep`` in turn.
     """
     return _run_specs(build_preset(name, trials=trials, seed=seed), timings)
 
@@ -912,13 +921,12 @@ def _validation_row(
     pt: dict,
     config: SystemConfig | None,
     closed_form: OutageBreakdown | Exception,
-    draws: montecarlo.NormalizedDraws | None,
+    mc: montecarlo.EstimatorResult | None,
 ) -> ValidationRow:
     """The three-way comparison at one grid point, from its
-    ``_closed_forms`` pair, counting Monte Carlo events on ``draws``,
-    the draw set of the point's antennas (None for a point whose closed
-    form is refused).  The cells are filled as they are computed, so a
-    refusal part-way keeps those filled before it."""
+    ``_closed_forms`` pair and ``mc``, its TAS-Alamouti outage count
+    (None for a point whose closed form is refused).  The cells are
+    filled in turn, so a refusal part-way keeps those filled before it."""
     rate = float(pt["rate_rs"])
     cells = dict(
         n_alice=pt["n_alice"],
@@ -939,9 +947,8 @@ def _validation_row(
         )
         quad = outage_quadrature(config, rate)
         cells.update(quadrature=quad, cf_quad_diff=abs(closed_form.value - quad))
-        mc = montecarlo.count_outage(draws, config, Scheme.TAS_ALAMOUTI, rate)
         cells.update(mc_estimate=mc.estimate, mc_stderr=mc.stderr)
-        cells["mc_z_score"] = montecarlo.binomial_z(mc.n_events, draws.n_trials, closed_form.value)
+        cells["mc_z_score"] = montecarlo.binomial_z(mc.n_events, mc.n_trials, closed_form.value)
     except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
         cells["error"] = str(exc)
     return ValidationRow(**cells)
@@ -966,20 +973,18 @@ def validate(
 
     The closed-form values come first, one ``outage_breakdown`` call per
     point.  The rows are then one ``_by_draw_key`` plan: a draw key's
-    set is made once and freed before the next key's is drawn, so one
-    set is held at a time, and a point whose closed form is refused
-    draws nothing.  Rows keep the order of the points.
+    points are counted in one streamed pass, and a point whose closed
+    form is refused draws nothing.  Rows keep the order of the points.
     """
     grid_points = points if points is not None else validation_grid(grid)
-    rows = _by_draw_key(
-        (
-            None
-            if isinstance(closed_form, Exception)
-            else (config.n_alice, config.n_bob, config.n_eve, n_trials, seed),
-            functools.partial(_validation_row, pt, config, closed_form),
-        )
-        for pt, (config, closed_form) in zip(grid_points, _closed_forms(grid_points))
-    )
+    jobs = []
+    for pt, (config, closed_form) in zip(grid_points, _closed_forms(grid_points)):
+        key = event = None
+        if not isinstance(closed_form, Exception):
+            key = (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
+            event = _event(config, Scheme.TAS_ALAMOUTI, "P_out", float(pt["rate_rs"]))
+        jobs.append((key, event, functools.partial(_validation_row, pt, config, closed_form)))
+    rows = _by_draw_key(jobs)
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)

@@ -15,10 +15,10 @@ hypothesis.settings.load_profile("package")
 
 
 class DrawSpy:
-    """Stands in for ``montecarlo.draw_components`` or for the block
-    generator ``montecarlo._blocks``: records the arguments of every call
-    that returns (a refused key raises first), and how many earlier draw
-    sets or block generators were still alive when each call started."""
+    """Stands in for the block generator ``montecarlo._blocks``: records
+    the arguments of every call that returns (a refused key raises
+    first), and how many earlier block generators were still alive when
+    each call started."""
 
     def __init__(self, original):
         self._original = original
@@ -31,23 +31,16 @@ class DrawSpy:
 
     def __call__(self, *args, **kwargs):
         self.most_held = max(self.most_held, self.held())
-        draws = self._original(*args, **kwargs)
+        blocks = self._original(*args, **kwargs)
         self.calls.append(args + tuple(kwargs.values()))
-        self._refs.append(weakref.ref(draws))
-        return draws
-
-
-@pytest.fixture
-def draw_spy(monkeypatch):
-    spy = DrawSpy(montecarlo.draw_components)
-    monkeypatch.setattr(montecarlo, "draw_components", spy)
-    return spy
+        self._refs.append(weakref.ref(blocks))
+        return blocks
 
 
 @pytest.fixture
 def block_spy(monkeypatch):
     """A spy on the block generator, which every Monte Carlo draw reads:
-    ``draw_components`` and ``count_outage_grid`` alike."""
+    ``count_outage`` and ``count_outage_grid`` alike."""
     spy = DrawSpy(montecarlo._blocks)
     monkeypatch.setattr(montecarlo, "_blocks", spy)
     return spy

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gathered import gather_blocks, gathered_outage
 from tasalamouti import CrossoverResult, Scheme, SystemConfig, db_to_linear, find_crossover
 from tasalamouti import montecarlo
 from tasalamouti.sweeps import CROSSOVER_TOL_DB
@@ -18,7 +19,7 @@ def reference_crossover(
 ):
     """Brute-force crossover on accepted inputs.  Every point of the grid
     lo + (hi - lo) k / K dB, K = ceil((hi - lo) / CROSSOVER_TOL_DB), is
-    counted with ``outage_events`` on the whole ``draw_components`` set,
+    counted on the key's blocks gathered whole (``gathered_outage``),
     from int8 casts of the two event masks; the root is the midpoint of
     the first two nonzero points of opposite sign, and the half width the
     larger distance from it to the nearest point on each side whose
@@ -33,16 +34,14 @@ def reference_crossover(
         seed=seed,
     )
 
-    draws = montecarlo.draw_components(
-        config.n_alice, config.n_bob, config.n_eve, n_trials, seed
-    )
+    pairs = gather_blocks(config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
     steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
     points = []  # (g_db, mean difference, beyond the 95% band)
     for k in range(steps + 1):
         g_db = lo_db + (hi_db - lo_db) * k / steps
         gb = db_to_linear(g_db)
-        ev_a = montecarlo.outage_events(draws, scheme_a, gb, config.gamma_bar_e, event_rate)
-        ev_b = montecarlo.outage_events(draws, scheme_b, gb, config.gamma_bar_e, event_rate)
+        ev_a = gathered_outage(pairs, scheme_a, gb, config.gamma_bar_e, event_rate)
+        ev_b = gathered_outage(pairs, scheme_b, gb, config.gamma_bar_e, event_rate)
         diff = ev_a.astype(np.int8) - ev_b.astype(np.int8)
         mean = float(diff.sum()) / n_trials
         var = float(np.mean(diff.astype(np.float64) ** 2)) - mean * mean
@@ -149,7 +148,7 @@ GRIDS = {
     "rate-1": ((4, 3, 2, 20_000, 0), (0.0, 25.0), 5.0, 1.0),
     "rate-2-single-eve": ((3, 3, 1, 20_000, 2), (-30.0, 60.0), 5.0, 2.0),
     "tiny-rate": ((4, 3, 2, 5000, 3), (-170.0, -150.0), -165.0, 1e-300),
-    # Grid points past 2^512, where outage_events scales both SNRs.
+    # Grid points past 2^512, where the comparison scales both SNRs.
     "past-2^512-rate-0": ((4, 3, 2, 20_000, 3), (1500.0, 1560.0), 1530.0, 0.0),
     "past-2^512-rate-1": ((4, 3, 2, 20_000, 3), (1500.0, 1560.0), 1530.0, 1.0),
     # Near the float maximum gamma_bar_e Y 2^rate overflows unscaled.
@@ -162,14 +161,14 @@ GRIDS = {
 
 
 def counted_on_the_set(key, gammas, gamma_e, rate):
-    """``count_outage_grid``'s counts, and ``outage_events``' counts on
-    the whole set at each grid point, as lists of (a, b, both)."""
+    """``count_outage_grid``'s counts, and the counts on the key's blocks
+    gathered whole at each grid point, as lists of (a, b, both)."""
     n_a, n_b, n_both = montecarlo.count_outage_grid(key, gammas, gamma_e, rate)
-    draws = montecarlo.draw_components(*key)
+    pairs = gather_blocks(*key)
     expected = []
     for gb in gammas:
         a, b = (
-            montecarlo.outage_events(draws, scheme, gb, gamma_e, rate)
+            gathered_outage(pairs, scheme, gb, gamma_e, rate)
             for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
         )
         expected.append((int(a.sum()), int(b.sum()), int((a & b).sum())))
@@ -212,15 +211,14 @@ def test_grid_counts_refuse_a_bad_grid_before_drawing(block_spy, gammas, match):
     assert block_spy.calls == []
 
 
-def test_one_streamed_pass_and_no_draw_set(draw_spy, block_spy):
+def test_one_streamed_pass_and_no_draw_set(block_spy):
     config = SystemConfig(3, 2, 2, 10.0, db_to_linear(5.0))
     find_crossover(config, "P_out", (5.0, 15.0), 50_000, 4, rate=1.0)
     assert block_spy.calls == [(3, 2, 2, 50_000, 4)]
-    assert draw_spy.calls == []
 
 
 def test_memory_is_one_block_not_a_draw_set():
-    # A draw set of 1e6 trials alone is 32 MB (4 float64 arrays); one
+    # 1e6 trials gathered whole are 32 MB (4 float64 arrays); one
     # 65 536-trial block and the grid's counts are a few MB.
     config = SystemConfig(4, 3, 2, 10.0, db_to_linear(5.0))
     tracemalloc.start()

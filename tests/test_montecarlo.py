@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from gathered import gather_blocks, gathered_outage
 from reference_channel import (
     draw_channel,
     secrecy_capacity,
@@ -15,26 +16,21 @@ from reference_channel import (
     snr_sample,
 )
 from tasalamouti import Scheme, SystemConfig, db_to_linear, evaluate
-from tasalamouti.montecarlo import (
-    BLOCK_SIZE,
-    binomial_z,
-    count_outage,
-    draw_components,
-    outage_events,
-)
+from tasalamouti.montecarlo import BLOCK_SIZE, binomial_z, count_outage
 from tasalamouti._kernels import snr_components
-from tasalamouti.sweeps import _EVALUATE, MC_Z_LIMIT
+from tasalamouti.sweeps import MC_Z_LIMIT
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
+SNRS = (CFG.gamma_bar_b, CFG.gamma_bar_e)
 MC = "monte-carlo"
 ALA, SINGLE = Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS
 
 
-def scaled_snr_outage(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
-    """The oracle for ``outage_events``: the scheme's pair scaled to
+def scaled_snr_outage(pairs, scheme, gamma_bar_b, gamma_bar_e, rate):
+    """The oracle for the outage comparison: the scheme's pair scaled to
     instantaneous SNRs, and the secrecy capacity's log2 of their ratio
     against the rate (``<=`` of the SNRs at rate 0)."""
-    bob, eve = draws.pairs[scheme]
+    bob, eve = pairs[scheme]
     gamma_b, gamma_e = bob * gamma_bar_b, eve * gamma_bar_e
     if rate == 0.0:
         return gamma_b <= gamma_e
@@ -43,49 +39,42 @@ def scaled_snr_outage(draws, scheme, gamma_bar_b, gamma_bar_e, rate):
 
 @functools.lru_cache(maxsize=None)
 def subset_draws():
-    return draw_components(4, 3, 2, 5000, seed=11)
+    return gather_blocks(4, 3, 2, 5000, seed=11)
 
 
-def count_nonzero_secrecy(draws, config, scheme):
-    """Non-zero secrecy counted on a supplied draw set, by the evaluator
-    table's Monte Carlo entry (the one sweeps and presets use)."""
-    return _EVALUATE[("Pr_nonzero", MC)](config, scheme, 0.0, None, draws)
-
-
-class TestDrawComponents:
+class TestBlocks:
     def test_shapes(self):
-        draws = draw_components(3, 2, 2, 1000, seed=0)
-        assert set(draws.pairs) == {ALA, SINGLE}
-        for pair in draws.pairs.values():
+        pairs = gather_blocks(3, 2, 2, 1000, seed=0)
+        assert set(pairs) == {ALA, SINGLE}
+        for pair in pairs.values():
             assert [a.shape for a in pair] == [(1000,), (1000,)]
-        assert draws.n_trials == 1000
 
     def test_single_antenna_has_no_pair_components(self):
-        draws = draw_components(1, 2, 1, 100, seed=0)
-        assert set(draws.pairs) == {SINGLE}
-        assert draws.pairs[SINGLE][0].shape == (100,)
+        pairs = gather_blocks(1, 2, 1, 100, seed=0)
+        assert set(pairs) == {SINGLE}
+        assert pairs[SINGLE][0].shape == (100,)
 
     def test_deterministic_in_seed(self):
-        a = draw_components(2, 2, 1, 500, seed=42)
-        b = draw_components(2, 2, 1, 500, seed=42)
+        a = gather_blocks(2, 2, 1, 500, seed=42)
+        b = gather_blocks(2, 2, 1, 500, seed=42)
         for scheme in (ALA, SINGLE):
-            for got, again in zip(a.pairs[scheme], b.pairs[scheme]):
+            for got, again in zip(a[scheme], b[scheme]):
                 assert np.array_equal(got, again)
-        c = draw_components(2, 2, 1, 500, seed=43)
-        assert not np.array_equal(a.pairs[ALA][0], c.pairs[ALA][0])
+        c = gather_blocks(2, 2, 1, 500, seed=43)
+        assert not np.array_equal(a[ALA][0], c[ALA][0])
 
     def test_block_boundary_is_prefix_stable(self):
         # Per-block seeding: the first trials do not depend on how many
         # more are requested.
-        short = draw_components(2, 1, 1, BLOCK_SIZE, seed=7)
-        longer = draw_components(2, 1, 1, BLOCK_SIZE + 123, seed=7)
+        short = gather_blocks(2, 1, 1, BLOCK_SIZE, seed=7)
+        longer = gather_blocks(2, 1, 1, BLOCK_SIZE + 123, seed=7)
         for scheme in (ALA, SINGLE):
-            for got, extended in zip(short.pairs[scheme], longer.pairs[scheme]):
+            for got, extended in zip(short[scheme], longer[scheme]):
                 assert np.array_equal(got, extended[:BLOCK_SIZE])
 
     def test_ordering_invariants(self):
-        draws = draw_components(4, 2, 3, 2000, seed=1)
-        (half_top2, half_eve_pair), (top1, eve_first) = draws.pairs[ALA], draws.pairs[SINGLE]
+        pairs = gather_blocks(4, 2, 3, 2000, seed=1)
+        (half_top2, half_eve_pair), (top1, eve_first) = pairs[ALA], pairs[SINGLE]
         # The best single antenna is part of the best pair.
         assert np.all(2.0 * half_top2 >= top1)
         assert np.all(top1 >= half_top2)
@@ -106,73 +95,60 @@ class TestDrawComponents:
         ],
     )
     def test_validation(self, bad):
-        kwargs = dict(n_alice=2, n_bob=1, n_eve=1, n_trials=10, seed=0)
-        kwargs.update(bad)
+        key = dict(n_alice=2, n_bob=1, n_eve=1, n_trials=10, seed=0)
+        key.update(bad)
         with pytest.raises(ValueError, match=next(iter(bad))):
-            draw_components(**kwargs)
-
-    @pytest.mark.parametrize("n_alice", [1, 3])
-    def test_arrays_are_read_only(self, n_alice):
-        # One set serves many rows; none of them may change it.
-        draws = draw_components(n_alice, 2, 2, 100, seed=0)
-        for array in (a for pair in draws.pairs.values() for a in pair):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-            with pytest.raises(ValueError):
-                array *= 2.0
+            count_outage(tuple(key.values()), [(SINGLE, 1.0, 1.0, 1.0)])
 
     def test_norm_distribution_mean(self):
         # Each squared norm is Gamma(n_bob, 1): mean of the single best
         # of one candidate equals n_bob.
-        draws = draw_components(1, 3, 1, 200_000, seed=3)
-        assert draws.pairs[SINGLE][0].mean() == pytest.approx(3.0, rel=0.01)
+        pairs = gather_blocks(1, 3, 1, 200_000, seed=3)
+        assert pairs[SINGLE][0].mean() == pytest.approx(3.0, rel=0.01)
 
 
-class TestOutageEvents:
+class TestOutageCount:
     @pytest.mark.parametrize("snrs", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
     def test_snrs_must_be_finite_and_positive(self, snrs):
         # A NaN SNR used to count no outage event at all.
-        draws = draw_components(3, 2, 2, 10, seed=0)
         with pytest.raises(ValueError, match="finite and > 0"):
-            outage_events(draws, ALA, *snrs, 1.0)
+            count_outage((3, 2, 2, 10, 0), [(ALA, *snrs, 1.0)])
 
-    def test_alamouti_refused_on_a_one_antenna_set(self):
-        draws = draw_components(1, 2, 2, 10, seed=0)
-        message = "the Alamouti selection scheme needs n_alice >= 2, draws have n_alice=1"
+    def test_alamouti_refused_on_a_one_antenna_key(self):
+        message = "the Alamouti selection scheme needs n_alice >= 2, the draw key has n_alice=1"
         with pytest.raises(ValueError, match=message):
-            outage_events(draws, ALA, 1.0, 1.0, 1.0)
-        assert outage_events(draws, SINGLE, 1.0, 1.0, 1.0).shape == (10,)
+            count_outage((1, 2, 2, 10, 0), [(ALA, 1.0, 1.0, 1.0)])
+        assert count_outage((1, 2, 2, 10, 0), [(SINGLE, 1.0, 1.0, 1.0)])[0].n_trials == 10
 
     def test_unknown_scheme(self):
-        draws = draw_components(3, 2, 2, 10, seed=0)
         with pytest.raises(ValueError, match="unknown scheme"):
-            outage_events(draws, "tas_alamouti", 1.0, 1.0, 1.0)
+            count_outage((3, 2, 2, 10, 0), [("tas_alamouti", 1.0, 1.0, 1.0)])
 
     def test_zero_rate_is_snr_ordering(self):
-        draws = draw_components(2, 2, 2, 5000, seed=2)
-        events = outage_events(draws, ALA, 3.0, 3.0, 0.0)
-        bob, eve = draws.pairs[ALA]
+        pairs = gather_blocks(2, 2, 2, 5000, seed=2)
+        events = gathered_outage(pairs, ALA, 3.0, 3.0, 0.0)
+        bob, eve = pairs[ALA]
         assert np.array_equal(events, bob * 3.0 <= eve * 3.0)
 
     def test_positive_rate_threshold(self):
-        draws = draw_components(2, 1, 1, 5000, seed=2)
-        events = outage_events(draws, ALA, 5.0, 1.0, 1.0)
-        bob, eve = draws.pairs[ALA]
+        pairs = gather_blocks(2, 1, 1, 5000, seed=2)
+        events = gathered_outage(pairs, ALA, 5.0, 1.0, 1.0)
+        bob, eve = pairs[ALA]
         expected = secrecy_capacity(bob * 5.0, eve * 1.0) < 1.0
         assert np.array_equal(events, expected)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_counts_match_the_scaled_snr_oracle(self, seed):
         # The division-free predicate against the log2 one it replaced,
-        # trial by trial, on one set, over gamma_bar_b / gamma_bar_e from
-        # -10 to 30 dB: no tie flips on these sets.
-        draws = draw_components(4, 3, 2, 20_000, seed=seed)
+        # trial by trial, on one key, over gamma_bar_b / gamma_bar_e from
+        # -10 to 30 dB: no tie flips on these draws.
+        pairs = gather_blocks(4, 3, 2, 20_000, seed=seed)
         for scheme in (ALA, SINGLE):
             for rate in (0.0, 0.5, 1.0, 2.0, 3.3):
                 for ratio_db in range(-10, 31, 4):
                     gamma_bar_b = 10.0 ** (ratio_db / 10.0) * 2.0
-                    got = outage_events(draws, scheme, gamma_bar_b, 2.0, rate)
-                    expected = scaled_snr_outage(draws, scheme, gamma_bar_b, 2.0, rate)
+                    got = gathered_outage(pairs, scheme, gamma_bar_b, 2.0, rate)
+                    expected = scaled_snr_outage(pairs, scheme, gamma_bar_b, 2.0, rate)
                     assert np.array_equal(got, expected), (scheme, rate, ratio_db)
 
     @pytest.mark.filterwarnings("error")
@@ -189,17 +165,16 @@ class TestOutageEvents:
     def test_huge_rates_and_snrs_raise_nothing(self, gamma_bar_b, gamma_bar_e, rate):
         # 2^rate and the products overflow to +inf silently; at rate 1e4
         # every trial is in outage, also where gamma_bar_e Y rounds to 0.
-        draws = draw_components(3, 2, 2, 1000, seed=0)
-        for scheme in (ALA, SINGLE):
-            events = outage_events(draws, scheme, gamma_bar_b, gamma_bar_e, rate)
-            assert events.shape == (1000,)
+        events = [(scheme, gamma_bar_b, gamma_bar_e, rate) for scheme in (ALA, SINGLE)]
+        for counted in count_outage((3, 2, 2, 1000, 0), events):
+            assert counted.n_trials == 1000
             if rate == 1e4:
-                assert events.all()
+                assert counted.n_events == 1000
 
     def test_monotone_in_rate(self):
-        draws = draw_components(3, 2, 1, 5000, seed=4)
-        low = outage_events(draws, Scheme.SINGLE_TAS, 5.0, 1.0, 0.5)
-        high = outage_events(draws, Scheme.SINGLE_TAS, 5.0, 1.0, 2.0)
+        pairs = gather_blocks(3, 2, 1, 5000, seed=4)
+        low = gathered_outage(pairs, Scheme.SINGLE_TAS, 5.0, 1.0, 0.5)
+        high = gathered_outage(pairs, Scheme.SINGLE_TAS, 5.0, 1.0, 2.0)
         assert np.all(high[low])  # outage at a low rate implies it at a higher
 
     def test_snrs_near_the_float_maximum_count_as_at_30_db(self):
@@ -232,11 +207,48 @@ class TestOutageEvents:
         # smallest subnormal, where 2^rate rounds to 1.
         low_rate, high_rate = sorted(rates)
         gamma_bar_b, gamma_bar_e = 10.0**b_exp, 10.0**e_exp
-        draws = subset_draws()
+        pairs = subset_draws()
         for scheme in (ALA, SINGLE):
-            low = outage_events(draws, scheme, gamma_bar_b, gamma_bar_e, low_rate)
-            high = outage_events(draws, scheme, gamma_bar_b, gamma_bar_e, high_rate)
+            low = gathered_outage(pairs, scheme, gamma_bar_b, gamma_bar_e, low_rate)
+            high = gathered_outage(pairs, scheme, gamma_bar_b, gamma_bar_e, high_rate)
             assert np.all(high[low]), (scheme, low_rate, high_rate)
+
+    def test_streamed_counts_equal_the_gathered_counts(self):
+        # Three blocks, the last one partial: each event's count is added
+        # block by block, in one pass for the whole batch.
+        key = (3, 2, 2, 2 * BLOCK_SIZE + 123, 5)
+        past_2_512 = (db_to_linear(1545.0), db_to_linear(1540.0))
+        points = [(10.0, 2.0, 0.0), (10.0, 2.0, 1.0), (10.0, 2.0, 1100.0),
+                  (*past_2_512, 0.0), (*past_2_512, 1.0)]
+        events = [(scheme, *point) for scheme in (ALA, SINGLE) for point in points]
+        pairs = gather_blocks(*key)
+        expected = [int(gathered_outage(pairs, *event).sum()) for event in events]
+        assert [counted.n_events for counted in count_outage(key, events)] == expected
+        for (_, _, _, rate), n_events in zip(events, expected):
+            if rate >= 1024.0:
+                assert n_events == key[3]
+            else:  # the count sees trials on both sides
+                assert 0 < n_events < key[3]
+
+    @pytest.mark.parametrize(
+        "refused, match",
+        [
+            ((ALA, math.nan, 1.0, 1.0), "finite and > 0"),
+            ((ALA, 10.0, 1.0, -1.0), "rate"),
+            (("single_tas", 10.0, 1.0, 1.0), "unknown scheme"),
+        ],
+    )
+    def test_one_refused_event_draws_nothing(self, block_spy, refused, match):
+        good = [(scheme, 10.0, 2.0, 1.0) for scheme in (ALA, SINGLE)]
+        with pytest.raises(ValueError, match=match):
+            count_outage((3, 2, 2, 3 * BLOCK_SIZE, 0), [*good, refused, *good])
+        assert block_spy.calls == []
+
+    def test_alamouti_on_a_one_antenna_key_draws_nothing(self, block_spy):
+        events = [(SINGLE, 10.0, 2.0, 1.0), (ALA, 10.0, 2.0, 1.0)]
+        with pytest.raises(ValueError, match="n_alice >= 2"):
+            count_outage((1, 2, 2, 3 * BLOCK_SIZE, 0), events)
+        assert block_spy.calls == []
 
 
 class TestEstimators:
@@ -254,10 +266,10 @@ class TestEstimators:
         assert pnz.n_events + out0.n_events == 30_000
 
     def test_nonzero_secrecy_is_the_complement_of_rate_zero_outage(self):
-        draws = draw_components(3, 3, 2, 30_000, seed=1)
         for scheme in Scheme:
             pnz = evaluate(CFG, scheme, "Pr_nonzero", MC, trials=30_000, seed=1)
-            assert pnz == count_outage(draws, CFG, scheme, 0.0).complement()
+            (out0,) = count_outage((3, 3, 2, 30_000, 1), [(scheme, *SNRS, 0.0)])
+            assert pnz == out0.complement()
 
     def test_symmetric_config_is_half(self):
         cfg = SystemConfig(2, 2, 2, 5.0, 5.0)
@@ -367,50 +379,47 @@ class TestBinomialZ:
             )
 
 
-class TestCountOnSuppliedDraws:
-    def test_counts_equal_the_estimators(self):
-        draws = draw_components(3, 3, 2, 20_000, seed=4)
-        for scheme in Scheme:
-            assert count_outage(draws, CFG, scheme, 1.0) == evaluate(
-                CFG, scheme, "P_out", MC, rate=1.0, trials=20_000, seed=4
-            )
-            assert count_nonzero_secrecy(draws, CFG, scheme) == evaluate(
-                CFG, scheme, "Pr_nonzero", MC, trials=20_000, seed=4
-            )
-
-    def test_draws_of_other_antennas_are_refused(self):
-        draws = draw_components(3, 2, 2, 100, seed=0)
-        with pytest.raises(ValueError, match="antennas"):
-            count_outage(draws, CFG, Scheme.SINGLE_TAS, 1.0)
-        with pytest.raises(ValueError, match="antennas"):
-            count_nonzero_secrecy(draws, CFG, Scheme.SINGLE_TAS)
+class TestCountOnOneKey:
+    def test_one_pass_gives_the_estimators(self, block_spy):
+        # Both schemes and both metrics in one batch: one pass over the
+        # key's blocks, and the values of four lone evaluations.
+        events = [(scheme, *SNRS, rate) for scheme in Scheme for rate in (1.0, 0.0)]
+        counts = count_outage((3, 3, 2, 20_000, 4), events)
+        assert block_spy.calls == [(3, 3, 2, 20_000, 4)]
+        for (scheme, _, _, rate), counted in zip(events, counts):
+            if rate:
+                expected = evaluate(CFG, scheme, "P_out", MC, rate=rate, trials=20_000, seed=4)
+                assert counted == expected
+            else:
+                expected = evaluate(CFG, scheme, "Pr_nonzero", MC, trials=20_000, seed=4)
+                assert counted.complement() == expected
 
 
 class TestRefusedBeforeDrawing:
     """A refused input costs no draw, however many trials were asked for."""
 
     @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
-    def test_bad_rate(self, draw_spy, rate):
+    def test_bad_rate(self, block_spy, rate):
         with pytest.raises(ValueError, match="rate"):
             evaluate(CFG, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=rate, trials=3_000_000)
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
-    def test_alamouti_with_one_antenna(self, draw_spy):
+    def test_alamouti_with_one_antenna(self, block_spy):
         cfg = SystemConfig(1, 2, 1, 10.0, 1.0)
         with pytest.raises(ValueError, match="n_alice >= 2"):
             evaluate(cfg, Scheme.TAS_ALAMOUTI, "P_out", MC, rate=1.0, trials=3_000_000)
         with pytest.raises(ValueError, match="n_alice >= 2"):
             evaluate(cfg, Scheme.TAS_ALAMOUTI, "Pr_nonzero", MC, trials=3_000_000)
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
-    def test_unknown_scheme(self, draw_spy):
+    def test_unknown_scheme(self, block_spy):
         with pytest.raises(ValueError, match="unknown scheme"):
             evaluate(CFG, "tas_alamouti", "P_out", MC, rate=1.0, trials=3_000_000)
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
-    def test_accepted_inputs_draw_once(self, draw_spy):
+    def test_accepted_inputs_draw_once(self, block_spy):
         evaluate(CFG, Scheme.SINGLE_TAS, "P_out", MC, rate=1.0, trials=1000, seed=3)
-        assert draw_spy.calls == [(3, 3, 2, 1000, 3)]
+        assert block_spy.calls == [(3, 3, 2, 1000, 3)]
 
 
 class TestAgainstChannelReference:
@@ -439,9 +448,9 @@ class TestAgainstChannelReference:
     @pytest.mark.parametrize("antennas", [(2, 1, 1), (2, 3, 2), (4, 3, 2), (5, 1, 3)])
     def test_components_match_snr_sample_in_distribution(self, antennas):
         config = SystemConfig(*antennas, 1.0, 1.0)
-        draws = draw_components(*antennas, self.N_DRAWS, seed=17)
+        pairs = gather_blocks(*antennas, self.N_DRAWS, seed=17)
         reference = self.reference_components(config, self.N_REFERENCE, seed=18)
-        drawn = (*draws.pairs[ALA], *draws.pairs[SINGLE])
+        drawn = (*pairs[ALA], *pairs[SINGLE])
         names = ("top2 / 2", "eve_pair / 2", "top1", "eve_first")
         p_values = {
             name: ks_2samp(got, expected).pvalue
@@ -456,11 +465,25 @@ def test_one_block_peak_memory_is_bounded():
     # not for (65536, n_rx, 8) Gaussian entries.
     tracemalloc.start()
     try:
-        draw_components(8, 8, 8, BLOCK_SIZE, 0)
+        gather_blocks(8, 8, 8, BLOCK_SIZE, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_peak_memory_is_one_block_whatever_the_trial_count():
+    # Eight blocks' trials, gathered, are 16.8 MB for the two schemes'
+    # pairs alone; a count holds one block and its counts.  So the bound
+    # is 16 MiB, half the one-block bound above.
+    tracemalloc.start()
+    try:
+        config = SystemConfig(8, 8, 8, 10.0, 2.0)
+        evaluate(config, ALA, "P_out", MC, rate=1.0, trials=8 * BLOCK_SIZE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestSnrComponents:

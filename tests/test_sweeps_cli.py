@@ -36,6 +36,7 @@ from tasalamouti import (
     write_validation_csv,
 )
 from tasalamouti import cli, sweeps
+from tasalamouti.montecarlo import BLOCK_SIZE
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -727,7 +728,7 @@ class TestValidate:
             assert report.rows[index] == alone and alone.error == ""
         assert report.error_points == 1 and not report.passed
 
-    def test_refused_antenna_count_is_an_error_row(self, draw_spy):
+    def test_refused_antenna_count_is_an_error_row(self, block_spy):
         # n_bob = 0 used to abort the whole report from the draw.
         good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                     gamma_bar_e_db=0.0, rate_rs=1.0)
@@ -736,9 +737,9 @@ class TestValidate:
         assert report.rows[1].error == "n_bob must be >= 1, got 0"
         assert report.rows[1].closed_form is None and report.rows[1].mc_estimate is None
         assert report.error_points == 1 and not report.passed
-        assert set(draw_spy.calls) == {(3, 2, 1, 1000, 0)}
+        assert set(block_spy.calls) == {(3, 2, 1, 1000, 0)}
 
-    def test_refused_points_draw_nothing(self, draw_spy):
+    def test_refused_points_draw_nothing(self, block_spy):
         # A point whose closed form is refused draws nothing.
         good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                     gamma_bar_e_db=0.0, rate_rs=1.0)
@@ -748,14 +749,14 @@ class TestValidate:
             "the Alamouti selection scheme needs n_alice >= 2, got n_alice=1",
             "rate must be finite and >= 0, got -1.0",
         ]
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
-    def test_a_refused_closed_form_draws_nothing(self, draw_spy):
+    def test_a_refused_closed_form_draws_nothing(self, block_spy):
         point = dict(n_alice=8, n_bob=8, n_eve=8, gamma_bar_b_db=-20.0,
                      gamma_bar_e_db=-20.0, rate_rs=0.0)
         (row,) = validate(points=[point], n_trials=1000).rows
         assert row.error.startswith("cancellation too severe")
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
     def test_quadrature_failure_keeps_the_closed_form_cells(self, monkeypatch):
         def fail(config, rate):
@@ -775,45 +776,45 @@ class TestValidate:
 
 class TestDrawOnce:
     """Each distinct draw key (n_alice, n_bob, n_eve, trials, seed) is
-    drawn once per run_preset, run_sweep or validate call, and one set
-    is alive at a time."""
+    drawn once per run_preset, run_sweep or validate call, and one block
+    generator is alive at a time."""
 
     @pytest.mark.parametrize(
         "name, sets", [("fig2", 3), ("fig3", 3), ("fig4", 3), ("fig5", 1), ("fig6", 0)]
     )
-    def test_preset(self, draw_spy, name, sets):
+    def test_preset(self, block_spy, name, sets):
         run_preset(name, trials=2000, seed=1)
-        assert len(draw_spy.calls) == len(set(draw_spy.calls)) == sets
-        assert draw_spy.most_held == 0
-        assert draw_spy.held() == 0
+        assert len(block_spy.calls) == len(set(block_spy.calls)) == sets
+        assert block_spy.most_held == 0
+        assert block_spy.held() == 0
 
-    def test_validate_quick(self, draw_spy):
+    def test_validate_quick(self, block_spy):
         validate("quick", n_trials=2000)
-        assert len(draw_spy.calls) == len(set(draw_spy.calls)) == 8
-        assert draw_spy.most_held == 0
-        assert draw_spy.held() == 0
+        assert len(block_spy.calls) == len(set(block_spy.calls)) == 8
+        assert block_spy.most_held == 0
+        assert block_spy.held() == 0
 
-    def test_validate_interleaved_points(self, draw_spy):
+    def test_validate_interleaved_points(self, block_spy):
         grid = validation_grid("quick")
         # Each (rate, gamma_b) pair walks all eight antenna triples.
         interleaved = sorted(grid, key=lambda pt: (pt["rate_rs"], pt["gamma_bar_b_db"]))
         rows = validate(points=interleaved, n_trials=2000).rows
-        assert len(draw_spy.calls) == len(set(draw_spy.calls)) == 8
-        assert draw_spy.most_held == 0
+        assert len(block_spy.calls) == len(set(block_spy.calls)) == 8
+        assert block_spy.most_held == 0
         in_grid_order = validate("quick", n_trials=2000).rows
         by_point = {tuple(pt.values()): row for pt, row in zip(grid, in_grid_order)}
         assert list(rows) == [by_point[tuple(pt.values())] for pt in interleaved]
 
-    def test_preset_bytes_do_not_depend_on_workers(self, draw_spy, tmp_path, capsys):
+    def test_preset_bytes_do_not_depend_on_workers(self, block_spy, tmp_path, capsys):
         command = ["preset", "fig2", "--trials", "2000", "--seed", "1"]
         plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
         assert cli.main([*command, "--output", str(plain)]) == cli.EXIT_OK
         assert cli.main([*command, "--workers", "2", "--output", str(flagged)]) == cli.EXIT_OK
         assert plain.read_bytes() == flagged.read_bytes()
-        assert len(draw_spy.calls) == 6
-        assert draw_spy.most_held == 0
+        assert len(block_spy.calls) == 6
+        assert block_spy.most_held == 0
 
-    def test_shared_draws_give_the_values_of_lone_evaluations(self, draw_spy):
+    def test_shared_draws_give_the_values_of_lone_evaluations(self, block_spy):
         # Two seeds over an n_alice sweep: four keys, whose rows interleave.
         spec = small_spec(
             parameter="n_alice",
@@ -824,10 +825,10 @@ class TestDrawOnce:
             ),
         )
         rows = run_sweep(spec)
-        assert sorted(draw_spy.calls) == [
+        assert sorted(block_spy.calls) == [
             (2, 2, 1, 3000, 7), (2, 2, 1, 3000, 8), (3, 2, 1, 3000, 7), (3, 2, 1, 3000, 8),
         ]
-        assert draw_spy.most_held == 0
+        assert block_spy.most_held == 0
         for row in rows:
             config = SystemConfig(row.n_alice, row.n_bob, row.n_eve, 10.0, 1.0)
             alone = evaluate(
@@ -836,7 +837,7 @@ class TestDrawOnce:
             )
             assert (row.value, row.stderr) == (alone.estimate, alone.stderr)
 
-    def test_refused_sweep_rows_draw_nothing(self, draw_spy):
+    def test_refused_sweep_rows_draw_nothing(self, block_spy):
         spec = small_spec(
             n_alice=1,
             schemes=(Scheme.TAS_ALAMOUTI,),
@@ -846,16 +847,16 @@ class TestDrawOnce:
         assert rows and all(
             row.error.startswith("the Alamouti selection scheme needs") for row in rows
         )
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
-    def test_eval_refused_rate_draws_nothing(self, draw_spy, capsys):
+    def test_eval_refused_rate_draws_nothing(self, block_spy, capsys):
         code = cli.main(
             ["eval", "--metric", "pout", "--evaluator", "mc", "--rate", "-1",
              "--trials", "3000000"]
         )
         assert code == cli.EXIT_USAGE
         assert "rate must be finite and >= 0" in capsys.readouterr().err
-        assert draw_spy.calls == []
+        assert block_spy.calls == []
 
     @pytest.mark.parametrize("n_trials", [1e4, 2.5, True])
     @pytest.mark.parametrize("entry", ["evaluate", "validate", "find_crossover"])
@@ -1385,10 +1386,15 @@ def _example_rows():
     return run_sweep(replace(spec, evaluators=evaluators))
 
 
-def _validation_text(grid="quick"):
+def _validation_text(grid="quick", n_trials=2000):
     buffer = io.StringIO()
-    write_validation_csv(validate(grid, n_trials=2000), buffer)
+    write_validation_csv(validate(grid, n_trials=n_trials), buffer)
     return buffer.getvalue()
+
+
+# Three blocks, the last one partial: the digests at 2000 trials read one
+# block, so only these see the counts of several blocks add up.
+MULTI_BLOCK_TRIALS = 2 * BLOCK_SIZE + 1000
 
 
 class TestGoldenCsv:
@@ -1407,6 +1413,10 @@ class TestGoldenCsv:
         "example": lambda: rows_to_csv_text(_example_rows()),
         "validate-quick": _validation_text,
         "validate-default": lambda: _validation_text("default"),
+        "fig5-multi-block": lambda: rows_to_csv_text(
+            run_preset("fig5", trials=MULTI_BLOCK_TRIALS, seed=1)
+        ),
+        "validate-quick-multi-block": lambda: _validation_text("quick", MULTI_BLOCK_TRIALS),
     }
 
     DIGESTS = {
@@ -1424,6 +1434,10 @@ class TestGoldenCsv:
         # triple's closed-form values came from one batched psi pass and
         # the quadrature integrand was trimmed.
         "validate-default": "85d3f677b43bc159079b856949afc7b75e9314d8f0d7597ba77aa96472380581",
+        "fig5-multi-block": "4635a2f6bc9c5527a524f24f21d5787ebca26c8df2fa03bfceed5a6f5f15a166",
+        "validate-quick-multi-block": (
+            "a0faa4465f1b63c859c968500caa69802dace91d120557ce2488a170654b8f6a"
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
