@@ -24,12 +24,13 @@ its top two values by running maxima, and a (min(n_alice, 2), block)
 array of eavesdropper norms.
 
 The per-trial channel statistics are normalized (unit average branch
-SNR), so the trials of one draw key (n_alice, n_bob, n_eve, trials,
+SNR), so the trials of one draw key (n_alice, n_bob, n_eve, n_trials,
 seed) serve every SNR and rate point and both schemes.  One block
-generator draws every key, block by block, with the same substreams and
-checks, and nothing gathers its blocks: counts add over blocks, so each
-counter adds a block's counts and drops it.  ``count_outage`` counts any
-number of (scheme, SNR, rate) outage events on one key in one pass;
+generator draws every key, block by block, with the same substreams, and
+nothing gathers its blocks: counts add over blocks, so each counter adds
+a block's counts and drops it.  Like the analytic routes, both counters
+take ``SystemConfig`` points.  ``count_outage`` counts any number of
+outage events, of any number of keys, and draws each distinct key once;
 non-zero secrecy is ``EstimatorResult.complement`` of its rate-0 count,
 and ``binomial_z``, the exact binomial tail of a count in sigma, scores
 ``sweeps.validate``'s estimates.  ``count_outage_grid``, which
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .config import Scheme, checked_count, checked_rate
+from .config import Scheme, SystemConfig, checked_count, checked_rate
 
 __all__ = [
     "BLOCK_SIZE",
@@ -100,13 +101,8 @@ def _blocks(n_alice: int, n_bob: int, n_eve: int, n_trials: int, seed: int):
     (top2 / 2, eve_pair / 2): the sum of the two largest legitimate norms
     and of two eavesdropper norms, the first of them ``eve_first``, each
     halved by the Alamouti code's power split; it is absent when
-    n_alice == 1.  The key is checked before the iterator is made, so a
-    refused key draws nothing."""
-    checked_count("n_alice", n_alice, 1)
-    checked_count("n_bob", n_bob, 1)
-    checked_count("n_eve", n_eve, 1)
-    checked_count("n_trials", n_trials, 1)
-    checked_count("seed", seed, 0)
+    n_alice == 1.  The counters check the key before they make the
+    iterator, so a refused key draws nothing."""
     return (
         _block(n_alice, n_bob, n_eve, seed, block, min(BLOCK_SIZE, n_trials - start))
         for block, start in enumerate(range(0, n_trials, BLOCK_SIZE))
@@ -125,14 +121,12 @@ def _block(n_alice, n_bob, n_eve, seed, block, count):
     return pairs
 
 
-def _scaled(gamma_bar_b: float, gamma_bar_e: float) -> tuple[float, float, float]:
-    """(gamma_bar_b, gamma_bar_e, scale): both SNRs times ``scale``, the
-    power of two (1 unless one reaches 2^512) that brings the larger
-    below 2^512."""
-    exponent = math.frexp(max(gamma_bar_b, gamma_bar_e))[1]
-    if exponent <= _SNR_EXPONENT:
-        return gamma_bar_b, gamma_bar_e, 1.0
-    scale = math.ldexp(1.0, _SNR_EXPONENT - exponent)
+def _scaled(gamma_bar_b, gamma_bar_e) -> tuple:
+    """(gamma_bar_b, gamma_bar_e, scale): both SNRs, floats or arrays,
+    times ``scale``, the power of two (1 unless one reaches 2^512) that
+    brings the larger below 2^512, at each point."""
+    exponent = np.frexp(np.maximum(gamma_bar_b, gamma_bar_e))[1]
+    scale = np.ldexp(1.0, np.minimum(_SNR_EXPONENT - exponent, 0))
     return gamma_bar_b * scale, gamma_bar_e * scale, scale
 
 
@@ -167,73 +161,77 @@ def _below(bob, eve, gamma_bar_b, gamma_bar_e, scale, rate: float) -> np.ndarray
 
 
 def count_outage(
-    key: tuple[int, int, int, int, int],
-    events: Sequence[tuple[Scheme, float, float, float]],
+    events: Sequence[tuple[SystemConfig, Scheme, float, int, int]],
 ) -> list[EstimatorResult]:
-    """Secrecy outage of each event, counted on the trials of one draw key.
+    """Secrecy outage of each event, counted on the trials of its draw key.
 
-    ``key`` is a draw key (n_alice, n_bob, n_eve, n_trials, seed) and each
-    event a ``(scheme, gamma_bar_b, gamma_bar_e, rate)``.  Every event and
-    the key are checked before anything is drawn, so one refused event
-    draws nothing.  The key's blocks are then drawn once, and each event's
-    outage count on a block (``_below``) is added to its total and the
-    block dropped.  A rate whose 2^rate overflows puts every trial in
-    outage, so every finite rate is answered.  Non-zero secrecy is
+    Each event is a ``(config, scheme, rate, n_trials, seed)``: the
+    scheme's outage at ``rate`` and ``config``'s SNRs, on the trials of
+    the draw key (n_alice, n_bob, n_eve, n_trials, seed).  Every event is
+    checked before anything is drawn, so one refused event draws nothing.
+    Each distinct key is then drawn once, in first-appearance order, and
+    each of its events' outage count on a block (``_below``) is added to
+    its total and the block dropped; results keep the events' order.  A
+    rate whose 2^rate overflows puts every trial in outage, so every
+    finite rate is answered.  Non-zero secrecy is
     ``EstimatorResult.complement`` of the rate-0 count.
     """
-    checked = []
-    for scheme, gamma_bar_b, gamma_bar_e, rate in events:
+    groups: dict[tuple, list] = {}
+    for index, (config, scheme, rate, n_trials, seed) in enumerate(events):
         rate = checked_rate(rate)
-        if not (0.0 < gamma_bar_b < math.inf and 0.0 < gamma_bar_e < math.inf):
-            raise ValueError("average SNRs must be finite and > 0")
         if not isinstance(scheme, Scheme):
             raise ValueError(f"unknown scheme {scheme!r}")
-        if scheme is Scheme.TAS_ALAMOUTI and key[0] < 2:
-            raise ValueError(
-                "the Alamouti selection scheme needs n_alice >= 2, "
-                f"the draw key has n_alice={key[0]}"
-            )
-        checked.append((scheme, _scaled(gamma_bar_b, gamma_bar_e), rate))
-    counts = [0] * len(checked)
-    for pairs in _blocks(*key):
-        for index, (scheme, scaled, rate) in enumerate(checked):
-            if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
-                counts[index] += pairs[scheme][0].size
-            else:
-                counts[index] += int(np.count_nonzero(_below(*pairs[scheme], *scaled, rate)))
-    return [_bernoulli_result(count, key[3]) for count in counts]
+        if scheme is Scheme.TAS_ALAMOUTI:
+            config.require_two_transmit_antennas()
+        checked_count("n_trials", n_trials, 1)
+        checked_count("seed", seed, 0)
+        key = (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
+        scaled = _scaled(config.gamma_bar_b, config.gamma_bar_e)
+        groups.setdefault(key, []).append((index, scheme, scaled, rate))
+    counts = [0] * len(events)
+    for key, members in groups.items():
+        for pairs in _blocks(*key):
+            for index, scheme, scaled, rate in members:
+                if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
+                    counts[index] += pairs[scheme][0].size
+                else:
+                    counts[index] += int(np.count_nonzero(_below(*pairs[scheme], *scaled, rate)))
+    return [_bernoulli_result(count, event[3]) for count, event in zip(counts, events)]
 
 
 def count_outage_grid(
-    key: tuple[int, int, int, int, int],
+    config: SystemConfig,
     gamma_bar_bs: Sequence[float],
-    gamma_bar_e: float,
     rate: float,
+    n_trials: int,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outage counts of both schemes at every point of a gamma_bar_b grid.
 
-    ``key`` is a draw key (n_alice >= 2, n_bob, n_eve, n_trials, seed)
-    and ``gamma_bar_bs`` an increasing grid.  Returns int64 arrays
-    ``(n_alamouti, n_single, n_both)``: at each point, the trials of the
-    key that ``count_outage``'s comparison puts in outage under
-    TAS-Alamouti, under single TAS and under both.  The key's trials are
-    drawn and counted one block at a time.
+    ``config`` (n_alice >= 2, gamma_bar_b not read), ``n_trials`` and
+    ``seed`` give the draw key and gamma_bar_e, and ``gamma_bar_bs`` is
+    an increasing grid.  Returns int64 arrays ``(n_alamouti, n_single,
+    n_both)``: at each point, the trials of the key that
+    ``count_outage``'s comparison puts in outage under TAS-Alamouti,
+    under single TAS and under both.  Everything is checked before the
+    key's trials are drawn and counted, one block at a time.
     """
     rate = checked_rate(rate)
     gammas = np.array(gamma_bar_bs, float)
-    if not (0.0 < gamma_bar_e < math.inf and np.all((gammas > 0.0) & (gammas < math.inf))):
+    if not np.all((gammas > 0.0) & (gammas < math.inf)):
         raise ValueError("average SNRs must be finite and > 0")
     if gammas.ndim != 1 or not gammas.size or np.any(gammas[1:] <= gammas[:-1]):
         raise ValueError("gamma_bar_bs must be a nonempty increasing sequence")
-    checked_count("n_alice", key[0], 2)
-    blocks = _blocks(*key)
+    config.require_two_transmit_antennas()
+    checked_count("n_trials", n_trials, 1)
+    checked_count("seed", seed, 0)
     if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
-        return tuple(np.full((3, gammas.size), key[3], np.int64))
-    scaled = [np.array(column) for column in zip(*(_scaled(g, gamma_bar_e) for g in gammas))]
+        return tuple(np.full((3, gammas.size), n_trials, np.int64))
+    scaled = _scaled(gammas, config.gamma_bar_e)
     bins = np.zeros((3, gammas.size + 1), np.int64)
-    for pairs in blocks:
+    for pairs in _blocks(config.n_alice, config.n_bob, config.n_eve, n_trials, seed):
         a, b = (
-            _outage_prefix(*pairs[scheme], gammas, scaled, gamma_bar_e, rate)
+            _outage_prefix(*pairs[scheme], gammas, scaled, config.gamma_bar_e, rate)
             for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
         )
         for row, prefix in zip(bins, (a, b, np.minimum(a, b))):

@@ -10,9 +10,9 @@ entry for all three evaluators, Monte Carlo included, and the command
 line's ``eval`` calls it.  The table's Monte Carlo entries read the
 point's outage count (``montecarlo.count_outage``): ``evaluate`` counts
 the one event of its point, while a sweep, a preset and a validation run
-group their Monte Carlo rows by draw key (n_alice, n_bob, n_eve, trials,
-seed) through one helper, so every distinct key is drawn once per call,
-in one streamed pass that counts all of its rows' events.  Presets
+plan their rows, count the events of all their Monte Carlo rows in one
+``count_outage`` call, which draws every distinct key once, and then
+build the rows in order.  Presets
 reproduce the figure-style experiment families and, like the
 validation grids, are data tables.  Validation runs the three
 evaluators against each other over a parameter grid and reports hard
@@ -406,30 +406,37 @@ def _config(point: dict) -> SystemConfig:
     )
 
 
-# (metric, evaluator) -> fn(config, scheme, rate, epsilon, counted), where
+# (metric, evaluator) -> fn(config, rate, epsilon, counted), where
 # ``counted`` is the Monte Carlo outage count of the point's event (see
 # ``_event``; None for the analytic evaluators).  The entries look the
 # evaluators up in this module's globals at call time, so a wrapper later
 # bound over one of those names (as the span recorder in
 # perfbench/spans.py does) sees every call.
 _EVALUATE = {
-    ("P_out", "closed-form"): lambda c, s, rate, eps, counted: closed_form_outage(c, rate),
-    ("Pr_nonzero", "closed-form"): lambda c, s, rate, eps, counted: prob_nonzero_secrecy(c),
-    ("C_out", "closed-form"): lambda c, s, rate, eps, counted: eps_outage_capacity(c, eps),
-    ("P_out", "quadrature"): lambda c, s, rate, eps, counted: outage_quadrature(c, rate),
-    ("Pr_nonzero", "quadrature"): (
-        lambda c, s, rate, eps, counted: 1.0 - outage_quadrature(c, 0.0)
-    ),
-    ("P_out", "monte-carlo"): lambda c, s, rate, eps, counted: counted,
-    ("Pr_nonzero", "monte-carlo"): lambda c, s, rate, eps, counted: counted.complement(),
+    ("P_out", "closed-form"): lambda c, rate, eps, counted: closed_form_outage(c, rate),
+    ("Pr_nonzero", "closed-form"): lambda c, rate, eps, counted: prob_nonzero_secrecy(c),
+    ("C_out", "closed-form"): lambda c, rate, eps, counted: eps_outage_capacity(c, eps),
+    ("P_out", "quadrature"): lambda c, rate, eps, counted: outage_quadrature(c, rate),
+    ("Pr_nonzero", "quadrature"): lambda c, rate, eps, counted: 1.0 - outage_quadrature(c, 0.0),
+    ("P_out", "monte-carlo"): lambda c, rate, eps, counted: counted,
+    ("Pr_nonzero", "monte-carlo"): lambda c, rate, eps, counted: counted.complement(),
 }
 
 
-def _event(config: SystemConfig, scheme: Scheme, metric: str, rate: float) -> tuple:
-    """The outage event that a Monte Carlo entry reads the count of:
-    P_out's at its rate, and Pr_nonzero's complement at rate 0."""
-    event_rate = rate if metric == "P_out" else 0.0
-    return (scheme, config.gamma_bar_b, config.gamma_bar_e, event_rate)
+def _event(
+    config: SystemConfig, scheme: Scheme, metric: str, rate: float, trials: int, seed: int
+) -> tuple:
+    """The ``montecarlo.count_outage`` event that a Monte Carlo entry reads
+    the count of: P_out's at its rate, and Pr_nonzero's complement at
+    rate 0."""
+    return (config, scheme, rate if metric == "P_out" else 0.0, trials, seed)
+
+
+def _counted(events: Sequence[tuple | None]) -> list:
+    """The outage count of each event, None for a None event, from one
+    ``montecarlo.count_outage`` call: a run draws each distinct key once."""
+    counts = iter(montecarlo.count_outage([event for event in events if event is not None]))
+    return [None if event is None else next(counts) for event in events]
 
 
 # The analytic evaluators model only the two-antenna selection scheme.
@@ -495,41 +502,18 @@ def evaluate(
     fn = _checked(config, scheme, metric, evaluator, rate, epsilon)
     counted = None
     if evaluator == "monte-carlo":
-        key = (config.n_alice, config.n_bob, config.n_eve, trials, seed)
-        (counted,) = montecarlo.count_outage(key, [_event(config, scheme, metric, rate)])
-    return fn(config, scheme, rate, epsilon, counted)
+        (counted,) = montecarlo.count_outage([_event(config, scheme, metric, rate, trials, seed)])
+    return fn(config, rate, epsilon, counted)
 
 
-def _by_draw_key(jobs: Iterable[tuple[tuple | None, tuple | None, Callable]]) -> list:
-    """``make(counted)`` for every ``(key, event, make)`` job, in job
-    order.  The jobs are grouped by draw key, in first-appearance order,
-    and run in turn.  A key's events are counted in one
-    ``montecarlo.count_outage`` call, before its jobs run, and each job
-    gets its event's count; a None key gets None.  A run passes all of
-    its rows in one call, so it draws each distinct key once."""
-    groups: dict[tuple | None, list[tuple[int, tuple | None, Callable]]] = {}
-    for index, (key, event, make) in enumerate(jobs):
-        groups.setdefault(key, []).append((index, event, make))
-    results: list = [None] * sum(len(members) for members in groups.values())
-    for key, members in groups.items():
-        counts = [None] * len(members)
-        if key is not None:
-            counts = montecarlo.count_outage(key, [event for _, event, _ in members])
-        for (index, _, make), counted in zip(members, counts):
-            results[index] = make(counted)
-    return results
-
-
-def _sweep_job(
-    spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings, timings: bool
-) -> tuple[tuple | None, tuple | None, Callable]:
-    """One sweep row, planned once: ``(key, event, make_row)``.  ``key``
-    and ``event`` are the draw key and the outage event of a Monte Carlo
-    row, or None for a row that draws nothing, including one whose inputs
-    are refused.  ``make_row(counted)`` builds the ``SweepRow`` from the
-    row's input cells and the outcome of its call on ``counted``, the
-    event's count; a refused row carries the reason in its error cell
-    and has no call."""
+def _sweep_plan(
+    spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
+) -> tuple[dict, Callable | None, tuple | None]:
+    """One sweep row, planned: ``(cells, call, event)``.  ``cells`` are the
+    row's input cells; ``call(counted)`` is the row's table function on
+    its point, None for a refused row, whose error cell carries the
+    reason; ``event`` is the outage event of a Monte Carlo row
+    (``_event``), None for a row that draws nothing."""
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = point["rate_rs"] if metric == "P_out" else 0.0
@@ -546,18 +530,17 @@ def _sweep_job(
     )
     if ev.name == "monte-carlo":
         cells.update(n_trials=ev.trials, seed=ev.seed)
-    call = key = event = None
+    call = event = None
     try:
         config = _config(point)
         fn = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
     except ValueError as exc:
         cells["error"] = str(exc)
     else:
-        call = functools.partial(fn, config, scheme, rate, point["epsilon"])
+        call = functools.partial(fn, config, rate, point["epsilon"])
         if ev.name == "monte-carlo":
-            key = (point["n_alice"], point["n_bob"], point["n_eve"], ev.trials, ev.seed)
-            event = _event(config, scheme, metric, rate)
-    return key, event, functools.partial(_sweep_row, cells, call, timings)
+            event = _event(config, scheme, metric, rate, ev.trials, ev.seed)
+    return cells, call, event
 
 
 def _sweep_row(
@@ -566,7 +549,7 @@ def _sweep_row(
     timings: bool,
     counted: montecarlo.EstimatorResult | None,
 ) -> SweepRow:
-    """The ``SweepRow`` of a ``_sweep_job``: its input ``cells`` with the
+    """The ``SweepRow`` of a ``_sweep_plan``: its input ``cells`` with the
     value, standard error or error of ``call`` on ``counted`` (no call
     for a refused row) and, under ``timings``, the wall time."""
     started = time.perf_counter()
@@ -587,16 +570,22 @@ def _sweep_row(
 
 
 def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
-    """The rows of every spec, in spec order, made as one ``_by_draw_key``
-    plan, so a key shared by several specs is drawn once."""
-    return _by_draw_key(
-        _sweep_job(spec, value, scheme, ev, timings)
+    """The rows of every spec, in spec order.  Every row is planned first,
+    and the Monte Carlo rows counted in one ``_counted`` call, so a key
+    shared by several specs is drawn once."""
+    plans = [
+        _sweep_plan(spec, value, scheme, ev)
         for spec in specs
         for value in spec.values
         for scheme in spec.schemes
         for ev in spec.evaluators
         if ev.applies_to(scheme)
-    )
+    ]
+    counts = _counted([event for _, _, event in plans])
+    return [
+        _sweep_row(cells, call, timings, counted)
+        for (cells, call, _), counted in zip(plans, counts)
+    ]
 
 
 def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
@@ -609,10 +598,10 @@ def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
     which the key's rows share); leaving it off keeps output files
     byte-identical across runs.
 
-    Rows are evaluated in order on the calling thread, in batches: the
-    rows that draw nothing, and the Monte Carlo rows of each draw key.
-    A key's rows are counted in one streamed pass over its blocks,
-    before they are made.
+    Rows are evaluated in order on the calling thread, after one
+    ``montecarlo.count_outage`` call has counted every Monte Carlo row's
+    event, drawing each distinct key once in one streamed pass over its
+    blocks.
     """
     rows = _run_specs([spec], timings)
     if spec.output is not None:
@@ -792,10 +781,9 @@ def find_crossover(
         raise ValueError(f"bracket must have lo < hi, got {bracket_db!r}")
     steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
     grid = [lo_db + (hi_db - lo_db) * k / steps for k in range(steps + 1)]
-    key = (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
     gammas = [db_to_linear(g_db) for g_db in grid]
-    event_rate = rate if metric == "P_out" else 0.0
-    n_a, n_b, n_both = montecarlo.count_outage_grid(key, gammas, config.gamma_bar_e, event_rate)
+    _, _, event_rate, _, _ = _event(config, Scheme.TAS_ALAMOUTI, metric, rate, n_trials, seed)
+    n_a, n_b, n_both = montecarlo.count_outage_grid(config, gammas, event_rate, n_trials, seed)
     # The per-trial differences are -1, 0 or 1, so three counts give their
     # mean and second moment exactly.  For Pr_nonzero both signs flip.
     mean = (n_a - n_b) / n_trials
@@ -972,19 +960,22 @@ def validate(
     ``points`` overrides the named grid (used for focused reports).
 
     The closed-form values come first, one ``outage_breakdown`` call per
-    point.  The rows are then one ``_by_draw_key`` plan: a draw key's
-    points are counted in one streamed pass, and a point whose closed
-    form is refused draws nothing.  Rows keep the order of the points.
+    point.  Then one ``_counted`` call counts every point's outage event,
+    drawing each distinct key once in one streamed pass; a point whose
+    closed form is refused draws nothing.  Rows keep the order of the
+    points.
     """
     grid_points = points if points is not None else validation_grid(grid)
-    jobs = []
-    for pt, (config, closed_form) in zip(grid_points, _closed_forms(grid_points)):
-        key = event = None
-        if not isinstance(closed_form, Exception):
-            key = (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-            event = _event(config, Scheme.TAS_ALAMOUTI, "P_out", float(pt["rate_rs"]))
-        jobs.append((key, event, functools.partial(_validation_row, pt, config, closed_form)))
-    rows = _by_draw_key(jobs)
+    closed_forms = _closed_forms(grid_points)
+    events = [
+        None if isinstance(closed_form, Exception)
+        else _event(config, Scheme.TAS_ALAMOUTI, "P_out", float(pt["rate_rs"]), n_trials, seed)
+        for pt, (config, closed_form) in zip(grid_points, closed_forms)
+    ]
+    rows = [
+        _validation_row(pt, *closed, mc)
+        for pt, closed, mc in zip(grid_points, closed_forms, _counted(events))
+    ]
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)

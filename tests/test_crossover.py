@@ -163,7 +163,8 @@ GRIDS = {
 def counted_on_the_set(key, gammas, gamma_e, rate):
     """``count_outage_grid``'s counts, and the counts on the key's blocks
     gathered whole at each grid point, as lists of (a, b, both)."""
-    n_a, n_b, n_both = montecarlo.count_outage_grid(key, gammas, gamma_e, rate)
+    config = SystemConfig(*key[:3], 1.0, gamma_e)
+    n_a, n_b, n_both = montecarlo.count_outage_grid(config, gammas, rate, *key[3:])
     pairs = gather_blocks(*key)
     expected = []
     for gb in gammas:
@@ -207,7 +208,7 @@ def test_grid_counts_are_exact_where_the_placement_is_off(rate):
 )
 def test_grid_counts_refuse_a_bad_grid_before_drawing(block_spy, gammas, match):
     with pytest.raises(ValueError, match=match):
-        montecarlo.count_outage_grid((3, 2, 2, 1000, 0), gammas, 1.0, 1.0)
+        montecarlo.count_outage_grid(SystemConfig(3, 2, 2, 1.0, 1.0), gammas, 1.0, 1000, 0)
     assert block_spy.calls == []
 
 

@@ -16,14 +16,15 @@ from reference_channel import (
     snr_sample,
 )
 from tasalamouti import Scheme, SystemConfig, db_to_linear, evaluate
-from tasalamouti.montecarlo import BLOCK_SIZE, binomial_z, count_outage
+from tasalamouti.montecarlo import BLOCK_SIZE, _scaled, binomial_z, count_outage
 from tasalamouti._kernels import snr_components
 from tasalamouti.sweeps import MC_Z_LIMIT
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
-SNRS = (CFG.gamma_bar_b, CFG.gamma_bar_e)
 MC = "monte-carlo"
 ALA, SINGLE = Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS
+# A (3, 2, 2) point at gamma_bar_b = 10, gamma_bar_e = 2.
+CFG322 = SystemConfig(3, 2, 2, 10.0, 2.0)
 
 
 def scaled_snr_outage(pairs, scheme, gamma_bar_b, gamma_bar_e, rate):
@@ -95,10 +96,12 @@ class TestBlocks:
         ],
     )
     def test_validation(self, bad):
+        # SystemConfig refuses the antenna counts, the counter the rest.
         key = dict(n_alice=2, n_bob=1, n_eve=1, n_trials=10, seed=0)
         key.update(bad)
         with pytest.raises(ValueError, match=next(iter(bad))):
-            count_outage(tuple(key.values()), [(SINGLE, 1.0, 1.0, 1.0)])
+            config = SystemConfig(key["n_alice"], key["n_bob"], key["n_eve"], 1.0, 1.0)
+            count_outage([(config, SINGLE, 1.0, key["n_trials"], key["seed"])])
 
     def test_norm_distribution_mean(self):
         # Each squared norm is Gamma(n_bob, 1): mean of the single best
@@ -112,17 +115,18 @@ class TestOutageCount:
     def test_snrs_must_be_finite_and_positive(self, snrs):
         # A NaN SNR used to count no outage event at all.
         with pytest.raises(ValueError, match="finite and > 0"):
-            count_outage((3, 2, 2, 10, 0), [(ALA, *snrs, 1.0)])
+            count_outage([(SystemConfig(3, 2, 2, *snrs), ALA, 1.0, 10, 0)])
 
     def test_alamouti_refused_on_a_one_antenna_key(self):
-        message = "the Alamouti selection scheme needs n_alice >= 2, the draw key has n_alice=1"
+        message = "the Alamouti selection scheme needs n_alice >= 2, got n_alice=1"
+        one = SystemConfig(1, 2, 2, 1.0, 1.0)
         with pytest.raises(ValueError, match=message):
-            count_outage((1, 2, 2, 10, 0), [(ALA, 1.0, 1.0, 1.0)])
-        assert count_outage((1, 2, 2, 10, 0), [(SINGLE, 1.0, 1.0, 1.0)])[0].n_trials == 10
+            count_outage([(one, ALA, 1.0, 10, 0)])
+        assert count_outage([(one, SINGLE, 1.0, 10, 0)])[0].n_trials == 10
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            count_outage((3, 2, 2, 10, 0), [("tas_alamouti", 1.0, 1.0, 1.0)])
+            count_outage([(SystemConfig(3, 2, 2, 1.0, 1.0), "tas_alamouti", 1.0, 10, 0)])
 
     def test_zero_rate_is_snr_ordering(self):
         pairs = gather_blocks(2, 2, 2, 5000, seed=2)
@@ -165,8 +169,9 @@ class TestOutageCount:
     def test_huge_rates_and_snrs_raise_nothing(self, gamma_bar_b, gamma_bar_e, rate):
         # 2^rate and the products overflow to +inf silently; at rate 1e4
         # every trial is in outage, also where gamma_bar_e Y rounds to 0.
-        events = [(scheme, gamma_bar_b, gamma_bar_e, rate) for scheme in (ALA, SINGLE)]
-        for counted in count_outage((3, 2, 2, 1000, 0), events):
+        config = SystemConfig(3, 2, 2, gamma_bar_b, gamma_bar_e)
+        events = [(config, scheme, rate, 1000, 0) for scheme in (ALA, SINGLE)]
+        for counted in count_outage(events):
             assert counted.n_trials == 1000
             if rate == 1e4:
                 assert counted.n_events == 1000
@@ -220,11 +225,15 @@ class TestOutageCount:
         past_2_512 = (db_to_linear(1545.0), db_to_linear(1540.0))
         points = [(10.0, 2.0, 0.0), (10.0, 2.0, 1.0), (10.0, 2.0, 1100.0),
                   (*past_2_512, 0.0), (*past_2_512, 1.0)]
-        events = [(scheme, *point) for scheme in (ALA, SINGLE) for point in points]
+        cases = [(scheme, *point) for scheme in (ALA, SINGLE) for point in points]
+        events = [
+            (SystemConfig(*key[:3], gamma_bar_b, gamma_bar_e), scheme, rate, *key[3:])
+            for scheme, gamma_bar_b, gamma_bar_e, rate in cases
+        ]
         pairs = gather_blocks(*key)
-        expected = [int(gathered_outage(pairs, *event).sum()) for event in events]
-        assert [counted.n_events for counted in count_outage(key, events)] == expected
-        for (_, _, _, rate), n_events in zip(events, expected):
+        expected = [int(gathered_outage(pairs, *case).sum()) for case in cases]
+        assert [counted.n_events for counted in count_outage(events)] == expected
+        for (_, _, rate, _, _), n_events in zip(events, expected):
             if rate >= 1024.0:
                 assert n_events == key[3]
             else:  # the count sees trials on both sides
@@ -233,21 +242,34 @@ class TestOutageCount:
     @pytest.mark.parametrize(
         "refused, match",
         [
-            ((ALA, math.nan, 1.0, 1.0), "finite and > 0"),
-            ((ALA, 10.0, 1.0, -1.0), "rate"),
-            (("single_tas", 10.0, 1.0, 1.0), "unknown scheme"),
+            ((CFG322, ALA, 1.0, 0, 0), "n_trials"),
+            ((CFG322, ALA, -1.0, 3 * BLOCK_SIZE, 0), "rate"),
+            ((CFG322, "single_tas", 1.0, 3 * BLOCK_SIZE, 0), "unknown scheme"),
         ],
     )
     def test_one_refused_event_draws_nothing(self, block_spy, refused, match):
-        good = [(scheme, 10.0, 2.0, 1.0) for scheme in (ALA, SINGLE)]
+        good = [(CFG322, scheme, 1.0, 3 * BLOCK_SIZE, 0) for scheme in (ALA, SINGLE)]
         with pytest.raises(ValueError, match=match):
-            count_outage((3, 2, 2, 3 * BLOCK_SIZE, 0), [*good, refused, *good])
+            count_outage([*good, refused, *good])
         assert block_spy.calls == []
 
     def test_alamouti_on_a_one_antenna_key_draws_nothing(self, block_spy):
-        events = [(SINGLE, 10.0, 2.0, 1.0), (ALA, 10.0, 2.0, 1.0)]
+        one = SystemConfig(1, 2, 2, 10.0, 2.0)
+        events = [(one, SINGLE, 1.0, 3 * BLOCK_SIZE, 0), (one, ALA, 1.0, 3 * BLOCK_SIZE, 0)]
         with pytest.raises(ValueError, match="n_alice >= 2"):
-            count_outage((1, 2, 2, 3 * BLOCK_SIZE, 0), events)
+            count_outage(events)
+        assert block_spy.calls == []
+
+    def test_a_refused_last_event_draws_no_key(self, block_spy):
+        # The events of two good keys come first; the last one's seed is
+        # refused, and neither good key is drawn.
+        events = [
+            (CFG322, ALA, 1.0, 3 * BLOCK_SIZE, 0),
+            (CFG, SINGLE, 1.0, 3 * BLOCK_SIZE, 1),
+            (CFG, ALA, 0.0, 3 * BLOCK_SIZE, -1),
+        ]
+        with pytest.raises(ValueError, match="seed"):
+            count_outage(events)
         assert block_spy.calls == []
 
 
@@ -268,7 +290,7 @@ class TestEstimators:
     def test_nonzero_secrecy_is_the_complement_of_rate_zero_outage(self):
         for scheme in Scheme:
             pnz = evaluate(CFG, scheme, "Pr_nonzero", MC, trials=30_000, seed=1)
-            (out0,) = count_outage((3, 3, 2, 30_000, 1), [(scheme, *SNRS, 0.0)])
+            (out0,) = count_outage([(CFG, scheme, 0.0, 30_000, 1)])
             assert pnz == out0.complement()
 
     def test_symmetric_config_is_half(self):
@@ -383,16 +405,65 @@ class TestCountOnOneKey:
     def test_one_pass_gives_the_estimators(self, block_spy):
         # Both schemes and both metrics in one batch: one pass over the
         # key's blocks, and the values of four lone evaluations.
-        events = [(scheme, *SNRS, rate) for scheme in Scheme for rate in (1.0, 0.0)]
-        counts = count_outage((3, 3, 2, 20_000, 4), events)
+        events = [(CFG, scheme, rate, 20_000, 4) for scheme in Scheme for rate in (1.0, 0.0)]
+        counts = count_outage(events)
         assert block_spy.calls == [(3, 3, 2, 20_000, 4)]
-        for (scheme, _, _, rate), counted in zip(events, counts):
+        for (_, scheme, rate, _, _), counted in zip(events, counts):
             if rate:
                 expected = evaluate(CFG, scheme, "P_out", MC, rate=rate, trials=20_000, seed=4)
                 assert counted == expected
             else:
                 expected = evaluate(CFG, scheme, "Pr_nonzero", MC, trials=20_000, seed=4)
                 assert counted.complement() == expected
+
+
+class TestCountAcrossKeys:
+    def test_interleaved_keys_draw_each_key_once(self, block_spy):
+        # Two keys, one more than a block long, whose events interleave:
+        # one block generator per key, in first-appearance order, and the
+        # counts of one call per key, in input order.
+        first, second = (CFG322, 20_000, 4), (CFG, BLOCK_SIZE + 77, 9)
+        events = [
+            (config, scheme, rate, n_trials, seed)
+            for scheme, rate in [(ALA, 1.0), (SINGLE, 1.0), (ALA, 2.0), (SINGLE, 3.0)]
+            for config, n_trials, seed in (first, second)
+        ]
+        counts = count_outage(events)
+        assert block_spy.calls == [(3, 2, 2, 20_000, 4), (3, 3, 2, BLOCK_SIZE + 77, 9)]
+        assert block_spy.most_held == 0
+        firsts = iter(count_outage([event for event in events if event[0] is CFG322]))
+        seconds = iter(count_outage([event for event in events if event[0] is CFG]))
+        assert counts == [next(firsts if event[0] is CFG322 else seconds) for event in events]
+        assert len(set(counts)) == len(counts)
+
+
+class TestScaled:
+    @staticmethod
+    def scalar_scaled(gamma_bar_b, gamma_bar_e):
+        # The scaling written with math.frexp and math.ldexp, one point at
+        # a time.
+        exponent = math.frexp(max(gamma_bar_b, gamma_bar_e))[1]
+        if exponent <= 512:
+            return gamma_bar_b, gamma_bar_e, 1.0
+        scale = math.ldexp(1.0, 512 - exponent)
+        return gamma_bar_b * scale, gamma_bar_e * scale, scale
+
+    @pytest.mark.parametrize("gamma_bar_e", [5e-324, 2.0, 2.0**512, 1e308])
+    def test_an_array_is_scaled_as_each_of_its_points(self, gamma_bar_e):
+        # gamma_bar_b across 2^512, from subnormal to 1e308.
+        gammas = np.concatenate([
+            [5e-324, 1e-300, 1.0, 1e100, 1e308],
+            np.nextafter(2.0**512, [0.0, np.inf]),
+            np.ldexp(1.0, np.arange(505, 520)) * 1.5,
+            [db_to_linear(g_db) for g_db in np.linspace(1500.0, 1560.0, 61)],
+        ])
+        gammas.sort()
+        arrays = _scaled(gammas, gamma_bar_e)
+        for k, gamma_bar_b in enumerate(gammas.tolist()):
+            scalar = _scaled(gamma_bar_b, gamma_bar_e)
+            assert tuple(column[k] for column in arrays) == scalar
+            assert scalar == self.scalar_scaled(gamma_bar_b, gamma_bar_e)
+            assert max(scalar[:2]) < 2.0**512
 
 
 class TestRefusedBeforeDrawing:
