@@ -204,6 +204,10 @@ PSI_GOLDEN = [
 # SHA-256 of TestPsiKernel.test_digest_over_every_small_triple's lines.
 PSI_DIGEST = "aaf8335ef178b76c82beedf3429a7150c8ed25abe56d1cb55aafc26febb02cba"
 
+# SHA-256 of TestPsiKernel.test_plan_digest's fields, frozen from the
+# loop-built plan.
+PLAN_DIGEST = "f246bd4259d5fa74b082c1d6470dce1c76f12c98e84f984dc562ec1f05084e4b"
+
 
 class TestExpansionCoeffs:
     def test_reference_table(self):
@@ -299,6 +303,31 @@ class TestPsiKernel:
                         lines.append(f"{n_a} {n_b} {n_e} {point}: {values}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == PSI_DIGEST
+
+    def test_plan_digest(self):
+        # Every field of every plan of the triples above, plus three
+        # larger ones: the name, then an array's dtype and bytes, or the
+        # repr of an int or a tuple of slices.
+        triples = [
+            (n_a, n_b, n_e)
+            for n_a in range(2, 9)
+            for n_b in range(1, 5)
+            for n_e in range(1, 5)
+        ]
+        triples += [(8, 8, 8), (5, 7, 6), (8, 1, 8)]
+        sha = hashlib.sha256()
+        for triple in triples:
+            plan = _kernels._psi_plan(*triple)
+            sha.update(repr(triple).encode())
+            for field in dataclasses.fields(plan):
+                value = getattr(plan, field.name)
+                sha.update(field.name.encode())
+                if isinstance(value, np.ndarray):
+                    sha.update(str(value.dtype).encode())
+                    sha.update(value.tobytes())
+                else:
+                    sha.update(repr(value).encode())
+        assert sha.hexdigest() == PLAN_DIGEST
 
     @pytest.mark.parametrize(
         "triple", [(2, 1, 1), (2, 3, 2), (3, 1, 4), (4, 3, 2), (8, 3, 3), (8, 8, 8)],
