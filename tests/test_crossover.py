@@ -230,3 +230,46 @@ def test_memory_is_one_block_not_a_draw_set():
         tracemalloc.stop()
     assert result.found
     assert peak < 16 * 2**20
+
+
+# (config, metric, bracket_db, rate): the three crossover brackets of the
+# CI smoke step, and the widest bracket of SNRs finite on the linear scale.
+CI_BRACKETS = {
+    "ci-0-25": ((4, 3, 2, 5.0), "P_out", (0.0, 25.0), 1.0),
+    "ci-5-15": ((3, 3, 2, 5.0), "P_out", (5.0, 15.0), 1.0),
+    "ci-pnz": ((4, 3, 2, 0.0), "Pr_nonzero", (-7.0, 7.0), 0.0),
+    "wide": ((4, 3, 2, 5.0), "P_out", (-3000.0, 3080.0), 1.0),
+}
+
+
+@pytest.fixture
+def grid_spy(monkeypatch):
+    """Records the gamma_bar_b grid of every ``count_outage_grid`` call."""
+    grids = []
+    original = montecarlo.count_outage_grid
+
+    def spy(config, gamma_bar_bs, *args):
+        grids.append(gamma_bar_bs)
+        return original(config, gamma_bar_bs, *args)
+
+    monkeypatch.setattr(montecarlo, "count_outage_grid", spy)
+    return grids
+
+
+@pytest.mark.parametrize("case", list(CI_BRACKETS))
+def test_grid_is_the_per_point_db_grid_bit_for_bit(grid_spy, case):
+    (n_a, n_b, n_e, gamma_e_db), metric, (lo_db, hi_db), rate = CI_BRACKETS[case]
+    config = SystemConfig(n_a, n_b, n_e, 1.0, db_to_linear(gamma_e_db))
+    find_crossover(config, metric, (lo_db, hi_db), 200, rate=rate)
+    steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
+    expected = [db_to_linear(lo_db + (hi_db - lo_db) * k / steps) for k in range(steps + 1)]
+    [got] = grid_spy
+    assert np.asarray(got, dtype=np.float64).tobytes() == np.array(expected).tobytes()
+
+
+def test_an_overflowing_upper_end_is_refused_before_drawing(block_spy, grid_spy):
+    config = SystemConfig(4, 3, 2, 1.0, db_to_linear(5.0))
+    with pytest.raises(ValueError, match="bracket must be finite"):
+        find_crossover(config, "P_out", (0.0, 3090.0), 1000, rate=1.0)
+    assert block_spy.calls == []
+    assert grid_spy == []

@@ -1392,6 +1392,25 @@ def _validation_text(grid="quick", n_trials=2000):
     return buffer.getvalue()
 
 
+def _capacity_rows():
+    # C_out against n_alice at n_bob = n_eve = 3, closed form only: the
+    # sweep half of the benchmark's capacity workload.
+    spec = SweepSpec(
+        name="capacity-nb3-ne3",
+        metric="C_out",
+        parameter="n_alice",
+        values=tuple(float(v) for v in range(2, 9)),
+        schemes=(Scheme.TAS_ALAMOUTI,),
+        evaluators=(EvaluatorSettings(name="closed-form", schemes=("tas_alamouti",)),),
+        n_bob=3,
+        n_eve=3,
+        gamma_bar_b_db=20.0,
+        gamma_bar_e_db=0.0,
+        epsilon=0.01,
+    )
+    return run_sweep(spec)
+
+
 # Three blocks, the last one partial: the digests at 2000 trials read one
 # block, so only these see the counts of several blocks add up.
 MULTI_BLOCK_TRIALS = 2 * BLOCK_SIZE + 1000
@@ -1411,6 +1430,7 @@ class TestGoldenCsv:
         "fig5": lambda: rows_to_csv_text(run_preset("fig5", trials=2000, seed=1)),
         "fig6": lambda: rows_to_csv_text(run_preset("fig6")),
         "example": lambda: rows_to_csv_text(_example_rows()),
+        "capacity": lambda: rows_to_csv_text(_capacity_rows()),
         "validate-quick": _validation_text,
         "validate-default": lambda: _validation_text("default"),
         "fig5-multi-block": lambda: rows_to_csv_text(
@@ -1426,6 +1446,8 @@ class TestGoldenCsv:
         "fig5": "d20242631302367d93a6b5d1e086a73efd7bd623296092d504a7e075df11c9d0",
         "fig6": "4d291ebf4eb20f7d121192a498aed231dd940ad28596dba86e7f40fb1f773f30",
         "example": "cdb8027eeb08d2627f6ff5e4e227bd6daf155d66f7d1354df4a09742ad925897",
+        # The same bytes as `sweep --spec perfbench/capacity.yaml`.
+        "capacity": "0b86fa24cbc327d53731722d6cd15eb36391f04207189de41b040ed5cbe6d6c1",
         # Re-frozen when the quadrature became one Gauss-Kronrod pass per
         # level and the z-score's binomial tail left scipy, and again when
         # the Erlang density and cdf came from one exp.
