@@ -780,8 +780,8 @@ def find_crossover(
     if not lo_db < hi_db:
         raise ValueError(f"bracket must have lo < hi, got {bracket_db!r}")
     steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
-    grid = [lo_db + (hi_db - lo_db) * k / steps for k in range(steps + 1)]
-    gammas = [db_to_linear(g_db) for g_db in grid]
+    grid = lo_db + (hi_db - lo_db) * np.arange(steps + 1) / steps
+    gammas = list(map(db_to_linear, grid.tolist()))
     _, _, event_rate, _, _ = _event(config, Scheme.TAS_ALAMOUTI, metric, rate, n_trials, seed)
     n_a, n_b, n_both = montecarlo.count_outage_grid(config, gammas, event_rate, n_trials, seed)
     # The per-trial differences are -1, 0 or 1, so three counts give their
@@ -789,21 +789,21 @@ def find_crossover(
     mean = (n_a - n_b) / n_trials
     var = (n_a + n_b - 2 * n_both) / n_trials - mean * mean
     distinct = np.abs(mean) > montecarlo.Z95 * np.sqrt(np.maximum(var, 0.0) / n_trials)
-    signed = [(g_db, d) for g_db, d in zip(grid, mean.tolist()) if d != 0.0]
-    pair = next(((a, b) for a, b in zip(signed, signed[1:]) if a[1] * b[1] < 0.0), None)
+    signed = np.flatnonzero(mean)
+    flips = np.flatnonzero(mean[signed[:-1]] * mean[signed[1:]] < 0.0)
     result = functools.partial(
         CrossoverResult, bracket_db=(lo_db, hi_db), metric=metric, n_trials=n_trials, seed=seed
     )
-    if pair is None:
+    if not len(flips):
         message = (
             f"no sign change of the {metric} difference on "
             f"[{lo_db}, {hi_db}] dB (endpoints {mean[0]:.3e}, {mean[-1]:.3e})"
         )
         return result(found=False, gamma_db=None, half_width_db=None, message=message)
-    root = 0.5 * (pair[0][0] + pair[1][0])
-    band = [g_db for g_db, d in zip(grid, distinct) if d]
-    below = max((g_db for g_db in band if g_db < root), default=lo_db)
-    above = min((g_db for g_db in band if g_db > root), default=hi_db)
+    root = 0.5 * float(grid[signed[flips[0]]] + grid[signed[flips[0] + 1]])
+    band = grid[distinct]
+    below = float(band[band < root].max(initial=lo_db))
+    above = float(band[band > root].min(initial=hi_db))
     return result(found=True, gamma_db=root, half_width_db=max(root - below, above - root))
 
 
