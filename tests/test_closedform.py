@@ -133,6 +133,18 @@ def capacity_outcome(search, *args, **kwargs):
         return "refused"
 
 
+def assert_step_outcome_as_bisection(monkeypatch, tol, step_at):
+    """The search answers, or refuses, as bisection does on a unit step."""
+
+    def step(config, rate):
+        return 0.0 if rate < step_at else 1.0
+
+    cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
+    expected = capacity_outcome(bisection_capacity, cfg, 0.01, tol, outage=step)
+    monkeypatch.setattr(closedform, "closed_form_outage", step)
+    assert capacity_outcome(eps_outage_capacity, cfg, 0.01, tol=tol) == expected
+
+
 # float.hex of the five psi_terms outputs (psi1..psi4, largest |summand|)
 # at (n_a, n_b, n_e, gamma_b, gamma_e, rate), frozen from the term-by-term
 # scalar kernel.  Rows: one point per antenna triple of the default
@@ -731,13 +743,26 @@ class TestCapacitySearch:
         # Below 2**-53 of the bracket, grid rates stop being floats and
         # bisection stalls unless its answer is near 0; past 200 halvings
         # it always refuses.
-        def step(config, rate):
-            return 0.0 if rate < step_at else 1.0
+        assert_step_outcome_as_bisection(monkeypatch, tol, step_at)
 
-        cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
-        expected = capacity_outcome(bisection_capacity, cfg, 0.01, tol, outage=step)
-        monkeypatch.setattr(closedform, "closed_form_outage", step)
-        assert capacity_outcome(eps_outage_capacity, cfg, 0.01, tol=tol) == expected
+    @pytest.mark.parametrize("tol", [0.75, 1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("step_at", [1e-50, 1e-12, 0.3, 3.0])
+    def test_coarse_tolerance_answers_as_bisection(self, monkeypatch, tol, step_at):
+        # From tol >= 1 on, the grid step is the bracket's width or the
+        # largest power of two at most tol, whichever is smaller: the
+        # bracket [0, 1] answers 0 and [1, 2] answers 1.
+        assert_step_outcome_as_bisection(monkeypatch, tol, step_at)
+
+    def test_below_the_round_off_floor_the_answer_keeps_the_grid_invariant(self):
+        # Under about 3e-11 the closed form's outage at (8, 3, 3) is
+        # round-off that alternates between 0 and positive values, so
+        # searches on the same grid may stop at different crossings
+        # (bisection stops at 2.562).  Each must stop at one.
+        cfg = SystemConfig(8, 3, 3, 100.0, 1.0)
+        cap = eps_outage_capacity(cfg, 5e-12)
+        _, _, h = capacity_grid(cap)
+        assert cap > 0.0
+        assert closed_form_outage(cfg, cap) <= 5e-12 < closed_form_outage(cfg, cap + h)
 
 
 class TestDeterminism:
