@@ -14,9 +14,19 @@ point afresh.
 
 Derived metrics: the probability of non-zero secrecy capacity (the
 complement of outage at zero rate) and the epsilon-outage secrecy
-capacity (the largest rate whose outage stays below a target: a
-doubling bracket fixes bisection's grid of rates, and Illinois false
-position finds bisection's answer on that grid).
+capacity, the largest rate whose outage stays within a target.  The
+capacity is bisection's answer: bisection of a doubling bracket
+[lo, 2*lo] can only return a rate of a fixed grid, and the search finds
+the grid rate where the outage crosses the target.  It probes the
+doubling rates 1, 2, 4, ... (and 0 only when the outage at 1 is beyond
+the target or refused), aims every other probe by interpolating
+logit P through the last probes, and steps to bisection's midpoint
+whenever aiming could cost more than twice bisection's probes.  Where
+the outage is monotone in rate, a probe within the target puts every
+lower rate within it and a probe beyond puts every higher rate beyond,
+so the answer is bisection's, bit for bit.  A tolerance that bisection
+could not reach is refused as soon as the doubling rates decide it,
+before any probe inside the bracket it refuses.
 """
 
 from __future__ import annotations
@@ -205,24 +215,79 @@ def prob_nonzero_secrecy(config: SystemConfig) -> float:
     return 1.0 - closed_form_outage(config, 0.0)
 
 
+def _logit(p: float) -> float:
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return math.log(p) - math.log1p(-p)
+
+
+def _aim(
+    points: list[tuple[float, float]], ends: list[tuple[float, float]], upper: float
+) -> float:
+    """Where the gap crosses 0, in grid steps above the bracket's low end.
+
+    ``points`` and ``ends`` are (steps, gap) pairs.  The inverse-quadratic
+    estimate through the three ``points`` is used when it lands inside
+    (0, upper); otherwise the secant through the two ``ends``.  NaN when
+    neither is defined.
+    """
+    if len(points) == 3:
+        (d0, g0), (d1, g1), (d2, g2) = points
+        if math.isfinite(g0 + g1 + g2) and g0 != g1 and g1 != g2 and g0 != g2:
+            est = (
+                d0 * g1 * g2 / ((g0 - g1) * (g0 - g2))
+                + d1 * g0 * g2 / ((g1 - g0) * (g1 - g2))
+                + d2 * g0 * g1 / ((g2 - g0) * (g2 - g1))
+            )
+            if 0.0 < est < upper:
+                return est
+    (d1, g1), (d2, g2) = ends
+    if -math.inf < g1 < g2 < math.inf:
+        return d1 - g1 * (d2 - d1) / (g2 - g1)
+    return math.nan
+
+
 def eps_outage_capacity(
     config: SystemConfig, epsilon: float, *, tol: float = 1e-6
 ) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
-    The outage is probed at 0, then at 1, 2, 4, ... until it exceeds
-    epsilon at a rate ``hi``; ``lo`` is the last rate probed before
-    ``hi``.  Halving ``[lo, hi]`` until its width is at most ``tol``
-    takes N halvings, so bisection could only ever probe the grid
-    ``lo + k*h`` with ``h = (hi - lo) / 2**N``.  The search runs on that
-    grid: Illinois false position on ``log P - log epsilon`` against k,
-    each estimate rounded strictly inside the bracket ``(k_lo, k_hi)``.
-    It steps to the bracket's midpoint instead when the low end's
-    outage is 0 (no logarithm), or when bisection could no longer
-    finish within 2N grid probes after a false-position step.  It stops
-    when ``k_hi = k_lo + 1`` and returns ``lo + k_lo*h``.  Whenever the
-    outage is monotone in rate over the probed points, that is bit for
-    bit the rate that bisection to ``tol`` returns.
+    The answer is bisection's: the outage is probed at 0, 1, 2, 4, ...
+    until it exceeds epsilon at a rate ``hi``, with ``lo`` the rate
+    before; then ``[lo, hi]`` is halved N times, to width at most
+    ``tol``, and ``lo`` is returned.  Bisection can therefore only
+    return a rate of the grid ``lo + k*h``, ``h = (hi - lo) / 2**N``,
+    and for ``tol < 1`` every bracket gives the same grid, with h the
+    largest power of two at most ``tol``.  The search reaches the same
+    grid rate with fewer probes on smooth outage curves, and never more
+    than bisection's 0 and doubling rates plus 2N (it spends two probes,
+    not one, on an answer of 0).  Wherever the outage is monotone in
+    rate over the probed points, it returns bisection's bits:
+
+    - It probes 1 first, and 0 only when the outage at 1 exceeds
+      epsilon or is refused: any positive rate within budget puts 0
+      within it too.  Bisection probes 0 first, so its answer 0 or its
+      refusal at 0 still comes before a refusal at 1.
+    - Once two probes have an outage strictly between 0 and 1, it aims
+      each bracketing probe at the grid rate where the gap
+      ``logit P - logit epsilon`` crosses 0, rounded up, by
+      inverse-quadratic interpolation through the last three probes or,
+      failing that, the secant through the last two.  It never aims
+      past the next doubling rate ``2*lo``, nor while N aimed probes
+      are spent or the bracket ``[lo, 2*lo]`` would be refused.  A probe
+      at most ``2*lo`` that exceeds epsilon fixes ``hi = 2*lo``
+      without probing it.
+    - Inside the bracket, on the grid, the inverse-quadratic estimate
+      is taken when it lands strictly inside ``(k_lo, k_hi)``, and the
+      secant through the two ends otherwise.  Each estimate is rounded
+      toward the end that did not move last (up after a probe within
+      budget, down after one beyond it), so that near the crossing the
+      bracket closes from both sides.  It steps to the midpoint instead
+      when an end's outage is 0 or 1, or when bisection could no longer
+      finish within 2N probes besides 0 and the doubling rates.
+    - It stops when ``k_hi = k_lo + 1`` and returns ``lo + k_lo*h``.
 
     Parameters
     ----------
@@ -250,67 +315,93 @@ def eps_outage_capacity(
         If bracketing fails (monotonicity of the outage in rate makes
         this unreachable for valid inputs), or if bisection to ``tol``
         would fail: it needs 200 or more halvings, or its answer lies on
-        a grid rate that is not a float.  The refusal spends no probe of
-        the grid beyond, at most, one at the last float grid rate.
+        a grid rate that is not a float.  That refusal is decided from
+        ``lo`` and ``tol`` before any probe strictly inside a bracket it
+        refuses; it spends no probe of the grid beyond, at most, one at
+        the last float grid rate.
     """
     epsilon = checked_epsilon(epsilon)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    p_lo = closed_form_outage(config, 0.0)
-    if p_lo > epsilon:
-        return 0.0
-    lo = 0.0
-    hi = 1.0
-    for _ in range(80):
-        p_hi = closed_form_outage(config, hi)
-        if p_hi > epsilon:
-            break
-        lo, p_lo = hi, p_hi
-        hi *= 2.0
+    target = _logit(epsilon)
+    probes: list[tuple[float, float]] = []  # (rate, gap) in probe order
+
+    def within(rate: float) -> bool:
+        p = closed_form_outage(config, rate)
+        probes.append((rate, _logit(p) - target))
+        return p <= epsilon
+
+    def grid(lo: float, hi: float) -> tuple[int, float, int, bool]:
+        n, h = 0, hi - lo
+        while h > tol and n < 200:
+            n, h = n + 1, 0.5 * h
+        # lo is 0 or a power of two and h is a power of two, so every
+        # grid rate with lo/h + k <= 2**53 is a float.  Bisection meets a
+        # midpoint that is not, rounds it to an end and stalls, exactly
+        # when its answer's index is k_top or more.  From lo >= 1 on,
+        # k_top > 0 implies k_top >= 2**n, so only lo = 0 can need a
+        # probe at k_top.
+        k_top = 2**53 - int(lo / h)
+        return n, h, k_top, n >= 200 or k_top <= 0
+
+    # low: the largest rate found within budget, g_lo its gap; spent:
+    # the probes besides 0 and the doubling rates
+    lo, low, g_lo, spent = 0.0, 0.0, -math.inf, 0
+    while lo < 2.0**79:
+        hi = 2.0 * lo if lo else 1.0
+        rate = hi
+        if len(probes) >= 2:
+            n, h, _, stalls = grid(lo, hi)
+            if spent < n and not stalls:
+                steps = [((x - low) / h, g) for x, g in probes[-3:]]
+                est = _aim(steps, steps[-2:], math.inf)
+                if 0.0 < est < (hi - low) / h:
+                    rate = low + math.ceil(est) * h
+                    spent += rate < hi
+        try:
+            if not within(rate):
+                break
+        except PrecisionExhaustedError:
+            if lo or within(0.0):
+                raise
+            return 0.0
+        low, g_lo = rate, probes[-1][1]
+        if rate == hi:
+            lo = hi
     else:
         raise NumericalFailureError(
             f"no rate with outage above {epsilon} found while bracketing {config}"
         )
-    n, h = 0, hi - lo
-    while h > tol and n < 200:
-        n, h = n + 1, 0.5 * h
-    # lo is 0 or a power of two and h is a power of two, so every grid
-    # rate with lo/h + k <= 2**53 is a float.  Bisection meets a midpoint
-    # that is not, rounds it to an end and stalls, exactly when its
-    # answer's index is k_top or more.
-    k_lo, k_hi, spent = 0, 2**n, 0
-    k_top = 2**53 - int(lo / h)
-    stalls = n >= 200 or k_top <= 0
+    g_hi = probes[-1][1]
+    if lo == 0.0:
+        if not within(0.0):
+            return 0.0
+        g_lo = probes[-1][1]
+    n, h, k_top, stalls = grid(lo, hi)
+    k_lo, k_hi = int((low - lo) / h), int((rate - lo) / h)
+    moved_hi = lo > 0.0
     if not stalls and k_top < k_hi:
-        k_hi, p_hi, spent = k_top, closed_form_outage(config, k_top * h), 1
-        stalls = p_hi <= epsilon
+        spent += 1
+        stalls = within(k_top * h)
+        k_hi, g_hi, moved_hi = k_top, probes[-1][1], True
     if stalls:
         raise NumericalFailureError(
             f"bisection failed to reach tolerance {tol} for {config}, epsilon={epsilon}"
         )
-
-    def gap(p: float) -> float:
-        return math.log(p) - math.log(epsilon) if p > 0.0 else -math.inf
-
-    g_lo, g_hi = gap(p_lo), gap(p_hi)
-    moved = 0  # +1 after a step that moved k_hi, -1 after one that moved k_lo
     while k_hi - k_lo > 1:
         width = k_hi - k_lo
-        # Bisection from here needs ceil(log2(width)) more probes; take
-        # a false-position step only if it and they still fit in 2N.
-        if -math.inf < g_lo < g_hi and spent + (width - 1).bit_length() < 2 * n:
-            k = k_lo + round(width * g_lo / (g_lo - g_hi))
+        k = (k_lo + k_hi) // 2
+        # Bisection from here needs ceil(log2(width)) more probes; aim
+        # only if this probe and they still fit in 2N.
+        if -math.inf < g_lo < g_hi < math.inf and spent + (width - 1).bit_length() < 2 * n:
+            base = lo + k_lo * h
+            steps = [((x - base) / h, g) for x, g in probes[-3:]]
+            est = _aim(steps, [(0.0, g_lo), (float(width), g_hi)], width)
+            k = k_lo + (math.floor(est) if moved_hi else math.ceil(est))
             k = min(max(k, k_lo + 1), k_hi - 1)
-        else:
-            k = (k_lo + k_hi) // 2
-        p = closed_form_outage(config, lo + k * h)
         spent += 1
-        if p <= epsilon:
-            if moved < 0:
-                g_hi *= 0.5
-            k_lo, g_lo, moved = k, gap(p), -1
+        if within(lo + k * h):
+            k_lo, g_lo, moved_hi = k, probes[-1][1], False
         else:
-            if moved > 0:
-                g_lo *= 0.5
-            k_hi, g_hi, moved = k, gap(p), 1
+            k_hi, g_hi, moved_hi = k, probes[-1][1], True
     return lo + k_lo * h

@@ -126,6 +126,17 @@ def flat_then_steep(config, rate):
     return max(1e-300, math.exp(min(0.0, 1e9 * (rate - 8.5))))
 
 
+def flat_then_half(config, rate):
+    # Finite logits at both ends, so the secant crawls from the top end.
+    return 1e-300 if rate < 8.5 else 0.75
+
+
+def creeping(config, rate):
+    # logit P creeps up toward logit(0.01), its distance shrinking by 1.5
+    # per bit, so every aimed probe falls short until a step at 100.
+    return 1.0 if rate >= 100.0 else 1.0 / (1.0 + 99.0 * math.exp(5.0 * 1.5 ** (2.0 - rate)))
+
+
 def capacity_outcome(search, *args, **kwargs):
     try:
         return search(*args, **kwargs).hex()
@@ -669,9 +680,9 @@ class TestEpsOutageCapacity:
 
 
 class TestCapacitySearch:
-    """False position on bisection's grid returns bisection's bits."""
+    """Logit interpolation on bisection's grid returns bisection's bits."""
 
-    def test_bits_match_bisection(self):
+    def test_bits_match_bisection(self, monkeypatch):
         rng = np.random.default_rng(17)
         random_points = [
             (
@@ -689,6 +700,8 @@ class TestCapacitySearch:
         clamped = SystemConfig(8, 3, 3, 100.0, 1.0)
         assert closed_form_outage(clamped, 0.0) == closed_form_outage(clamped, 1.0) == 0.0
         assert closed_form_outage(SystemConfig(*zero_capacity[:5]), 0.0) > zero_capacity[5]
+        spy = OutageSpy(closed_form_outage)
+        monkeypatch.setattr(closedform, "closed_form_outage", spy)
         caps = {}
         for point in CAPACITY_POINTS + [zero_capacity, below_one] + random_points:
             cfg = SystemConfig(*point[:5])
@@ -700,16 +713,20 @@ class TestCapacitySearch:
                 assert closed_form_outage(cfg, cap) <= eps < closed_form_outage(cfg, cap + h)
         assert caps[zero_capacity] == 0.0
         assert 0.0 < caps[below_one] < 1.0
+        # Bisection makes 8109 probes here, false position on log P 3782
+        # and the search 2568.
+        assert spy.calls <= 2750
 
     def test_capacity_workload_evaluations(self, monkeypatch):
         spy = OutageSpy(closed_form_outage)
         monkeypatch.setattr(closedform, "closed_form_outage", spy)
         for *system, eps in CAPACITY_POINTS:
             eps_outage_capacity(SystemConfig(*system), eps)
-        # Bisection makes 752 evaluations here.
-        assert spy.calls <= 360
+        # Bisection makes 752 evaluations here, false position on log P
+        # 348 and the search 233.
+        assert spy.calls <= 250
 
-    @pytest.mark.parametrize("curve", [unit_step, flat_then_steep])
+    @pytest.mark.parametrize("curve", [unit_step, flat_then_steep, flat_then_half, creeping])
     @pytest.mark.parametrize("eps", [0.01, 0.5])
     def test_adversarial_curves_cost_at_most_twice_bisection(self, monkeypatch, curve, eps):
         cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
@@ -734,8 +751,27 @@ class TestCapacitySearch:
             NumericalFailureError, match="bisection failed to reach tolerance 1e-70"
         ):
             eps_outage_capacity(cfg, 0.1, tol=1e-70)
-        # Capacity 6.27: the bracket probes 0, 1, 2, 4 and 8, then nothing.
-        assert spy.calls == 5
+        # Capacity 6.27: the bracket probes 1, 2, 4 and 8, then nothing.
+        assert spy.calls == 4
+
+    def test_no_aimed_probe_inside_a_bracket_that_is_refused(self, monkeypatch):
+        # With h = 2**-50 the grid of [8, 16] is not all floats, so
+        # bisection refuses there.  After its probe at 8 the search would
+        # aim near 9.47, but it refuses first.
+        def logistic(config, rate):
+            return 1.0 / (1.0 + math.exp(-3.0 * (rate - 11.0)))
+
+        cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
+        tol = 2.0**-50
+        assert capacity_outcome(bisection_capacity, cfg, 0.01, tol, outage=logistic) == "refused"
+        rates = []
+        monkeypatch.setattr(
+            closedform, "closed_form_outage", lambda c, r: rates.append(r) or logistic(c, r)
+        )
+        with pytest.raises(NumericalFailureError, match="bisection failed to reach tolerance"):
+            eps_outage_capacity(cfg, 0.01, tol=tol)
+        assert rates[-1] == 16.0
+        assert not any(8.0 < r < 16.0 for r in rates)
 
     @pytest.mark.parametrize("tol", [1e-17, 1e-20, 2.0**-199, 2.0**-200])
     @pytest.mark.parametrize("step_at", [1e-50, 1e-12, 0.3, 3.0])
@@ -752,6 +788,25 @@ class TestCapacitySearch:
         # largest power of two at most tol, whichever is smaller: the
         # bracket [0, 1] answers 0 and [1, 2] answers 1.
         assert_step_outcome_as_bisection(monkeypatch, tol, step_at)
+
+    @pytest.mark.parametrize("p_zero", [0.5, 0.0, None])
+    def test_a_refusal_at_rate_one_yields_to_the_outcome_at_zero(self, monkeypatch, p_zero):
+        # Bisection probes 0 before 1: answer 0, or refuse at 0, first.
+        def refused_from_one(config, rate):
+            if rate == 0.0 and p_zero is not None:
+                return p_zero
+            raise PrecisionExhaustedError(f"refused at rate {rate}")
+
+        def outcome(search, *args, **kwargs):
+            try:
+                return search(*args, **kwargs)
+            except PrecisionExhaustedError as exc:
+                return str(exc)
+
+        cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
+        expected = outcome(bisection_capacity, cfg, 0.01, outage=refused_from_one)
+        monkeypatch.setattr(closedform, "closed_form_outage", refused_from_one)
+        assert outcome(eps_outage_capacity, cfg, 0.01) == expected
 
     def test_below_the_round_off_floor_the_answer_keeps_the_grid_invariant(self):
         # Under about 3e-11 the closed form's outage at (8, 3, 3) is
