@@ -226,12 +226,12 @@ def _logit(p: float) -> float:
 def _aim(
     points: list[tuple[float, float]], ends: list[tuple[float, float]], upper: float
 ) -> float:
-    """Where the gap crosses 0, in grid steps above the bracket's low end.
+    """Where the gap crosses 0, in grid steps above the low end.
 
-    ``points`` and ``ends`` are (steps, gap) pairs.  The inverse-quadratic
-    estimate through the three ``points`` is used when it lands inside
-    (0, upper); otherwise the secant through the two ``ends``.  NaN when
-    neither is defined.
+    ``points`` and ``ends`` are (steps above the low end, gap) pairs.
+    The inverse-quadratic estimate through the three ``points`` is used
+    when it lands inside (0, upper); otherwise the secant through the
+    two ``ends``.  NaN when neither is defined.
     """
     if len(points) == 3:
         (d0, g0), (d1, g1), (d2, g2) = points
