@@ -106,20 +106,30 @@ class SweepSpecError(ValueError):
     """A sweep description failed validation before any computation."""
 
 
+def _check_schemes(schemes, what: str) -> None:
+    """Refuse an empty scheme tuple or an entry that is not a ``Scheme``
+    member; ``what`` names the owner in the refusal."""
+    if not schemes:
+        raise SweepSpecError(f"{what} needs at least one scheme")
+    for scheme in schemes:
+        if not isinstance(scheme, Scheme):
+            raise SweepSpecError(f"{what} schemes must be Scheme members, got {scheme!r}")
+
+
 @dataclass(frozen=True)
 class EvaluatorSettings:
     """One evaluator to run, with its sampling settings.
 
-    ``schemes`` restricts the evaluator to a subset of the sweep's
-    schemes (None means all of them); the analytic evaluators only
-    support the two-antenna selection scheme, so presets restrict them
-    rather than emitting error rows.
+    ``schemes`` restricts the evaluator to a non-empty subset of the
+    sweep's schemes, as ``Scheme`` members (None means all of them); the
+    analytic evaluators only support the two-antenna selection scheme,
+    so presets restrict them rather than emitting error rows.
     """
 
     name: str
     trials: int = 1_000_000
     seed: int = 0
-    schemes: tuple[str, ...] | None = None
+    schemes: tuple[Scheme, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.name not in EVALUATORS:
@@ -129,13 +139,13 @@ class EvaluatorSettings:
         try:
             for name, least in (("trials", 1), ("seed", 0)):
                 checked_count(name, getattr(self, name), least)
-            for name in self.schemes or ():
-                Scheme.from_name(name)
         except ValueError as exc:
             raise SweepSpecError(str(exc)) from None
+        if self.schemes is not None:
+            _check_schemes(self.schemes, f"evaluator {self.name!r}")
 
     def applies_to(self, scheme: Scheme) -> bool:
-        return self.schemes is None or scheme.value in self.schemes
+        return self.schemes is None or scheme in self.schemes
 
 
 @dataclass(frozen=True)
@@ -179,11 +189,7 @@ class SweepSpec:
             raise SweepSpecError(f"sweep values must be finite, got {self.values!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise SweepSpecError("sweep values must be strictly increasing")
-        if not self.schemes:
-            raise SweepSpecError("sweep needs at least one scheme")
-        for scheme in self.schemes:
-            if not isinstance(scheme, Scheme):
-                raise SweepSpecError(f"sweep schemes must be Scheme members, got {scheme!r}")
+        _check_schemes(self.schemes, "sweep")
         if not self.evaluators:
             raise SweepSpecError("sweep needs at least one evaluator")
         if self.parameter == "n_alice":
@@ -354,7 +360,7 @@ def _spec_from_dict(raw) -> SweepSpec:
                 kwargs[key] = _integer(settings[key], f"{name}.{key}")
         if "schemes" in settings:
             subset = _entries(settings["schemes"], f"{name}.schemes")
-            kwargs["schemes"] = tuple(str(s) for s in subset)
+            kwargs["schemes"] = tuple(Scheme.from_name(str(s)) for s in subset)
         evaluators.append(EvaluatorSettings(**kwargs))
 
     values = tuple(float(v) for v in _entries(raw["values"], "values"))
@@ -688,7 +694,7 @@ def build_preset(name: str, *, trials: int = 1_000_000, seed: int = 0) -> list[S
         )
     tag, field, curve_values, shared = _PRESETS[name]
     evaluators = (
-        EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI.value,)),
+        EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,)),
     )
     if (shared["metric"], "monte-carlo") in _EVALUATE:
         evaluators += (EvaluatorSettings(name="monte-carlo", trials=trials, seed=seed),)
@@ -943,21 +949,28 @@ def _validation_row(
 
 
 def validate(
-    grid: str = "default",
-    *,
-    n_trials: int = 1_000_000,
-    seed: int = 0,
-    points: Sequence[dict] | None = None,
+    grid: str = "default", *, n_trials: int = 1_000_000, seed: int = 0
 ) -> ValidationReport:
-    """Compare the three evaluators across a parameter grid.
+    """Compare the three evaluators across a named parameter grid
+    (``GRID_NAMES``).
 
     Hard failures: any |closed-form - quadrature| above 1e-6, a
     Monte Carlo agreement fraction below 99%, or an evaluator error on
     a grid point.  The Monte Carlo z-score is the exact binomial tail
     under the closed-form value, expressed in sigma (``montecarlo.binomial_z``),
     so points with few expected events are judged correctly.
+    """
+    return _validate_points(validation_grid(grid), grid, n_trials=n_trials, seed=seed)
 
-    ``points`` overrides the named grid (used for focused reports).
+
+def _validate_points(
+    grid_points: Sequence[dict],
+    grid: str = "custom",
+    *,
+    n_trials: int = 1_000_000,
+    seed: int = 0,
+) -> ValidationReport:
+    """``validate`` over any point list; the report names it ``grid``.
 
     The closed-form values come first, one ``outage_breakdown`` call per
     point.  Then one ``_counted`` call counts every point's outage event,
@@ -965,7 +978,6 @@ def validate(
     closed form is refused draws nothing.  Rows keep the order of the
     points.
     """
-    grid_points = points if points is not None else validation_grid(grid)
     closed_forms = _closed_forms(grid_points)
     events = [
         None if isinstance(closed_form, Exception)

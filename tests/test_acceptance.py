@@ -8,8 +8,8 @@ information.
 
 The suite exercises the three evaluation routes over their full
 supported parameter ranges, so it is the slowest file in the test tree
-(a few minutes; the grid comparison alone is ~1080 points at 10^6
-Monte Carlo trials each).
+(about 14 s on 2 cores; the grid comparison alone is ~1080 points at
+10^6 Monte Carlo trials each, about half of that).
 """
 
 import math

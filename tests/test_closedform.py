@@ -471,10 +471,17 @@ BREAKDOWN_DIGESTS = {
 }
 
 
+@functools.cache
+def group_outcomes(group):
+    """(config, rate, one_point_outcome) of each point of a breakdown
+    group, evaluated once for the digest and the outcome-kind tests."""
+    points = breakdown_groups()[group]
+    return [(config, rate, one_point_outcome(config, rate)) for config, rate in points]
+
+
 @pytest.mark.parametrize("group", list(BREAKDOWN_DIGESTS))
 def test_one_point_breakdowns_match_the_frozen_digest(group):
-    points = breakdown_groups()[group]
-    lines = [f"{config} {rate!r}: {one_point_outcome(config, rate)}" for config, rate in points]
+    lines = [f"{config} {rate!r}: {outcome}" for config, rate, outcome in group_outcomes(group)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == BREAKDOWN_DIGESTS[group]
 
@@ -482,9 +489,9 @@ def test_one_point_breakdowns_match_the_frozen_digest(group):
 class TestBatchedBreakdown:
     def test_batches_hold_every_kind_of_outcome(self):
         outcomes = [
-            one_point_outcome(config, rate)
+            outcome
             for triple in BATCH_TRIPLES
-            for config, rate in zip(*envelope_batch(triple))
+            for _, _, outcome in group_outcomes("-".join(map(str, triple)))
         ]
         refusals = {o.split(":")[0] for o in outcomes if isinstance(o, str)}
         # An overflow inside the kernel is refused like a non-finite sum.

@@ -14,18 +14,16 @@ from tasalamouti import montecarlo
 from tasalamouti.sweeps import CROSSOVER_TOL_DB
 
 
-def reference_crossover(
-    config, scheme_a, scheme_b, metric, bracket_db, n_trials, seed=0, *, rate=0.0
-):
-    """Brute-force crossover on accepted inputs.  Every point of the grid
-    lo + (hi - lo) k / K dB, K = ceil((hi - lo) / CROSSOVER_TOL_DB), is
-    counted on the key's blocks gathered whole (``gathered_outage``),
-    from int8 casts of the two event masks; the root is the midpoint of
-    the first two nonzero points of opposite sign, and the half width the
-    larger distance from it to the nearest point on each side whose
-    difference is beyond the 95% band (or to the bracket end)."""
+def reference_crossover(grid_db, counts, metric, bracket_db, n_trials, seed):
+    """Brute-force crossover from a count table: ``counts`` holds, at each
+    point of ``grid_db``, the trials in outage under the first scheme,
+    under the second and under both.  The paired difference (first -
+    second) is -1, 0 or 1 per trial, so the counts give its mean and
+    second moment exactly.  The root is the midpoint of the first two
+    nonzero points of opposite sign, and the half width the larger
+    distance from it to the nearest point on each side whose difference
+    is beyond the 95% band (or to the bracket end)."""
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
-    event_rate = rate if metric == "P_out" else 0.0
     result = functools.partial(
         CrossoverResult,
         bracket_db=(lo_db, hi_db),
@@ -34,17 +32,10 @@ def reference_crossover(
         seed=seed,
     )
 
-    pairs = gather_blocks(config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-    steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
     points = []  # (g_db, mean difference, beyond the 95% band)
-    for k in range(steps + 1):
-        g_db = lo_db + (hi_db - lo_db) * k / steps
-        gb = db_to_linear(g_db)
-        ev_a = gathered_outage(pairs, scheme_a, gb, config.gamma_bar_e, event_rate)
-        ev_b = gathered_outage(pairs, scheme_b, gb, config.gamma_bar_e, event_rate)
-        diff = ev_a.astype(np.int8) - ev_b.astype(np.int8)
-        mean = float(diff.sum()) / n_trials
-        var = float(np.mean(diff.astype(np.float64) ** 2)) - mean * mean
+    for g_db, (n_first, n_second, n_both) in zip(grid_db, counts.tolist()):
+        mean = (n_first - n_second) / n_trials
+        var = (n_first + n_second - 2 * n_both) / n_trials - mean * mean
         se = math.sqrt(max(var, 0.0) / n_trials)
         points.append((g_db, mean, abs(mean) > montecarlo.Z95 * se))
 
@@ -88,8 +79,40 @@ CASES = {
     # The difference has one sign on the whole grid: no crossover.
     "no-crossover": ((2, 1, 1, 5.0), "P_out", (0.0, 5.0), 1.0),
 }
-SCHEME_PAIRS = {"alamouti-single": (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)}
 SEEDS = [0, 1, 2, 3, 4, 5]
+N_TRIALS = 20_000
+
+
+def case_inputs(case, seed):
+    """``find_crossover``'s config, positional arguments and rate of a case."""
+    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate = CASES[case]
+    config = SystemConfig(n_a, n_b, n_e, 1.0, db_to_linear(gamma_e_db))
+    return config, (metric, bracket, N_TRIALS, seed), rate
+
+
+@functools.cache
+def count_table(case, seed):
+    """The oracle's counts of a case and seed: the grid lo + (hi - lo) k / K
+    dB, K = ceil((hi - lo) / CROSSOVER_TOL_DB), and at each of its points
+    the trials in outage under TAS-Alamouti, under single TAS and under
+    both, counted on the key's blocks gathered whole (``gathered_outage``).
+    Both oracle tests read it, so each key is gathered once."""
+    config, (metric, (lo_db, hi_db), n_trials, _), rate = case_inputs(case, seed)
+    event_rate = rate if metric == "P_out" else 0.0
+    pairs = gather_blocks(config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
+    steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
+    grid_db = [lo_db + (hi_db - lo_db) * k / steps for k in range(steps + 1)]
+    counts = []
+    for g_db in grid_db:
+        alamouti, single = (
+            gathered_outage(pairs, scheme, db_to_linear(g_db), config.gamma_bar_e, event_rate)
+            for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
+        )
+        counts.append(
+            [np.count_nonzero(alamouti), np.count_nonzero(single),
+             np.count_nonzero(alamouti & single)]
+        )
+    return grid_db, np.array(counts)
 
 
 def hexed(value):
@@ -97,14 +120,11 @@ def hexed(value):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("pair", list(SCHEME_PAIRS))
 @pytest.mark.parametrize("case", list(CASES))
-def test_same_result_as_reference(case, pair, seed):
-    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate = CASES[case]
-    config = SystemConfig(n_a, n_b, n_e, 1.0, db_to_linear(gamma_e_db))
-    args = (metric, bracket, 20_000, seed)
+def test_same_result_as_reference(case, seed):
+    config, args, rate = case_inputs(case, seed)
     got = find_crossover(config, *args, rate=rate)
-    expected = reference_crossover(config, *SCHEME_PAIRS[pair], *args, rate=rate)
+    expected = reference_crossover(*count_table(case, seed), *args)
     assert (got.found, got.message) == (expected.found, expected.message)
     assert hexed(got.gamma_db) == hexed(expected.gamma_db)
     assert hexed(got.half_width_db) == hexed(expected.half_width_db)
@@ -116,16 +136,14 @@ def test_same_result_as_reference(case, pair, seed):
 @pytest.mark.parametrize("case", list(CASES))
 def test_reversed_pair_only_negates_the_difference(case, seed):
     # find_crossover fixes the pair to (TAS-Alamouti, single TAS).  The
-    # reversed pair negates every paired difference, so it finds the same
-    # sign change and band: the same root and half width, and a
+    # reversed pair, (single TAS, TAS-Alamouti) by swapping the table's
+    # first two columns, negates every paired difference, so it finds the
+    # same sign change and band: the same root and half width, and a
     # no-crossover message whose endpoints change sign.
-    (n_a, n_b, n_e, gamma_e_db), metric, bracket, rate = CASES[case]
-    config = SystemConfig(n_a, n_b, n_e, 1.0, db_to_linear(gamma_e_db))
-    args = (metric, bracket, 20_000, seed)
+    config, args, rate = case_inputs(case, seed)
     got = find_crossover(config, *args, rate=rate)
-    reversed_ = reference_crossover(
-        config, Scheme.SINGLE_TAS, Scheme.TAS_ALAMOUTI, *args, rate=rate
-    )
+    grid_db, counts = count_table(case, seed)
+    reversed_ = reference_crossover(grid_db, counts[:, [1, 0, 2]], *args)
     assert got.found == reversed_.found
     assert hexed(got.gamma_db) == hexed(reversed_.gamma_db)
     assert hexed(got.half_width_db) == hexed(reversed_.half_width_db)
@@ -172,7 +190,7 @@ def counted_on_the_set(key, gammas, gamma_e, rate):
             gathered_outage(pairs, scheme, gb, gamma_e, rate)
             for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)
         )
-        expected.append((int(a.sum()), int(b.sum()), int((a & b).sum())))
+        expected.append((np.count_nonzero(a), np.count_nonzero(b), np.count_nonzero(a & b)))
     return list(zip(n_a.tolist(), n_b.tolist(), n_both.tolist())), expected
 
 

@@ -50,7 +50,7 @@ def small_spec(**overrides) -> SweepSpec:
         values=(0.0, 10.0),
         schemes=(Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS),
         evaluators=(
-            EvaluatorSettings(name="closed-form", schemes=("tas_alamouti",)),
+            EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,)),
             EvaluatorSettings(name="monte-carlo", trials=20_000, seed=7),
         ),
         n_alice=3,
@@ -171,8 +171,18 @@ class TestSweepSpecValidation:
             small_spec(schemes=(Scheme.TAS_ALAMOUTI, "tas_alamouti"))
 
     def test_unknown_evaluator_scheme_is_a_spec_error(self):
-        with pytest.raises(SweepSpecError, match="unknown scheme 'laser'"):
+        with pytest.raises(SweepSpecError, match="Scheme members, got 'laser'"):
             EvaluatorSettings(name="monte-carlo", schemes=("laser",))
+
+    def test_evaluator_schemes_are_scheme_members(self):
+        # As in SweepSpec: a member is accepted, while a wire name and an
+        # empty subset (which used to yield no row) are refused.
+        member = EvaluatorSettings(name="monte-carlo", schemes=(Scheme.SINGLE_TAS,))
+        assert member.schemes == (Scheme.SINGLE_TAS,)
+        with pytest.raises(SweepSpecError, match="Scheme members, got 'tas_alamouti'"):
+            EvaluatorSettings(name="monte-carlo", schemes=("tas_alamouti",))
+        with pytest.raises(SweepSpecError, match="needs at least one scheme"):
+            EvaluatorSettings(name="monte-carlo", schemes=())
 
     def test_evaluator_settings_validation(self):
         with pytest.raises(SweepSpecError):
@@ -181,8 +191,8 @@ class TestSweepSpecValidation:
             EvaluatorSettings(name="monte-carlo", trials=0)
         with pytest.raises(SweepSpecError):
             EvaluatorSettings(name="monte-carlo", seed=-1)
-        with pytest.raises(ValueError):
-            EvaluatorSettings(name="monte-carlo", schemes=("laser",))
+        with pytest.raises(SweepSpecError):
+            EvaluatorSettings(name="monte-carlo", schemes=(Scheme.SINGLE_TAS, "laser"))
 
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize("field", ["trials", "seed"])
@@ -191,7 +201,7 @@ class TestSweepSpecValidation:
             EvaluatorSettings(name="monte-carlo", **{field: value})
 
     def test_applies_to(self):
-        restricted = EvaluatorSettings(name="closed-form", schemes=("tas_alamouti",))
+        restricted = EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,))
         assert restricted.applies_to(Scheme.TAS_ALAMOUTI)
         assert not restricted.applies_to(Scheme.SINGLE_TAS)
         open_ev = EvaluatorSettings(name="monte-carlo")
@@ -358,7 +368,7 @@ evaluators:
         assert [ev.name for ev in spec.evaluators] == ["closed-form", "monte-carlo"]
         mc = spec.evaluators[1]
         assert (mc.trials, mc.seed) == (50_000, 3)
-        assert spec.evaluators[0].schemes == ("tas_alamouti",)
+        assert spec.evaluators[0].schemes == (Scheme.TAS_ALAMOUTI,)
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(SweepSpecError, match="unknown keys"):
@@ -679,8 +689,10 @@ class TestValidate:
                 "rate_rs": 1.0,
             }
         ]
-        report = validate(points=points, n_trials=200_000, seed=5)
+        report = sweeps._validate_points(points, n_trials=200_000, seed=5)
         assert report.passed
+        assert report.grid == "custom"
+        assert report.lines[0].startswith("validation grid 'custom': 1 points")
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.error == ""
@@ -698,7 +710,7 @@ class TestValidate:
                 "rate_rs": 1.0,
             }
         ]
-        report = validate(points=points, n_trials=1000, seed=0)
+        report = sweeps._validate_points(points, n_trials=1000, seed=0)
         assert not report.passed
         assert report.error_points == 1
         assert report.rows[0].error != ""
@@ -709,7 +721,7 @@ class TestValidate:
         # to abort the whole report.
         good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                     gamma_bar_e_db=0.0, rate_rs=1.0)
-        report = validate(points=[good, dict(good, gamma_bar_b_db=4000.0)], n_trials=1000)
+        report = sweeps._validate_points([good, dict(good, gamma_bar_b_db=4000.0)], n_trials=1000)
         assert report.rows[0].error == ""
         assert "overflows" in report.rows[1].error
         assert report.error_points == 1 and not report.passed
@@ -720,11 +732,11 @@ class TestValidate:
         good = dict(n_alice=3, n_bob=2, n_eve=2, gamma_bar_b_db=10.0,
                     gamma_bar_e_db=0.0, rate_rs=0.0)
         points = [good, dict(good, gamma_bar_b_db=-1550.0), dict(good, rate_rs=1.0)]
-        report = validate(points=points, n_trials=1000)
+        report = sweeps._validate_points(points, n_trials=1000)
         assert report.rows[1].error.startswith("nested sums overflowed for SystemConfig(")
         assert report.rows[1].closed_form is None and report.rows[1].mc_estimate is None
         for index in (0, 2):
-            alone = validate(points=[points[index]], n_trials=1000).rows[0]
+            alone = sweeps._validate_points([points[index]], n_trials=1000).rows[0]
             assert report.rows[index] == alone and alone.error == ""
         assert report.error_points == 1 and not report.passed
 
@@ -732,8 +744,8 @@ class TestValidate:
         # n_bob = 0 used to abort the whole report from the draw.
         good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                     gamma_bar_e_db=0.0, rate_rs=1.0)
-        report = validate(points=[good, dict(good, n_bob=0)], n_trials=1000)
-        assert report.rows[0] == validate(points=[good], n_trials=1000).rows[0]
+        report = sweeps._validate_points([good, dict(good, n_bob=0)], n_trials=1000)
+        assert report.rows[0] == sweeps._validate_points([good], n_trials=1000).rows[0]
         assert report.rows[1].error == "n_bob must be >= 1, got 0"
         assert report.rows[1].closed_form is None and report.rows[1].mc_estimate is None
         assert report.error_points == 1 and not report.passed
@@ -744,7 +756,7 @@ class TestValidate:
         good = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                     gamma_bar_e_db=0.0, rate_rs=1.0)
         points = [dict(good, n_alice=1), dict(good, n_alice=4, rate_rs=-1.0)]
-        report = validate(points=points, n_trials=1000)
+        report = sweeps._validate_points(points, n_trials=1000)
         assert [row.error for row in report.rows] == [
             "the Alamouti selection scheme needs n_alice >= 2, got n_alice=1",
             "rate must be finite and >= 0, got -1.0",
@@ -754,7 +766,7 @@ class TestValidate:
     def test_a_refused_closed_form_draws_nothing(self, block_spy):
         point = dict(n_alice=8, n_bob=8, n_eve=8, gamma_bar_b_db=-20.0,
                      gamma_bar_e_db=-20.0, rate_rs=0.0)
-        (row,) = validate(points=[point], n_trials=1000).rows
+        (row,) = sweeps._validate_points([point], n_trials=1000).rows
         assert row.error.startswith("cancellation too severe")
         assert block_spy.calls == []
 
@@ -765,7 +777,7 @@ class TestValidate:
         monkeypatch.setattr(sweeps, "outage_quadrature", fail)
         point = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                      gamma_bar_e_db=0.0, rate_rs=1.0)
-        [row] = validate(points=[point], n_trials=1000).rows
+        [row] = sweeps._validate_points([point], n_trials=1000).rows
         assert row.error == "quadrature did not converge"
         filled = (row.closed_form, row.psi3, row.psi4, row.cancellation_ratio)
         assert all(cell is not None for cell in filled)
@@ -798,7 +810,7 @@ class TestDrawOnce:
         grid = validation_grid("quick")
         # Each (rate, gamma_b) pair walks all eight antenna triples.
         interleaved = sorted(grid, key=lambda pt: (pt["rate_rs"], pt["gamma_bar_b_db"]))
-        rows = validate(points=interleaved, n_trials=2000).rows
+        rows = sweeps._validate_points(interleaved, n_trials=2000).rows
         assert len(block_spy.calls) == len(set(block_spy.calls)) == 8
         assert block_spy.most_held == 0
         in_grid_order = validate("quick", n_trials=2000).rows
@@ -1286,8 +1298,6 @@ class TestCli:
         assert proc.returncode == 0
 
     def test_validate_passing_run(self, capsys, monkeypatch, tmp_path):
-        real_validate = validate
-
         def tiny_validate(grid, *, n_trials, seed):
             points = [
                 {
@@ -1299,7 +1309,7 @@ class TestCli:
                     "rate_rs": 0.0,
                 }
             ]
-            return real_validate(points=points, n_trials=n_trials, seed=seed)
+            return sweeps._validate_points(points, n_trials=n_trials, seed=seed)
 
         monkeypatch.setattr(cli, "validate", tiny_validate)
         out_path = tmp_path / "val.csv"
@@ -1401,7 +1411,7 @@ def _capacity_rows():
         parameter="n_alice",
         values=tuple(float(v) for v in range(2, 9)),
         schemes=(Scheme.TAS_ALAMOUTI,),
-        evaluators=(EvaluatorSettings(name="closed-form", schemes=("tas_alamouti",)),),
+        evaluators=(EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,)),),
         n_bob=3,
         n_eve=3,
         gamma_bar_b_db=20.0,
