@@ -4,15 +4,17 @@ Two kernels live here: the per-trial antenna-selection reduction used by
 the Monte Carlo estimators (the values of the legitimate link's two
 largest column norms, by running maxima; Eve's norms are drawn apart,
 since the selection never reads them), and the nested alternating sums
-behind the closed-form outage expression, together with the
-power-expansion coefficients their plan is built from.  Each has
+behind the closed-form outage expression at many points per call,
+together with the power-expansion coefficients their plan is built from
+and the exactly rounded grouped sum they are reduced with.  Each has
 exactly one implementation, so identical inputs give bit-identical
-outputs on every run.
+outputs on every run, whatever points share a call.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -21,8 +23,9 @@ from operator import mul
 import numpy as np
 
 __all__ = [
+    "BATCH_SUMMANDS",
     "expansion_coeffs",
-    "psi_terms",
+    "psi_sums",
     "snr_components",
 ]
 
@@ -111,19 +114,25 @@ def snr_components(bob_norms: np.ndarray):
 # factors are combined in the order of the sums written term by term.  The
 # 28 plans of the capacity benchmark build in about 21 ms in a fresh
 # interpreter on a 2-core host (59 ms as a loop nest).
-# The per-call part depends on the point's (gamma_b, gamma_e, rate): rho,
+# The per-point part depends on the point's (gamma_b, gamma_e, rate): rho,
 # shift and decay; the phi levels and log(phi); one W_lam(phi) =
 # exp(lgamma(lam + 1) - (lam + 1) log phi) per kept (level, lam); the rho^u
 # and shift^k tables; one efac per level.  The summands are numpy products
-# and gathers of these with the plan, and every sum is reduced with
-# math.fsum, which rounds the exact sum once.  Each summand is formed from
-# the same operands in the same left-to-right order as the sums written out
-# term by term (a product may swap its two operands, which IEEE
-# multiplication ignores), and every transcendental is a scalar math.exp,
-# math.lgamma or float ** int, so no bit depends on the vectorization or on
-# which unread cells are left out.  The order of the summands within a
-# group is free: math.fsum gives the same bits in any order, and the
-# magnitude bound is a maximum.
+# and gathers of these with the plan, and every sum is rounded once from
+# its exact value, as math.fsum rounds it (``_group_sums``).  Each summand
+# is formed from the same operands in the same left-to-right order as the
+# sums written out term by term (a product may swap its two operands,
+# which IEEE multiplication ignores), and every transcendental is a scalar
+# math.exp, math.lgamma or float ** int, so no bit depends on the
+# vectorization or on which unread cells are left out.  The order of the
+# summands within a group is free: an exactly rounded sum has the same
+# bits in any order, and the magnitude bound is a maximum.
+#
+# ``psi_sums`` takes many points, of any antenna triples, per call.  Their
+# summands are formed point by point, each against its own plan, but each
+# of the three stages (bracket, mixed, psi) sums every group of every
+# point in one ``_group_sums`` call, so a point's value does not depend on
+# the points it is batched with.
 #
 # Every cell also carries the largest absolute summand that fed it, so the
 # returned magnitude bound is the exact maximum |term| over the fully
@@ -156,6 +165,11 @@ class _PsiPlan:
     p_gather: np.ndarray  # its mixed cell
     p_slices: tuple[slice, ...]  # psi1 .. psi4
 
+    @property
+    def summands(self) -> int:
+        """The summands of the largest of a point's three stages."""
+        return max(len(self.b_coef), len(self.m_cell), len(self.p_pre))
+
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
     frozen = np.asarray(values, dtype=dtype)
@@ -167,10 +181,131 @@ def _slices(bounds: list[int]) -> tuple[slice, ...]:
     return tuple(map(slice, bounds, bounds[1:]))
 
 
-def _group_fsums(terms: np.ndarray, slices: tuple[slice, ...]) -> np.ndarray:
-    """math.fsum of each group of summands."""
-    summands = memoryview(terms)
-    return np.array([math.fsum(summands[s]) for s in slices])
+def _group_sums(x: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The sum of each group of summands, rounded once from its exact value.
+
+    Group g is ``x[bounds[g]:bounds[g + 1]]``, and ``bounds[-1] == len(x)``;
+    an empty group sums to 0.0.  Returns the sums and a dict
+    from each group whose ``math.fsum`` raises (``OverflowError`` or
+    ``ValueError``) to that exception, in ascending group order; such a
+    group's sum is NaN.
+
+    Every sum is ``math.fsum``'s, bit for bit, by the argument below; no
+    tolerance enters it.  A group is summed by error-free extraction
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008) and the
+    result is certified; a group that the certificate does not cover is
+    summed by ``math.fsum`` itself.  Let the call hold N summands in all,
+    2**L > N + 1, u = 2**-53, and let a group have n summands and
+    A = fl(sum |x_i|) < 2**e, summed in any order, so that A >= |x_i|
+    for every i.  Let s1 = e + 1 and s2 = s1 + L - 52.
+
+    1. Extraction.  For sigma = 2**s and |x| <= sigma / 2, the floats
+       q = fl(fl(sigma + x) - sigma) and r = fl(x - q) give x = q + r
+       exactly, with |r| <= 2**(s - 53) and q a multiple of 2**(s - 53).
+       fl(sigma + x) lies in [sigma / 2, 2 sigma], so its difference with
+       sigma is exact (Sterbenz) and a multiple of the float spacing
+       there, at least 2**(s - 53); and r is the rounding error of
+       fl(sigma + x), a float of at most half an ulp, 2**(s - 53).
+    2. Level 1 extracts x with sigma = 2**s1 (|x_i| <= A < 2**(s1 - 1))
+       and level 2 extracts level 1's remainders with sigma = 2**s2
+       (|r1_i| <= 2**(s1 - 53) <= 2**(s2 - 1)).  So x_i = q1_i + q2_i + r2_i
+       exactly, with |r2_i| <= 2**(s2 - 53).
+    3. Each level's q values add up exactly, in whatever order
+       ``np.add.reduceat`` adds them: every partial sum is a multiple of
+       2**(s - 53) and below 2**s in magnitude, so it is a float.  At
+       level 1, sum |q1_i| <= sum |x_i| + n 2**(s1 - 53), and
+       sum |x_i| <= A / (1 - 2 n u) < 2**(s1 - 1) (1 + 2**-25).  At level 2,
+       sum |q2_i| <= n 2**(s1 - 53) + n 2**(s2 - 53)
+       <= 2**(s2 - 1) + 2**(s2 - 53 + L) < 2**s2.  With tau1 and tau2 these
+       exact sums, the group's exact sum is S = tau1 + tau2 + sum(r2).
+    4. c = fl(sum(r2)), in any order, errs by at most
+       (n - 1) u / (1 - (n - 1) u) sum |r2| < n**2 2**(s2 - 105); additions
+       that underflow are exact.  (hi, lo) = TwoSum(tau1, tau2) is exact,
+       z = fl(lo + c) errs by at most u |z|, and (f, d) = TwoSum(hi, z) is
+       exact.  So S = f + d + delta with |delta| <= E, where
+       E = u |z| + n**2 2**(s2 - 105).
+    5. The certificate is fl(gap - 2 |d|) > b, where gap = |f| minus the
+       float next to |f| towards 0, the nearer neighbour, exactly, and
+       b = fl(fl(|z| 2**-51) + T) with T = 2**(s1 + 3 L - 155).  As n < 2**L,
+       T >= 4 n**2 2**(s2 - 105), and T >= 2**-1000 (s1 >= -848 below).
+       The first term of b is at least 4 u |z| - 2**-1075 (it may
+       underflow) and T is exact, so b >= (4 u |z| + T - 2**-1075)(1 - u)
+       >= 2 E (1 + u).  fl(gap - 2 |d|) exceeds gap - 2 |d| by at most a
+       factor 1 + u, so the certificate gives gap - 2 |d| > 2 E, that is
+       |d| + E < gap / 2.  Then S lies strictly inside the interval of
+       the reals that round to f, so f is S rounded to nearest, which is
+       what ``math.fsum`` returns.
+    6. The certificate also takes a group whose remainders r2 are all 0
+       (their sum of magnitudes is 0): then c = 0, z = lo and S = hi + lo
+       exactly, so f = fl(hi + lo) is S rounded to nearest, ties to even,
+       as ``math.fsum`` rounds it.  This covers exact ties.
+    7. Either way the certificate requires f != 0, 2**-850 <= A < 2**1019
+       and N < 2**26.  Then -848 <= s1 <= 1020, -899 <= s2 < s1 - 24,
+       nothing above overflows or leaves the normal range, and
+       sum |x_i| < 2**1020, so ``math.fsum`` itself could not have
+       overflowed.  An infinite or NaN summand makes A infinite or NaN,
+       which fails the certificate.  All other groups, those of zeros,
+       of infinities or NaNs, of huge or tiny magnitudes, and near-ties
+       of the rounding, go to ``math.fsum``, so they raise what it
+       raises.
+    """
+    n = bounds[1:] - bounds[:-1]
+    errors: dict = {}
+    if not len(n):
+        return np.zeros(0), errors
+    at = bounds[:-1]
+    # A trailing 0.0 keeps the start of an empty last group inside the
+    # array; it joins the last group and adds nothing to it.  The sums
+    # that reduceat gives an empty group are replaced by 0.0.
+    x = np.concatenate((x, _ZERO))
+    spread = n.copy()
+    spread[-1] += 1
+    level = len(x).bit_length()  # L: 2**L > N + 1
+    with np.errstate(all="ignore"):
+        q = np.abs(x)
+        total = np.add.reduceat(q, at)
+        _, e = np.frexp(total)
+        sigma1 = np.ldexp(2.0, e)  # 2**s1
+        sigma = np.repeat(sigma1, spread)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        r = x - q
+        tau1 = np.add.reduceat(q, at)
+        sigma *= 2.0 ** (level - 52)  # 2**s2
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        tau2 = np.add.reduceat(q, at)
+        c = np.add.reduceat(r, at)
+        r2_total = np.add.reduceat(np.abs(r, out=q), at)
+        del q, r, sigma
+        hi = tau1 + tau2
+        b = hi - tau1
+        z = (tau1 - (hi - b)) + (tau2 - b) + c
+        f = hi + z
+        b = f - hi
+        d = (hi - (f - b)) + (z - b)
+        a = np.abs(f)
+        bound = np.abs(z) * 2.0**-51 + sigma1 * 2.0 ** (3 * level - 155)
+        near = (a - np.nextafter(a, 0.0)) - 2.0 * np.abs(d) > bound
+        certified = (r2_total == 0.0) | near
+        certified &= (a > 0.0) & (total >= 2.0**-850) & (total < 2.0**1019)
+    if len(x) > 2**26:
+        certified[:] = False
+    empty = n == 0
+    f[empty] = 0.0
+    certified |= empty
+    summands = memoryview(x)
+    for g in np.logical_not(certified).nonzero()[0].tolist():
+        try:
+            f[g] = math.fsum(summands[bounds[g] : bounds[g + 1]])
+        except (OverflowError, ValueError) as exc:
+            f[g] = math.nan
+            errors[g] = exc
+    return f, errors
+
+
+_ZERO = np.zeros(1)
 
 
 def _kept(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +372,7 @@ def expansion_coeffs(n_b: int, power: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
-    """Static part of ``psi_terms`` for one antenna triple."""
+    """Static part of ``psi_sums`` for one antenna triple."""
     t_max = (n_a - 2) * (n_b - 1)
     w_max = max(2 * n_b - 2 + t_max, 2 * n_b - 1)
     shape = (n_a + 1, n_e, w_max + 1)  # cell keys: (level, m, w or u)
@@ -363,63 +498,148 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
     )
 
 
-def psi_terms(
-    n_a: int,
-    n_b: int,
-    n_e: int,
-    gamma_b: float,
-    gamma_e: float,
-    rate: float,
-) -> tuple[float, float, float, float, float]:
-    """Evaluate the four nested sums of the outage expression at one point.
+# Summands per stage of one chunk of a ``psi_sums`` call: 512 KiB per array
+# of the grouped sum.  A step of the ``capacity`` benchmark holds at most
+# 28 578, and one antenna triple of the default validation grid up to
+# 144 720 (so ``fig2-validate`` takes the cap); one (8, 8, 8) point holds
+# 1.4 M.  With per-triple batches uncapped, ``fig2-validate`` peaked 3.7 MB
+# higher (glibc keeps the freed megabyte arrays in its heap), and with the
+# cap 0.6 MB higher, than one point per call.
+BATCH_SUMMANDS = 2**16
 
-    The antenna triple selects a cached plan (built on first use), and
-    the point is evaluated against it on 1-D arrays.  Returns the four
-    signed sums plus the largest absolute summand encountered across all
-    of them (for the cancellation diagnostic).
+
+class _Point:
+    """One point of a ``psi_sums`` call, stage by stage: each stage method
+    sets the point's summands and group starts, and ``_summed`` sets
+    their sums.  A stage raises ``OverflowError`` where rho, W_lam(phi)
+    or a power overflows."""
+
+    def __init__(self, index: int, n_a: int, plan: _PsiPlan, gamma_b, gamma_e, rate):
+        self.index, self.n_a, self.plan = index, n_a, plan
+        self.gamma_b, self.gamma_e, self.rate = float(gamma_b), float(gamma_e), float(rate)
+        self.terms = self.starts = self.sums = self.mag = None
+
+    def brackets(self) -> None:
+        plan, gamma_b = self.plan, self.gamma_b
+        two_rs = 2.0**self.rate
+        self.rho = rho = two_rs * self.gamma_e / gamma_b
+        if rho == math.inf:
+            raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
+        self.shift = 2.0 * (two_rs - 1.0) / gamma_b
+        self.decay = (two_rs - 1.0) / gamma_b
+        phis = [1.0 + rho * (i + 2) / 2.0 for i in range(self.n_a - 1)] + [1.0 + rho] * 2
+        log_phi = np.array(list(map(math.log, phis)))
+        exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[plan.w_level]
+        w_lam = np.array(list(map(math.exp, exponent.tolist())))
+        phi_b = np.array(phis)[plan.w_level][plan.b_w]  # each summand's phi
+        terms = plan.b_lam_p1 / phi_b
+        np.subtract(plan.b_off, terms, out=terms)
+        terms *= w_lam[plan.b_w]
+        np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
+        terms *= plan.b_coef
+        self.terms, self.starts = terms, plan.b_starts
+        self.mag = _group_max(np.abs(terms), plan.b_starts)
+
+    def mixed(self) -> None:
+        plan, rho, shift = self.plan, self.rho, self.shift
+        rho_pow = np.array([rho**u for u in range(plan.n_pow)])
+        shift_pow = np.array([shift**k for k in range(plan.n_pow)])
+        coef = (rho_pow[plan.wu_u] * plan.wu_binom * shift_pow[plan.wu_k])[plan.m_wu]
+        self.terms, self.starts = self.sums[plan.m_cell] * coef, plan.m_starts
+        self.mag = _group_max(self.mag[plan.m_cell] * coef, plan.m_starts)
+
+    def psi(self) -> None:
+        plan, decay = self.plan, self.decay
+        level_efac = [math.exp(-decay * (i + 2)) for i in range(self.n_a - 1)]
+        level_efac += [math.exp(-2.0 * decay)] * 2
+        outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
+        self.terms = outer * self.sums[plan.p_gather]
+        self.starts = np.array([group.start for group in plan.p_slices], np.intp)
+        self.mag = float(np.fmax.reduce(np.abs(outer) * self.mag[plan.p_gather], initial=0.0))
+
+
+def _summed(points: list[_Point], outcomes: list) -> list[_Point]:
+    """Sum every group of every point's summands in one ``_group_sums``
+    call and set each point's sums.  A point with a group whose
+    ``math.fsum`` raises gets the first such exception, in its groups'
+    order, as its outcome and is dropped; the others are returned."""
+    if not points:
+        return points
+    offsets = list(accumulate((len(p.terms) for p in points), initial=0))
+    first = list(accumulate((len(p.starts) for p in points), initial=0))
+    bounds = np.concatenate([*(p.starts + off for p, off in zip(points, offsets)), offsets[-1:]])
+    terms = np.concatenate([p.terms for p in points])
+    for point in points:
+        point.terms = None
+    sums, errors = _group_sums(terms, bounds)
+    failed = set()
+    for group, exc in errors.items():
+        k = bisect_right(first, group) - 1
+        if k not in failed:
+            failed.add(k)
+            outcomes[points[k].index] = exc
+    kept = []
+    for k, point in enumerate(points):
+        if k not in failed:
+            point.sums = sums[first[k] : first[k + 1]]
+            kept.append(point)
+    return kept
+
+
+def psi_sums(points) -> list:
+    """Evaluate the four nested sums of the outage expression at many points.
+
+    ``points`` holds ``(n_a, n_b, n_e, gamma_b, gamma_e, rate)`` tuples of
+    any antenna triples.  Each triple selects a cached plan (built on
+    first use), and each point is evaluated against its plan; each stage's
+    sums over all points come from one ``_group_sums`` call.  Points are
+    taken in consecutive chunks of at most ``BATCH_SUMMANDS`` summands
+    per stage (a point larger than that alone), which bounds the memory
+    of a call as ``montecarlo.BLOCK_SIZE`` bounds a draw.  Returns one
+    outcome per point, in order: the four signed sums plus the largest
+    absolute summand encountered across all of them (for the
+    cancellation diagnostic), or the exception that the point's
+    evaluation raised.  A point's outcome does not depend on the other
+    points of the call.
+
+    An overflow in the sums makes a point's outcome ``OverflowError`` (rho
+    itself, before any array, W_lam(phi) or a power) or what
+    ``math.fsum`` raises there (``OverflowError`` or ``ValueError``).
 
     Raises
     ------
     ValueError
-        If ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``.  When the sums
-        overflow, the call raises ``OverflowError`` (rho itself, before
-        any array) or what ``math.fsum`` or ``float ** int`` raise there.
+        If any point has ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``.
     """
-    if n_a < 2 or n_b < 1 or n_e < 1:
-        raise ValueError(
-            f"psi_terms needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
-        )
-    plan = _psi_plan(n_a, n_b, n_e)
-    gamma_b = float(gamma_b)
-    two_rs = 2.0 ** float(rate)
-    rho = two_rs * float(gamma_e) / gamma_b
-    if rho == math.inf:
-        raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
-    shift = 2.0 * (two_rs - 1.0) / gamma_b
-    decay = (two_rs - 1.0) / gamma_b
+    for n_a, n_b, n_e, *_ in points:
+        if n_a < 2 or n_b < 1 or n_e < 1:
+            raise ValueError(
+                f"psi_sums needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
+            )
+    outcomes: list = [None] * len(points)
+    chunk, size = [], 0
+    for index, (n_a, n_b, n_e, gamma_b, gamma_e, rate) in enumerate(points):
+        point = _Point(index, n_a, _psi_plan(n_a, n_b, n_e), gamma_b, gamma_e, rate)
+        if chunk and size + point.plan.summands > BATCH_SUMMANDS:
+            _evaluated(chunk, outcomes)
+            chunk, size = [], 0
+        chunk.append(point)
+        size += point.plan.summands
+    _evaluated(chunk, outcomes)
+    return outcomes
 
-    phis = [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
-    log_phi = np.array(list(map(math.log, phis)))
-    exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[plan.w_level]
-    w_lam = np.array(list(map(math.exp, exponent.tolist())))
-    phi_b = np.array(phis)[plan.w_level][plan.b_w]  # each summand's phi
-    terms = plan.b_lam_p1 / phi_b
-    np.subtract(plan.b_off, terms, out=terms)
-    terms *= w_lam[plan.b_w]
-    np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
-    terms *= plan.b_coef
-    bracket = _group_fsums(terms, plan.b_slices)
-    bracket_mag = _group_max(np.abs(terms), plan.b_starts)
 
-    rho_pow = np.array([rho**u for u in range(plan.n_pow)])
-    shift_pow = np.array([shift**k for k in range(plan.n_pow)])
-    coef = (rho_pow[plan.wu_u] * plan.wu_binom * shift_pow[plan.wu_k])[plan.m_wu]
-    mixed = _group_fsums(bracket[plan.m_cell] * coef, plan.m_slices)
-    mixed_mag = _group_max(bracket_mag[plan.m_cell] * coef, plan.m_starts)
-
-    level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
-    level_efac += [math.exp(-2.0 * decay)] * 2
-    outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
-    psi1, psi2, psi3, psi4 = _group_fsums(outer * mixed[plan.p_gather], plan.p_slices).tolist()
-    mag_all = np.fmax.reduce(np.abs(outer) * mixed_mag[plan.p_gather], initial=0.0)
-    return psi1, psi2, psi3, psi4, float(mag_all)
+def _evaluated(points: list[_Point], outcomes: list) -> None:
+    """Take ``points`` through the three stages and set their outcomes."""
+    for stage in (_Point.brackets, _Point.mixed, _Point.psi):
+        staged = []
+        for point in points:
+            try:
+                stage(point)
+            except OverflowError as exc:
+                outcomes[point.index] = exc
+            else:
+                staged.append(point)
+        points = _summed(staged, outcomes)
+    for point in points:
+        outcomes[point.index] = (*point.sums.tolist(), point.mag)

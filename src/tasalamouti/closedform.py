@@ -5,12 +5,14 @@ four nested alternating sums over the antenna-selection order
 statistics and the eavesdropper's diversity expansion.  This module
 evaluates it with cancellation-aware numerics: factorial-sized factors
 are formed in the log domain, every sum is rounded once from its exact
-value (``math.fsum``), and every value carries a diagnostic bounding
-the digits lost to cancellation.  Outside the supported envelope the
+value, as ``math.fsum`` rounds it, and every value carries a diagnostic
+bounding the digits lost to cancellation.  Outside the supported envelope the
 evaluator raises instead of returning a silently wrong number.  The
-four sums come from ``_kernels.psi_terms``, one point per call; its
-per-antenna-triple plan is the only cache, so every call evaluates its
-point afresh.
+four sums come from ``_kernels.psi_sums``, which takes many points, of
+any antenna triples, per call: ``outage_breakdowns`` evaluates a batch
+and ``outage_breakdown`` is its batch of one.  A point's outcome does not
+depend on its batch.  The kernel's per-antenna-triple plan is the only
+cache, so every call evaluates its points afresh.
 
 Derived metrics: the probability of non-zero secrecy capacity (the
 complement of outage at zero rate) and the epsilon-outage secrecy
@@ -26,13 +28,18 @@ the outage is monotone in rate, a probe within the target puts every
 lower rate within it and a probe beyond puts every higher rate beyond,
 so the answer is bisection's, bit for bit.  A tolerance that bisection
 could not reach is refused as soon as the doubling rates decide it,
-before any probe inside the bracket it refuses.
+before any probe inside the bracket it refuses.  The search is a
+generator of its probe rates: ``eps_outage_capacity`` runs one through
+``closed_form_outage``, and ``eps_outage_capacities`` steps many in
+lockstep, with one ``outage_breakdowns`` call per step for the next
+probe of every search still running.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _kernels
 from .config import SystemConfig, checked_epsilon, checked_rate
@@ -43,10 +50,16 @@ __all__ = [
     "MAX_ANTENNAS",
     "OutageBreakdown",
     "closed_form_outage",
+    "eps_outage_capacities",
     "eps_outage_capacity",
     "outage_breakdown",
+    "outage_breakdowns",
     "prob_nonzero_secrecy",
 ]
+
+# The default absolute tolerance of the epsilon-capacity search, in bits;
+# the lockstep searches use it.
+_TOL = 1e-6
 
 # Antenna counts above this lose too many digits to alternating-sum
 # cancellation for the 1e-6 accuracy contract.
@@ -153,8 +166,57 @@ def _assembled(
     )
 
 
+def outage_breakdowns(points: Sequence[tuple[SystemConfig, float]]) -> list:
+    """Secrecy outage probability with numerical diagnostics at many points.
+
+    ``points`` holds ``(config, rate)`` pairs of any systems.  Every point
+    whose inputs pass and whose rate does not underflow is evaluated in
+    one ``_kernels.psi_sums`` call.  Returns, per point and in order, its
+    ``OutageBreakdown`` or the exception that ``outage_breakdown`` raises
+    for it alone, with the same type and text; a point's outcome does not
+    depend on the others.
+    """
+    outcomes: list = [None] * len(points)
+    kernel_points, evaluated = [], []
+    for index, (config, rate) in enumerate(points):
+        try:
+            _check_envelope(config)
+            rate = checked_rate(rate)
+        except (ValueError, PrecisionExhaustedError) as exc:
+            outcomes[index] = exc
+            continue
+        if _rate_underflows(config, rate):
+            outcomes[index] = OutageBreakdown(
+                value=1.0,
+                raw_value=1.0,
+                psi=(0.0, 0.0, 0.0, 0.0),
+                prefactor=_prefactor(config),
+                max_term=0.0,
+                cancellation_ratio=0.0,
+            )
+            continue
+        kernel_points.append(
+            (config.n_alice, config.n_bob, config.n_eve, config.gamma_bar_b, config.gamma_bar_e, rate)
+        )
+        evaluated.append((index, config, rate))
+    for (index, config, rate), sums in zip(evaluated, _kernels.psi_sums(kernel_points)):
+        if isinstance(sums, ArithmeticError):
+            outcomes[index] = _overflowed(config, rate)
+            outcomes[index].__cause__ = sums
+        elif isinstance(sums, Exception):
+            outcomes[index] = sums
+        else:
+            try:
+                outcomes[index] = _assembled(config, rate, sums)
+            except PrecisionExhaustedError as exc:
+                outcomes[index] = exc
+    return outcomes
+
+
 def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
     """Secrecy outage probability with numerical diagnostics.
+
+    The batch of one of ``outage_breakdowns``.
 
     Parameters
     ----------
@@ -176,25 +238,10 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
         cancellation error exceeds the accuracy budget, or when the raw
         value leaves [0, 1] by more than the documented slack.
     """
-    _check_envelope(config)
-    rate = checked_rate(rate)
-    if _rate_underflows(config, rate):
-        return OutageBreakdown(
-            value=1.0,
-            raw_value=1.0,
-            psi=(0.0, 0.0, 0.0, 0.0),
-            prefactor=_prefactor(config),
-            max_term=0.0,
-            cancellation_ratio=0.0,
-        )
-    try:
-        sums = _kernels.psi_terms(
-            config.n_alice, config.n_bob, config.n_eve,
-            config.gamma_bar_b, config.gamma_bar_e, rate,
-        )
-    except ArithmeticError as exc:
-        raise _overflowed(config, rate) from exc
-    return _assembled(config, rate, sums)
+    (outcome,) = outage_breakdowns([(config, rate)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def closed_form_outage(config: SystemConfig, rate: float) -> float:
@@ -249,8 +296,109 @@ def _aim(
     return math.nan
 
 
+def _capacity_search(config: SystemConfig, epsilon: float, tol: float):
+    """The search of ``eps_outage_capacity`` as a generator.  It yields each
+    rate it probes, takes the outage there by ``send`` or its refusal by
+    ``throw``, and returns the capacity (or raises its refusal).  The
+    inputs are checked at the first ``next``."""
+    epsilon = checked_epsilon(epsilon)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    target = _logit(epsilon)
+    probes: list[tuple[float, float]] = []  # (rate, gap) in probe order
+
+    def within(rate: float):
+        p = yield rate
+        probes.append((rate, _logit(p) - target))
+        return p <= epsilon
+
+    def grid(lo: float, hi: float) -> tuple[int, float, int, bool]:
+        n, h = 0, hi - lo
+        while h > tol and n < 200:
+            n, h = n + 1, 0.5 * h
+        # lo is 0 or a power of two and h is a power of two, so every
+        # grid rate with lo/h + k <= 2**53 is a float.  Bisection meets a
+        # midpoint that is not, rounds it to an end and stalls, exactly
+        # when its answer's index is k_top or more.  From lo >= 1 on,
+        # k_top > 0 implies k_top >= 2**n, so only lo = 0 can need a
+        # probe at k_top.
+        k_top = 2**53 - int(lo / h)
+        return n, h, k_top, n >= 200 or k_top <= 0
+
+    # low: the largest rate found within budget, g_lo its gap; spent:
+    # the probes besides 0 and the doubling rates
+    lo, low, g_lo, spent = 0.0, 0.0, -math.inf, 0
+    while lo < 2.0**79:
+        hi = 2.0 * lo if lo else 1.0
+        rate = hi
+        if len(probes) >= 2:
+            n, h, _, stalls = grid(lo, hi)
+            if spent < n and not stalls:
+                steps = [((x - low) / h, g) for x, g in probes[-3:]]
+                est = _aim(steps, steps[-2:], math.inf)
+                if 0.0 < est < (hi - low) / h:
+                    rate = low + math.ceil(est) * h
+                    spent += rate < hi
+        try:
+            if not (yield from within(rate)):
+                break
+        except PrecisionExhaustedError:
+            if lo or (yield from within(0.0)):
+                raise
+            return 0.0
+        low, g_lo = rate, probes[-1][1]
+        if rate == hi:
+            lo = hi
+    else:
+        raise NumericalFailureError(
+            f"no rate with outage above {epsilon} found while bracketing {config}"
+        )
+    g_hi = probes[-1][1]
+    if lo == 0.0:
+        if not (yield from within(0.0)):
+            return 0.0
+        g_lo = probes[-1][1]
+    n, h, k_top, stalls = grid(lo, hi)
+    k_lo, k_hi = int((low - lo) / h), int((rate - lo) / h)
+    moved_hi = lo > 0.0
+    if not stalls and k_top < k_hi:
+        spent += 1
+        stalls = yield from within(k_top * h)
+        k_hi, g_hi, moved_hi = k_top, probes[-1][1], True
+    if stalls:
+        raise NumericalFailureError(
+            f"bisection failed to reach tolerance {tol} for {config}, epsilon={epsilon}"
+        )
+    while k_hi - k_lo > 1:
+        width = k_hi - k_lo
+        k = (k_lo + k_hi) // 2
+        # Bisection from here needs ceil(log2(width)) more probes; aim
+        # only if this probe and they still fit in 2N.
+        if -math.inf < g_lo < g_hi < math.inf and spent + (width - 1).bit_length() < 2 * n:
+            base = lo + k_lo * h
+            steps = [((x - base) / h, g) for x, g in probes[-3:]]
+            est = _aim(steps, [(0.0, g_lo), (float(width), g_hi)], width)
+            k = k_lo + (math.floor(est) if moved_hi else math.ceil(est))
+            k = min(max(k, k_lo + 1), k_hi - 1)
+        spent += 1
+        if (yield from within(lo + k * h)):
+            k_lo, g_lo, moved_hi = k, probes[-1][1], False
+        else:
+            k_hi, g_hi, moved_hi = k, probes[-1][1], True
+    return lo + k_lo * h
+
+
+def _advance(search, outcome):
+    """The next rate ``search`` probes, after ``outcome``: the outage at its
+    last probe, sent, or the refusal there, thrown in (None starts it).
+    Raises ``StopIteration`` with the capacity, or the search's refusal."""
+    if isinstance(outcome, Exception):
+        return search.throw(outcome)
+    return search.send(outcome)
+
+
 def eps_outage_capacity(
-    config: SystemConfig, epsilon: float, *, tol: float = 1e-6
+    config: SystemConfig, epsilon: float, *, tol: float = _TOL
 ) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
@@ -320,88 +468,50 @@ def eps_outage_capacity(
         refuses; it spends no probe of the grid beyond, at most, one at
         the last float grid rate.
     """
-    epsilon = checked_epsilon(epsilon)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    target = _logit(epsilon)
-    probes: list[tuple[float, float]] = []  # (rate, gap) in probe order
+    search = _capacity_search(config, epsilon, tol)
+    outcome = None
+    try:
+        while True:
+            rate = _advance(search, outcome)
+            try:
+                outcome = closed_form_outage(config, rate)
+            except PrecisionExhaustedError as exc:
+                outcome = exc
+    except StopIteration as stop:
+        return stop.value
 
-    def within(rate: float) -> bool:
-        p = closed_form_outage(config, rate)
-        probes.append((rate, _logit(p) - target))
-        return p <= epsilon
 
-    def grid(lo: float, hi: float) -> tuple[int, float, int, bool]:
-        n, h = 0, hi - lo
-        while h > tol and n < 200:
-            n, h = n + 1, 0.5 * h
-        # lo is 0 or a power of two and h is a power of two, so every
-        # grid rate with lo/h + k <= 2**53 is a float.  Bisection meets a
-        # midpoint that is not, rounds it to an end and stalls, exactly
-        # when its answer's index is k_top or more.  From lo >= 1 on,
-        # k_top > 0 implies k_top >= 2**n, so only lo = 0 can need a
-        # probe at k_top.
-        k_top = 2**53 - int(lo / h)
-        return n, h, k_top, n >= 200 or k_top <= 0
+def eps_outage_capacities(searches: Sequence[tuple[SystemConfig, float]]) -> list:
+    """Epsilon-outage capacities of many systems, searched in lockstep.
 
-    # low: the largest rate found within budget, g_lo its gap; spent:
-    # the probes besides 0 and the doubling rates
-    lo, low, g_lo, spent = 0.0, 0.0, -math.inf, 0
-    while lo < 2.0**79:
-        hi = 2.0 * lo if lo else 1.0
-        rate = hi
-        if len(probes) >= 2:
-            n, h, _, stalls = grid(lo, hi)
-            if spent < n and not stalls:
-                steps = [((x - low) / h, g) for x, g in probes[-3:]]
-                est = _aim(steps, steps[-2:], math.inf)
-                if 0.0 < est < (hi - low) / h:
-                    rate = low + math.ceil(est) * h
-                    spent += rate < hi
-        try:
-            if not within(rate):
-                break
-        except PrecisionExhaustedError:
-            if lo or within(0.0):
-                raise
-            return 0.0
-        low, g_lo = rate, probes[-1][1]
-        if rate == hi:
-            lo = hi
-    else:
-        raise NumericalFailureError(
-            f"no rate with outage above {epsilon} found while bracketing {config}"
-        )
-    g_hi = probes[-1][1]
-    if lo == 0.0:
-        if not within(0.0):
-            return 0.0
-        g_lo = probes[-1][1]
-    n, h, k_top, stalls = grid(lo, hi)
-    k_lo, k_hi = int((low - lo) / h), int((rate - lo) / h)
-    moved_hi = lo > 0.0
-    if not stalls and k_top < k_hi:
-        spent += 1
-        stalls = within(k_top * h)
-        k_hi, g_hi, moved_hi = k_top, probes[-1][1], True
-    if stalls:
-        raise NumericalFailureError(
-            f"bisection failed to reach tolerance {tol} for {config}, epsilon={epsilon}"
-        )
-    while k_hi - k_lo > 1:
-        width = k_hi - k_lo
-        k = (k_lo + k_hi) // 2
-        # Bisection from here needs ceil(log2(width)) more probes; aim
-        # only if this probe and they still fit in 2N.
-        if -math.inf < g_lo < g_hi < math.inf and spent + (width - 1).bit_length() < 2 * n:
-            base = lo + k_lo * h
-            steps = [((x - base) / h, g) for x, g in probes[-3:]]
-            est = _aim(steps, [(0.0, g_lo), (float(width), g_hi)], width)
-            k = k_lo + (math.floor(est) if moved_hi else math.ceil(est))
-            k = min(max(k, k_lo + 1), k_hi - 1)
-        spent += 1
-        if within(lo + k * h):
-            k_lo, g_lo, moved_hi = k, probes[-1][1], False
-        else:
-            k_hi, g_hi, moved_hi = k, probes[-1][1], True
-    return lo + k_lo * h
+    ``searches`` holds ``(config, epsilon)`` pairs, each searched at the
+    default tolerance of ``eps_outage_capacity``.  Each search probes the
+    rates that ``eps_outage_capacity`` probes, but each step evaluates
+    the next probe of every search still running in one
+    ``outage_breakdowns`` call.  Returns, per search and in order, its
+    capacity or the exception that ``eps_outage_capacity`` raises for it
+    alone, with the same type and text; a search's outcome does not
+    depend on the others, and one that raises stops only itself.
+    """
+    outcomes: list = [None] * len(searches)
+    running = [
+        (index, config, _capacity_search(config, epsilon, _TOL), None)
+        for index, (config, epsilon) in enumerate(searches)
+    ]
+    while running:
+        advanced = []
+        for index, config, search, outcome in running:
+            try:
+                advanced.append((index, config, search, _advance(search, outcome)))
+            except StopIteration as stop:
+                outcomes[index] = stop.value
+            except Exception as exc:
+                outcomes[index] = exc
+        if not advanced:
+            break
+        probed = outage_breakdowns([(config, rate) for _, config, _, rate in advanced])
+        running = [
+            (index, config, search, outcome if isinstance(outcome, Exception) else outcome.value)
+            for (index, config, search, _), outcome in zip(advanced, probed)
+        ]
+    return outcomes

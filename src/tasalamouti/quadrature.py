@@ -10,8 +10,8 @@ from the Legendre recurrence with ``numpy.linalg``.  Shares no code
 with the closed-form evaluator, so agreement between the two is
 meaningful evidence of correctness.
 
-Each call integrates one point, as each closed-form call does.  A
-stacked pass that kept each point's own inner and outer levels and its
+Each call integrates one point; the closed form, by contrast, takes
+many points per kernel call.  A stacked pass that kept each point's own inner and outer levels and its
 own 1-D Kronrod and Gauss sums moved none of the 1080 default-grid
 values, but it was no faster: over five alternating runs on a shared
 2-core host, its medians were 0.18-0.22 s at chunk sizes 2 to 30,

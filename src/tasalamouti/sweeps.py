@@ -8,15 +8,17 @@ Every evaluation goes through one table that maps a (metric,
 evaluator) pair to its function.  ``evaluate`` is the one single-point
 entry for all three evaluators, Monte Carlo included, and the command
 line's ``eval`` calls it.  The table's Monte Carlo entries read the
-point's outage count (``montecarlo.count_outage``): ``evaluate`` counts
-the one event of its point, while a sweep, a preset and a validation run
-plan their rows, count the events of all their Monte Carlo rows in one
-``count_outage`` call, which draws every distinct key once, and then
-build the rows in order.  Presets
-reproduce the figure-style experiment families and, like the
-validation grids, are data tables.  Validation runs the three
-evaluators against each other over a parameter grid and reports hard
-threshold violations.
+point's outage count (``montecarlo.count_outage``) and its closed-form
+entries the point's closed-form outcome: ``evaluate`` counts the one
+event of its point or evaluates its one closed-form point, while a
+sweep, a preset and a validation run plan their rows, count the events
+of all their Monte Carlo rows in one ``count_outage`` call, which draws
+every distinct key once, evaluate their closed-form points in batches
+(``closedform.outage_breakdowns``, and ``closedform.eps_outage_capacities``
+for C_out), and then build the rows in order.  Presets reproduce the
+figure-style experiment families and, like the validation grids, are
+data tables.  Validation runs the three evaluators against each other
+over a parameter grid and reports hard threshold violations.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
@@ -35,10 +38,8 @@ import yaml
 from . import montecarlo
 from .closedform import (
     OutageBreakdown,
-    closed_form_outage,
-    eps_outage_capacity,
-    outage_breakdown,
-    prob_nonzero_secrecy,
+    eps_outage_capacities,
+    outage_breakdowns,
 )
 from .config import (
     Scheme,
@@ -192,6 +193,12 @@ class SweepSpec:
         _check_schemes(self.schemes, "sweep")
         if not self.evaluators:
             raise SweepSpecError("sweep needs at least one evaluator")
+        for ev in self.evaluators:
+            if not any(ev.applies_to(scheme) for scheme in self.schemes):
+                raise SweepSpecError(
+                    f"evaluator {ev.name!r} schemes {[s.value for s in ev.schemes]} "
+                    f"share none of the sweep's schemes {[s.value for s in self.schemes]}"
+                )
         if self.parameter == "n_alice":
             for v in self.values:
                 if v != int(v) or int(v) < 1:
@@ -412,21 +419,30 @@ def _config(point: dict) -> SystemConfig:
     )
 
 
-# (metric, evaluator) -> fn(config, rate, epsilon, counted), where
-# ``counted`` is the Monte Carlo outage count of the point's event (see
-# ``_event``; None for the analytic evaluators).  The entries look the
-# evaluators up in this module's globals at call time, so a wrapper later
-# bound over one of those names (as the span recorder in
-# perfbench/spans.py does) sees every call.
+# (metric, evaluator) -> fn(config, rate, epsilon, known), where ``known``
+# is what the point's batch found for the entry to read: the Monte Carlo
+# outage count of the point's event (see ``_event``), or the closed form's
+# breakdown or capacity, or the refusal in its place (see
+# ``_closed_form_job``); None for the quadrature.  The entries look the
+# quadrature up in this module's globals at call time, so a wrapper later
+# bound over that name (as the span recorder in perfbench/spans.py does)
+# sees every call.
 _EVALUATE = {
-    ("P_out", "closed-form"): lambda c, rate, eps, counted: closed_form_outage(c, rate),
-    ("Pr_nonzero", "closed-form"): lambda c, rate, eps, counted: prob_nonzero_secrecy(c),
-    ("C_out", "closed-form"): lambda c, rate, eps, counted: eps_outage_capacity(c, eps),
-    ("P_out", "quadrature"): lambda c, rate, eps, counted: outage_quadrature(c, rate),
-    ("Pr_nonzero", "quadrature"): lambda c, rate, eps, counted: 1.0 - outage_quadrature(c, 0.0),
-    ("P_out", "monte-carlo"): lambda c, rate, eps, counted: counted,
-    ("Pr_nonzero", "monte-carlo"): lambda c, rate, eps, counted: counted.complement(),
+    ("P_out", "closed-form"): lambda c, rate, eps, known: _found(known).value,
+    ("Pr_nonzero", "closed-form"): lambda c, rate, eps, known: 1.0 - _found(known).value,
+    ("C_out", "closed-form"): lambda c, rate, eps, known: _found(known),
+    ("P_out", "quadrature"): lambda c, rate, eps, known: outage_quadrature(c, rate),
+    ("Pr_nonzero", "quadrature"): lambda c, rate, eps, known: 1.0 - outage_quadrature(c, 0.0),
+    ("P_out", "monte-carlo"): lambda c, rate, eps, known: known,
+    ("Pr_nonzero", "monte-carlo"): lambda c, rate, eps, known: known.complement(),
 }
+
+
+def _found(outcome):
+    """A batch's outcome for one point: its value, or its refusal raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _event(
@@ -443,6 +459,30 @@ def _counted(events: Sequence[tuple | None]) -> list:
     ``montecarlo.count_outage`` call: a run draws each distinct key once."""
     counts = iter(montecarlo.count_outage([event for event in events if event is not None]))
     return [None if event is None else next(counts) for event in events]
+
+
+def _closed_form_job(config: SystemConfig, metric: str, rate: float, epsilon) -> tuple:
+    """The closed-form job whose outcome a closed-form entry reads:
+    ``("capacity", config, epsilon)`` for C_out, and the
+    ``("breakdown", config, rate)`` of P_out at its rate and of
+    Pr_nonzero at rate 0."""
+    if metric == "C_out":
+        return ("capacity", config, epsilon)
+    return ("breakdown", config, rate if metric == "P_out" else 0.0)
+
+
+def _closed_formed(jobs: Sequence[tuple | None]) -> list:
+    """The outcome of each closed-form job, None for a None job: the
+    breakdowns from one ``outage_breakdowns`` call, and the capacities
+    from one ``eps_outage_capacities`` call, which searches in lockstep."""
+    present = [job for job in jobs if job is not None]
+    points = [(config, rate) for kind, config, rate in present if kind == "breakdown"]
+    searches = [(config, eps) for kind, config, eps in present if kind == "capacity"]
+    found = {
+        "breakdown": iter(outage_breakdowns(points)),
+        "capacity": iter(eps_outage_capacities(searches)),
+    }
+    return [None if job is None else next(found[job[0]]) for job in jobs]
 
 
 # The analytic evaluators model only the two-antenna selection scheme.
@@ -500,26 +540,30 @@ def evaluate(
     the closed form or the quadrature and an ``EstimatorResult`` from
     Monte Carlo, which draws ``trials`` channel realizations from
     ``seed`` and counts the point's event on them, one block at a time.
-    Raises ``ValueError`` when the evaluator does not cover the scheme
-    (checked first) or the metric, or when the scheme, antennas, rate or
-    epsilon are refused; all of that is checked before anything is drawn
-    or evaluated.
+    The closed form evaluates its point as a batch of one.  Raises
+    ``ValueError`` when the evaluator does not cover the scheme (checked
+    first) or the metric, or when the scheme, antennas, rate or epsilon
+    are refused; all of that is checked before anything is drawn or
+    evaluated.
     """
     fn = _checked(config, scheme, metric, evaluator, rate, epsilon)
-    counted = None
+    known = None
     if evaluator == "monte-carlo":
-        (counted,) = montecarlo.count_outage([_event(config, scheme, metric, rate, trials, seed)])
-    return fn(config, rate, epsilon, counted)
+        (known,) = montecarlo.count_outage([_event(config, scheme, metric, rate, trials, seed)])
+    elif evaluator == "closed-form":
+        (known,) = _closed_formed([_closed_form_job(config, metric, rate, epsilon)])
+    return fn(config, rate, epsilon, known)
 
 
 def _sweep_plan(
     spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
-) -> tuple[dict, Callable | None, tuple | None]:
-    """One sweep row, planned: ``(cells, call, event)``.  ``cells`` are the
-    row's input cells; ``call(counted)`` is the row's table function on
-    its point, None for a refused row, whose error cell carries the
-    reason; ``event`` is the outage event of a Monte Carlo row
-    (``_event``), None for a row that draws nothing."""
+) -> tuple[dict, Callable | None, tuple | None, tuple | None]:
+    """One sweep row, planned: ``(cells, call, event, job)``.  ``cells``
+    are the row's input cells; ``call(known)`` is the row's table
+    function on its point, None for a refused row, whose error cell
+    carries the reason; ``event`` is the outage event of a Monte Carlo
+    row (``_event``), None for a row that draws nothing; ``job`` is the
+    job of a closed-form row (``_closed_form_job``), None otherwise."""
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = point["rate_rs"] if metric == "P_out" else 0.0
@@ -536,7 +580,7 @@ def _sweep_plan(
     )
     if ev.name == "monte-carlo":
         cells.update(n_trials=ev.trials, seed=ev.seed)
-    call = event = None
+    call = event = job = None
     try:
         config = _config(point)
         fn = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
@@ -546,23 +590,26 @@ def _sweep_plan(
         call = functools.partial(fn, config, rate, point["epsilon"])
         if ev.name == "monte-carlo":
             event = _event(config, scheme, metric, rate, ev.trials, ev.seed)
-    return cells, call, event
+        elif ev.name == "closed-form":
+            job = _closed_form_job(config, metric, rate, point["epsilon"])
+    return cells, call, event, job
 
 
 def _sweep_row(
     cells: dict,
     call: Callable | None,
     timings: bool,
-    counted: montecarlo.EstimatorResult | None,
+    known,
 ) -> SweepRow:
     """The ``SweepRow`` of a ``_sweep_plan``: its input ``cells`` with the
-    value, standard error or error of ``call`` on ``counted`` (no call
-    for a refused row) and, under ``timings``, the wall time."""
+    value, standard error or error of ``call`` on ``known``, what the
+    row's batch found (no call for a refused row) and, under
+    ``timings``, the wall time."""
     started = time.perf_counter()
     outcome = {}
     if call is not None:
         try:
-            result = call(counted)
+            result = call(known)
         except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
             outcome["error"] = str(exc)
         else:
@@ -577,8 +624,9 @@ def _sweep_row(
 
 def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
     """The rows of every spec, in spec order.  Every row is planned first,
-    and the Monte Carlo rows counted in one ``_counted`` call, so a key
-    shared by several specs is drawn once."""
+    the Monte Carlo rows are counted in one ``_counted`` call, so a key
+    shared by several specs is drawn once, and the closed-form rows are
+    evaluated in one ``_closed_formed`` call."""
     plans = [
         _sweep_plan(spec, value, scheme, ev)
         for spec in specs
@@ -587,10 +635,11 @@ def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
         for ev in spec.evaluators
         if ev.applies_to(scheme)
     ]
-    counts = _counted([event for _, _, event in plans])
+    counts = _counted([event for _, _, event, _ in plans])
+    closed = _closed_formed([job for _, _, _, job in plans])
     return [
-        _sweep_row(cells, call, timings, counted)
-        for (cells, call, _), counted in zip(plans, counts)
+        _sweep_row(cells, call, timings, count if job is None else found)
+        for (cells, call, _, job), count, found in zip(plans, counts, closed)
     ]
 
 
@@ -601,13 +650,18 @@ def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
     evaluator order.  Evaluator failures are recorded in the row's
     error column instead of aborting.  ``timings`` fills the wall-time
     column (a Monte Carlo row's time excludes its key's streamed count,
-    which the key's rows share); leaving it off keeps output files
-    byte-identical across runs.
+    which the key's rows share, and a closed-form row's time excludes
+    its batch); leaving it off keeps output files byte-identical across
+    runs.
 
-    Rows are evaluated in order on the calling thread, after one
+    Rows are built in order on the calling thread, after one
     ``montecarlo.count_outage`` call has counted every Monte Carlo row's
     event, drawing each distinct key once in one streamed pass over its
-    blocks.
+    blocks, and one closed-form batch has evaluated every closed-form
+    row: the P_out and Pr_nonzero rows in one
+    ``closedform.outage_breakdowns`` call, and the C_out rows in one
+    ``closedform.eps_outage_capacities`` call, whose searches step in
+    lockstep.
     """
     rows = _run_specs([spec], timings)
     if spec.output is not None:
@@ -896,18 +950,23 @@ def validation_grid(name: str) -> list[dict]:
 
 
 def _closed_forms(points: Sequence[dict]) -> list[tuple]:
-    """(config, closed form) of each validation point: its
-    ``outage_breakdown``, or the refusal in its place.  A point whose
-    system is refused has no config, and that refusal stands in for its
-    closed form."""
+    """(config, closed form) of each validation point: its breakdown, or
+    the refusal in its place.  A point whose system is refused has no
+    config, and that refusal stands in for its closed form.  Consecutive
+    points of one antenna triple are evaluated in one
+    ``outage_breakdowns`` call."""
     pairs: list[tuple] = []
-    for pt in points:
-        config = None
-        try:
-            config = _config(pt)
-            pairs.append((config, outage_breakdown(config, float(pt["rate_rs"]))))
-        except (ArithmeticError, ValueError) as exc:
-            pairs.append((config, exc))
+    for _, group in itertools.groupby(points, operator.itemgetter("n_alice", "n_bob", "n_eve")):
+        planned = []
+        for pt in group:
+            config = None
+            try:
+                config = _config(pt)
+                planned.append((config, float(pt["rate_rs"]), None))
+            except (ArithmeticError, ValueError) as exc:
+                planned.append((config, None, exc))
+        found = iter(outage_breakdowns([(c, rate) for c, rate, exc in planned if exc is None]))
+        pairs += [(config, exc or next(found)) for config, _, exc in planned]
     return pairs
 
 
@@ -972,8 +1031,8 @@ def _validate_points(
 ) -> ValidationReport:
     """``validate`` over any point list; the report names it ``grid``.
 
-    The closed-form values come first, one ``outage_breakdown`` call per
-    point.  Then one ``_counted`` call counts every point's outage event,
+    The closed-form values come first, one ``outage_breakdowns`` call per
+    antenna triple (``_closed_forms``).  Then one ``_counted`` call counts every point's outage event,
     drawing each distinct key once in one streamed pass; a point whose
     closed form is refused draws nothing.  Rows keep the order of the
     points.

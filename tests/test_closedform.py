@@ -3,10 +3,11 @@ import functools
 import hashlib
 import io
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasalamouti import (
@@ -29,7 +30,7 @@ from tasalamouti import (
 )
 from tasalamouti import _kernels, closedform, sweeps
 from tasalamouti._kernels import expansion_coeffs
-from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows
+from tasalamouti.closedform import MAX_ANTENNAS, _rate_underflows, eps_outage_capacities
 
 # Frozen values from an independent adaptive-quadrature evaluator of
 # the outage double integral (nested scipy quad, abs tol 1e-12).
@@ -156,7 +157,7 @@ def assert_step_outcome_as_bisection(monkeypatch, tol, step_at):
     assert capacity_outcome(eps_outage_capacity, cfg, 0.01, tol=tol) == expected
 
 
-# float.hex of the five psi_terms outputs (psi1..psi4, largest |summand|)
+# float.hex of the five psi_sums outputs (psi1..psi4, largest |summand|)
 # at (n_a, n_b, n_e, gamma_b, gamma_e, rate), frozen from the term-by-term
 # scalar kernel.  Rows: one point per antenna triple of the default
 # validation grid; the fig6 and capacity-sweep triples the grid lacks
@@ -299,31 +300,34 @@ class TestPsiComponents:
 class TestPsiKernel:
     @pytest.mark.parametrize("n_a,n_b,n_e,gb,ge,rate,expected", PSI_GOLDEN)
     def test_golden_bits(self, n_a, n_b, n_e, gb, ge, rate, expected):
-        out = _kernels.psi_terms(n_a, n_b, n_e, gb, ge, rate)
+        (out,) = _kernels.psi_sums([(n_a, n_b, n_e, gb, ge, rate)])
         assert tuple(float(v).hex() for v in out) == expected
 
     def test_digest_over_every_small_triple(self):
         # Every triple with n_a 2..8 and n_b, n_e 1..4, three points each,
-        # one of them at rate 0.  The digest was frozen from the
-        # rectangular-table kernel, which summed every cell.
-        lines = []
+        # one of them at rate 0, in one batched call.  The digest was
+        # frozen from the rectangular-table kernel, which summed every
+        # cell one point per call.
+        labels, points = [], []
         for n_a in range(2, 9):
             for n_b in range(1, 5):
                 for n_e in range(1, 5):
                     gb_db = -10.0 + 5.0 * ((n_a + 2 * n_b + 3 * n_e) % 7)
                     ge_db = -10.0 + 5.0 * ((2 * n_a + n_b + n_e) % 5)
-                    points = [
+                    for point in [
                         (gb_db, ge_db, 0.0),
                         (gb_db + 10.0, ge_db, 1.0 + 0.25 * n_e),
                         (30.0, 5.0, 2.5),
-                    ]
-                    for point in points:
+                    ]:
                         gb, ge, rate = point
-                        out = _kernels.psi_terms(
-                            n_a, n_b, n_e, 10.0 ** (gb / 10.0), 10.0 ** (ge / 10.0), rate
+                        labels.append(f"{n_a} {n_b} {n_e} {point}")
+                        points.append(
+                            (n_a, n_b, n_e, 10.0 ** (gb / 10.0), 10.0 ** (ge / 10.0), rate)
                         )
-                        values = " ".join(float(v).hex() for v in out)
-                        lines.append(f"{n_a} {n_b} {n_e} {point}: {values}")
+        lines = [
+            f"{label}: {' '.join(float(v).hex() for v in out)}"
+            for label, out in zip(labels, _kernels.psi_sums(points))
+        ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == PSI_DIGEST
 
@@ -371,7 +375,135 @@ class TestPsiKernel:
     def test_rejects_antenna_counts_below_the_minimum(self):
         for n_a, n_b, n_e in [(1, 2, 2), (3, 0, 2), (3, 2, 0)]:
             with pytest.raises(ValueError):
-                _kernels.psi_terms(n_a, n_b, n_e, 10.0, 1.0, 1.0)
+                _kernels.psi_sums([(4, 3, 2, 10.0, 1.0, 1.0), (n_a, n_b, n_e, 10.0, 1.0, 1.0)])
+
+
+# Summands for the grouped-sum property test: every kind of float, exact
+# ties (1 + 2**-53 and the like), subnormals and signed zeros, and
+# magnitudes near 2**1023.
+TIES = [1.0, -1.0, 0.5, 2.0**-53, -(2.0**-53), 2.0**-54, 3 * 2.0**-53, 2.0**52, 2.0**-106]
+SUMMANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from(TIES),
+    st.integers(-(2**20), 2**20).map(lambda k: k * 5e-324),
+    st.sampled_from([0.0, -0.0, 2.0**-1022, -(2.0**-1022)]),
+    st.floats(min_value=2.0**1020, max_value=1.7976931348623157e308).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    ),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def summand_groups(draw):
+    """A group of up to 40 summands, some of them in cancelling pairs
+    (x and -x, scaled copies of one summand) around a small remainder."""
+    kind = draw(st.sampled_from(["any", "finite", "cancelling", "short"]))
+    if kind == "short":
+        return draw(st.lists(SUMMANDS, max_size=2))
+    if kind == "any":
+        return draw(st.lists(SUMMANDS, max_size=40))
+    finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+    if kind == "finite":
+        return draw(st.lists(finite, max_size=40))
+    base = draw(st.lists(finite, min_size=1, max_size=15))
+    scale = draw(st.sampled_from([1.0, 2.0**-30, 2.0**-60, 2.0**40]))
+    group = base + [-v for v in base] + [v * scale for v in draw(st.lists(finite, max_size=5))]
+    return draw(st.permutations(group))
+
+
+def fsum_outcome(values):
+    """float.hex of math.fsum, or the type and text of what it raises."""
+    try:
+        return math.fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestGroupSums:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(summand_groups(), min_size=1, max_size=12))
+    def test_every_group_sum_is_fsum_bit_for_bit(self, groups):
+        x = np.array([v for group in groups for v in group], dtype=float)
+        bounds = np.array([0, *accumulate(map(len, groups))], np.intp)
+        sums, errors = _kernels._group_sums(x, bounds)
+        assert len(sums) == len(groups)
+        for g, group in enumerate(groups):
+            expected = fsum_outcome(group)
+            if g in errors:
+                assert math.isnan(sums[g])
+                got = f"{type(errors[g]).__name__}: {errors[g]}"
+            else:
+                got = sums[g].hex()
+            assert got == expected, (g, group)
+        assert list(errors) == sorted(errors)
+
+    def test_edge_groups(self):
+        # Empty groups first, between and last (np.add.reduceat gives an
+        # empty group x[start]); one and two summands; a tie that rounds
+        # to even either way; cancellation to a subnormal; an overflow
+        # and infinities of both signs.
+        groups = [
+            [], [3.0], [], [1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [-0.0],
+            [-0.0, -0.0], [1e308, 1e308, -1e308], [1e308, -1e308, 1e308],
+            [1.0, -1.0, 5e-324], [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 2.0],
+            [2.0**-1074] * 3, [0.1] * 10, [],
+        ]
+        x = np.array([v for group in groups for v in group], dtype=float)
+        bounds = np.array([0, *accumulate(map(len, groups))], np.intp)
+        sums, errors = _kernels._group_sums(x, bounds)
+        assert sorted(errors) == [7, 11]
+        for g, group in enumerate(groups):
+            got = f"{type(errors[g]).__name__}: {errors[g]}" if g in errors else sums[g].hex()
+            assert got == fsum_outcome(group), (g, group)
+        assert _kernels._group_sums(np.zeros(0), np.zeros(1, np.intp))[0].shape == (0,)
+
+
+def kernel_outcome(outcome):
+    """float.hex of a psi_sums outcome, or the type and text of its exception."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return tuple(float(v).hex() for v in outcome)
+
+
+def random_kernel_points(n_points, seed):
+    """(n_a, n_b, n_e, gamma_b, gamma_e, rate) points over the envelope at
+    n_b, n_e <= 3, with every 1500th point at (8, 8, 8): 64 triples, which
+    the plan cache holds at once."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n_points):
+        if k % 1500 == 0:
+            triple = (8, 8, 8)
+        else:
+            triple = tuple(int(v) for v in rng.integers((2, 1, 1), (9, 4, 4)))
+        gb, ge = 10.0 ** (rng.uniform((-20.0, -20.0), (40.0, 30.0)) / 10.0)
+        rate = 0.0 if k % 7 == 0 else float(rng.uniform(0.0, 6.0))
+        points.append((*triple, float(gb), float(ge), rate))
+    # Points whose sums overflow: rho itself, and a power of rho.
+    points += [(2, 1, 1, 1.0, 1.7e308, 0.5), (3, 2, 2, 1e-300, 1e-30, 0.0), (3, 2, 2, 1e-155, 1.0, 0.0)]
+    return points
+
+
+class TestBatchedKernel:
+    def test_golden_points_in_one_call(self):
+        points = [row[:6] for row in PSI_GOLDEN]
+        assert [kernel_outcome(o) for o in _kernels.psi_sums(points)] == [row[6] for row in PSI_GOLDEN]
+
+    def test_a_batch_gives_each_point_its_batch_of_one(self):
+        points = random_kernel_points(3000, 41)
+        # Several chunks of BATCH_SUMMANDS, and (8, 8, 8) points alone.
+        summands = sum(_kernels._psi_plan(*point[:3]).summands for point in points)
+        assert summands > 4 * _kernels.BATCH_SUMMANDS
+        batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
+        alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
+        assert batched == alone
+        refusals = {o.split(":")[0] for o in batched if isinstance(o, str)}
+        assert refusals == {"OverflowError"}
+
+    def test_empty_call(self):
+        assert _kernels.psi_sums([]) == []
 
 
 def breakdown_outcome(result):
@@ -827,6 +959,100 @@ class TestCapacitySearch:
         assert closed_form_outage(cfg, cap) <= 5e-12 < closed_form_outage(cfg, cap + h)
 
 
+def one_search_outcome(config, epsilon):
+    """float.hex of eps_outage_capacity, or the type and text it raises."""
+    try:
+        return eps_outage_capacity(config, epsilon).hex()
+    except (ArithmeticError, ValueError, NumericalFailureError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def lockstep_outcomes(searches):
+    return [
+        f"{type(o).__name__}: {o}" if isinstance(o, Exception) else o.hex()
+        for o in eps_outage_capacities(searches)
+    ]
+
+
+# (config, epsilon) searches that refuse or answer 0: epsilon out of
+# range, a single transmit antenna, a triple beyond the envelope, a
+# closed form that refuses at every rate, and a budget that rate 0
+# already exceeds.
+REFUSED_SEARCHES = [
+    (SystemConfig(4, 3, 2, 100.0, 1.0), 0.0),
+    (SystemConfig(4, 3, 2, 100.0, 1.0), None),
+    (SystemConfig(4, 3, 2, 100.0, 1.0), math.nan),
+    (SystemConfig(1, 2, 2, 10.0, 1.0), 0.1),
+    (SystemConfig(9, 3, 3, 100.0, 1.0), 0.01),
+    (SystemConfig(8, 8, 8, 0.01, 0.01), 0.01),
+    (SystemConfig(2, 1, 2, 0.5, 5.0), 0.05),
+]
+
+
+# Searches for the lockstep driver: the capacity workload's 28 (fig6's 21
+# among them), two points whose outcome depends on which rates the search
+# probes ((6, 6, 5) refuses at rate 96, and (8, 8, 8) answers 1.0876
+# without probing rate 0, where the closed form refuses), and the
+# refusal and zero cases.
+LOCKSTEP_SEARCHES = [
+    *((SystemConfig(*point[:5]), point[5]) for point in CAPACITY_POINTS),
+    (SystemConfig(6, 6, 5, db_to_linear(300.0), 1.0), 0.01),
+    (SystemConfig(8, 8, 8, db_to_linear(-10.0), db_to_linear(-300.0)), 0.5),
+    *REFUSED_SEARCHES,
+]
+
+
+@functools.cache
+def counted_lockstep():
+    """The lockstep outcomes of LOCKSTEP_SEARCHES, and the number of points
+    in each ``outage_breakdowns`` call it made."""
+    batches = []
+    breakdowns = closedform.outage_breakdowns
+
+    def counted(points):
+        batches.append(len(points))
+        return breakdowns(points)
+
+    closedform.outage_breakdowns = counted
+    try:
+        return lockstep_outcomes(LOCKSTEP_SEARCHES), batches
+    finally:
+        closedform.outage_breakdowns = breakdowns
+
+
+class TestLockstepCapacity:
+    """Searches stepped in lockstep answer as each search does alone."""
+
+    def test_same_outcome_as_one_search(self, monkeypatch):
+        spy = OutageSpy(closed_form_outage)
+        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        alone, longest = [], 0
+        for search in LOCKSTEP_SEARCHES:
+            calls = spy.calls
+            alone.append(one_search_outcome(*search))
+            longest = max(longest, spy.calls - calls)
+        outcomes, batches = counted_lockstep()
+        assert outcomes == alone
+        # One batched call per step, holding every search still running.
+        assert len(batches) == longest
+        # The first holds all but the three searches whose epsilon is refused.
+        assert batches[0] == len(LOCKSTEP_SEARCHES) - 3
+        assert sum(batches) == spy.calls
+        kinds = {o.split(":")[0] for o in alone}
+        assert kinds >= {"ValueError", "PrecisionExhaustedError"}
+        assert "0x0.0p+0" in alone
+
+    def test_refused_and_zero_searches_leave_the_others_unchanged(self):
+        full, _ = counted_lockstep()
+        kept = [i for i, o in enumerate(full) if o.startswith("0x1")]
+        assert len(kept) == len(CAPACITY_POINTS) + 1
+        alone = lockstep_outcomes([LOCKSTEP_SEARCHES[i] for i in kept])
+        assert alone == [full[i] for i in kept]
+
+    def test_no_search(self):
+        assert eps_outage_capacities([]) == []
+
+
 class TestDeterminism:
     def test_repeat_evaluation_is_bit_identical(self):
         cfg = SystemConfig(5, 3, 2, 31.6227766017, 3.16227766017)
@@ -837,8 +1063,8 @@ class TestDeterminism:
     def test_cold_plan_matches_warm_plan(self):
         args = (6, 3, 3, 31.6227766017, 3.16227766017, 1.3)
         _kernels._psi_plan.cache_clear()
-        cold = _kernels.psi_terms(*args)
-        warm = _kernels.psi_terms(*args)
+        (cold,) = _kernels.psi_sums([args])
+        (warm,) = _kernels.psi_sums([args])
         assert _kernels._psi_plan.cache_info().hits >= 1
         assert [v.hex() for v in cold] == [v.hex() for v in warm]
 

@@ -200,6 +200,25 @@ class TestSweepSpecValidation:
         with pytest.raises(SweepSpecError, match=f"{field} must be an integer"):
             EvaluatorSettings(name="monte-carlo", **{field: value})
 
+    def test_an_evaluator_that_applies_to_no_sweep_scheme_is_refused(self):
+        # Such a spec used to be accepted, and its evaluator made no row.
+        closed_form = EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,))
+        with pytest.raises(SweepSpecError) as caught:
+            small_spec(schemes=(Scheme.SINGLE_TAS,), evaluators=(closed_form,))
+        assert str(caught.value) == (
+            "evaluator 'closed-form' schemes ['tas_alamouti'] "
+            "share none of the sweep's schemes ['single_tas']"
+        )
+        # One evaluator that applies is not enough: each one must.
+        with pytest.raises(SweepSpecError, match="evaluator 'closed-form' schemes"):
+            small_spec(
+                schemes=(Scheme.SINGLE_TAS,),
+                evaluators=(EvaluatorSettings(name="monte-carlo"), closed_form),
+            )
+        # A subset that shares one scheme with the sweep is accepted.
+        spec = small_spec(schemes=(Scheme.SINGLE_TAS, Scheme.TAS_ALAMOUTI))
+        assert spec.evaluators[0].schemes == (Scheme.TAS_ALAMOUTI,)
+
     def test_applies_to(self):
         restricted = EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,))
         assert restricted.applies_to(Scheme.TAS_ALAMOUTI)
@@ -359,6 +378,16 @@ evaluators:
         path = tmp_path / "spec.yaml"
         path.write_text(text)
         return str(path)
+
+    def test_an_evaluator_that_applies_to_no_sweep_scheme_is_refused(self, tmp_path):
+        text = self.GOOD.replace("schemes: [tas_alamouti, single_tas]", "schemes: [single_tas]")
+        path = self.write(tmp_path, text)
+        with pytest.raises(SweepSpecError) as caught:
+            load_sweep_spec(path)
+        assert str(caught.value) == (
+            f"{path}: evaluator 'closed-form' schemes ['tas_alamouti'] "
+            "share none of the sweep's schemes ['single_tas']"
+        )
 
     def test_round_trip(self, tmp_path):
         spec = load_sweep_spec(self.write(tmp_path, self.GOOD))
@@ -1335,7 +1364,7 @@ class TestEvalAgreesWithSweep:
 
     def test_cout_needs_an_epsilon_before_it_evaluates(self, monkeypatch):
         # It used to fail inside the evaluation with a TypeError.
-        monkeypatch.setattr(sweeps, "eps_outage_capacity", lambda *a: pytest.fail("evaluated"))
+        monkeypatch.setattr(sweeps, "eps_outage_capacities", lambda *a: pytest.fail("evaluated"))
         config = SystemConfig(3, 2, 1, 10.0, 1.0)
         with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got None"):
             evaluate(config, Scheme.TAS_ALAMOUTI, "C_out", "closed-form")
