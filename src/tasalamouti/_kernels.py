@@ -593,9 +593,11 @@ def psi_sums(points) -> list:
     any antenna triples.  Each triple selects a cached plan (built on
     first use), and each point is evaluated against its plan; each stage's
     sums over all points come from one ``_group_sums`` call.  Points are
-    taken in consecutive chunks of at most ``BATCH_SUMMANDS`` summands
-    per stage (a point larger than that alone), which bounds the memory
-    of a call as ``montecarlo.BLOCK_SIZE`` bounds a draw.  Returns one
+    taken in antenna-triple order, so a call builds each plan at most
+    once however many triples it interleaves, in consecutive chunks of
+    at most ``BATCH_SUMMANDS`` summands per stage (a point larger than
+    that alone), which bounds the memory of a call as
+    ``montecarlo.BLOCK_SIZE`` bounds a draw.  Returns one
     outcome per point, in order: the four signed sums plus the largest
     absolute summand encountered across all of them (for the
     cancellation diagnostic), or the exception that the point's
@@ -618,7 +620,8 @@ def psi_sums(points) -> list:
             )
     outcomes: list = [None] * len(points)
     chunk, size = [], 0
-    for index, (n_a, n_b, n_e, gamma_b, gamma_e, rate) in enumerate(points):
+    for index in sorted(range(len(points)), key=lambda index: tuple(points[index][:3])):
+        n_a, n_b, n_e, gamma_b, gamma_e, rate = points[index]
         point = _Point(index, n_a, _psi_plan(n_a, n_b, n_e), gamma_b, gamma_e, rate)
         if chunk and size + point.plan.summands > BATCH_SUMMANDS:
             _evaluated(chunk, outcomes)

@@ -29,10 +29,10 @@ lower rate within it and a probe beyond puts every higher rate beyond,
 so the answer is bisection's, bit for bit.  A tolerance that bisection
 could not reach is refused as soon as the doubling rates decide it,
 before any probe inside the bracket it refuses.  The search is a
-generator of its probe rates: ``eps_outage_capacity`` runs one through
-``closed_form_outage``, and ``eps_outage_capacities`` steps many in
-lockstep, with one ``outage_breakdowns`` call per step for the next
-probe of every search still running.
+generator of its probe rates, and one driver steps any number of them
+in lockstep, with one ``outage_breakdowns`` call per step for the next
+probe of every search still running: ``eps_outage_capacities`` runs it
+on many searches and ``eps_outage_capacity`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -388,31 +388,24 @@ def _capacity_search(config: SystemConfig, epsilon: float, tol: float):
     return lo + k_lo * h
 
 
-def _advance(search, outcome):
-    """The next rate ``search`` probes, after ``outcome``: the outage at its
-    last probe, sent, or the refusal there, thrown in (None starts it).
-    Raises ``StopIteration`` with the capacity, or the search's refusal."""
-    if isinstance(outcome, Exception):
-        return search.throw(outcome)
-    return search.send(outcome)
-
-
 def eps_outage_capacity(
     config: SystemConfig, epsilon: float, *, tol: float = _TOL
 ) -> float:
     """Largest secrecy rate whose outage probability stays within epsilon.
 
-    The answer is bisection's: the outage is probed at 0, 1, 2, 4, ...
-    until it exceeds epsilon at a rate ``hi``, with ``lo`` the rate
-    before; then ``[lo, hi]`` is halved N times, to width at most
-    ``tol``, and ``lo`` is returned.  Bisection can therefore only
-    return a rate of the grid ``lo + k*h``, ``h = (hi - lo) / 2**N``,
-    and for ``tol < 1`` every bracket gives the same grid, with h the
-    largest power of two at most ``tol``.  The search reaches the same
-    grid rate with fewer probes on smooth outage curves, and never more
-    than bisection's 0 and doubling rates plus 2N (it spends two probes,
-    not one, on an answer of 0).  Wherever the outage is monotone in
-    rate over the probed points, it returns bisection's bits:
+    The batch of one of the lockstep search of ``eps_outage_capacities``,
+    at tolerance ``tol``.  The answer is bisection's: the outage is
+    probed at 0, 1, 2, 4, ... until it exceeds epsilon at a rate ``hi``,
+    with ``lo`` the rate before; then ``[lo, hi]`` is halved N times, to
+    width at most ``tol``, and ``lo`` is returned.  Bisection can
+    therefore only return a rate of the grid ``lo + k*h``,
+    ``h = (hi - lo) / 2**N``, and for ``tol < 1`` every bracket gives
+    the same grid, with h the largest power of two at most ``tol``.
+    The search reaches the same grid rate with fewer probes on smooth
+    outage curves, and never more than bisection's 0 and doubling rates
+    plus 2N (it spends two probes, not one, on an answer of 0).
+    Wherever the outage is monotone in rate over the probed points, it
+    returns bisection's bits:
 
     - It probes 1 first, and 0 only when the outage at 1 exceeds
       epsilon or is refused: any positive rate within budget puts 0
@@ -468,41 +461,43 @@ def eps_outage_capacity(
         refuses; it spends no probe of the grid beyond, at most, one at
         the last float grid rate.
     """
-    search = _capacity_search(config, epsilon, tol)
-    outcome = None
-    try:
-        while True:
-            rate = _advance(search, outcome)
-            try:
-                outcome = closed_form_outage(config, rate)
-            except PrecisionExhaustedError as exc:
-                outcome = exc
-    except StopIteration as stop:
-        return stop.value
+    (outcome,) = _searched([(config, epsilon)], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def eps_outage_capacities(searches: Sequence[tuple[SystemConfig, float]]) -> list:
     """Epsilon-outage capacities of many systems, searched in lockstep.
 
     ``searches`` holds ``(config, epsilon)`` pairs, each searched at the
-    default tolerance of ``eps_outage_capacity``.  Each search probes the
-    rates that ``eps_outage_capacity`` probes, but each step evaluates
-    the next probe of every search still running in one
-    ``outage_breakdowns`` call.  Returns, per search and in order, its
-    capacity or the exception that ``eps_outage_capacity`` raises for it
-    alone, with the same type and text; a search's outcome does not
-    depend on the others, and one that raises stops only itself.
+    default tolerance of ``eps_outage_capacity``, which is this search's
+    batch of one.  Each step evaluates the next probe of every search
+    still running in one ``outage_breakdowns`` call.  Returns, per search
+    and in order, its capacity or the exception that
+    ``eps_outage_capacity`` raises for it alone, with the same type and
+    text; a search's outcome does not depend on the others, and one that
+    raises stops only itself.
     """
+    return _searched(searches, _TOL)
+
+
+def _searched(searches: Sequence[tuple[SystemConfig, float]], tol: float) -> list:
+    """The outcome of each ``(config, epsilon)`` search at tolerance ``tol``:
+    every search running is sent the outage at its last probe, or has the
+    refusal there thrown in, and the next probes of those still running
+    are evaluated in one ``outage_breakdowns`` call."""
     outcomes: list = [None] * len(searches)
     running = [
-        (index, config, _capacity_search(config, epsilon, _TOL), None)
+        (index, config, _capacity_search(config, epsilon, tol), None)
         for index, (config, epsilon) in enumerate(searches)
     ]
     while running:
         advanced = []
         for index, config, search, outcome in running:
             try:
-                advanced.append((index, config, search, _advance(search, outcome)))
+                step = search.throw if isinstance(outcome, Exception) else search.send
+                advanced.append((index, config, search, step(outcome)))
             except StopIteration as stop:
                 outcomes[index] = stop.value
             except Exception as exc:

@@ -5,20 +5,17 @@ antenna count, or the outage budget epsilon) across a fixed base
 configuration, evaluates one metric with one or more evaluators per
 scheme, and emits rows in a stable order with a fixed CSV schema.
 Every evaluation goes through one table that maps a (metric,
-evaluator) pair to its function.  ``evaluate`` is the one single-point
-entry for all three evaluators, Monte Carlo included, and the command
-line's ``eval`` calls it.  The table's Monte Carlo entries read the
-point's outage count (``montecarlo.count_outage``) and its closed-form
-entries the point's closed-form outcome: ``evaluate`` counts the one
-event of its point or evaluates its one closed-form point, while a
-sweep, a preset and a validation run plan their rows, count the events
-of all their Monte Carlo rows in one ``count_outage`` call, which draws
-every distinct key once, evaluate their closed-form points in batches
-(``closedform.outage_breakdowns``, and ``closedform.eps_outage_capacities``
-for C_out), and then build the rows in order.  Presets reproduce the
-figure-style experiment families and, like the validation grids, are
-data tables.  Validation runs the three evaluators against each other
-over a parameter grid and reports hard threshold violations.
+evaluator) pair to its function.  The batched work that its entries
+read, a Monte Carlo count, a closed-form breakdown or a C_out search,
+is named by ``_job`` and answered by ``_resolved``, one batch call per
+kind of job present.  ``evaluate`` is the one single-point entry for
+all three evaluators, and the command line's ``eval`` calls it; a sweep
+and a preset plan their rows, resolve the jobs of all of them in one
+call, so each distinct Monte Carlo key is drawn once, and then build
+the rows in order.  Presets reproduce the figure-style experiment
+families and, like the validation grids, are data tables.  Validation
+runs the three evaluators against each other over a parameter grid and
+reports hard threshold violations.
 """
 
 from __future__ import annotations
@@ -147,6 +144,11 @@ class EvaluatorSettings:
 
     def applies_to(self, scheme: Scheme) -> bool:
         return self.schemes is None or scheme in self.schemes
+
+    @property
+    def sampling(self) -> dict:
+        """The sampling cells of the evaluator's rows: Monte Carlo's trials and seed."""
+        return dict(n_trials=self.trials, seed=self.seed) if self.name == "monte-carlo" else {}
 
 
 @dataclass(frozen=True)
@@ -420,13 +422,12 @@ def _config(point: dict) -> SystemConfig:
 
 
 # (metric, evaluator) -> fn(config, rate, epsilon, known), where ``known``
-# is what the point's batch found for the entry to read: the Monte Carlo
-# outage count of the point's event (see ``_event``), or the closed form's
-# breakdown or capacity, or the refusal in its place (see
-# ``_closed_form_job``); None for the quadrature.  The entries look the
-# quadrature up in this module's globals at call time, so a wrapper later
-# bound over that name (as the span recorder in perfbench/spans.py does)
-# sees every call.
+# is what the point's batch found for the entry to read (see ``_job``):
+# the Monte Carlo outage count of the point's event, or the closed form's
+# breakdown or capacity, or the refusal in its place; None for the
+# quadrature.  The entries look the quadrature up in this module's globals
+# at call time, so a wrapper later bound over that name (as the span
+# recorder in perfbench/spans.py does) sees every call.
 _EVALUATE = {
     ("P_out", "closed-form"): lambda c, rate, eps, known: _found(known).value,
     ("Pr_nonzero", "closed-form"): lambda c, rate, eps, known: 1.0 - _found(known).value,
@@ -445,43 +446,40 @@ def _found(outcome):
     return outcome
 
 
-def _event(
-    config: SystemConfig, scheme: Scheme, metric: str, rate: float, trials: int, seed: int
-) -> tuple:
-    """The ``montecarlo.count_outage`` event that a Monte Carlo entry reads
-    the count of: P_out's at its rate, and Pr_nonzero's complement at
-    rate 0."""
-    return (config, scheme, rate if metric == "P_out" else 0.0, trials, seed)
+def _job(
+    config: SystemConfig, scheme: Scheme, metric: str, evaluator: str,
+    rate: float, epsilon: float | None, trials: int, seed: int,
+) -> tuple | None:
+    """The ``(kind, argument)`` job whose outcome a point's table entry
+    reads: the ``("count", event)`` of Monte Carlo, and the closed form's
+    ``("capacity", (config, epsilon))`` for C_out or ``("breakdown",
+    (config, rate))``; None for the quadrature, which evaluates its point
+    in its entry.  P_out reads its rate and Pr_nonzero rate 0."""
+    rate = rate if metric == "P_out" else 0.0
+    if evaluator == "monte-carlo":
+        return ("count", (config, scheme, rate, trials, seed))
+    if evaluator != "closed-form":
+        return None
+    return ("capacity", (config, epsilon)) if metric == "C_out" else ("breakdown", (config, rate))
 
 
-def _counted(events: Sequence[tuple | None]) -> list:
-    """The outage count of each event, None for a None event, from one
-    ``montecarlo.count_outage`` call: a run draws each distinct key once."""
-    counts = iter(montecarlo.count_outage([event for event in events if event is not None]))
-    return [None if event is None else next(counts) for event in events]
-
-
-def _closed_form_job(config: SystemConfig, metric: str, rate: float, epsilon) -> tuple:
-    """The closed-form job whose outcome a closed-form entry reads:
-    ``("capacity", config, epsilon)`` for C_out, and the
-    ``("breakdown", config, rate)`` of P_out at its rate and of
-    Pr_nonzero at rate 0."""
-    if metric == "C_out":
-        return ("capacity", config, epsilon)
-    return ("breakdown", config, rate if metric == "P_out" else 0.0)
-
-
-def _closed_formed(jobs: Sequence[tuple | None]) -> list:
-    """The outcome of each closed-form job, None for a None job: the
-    breakdowns from one ``outage_breakdowns`` call, and the capacities
-    from one ``eps_outage_capacities`` call, which searches in lockstep."""
-    present = [job for job in jobs if job is not None]
-    points = [(config, rate) for kind, config, rate in present if kind == "breakdown"]
-    searches = [(config, eps) for kind, config, eps in present if kind == "capacity"]
-    found = {
-        "breakdown": iter(outage_breakdowns(points)),
-        "capacity": iter(eps_outage_capacities(searches)),
+def _resolved(jobs: Sequence[tuple | None]) -> list:
+    """The outcome of each ``_job``, None for a None job, from one call of
+    each batch that has jobs: ``montecarlo.count_outage`` draws each
+    distinct key once, and ``eps_outage_capacities`` steps its searches
+    in lockstep.  The batches are looked up at call time, so a wrapper
+    bound over their names later sees every call."""
+    batches = {
+        "count": montecarlo.count_outage,
+        "breakdown": outage_breakdowns,
+        "capacity": eps_outage_capacities,
     }
+    present = [job for job in jobs if job is not None]
+    found = {}
+    for kind, batch in batches.items():
+        arguments = [argument for job_kind, argument in present if job_kind == kind]
+        if arguments:
+            found[kind] = iter(batch(arguments))
     return [None if job is None else next(found[job[0]]) for job in jobs]
 
 
@@ -547,23 +545,18 @@ def evaluate(
     evaluated.
     """
     fn = _checked(config, scheme, metric, evaluator, rate, epsilon)
-    known = None
-    if evaluator == "monte-carlo":
-        (known,) = montecarlo.count_outage([_event(config, scheme, metric, rate, trials, seed)])
-    elif evaluator == "closed-form":
-        (known,) = _closed_formed([_closed_form_job(config, metric, rate, epsilon)])
+    (known,) = _resolved([_job(config, scheme, metric, evaluator, rate, epsilon, trials, seed)])
     return fn(config, rate, epsilon, known)
 
 
 def _sweep_plan(
     spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
-) -> tuple[dict, Callable | None, tuple | None, tuple | None]:
-    """One sweep row, planned: ``(cells, call, event, job)``.  ``cells``
-    are the row's input cells; ``call(known)`` is the row's table
-    function on its point, None for a refused row, whose error cell
-    carries the reason; ``event`` is the outage event of a Monte Carlo
-    row (``_event``), None for a row that draws nothing; ``job`` is the
-    job of a closed-form row (``_closed_form_job``), None otherwise."""
+) -> tuple[dict, Callable | None, tuple | None]:
+    """One sweep row, planned: ``(cells, call, job)``.  ``cells`` are the
+    row's input cells; ``call(known)`` is the row's table function on its
+    point, None for a refused row, whose error cell carries the reason;
+    ``job`` is the batched job whose outcome ``call`` reads (``_job``),
+    None for a refused row and a quadrature row."""
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = point["rate_rs"] if metric == "P_out" else 0.0
@@ -577,10 +570,9 @@ def _sweep_plan(
         epsilon=point["epsilon"] if metric == "C_out" else None,
         metric=metric,
         evaluator=ev.name,
+        **ev.sampling,
     )
-    if ev.name == "monte-carlo":
-        cells.update(n_trials=ev.trials, seed=ev.seed)
-    call = event = job = None
+    call = job = None
     try:
         config = _config(point)
         fn = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
@@ -588,11 +580,8 @@ def _sweep_plan(
         cells["error"] = str(exc)
     else:
         call = functools.partial(fn, config, rate, point["epsilon"])
-        if ev.name == "monte-carlo":
-            event = _event(config, scheme, metric, rate, ev.trials, ev.seed)
-        elif ev.name == "closed-form":
-            job = _closed_form_job(config, metric, rate, point["epsilon"])
-    return cells, call, event, job
+        job = _job(config, scheme, metric, ev.name, rate, point["epsilon"], ev.trials, ev.seed)
+    return cells, call, job
 
 
 def _sweep_row(
@@ -624,9 +613,8 @@ def _sweep_row(
 
 def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
     """The rows of every spec, in spec order.  Every row is planned first,
-    the Monte Carlo rows are counted in one ``_counted`` call, so a key
-    shared by several specs is drawn once, and the closed-form rows are
-    evaluated in one ``_closed_formed`` call."""
+    and the jobs of all rows are answered in one ``_resolved`` call, so a
+    key shared by several specs is drawn once."""
     plans = [
         _sweep_plan(spec, value, scheme, ev)
         for spec in specs
@@ -635,11 +623,9 @@ def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
         for ev in spec.evaluators
         if ev.applies_to(scheme)
     ]
-    counts = _counted([event for _, _, event, _ in plans])
-    closed = _closed_formed([job for _, _, _, job in plans])
+    found = _resolved([job for _, _, job in plans])
     return [
-        _sweep_row(cells, call, timings, count if job is None else found)
-        for (cells, call, _, job), count, found in zip(plans, counts, closed)
+        _sweep_row(cells, call, timings, known) for (cells, call, _), known in zip(plans, found)
     ]
 
 
@@ -654,14 +640,13 @@ def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
     its batch); leaving it off keeps output files byte-identical across
     runs.
 
-    Rows are built in order on the calling thread, after one
-    ``montecarlo.count_outage`` call has counted every Monte Carlo row's
-    event, drawing each distinct key once in one streamed pass over its
-    blocks, and one closed-form batch has evaluated every closed-form
-    row: the P_out and Pr_nonzero rows in one
-    ``closedform.outage_breakdowns`` call, and the C_out rows in one
-    ``closedform.eps_outage_capacities`` call, whose searches step in
-    lockstep.
+    Rows are built in order on the calling thread, after one call per
+    batch the rows need: ``montecarlo.count_outage`` counts every Monte
+    Carlo row's event, drawing each distinct key once in one streamed
+    pass over its blocks, ``closedform.outage_breakdowns`` evaluates the
+    closed-form P_out and Pr_nonzero rows and
+    ``closedform.eps_outage_capacities`` the closed-form C_out rows,
+    whose searches step in lockstep.
     """
     rows = _run_specs([spec], timings)
     if spec.output is not None:
@@ -842,7 +827,9 @@ def find_crossover(
     steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
     grid = lo_db + (hi_db - lo_db) * np.arange(steps + 1) / steps
     gammas = list(map(db_to_linear, grid.tolist()))
-    _, _, event_rate, _, _ = _event(config, Scheme.TAS_ALAMOUTI, metric, rate, n_trials, seed)
+    _, (_, _, event_rate, _, _) = _job(
+        config, Scheme.TAS_ALAMOUTI, metric, "monte-carlo", rate, None, n_trials, seed
+    )
     n_a, n_b, n_both = montecarlo.count_outage_grid(config, gammas, event_rate, n_trials, seed)
     # The per-trial differences are -1, 0 or 1, so three counts give their
     # mean and second moment exactly.  For Pr_nonzero both signs flip.
@@ -949,37 +936,17 @@ def validation_grid(name: str) -> list[dict]:
     return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
-def _closed_forms(points: Sequence[dict]) -> list[tuple]:
-    """(config, closed form) of each validation point: its breakdown, or
-    the refusal in its place.  A point whose system is refused has no
-    config, and that refusal stands in for its closed form.  Consecutive
-    points of one antenna triple are evaluated in one
-    ``outage_breakdowns`` call."""
-    pairs: list[tuple] = []
-    for _, group in itertools.groupby(points, operator.itemgetter("n_alice", "n_bob", "n_eve")):
-        planned = []
-        for pt in group:
-            config = None
-            try:
-                config = _config(pt)
-                planned.append((config, float(pt["rate_rs"]), None))
-            except (ArithmeticError, ValueError) as exc:
-                planned.append((config, None, exc))
-        found = iter(outage_breakdowns([(c, rate) for c, rate, exc in planned if exc is None]))
-        pairs += [(config, exc or next(found)) for config, _, exc in planned]
-    return pairs
-
-
 def _validation_row(
     pt: dict,
     config: SystemConfig | None,
     closed_form: OutageBreakdown | Exception,
     mc: montecarlo.EstimatorResult | None,
 ) -> ValidationRow:
-    """The three-way comparison at one grid point, from its
-    ``_closed_forms`` pair and ``mc``, its TAS-Alamouti outage count
-    (None for a point whose closed form is refused).  The cells are
-    filled in turn, so a refusal part-way keeps those filled before it."""
+    """The three-way comparison at one grid point, from its ``config``, its
+    ``closed_form`` or the refusal in its place, and ``mc``, its
+    TAS-Alamouti outage count (None for a refused closed form).  The
+    cells are filled in turn, so a refusal part-way keeps those filled
+    before it."""
     rate = float(pt["rate_rs"])
     cells = dict(
         n_alice=pt["n_alice"],
@@ -1031,22 +998,37 @@ def _validate_points(
 ) -> ValidationReport:
     """``validate`` over any point list; the report names it ``grid``.
 
-    The closed-form values come first, one ``outage_breakdowns`` call per
-    antenna triple (``_closed_forms``).  Then one ``_counted`` call counts every point's outage event,
-    drawing each distinct key once in one streamed pass; a point whose
-    closed form is refused draws nothing.  Rows keep the order of the
-    points.
+    The closed-form values come first, one ``_resolved`` call per run of
+    points of one antenna triple; a point whose system is refused has no
+    config, and that refusal stands in for its closed form.  Then one
+    ``_resolved`` call counts the events of the points whose closed form
+    was not refused, drawing each distinct key once in one streamed
+    pass.  Rows keep the order of the points.
     """
-    closed_forms = _closed_forms(grid_points)
-    events = [
-        None if isinstance(closed_form, Exception)
-        else _event(config, Scheme.TAS_ALAMOUTI, "P_out", float(pt["rate_rs"]), n_trials, seed)
-        for pt, (config, closed_form) in zip(grid_points, closed_forms)
-    ]
-    rows = [
-        _validation_row(pt, *closed, mc)
-        for pt, closed, mc in zip(grid_points, closed_forms, _counted(events))
-    ]
+
+    def job(evaluator: str, config: SystemConfig, pt: dict) -> tuple:
+        rate = float(pt["rate_rs"])
+        return _job(config, Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate, None, n_trials, seed)
+
+    configs, closed_forms = [], []
+    triple = operator.itemgetter("n_alice", "n_bob", "n_eve")
+    for _, group in itertools.groupby(grid_points, triple):
+        jobs = []
+        for pt in group:
+            try:
+                configs.append(_config(pt))
+            except (ArithmeticError, ValueError) as exc:
+                configs.append(None)
+                jobs.append(exc)
+            else:
+                jobs.append(job("closed-form", configs[-1], pt))
+        found = _resolved([None if isinstance(j, Exception) else j for j in jobs])
+        closed_forms += [j if isinstance(j, Exception) else cf for j, cf in zip(jobs, found)]
+    counts = _resolved([
+        None if isinstance(closed_form, Exception) else job("monte-carlo", config, pt)
+        for pt, config, closed_form in zip(grid_points, configs, closed_forms)
+    ])
+    rows = list(map(_validation_row, grid_points, configs, closed_forms, counts))
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,7 +70,38 @@ CAPACITY_POINTS = [
 ]
 
 
-def bisection_capacity(config, epsilon, tol=1e-6, outage=closed_form_outage):
+# The closed form's batch, captured before any test hooks the capacity
+# search's probes (``probe_with``), so that a test's own evaluations skip
+# the hook and are not counted as probes.
+BREAKDOWNS = closedform.outage_breakdowns
+
+
+def unhooked_outage(config, rate):
+    """``closed_form_outage``, evaluated past any hook on the search's probes."""
+    (outcome,) = BREAKDOWNS([(config, rate)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome.value
+
+
+def probe_with(monkeypatch, outage):
+    """Make the capacity search probe ``outage(config, rate)``: every point
+    of every ``outage_breakdowns`` call reads it, and what it raises is the
+    point's outcome, as ``outage_breakdowns`` returns a refusal."""
+
+    def breakdowns(points):
+        outcomes = []
+        for config, rate in points:
+            try:
+                outcomes.append(SimpleNamespace(value=outage(config, rate)))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    monkeypatch.setattr(closedform, "outage_breakdowns", breakdowns)
+
+
+def bisection_capacity(config, epsilon, tol=1e-6, outage=unhooked_outage):
     """Reference epsilon-outage capacity: doubling bracket, then bisection
     of [lo, hi] to width tol (the package's search before false position)."""
     if outage(config, 0.0) > epsilon:
@@ -153,7 +185,7 @@ def assert_step_outcome_as_bisection(monkeypatch, tol, step_at):
 
     cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
     expected = capacity_outcome(bisection_capacity, cfg, 0.01, tol, outage=step)
-    monkeypatch.setattr(closedform, "closed_form_outage", step)
+    probe_with(monkeypatch, step)
     assert capacity_outcome(eps_outage_capacity, cfg, 0.01, tol=tol) == expected
 
 
@@ -502,6 +534,19 @@ class TestBatchedKernel:
         refusals = {o.split(":")[0] for o in batched if isinstance(o, str)}
         assert refusals == {"OverflowError"}
 
+    def test_a_call_builds_each_plan_once_however_many_triples_it_interleaves(self):
+        # 72 triples, more than the plan cache holds, each met twice with
+        # every other triple in between.
+        small = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)]
+        triples = [(n_a, n_b, n_e) for n_a in range(2, 11) for n_b, n_e in small]
+        assert len(triples) > _kernels._psi_plan.cache_info().maxsize
+        points = [(*triple, 10.0, 2.0, rate) for rate in (0.5, 1.5) for triple in triples]
+        _kernels._psi_plan.cache_clear()
+        batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
+        assert _kernels._psi_plan.cache_info().misses == len(triples)
+        alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
+        assert batched == alone
+
     def test_empty_call(self):
         assert _kernels.psi_sums([]) == []
 
@@ -638,19 +683,24 @@ class TestBatchedBreakdown:
         "triple", [(3, 2, 2), (6, 3, 3), (8, 8, 8)], ids=lambda t: "-".join(map(str, t))
     )
     def test_a_refused_point_leaves_the_others_unchanged(self, triple):
-        # Validate's closed forms of a grid: a refusal takes the place of
-        # its point's closed form and leaves every other point as it
-        # reads alone.
+        # The closed forms of a batch of grid points: a refusal takes the
+        # place of its point's closed form and leaves every other point as
+        # it reads alone.
         n_a, n_b, n_e = triple
         points = [
-            dict(n_alice=n_a, n_bob=n_b, n_eve=n_e, gamma_bar_b_db=gb, gamma_bar_e_db=ge, rate_rs=r)
+            (
+                sweeps._config(
+                    dict(n_alice=n_a, n_bob=n_b, n_eve=n_e, gamma_bar_b_db=gb, gamma_bar_e_db=ge)
+                ),
+                r,
+            )
             for gb, ge, r in envelope_points(triple)
         ]
-        full = [breakdown_outcome(cf) for _, cf in sweeps._closed_forms(points)]
+        full = [breakdown_outcome(cf) for cf in closedform.outage_breakdowns(points)]
         kept = [i for i, o in enumerate(full) if isinstance(o, tuple)]
         assert len(kept) < len(full)
-        alone = sweeps._closed_forms([points[i] for i in kept])
-        assert [full[i] for i in kept] == [breakdown_outcome(cf) for _, cf in alone]
+        alone = closedform.outage_breakdowns([points[i] for i in kept])
+        assert [full[i] for i in kept] == [breakdown_outcome(cf) for cf in alone]
 
 
 class TestClosedFormOutage:
@@ -839,8 +889,8 @@ class TestCapacitySearch:
         clamped = SystemConfig(8, 3, 3, 100.0, 1.0)
         assert closed_form_outage(clamped, 0.0) == closed_form_outage(clamped, 1.0) == 0.0
         assert closed_form_outage(SystemConfig(*zero_capacity[:5]), 0.0) > zero_capacity[5]
-        spy = OutageSpy(closed_form_outage)
-        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        spy = OutageSpy(unhooked_outage)
+        probe_with(monkeypatch, spy)
         caps = {}
         for point in CAPACITY_POINTS + [zero_capacity, below_one] + random_points:
             cfg = SystemConfig(*point[:5])
@@ -849,7 +899,7 @@ class TestCapacitySearch:
             assert cap.hex() == bisection_capacity(cfg, eps).hex(), point
             if cap > 0.0:
                 _, _, h = capacity_grid(cap)
-                assert closed_form_outage(cfg, cap) <= eps < closed_form_outage(cfg, cap + h)
+                assert unhooked_outage(cfg, cap) <= eps < unhooked_outage(cfg, cap + h)
         assert caps[zero_capacity] == 0.0
         assert 0.0 < caps[below_one] < 1.0
         # Bisection makes 8109 probes here, false position on log P 3782
@@ -857,8 +907,8 @@ class TestCapacitySearch:
         assert spy.calls <= 2750
 
     def test_capacity_workload_evaluations(self, monkeypatch):
-        spy = OutageSpy(closed_form_outage)
-        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        spy = OutageSpy(unhooked_outage)
+        probe_with(monkeypatch, spy)
         for *system, eps in CAPACITY_POINTS:
             eps_outage_capacity(SystemConfig(*system), eps)
         # Bisection makes 752 evaluations here, false position on log P
@@ -871,7 +921,7 @@ class TestCapacitySearch:
         cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
         expected = bisection_capacity(cfg, eps, outage=curve)
         spy = OutageSpy(curve)
-        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        probe_with(monkeypatch, spy)
         cap = eps_outage_capacity(cfg, eps)
         assert cap.hex() == expected.hex()
         probes, n, _ = capacity_grid(cap)
@@ -884,8 +934,8 @@ class TestCapacitySearch:
 
     def test_unreachable_tolerance_is_refused_before_any_grid_probe(self, monkeypatch):
         cfg = SystemConfig(4, 3, 2, 100.0, 1.0)
-        spy = OutageSpy(closed_form_outage)
-        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        spy = OutageSpy(unhooked_outage)
+        probe_with(monkeypatch, spy)
         with pytest.raises(
             NumericalFailureError, match="bisection failed to reach tolerance 1e-70"
         ):
@@ -904,9 +954,7 @@ class TestCapacitySearch:
         tol = 2.0**-50
         assert capacity_outcome(bisection_capacity, cfg, 0.01, tol, outage=logistic) == "refused"
         rates = []
-        monkeypatch.setattr(
-            closedform, "closed_form_outage", lambda c, r: rates.append(r) or logistic(c, r)
-        )
+        probe_with(monkeypatch, lambda c, r: rates.append(r) or logistic(c, r))
         with pytest.raises(NumericalFailureError, match="bisection failed to reach tolerance"):
             eps_outage_capacity(cfg, 0.01, tol=tol)
         assert rates[-1] == 16.0
@@ -944,7 +992,7 @@ class TestCapacitySearch:
 
         cfg = SystemConfig(2, 1, 1, 1.0, 1.0)
         expected = outcome(bisection_capacity, cfg, 0.01, outage=refused_from_one)
-        monkeypatch.setattr(closedform, "closed_form_outage", refused_from_one)
+        probe_with(monkeypatch, refused_from_one)
         assert outcome(eps_outage_capacity, cfg, 0.01) == expected
 
     def test_below_the_round_off_floor_the_answer_keeps_the_grid_invariant(self):
@@ -1024,14 +1072,14 @@ class TestLockstepCapacity:
     """Searches stepped in lockstep answer as each search does alone."""
 
     def test_same_outcome_as_one_search(self, monkeypatch):
-        spy = OutageSpy(closed_form_outage)
-        monkeypatch.setattr(closedform, "closed_form_outage", spy)
+        outcomes, batches = counted_lockstep()
+        spy = OutageSpy(unhooked_outage)
+        probe_with(monkeypatch, spy)
         alone, longest = [], 0
         for search in LOCKSTEP_SEARCHES:
             calls = spy.calls
             alone.append(one_search_outcome(*search))
             longest = max(longest, spy.calls - calls)
-        outcomes, batches = counted_lockstep()
         assert outcomes == alone
         # One batched call per step, holding every search still running.
         assert len(batches) == longest

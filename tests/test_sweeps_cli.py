@@ -922,6 +922,59 @@ class TestDrawOnce:
         assert block_spy.calls == []
 
 
+class TestBatchCalls:
+    """A run makes one call of each batch it has jobs for, and none of a
+    batch it has no job for."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """(batch name, job count) of every batch call, in call order."""
+        calls = []
+        for owner, name in [
+            (sweeps.montecarlo, "count_outage"),
+            (sweeps, "outage_breakdowns"),
+            (sweeps, "eps_outage_capacities"),
+        ]:
+            def spy(jobs, batch=getattr(owner, name), name=name):
+                calls.append((name, len(jobs)))
+                return batch(jobs)
+
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_monte_carlo_sweep(self, batches):
+        spec = small_spec(evaluators=(EvaluatorSettings(name="monte-carlo", trials=2000),))
+        run_sweep(spec)
+        assert batches == [("count_outage", 4)]
+
+    def test_sweep_of_every_evaluator(self, batches):
+        spec = small_spec(
+            evaluators=(
+                EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,)),
+                EvaluatorSettings(name="quadrature", schemes=(Scheme.TAS_ALAMOUTI,)),
+                EvaluatorSettings(name="monte-carlo", trials=2000),
+            )
+        )
+        run_sweep(spec)
+        assert batches == [("count_outage", 4), ("outage_breakdowns", 2)]
+
+    def test_capacity_preset(self, batches):
+        run_preset("fig6")
+        assert batches == [("eps_outage_capacities", 21)]
+
+    def test_validate_quick(self, batches):
+        validate("quick", n_trials=2000)
+        assert batches == [("outage_breakdowns", 8)] * 8 + [("count_outage", 64)]
+
+    @pytest.mark.parametrize(
+        "evaluator, expected",
+        [("quadrature", []), ("closed-form", [("outage_breakdowns", 1)])],
+    )
+    def test_evaluate(self, batches, evaluator, expected):
+        evaluate(SystemConfig(3, 2, 1, 10.0, 1.0), Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate=1.0)
+        assert batches == expected
+
+
 class TestCli:
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
