@@ -5,10 +5,12 @@ the Monte Carlo estimators (the values of the legitimate link's two
 largest column norms, by running maxima; Eve's norms are drawn apart,
 since the selection never reads them), and the nested alternating sums
 behind the closed-form outage expression at many points per call,
-together with the power-expansion coefficients their plan is built from
-and the exactly rounded grouped sum they are reduced with.  Each has
-exactly one implementation, so identical inputs give bit-identical
-outputs on every run, whatever points share a call.
+together with the power-expansion coefficients their plan is built from,
+the exactly rounded grouped sum they are reduced with, and ``lockstep``,
+the driver that steps many such points, or many epsilon-capacity
+searches, side by side.  Each has exactly one implementation, so
+identical inputs give bit-identical outputs on every run, whatever
+points share a call.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def snr_components(bob_norms: np.ndarray):
 #   p_pre, p_gather       per psi summand: the signed product of every factor
 #                         left of efac, and its mixed cell; the groups are
 #                         joined psi1..psi4
-#   *_starts, *_slices    the summands of each bracket cell, mixed cell and
-#                         psi sum
+#   *_starts              the first summand of each bracket cell, mixed cell
+#                         and psi sum
 # The plan is built by index arithmetic, with no Python loop per summand.
 # Each nested range (t <= i (n_b - 1), p < n_b - j, k <= span) is a ragged
 # range (``_ragged``), so each group comes out in the C order of its indices:
@@ -128,11 +130,12 @@ def snr_components(bob_norms: np.ndarray):
 # summands within a group is free: an exactly rounded sum has the same
 # bits in any order, and the magnitude bound is a maximum.
 #
-# ``psi_sums`` takes many points, of any antenna triples, per call.  Their
-# summands are formed point by point, each against its own plan, but each
-# of the three stages (bracket, mixed, psi) sums every group of every
-# point in one ``_group_sums`` call, so a point's value does not depend on
-# the points it is batched with.
+# ``psi_sums`` takes many points, of any antenna triples, per call.  Each
+# point is a ``lockstep`` task that forms its summands against its own
+# plan and yields them stage by stage, and each of the three stages
+# (bracket, mixed, psi) sums every group of every point in one
+# ``_group_sums`` call, so a point's value does not depend on the points
+# it is batched with.
 #
 # Every cell also carries the largest absolute summand that fed it, so the
 # returned magnitude bound is the exact maximum |term| over the fully
@@ -151,19 +154,17 @@ class _PsiPlan:
     b_neg: np.ndarray  # lam < 0: the kernel value is -1 / phi
     b_off: np.ndarray  # c of each bracket summand
     b_starts: np.ndarray  # first summand of each bracket cell
-    b_slices: tuple[slice, ...]  # summands of each bracket cell
     n_pow: int  # powers of rho and shift the mixed summands read: w_max + 1
     wu_binom: np.ndarray  # C(w, u) of each (w, u <= w), w < n_pow
     wu_u: np.ndarray
     wu_k: np.ndarray  # w - u
     m_cell: np.ndarray  # bracket cell of each mixed summand
     m_wu: np.ndarray  # its (w, u) pair
-    m_starts: np.ndarray
-    m_slices: tuple[slice, ...]
+    m_starts: np.ndarray  # first summand of each mixed cell
     cell_level: np.ndarray  # phi level of each mixed cell
     p_pre: np.ndarray  # signed static prefix of each psi summand
     p_gather: np.ndarray  # its mixed cell
-    p_slices: tuple[slice, ...]  # psi1 .. psi4
+    p_starts: np.ndarray  # first summand of psi1 .. psi4
 
     @property
     def summands(self) -> int:
@@ -175,10 +176,6 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
     frozen = np.asarray(values, dtype=dtype)
     frozen.setflags(write=False)
     return frozen
-
-
-def _slices(bounds: list[int]) -> tuple[slice, ...]:
-    return tuple(map(slice, bounds, bounds[1:]))
 
 
 def _group_sums(x: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -482,7 +479,6 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
         b_neg=_frozen(lam < 0, bool),
         b_off=_frozen(r_off[kept]),
         b_starts=_frozen(b_bounds[:-1], np.intp),
-        b_slices=_slices(b_bounds.tolist()),
         n_pow=w_max + 1,
         wu_binom=_frozen(pascal[wu_w, wu_u]),
         wu_u=_frozen(wu_u, np.intp),
@@ -490,11 +486,10 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
         m_cell=_frozen(m_cell, np.intp),
         m_wu=_frozen(m_w * (m_w + 1) // 2 + m_u, np.intp),
         m_starts=_frozen(m_bounds[:-1], np.intp),
-        m_slices=_slices(m_bounds.tolist()),
         p_pre=_frozen(np.concatenate(pre)),
         p_gather=_frozen(p_gather, np.intp),
         cell_level=_frozen(cells // (n_e * (w_max + 1)), np.intp),
-        p_slices=_slices(p_bounds),
+        p_starts=_frozen(p_bounds[:-1], np.intp),
     )
 
 
@@ -508,101 +503,113 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
 BATCH_SUMMANDS = 2**16
 
 
-class _Point:
-    """One point of a ``psi_sums`` call, stage by stage: each stage method
-    sets the point's summands and group starts, and ``_summed`` sets
-    their sums.  A stage raises ``OverflowError`` where rho, W_lam(phi)
-    or a power overflows."""
-
-    def __init__(self, index: int, n_a: int, plan: _PsiPlan, gamma_b, gamma_e, rate):
-        self.index, self.n_a, self.plan = index, n_a, plan
-        self.gamma_b, self.gamma_e, self.rate = float(gamma_b), float(gamma_e), float(rate)
-        self.terms = self.starts = self.sums = self.mag = None
-
-    def brackets(self) -> None:
-        plan, gamma_b = self.plan, self.gamma_b
-        two_rs = 2.0**self.rate
-        self.rho = rho = two_rs * self.gamma_e / gamma_b
-        if rho == math.inf:
-            raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
-        self.shift = 2.0 * (two_rs - 1.0) / gamma_b
-        self.decay = (two_rs - 1.0) / gamma_b
-        phis = [1.0 + rho * (i + 2) / 2.0 for i in range(self.n_a - 1)] + [1.0 + rho] * 2
-        log_phi = np.array(list(map(math.log, phis)))
-        exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[plan.w_level]
-        w_lam = np.array(list(map(math.exp, exponent.tolist())))
-        phi_b = np.array(phis)[plan.w_level][plan.b_w]  # each summand's phi
-        terms = plan.b_lam_p1 / phi_b
-        np.subtract(plan.b_off, terms, out=terms)
-        terms *= w_lam[plan.b_w]
-        np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
-        terms *= plan.b_coef
-        self.terms, self.starts = terms, plan.b_starts
-        self.mag = _group_max(np.abs(terms), plan.b_starts)
-
-    def mixed(self) -> None:
-        plan, rho, shift = self.plan, self.rho, self.shift
-        rho_pow = np.array([rho**u for u in range(plan.n_pow)])
-        shift_pow = np.array([shift**k for k in range(plan.n_pow)])
-        coef = (rho_pow[plan.wu_u] * plan.wu_binom * shift_pow[plan.wu_k])[plan.m_wu]
-        self.terms, self.starts = self.sums[plan.m_cell] * coef, plan.m_starts
-        self.mag = _group_max(self.mag[plan.m_cell] * coef, plan.m_starts)
-
-    def psi(self) -> None:
-        plan, decay = self.plan, self.decay
-        level_efac = [math.exp(-decay * (i + 2)) for i in range(self.n_a - 1)]
-        level_efac += [math.exp(-2.0 * decay)] * 2
-        outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
-        self.terms = outer * self.sums[plan.p_gather]
-        self.starts = np.array([group.start for group in plan.p_slices], np.intp)
-        self.mag = float(np.fmax.reduce(np.abs(outer) * self.mag[plan.p_gather], initial=0.0))
+def lockstep(tasks, answer) -> list:
+    """Run generators side by side; return what each returned, or the
+    exception it raised, in order.  Each step resumes every generator still
+    running (first by ``next``, then with the answer to its last request,
+    thrown in when it is an exception) and answers the requests they yield
+    in one ``answer(requests)`` call, which returns one answer per request,
+    in order.  A generator that returns or raises stops only itself."""
+    outcomes: list = [None] * len(tasks)
+    running = [(index, task, None) for index, task in enumerate(tasks)]
+    while running:
+        stepped = []
+        for index, task, reply in running:
+            try:
+                resume = task.throw if isinstance(reply, Exception) else task.send
+                stepped.append((index, task, resume(reply)))
+            except StopIteration as stop:
+                outcomes[index] = stop.value
+            except Exception as exc:
+                outcomes[index] = exc
+        if not stepped:
+            break
+        replies = answer([request for _, _, request in stepped])
+        running = [(index, task, reply) for (index, task, _), reply in zip(stepped, replies)]
+    return outcomes
 
 
-def _summed(points: list[_Point], outcomes: list) -> list[_Point]:
-    """Sum every group of every point's summands in one ``_group_sums``
-    call and set each point's sums.  A point with a group whose
-    ``math.fsum`` raises gets the first such exception, in its groups'
-    order, as its outcome and is dropped; the others are returned."""
-    if not points:
-        return points
-    offsets = list(accumulate((len(p.terms) for p in points), initial=0))
-    first = list(accumulate((len(p.starts) for p in points), initial=0))
-    bounds = np.concatenate([*(p.starts + off for p, off in zip(points, offsets)), offsets[-1:]])
-    terms = np.concatenate([p.terms for p in points])
-    for point in points:
-        point.terms = None
+def _point_sums(n_a: int, plan: _PsiPlan, gamma_b, gamma_e, rate):
+    """One point of ``psi_sums`` as a ``lockstep`` task: per stage it yields
+    a ``[starts, terms]`` request and receives its group sums, and it
+    returns the four psi sums and the largest absolute summand.  It raises
+    ``OverflowError`` where rho, W_lam(phi) or a power overflows."""
+    gamma_b, gamma_e, rate = float(gamma_b), float(gamma_e), float(rate)
+    two_rs = 2.0**rate
+    rho = two_rs * gamma_e / gamma_b
+    if rho == math.inf:
+        raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
+    shift = 2.0 * (two_rs - 1.0) / gamma_b
+    decay = (two_rs - 1.0) / gamma_b
+
+    phis = [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
+    log_phi = np.array(list(map(math.log, phis)))
+    exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[plan.w_level]
+    w_lam = np.array(list(map(math.exp, exponent.tolist())))
+    phi_b = np.array(phis)[plan.w_level][plan.b_w]  # each summand's phi
+    terms = plan.b_lam_p1 / phi_b
+    np.subtract(plan.b_off, terms, out=terms)
+    terms *= w_lam[plan.b_w]
+    np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
+    terms *= plan.b_coef
+    mag = _group_max(np.abs(terms), plan.b_starts)
+    request = [plan.b_starts, terms]
+    # Each stage holds its summands only in its request, which the answer
+    # empties before it sums.
+    del phi_b, terms
+    sums = yield request
+
+    rho_pow = np.array([rho**u for u in range(plan.n_pow)])
+    shift_pow = np.array([shift**k for k in range(plan.n_pow)])
+    coef = (rho_pow[plan.wu_u] * plan.wu_binom * shift_pow[plan.wu_k])[plan.m_wu]
+    request = [plan.m_starts, sums[plan.m_cell] * coef]
+    mag = _group_max(mag[plan.m_cell] * coef, plan.m_starts)
+    del coef
+    sums = yield request
+
+    level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
+    level_efac += [math.exp(-2.0 * decay)] * 2
+    outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
+    request = [plan.p_starts, outer * sums[plan.p_gather]]
+    mag = float(np.fmax.reduce(np.abs(outer) * mag[plan.p_gather], initial=0.0))
+    del outer
+    sums = yield request
+    return (*sums.tolist(), mag)
+
+
+def _stage_sums(requests: list) -> list:
+    """The group sums of each ``[starts, terms]`` request of one stage, from
+    one ``_group_sums`` call, or the exception of its first group, in group
+    order, whose ``math.fsum`` raises.  The terms are popped from the
+    requests first, so no task holds them during the call."""
+    offsets = list(accumulate((len(terms) for _, terms in requests), initial=0))
+    first = list(accumulate((len(starts) for starts, _ in requests), initial=0))
+    bounds = np.concatenate(
+        [*(starts + off for (starts, _), off in zip(requests, offsets)), offsets[-1:]]
+    )
+    terms = np.concatenate([request.pop() for request in requests])
     sums, errors = _group_sums(terms, bounds)
-    failed = set()
-    for group, exc in errors.items():
-        k = bisect_right(first, group) - 1
-        if k not in failed:
-            failed.add(k)
-            outcomes[points[k].index] = exc
-    kept = []
-    for k, point in enumerate(points):
-        if k not in failed:
-            point.sums = sums[first[k] : first[k + 1]]
-            kept.append(point)
-    return kept
+    answers = [sums[lo:hi] for lo, hi in zip(first, first[1:])]
+    for group, exc in reversed(errors.items()):  # a request's first group last
+        answers[bisect_right(first, group) - 1] = exc
+    return answers
 
 
 def psi_sums(points) -> list:
     """Evaluate the four nested sums of the outage expression at many points.
 
     ``points`` holds ``(n_a, n_b, n_e, gamma_b, gamma_e, rate)`` tuples of
-    any antenna triples.  Each triple selects a cached plan (built on
-    first use), and each point is evaluated against its plan; each stage's
-    sums over all points come from one ``_group_sums`` call.  Points are
-    taken in antenna-triple order, so a call builds each plan at most
-    once however many triples it interleaves, in consecutive chunks of
-    at most ``BATCH_SUMMANDS`` summands per stage (a point larger than
-    that alone), which bounds the memory of a call as
-    ``montecarlo.BLOCK_SIZE`` bounds a draw.  Returns one
-    outcome per point, in order: the four signed sums plus the largest
-    absolute summand encountered across all of them (for the
-    cancellation diagnostic), or the exception that the point's
-    evaluation raised.  A point's outcome does not depend on the other
-    points of the call.
+    any antenna triples.  Each point is a ``_point_sums`` task against its
+    triple's cached plan, and ``lockstep`` steps the tasks through the
+    three stages with ``_stage_sums``.  Points are taken in antenna-triple
+    order, so a call builds each plan at most once, in consecutive chunks
+    of at most ``BATCH_SUMMANDS`` summands per stage (a point larger than
+    that alone), one ``lockstep`` run each, which bounds the memory of a
+    call as ``montecarlo.BLOCK_SIZE`` bounds a draw.  Returns one outcome
+    per point, in order: the four signed sums plus the largest absolute
+    summand across all of them (for the cancellation diagnostic), or the
+    exception that the point's evaluation raised.  A point's outcome does
+    not depend on the other points of the call.
 
     An overflow in the sums makes a point's outcome ``OverflowError`` (rho
     itself, before any array, W_lam(phi) or a power) or what
@@ -618,31 +625,15 @@ def psi_sums(points) -> list:
             raise ValueError(
                 f"psi_sums needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
             )
-    outcomes: list = [None] * len(points)
-    chunk, size = [], 0
+    outcomes: dict = {}
+    chunk, size = {}, 0
     for index in sorted(range(len(points)), key=lambda index: tuple(points[index][:3])):
         n_a, n_b, n_e, gamma_b, gamma_e, rate = points[index]
-        point = _Point(index, n_a, _psi_plan(n_a, n_b, n_e), gamma_b, gamma_e, rate)
-        if chunk and size + point.plan.summands > BATCH_SUMMANDS:
-            _evaluated(chunk, outcomes)
-            chunk, size = [], 0
-        chunk.append(point)
-        size += point.plan.summands
-    _evaluated(chunk, outcomes)
-    return outcomes
-
-
-def _evaluated(points: list[_Point], outcomes: list) -> None:
-    """Take ``points`` through the three stages and set their outcomes."""
-    for stage in (_Point.brackets, _Point.mixed, _Point.psi):
-        staged = []
-        for point in points:
-            try:
-                stage(point)
-            except OverflowError as exc:
-                outcomes[point.index] = exc
-            else:
-                staged.append(point)
-        points = _summed(staged, outcomes)
-    for point in points:
-        outcomes[point.index] = (*point.sums.tolist(), point.mag)
+        plan = _psi_plan(n_a, n_b, n_e)
+        if chunk and size + plan.summands > BATCH_SUMMANDS:
+            outcomes.update(zip(chunk, lockstep(chunk.values(), _stage_sums)))
+            chunk, size = {}, 0
+        chunk[index] = _point_sums(n_a, plan, gamma_b, gamma_e, rate)
+        size += plan.summands
+    outcomes.update(zip(chunk, lockstep(chunk.values(), _stage_sums)))
+    return [outcomes[index] for index in range(len(points))]

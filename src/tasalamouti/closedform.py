@@ -29,10 +29,11 @@ lower rate within it and a probe beyond puts every higher rate beyond,
 so the answer is bisection's, bit for bit.  A tolerance that bisection
 could not reach is refused as soon as the doubling rates decide it,
 before any probe inside the bracket it refuses.  The search is a
-generator of its probe rates, and one driver steps any number of them
-in lockstep, with one ``outage_breakdowns`` call per step for the next
-probe of every search still running: ``eps_outage_capacities`` runs it
-on many searches and ``eps_outage_capacity`` is its batch of one.
+generator of its probes, and ``_kernels.lockstep``, which also steps the
+points of ``psi_sums``, steps any number of searches side by side, with
+one ``outage_breakdowns`` call per step for the next probe of every
+search still running: ``eps_outage_capacities`` runs many searches and
+``eps_outage_capacity`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ __all__ = [
     "prob_nonzero_secrecy",
 ]
 
-# The default absolute tolerance of the epsilon-capacity search, in bits;
-# the lockstep searches use it.
+# The default absolute tolerance of the epsilon-capacity search, in bits.
 _TOL = 1e-6
 
 # Antenna counts above this lose too many digits to alternating-sum
@@ -297,10 +297,10 @@ def _aim(
 
 
 def _capacity_search(config: SystemConfig, epsilon: float, tol: float):
-    """The search of ``eps_outage_capacity`` as a generator.  It yields each
-    rate it probes, takes the outage there by ``send`` or its refusal by
-    ``throw``, and returns the capacity (or raises its refusal).  The
-    inputs are checked at the first ``next``."""
+    """The search of ``eps_outage_capacity`` as a ``_kernels.lockstep``
+    task.  It yields each ``(config, rate)`` it probes, takes the outage
+    there by ``send`` or its refusal by ``throw``, and returns the capacity
+    (or raises its refusal).  The inputs are checked at the first ``next``."""
     epsilon = checked_epsilon(epsilon)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -308,7 +308,7 @@ def _capacity_search(config: SystemConfig, epsilon: float, tol: float):
     probes: list[tuple[float, float]] = []  # (rate, gap) in probe order
 
     def within(rate: float):
-        p = yield rate
+        p = yield config, rate
         probes.append((rate, _logit(p) - target))
         return p <= epsilon
 
@@ -483,30 +483,14 @@ def eps_outage_capacities(searches: Sequence[tuple[SystemConfig, float]]) -> lis
 
 
 def _searched(searches: Sequence[tuple[SystemConfig, float]], tol: float) -> list:
-    """The outcome of each ``(config, epsilon)`` search at tolerance ``tol``:
-    every search running is sent the outage at its last probe, or has the
-    refusal there thrown in, and the next probes of those still running
-    are evaluated in one ``outage_breakdowns`` call."""
-    outcomes: list = [None] * len(searches)
-    running = [
-        (index, config, _capacity_search(config, epsilon, tol), None)
-        for index, (config, epsilon) in enumerate(searches)
-    ]
-    while running:
-        advanced = []
-        for index, config, search, outcome in running:
-            try:
-                step = search.throw if isinstance(outcome, Exception) else search.send
-                advanced.append((index, config, search, step(outcome)))
-            except StopIteration as stop:
-                outcomes[index] = stop.value
-            except Exception as exc:
-                outcomes[index] = exc
-        if not advanced:
-            break
-        probed = outage_breakdowns([(config, rate) for _, config, _, rate in advanced])
-        running = [
-            (index, config, search, outcome if isinstance(outcome, Exception) else outcome.value)
-            for (index, config, search, _), outcome in zip(advanced, probed)
-        ]
-    return outcomes
+    """The outcome of each ``(config, epsilon)`` search at tolerance ``tol``,
+    one ``_kernels.lockstep`` run whose answer to a step's probes is their
+    outage, or refusal, from one ``outage_breakdowns`` call.  That name is
+    looked up at each call, so a hook bound over it sees every probe."""
+
+    def probed(probes):
+        outcomes = outage_breakdowns(probes)
+        return [o if isinstance(o, Exception) else o.value for o in outcomes]
+
+    tasks = [_capacity_search(config, epsilon, tol) for config, epsilon in searches]
+    return _kernels.lockstep(tasks, probed)
