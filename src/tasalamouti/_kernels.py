@@ -7,10 +7,9 @@ since the selection never reads them), and the nested alternating sums
 behind the closed-form outage expression at many points per call,
 together with the power-expansion coefficients their plan is built from,
 the exactly rounded grouped sum they are reduced with, and ``lockstep``,
-the driver that steps many such points, or many epsilon-capacity
-searches, side by side.  Each has exactly one implementation, so
-identical inputs give bit-identical outputs on every run, whatever
-points share a call.
+the driver that steps many epsilon-capacity searches side by side.  Each
+has exactly one implementation, so identical inputs give bit-identical
+outputs on every run, whatever points share a call.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 
 import numpy as np
@@ -130,12 +129,25 @@ def snr_components(bob_norms: np.ndarray):
 # summands within a group is free: an exactly rounded sum has the same
 # bits in any order, and the magnitude bound is a maximum.
 #
-# ``psi_sums`` takes many points, of any antenna triples, per call.  Each
-# point is a ``lockstep`` task that forms its summands against its own
-# plan and yields them stage by stage, and each of the three stages
-# (bracket, mixed, psi) sums every group of every point in one
-# ``_group_sums`` call, so a point's value does not depend on the points
-# it is batched with.
+# ``psi_sums`` takes many points, of any antenna triples, per call, and
+# evaluates them in triple-sorted chunks against the chunk's joined plan.
+# Each point's scalars and flat tables (phi levels and their logs, W_lam,
+# the rho^u and shift^k powers, efac) are Python floats, laid end to end
+# over the chunk; the plans' index arrays are offset by each point's place
+# in those tables and in the chunk's cells, and their coefficient arrays
+# are concatenated (``_JoinedPlan``).  When every point of a chunk has the
+# same plan, as in each call of ``validate``, a stage's summands are one
+# row per point and each coefficient array broadcasts over the rows
+# instead.  So each of the three stages (bracket, mixed, psi) is one set
+# of elementwise numpy operations over the chunk, with each summand's
+# operands and order as for its point alone, and one ``_group_sums``
+# call, and a point's value does not depend on the points it is batched
+# with.  A point whose scalars raise (rho, W_lam or a power overflows) is
+# left out before the arrays of that stage are built, and a point with a
+# group whose math.fsum raises is left out of the stages after it, so no
+# refused point's value enters a shared array.  Where warnings are
+# errors, a chunk whose arrays warn is evaluated point by point
+# (``_chunk_outcomes``).
 #
 # Every cell also carries the largest absolute summand that fed it, so the
 # returned magnitude bound is the exact maximum |term| over the fully
@@ -165,11 +177,7 @@ class _PsiPlan:
     p_pre: np.ndarray  # signed static prefix of each psi summand
     p_gather: np.ndarray  # its mixed cell
     p_starts: np.ndarray  # first summand of psi1 .. psi4
-
-    @property
-    def summands(self) -> int:
-        """The summands of the largest of a point's three stages."""
-        return max(len(self.b_coef), len(self.m_cell), len(self.p_pre))
+    summands: int  # the summands of the largest of a point's three stages
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
@@ -490,16 +498,19 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
         p_gather=_frozen(p_gather, np.intp),
         cell_level=_frozen(cells // (n_e * (w_max + 1)), np.intp),
         p_starts=_frozen(p_bounds[:-1], np.intp),
+        summands=int(max(b_bounds[-1], m_bounds[-1], p_bounds[-1])),
     )
 
 
 # Summands per stage of one chunk of a ``psi_sums`` call: 512 KiB per array
-# of the grouped sum.  A step of the ``capacity`` benchmark holds at most
+# of the grouped sum and of the joined plan.  A step of the ``capacity``
+# benchmark, one point per antenna triple, is one chunk of at most
 # 28 578, and one antenna triple of the default validation grid up to
 # 144 720 (so ``fig2-validate`` takes the cap); one (8, 8, 8) point holds
 # 1.4 M.  With per-triple batches uncapped, ``fig2-validate`` peaked 3.7 MB
 # higher (glibc keeps the freed megabyte arrays in its heap), and with the
-# cap 0.6 MB higher, than one point per call.
+# cap 0.6 MB higher, than one point per call; the joined plan's arrays,
+# of the same cap, left that peak within 0.1 MB.
 BATCH_SUMMANDS = 2**16
 
 
@@ -529,91 +540,260 @@ def lockstep(tasks, answer) -> list:
     return outcomes
 
 
-def _point_sums(n_a: int, plan: _PsiPlan, gamma_b, gamma_e, rate):
-    """One point of ``psi_sums`` as a ``lockstep`` task: per stage it yields
-    a ``[starts, terms]`` request and receives its group sums, and it
-    returns the four psi sums and the largest absolute summand.  It raises
-    ``OverflowError`` where rho, W_lam(phi) or a power overflows."""
-    gamma_b, gamma_e, rate = float(gamma_b), float(gamma_e), float(rate)
-    two_rs = 2.0**rate
-    rho = two_rs * gamma_e / gamma_b
-    if rho == math.inf:
-        raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
-    shift = 2.0 * (two_rs - 1.0) / gamma_b
-    decay = (two_rs - 1.0) / gamma_b
+class _Point:
+    """One point of a ``psi_sums`` chunk: its plan, rho, shift, decay and
+    the phi levels and their logs.  Each stage's scalars are set by its
+    method below, as the point reaches that stage.  Raises
+    ``OverflowError`` where rho overflows, or what ``float``, the float
+    arithmetic or ``math.log`` raise."""
 
-    phis = [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
-    log_phi = np.array(list(map(math.log, phis)))
-    exponent = plan.w_lgam - plan.w_lam_p1 * log_phi[plan.w_level]
-    w_lam = np.array(list(map(math.exp, exponent.tolist())))
-    phi_b = np.array(phis)[plan.w_level][plan.b_w]  # each summand's phi
-    terms = plan.b_lam_p1 / phi_b
-    np.subtract(plan.b_off, terms, out=terms)
-    terms *= w_lam[plan.b_w]
-    np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
-    terms *= plan.b_coef
-    mag = _group_max(np.abs(terms), plan.b_starts)
-    request = [plan.b_starts, terms]
-    # Each stage holds its summands only in its request, which the answer
-    # empties before it sums.
-    del phi_b, terms
-    sums = yield request
+    def __init__(self, index: int, plan: _PsiPlan, n_a: int, gamma_b, gamma_e, rate):
+        gamma_b, gamma_e, rate = float(gamma_b), float(gamma_e), float(rate)
+        two_rs = 2.0**rate
+        rho = two_rs * gamma_e / gamma_b
+        if rho == math.inf:
+            raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
+        self.index, self.plan, self.n_a, self.rho = index, plan, n_a, rho
+        self.shift = 2.0 * (two_rs - 1.0) / gamma_b
+        self.decay = (two_rs - 1.0) / gamma_b
+        self.phis = [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
+        self.log_phi = list(map(math.log, self.phis))
+        self.exponent: list = []  # lgamma(lam + 1) - (lam + 1) log phi per kept pair
 
-    rho_pow = np.array([rho**u for u in range(plan.n_pow)])
-    shift_pow = np.array([shift**k for k in range(plan.n_pow)])
-    coef = (rho_pow[plan.wu_u] * plan.wu_binom * shift_pow[plan.wu_k])[plan.m_wu]
-    request = [plan.m_starts, sums[plan.m_cell] * coef]
-    mag = _group_max(mag[plan.m_cell] * coef, plan.m_starts)
-    del coef
-    sums = yield request
+    def w_lams(self) -> None:
+        self.w_lam = list(map(math.exp, self.exponent))
 
-    level_efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
-    level_efac += [math.exp(-2.0 * decay)] * 2
-    outer = plan.p_pre * np.array(level_efac)[plan.cell_level][plan.p_gather]
-    request = [plan.p_starts, outer * sums[plan.p_gather]]
-    mag = float(np.fmax.reduce(np.abs(outer) * mag[plan.p_gather], initial=0.0))
-    del outer
-    sums = yield request
-    return (*sums.tolist(), mag)
+    def powers(self) -> None:
+        self.rho_pow = [self.rho**u for u in range(self.plan.n_pow)]
+        self.shift_pow = [self.shift**k for k in range(self.plan.n_pow)]
+
+    def efacs(self) -> None:
+        efac = [math.exp(-self.decay * (i + 2)) for i in range(self.n_a - 1)]
+        self.efac = efac + [math.exp(-2.0 * self.decay)] * 2
 
 
-def _stage_sums(requests: list) -> list:
-    """The group sums of each ``[starts, terms]`` request of one stage, from
-    one ``_group_sums`` call, or the exception of its first group, in group
-    order, whose ``math.fsum`` raises.  The terms are popped from the
-    requests first, so no task holds them during the call."""
-    offsets = list(accumulate((len(terms) for _, terms in requests), initial=0))
-    first = list(accumulate((len(starts) for starts, _ in requests), initial=0))
-    bounds = np.concatenate(
-        [*(starts + off for (starts, _), off in zip(requests, offsets)), offsets[-1:]]
-    )
-    terms = np.concatenate([request.pop() for request in requests])
-    sums, errors = _group_sums(terms, bounds)
-    answers = [sums[lo:hi] for lo, hi in zip(first, first[1:])]
-    for group, exc in reversed(errors.items()):  # a request's first group last
-        answers[bisect_right(first, group) - 1] = exc
-    return answers
+class _JoinedPlan:
+    """The plans of a chunk's points, joined.  Its summands lie in one row
+    per point when every point has the same plan, so that each coefficient
+    array of that plan broadcasts over the rows, and else in one row, the
+    plans laid end to end."""
+
+    def __init__(self, live: list):
+        self.plans = [point.plan for point in live]
+        self.same = all(plan is self.plans[0] for plan in self.plans)
+        self.rows = len(self.plans) if self.same else 1
+
+    def grid(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as the rows, for a coefficient array to broadcast over."""
+        return x.reshape(self.rows, -1) if self.rows > 1 else x
+
+    def sizes(self, field: str) -> list:
+        """The length of a plan array, per point."""
+        return [len(getattr(plan, field)) for plan in self.plans]
+
+    def coef(self, field: str) -> np.ndarray:
+        """A coefficient array: the one plan's, or the plans' end to end."""
+        if self.same:
+            return getattr(self.plans[0], field)
+        return np.concatenate([getattr(plan, field) for plan in self.plans])
+
+    def index(self, field: str, sizes) -> np.ndarray:
+        """An index array, flat: point k's entries index the k-th of tables
+        of the given sizes laid end to end, and are offset to index the
+        joined table.  ``sizes`` is a list, or the name of the plan array
+        that is the table.  A lone point's array is returned as it is, so
+        the result is only read."""
+        if len(self.plans) == 1:
+            return getattr(self.plans[0], field)
+        if isinstance(sizes, str):
+            sizes = self.sizes(sizes)
+        if self.same:
+            return np.add.outer(_firsts(sizes), getattr(self.plans[0], field)).ravel()
+        parts = [getattr(plan, field) for plan in self.plans]
+        joined = np.concatenate(parts)
+        joined += np.repeat(_firsts(sizes), [len(part) for part in parts])
+        return joined
+
+
+def _firsts(sizes) -> list:
+    """The first entry of each of consecutive ranges of the given sizes."""
+    return list(accumulate(sizes[:-1], initial=0))
+
+
+def _flat(tables) -> np.ndarray:
+    """Per-point lists of floats laid end to end."""
+    return np.fromiter(chain.from_iterable(tables), float)
+
+
+def _levels(live: list) -> list:
+    """The phi levels of each point."""
+    return [len(point.phis) for point in live]
+
+
+def _brackets(live: list, _sums, _mag) -> tuple:
+    """The bracket stage of a chunk: its summands, the first summand of
+    each group, each point's group count and each group's largest
+    absolute summand."""
+    plan = _JoinedPlan(live)
+    b_w = plan.index("b_w", "w_level")
+    phi = _flat(point.phis for point in live)
+    phi_b = phi[plan.index("w_level", _levels(live))][b_w]  # each summand's phi
+    terms = np.empty_like(phi_b)
+    grid = plan.grid(terms)
+    np.divide(plan.coef("b_lam_p1"), plan.grid(phi_b), out=grid)
+    np.subtract(plan.coef("b_off"), grid, out=grid)
+    terms *= _flat(point.w_lam for point in live)[b_w]
+    np.divide(-1.0, plan.grid(phi_b), out=grid, where=plan.coef("b_neg"))
+    grid *= plan.coef("b_coef")
+    starts = plan.index("b_starts", "b_coef")
+    return terms, starts, plan.sizes("b_starts"), _group_max(np.abs(terms), starts)
+
+
+def _mixed(live: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
+    """The mixed stage of a chunk, from the bracket sums and magnitudes
+    of its points; returns as ``_brackets`` does."""
+    plan = _JoinedPlan(live)
+    pows = [point.plan.n_pow for point in live]
+    coef = _flat(point.rho_pow for point in live)[plan.index("wu_u", pows)]
+    grid = plan.grid(coef)
+    np.multiply(grid, plan.coef("wu_binom"), out=grid)
+    coef *= _flat(point.shift_pow for point in live)[plan.index("wu_k", pows)]
+    coef = coef[plan.index("m_wu", "wu_u")]
+    cells = plan.index("m_cell", "b_starts")
+    terms = sums[cells]
+    terms *= coef
+    mag = mag[cells]
+    mag *= coef
+    starts = plan.index("m_starts", "m_cell")
+    return terms, starts, plan.sizes("m_starts"), _group_max(mag, starts)
+
+
+def _psis(live: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
+    """The psi stage of a chunk, from the mixed sums and magnitudes of its
+    points: each summand is its signed prefix times the efac of its mixed
+    cell's level times that cell's sum.  Returns as ``_brackets`` does,
+    but with each point's largest absolute summand, as a list."""
+    plan = _JoinedPlan(live)
+    gather = plan.index("p_gather", "m_starts")
+    efac = _flat(point.efac for point in live)
+    outer = efac[plan.index("cell_level", _levels(live))][gather]
+    grid = plan.grid(outer)
+    np.multiply(grid, plan.coef("p_pre"), out=grid)
+    terms = sums[gather]
+    terms *= outer
+    sizes = plan.sizes("p_pre")
+    starts = plan.index("p_starts", sizes)
+    mag = mag[gather]
+    mag *= np.abs(outer, out=outer)
+    return terms, starts, [4] * len(live), _group_max(mag, _firsts(sizes)).tolist()
+
+
+# Each stage: the per-point scalars it reads, then its summands.
+_STAGES = ((_Point.w_lams, _brackets), (_Point.powers, _mixed), (_Point.efacs, _psis))
+
+
+def _summed_stage(terms: np.ndarray, starts: np.ndarray, groups) -> tuple[np.ndarray, dict]:
+    """The group sums of one stage of a chunk, from one ``_group_sums``
+    call: group g is ``terms[starts[g]:starts[g + 1]]``, the last one
+    running to the end, and the points own ``groups[0]``, ``groups[1]``,
+    ... consecutive groups.  Returns the sums and a dict from each point
+    that owns a group whose ``math.fsum`` raises to the exception of its
+    first such group, in group order."""
+    sums, errors = _group_sums(terms, np.concatenate((starts, [len(terms)])))
+    failed: dict = {}
+    if errors:
+        ends = list(accumulate(groups))
+        for group, exc in errors.items():  # ascending, so a point's first group
+            failed.setdefault(bisect_right(ends, group), exc)
+    return sums, failed
+
+
+def _chunk_sums(chunk: list, outcomes: list) -> None:
+    """Evaluate one chunk of ``psi_sums``, its ``(index, point, plan)``
+    entries, into ``outcomes``.  Each stage sets the scalars of each point
+    still running, leaves out each point whose scalars raised or whose
+    last stage had a group whose ``math.fsum`` raised (its outcome is that
+    exception), then forms the summands of the points left in one set of
+    numpy operations over their joined plan, and sums them in one
+    ``_summed_stage`` call."""
+    live = []
+    for index, (n_a, _, _, gamma_b, gamma_e, rate), plan in chunk:
+        try:
+            live.append(_Point(index, plan, n_a, gamma_b, gamma_e, rate))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            outcomes[index] = exc
+    if not live:
+        return
+    plan = _JoinedPlan(live)
+    log_phi = _flat(point.log_phi for point in live)
+    log_phi = plan.grid(log_phi[plan.index("w_level", _levels(live))])
+    exponent = plan.coef("w_lgam") - plan.coef("w_lam_p1") * log_phi
+    exponent = exponent.ravel().tolist()
+    for point, first in zip(live, _firsts(plan.sizes("w_level"))):
+        point.exponent = exponent[first : first + len(point.plan.w_level)]
+
+    sums = mag = np.zeros(0)  # no stage before the first: no rows yet
+    failed, groups = {}, [0] * len(live)
+    for scalars, stage in _STAGES:
+        for k, point in enumerate(live):
+            if k not in failed:
+                try:
+                    scalars(point)
+                except ArithmeticError as exc:
+                    failed[k] = exc
+        # Leave out the failed points, with their rows of sums and mag.
+        for k, exc in failed.items():
+            outcomes[live[k].index] = exc
+        if failed:
+            kept = [k not in failed for k in range(len(live))]
+            rows = np.repeat(kept, groups)
+            live = [point for point, keep in zip(live, kept) if keep]
+            sums, mag = sums[rows], mag[rows]
+        if not live:
+            return
+        terms, starts, groups, mag = stage(live, sums, mag)
+        sums, failed = _summed_stage(terms, starts, groups)
+        del terms, starts
+    sums = sums.tolist()
+    for k, point in enumerate(live):
+        outcomes[point.index] = failed.get(k, (*sums[4 * k : 4 * k + 4], mag[k]))
+
+
+def _chunk_outcomes(chunk: list, outcomes: list) -> None:
+    """``_chunk_sums``, where warnings are errors too: a warning that a
+    chunk's arrays raise is the outcome of the points that raise it alone,
+    so the chunk is then evaluated point by point."""
+    try:
+        _chunk_sums(chunk, outcomes)
+    except Warning as exc:
+        if len(chunk) == 1:
+            outcomes[chunk[0][0]] = exc
+            return
+        for entry in chunk:
+            _chunk_outcomes([entry], outcomes)
 
 
 def psi_sums(points) -> list:
     """Evaluate the four nested sums of the outage expression at many points.
 
     ``points`` holds ``(n_a, n_b, n_e, gamma_b, gamma_e, rate)`` tuples of
-    any antenna triples.  Each point is a ``_point_sums`` task against its
-    triple's cached plan, and ``lockstep`` steps the tasks through the
-    three stages with ``_stage_sums``.  Points are taken in antenna-triple
-    order, so a call builds each plan at most once, in consecutive chunks
-    of at most ``BATCH_SUMMANDS`` summands per stage (a point larger than
-    that alone), one ``lockstep`` run each, which bounds the memory of a
-    call as ``montecarlo.BLOCK_SIZE`` bounds a draw.  Returns one outcome
-    per point, in order: the four signed sums plus the largest absolute
-    summand across all of them (for the cancellation diagnostic), or the
-    exception that the point's evaluation raised.  A point's outcome does
-    not depend on the other points of the call.
+    any antenna triples.  Points are taken in antenna-triple order, so a
+    call builds each plan at most once, in consecutive chunks of at most
+    ``BATCH_SUMMANDS`` summands per stage (a point larger than that alone),
+    which bounds the memory of a call as ``montecarlo.BLOCK_SIZE`` bounds a
+    draw.  Each chunk is evaluated against the joined plan of its points
+    (``_chunk_outcomes``).  Returns one outcome per point, in order: the four
+    signed sums plus the largest absolute summand across all of them (for
+    the cancellation diagnostic), or the exception that the point's
+    evaluation raised.  A point's outcome does not depend on the other
+    points of the call.
 
     An overflow in the sums makes a point's outcome ``OverflowError`` (rho
-    itself, before any array, W_lam(phi) or a power) or what
-    ``math.fsum`` raises there (``OverflowError`` or ``ValueError``).
+    itself, W_lam(phi) or a power, each left out before the arrays of its
+    stage are built) or what ``math.fsum`` raises there (``OverflowError``
+    or ``ValueError``, the first failing group in stage order).  Where
+    warnings are errors, a point whose arrays raise a ``RuntimeWarning``
+    alone has that warning as its outcome.
 
     Raises
     ------
@@ -625,15 +805,15 @@ def psi_sums(points) -> list:
             raise ValueError(
                 f"psi_sums needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
             )
-    outcomes: dict = {}
-    chunk, size = {}, 0
+    outcomes: list = [None] * len(points)
+    chunks, size = [[]], 0
     for index in sorted(range(len(points)), key=lambda index: tuple(points[index][:3])):
-        n_a, n_b, n_e, gamma_b, gamma_e, rate = points[index]
-        plan = _psi_plan(n_a, n_b, n_e)
-        if chunk and size + plan.summands > BATCH_SUMMANDS:
-            outcomes.update(zip(chunk, lockstep(chunk.values(), _stage_sums)))
-            chunk, size = {}, 0
-        chunk[index] = _point_sums(n_a, plan, gamma_b, gamma_e, rate)
+        plan = _psi_plan(*points[index][:3])
+        if chunks[-1] and size + plan.summands > BATCH_SUMMANDS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append((index, points[index], plan))
         size += plan.summands
-    outcomes.update(zip(chunk, lockstep(chunk.values(), _stage_sums)))
-    return [outcomes[index] for index in range(len(points))]
+    for chunk in chunks:
+        _chunk_outcomes(chunk, outcomes)
+    return outcomes

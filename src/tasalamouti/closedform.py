@@ -29,11 +29,10 @@ lower rate within it and a probe beyond puts every higher rate beyond,
 so the answer is bisection's, bit for bit.  A tolerance that bisection
 could not reach is refused as soon as the doubling rates decide it,
 before any probe inside the bracket it refuses.  The search is a
-generator of its probes, and ``_kernels.lockstep``, which also steps the
-points of ``psi_sums``, steps any number of searches side by side, with
-one ``outage_breakdowns`` call per step for the next probe of every
-search still running: ``eps_outage_capacities`` runs many searches and
-``eps_outage_capacity`` is its batch of one.
+generator of its probes, and ``_kernels.lockstep`` steps any number of
+searches side by side, with one ``outage_breakdowns`` call per step for
+the next probe of every search still running: ``eps_outage_capacities``
+runs many searches and ``eps_outage_capacity`` is its batch of one.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import math
+import warnings
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -264,7 +265,9 @@ PSI_DIGEST = "aaf8335ef178b76c82beedf3429a7150c8ed25abe56d1cb55aafc26febb02cba"
 # loop-built plan and refrozen when the per-group slices were dropped:
 # the digest of the plans before that change, over the fields kept, with
 # p_starts = [s.start for s in p_slices] as intp in p_slices' place.
-PLAN_DIGEST = "59675f3e70671a3e249f31358c90b81810b607ae4a606c4f26ac3536a9c7b6b7"
+# Refrozen again when summands became a field: the plans before that
+# change, hashed with the summands property as a last field, give it too.
+PLAN_DIGEST = "cda3af7308e6bafd1fd8ae6e25da495dd81f44a21e16c7121674c8a08f0df411"
 
 
 class TestExpansionCoeffs:
@@ -494,21 +497,18 @@ class TestGroupSums:
         assert _kernels._group_sums(np.zeros(0), np.zeros(1, np.intp))[0].shape == (0,)
 
     def test_a_stage_request_gets_its_first_failing_group(self):
-        # Three requests of one stage: one whose first group raises
-        # ValueError and second OverflowError, one whose groups sum, and
-        # one whose second group overflows.  Each request's terms are
-        # popped before the grouped sum.
-        starts = np.array([0, 2], np.intp)
-        requests = [
-            [starts, np.array([math.inf, -math.inf, 1e308, 1e308])],
-            [starts, np.array([1.0, 2.0, 0.5, 0.25])],
-            [starts, np.array([1.0, 2.0, 1e308, 1e308])],
-        ]
-        failed, summed, overflowed = _kernels._stage_sums(requests)
-        assert all(len(request) == 1 for request in requests)
-        assert isinstance(failed, ValueError)
-        assert summed.tolist() == [3.0, 0.75]
-        assert isinstance(overflowed, OverflowError)
+        # Three points of one stage, two groups each: one whose first group
+        # raises ValueError and second OverflowError, one whose groups sum,
+        # and one whose second group overflows.
+        terms = np.array(
+            [math.inf, -math.inf, 1e308, 1e308, 1.0, 2.0, 0.5, 0.25, 1.0, 2.0, 1e308, 1e308]
+        )
+        starts = np.arange(0, 12, 2)
+        sums, failed = _kernels._summed_stage(terms, starts, [2, 2, 2])
+        assert sorted(failed) == [0, 2]
+        assert isinstance(failed[0], ValueError)
+        assert sums[2:4].tolist() == [3.0, 0.75]
+        assert isinstance(failed[2], OverflowError)
 
 
 def kernel_outcome(outcome):
@@ -535,6 +535,31 @@ def random_kernel_points(n_points, seed):
     # Points whose sums overflow: rho itself, and a power of rho.
     points += [(2, 1, 1, 1.0, 1.7e308, 0.5), (3, 2, 2, 1e-300, 1e-30, 0.0), (3, 2, 2, 1e-155, 1.0, 0.0)]
     return points
+
+
+# Points that psi_sums refuses, with the exception each gets alone, by the
+# step that raises it: rho, W_lam(phi) (phi = 1 + rho = 2**-53, and
+# lgamma(172) beyond the largest float's log at phi = 1), a power of rho,
+# and a mixed group whose math.fsum meets -inf and +inf (shift = inf).
+RHO = "OverflowError: rho = 2^rate gamma_e / gamma_b overflowed"
+EXP = "OverflowError: math range error"
+POWER = "OverflowError: (34, 'Numerical result out of range')"
+FSUM = "ValueError: -inf + inf in fsum"
+REFUSED_ONE_TRIPLE = [
+    ((2, 8, 8, 1.0, 1.7e308, 0.5), RHO),
+    ((2, 8, 8, 1.0, -0.9999999999999999, 0.0), EXP),
+    ((2, 8, 8, 1e-15, 1e8, 3.0), POWER),
+    ((2, 8, 8, 1e-323, 1e-320, 1.0), FSUM),
+]
+REFUSED_TRIPLES = [
+    ((2, 2, 1, 1.0, 1.7e308, 0.5), RHO),
+    ((2, 86, 1, 1.0, 1e-300, 0.0), EXP),
+    ((2, 2, 1, 1e-323, 1e-221, 3.0), POWER),
+    ((2, 2, 1, 1e-323, 1e-293, 3.0), FSUM),
+]
+# Points whose psi summands multiply inf by 0, one per triple.
+WARNED = [(2, 8, 8, 6.389220042755235e-309, 1.000743382297e-311, 6.8)]
+WARNED += [(2, 2, 1, 7.3354351998337e-311, 6.268839635656988e-236, 8.5)]
 
 
 class TestBatchedKernel:
@@ -565,6 +590,60 @@ class TestBatchedKernel:
         assert _kernels._psi_plan.cache_info().misses == len(triples)
         alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
         assert batched == alone
+
+    def test_one_triple_chunks_give_each_point_its_batch_of_one(self):
+        # Calls of one antenna triple each, as validate makes them: every
+        # chunk's points share one plan; (6, 3, 3) spans three chunks.
+        rng = np.random.default_rng(7)
+        for triple in [(2, 1, 1), (4, 3, 2), (6, 3, 3), (8, 3, 3)]:
+            gb, ge = 10.0 ** (rng.uniform((-10.0, -10.0), (40.0, 20.0), (30, 2)) / 10.0).T
+            points = [(*triple, b, e, r) for b, e, r in zip(gb, ge, rng.uniform(0.0, 4.0, 30))]
+            batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
+            alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
+            assert batched == alone
+
+    @pytest.mark.parametrize("refused", [REFUSED_ONE_TRIPLE, REFUSED_TRIPLES], ids=["one", "several"])
+    def test_refused_points_leave_their_chunk_unchanged(self, refused, monkeypatch):
+        # One chunk, of one antenna triple or several, with each refused
+        # point between good ones, evaluated as one chunk: no RuntimeWarning
+        # may send it point by point.
+        good = [(2, 8, 8, 10.0, 1.0, 1.0), (2, 8, 8, 100.0, 3.0, 2.0), (2, 8, 8, 1.0, 1.0, 0.0)]
+        if refused is REFUSED_TRIPLES:
+            good += [(2, 2, 1, 10.0, 1.0, 1.0), (4, 3, 2, 31.6, 1.0, 0.5), (3, 2, 2, 2.0, 5.0, 0.0)]
+        points = [good[0]]
+        for k, (point, _) in enumerate(refused):
+            points += [point, good[(k + 1) % len(good)]]
+        points += good[len(refused) + 1 :]
+        summands = sum(_kernels._psi_plan(*point[:3]).summands for point in points)
+        assert summands <= _kernels.BATCH_SUMMANDS
+        chunks = []
+        chunk_sums = _kernels._chunk_sums
+        monkeypatch.setattr(_kernels, "_chunk_sums", lambda *a: chunks.append(chunk_sums(*a)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
+            assert len(chunks) == 1
+            alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
+        assert batched == alone
+        assert [o for o in batched if isinstance(o, str)] == [text for _, text in refused]
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_a_warned_point_keeps_its_batch_of_one(self, action):
+        # With warnings as errors a point whose arrays warn gets the warning
+        # as its outcome, and the other points of its chunk their values;
+        # otherwise its sums are NaN, in one chunk with the others.
+        good = [(2, 8, 8, 10.0, 1.0, 1.0), (2, 2, 1, 10.0, 1.0, 1.0), (4, 3, 2, 31.6, 1.0, 0.5)]
+        points = [good[0], WARNED[0], good[1], WARNED[1], good[2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
+            alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
+        assert batched == alone
+        warned = [batched[1], batched[3]]
+        if action == "error":
+            assert warned == ["RuntimeWarning: invalid value encountered in multiply"] * 2
+        else:
+            assert all(o[0] == float("nan").hex() for o in warned)
 
     def test_empty_call(self):
         assert _kernels.psi_sums([]) == []
