@@ -15,7 +15,6 @@ outputs on every run, whatever points share a call.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -142,12 +141,10 @@ def snr_components(bob_norms: np.ndarray):
 # of elementwise numpy operations over the chunk, with each summand's
 # operands and order as for its point alone, and one ``_group_sums``
 # call, and a point's value does not depend on the points it is batched
-# with.  A point whose scalars raise (rho, W_lam or a power overflows) is
-# left out before the arrays of that stage are built, and a point with a
-# group whose math.fsum raises is left out of the stages after it, so no
-# refused point's value enters a shared array.  Where warnings are
-# errors, a chunk whose arrays warn is evaluated point by point
-# (``_chunk_outcomes``).
+# with.  Nothing raises: a scalar that overflows (rho, W_lam or a power)
+# is inf, a group whose math.fsum raises is NaN, and the stages run under
+# np.errstate(all="ignore"), so an overflow only makes its own point's
+# sums not finite, under any warnings filter, for the caller to refuse.
 #
 # Every cell also carries the largest absolute summand that fed it, so the
 # returned magnitude bound is the exact maximum |term| over the fully
@@ -186,17 +183,15 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
     return frozen
 
 
-def _group_sums(x: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, dict]:
+def _group_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The sum of each group of summands, rounded once from its exact value.
 
     Group g is ``x[bounds[g]:bounds[g + 1]]``, and ``bounds[-1] == len(x)``;
-    an empty group sums to 0.0.  Returns the sums and a dict
-    from each group whose ``math.fsum`` raises (``OverflowError`` or
-    ``ValueError``) to that exception, in ascending group order; such a
-    group's sum is NaN.
+    an empty group sums to 0.0, and a group whose ``math.fsum`` raises
+    (``OverflowError`` or ``ValueError``) to NaN.
 
-    Every sum is ``math.fsum``'s, bit for bit, by the argument below; no
-    tolerance enters it.  A group is summed by error-free extraction
+    Every other sum is ``math.fsum``'s, bit for bit, by the argument
+    below; no tolerance enters it.  A group is summed by error-free extraction
     (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008) and the
     result is certified; a group that the certificate does not cover is
     summed by ``math.fsum`` itself.  Let the call hold N summands in all,
@@ -251,13 +246,12 @@ def _group_sums(x: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, dict]:
        overflowed.  An infinite or NaN summand makes A infinite or NaN,
        which fails the certificate.  All other groups, those of zeros,
        of infinities or NaNs, of huge or tiny magnitudes, and near-ties
-       of the rounding, go to ``math.fsum``, so they raise what it
+       of the rounding, go to ``math.fsum``, so they are NaN where it
        raises.
     """
     n = bounds[1:] - bounds[:-1]
-    errors: dict = {}
     if not len(n):
-        return np.zeros(0), errors
+        return np.zeros(0)
     at = bounds[:-1]
     # A trailing 0.0 keeps the start of an empty last group inside the
     # array; it joins the last group and adds nothing to it.  The sums
@@ -304,10 +298,9 @@ def _group_sums(x: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, dict]:
     for g in np.logical_not(certified).nonzero()[0].tolist():
         try:
             f[g] = math.fsum(summands[bounds[g] : bounds[g + 1]])
-        except (OverflowError, ValueError) as exc:
+        except (OverflowError, ValueError):
             f[g] = math.nan
-            errors[g] = exc
-    return f, errors
+    return f
 
 
 _ZERO = np.zeros(1)
@@ -540,36 +533,41 @@ def lockstep(tasks, answer) -> list:
     return outcomes
 
 
-class _Point:
-    """One point of a ``psi_sums`` chunk: its plan, rho, shift, decay and
-    the phi levels and their logs.  Each stage's scalars are set by its
-    method below, as the point reaches that stage.  Raises
-    ``OverflowError`` where rho overflows, or what ``float``, the float
-    arithmetic or ``math.log`` raise."""
+def _exp(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    def __init__(self, index: int, plan: _PsiPlan, n_a: int, gamma_b, gamma_e, rate):
+
+def _power(x: float, n) -> float:
+    """x ** n for x >= 0, or inf where it overflows."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+class _Point:
+    """The scalars of one point of a ``psi_sums`` chunk: its plan, the phi
+    levels and their logs, the rho^u and shift^k powers and the efac of
+    each level, from rho, shift and decay.  A scalar that overflows is
+    inf; the sums it enters are then not finite."""
+
+    def __init__(self, plan: _PsiPlan, n_a: int, gamma_b, gamma_e, rate):
         gamma_b, gamma_e, rate = float(gamma_b), float(gamma_e), float(rate)
-        two_rs = 2.0**rate
+        two_rs = _power(2.0, rate)
         rho = two_rs * gamma_e / gamma_b
-        if rho == math.inf:
-            raise OverflowError("rho = 2^rate gamma_e / gamma_b overflowed")
-        self.index, self.plan, self.n_a, self.rho = index, plan, n_a, rho
-        self.shift = 2.0 * (two_rs - 1.0) / gamma_b
-        self.decay = (two_rs - 1.0) / gamma_b
+        shift = 2.0 * (two_rs - 1.0) / gamma_b
+        decay = (two_rs - 1.0) / gamma_b
+        self.plan = plan
         self.phis = [1.0 + rho * (i + 2) / 2.0 for i in range(n_a - 1)] + [1.0 + rho] * 2
         self.log_phi = list(map(math.log, self.phis))
-        self.exponent: list = []  # lgamma(lam + 1) - (lam + 1) log phi per kept pair
-
-    def w_lams(self) -> None:
-        self.w_lam = list(map(math.exp, self.exponent))
-
-    def powers(self) -> None:
-        self.rho_pow = [self.rho**u for u in range(self.plan.n_pow)]
-        self.shift_pow = [self.shift**k for k in range(self.plan.n_pow)]
-
-    def efacs(self) -> None:
-        efac = [math.exp(-self.decay * (i + 2)) for i in range(self.n_a - 1)]
-        self.efac = efac + [math.exp(-2.0 * self.decay)] * 2
+        self.rho_pow = [_power(rho, u) for u in range(plan.n_pow)]
+        self.shift_pow = [_power(shift, k) for k in range(plan.n_pow)]
+        efac = [math.exp(-decay * (i + 2)) for i in range(n_a - 1)]
+        self.efac = efac + [math.exp(-2.0 * decay)] * 2
 
 
 class _JoinedPlan:
@@ -578,8 +576,8 @@ class _JoinedPlan:
     array of that plan broadcasts over the rows, and else in one row, the
     plans laid end to end."""
 
-    def __init__(self, live: list):
-        self.plans = [point.plan for point in live]
+    def __init__(self, points: list):
+        self.plans = [point.plan for point in points]
         self.same = all(plan is self.plans[0] for plan in self.plans)
         self.rows = len(self.plans) if self.same else 1
 
@@ -625,39 +623,39 @@ def _flat(tables) -> np.ndarray:
     return np.fromiter(chain.from_iterable(tables), float)
 
 
-def _levels(live: list) -> list:
+def _levels(points: list) -> list:
     """The phi levels of each point."""
-    return [len(point.phis) for point in live]
+    return [len(point.phis) for point in points]
 
 
-def _brackets(live: list, _sums, _mag) -> tuple:
+def _brackets(plan: _JoinedPlan, points: list, _sums, _mag) -> tuple:
     """The bracket stage of a chunk: its summands, the first summand of
-    each group, each point's group count and each group's largest
-    absolute summand."""
-    plan = _JoinedPlan(live)
+    each group and each group's largest absolute summand."""
+    levels = plan.index("w_level", _levels(points))
+    log_phi = plan.grid(_flat(point.log_phi for point in points)[levels])
+    exponent = plan.coef("w_lgam") - plan.coef("w_lam_p1") * log_phi
+    w_lam = np.fromiter(map(_exp, exponent.ravel().tolist()), float)
     b_w = plan.index("b_w", "w_level")
-    phi = _flat(point.phis for point in live)
-    phi_b = phi[plan.index("w_level", _levels(live))][b_w]  # each summand's phi
+    phi_b = _flat(point.phis for point in points)[levels][b_w]  # each summand's phi
     terms = np.empty_like(phi_b)
     grid = plan.grid(terms)
     np.divide(plan.coef("b_lam_p1"), plan.grid(phi_b), out=grid)
     np.subtract(plan.coef("b_off"), grid, out=grid)
-    terms *= _flat(point.w_lam for point in live)[b_w]
+    terms *= w_lam[b_w]
     np.divide(-1.0, plan.grid(phi_b), out=grid, where=plan.coef("b_neg"))
     grid *= plan.coef("b_coef")
     starts = plan.index("b_starts", "b_coef")
-    return terms, starts, plan.sizes("b_starts"), _group_max(np.abs(terms), starts)
+    return terms, starts, _group_max(np.abs(terms), starts)
 
 
-def _mixed(live: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
+def _mixed(plan: _JoinedPlan, points: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
     """The mixed stage of a chunk, from the bracket sums and magnitudes
     of its points; returns as ``_brackets`` does."""
-    plan = _JoinedPlan(live)
-    pows = [point.plan.n_pow for point in live]
-    coef = _flat(point.rho_pow for point in live)[plan.index("wu_u", pows)]
+    pows = [point.plan.n_pow for point in points]
+    coef = _flat(point.rho_pow for point in points)[plan.index("wu_u", pows)]
     grid = plan.grid(coef)
     np.multiply(grid, plan.coef("wu_binom"), out=grid)
-    coef *= _flat(point.shift_pow for point in live)[plan.index("wu_k", pows)]
+    coef *= _flat(point.shift_pow for point in points)[plan.index("wu_k", pows)]
     coef = coef[plan.index("m_wu", "wu_u")]
     cells = plan.index("m_cell", "b_starts")
     terms = sums[cells]
@@ -665,18 +663,17 @@ def _mixed(live: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
     mag = mag[cells]
     mag *= coef
     starts = plan.index("m_starts", "m_cell")
-    return terms, starts, plan.sizes("m_starts"), _group_max(mag, starts)
+    return terms, starts, _group_max(mag, starts)
 
 
-def _psis(live: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
+def _psis(plan: _JoinedPlan, points: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
     """The psi stage of a chunk, from the mixed sums and magnitudes of its
     points: each summand is its signed prefix times the efac of its mixed
     cell's level times that cell's sum.  Returns as ``_brackets`` does,
     but with each point's largest absolute summand, as a list."""
-    plan = _JoinedPlan(live)
     gather = plan.index("p_gather", "m_starts")
-    efac = _flat(point.efac for point in live)
-    outer = efac[plan.index("cell_level", _levels(live))][gather]
+    efac = _flat(point.efac for point in points)
+    outer = efac[plan.index("cell_level", _levels(points))][gather]
     grid = plan.grid(outer)
     np.multiply(grid, plan.coef("p_pre"), out=grid)
     terms = sums[gather]
@@ -685,92 +682,30 @@ def _psis(live: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
     starts = plan.index("p_starts", sizes)
     mag = mag[gather]
     mag *= np.abs(outer, out=outer)
-    return terms, starts, [4] * len(live), _group_max(mag, _firsts(sizes)).tolist()
-
-
-# Each stage: the per-point scalars it reads, then its summands.
-_STAGES = ((_Point.w_lams, _brackets), (_Point.powers, _mixed), (_Point.efacs, _psis))
-
-
-def _summed_stage(terms: np.ndarray, starts: np.ndarray, groups) -> tuple[np.ndarray, dict]:
-    """The group sums of one stage of a chunk, from one ``_group_sums``
-    call: group g is ``terms[starts[g]:starts[g + 1]]``, the last one
-    running to the end, and the points own ``groups[0]``, ``groups[1]``,
-    ... consecutive groups.  Returns the sums and a dict from each point
-    that owns a group whose ``math.fsum`` raises to the exception of its
-    first such group, in group order."""
-    sums, errors = _group_sums(terms, np.concatenate((starts, [len(terms)])))
-    failed: dict = {}
-    if errors:
-        ends = list(accumulate(groups))
-        for group, exc in errors.items():  # ascending, so a point's first group
-            failed.setdefault(bisect_right(ends, group), exc)
-    return sums, failed
+    return terms, starts, _group_max(mag, _firsts(sizes)).tolist()
 
 
 def _chunk_sums(chunk: list, outcomes: list) -> None:
     """Evaluate one chunk of ``psi_sums``, its ``(index, point, plan)``
-    entries, into ``outcomes``.  Each stage sets the scalars of each point
-    still running, leaves out each point whose scalars raised or whose
-    last stage had a group whose ``math.fsum`` raised (its outcome is that
-    exception), then forms the summands of the points left in one set of
-    numpy operations over their joined plan, and sums them in one
-    ``_summed_stage`` call."""
-    live = []
-    for index, (n_a, _, _, gamma_b, gamma_e, rate), plan in chunk:
-        try:
-            live.append(_Point(index, plan, n_a, gamma_b, gamma_e, rate))
-        except (ArithmeticError, TypeError, ValueError) as exc:
-            outcomes[index] = exc
-    if not live:
-        return
-    plan = _JoinedPlan(live)
-    log_phi = _flat(point.log_phi for point in live)
-    log_phi = plan.grid(log_phi[plan.index("w_level", _levels(live))])
-    exponent = plan.coef("w_lgam") - plan.coef("w_lam_p1") * log_phi
-    exponent = exponent.ravel().tolist()
-    for point, first in zip(live, _firsts(plan.sizes("w_level"))):
-        point.exponent = exponent[first : first + len(point.plan.w_level)]
-
-    sums = mag = np.zeros(0)  # no stage before the first: no rows yet
-    failed, groups = {}, [0] * len(live)
-    for scalars, stage in _STAGES:
-        for k, point in enumerate(live):
-            if k not in failed:
-                try:
-                    scalars(point)
-                except ArithmeticError as exc:
-                    failed[k] = exc
-        # Leave out the failed points, with their rows of sums and mag.
-        for k, exc in failed.items():
-            outcomes[live[k].index] = exc
-        if failed:
-            kept = [k not in failed for k in range(len(live))]
-            rows = np.repeat(kept, groups)
-            live = [point for point, keep in zip(live, kept) if keep]
-            sums, mag = sums[rows], mag[rows]
-        if not live:
-            return
-        terms, starts, groups, mag = stage(live, sums, mag)
-        sums, failed = _summed_stage(terms, starts, groups)
-        del terms, starts
+    entries, into ``outcomes``.  Each stage forms the summands of every
+    point in one set of numpy operations over their joined plan and sums
+    them in one ``_group_sums`` call.  The stages run with every numpy
+    floating-point error ignored: an overflow makes a point's own sums
+    not finite, and no other point's."""
+    points = [
+        _Point(plan, n_a, gamma_b, gamma_e, rate)
+        for _, (n_a, _, _, gamma_b, gamma_e, rate), plan in chunk
+    ]
+    plan = _JoinedPlan(points)
+    sums = mag = None
+    with np.errstate(all="ignore"):
+        for stage in (_brackets, _mixed, _psis):
+            terms, starts, mag = stage(plan, points, sums, mag)
+            sums = _group_sums(terms, np.append(starts, len(terms)))
+            del terms, starts
     sums = sums.tolist()
-    for k, point in enumerate(live):
-        outcomes[point.index] = failed.get(k, (*sums[4 * k : 4 * k + 4], mag[k]))
-
-
-def _chunk_outcomes(chunk: list, outcomes: list) -> None:
-    """``_chunk_sums``, where warnings are errors too: a warning that a
-    chunk's arrays raise is the outcome of the points that raise it alone,
-    so the chunk is then evaluated point by point."""
-    try:
-        _chunk_sums(chunk, outcomes)
-    except Warning as exc:
-        if len(chunk) == 1:
-            outcomes[chunk[0][0]] = exc
-            return
-        for entry in chunk:
-            _chunk_outcomes([entry], outcomes)
+    for k, (index, _, _) in enumerate(chunk):
+        outcomes[index] = (*sums[4 * k : 4 * k + 4], mag[k])
 
 
 def psi_sums(points) -> list:
@@ -782,38 +717,40 @@ def psi_sums(points) -> list:
     ``BATCH_SUMMANDS`` summands per stage (a point larger than that alone),
     which bounds the memory of a call as ``montecarlo.BLOCK_SIZE`` bounds a
     draw.  Each chunk is evaluated against the joined plan of its points
-    (``_chunk_outcomes``).  Returns one outcome per point, in order: the four
+    (``_chunk_sums``).  Returns one tuple per point, in order: the four
     signed sums plus the largest absolute summand across all of them (for
-    the cancellation diagnostic), or the exception that the point's
-    evaluation raised.  A point's outcome does not depend on the other
-    points of the call.
+    the cancellation diagnostic).  A point's sums do not depend on the
+    other points of the call, nor on the warnings filter.
 
-    An overflow in the sums makes a point's outcome ``OverflowError`` (rho
-    itself, W_lam(phi) or a power, each left out before the arrays of its
-    stage are built) or what ``math.fsum`` raises there (``OverflowError``
-    or ``ValueError``, the first failing group in stage order).  Where
-    warnings are errors, a point whose arrays raise a ``RuntimeWarning``
-    alone has that warning as its outcome.
+    Nothing in the sums raises or warns: where rho, W_lam(phi), a power or
+    a grouped sum overflows, the point's sums are not finite (inf or NaN),
+    and the caller refuses them.
 
     Raises
     ------
     ValueError
-        If any point has ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``.
+        If any point has ``n_a < 2``, ``n_b < 1`` or ``n_e < 1``, an SNR
+        that is not finite and > 0, or a rate that is not finite and >= 0.
     """
-    for n_a, n_b, n_e, *_ in points:
+    for n_a, n_b, n_e, gamma_b, gamma_e, rate in points:
         if n_a < 2 or n_b < 1 or n_e < 1:
             raise ValueError(
                 f"psi_sums needs n_a >= 2 and n_b, n_e >= 1, got ({n_a}, {n_b}, {n_e})"
             )
+        if not (0.0 < gamma_b < math.inf and 0.0 < gamma_e < math.inf and 0.0 <= rate < math.inf):
+            raise ValueError(
+                "psi_sums needs finite SNRs > 0 and a finite rate >= 0, "
+                f"got ({gamma_b!r}, {gamma_e!r}, {rate!r})"
+            )
     outcomes: list = [None] * len(points)
-    chunks, size = [[]], 0
+    chunks, size = [], 0
     for index in sorted(range(len(points)), key=lambda index: tuple(points[index][:3])):
         plan = _psi_plan(*points[index][:3])
-        if chunks[-1] and size + plan.summands > BATCH_SUMMANDS:
+        if not chunks or size + plan.summands > BATCH_SUMMANDS:
             chunks.append([])
             size = 0
         chunks[-1].append((index, points[index], plan))
         size += plan.summands
     for chunk in chunks:
-        _chunk_outcomes(chunk, outcomes)
+        _chunk_sums(chunk, outcomes)
     return outcomes

@@ -118,10 +118,6 @@ def _rate_underflows(config: SystemConfig, rate: float) -> bool:
     return shift >= _UNDERFLOW_EXP
 
 
-def _overflowed(config: SystemConfig, rate: float) -> PrecisionExhaustedError:
-    return PrecisionExhaustedError(f"nested sums overflowed for {config} at rate {rate}")
-
-
 def _prefactor(config: SystemConfig) -> float:
     return (
         config.n_alice
@@ -133,10 +129,11 @@ def _prefactor(config: SystemConfig) -> float:
 def _assembled(
     config: SystemConfig, rate: float, sums: tuple[float, float, float, float, float]
 ) -> OutageBreakdown:
-    """The breakdown of one point from its nested sums; raises its refusal."""
+    """The breakdown of one point from its nested sums; raises its refusal.
+    Sums that are not finite are the kernel's one sign of an overflow."""
     p1, p2, p3, p4, mag = sums
     if not all(map(math.isfinite, sums)):
-        raise _overflowed(config, rate)
+        raise PrecisionExhaustedError(f"nested sums overflowed for {config} at rate {rate}")
     prefactor = _prefactor(config)
     bracket = (p1 - p2) + (p3 - p4)
     raw = 1.0 - prefactor * bracket
@@ -170,10 +167,11 @@ def outage_breakdowns(points: Sequence[tuple[SystemConfig, float]]) -> list:
 
     ``points`` holds ``(config, rate)`` pairs of any systems.  Every point
     whose inputs pass and whose rate does not underflow is evaluated in
-    one ``_kernels.psi_sums`` call.  Returns, per point and in order, its
-    ``OutageBreakdown`` or the exception that ``outage_breakdown`` raises
-    for it alone, with the same type and text; a point's outcome does not
-    depend on the others.
+    one ``_kernels.psi_sums`` call, and ``_assembled`` refuses a point
+    whose sums are not finite, as overflowed.  Returns, per point and in
+    order, its ``OutageBreakdown`` or the exception that
+    ``outage_breakdown`` raises for it alone, with the same type and text;
+    a point's outcome does not depend on the others.
     """
     outcomes: list = [None] * len(points)
     kernel_points, evaluated = [], []
@@ -199,16 +197,10 @@ def outage_breakdowns(points: Sequence[tuple[SystemConfig, float]]) -> list:
         )
         evaluated.append((index, config, rate))
     for (index, config, rate), sums in zip(evaluated, _kernels.psi_sums(kernel_points)):
-        if isinstance(sums, ArithmeticError):
-            outcomes[index] = _overflowed(config, rate)
-            outcomes[index].__cause__ = sums
-        elif isinstance(sums, Exception):
-            outcomes[index] = sums
-        else:
-            try:
-                outcomes[index] = _assembled(config, rate, sums)
-            except PrecisionExhaustedError as exc:
-                outcomes[index] = exc
+        try:
+            outcomes[index] = _assembled(config, rate, sums)
+        except PrecisionExhaustedError as exc:
+            outcomes[index] = exc
     return outcomes
 
 

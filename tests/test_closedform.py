@@ -414,6 +414,18 @@ class TestPsiKernel:
             with pytest.raises(ValueError):
                 _kernels.psi_sums([(4, 3, 2, 10.0, 1.0, 1.0), (n_a, n_b, n_e, 10.0, 1.0, 1.0)])
 
+    @pytest.mark.parametrize(
+        "gb,ge,rate",
+        [
+            (0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+            (10.0, 0.0, 1.0), (10.0, -0.9999999999999999, 0.0), (10.0, math.inf, 1.0),
+            (10.0, 1.0, -1e-300), (10.0, 1.0, math.inf), (10.0, 1.0, math.nan),
+        ],
+    )
+    def test_rejects_snrs_and_rates_outside_their_range(self, gb, ge, rate):
+        with pytest.raises(ValueError, match="finite SNRs > 0 and a finite rate >= 0"):
+            _kernels.psi_sums([(4, 3, 2, 10.0, 1.0, 1.0), (2, 8, 8, gb, ge, rate)])
+
 
 # Summands for the grouped-sum property test: every kind of float, exact
 # ties (1 + 2**-53 and the like), subnormals and signed zeros, and
@@ -458,23 +470,27 @@ def fsum_outcome(values):
         return f"{type(exc).__name__}: {exc}"
 
 
+def check_group_sums(groups):
+    """``_group_sums`` of the groups laid end to end: NaN for a group whose
+    math.fsum raises, and math.fsum's bits for every other group."""
+    x = np.array([v for group in groups for v in group], dtype=float)
+    bounds = np.array([0, *accumulate(map(len, groups))], np.intp)
+    sums = _kernels._group_sums(x, bounds)
+    assert len(sums) == len(groups)
+    for g, group in enumerate(groups):
+        expected = fsum_outcome(group)
+        if expected.startswith(("OverflowError", "ValueError")):
+            assert math.isnan(sums[g]), (g, group, expected)
+        else:
+            assert sums[g].hex() == expected, (g, group)
+    return sums
+
+
 class TestGroupSums:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(summand_groups(), min_size=1, max_size=12))
     def test_every_group_sum_is_fsum_bit_for_bit(self, groups):
-        x = np.array([v for group in groups for v in group], dtype=float)
-        bounds = np.array([0, *accumulate(map(len, groups))], np.intp)
-        sums, errors = _kernels._group_sums(x, bounds)
-        assert len(sums) == len(groups)
-        for g, group in enumerate(groups):
-            expected = fsum_outcome(group)
-            if g in errors:
-                assert math.isnan(sums[g])
-                got = f"{type(errors[g]).__name__}: {errors[g]}"
-            else:
-                got = sums[g].hex()
-            assert got == expected, (g, group)
-        assert list(errors) == sorted(errors)
+        check_group_sums(groups)
 
     def test_edge_groups(self):
         # Empty groups first, between and last (np.add.reduceat gives an
@@ -487,35 +503,20 @@ class TestGroupSums:
             [1.0, -1.0, 5e-324], [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 2.0],
             [2.0**-1074] * 3, [0.1] * 10, [],
         ]
-        x = np.array([v for group in groups for v in group], dtype=float)
-        bounds = np.array([0, *accumulate(map(len, groups))], np.intp)
-        sums, errors = _kernels._group_sums(x, bounds)
-        assert sorted(errors) == [7, 11]
-        for g, group in enumerate(groups):
-            got = f"{type(errors[g]).__name__}: {errors[g]}" if g in errors else sums[g].hex()
-            assert got == fsum_outcome(group), (g, group)
-        assert _kernels._group_sums(np.zeros(0), np.zeros(1, np.intp))[0].shape == (0,)
-
-    def test_a_stage_request_gets_its_first_failing_group(self):
-        # Three points of one stage, two groups each: one whose first group
-        # raises ValueError and second OverflowError, one whose groups sum,
-        # and one whose second group overflows.
-        terms = np.array(
-            [math.inf, -math.inf, 1e308, 1e308, 1.0, 2.0, 0.5, 0.25, 1.0, 2.0, 1e308, 1e308]
-        )
-        starts = np.arange(0, 12, 2)
-        sums, failed = _kernels._summed_stage(terms, starts, [2, 2, 2])
-        assert sorted(failed) == [0, 2]
-        assert isinstance(failed[0], ValueError)
-        assert sums[2:4].tolist() == [3.0, 0.75]
-        assert isinstance(failed[2], OverflowError)
+        sums = check_group_sums(groups)
+        # Groups 7 and 11 raise in math.fsum; group 12 sums to its NaN.
+        assert np.isnan(sums).nonzero()[0].tolist() == [7, 11, 12]
+        assert _kernels._group_sums(np.zeros(0), np.zeros(1, np.intp)).shape == (0,)
 
 
 def kernel_outcome(outcome):
-    """float.hex of a psi_sums outcome, or the type and text of its exception."""
-    if isinstance(outcome, Exception):
-        return f"{type(outcome).__name__}: {outcome}"
+    """float.hex of the five floats of a psi_sums outcome."""
     return tuple(float(v).hex() for v in outcome)
+
+
+def finite(outcome):
+    """Whether every float of a psi_sums outcome is finite."""
+    return all(map(math.isfinite, outcome))
 
 
 def random_kernel_points(n_points, seed):
@@ -537,25 +538,22 @@ def random_kernel_points(n_points, seed):
     return points
 
 
-# Points that psi_sums refuses, with the exception each gets alone, by the
-# step that raises it: rho, W_lam(phi) (phi = 1 + rho = 2**-53, and
-# lgamma(172) beyond the largest float's log at phi = 1), a power of rho,
-# and a mixed group whose math.fsum meets -inf and +inf (shift = inf).
-RHO = "OverflowError: rho = 2^rate gamma_e / gamma_b overflowed"
-EXP = "OverflowError: math range error"
-POWER = "OverflowError: (34, 'Numerical result out of range')"
-FSUM = "ValueError: -inf + inf in fsum"
+# Points whose sums are not finite, by the step that overflows: rho, a
+# power of shift, W_lam(phi) (lgamma(172) beyond the largest float's log at
+# phi = 1), a power of rho, a mixed group whose math.fsum meets -inf and
+# +inf (shift = inf), and 2^rate.
 REFUSED_ONE_TRIPLE = [
-    ((2, 8, 8, 1.0, 1.7e308, 0.5), RHO),
-    ((2, 8, 8, 1.0, -0.9999999999999999, 0.0), EXP),
-    ((2, 8, 8, 1e-15, 1e8, 3.0), POWER),
-    ((2, 8, 8, 1e-323, 1e-320, 1.0), FSUM),
+    (2, 8, 8, 1.0, 1.7e308, 0.5),
+    (2, 8, 8, 1e-300, 1e-300, 1.0),
+    (2, 8, 8, 1e-15, 1e8, 3.0),
+    (2, 8, 8, 1e-323, 1e-320, 1.0),
 ]
 REFUSED_TRIPLES = [
-    ((2, 2, 1, 1.0, 1.7e308, 0.5), RHO),
-    ((2, 86, 1, 1.0, 1e-300, 0.0), EXP),
-    ((2, 2, 1, 1e-323, 1e-221, 3.0), POWER),
-    ((2, 2, 1, 1e-323, 1e-293, 3.0), FSUM),
+    (2, 2, 1, 1.0, 1.7e308, 0.5),
+    (2, 86, 1, 1.0, 1e-300, 0.0),
+    (2, 2, 1, 1e-323, 1e-221, 3.0),
+    (2, 2, 1, 1e-323, 1e-293, 3.0),
+    (2, 2, 1, 10.0, 1.0, 1100.0),
 ]
 # Points whose psi summands multiply inf by 0, one per triple.
 WARNED = [(2, 8, 8, 6.389220042755235e-309, 1.000743382297e-311, 6.8)]
@@ -572,11 +570,13 @@ class TestBatchedKernel:
         # Several chunks of BATCH_SUMMANDS, and (8, 8, 8) points alone.
         summands = sum(_kernels._psi_plan(*point[:3]).summands for point in points)
         assert summands > 4 * _kernels.BATCH_SUMMANDS
-        batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
+        outcomes = _kernels.psi_sums(points)
+        batched = [kernel_outcome(o) for o in outcomes]
         alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
         assert batched == alone
-        refusals = {o.split(":")[0] for o in batched if isinstance(o, str)}
-        assert refusals == {"OverflowError"}
+        # The three overflowing points, and only they, have sums that are not finite.
+        refused = [k for k, o in enumerate(outcomes) if not finite(o)]
+        assert refused == list(range(len(points) - 3, len(points)))
 
     def test_a_call_builds_each_plan_once_however_many_triples_it_interleaves(self):
         # 72 triples, more than the plan cache holds, each met twice with
@@ -605,13 +605,12 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("refused", [REFUSED_ONE_TRIPLE, REFUSED_TRIPLES], ids=["one", "several"])
     def test_refused_points_leave_their_chunk_unchanged(self, refused, monkeypatch):
         # One chunk, of one antenna triple or several, with each refused
-        # point between good ones, evaluated as one chunk: no RuntimeWarning
-        # may send it point by point.
+        # point between good ones, evaluated as one chunk.
         good = [(2, 8, 8, 10.0, 1.0, 1.0), (2, 8, 8, 100.0, 3.0, 2.0), (2, 8, 8, 1.0, 1.0, 0.0)]
         if refused is REFUSED_TRIPLES:
             good += [(2, 2, 1, 10.0, 1.0, 1.0), (4, 3, 2, 31.6, 1.0, 0.5), (3, 2, 2, 2.0, 5.0, 0.0)]
         points = [good[0]]
-        for k, (point, _) in enumerate(refused):
+        for k, point in enumerate(refused):
             points += [point, good[(k + 1) % len(good)]]
         points += good[len(refused) + 1 :]
         summands = sum(_kernels._psi_plan(*point[:3]).summands for point in points)
@@ -619,31 +618,28 @@ class TestBatchedKernel:
         chunks = []
         chunk_sums = _kernels._chunk_sums
         monkeypatch.setattr(_kernels, "_chunk_sums", lambda *a: chunks.append(chunk_sums(*a)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
-            assert len(chunks) == 1
-            alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
+        outcomes = _kernels.psi_sums(points)
+        assert len(chunks) == 1
+        batched = [kernel_outcome(o) for o in outcomes]
+        alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
         assert batched == alone
-        assert [o for o in batched if isinstance(o, str)] == [text for _, text in refused]
+        assert [point for point, o in zip(points, outcomes) if not finite(o)] == refused
 
-    @pytest.mark.parametrize("action", ["error", "ignore"])
-    def test_a_warned_point_keeps_its_batch_of_one(self, action):
-        # With warnings as errors a point whose arrays warn gets the warning
-        # as its outcome, and the other points of its chunk their values;
-        # otherwise its sums are NaN, in one chunk with the others.
+    def test_outcomes_do_not_depend_on_the_warnings_filter(self):
+        # Points whose sums overflow or multiply inf by 0, between good
+        # ones: the same outcomes under every filter, and not one warning.
         good = [(2, 8, 8, 10.0, 1.0, 1.0), (2, 2, 1, 10.0, 1.0, 1.0), (4, 3, 2, 31.6, 1.0, 0.5)]
-        points = [good[0], WARNED[0], good[1], WARNED[1], good[2]]
-        with warnings.catch_warnings():
-            warnings.simplefilter(action, RuntimeWarning)
-            batched = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
-            alone = [kernel_outcome(_kernels.psi_sums([point])[0]) for point in points]
-        assert batched == alone
-        warned = [batched[1], batched[3]]
-        if action == "error":
-            assert warned == ["RuntimeWarning: invalid value encountered in multiply"] * 2
-        else:
-            assert all(o[0] == float("nan").hex() for o in warned)
+        bad = REFUSED_ONE_TRIPLE + REFUSED_TRIPLES + WARNED
+        points = [p for k, point in enumerate(bad) for p in (good[k % len(good)], point)]
+        outcomes = {}
+        for action in ["error", "ignore", "default", "always"]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                outcomes[action] = [kernel_outcome(o) for o in _kernels.psi_sums(points)]
+            assert caught == [], action
+        assert all(o == outcomes["error"] for o in outcomes.values())
+        kept = [point for point, o in zip(points, _kernels.psi_sums(points)) if finite(o)]
+        assert kept == [good[k % len(good)] for k in range(len(bad))]
 
     def test_empty_call(self):
         assert _kernels.psi_sums([]) == []
