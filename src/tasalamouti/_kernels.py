@@ -132,19 +132,17 @@ def snr_components(bob_norms: np.ndarray):
 # evaluates them in triple-sorted chunks against the chunk's joined plan.
 # Each point's scalars and flat tables (phi levels and their logs, W_lam,
 # the rho^u and shift^k powers, efac) are Python floats, laid end to end
-# over the chunk; the plans' index arrays are offset by each point's place
-# in those tables and in the chunk's cells, and their coefficient arrays
-# are concatenated (``_JoinedPlan``).  When every point of a chunk has the
-# same plan, as in each call of ``validate``, a stage's summands are one
-# row per point and each coefficient array broadcasts over the rows
-# instead.  So each of the three stages (bracket, mixed, psi) is one set
-# of elementwise numpy operations over the chunk, with each summand's
-# operands and order as for its point alone, and one ``_group_sums``
-# call, and a point's value does not depend on the points it is batched
-# with.  Nothing raises: a scalar that overflows (rho, W_lam or a power)
-# is inf, a group whose math.fsum raises is NaN, and the stages run under
-# np.errstate(all="ignore"), so an overflow only makes its own point's
-# sums not finite, under any warnings filter, for the caller to refuse.
+# over the chunk, and so are its points' plans: their coefficient arrays
+# are concatenated and their index arrays offset by each point's place in
+# the tables they index (``_JoinedPlan``).  So each of the three stages
+# (bracket, mixed, psi) is one set of elementwise numpy operations over
+# the chunk, with each summand's operands and order as for its point
+# alone, and one ``_group_sums`` call, and a point's value does not depend
+# on the points it is batched with.  Nothing raises: a scalar that
+# overflows (rho, W_lam or a power) is inf, a group whose math.fsum
+# raises is NaN, and the stages run under np.errstate(all="ignore"), so
+# an overflow only makes its own point's sums not finite, under any
+# warnings filter, for the caller to refuse.
 #
 # Every cell also carries the largest absolute summand that fed it, so the
 # returned magnitude bound is the exact maximum |term| over the fully
@@ -498,12 +496,11 @@ def _psi_plan(n_a: int, n_b: int, n_e: int) -> _PsiPlan:
 # Summands per stage of one chunk of a ``psi_sums`` call: 512 KiB per array
 # of the grouped sum and of the joined plan.  A step of the ``capacity``
 # benchmark, one point per antenna triple, is one chunk of at most
-# 28 578, and one antenna triple of the default validation grid up to
-# 144 720 (so ``fig2-validate`` takes the cap); one (8, 8, 8) point holds
-# 1.4 M.  With per-triple batches uncapped, ``fig2-validate`` peaked 3.7 MB
-# higher (glibc keeps the freed megabyte arrays in its heap), and with the
-# cap 0.6 MB higher, than one point per call; the joined plan's arrays,
-# of the same cap, left that peak within 0.1 MB.
+# 28 578; the 1080 points of the default validation grid, one call, hold
+# 522 540 (9 chunks at the cap), and one (8, 8, 8) point 1.4 M.  Uncapped,
+# that call raised the peak of ``fig2``-then-``validate`` in one process
+# by 19 MB (glibc keeps the freed megabyte arrays in its heap) over one
+# point per call, and capped by 0.2 MB.
 BATCH_SUMMANDS = 2**16
 
 
@@ -570,52 +567,43 @@ class _Point:
         self.efac = efac + [math.exp(-2.0 * decay)] * 2
 
 
+# Each index array of a plan, and the table it indexes: another array of
+# the plan, or one of the point's own lists.
+_INDEXES = {
+    "w_level": "phis",
+    "b_w": "w_level",
+    "b_starts": "b_coef",
+    "wu_u": "rho_pow",
+    "wu_k": "rho_pow",
+    "m_cell": "b_starts",
+    "m_wu": "wu_u",
+    "m_starts": "m_cell",
+    "cell_level": "phis",
+    "p_gather": "m_starts",
+    "p_starts": "p_pre",
+}
+
+
 class _JoinedPlan:
-    """The plans of a chunk's points, joined.  Its summands lie in one row
-    per point when every point has the same plan, so that each coefficient
-    array of that plan broadcasts over the rows, and else in one row, the
-    plans laid end to end."""
+    """The plans of a chunk's points laid end to end, read by attribute as
+    one plan is: each array is the points' arrays concatenated, with a
+    point's entries of an index array offset by the sizes of the table it
+    indexes (``_INDEXES``) at the points before it.  An array is joined
+    at each read, so it lives only as long as the stage that reads it."""
 
     def __init__(self, points: list):
-        self.plans = [point.plan for point in points]
-        self.same = all(plan is self.plans[0] for plan in self.plans)
-        self.rows = len(self.plans) if self.same else 1
+        self.points = points
 
-    def grid(self, x: np.ndarray) -> np.ndarray:
-        """``x`` as the rows, for a coefficient array to broadcast over."""
-        return x.reshape(self.rows, -1) if self.rows > 1 else x
-
-    def sizes(self, field: str) -> list:
-        """The length of a plan array, per point."""
-        return [len(getattr(plan, field)) for plan in self.plans]
-
-    def coef(self, field: str) -> np.ndarray:
-        """A coefficient array: the one plan's, or the plans' end to end."""
-        if self.same:
-            return getattr(self.plans[0], field)
-        return np.concatenate([getattr(plan, field) for plan in self.plans])
-
-    def index(self, field: str, sizes) -> np.ndarray:
-        """An index array, flat: point k's entries index the k-th of tables
-        of the given sizes laid end to end, and are offset to index the
-        joined table.  ``sizes`` is a list, or the name of the plan array
-        that is the table.  A lone point's array is returned as it is, so
-        the result is only read."""
-        if len(self.plans) == 1:
-            return getattr(self.plans[0], field)
-        if isinstance(sizes, str):
-            sizes = self.sizes(sizes)
-        if self.same:
-            return np.add.outer(_firsts(sizes), getattr(self.plans[0], field)).ravel()
-        parts = [getattr(plan, field) for plan in self.plans]
+    def __getattr__(self, name: str) -> np.ndarray:
+        points = self.points
+        parts = [getattr(point.plan, name) for point in points]
         joined = np.concatenate(parts)
-        joined += np.repeat(_firsts(sizes), [len(part) for part in parts])
+        table = _INDEXES.get(name)
+        if table:
+            owners = points if table in vars(points[0]) else [point.plan for point in points]
+            firsts = accumulate((len(getattr(owner, table)) for owner in owners[:-1]), initial=0)
+            joined += np.repeat(list(firsts), list(map(len, parts)))
         return joined
-
-
-def _firsts(sizes) -> list:
-    """The first entry of each of consecutive ranges of the given sizes."""
-    return list(accumulate(sizes[:-1], initial=0))
 
 
 def _flat(tables) -> np.ndarray:
@@ -623,46 +611,34 @@ def _flat(tables) -> np.ndarray:
     return np.fromiter(chain.from_iterable(tables), float)
 
 
-def _levels(points: list) -> list:
-    """The phi levels of each point."""
-    return [len(point.phis) for point in points]
-
-
 def _brackets(plan: _JoinedPlan, points: list, _sums, _mag) -> tuple:
     """The bracket stage of a chunk: its summands, the first summand of
     each group and each group's largest absolute summand."""
-    levels = plan.index("w_level", _levels(points))
-    log_phi = plan.grid(_flat(point.log_phi for point in points)[levels])
-    exponent = plan.coef("w_lgam") - plan.coef("w_lam_p1") * log_phi
-    w_lam = np.fromiter(map(_exp, exponent.ravel().tolist()), float)
-    b_w = plan.index("b_w", "w_level")
+    levels, b_w, starts = plan.w_level, plan.b_w, plan.b_starts
+    log_phi = _flat(point.log_phi for point in points)[levels]
+    exponent = plan.w_lgam - plan.w_lam_p1 * log_phi
+    w_lam = np.fromiter(map(_exp, exponent.tolist()), float)
     phi_b = _flat(point.phis for point in points)[levels][b_w]  # each summand's phi
-    terms = np.empty_like(phi_b)
-    grid = plan.grid(terms)
-    np.divide(plan.coef("b_lam_p1"), plan.grid(phi_b), out=grid)
-    np.subtract(plan.coef("b_off"), grid, out=grid)
+    terms = np.divide(plan.b_lam_p1, phi_b)
+    np.subtract(plan.b_off, terms, out=terms)
     terms *= w_lam[b_w]
-    np.divide(-1.0, plan.grid(phi_b), out=grid, where=plan.coef("b_neg"))
-    grid *= plan.coef("b_coef")
-    starts = plan.index("b_starts", "b_coef")
+    np.divide(-1.0, phi_b, out=terms, where=plan.b_neg)
+    terms *= plan.b_coef
     return terms, starts, _group_max(np.abs(terms), starts)
 
 
 def _mixed(plan: _JoinedPlan, points: list, sums: np.ndarray, mag: np.ndarray) -> tuple:
     """The mixed stage of a chunk, from the bracket sums and magnitudes
     of its points; returns as ``_brackets`` does."""
-    pows = [point.plan.n_pow for point in points]
-    coef = _flat(point.rho_pow for point in points)[plan.index("wu_u", pows)]
-    grid = plan.grid(coef)
-    np.multiply(grid, plan.coef("wu_binom"), out=grid)
-    coef *= _flat(point.shift_pow for point in points)[plan.index("wu_k", pows)]
-    coef = coef[plan.index("m_wu", "wu_u")]
-    cells = plan.index("m_cell", "b_starts")
+    coef = _flat(point.rho_pow for point in points)[plan.wu_u]
+    coef *= plan.wu_binom
+    coef *= _flat(point.shift_pow for point in points)[plan.wu_k]
+    coef = coef[plan.m_wu]
+    cells, starts = plan.m_cell, plan.m_starts
     terms = sums[cells]
     terms *= coef
     mag = mag[cells]
     mag *= coef
-    starts = plan.index("m_starts", "m_cell")
     return terms, starts, _group_max(mag, starts)
 
 
@@ -671,27 +647,25 @@ def _psis(plan: _JoinedPlan, points: list, sums: np.ndarray, mag: np.ndarray) ->
     points: each summand is its signed prefix times the efac of its mixed
     cell's level times that cell's sum.  Returns as ``_brackets`` does,
     but with each point's largest absolute summand, as a list."""
-    gather = plan.index("p_gather", "m_starts")
-    efac = _flat(point.efac for point in points)
-    outer = efac[plan.index("cell_level", _levels(points))][gather]
-    grid = plan.grid(outer)
-    np.multiply(grid, plan.coef("p_pre"), out=grid)
+    gather, starts = plan.p_gather, plan.p_starts
+    outer = _flat(point.efac for point in points)[plan.cell_level][gather]
+    outer *= plan.p_pre
     terms = sums[gather]
     terms *= outer
-    sizes = plan.sizes("p_pre")
-    starts = plan.index("p_starts", sizes)
     mag = mag[gather]
     mag *= np.abs(outer, out=outer)
-    return terms, starts, _group_max(mag, _firsts(sizes)).tolist()
+    # Each point has four psi sums, so every fourth start is a point's first.
+    return terms, starts, _group_max(mag, starts[::4]).tolist()
 
 
 def _chunk_sums(chunk: list, outcomes: list) -> None:
     """Evaluate one chunk of ``psi_sums``, its ``(index, point, plan)``
     entries, into ``outcomes``.  Each stage forms the summands of every
-    point in one set of numpy operations over their joined plan and sums
-    them in one ``_group_sums`` call.  The stages run with every numpy
-    floating-point error ignored: an overflow makes a point's own sums
-    not finite, and no other point's."""
+    point in one set of numpy operations over their ``_JoinedPlan``, whose
+    arrays it joins as it reads them, and sums them in one ``_group_sums``
+    call.  The stages run with every numpy floating-point error ignored:
+    an overflow makes a point's own sums not finite, and no other
+    point's."""
     points = [
         _Point(plan, n_a, gamma_b, gamma_e, rate)
         for _, (n_a, _, _, gamma_b, gamma_e, rate), plan in chunk
@@ -712,11 +686,12 @@ def psi_sums(points) -> list:
     """Evaluate the four nested sums of the outage expression at many points.
 
     ``points`` holds ``(n_a, n_b, n_e, gamma_b, gamma_e, rate)`` tuples of
-    any antenna triples.  Points are taken in antenna-triple order, so a
-    call builds each plan at most once, in consecutive chunks of at most
-    ``BATCH_SUMMANDS`` summands per stage (a point larger than that alone),
-    which bounds the memory of a call as ``montecarlo.BLOCK_SIZE`` bounds a
-    draw.  Each chunk is evaluated against the joined plan of its points
+    any antenna triples, in any order.  Points are taken in antenna-triple
+    order, so a call builds each plan at most once, in consecutive chunks
+    of at most ``BATCH_SUMMANDS`` summands per stage (a point larger than
+    that alone), which bounds the memory of a call as
+    ``montecarlo.BLOCK_SIZE`` bounds a draw.  Each chunk, of one antenna
+    triple or several, is evaluated against the joined plan of its points
     (``_chunk_sums``).  Returns one tuple per point, in order: the four
     signed sums plus the largest absolute summand across all of them (for
     the cancellation diagnostic).  A point's sums do not depend on the

@@ -24,7 +24,6 @@ import csv
 import functools
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence
@@ -984,7 +983,9 @@ def validate(
     Monte Carlo agreement fraction below 99%, or an evaluator error on
     a grid point.  The Monte Carlo z-score is the exact binomial tail
     under the closed-form value, expressed in sigma (``montecarlo.binomial_z``),
-    so points with few expected events are judged correctly.
+    so points with few expected events are judged correctly.  Raises
+    ``ValueError``, before anything is evaluated, for ``n_trials < 1`` or
+    ``seed < 0``.
     """
     return _validate_points(validation_grid(grid), grid, n_trials=n_trials, seed=seed)
 
@@ -998,32 +999,32 @@ def _validate_points(
 ) -> ValidationReport:
     """``validate`` over any point list; the report names it ``grid``.
 
-    The closed-form values come first, one ``_resolved`` call per run of
-    points of one antenna triple; a point whose system is refused has no
-    config, and that refusal stands in for its closed form.  Then one
-    ``_resolved`` call counts the events of the points whose closed form
-    was not refused, drawing each distinct key once in one streamed
-    pass.  Rows keep the order of the points.
+    ``n_trials`` and ``seed`` are checked first, so a refused count
+    evaluates nothing.  Then one ``_resolved`` call evaluates the closed
+    forms; a point whose system is refused has no config, and that
+    refusal stands in for its closed form.  Then one ``_resolved`` call
+    counts the events of the points whose closed form was not refused,
+    drawing each distinct key once in one streamed pass.  Rows keep the
+    order of the points.
     """
+    checked_count("n_trials", n_trials, 1)
+    checked_count("seed", seed, 0)
 
     def job(evaluator: str, config: SystemConfig, pt: dict) -> tuple:
         rate = float(pt["rate_rs"])
         return _job(config, Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate, None, n_trials, seed)
 
-    configs, closed_forms = [], []
-    triple = operator.itemgetter("n_alice", "n_bob", "n_eve")
-    for _, group in itertools.groupby(grid_points, triple):
-        jobs = []
-        for pt in group:
-            try:
-                configs.append(_config(pt))
-            except (ArithmeticError, ValueError) as exc:
-                configs.append(None)
-                jobs.append(exc)
-            else:
-                jobs.append(job("closed-form", configs[-1], pt))
-        found = _resolved([None if isinstance(j, Exception) else j for j in jobs])
-        closed_forms += [j if isinstance(j, Exception) else cf for j, cf in zip(jobs, found)]
+    configs, jobs = [], []
+    for pt in grid_points:
+        try:
+            configs.append(_config(pt))
+        except (ArithmeticError, ValueError) as exc:
+            configs.append(None)
+            jobs.append(exc)
+        else:
+            jobs.append(job("closed-form", configs[-1], pt))
+    found = _resolved([None if isinstance(j, Exception) else j for j in jobs])
+    closed_forms = [j if isinstance(j, Exception) else cf for j, cf in zip(jobs, found)]
     counts = _resolved([
         None if isinstance(closed_form, Exception) else job("monte-carlo", config, pt)
         for pt, config, closed_form in zip(grid_points, configs, closed_forms)

@@ -592,8 +592,8 @@ class TestBatchedKernel:
         assert batched == alone
 
     def test_one_triple_chunks_give_each_point_its_batch_of_one(self):
-        # Calls of one antenna triple each, as validate makes them: every
-        # chunk's points share one plan; (6, 3, 3) spans three chunks.
+        # Calls of one antenna triple each: every chunk's points share one
+        # plan; (6, 3, 3) spans three chunks.
         rng = np.random.default_rng(7)
         for triple in [(2, 1, 1), (4, 3, 2), (6, 3, 3), (8, 3, 3)]:
             gb, ge = 10.0 ** (rng.uniform((-10.0, -10.0), (40.0, 20.0), (30, 2)) / 10.0).T

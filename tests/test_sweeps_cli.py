@@ -964,7 +964,17 @@ class TestBatchCalls:
 
     def test_validate_quick(self, batches):
         validate("quick", n_trials=2000)
-        assert batches == [("outage_breakdowns", 8)] * 8 + [("count_outage", 64)]
+        assert batches == [("outage_breakdowns", 64), ("count_outage", 64)]
+
+    @pytest.mark.parametrize(
+        "count, text", [(dict(n_trials=0), "n_trials must be >= 1, got 0"),
+                        (dict(seed=-1), "seed must be >= 0, got -1")],
+        ids=["n_trials", "seed"],
+    )
+    def test_validate_refuses_its_counts_before_any_closed_form(self, batches, count, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            validate("quick", **count)
+        assert batches == []
 
     @pytest.mark.parametrize(
         "evaluator, expected",
