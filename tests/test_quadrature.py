@@ -1,13 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tasalamouti import SystemConfig, db_to_linear, outage_quadrature
+from tasalamouti import (
+    SystemConfig,
+    closed_form_outage,
+    db_to_linear,
+    outage_quadrature,
+    quadrature,
+)
+from tasalamouti.errors import NumericalFailureError
 from tasalamouti.quadrature import (
     TAIL_MASS,
     _erlang,
     _erlang_cdf,
+    _kronrod_beta,
     _kronrod_rule,
     _support,
     _top_two_cdf,
@@ -19,47 +28,48 @@ MEAN_TOP2_4_OF_ERLANG3 = 8.199557583027907
 
 # float.hex of outage_quadrature with the Gauss-Kronrod rule and the
 # Erlang density and cdf from one exp: one point per default-grid antenna
-# triple at rate 1, plus one point each at rate 0 and rate 2.
+# triple at rate 1, plus one point each at rate 0 and rate 2.  Re-frozen
+# when the rule's nodes came from Newton's method in place of LAPACK.
 # (n_alice, n_bob, n_eve, gamma_bar_b_db, gamma_bar_e_db, rate, value)
 GOLDEN_BITS = [
-    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea32923727f5p-1"),
-    (2, 1, 2, 5.0, 5.0, 1.0, "0x1.f18ffe49137dcp-1"),
-    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c838ep-2"),
-    (2, 2, 1, 15.0, 5.0, 1.0, "0x1.16b1221962c1ap-8"),
-    (2, 2, 2, 20.0, 0.0, 1.0, "0x1.1d05ff8d99c0fp-17"),
-    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc544p-1"),
-    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b94e5p-5"),
-    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048fa1p-4"),
-    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec80796p-16"),
-    (3, 1, 1, 20.0, 5.0, 1.0, "0x1.7f836f0f34402p-10"),
-    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d7351cbp-1"),
-    (3, 1, 3, 5.0, 5.0, 1.0, "0x1.fbbd7a0f0147cp-1"),
-    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce53072p-11"),
+    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea3292372827p-1"),
+    (2, 1, 2, 5.0, 5.0, 1.0, "0x1.f18ffe4913809p-1"),
+    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c8397p-2"),
+    (2, 2, 1, 15.0, 5.0, 1.0, "0x1.16b1221962c1bp-8"),
+    (2, 2, 2, 20.0, 0.0, 1.0, "0x1.1d05ff8d99c06p-17"),
+    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc54dp-1"),
+    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b94e7p-5"),
+    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048f9fp-4"),
+    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec80794p-16"),
+    (3, 1, 1, 20.0, 5.0, 1.0, "0x1.7f836f0f34406p-10"),
+    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d7351ddp-1"),
+    (3, 1, 3, 5.0, 5.0, 1.0, "0x1.fbbd7a0f0148ap-1"),
+    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce53073p-11"),
     (3, 2, 2, 15.0, 5.0, 1.0, "0x1.acdd6de9c57f7p-9"),
-    (3, 2, 3, 20.0, 0.0, 1.0, "0x1.1801e95f0fb7ep-23"),
+    (3, 2, 3, 20.0, 0.0, 1.0, "0x1.1801e95f0fb7bp-23"),
     (3, 3, 1, 0.0, 5.0, 1.0, "0x1.94323f48ccc6bp-1"),
-    (3, 3, 2, 5.0, 0.0, 1.0, "0x1.bc4fedb159abbp-5"),
-    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5a8bp-4"),
-    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80f6bp-12"),
-    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c2073p-10"),
-    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf5dap-1"),
-    (4, 2, 1, 5.0, 5.0, 1.0, "0x1.55db0ce783ff4p-2"),
-    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab5749p-10"),
-    (4, 2, 3, 15.0, 5.0, 1.0, "0x1.a4c771f836f5ep-9"),
-    (4, 3, 1, 20.0, 0.0, 1.0, "0x1.6256791e6596dp-56"),
-    (4, 3, 2, 0.0, 5.0, 1.0, "0x1.f21508ff15cb6p-1"),
+    (3, 3, 2, 5.0, 0.0, 1.0, "0x1.bc4fedb159abap-5"),
+    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5a8cp-4"),
+    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80f6dp-12"),
+    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c2072p-10"),
+    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf5e4p-1"),
+    (4, 2, 1, 5.0, 5.0, 1.0, "0x1.55db0ce783fffp-2"),
+    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab574ap-10"),
+    (4, 2, 3, 15.0, 5.0, 1.0, "0x1.a4c771f836f61p-9"),
+    (4, 3, 1, 20.0, 0.0, 1.0, "0x1.6256791e6597cp-56"),
+    (4, 3, 2, 0.0, 5.0, 1.0, "0x1.f21508ff15cb8p-1"),
     (4, 3, 3, 5.0, 0.0, 1.0, "0x1.725aaa0645546p-4"),
-    (6, 1, 1, 10.0, 5.0, 1.0, "0x1.4ad549fc33508p-4"),
-    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa39eap-14"),
-    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb93bp-12"),
-    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b4493p-2"),
-    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b50f1p-1"),
-    (6, 2, 3, 10.0, 0.0, 1.0, "0x1.0f84858d9d36bp-11"),
-    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd71fp-28"),
-    (6, 3, 2, 20.0, 0.0, 1.0, "0x1.b9025d2937bc7p-72"),
-    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ceb6cp-1"),
-    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84d08p-17"),
-    (6, 3, 3, 20.0, 0.0, 2.0, "0x1.37b904b5421a4p-50"),
+    (6, 1, 1, 10.0, 5.0, 1.0, "0x1.4ad549fc3350ap-4"),
+    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa39ecp-14"),
+    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb93cp-12"),
+    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b449dp-2"),
+    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b50eep-1"),
+    (6, 2, 3, 10.0, 0.0, 1.0, "0x1.0f84858d9d36cp-11"),
+    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd723p-28"),
+    (6, 3, 2, 20.0, 0.0, 1.0, "0x1.b9025d2937b3fp-72"),
+    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ceb69p-1"),
+    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84d09p-17"),
+    (6, 3, 3, 20.0, 0.0, 2.0, "0x1.37b904b5421bbp-50"),
 ]
 
 # float.hex of the same points from the Gauss-Legendre node-doubling
@@ -144,6 +154,57 @@ class TestKronrodRule:
         assert t.shape == (2 * n + 1,)
         assert 0.0 < t[0] and t[-1] < 1.0 and np.all(np.diff(t) > 0.0)
         assert np.all(w_kronrod > 0.0) and np.all(w_gauss > 0.0)
+
+
+def forbid_eigensolvers(monkeypatch):
+    """Make numpy's LAPACK eigensolvers raise, and empty the rule cache."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature called a LAPACK eigensolver")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    _kronrod_rule.cache_clear()
+
+
+@pytest.mark.parametrize("n", [7, 32, 64, 1024])
+class TestNewtonNodes:
+    def test_mirrored_exactly(self, n):
+        x = 2.0 * _kronrod_rule(n)[0] - 1.0
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(np.diff(x) > 0.0)
+
+    def test_match_lapack(self, n):
+        # LAPACK's bisection (dstebz) is the oracle.  numpy's eigvalsh
+        # (dsyevd) cannot be: at n = 1024 it is itself up to 1.9e-15 off
+        # the roots of the same recurrence found in long double.
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        off = np.sqrt(_kronrod_beta(n)[1:])
+        expected = eigvalsh_tridiagonal(np.zeros(2 * n + 1), off, lapack_driver="stebz")
+        assert np.max(np.abs(2.0 * _kronrod_rule(n)[0] - 1.0 - expected)) <= 1e-15
+
+    def test_build_without_lapack(self, n, monkeypatch):
+        forbid_eigensolvers(monkeypatch)
+        t, w_kronrod, w_gauss = _kronrod_rule(n)
+        assert t.shape == w_kronrod.shape == (2 * n + 1,) and w_gauss.shape == (n,)
+
+
+def test_outage_without_lapack(monkeypatch):
+    forbid_eigensolvers(monkeypatch)
+    cfg = SystemConfig(3, 2, 1, 10.0, 1.0)
+    assert outage_quadrature(cfg, 1.0) == pytest.approx(closed_form_outage(cfg, 1.0), abs=1e-6)
+
+
+def test_quadrature_names_no_linalg():
+    assert "linalg" not in Path(quadrature.__file__).read_text()
+
+
+def test_unconverged_rule_is_refused(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_PASSES", 1)
+    _kronrod_rule.cache_clear()
+    with pytest.raises(NumericalFailureError, match="order 32"):
+        _kronrod_rule(32)
 
 
 def test_gk15_matches_quadpack():
@@ -328,8 +389,6 @@ class TestOutageQuadrature:
 
     def test_matches_closed_form_reference_point(self):
         cfg = SystemConfig(4, 3, 2, 10.0, 3.16227766017)
-        from tasalamouti import closed_form_outage
-
         assert abs(outage_quadrature(cfg, 1.0) - closed_form_outage(cfg, 1.0)) < 1e-6
 
     def test_golden_bits(self):

@@ -1551,16 +1551,19 @@ class TestGoldenCsv:
         # The same bytes as `sweep --spec perfbench/capacity.yaml`.
         "capacity": "0b86fa24cbc327d53731722d6cd15eb36391f04207189de41b040ed5cbe6d6c1",
         # Re-frozen when the quadrature became one Gauss-Kronrod pass per
-        # level and the z-score's binomial tail left scipy, and again when
-        # the Erlang density and cdf came from one exp.
-        "validate-quick": "821a7c49ccb674f9737511d4d6b44fc9f65d28099722c42f4746e8e64a1408f1",
+        # level and the z-score's binomial tail left scipy, again when
+        # the Erlang density and cdf came from one exp, and again when the
+        # rule's nodes came from Newton's method in place of LAPACK.
+        "validate-quick": "76a0f0453da75039ded016a81977ac589a065f3744005409052df02bb2dd34ca",
         # Its closed-form and quadrature cells were frozen before a
         # triple's closed-form values came from one batched psi pass and
-        # the quadrature integrand was trimmed.
-        "validate-default": "85d3f677b43bc159079b856949afc7b75e9314d8f0d7597ba77aa96472380581",
+        # the quadrature integrand was trimmed; its quadrature and
+        # cf_quad_diff cells moved when the rule's nodes came from
+        # Newton's method.
+        "validate-default": "b68c4e63e3cfdfcbfdc5c64a142333142984a21cdc0fe7e12b5e8f30876f512d",
         "fig5-multi-block": "4635a2f6bc9c5527a524f24f21d5787ebca26c8df2fa03bfceed5a6f5f15a166",
         "validate-quick-multi-block": (
-            "a0faa4465f1b63c859c968500caa69802dace91d120557ce2488a170654b8f6a"
+            "77fcc37fb0ec110e8dc9052215343f1e94e19b36d4943ec8ffc6dd8c2c9bcb98"
         ),
     }
 
