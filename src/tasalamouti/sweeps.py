@@ -6,16 +6,16 @@ configuration, evaluates one metric with one or more evaluators per
 scheme, and emits rows in a stable order with a fixed CSV schema.
 Every evaluation goes through one table that maps a (metric,
 evaluator) pair to its function.  The batched work that its entries
-read, a Monte Carlo count, a closed-form breakdown or a C_out search,
-is named by ``_job`` and answered by ``_resolved``, one batch call per
-kind of job present.  ``evaluate`` is the one single-point entry for
-all three evaluators, and the command line's ``eval`` calls it; a sweep
-and a preset plan their rows, resolve the jobs of all of them in one
-call, so each distinct Monte Carlo key is drawn once, and then build
-the rows in order.  Presets reproduce the figure-style experiment
-families and, like the validation grids, are data tables.  Validation
-runs the three evaluators against each other over a parameter grid and
-reports hard threshold violations.
+read, a Monte Carlo count, a quadrature, a closed-form breakdown or a
+C_out search, is named by ``_job`` and answered by ``_resolved``, one
+batch call per kind of job present.  ``evaluate`` is the one
+single-point entry for all three evaluators, and the command line's
+``eval`` calls it; a sweep and a preset plan their rows, resolve the
+jobs of all of them in one call, so each distinct Monte Carlo key is
+drawn once, and then build the rows in order.  Presets reproduce the
+figure-style experiment families and, like the validation grids, are
+data tables.  Validation runs the three evaluators against each other
+over a parameter grid and reports hard threshold violations.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .config import (
     db_to_linear,
 )
 from .errors import NumericalFailureError, PrecisionExhaustedError
-from .quadrature import outage_quadrature
+from .quadrature import outage_quadratures
 
 __all__ = [
     "CSV_COLUMNS",
@@ -423,16 +423,14 @@ def _config(point: dict) -> SystemConfig:
 # (metric, evaluator) -> fn(config, rate, epsilon, known), where ``known``
 # is what the point's batch found for the entry to read (see ``_job``):
 # the Monte Carlo outage count of the point's event, or the closed form's
-# breakdown or capacity, or the refusal in its place; None for the
-# quadrature.  The entries look the quadrature up in this module's globals
-# at call time, so a wrapper later bound over that name (as the span
-# recorder in perfbench/spans.py does) sees every call.
+# breakdown or capacity, or the quadrature's value, or the refusal in its
+# place.
 _EVALUATE = {
     ("P_out", "closed-form"): lambda c, rate, eps, known: _found(known).value,
     ("Pr_nonzero", "closed-form"): lambda c, rate, eps, known: 1.0 - _found(known).value,
     ("C_out", "closed-form"): lambda c, rate, eps, known: _found(known),
-    ("P_out", "quadrature"): lambda c, rate, eps, known: outage_quadrature(c, rate),
-    ("Pr_nonzero", "quadrature"): lambda c, rate, eps, known: 1.0 - outage_quadrature(c, 0.0),
+    ("P_out", "quadrature"): lambda c, rate, eps, known: _found(known),
+    ("Pr_nonzero", "quadrature"): lambda c, rate, eps, known: 1.0 - _found(known),
     ("P_out", "monte-carlo"): lambda c, rate, eps, known: known,
     ("Pr_nonzero", "monte-carlo"): lambda c, rate, eps, known: known.complement(),
 }
@@ -448,30 +446,32 @@ def _found(outcome):
 def _job(
     config: SystemConfig, scheme: Scheme, metric: str, evaluator: str,
     rate: float, epsilon: float | None, trials: int, seed: int,
-) -> tuple | None:
+) -> tuple:
     """The ``(kind, argument)`` job whose outcome a point's table entry
-    reads: the ``("count", event)`` of Monte Carlo, and the closed form's
+    reads: the ``("count", event)`` of Monte Carlo, the quadrature's
+    ``("quadrature", (config, rate))``, and the closed form's
     ``("capacity", (config, epsilon))`` for C_out or ``("breakdown",
-    (config, rate))``; None for the quadrature, which evaluates its point
-    in its entry.  P_out reads its rate and Pr_nonzero rate 0."""
+    (config, rate))``.  P_out reads its rate and Pr_nonzero rate 0."""
     rate = rate if metric == "P_out" else 0.0
     if evaluator == "monte-carlo":
         return ("count", (config, scheme, rate, trials, seed))
-    if evaluator != "closed-form":
-        return None
+    if evaluator == "quadrature":
+        return ("quadrature", (config, rate))
     return ("capacity", (config, epsilon)) if metric == "C_out" else ("breakdown", (config, rate))
 
 
 def _resolved(jobs: Sequence[tuple | None]) -> list:
     """The outcome of each ``_job``, None for a None job, from one call of
     each batch that has jobs: ``montecarlo.count_outage`` draws each
-    distinct key once, and ``eps_outage_capacities`` steps its searches
-    in lockstep.  The batches are looked up at call time, so a wrapper
-    bound over their names later sees every call."""
+    distinct key once, ``eps_outage_capacities`` steps its searches in
+    lockstep, and ``outage_quadratures`` integrates each antenna triple's
+    points together.  The batches are looked up at call time, so a
+    wrapper bound over their names later sees every call."""
     batches = {
         "count": montecarlo.count_outage,
         "breakdown": outage_breakdowns,
         "capacity": eps_outage_capacities,
+        "quadrature": outage_quadratures,
     }
     present = [job for job in jobs if job is not None]
     found = {}
@@ -555,7 +555,7 @@ def _sweep_plan(
     row's input cells; ``call(known)`` is the row's table function on its
     point, None for a refused row, whose error cell carries the reason;
     ``job`` is the batched job whose outcome ``call`` reads (``_job``),
-    None for a refused row and a quadrature row."""
+    None for a refused row."""
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = point["rate_rs"] if metric == "P_out" else 0.0
@@ -643,9 +643,10 @@ def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
     batch the rows need: ``montecarlo.count_outage`` counts every Monte
     Carlo row's event, drawing each distinct key once in one streamed
     pass over its blocks, ``closedform.outage_breakdowns`` evaluates the
-    closed-form P_out and Pr_nonzero rows and
+    closed-form P_out and Pr_nonzero rows,
     ``closedform.eps_outage_capacities`` the closed-form C_out rows,
-    whose searches step in lockstep.
+    whose searches step in lockstep, and ``quadrature.outage_quadratures``
+    the quadrature rows.
     """
     rows = _run_specs([spec], timings)
     if spec.output is not None:
@@ -937,15 +938,15 @@ def validation_grid(name: str) -> list[dict]:
 
 def _validation_row(
     pt: dict,
-    config: SystemConfig | None,
     closed_form: OutageBreakdown | Exception,
+    quad: float | Exception | None,
     mc: montecarlo.EstimatorResult | None,
 ) -> ValidationRow:
-    """The three-way comparison at one grid point, from its ``config``, its
-    ``closed_form`` or the refusal in its place, and ``mc``, its
-    TAS-Alamouti outage count (None for a refused closed form).  The
-    cells are filled in turn, so a refusal part-way keeps those filled
-    before it."""
+    """The three-way comparison at one grid point, from the outcomes of
+    its ``closed_form``, its quadrature ``quad`` and ``mc``, its
+    TAS-Alamouti outage count; each is the refusal in its place, and
+    ``quad`` and ``mc`` are None for a refused closed form.  The cells are filled in
+    turn, so a refusal part-way keeps those filled before it."""
     rate = float(pt["rate_rs"])
     cells = dict(
         n_alice=pt["n_alice"],
@@ -956,15 +957,14 @@ def _validation_row(
         rate_rs=rate,
     )
     try:
-        if isinstance(closed_form, Exception):
-            raise closed_form
+        closed_form = _found(closed_form)
         cells.update(
             closed_form=closed_form.value,
             psi3=closed_form.psi[2],
             psi4=closed_form.psi[3],
             cancellation_ratio=closed_form.cancellation_ratio,
         )
-        quad = outage_quadrature(config, rate)
+        quad = _found(quad)
         cells.update(quadrature=quad, cf_quad_diff=abs(closed_form.value - quad))
         cells.update(mc_estimate=mc.estimate, mc_stderr=mc.stderr)
         cells["mc_z_score"] = montecarlo.binomial_z(mc.n_events, mc.n_trials, closed_form.value)
@@ -1003,9 +1003,9 @@ def _validate_points(
     evaluates nothing.  Then one ``_resolved`` call evaluates the closed
     forms; a point whose system is refused has no config, and that
     refusal stands in for its closed form.  Then one ``_resolved`` call
-    counts the events of the points whose closed form was not refused,
-    drawing each distinct key once in one streamed pass.  Rows keep the
-    order of the points.
+    integrates the quadratures and counts the events of the points whose
+    closed form was not refused, drawing each distinct key once in one
+    streamed pass.  Rows keep the order of the points.
     """
     checked_count("n_trials", n_trials, 1)
     checked_count("seed", seed, 0)
@@ -1025,11 +1025,13 @@ def _validate_points(
             jobs.append(job("closed-form", configs[-1], pt))
     found = _resolved([None if isinstance(j, Exception) else j for j in jobs])
     closed_forms = [j if isinstance(j, Exception) else cf for j, cf in zip(jobs, found)]
-    counts = _resolved([
-        None if isinstance(closed_form, Exception) else job("monte-carlo", config, pt)
+    found = _resolved([
+        None if isinstance(closed_form, Exception) else job(evaluator, config, pt)
+        for evaluator in ("quadrature", "monte-carlo")
         for pt, config, closed_form in zip(grid_points, configs, closed_forms)
     ])
-    rows = list(map(_validation_row, grid_points, configs, closed_forms, counts))
+    quads, counts = found[: len(grid_points)], found[len(grid_points) :]
+    rows = list(map(_validation_row, grid_points, closed_forms, quads, counts))
 
     error_points = sum(1 for r in rows if r.error)
     cf_quad_failures = sum(1 for r in rows if not r.error and not r.cf_quad_ok)

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from tasalamouti import (
     db_to_linear,
     outage_quadrature,
     quadrature,
+    sweeps,
 )
 from tasalamouti.errors import NumericalFailureError
 from tasalamouti.quadrature import (
@@ -18,8 +20,10 @@ from tasalamouti.quadrature import (
     _erlang_cdf,
     _kronrod_beta,
     _kronrod_rule,
+    _row_sums,
     _support,
     _top_two_cdf,
+    outage_quadratures,
 )
 
 # Value frozen from nested adaptive quadrature of the order-statistic
@@ -29,46 +33,48 @@ MEAN_TOP2_4_OF_ERLANG3 = 8.199557583027907
 # float.hex of outage_quadrature with the Gauss-Kronrod rule and the
 # Erlang density and cdf from one exp: one point per default-grid antenna
 # triple at rate 1, plus one point each at rate 0 and rate 2.  Re-frozen
-# when the rule's nodes came from Newton's method in place of LAPACK.
+# when the rule's nodes came from Newton's method in place of LAPACK, and
+# again when each sum was taken within its row and each inner-cdf row
+# was refined on its own.
 # (n_alice, n_bob, n_eve, gamma_bar_b_db, gamma_bar_e_db, rate, value)
 GOLDEN_BITS = [
-    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea3292372827p-1"),
+    (2, 1, 1, 0.0, 0.0, 1.0, "0x1.dea3292372826p-1"),
     (2, 1, 2, 5.0, 5.0, 1.0, "0x1.f18ffe4913809p-1"),
-    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c8397p-2"),
+    (2, 1, 3, 10.0, 0.0, 1.0, "0x1.964d4961c8399p-2"),
     (2, 2, 1, 15.0, 5.0, 1.0, "0x1.16b1221962c1bp-8"),
     (2, 2, 2, 20.0, 0.0, 1.0, "0x1.1d05ff8d99c06p-17"),
-    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc54dp-1"),
-    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b94e7p-5"),
-    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048f9fp-4"),
-    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec80794p-16"),
+    (2, 2, 3, 0.0, 5.0, 1.0, "0x1.fff2c251bc54cp-1"),
+    (2, 3, 1, 5.0, 0.0, 1.0, "0x1.14c912a0b94eap-5"),
+    (2, 3, 2, 10.0, 5.0, 1.0, "0x1.9c1bcf4048f9ep-4"),
+    (2, 3, 3, 15.0, 0.0, 1.0, "0x1.b73c07ec80792p-16"),
     (3, 1, 1, 20.0, 5.0, 1.0, "0x1.7f836f0f34406p-10"),
-    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d7351ddp-1"),
+    (3, 1, 2, 0.0, 0.0, 1.0, "0x1.f63114d7351dfp-1"),
     (3, 1, 3, 5.0, 5.0, 1.0, "0x1.fbbd7a0f0148ap-1"),
-    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce53073p-11"),
-    (3, 2, 2, 15.0, 5.0, 1.0, "0x1.acdd6de9c57f7p-9"),
+    (3, 2, 1, 10.0, 0.0, 1.0, "0x1.82b6acce53076p-11"),
+    (3, 2, 2, 15.0, 5.0, 1.0, "0x1.acdd6de9c57f8p-9"),
     (3, 2, 3, 20.0, 0.0, 1.0, "0x1.1801e95f0fb7bp-23"),
     (3, 3, 1, 0.0, 5.0, 1.0, "0x1.94323f48ccc6bp-1"),
     (3, 3, 2, 5.0, 0.0, 1.0, "0x1.bc4fedb159abap-5"),
-    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5a8cp-4"),
-    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80f6dp-12"),
-    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c2072p-10"),
-    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf5e4p-1"),
-    (4, 2, 1, 5.0, 5.0, 1.0, "0x1.55db0ce783fffp-2"),
-    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab574ap-10"),
+    (3, 3, 3, 10.0, 5.0, 1.0, "0x1.e894e55ef5a8bp-4"),
+    (4, 1, 1, 15.0, 0.0, 1.0, "0x1.69651afa80f6fp-12"),
+    (4, 1, 2, 20.0, 5.0, 1.0, "0x1.336ec5b1c2074p-10"),
+    (4, 1, 3, 0.0, 0.0, 1.0, "0x1.fd9efb1eaf5e2p-1"),
+    (4, 2, 1, 5.0, 5.0, 1.0, "0x1.55db0ce783ffcp-2"),
+    (4, 2, 2, 10.0, 0.0, 1.0, "0x1.1293fc6ab5749p-10"),
     (4, 2, 3, 15.0, 5.0, 1.0, "0x1.a4c771f836f61p-9"),
     (4, 3, 1, 20.0, 0.0, 1.0, "0x1.6256791e6597cp-56"),
     (4, 3, 2, 0.0, 5.0, 1.0, "0x1.f21508ff15cb8p-1"),
-    (4, 3, 3, 5.0, 0.0, 1.0, "0x1.725aaa0645546p-4"),
+    (4, 3, 3, 5.0, 0.0, 1.0, "0x1.725aaa0645544p-4"),
     (6, 1, 1, 10.0, 5.0, 1.0, "0x1.4ad549fc3350ap-4"),
-    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa39ecp-14"),
-    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb93cp-12"),
-    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b449dp-2"),
-    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b50eep-1"),
+    (6, 1, 2, 15.0, 0.0, 1.0, "0x1.744fc36fa39edp-14"),
+    (6, 1, 3, 20.0, 5.0, 1.0, "0x1.0d9a72eceb93dp-12"),
+    (6, 2, 1, 0.0, 0.0, 1.0, "0x1.8094bd94b44a1p-2"),
+    (6, 2, 2, 5.0, 5.0, 1.0, "0x1.465ea3b8b50efp-1"),
     (6, 2, 3, 10.0, 0.0, 1.0, "0x1.0f84858d9d36cp-11"),
-    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd723p-28"),
+    (6, 3, 1, 15.0, 5.0, 1.0, "0x1.7eab9354dd724p-28"),
     (6, 3, 2, 20.0, 0.0, 1.0, "0x1.b9025d2937b3fp-72"),
-    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ceb69p-1"),
-    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84d09p-17"),
+    (6, 3, 3, 0.0, 5.0, 1.0, "0x1.fe616d15ceb6bp-1"),
+    (3, 2, 1, 15.0, 5.0, 0.0, "0x1.60b5d33a84d07p-17"),
     (6, 3, 3, 20.0, 0.0, 2.0, "0x1.37b904b5421bbp-50"),
 ]
 
@@ -417,3 +423,119 @@ class TestOutageQuadrature:
     def test_requires_two_antennas(self):
         with pytest.raises(ValueError):
             outage_quadrature(SystemConfig(1, 2, 1, 1.0, 1.0), 0.0)
+
+
+def outcome_key(outcome):
+    """A value's bits, or a refusal's type and text."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return outcome.hex()
+
+
+def batches_of_one(points):
+    outcomes = []
+    for config, rate in points:
+        try:
+            outcomes.append(outage_quadrature(config, rate))
+        except (ValueError, NumericalFailureError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def default_grid_points():
+    return [(sweeps._config(pt), pt["rate_rs"]) for pt in sweeps.validation_grid("default")]
+
+
+def mixed_points(count, seed):
+    """Points of random antenna triples up to (8, 8, 8), ordinary and
+    extreme SNRs, and rates 0, 1e-300, ordinary and >= 1024, shuffled
+    with two refused inputs."""
+    rng = random.Random(seed)
+
+    def snr():
+        db = rng.choice([rng.uniform(-20.0, 40.0), rng.uniform(-300.0, 300.0), -300.0, 300.0])
+        return db_to_linear(db)
+
+    rates = [0.0, 1e-300, None, 1024.0, None]
+    points = []
+    for _ in range(count):
+        rate = rng.choice(rates)
+        if rate is None:
+            rate = rng.choice([rng.uniform(0.0, 4.0), rng.uniform(1024.0, 1e6)])
+        triple = (rng.randint(2, 8), rng.randint(1, 8), rng.randint(1, 8))
+        points.append((SystemConfig(*triple, snr(), snr()), rate))
+    points += [(SystemConfig(1, 2, 1, 1.0, 1.0), 1.0), (SystemConfig(2, 2, 1, 1.0, 1.0), -1.0)]
+    rng.shuffle(points)
+    return points
+
+
+class TestBatch:
+    """``outage_quadratures`` returns each point's outcome with the bits
+    or the refusal of its batch of one, ``outage_quadrature``."""
+
+    def test_default_grid(self):
+        points = default_grid_points()
+        batch = outage_quadratures(points)
+        assert list(map(outcome_key, batch)) == list(map(outcome_key, batches_of_one(points)))
+        assert all(isinstance(value, float) for value in batch)
+
+    def test_shuffled_mixed_points(self):
+        points = mixed_points(300, seed=39)
+        batch = outage_quadratures(points)
+        assert list(map(outcome_key, batch)) == list(map(outcome_key, batches_of_one(points)))
+        refused = [outcome for outcome in batch if isinstance(outcome, Exception)]
+        assert sorted(type(exc).__name__ for exc in refused) == ["ValueError", "ValueError"]
+
+    def test_empty_batch(self):
+        assert outage_quadratures([]) == []
+
+    def test_refusals_stay_with_their_points(self, monkeypatch):
+        # With the first level alone, some points fail the inner cdf and
+        # some the outer integral, each with the text of its batch of one.
+        monkeypatch.setattr(quadrature, "_GAUSS_ORDERS", (32,))
+        points = default_grid_points()
+        batch = outage_quadratures(points)
+        assert list(map(outcome_key, batch)) == list(map(outcome_key, batches_of_one(points)))
+        refused = [outcome for outcome in batch if isinstance(outcome, Exception)]
+        assert all(isinstance(exc, NumericalFailureError) for exc in refused)
+        assert {str(exc) for exc in refused} == {
+            "top-two sum cdf did not converge to 1e-09 within 65 nodes",
+            "outer outage integral did not converge to 1e-08 within 65 nodes",
+        }
+
+    def test_a_failed_rule_fails_every_triple(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_NEWTON_PASSES", 1)
+        _kronrod_rule.cache_clear()
+        points = [
+            (SystemConfig(3, 2, 1, 10.0, 1.0), 1.0),
+            (SystemConfig(1, 2, 1, 1.0, 1.0), 0.0),
+            (SystemConfig(2, 2, 2, 1.0, 1.0), 0.5),
+        ]
+        batch = outage_quadratures(points)
+        assert list(map(outcome_key, batch)) == list(map(outcome_key, batches_of_one(points)))
+        assert [type(outcome) for outcome in batch] == [
+            NumericalFailureError, ValueError, NumericalFailureError
+        ]
+
+    def test_rows_summed_in_a_subset(self):
+        rng = np.random.default_rng(22)
+        for n in (7, 32, 64, 1024):
+            _, w_kronrod, w_gauss = _kronrod_rule(n)
+            magnitudes = np.exp(rng.uniform(-30.0, 30.0, (301, 1)))
+            vals = rng.standard_normal((301, 2 * n + 1)) * magnitudes
+            full = _row_sums(vals, w_kronrod)
+            full_gauss = _row_sums(vals[:, 1::2], w_gauss)
+            for rows in (slice(5, 6), slice(3, 150), slice(0, 301, 7), [300, 2, 41]):
+                subset = vals[rows].copy()
+                assert _row_sums(subset, w_kronrod).tobytes() == full[rows].tobytes()
+                assert _row_sums(subset[:, 1::2], w_gauss).tobytes() == full_gauss[rows].tobytes()
+
+    def test_cdf_rows_with_their_own_scales(self):
+        # One call over rows of three scales equals one call per scale.
+        s_max = _support(6, 1.0) * np.array([0.5, 1.0, 20.0])
+        s = np.linspace(0.0, 1.2, 40)[:, None] * s_max
+        together = _top_two_cdf(s, 3, 2, np.array([0.5, 1.0, 20.0]), s_max)
+        for column, scale in enumerate((0.5, 1.0, 20.0)):
+            alone = _top_two_cdf(s[:, column], 3, 2, scale, s_max[column])
+            assert together[:, column].tobytes() == alone.tobytes()
+        assert np.all(together[s >= s_max] == 1.0)

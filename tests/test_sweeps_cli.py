@@ -28,6 +28,7 @@ from tasalamouti import (
     evaluate,
     find_crossover,
     load_sweep_spec,
+    outage_quadrature,
     run_preset,
     run_sweep,
     validate,
@@ -800,10 +801,10 @@ class TestValidate:
         assert block_spy.calls == []
 
     def test_quadrature_failure_keeps_the_closed_form_cells(self, monkeypatch):
-        def fail(config, rate):
-            raise NumericalFailureError("quadrature did not converge")
+        def fail(points):
+            return [NumericalFailureError("quadrature did not converge") for _ in points]
 
-        monkeypatch.setattr(sweeps, "outage_quadrature", fail)
+        monkeypatch.setattr(sweeps, "outage_quadratures", fail)
         point = dict(n_alice=3, n_bob=2, n_eve=1, gamma_bar_b_db=10.0,
                      gamma_bar_e_db=0.0, rate_rs=1.0)
         [row] = sweeps._validate_points([point], n_trials=1000).rows
@@ -983,6 +984,53 @@ class TestBatchCalls:
     def test_evaluate(self, batches, evaluator, expected):
         evaluate(SystemConfig(3, 2, 1, 10.0, 1.0), Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate=1.0)
         assert batches == expected
+
+
+
+class TestQuadratureBatch:
+    """The quadrature rows of a run come from one ``outage_quadratures``
+    call, and each row holds its point's ``outage_quadrature`` bits."""
+
+    @pytest.fixture
+    def quadrature_calls(self, monkeypatch):
+        """The points of every ``outage_quadratures`` call, in call order."""
+        calls = []
+
+        def spy(points, batch=sweeps.outage_quadratures):
+            calls.append(list(points))
+            return batch(points)
+
+        monkeypatch.setattr(sweeps, "outage_quadratures", spy)
+        return calls
+
+    @pytest.mark.parametrize("metric, rate", [("P_out", 1.0), ("Pr_nonzero", 0.0)])
+    def test_sweep_rows(self, quadrature_calls, metric, rate):
+        spec = small_spec(
+            metric=metric,
+            values=(0.0, 10.0, 20.0),
+            evaluators=(EvaluatorSettings(name="quadrature", schemes=(Scheme.TAS_ALAMOUTI,)),),
+        )
+        rows = run_sweep(spec)
+        [points] = quadrature_calls
+        assert [rate_read for _, rate_read in points] == [rate] * 3
+        expected = [outage_quadrature(config, rate) for config, _ in points]
+        if metric == "Pr_nonzero":
+            expected = [1.0 - value for value in expected]
+        assert [row.value for row in rows if row.evaluator == "quadrature"] == expected
+
+    def test_validate_quick(self, quadrature_calls):
+        report = validate("quick", n_trials=2000)
+        [points] = quadrature_calls
+        assert len(points) == len(report.rows) == 64
+        assert [row.quadrature for row in report.rows] == [
+            outage_quadrature(config, rate) for config, rate in points
+        ]
+
+    def test_evaluate(self, quadrature_calls):
+        config = SystemConfig(3, 2, 1, 10.0, 1.0)
+        value = evaluate(config, Scheme.TAS_ALAMOUTI, "P_out", "quadrature", rate=1.0)
+        assert quadrature_calls == [[(config, 1.0)]]
+        assert value == outage_quadrature(config, 1.0)
 
 
 class TestCli:
@@ -1552,18 +1600,21 @@ class TestGoldenCsv:
         "capacity": "0b86fa24cbc327d53731722d6cd15eb36391f04207189de41b040ed5cbe6d6c1",
         # Re-frozen when the quadrature became one Gauss-Kronrod pass per
         # level and the z-score's binomial tail left scipy, again when
-        # the Erlang density and cdf came from one exp, and again when the
-        # rule's nodes came from Newton's method in place of LAPACK.
-        "validate-quick": "76a0f0453da75039ded016a81977ac589a065f3744005409052df02bb2dd34ca",
+        # the Erlang density and cdf came from one exp, again when the
+        # rule's nodes came from Newton's method in place of LAPACK, and
+        # again (cf_quad_diff only) when each quadrature sum was taken
+        # within its row and each inner-cdf row was refined on its own.
+        "validate-quick": "51741cbf7faa75c800777682676968fdf4e00ca6553211446f3bb2aae9bc22e0",
         # Its closed-form and quadrature cells were frozen before a
         # triple's closed-form values came from one batched psi pass and
         # the quadrature integrand was trimmed; its quadrature and
         # cf_quad_diff cells moved when the rule's nodes came from
-        # Newton's method.
-        "validate-default": "b68c4e63e3cfdfcbfdc5c64a142333142984a21cdc0fe7e12b5e8f30876f512d",
+        # Newton's method, and its cf_quad_diff cells when the quadrature
+        # sums became row by row.
+        "validate-default": "e5e42ba6c819bb89001ab93a15035b0c2b37f9c4f8915ca1a2a560c55b531ecb",
         "fig5-multi-block": "4635a2f6bc9c5527a524f24f21d5787ebca26c8df2fa03bfceed5a6f5f15a166",
         "validate-quick-multi-block": (
-            "77fcc37fb0ec110e8dc9052215343f1e94e19b36d4943ec8ffc6dd8c2c9bcb98"
+            "84d7bc4946a2f3c52d5bec23ee0d243c82c03f7e55e7db4a9957a7cee9875234"
         ),
     }
 
