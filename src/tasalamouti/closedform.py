@@ -477,7 +477,8 @@ def _searched(searches: Sequence[tuple[SystemConfig, float]], tol: float) -> lis
     """The outcome of each ``(config, epsilon)`` search at tolerance ``tol``,
     one ``_kernels.lockstep`` run whose answer to a step's probes is their
     outage, or refusal, from one ``outage_breakdowns`` call.  That name is
-    looked up at each call, so a hook bound over it sees every probe."""
+    looked up at each call only for ``probe_with`` in
+    ``tests/test_closedform.py``, which replaces it."""
 
     def probed(probes):
         outcomes = outage_breakdowns(probes)

@@ -13,10 +13,10 @@ agreement between the two is meaningful evidence of correctness.
 
 ``outage_quadratures`` integrates many points per call, and
 ``outage_quadrature`` is its batch of one.  Points are grouped by
-antenna triple; each outer level is one pass over a group's pending
-points, and all their rate thresholds below Bob's support bound become
-rows of one inner-cdf call, each row with its own scale, evaluated in
-slices of ``SLICE_NODES`` node evaluations.  Each inner row and each
+antenna triple.  Both levels take their rows in slices of
+``SLICE_NODES`` node evaluations: the rate thresholds of an outer
+slice's points below Bob's support bound are the rows of one inner-cdf
+call, each row with its own scale.  Each inner row and each
 outer point is refined on its own, and every sum is taken within its
 row (``_row_sums``), so a point's value has the same bits in any batch,
 and no BLAS call rounds it.  After ``preset fig2`` in the same process,
@@ -67,11 +67,11 @@ OUTER_TOL = 1e-8
 # integrand on 2n+1 nodes.
 _GAUSS_ORDERS = (32, 64, 128, 256, 512, 1024)
 
-# Node evaluations per slice of inner-cdf rows: 189 rows of the 65-node
-# first level, 5 of the 2049-node last.  The default grid's quadrature
-# after ``preset fig2`` (thread time, medians of 10 processes on a shared
-# 2-core host) took 0.12 s at 6144, 0.10 s at 12 288, 0.13 s at 24 576 and
-# 0.18 s at 133 120 (2048 rows of 65 nodes).
+# Node evaluations per slice of a level's rows, inner or outer: 189 rows
+# of the 65-node first level, 5 of the 2049-node last.  The default
+# grid's quadrature after ``preset fig2`` (thread time, medians of 10
+# processes on a shared 2-core host) took 0.12 s at 6144, 0.10 s at
+# 12 288, 0.13 s at 24 576 and 0.18 s at 133 120 (2048 inner rows of 65).
 SLICE_NODES = 12_288
 
 
@@ -301,7 +301,6 @@ def _refined(
     upper: np.ndarray,
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
-    slice_nodes: int | None,
 ) -> np.ndarray:
     """Integrate ``integrand`` over y in [0, upper[i]] for each row i.
 
@@ -310,11 +309,10 @@ def _refined(
     row's Kronrod sum is kept once it agrees within ``tol`` (absolute)
     with its n-point Gauss sum on the same evaluations; the other rows
     go on to the level of twice the order.  A level's rows are taken in
-    slices of at most ``slice_nodes`` node evaluations (at least one
-    row), all at once for None.  ``integrand(rows, y)`` sees a slice's
-    row indices and y, with its nodes along the second axis.  Returns
-    each row's sum, NaN for a row that did not converge at the last
-    level.
+    slices of at most ``SLICE_NODES`` node evaluations (at least one
+    row).  ``integrand(rows, y)`` sees a slice's row indices and y, with
+    its nodes along the second axis.  Returns each row's sum, NaN for a
+    row that did not converge at the last level.
     """
     total = np.full(len(upper), np.nan)
     pending = np.arange(len(upper))
@@ -322,7 +320,7 @@ def _refined(
         if not len(pending):
             break
         t, w_kronrod, w_gauss = _kronrod_rule(order)
-        step = len(pending) if slice_nodes is None else max(1, slice_nodes // len(t))
+        step = max(1, SLICE_NODES // len(t))
         unconverged = []
         for start in range(0, len(pending), step):
             rows = pending[start : start + step]
@@ -375,16 +373,16 @@ def _top_two_cdf(
         return pdf_y
 
     cdf = np.ones(s.shape)
-    vals = _refined(half, integrand, INNER_TOL, SLICE_NODES)
+    vals = _refined(half, integrand, INNER_TOL)
     cdf[below] = np.clip(n * (n - 1) * vals, 0.0, 1.0)
     return cdf
 
 
 def _triple_outages(n_alice: int, n_bob: int, n_eve: int, configs, rates) -> list:
     """The outcome of each point of one antenna triple, as
-    ``outage_quadratures`` returns it.  Each outer level is one pass
-    over the pending points; all their thresholds below Bob's support
-    bound are rows of one ``_top_two_cdf`` call.  A point one of whose
+    ``outage_quadratures`` returns it.  Each ``_refined`` slice of the
+    pending points makes one ``_top_two_cdf`` call, whose rows are all
+    its thresholds below Bob's support bound.  A point one of whose
     rows did not converge is refused, and its integrand is set to 0 so
     that its refinement stops there."""
     eve_shape = 2 * n_eve
@@ -407,7 +405,7 @@ def _triple_outages(n_alice: int, n_bob: int, n_eve: int, configs, rates) -> lis
         vals[failed] = 0.0
         return vals
 
-    totals = _refined(eve_max, integrand, OUTER_TOL, None)
+    totals = _refined(eve_max, integrand, OUTER_TOL)
     return [
         _unconverged("top-two sum cdf", INNER_TOL) if inner_failed
         else _unconverged("outer outage integral", OUTER_TOL) if np.isnan(total)

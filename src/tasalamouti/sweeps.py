@@ -4,12 +4,12 @@ A sweep walks one parameter (legitimate-link SNR in dB, transmit
 antenna count, or the outage budget epsilon) across a fixed base
 configuration, evaluates one metric with one or more evaluators per
 scheme, and emits rows in a stable order with a fixed CSV schema.
-Every evaluation goes through one table that maps a (metric,
-evaluator) pair to its function.  The batched work that its entries
-read, a Monte Carlo count, a quadrature, a closed-form breakdown or a
-C_out search, is named by ``_job`` and answered by ``_resolved``, one
-batch call per kind of job present.  ``evaluate`` is the one
-single-point entry for all three evaluators, and the command line's
+Every evaluation goes through one table, ``_ROUTES``, that gives a
+(metric, evaluator) pair its kind of batched job (a Monte Carlo count,
+a quadrature, a closed-form breakdown or a C_out search) and its reader
+of that job's outcome; ``_job`` names a point's job and ``_resolved``
+answers many, one batch call per kind present.  ``evaluate`` is the
+one single-point entry for all three evaluators, and the command line's
 ``eval`` calls it; a sweep and a preset plan their rows, resolve the
 jobs of all of them in one call, so each distinct Monte Carlo key is
 drawn once, and then build the rows in order.  Presets reproduce the
@@ -420,22 +420,6 @@ def _config(point: dict) -> SystemConfig:
     )
 
 
-# (metric, evaluator) -> fn(config, rate, epsilon, known), where ``known``
-# is what the point's batch found for the entry to read (see ``_job``):
-# the Monte Carlo outage count of the point's event, or the closed form's
-# breakdown or capacity, or the quadrature's value, or the refusal in its
-# place.
-_EVALUATE = {
-    ("P_out", "closed-form"): lambda c, rate, eps, known: _found(known).value,
-    ("Pr_nonzero", "closed-form"): lambda c, rate, eps, known: 1.0 - _found(known).value,
-    ("C_out", "closed-form"): lambda c, rate, eps, known: _found(known),
-    ("P_out", "quadrature"): lambda c, rate, eps, known: _found(known),
-    ("Pr_nonzero", "quadrature"): lambda c, rate, eps, known: 1.0 - _found(known),
-    ("P_out", "monte-carlo"): lambda c, rate, eps, known: known,
-    ("Pr_nonzero", "monte-carlo"): lambda c, rate, eps, known: known.complement(),
-}
-
-
 def _found(outcome):
     """A batch's outcome for one point: its value, or its refusal raised."""
     if isinstance(outcome, Exception):
@@ -443,21 +427,38 @@ def _found(outcome):
     return outcome
 
 
+# (metric, evaluator) -> (kind, read): the kind of batched job that answers
+# the point (see ``_job``), and ``read(outcome)``, the point's value from
+# what that batch found for it, or the refusal found in its place raised.
+_ROUTES = {
+    ("P_out", "closed-form"): ("breakdown", lambda known: _found(known).value),
+    ("Pr_nonzero", "closed-form"): ("breakdown", lambda known: 1.0 - _found(known).value),
+    ("C_out", "closed-form"): ("capacity", _found),
+    ("P_out", "quadrature"): ("quadrature", _found),
+    ("Pr_nonzero", "quadrature"): ("quadrature", lambda known: 1.0 - _found(known)),
+    ("P_out", "monte-carlo"): ("count", _found),
+    ("Pr_nonzero", "monte-carlo"): ("count", lambda known: _found(known).complement()),
+}
+
+
+def _event_rate(metric: str, rate: float) -> float:
+    """The rate of a metric's event: P_out reads its rate, Pr_nonzero 0."""
+    return rate if metric == "P_out" else 0.0
+
+
 def _job(
     config: SystemConfig, scheme: Scheme, metric: str, evaluator: str,
     rate: float, epsilon: float | None, trials: int, seed: int,
 ) -> tuple:
-    """The ``(kind, argument)`` job whose outcome a point's table entry
-    reads: the ``("count", event)`` of Monte Carlo, the quadrature's
-    ``("quadrature", (config, rate))``, and the closed form's
-    ``("capacity", (config, epsilon))`` for C_out or ``("breakdown",
-    (config, rate))``.  P_out reads its rate and Pr_nonzero rate 0."""
-    rate = rate if metric == "P_out" else 0.0
-    if evaluator == "monte-carlo":
-        return ("count", (config, scheme, rate, trials, seed))
-    if evaluator == "quadrature":
-        return ("quadrature", (config, rate))
-    return ("capacity", (config, epsilon)) if metric == "C_out" else ("breakdown", (config, rate))
+    """The ``(kind, argument)`` job of a point: the kind of its ``_ROUTES``
+    entry and that kind's argument, ``(config, scheme, rate, trials,
+    seed)`` for a count, ``(config, epsilon)`` for a C_out search, else
+    ``(config, rate)``, at the metric's ``_event_rate``."""
+    kind, _ = _ROUTES[metric, evaluator]
+    rate = _event_rate(metric, rate)
+    if kind == "count":
+        return kind, (config, scheme, rate, trials, seed)
+    return kind, (config, epsilon if kind == "capacity" else rate)
 
 
 def _resolved(jobs: Sequence[tuple | None]) -> list:
@@ -465,8 +466,9 @@ def _resolved(jobs: Sequence[tuple | None]) -> list:
     each batch that has jobs: ``montecarlo.count_outage`` draws each
     distinct key once, ``eps_outage_capacities`` steps its searches in
     lockstep, and ``outage_quadratures`` integrates each antenna triple's
-    points together.  The batches are looked up at call time, so a
-    wrapper bound over their names later sees every call."""
+    points together.  The four names are looked up at each call, not
+    bound once, only so that the spies of ``TestBatchCalls`` and
+    ``TestQuadratureBatch`` in ``tests/test_sweeps_cli.py`` see them."""
     batches = {
         "count": montecarlo.count_outage,
         "breakdown": outage_breakdowns,
@@ -494,7 +496,7 @@ def _checked(
     rate: float,
     epsilon: float | None,
 ):
-    """The table function of a point whose inputs pass; raises ``ValueError``
+    """The ``_ROUTES`` reader of a point whose inputs pass; raises ``ValueError``
     otherwise, before anything is drawn or evaluated.  The scheme is
     checked first, then the (metric, evaluator) pair, then the scheme's
     type, the two antennas of the Alamouti selection scheme and, for
@@ -505,8 +507,8 @@ def _checked(
             f"the {evaluator} evaluator supports only the "
             f"{Scheme.TAS_ALAMOUTI.value} scheme"
         )
-    fn = _EVALUATE.get((metric, evaluator))
-    if fn is None:
+    route = _ROUTES.get((metric, evaluator))
+    if route is None:
         raise ValueError(f"the {evaluator} evaluator does not support the {metric} metric")
     if not isinstance(scheme, Scheme):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -516,7 +518,7 @@ def _checked(
         checked_rate(rate)
     elif metric == "C_out":
         checked_epsilon(epsilon)
-    return fn
+    return route[1]
 
 
 def evaluate(
@@ -543,22 +545,21 @@ def evaluate(
     are refused; all of that is checked before anything is drawn or
     evaluated.
     """
-    fn = _checked(config, scheme, metric, evaluator, rate, epsilon)
+    read = _checked(config, scheme, metric, evaluator, rate, epsilon)
     (known,) = _resolved([_job(config, scheme, metric, evaluator, rate, epsilon, trials, seed)])
-    return fn(config, rate, epsilon, known)
+    return read(known)
 
 
 def _sweep_plan(
     spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
 ) -> tuple[dict, Callable | None, tuple | None]:
-    """One sweep row, planned: ``(cells, call, job)``.  ``cells`` are the
-    row's input cells; ``call(known)`` is the row's table function on its
-    point, None for a refused row, whose error cell carries the reason;
-    ``job`` is the batched job whose outcome ``call`` reads (``_job``),
-    None for a refused row."""
+    """One sweep row, planned: ``(cells, read, job)``.  ``cells`` are the
+    row's input cells; ``read`` is the row's ``_ROUTES`` reader and
+    ``job`` the batched job whose outcome it reads (``_job``), both None
+    for a refused row, whose error cell carries the reason."""
     point = _point_fields(spec, value)
     metric = spec.metric
-    rate = point["rate_rs"] if metric == "P_out" else 0.0
+    rate = _event_rate(metric, point["rate_rs"])
     # The point's fields are the row's input cells, except that the rate
     # and the epsilon cells show what the metric reads.
     cells = dict(
@@ -571,33 +572,32 @@ def _sweep_plan(
         evaluator=ev.name,
         **ev.sampling,
     )
-    call = job = None
+    read = job = None
     try:
         config = _config(point)
-        fn = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
+        read = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
     except ValueError as exc:
         cells["error"] = str(exc)
     else:
-        call = functools.partial(fn, config, rate, point["epsilon"])
         job = _job(config, scheme, metric, ev.name, rate, point["epsilon"], ev.trials, ev.seed)
-    return cells, call, job
+    return cells, read, job
 
 
 def _sweep_row(
     cells: dict,
-    call: Callable | None,
+    read: Callable | None,
     timings: bool,
     known,
 ) -> SweepRow:
     """The ``SweepRow`` of a ``_sweep_plan``: its input ``cells`` with the
-    value, standard error or error of ``call`` on ``known``, what the
-    row's batch found (no call for a refused row) and, under
+    value, standard error or error that ``read`` finds in ``known``, what
+    the row's batch found (nothing to read for a refused row) and, under
     ``timings``, the wall time."""
     started = time.perf_counter()
     outcome = {}
-    if call is not None:
+    if read is not None:
         try:
-            result = call(known)
+            result = read(known)
         except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
             outcome["error"] = str(exc)
         else:
@@ -624,7 +624,7 @@ def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
     ]
     found = _resolved([job for _, _, job in plans])
     return [
-        _sweep_row(cells, call, timings, known) for (cells, call, _), known in zip(plans, found)
+        _sweep_row(cells, read, timings, known) for (cells, read, _), known in zip(plans, found)
     ]
 
 
@@ -735,7 +735,7 @@ def build_preset(name: str, *, trials: int = 1_000_000, seed: int = 0) -> list[S
     evaluators = (
         EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,)),
     )
-    if (shared["metric"], "monte-carlo") in _EVALUATE:
+    if (shared["metric"], "monte-carlo") in _ROUTES:
         evaluators += (EvaluatorSettings(name="monte-carlo", trials=trials, seed=seed),)
     base = {
         "parameter": "gamma_bar_b_db",
@@ -827,10 +827,9 @@ def find_crossover(
     steps = math.ceil((hi_db - lo_db) / CROSSOVER_TOL_DB)
     grid = lo_db + (hi_db - lo_db) * np.arange(steps + 1) / steps
     gammas = list(map(db_to_linear, grid.tolist()))
-    _, (_, _, event_rate, _, _) = _job(
-        config, Scheme.TAS_ALAMOUTI, metric, "monte-carlo", rate, None, n_trials, seed
+    n_a, n_b, n_both = montecarlo.count_outage_grid(
+        config, gammas, _event_rate(metric, rate), n_trials, seed
     )
-    n_a, n_b, n_both = montecarlo.count_outage_grid(config, gammas, event_rate, n_trials, seed)
     # The per-trial differences are -1, 0 or 1, so three counts give their
     # mean and second moment exactly.  For Pr_nonzero both signs flip.
     mean = (n_a - n_b) / n_trials

@@ -25,6 +25,8 @@ from tasalamouti import (
     SweepSpecError,
     SystemConfig,
     build_preset,
+    closed_form_outage,
+    eps_outage_capacity,
     evaluate,
     find_crossover,
     load_sweep_spec,
@@ -36,7 +38,7 @@ from tasalamouti import (
     write_rows_csv,
     write_validation_csv,
 )
-from tasalamouti import cli, sweeps
+from tasalamouti import cli, montecarlo, sweeps
 from tasalamouti.montecarlo import BLOCK_SIZE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -923,6 +925,28 @@ class TestDrawOnce:
         assert block_spy.calls == []
 
 
+def _counted(config, rate):
+    """The Monte Carlo estimate of ``TestBatchCalls.test_evaluate``'s point."""
+    (result,) = montecarlo.count_outage([(config, Scheme.TAS_ALAMOUTI, rate, 5000, 3)])
+    return result
+
+
+# (metric, evaluator, the batch its route calls, its public single-point
+# function of the config) for every (metric, evaluator) route, at rate 1
+# for P_out and epsilon 0.1 for C_out.
+ROUTE_CASES = [
+    ("P_out", "closed-form", "outage_breakdowns", lambda c: closed_form_outage(c, 1.0)),
+    ("Pr_nonzero", "closed-form", "outage_breakdowns",
+     lambda c: 1.0 - closed_form_outage(c, 0.0)),
+    ("C_out", "closed-form", "eps_outage_capacities", lambda c: eps_outage_capacity(c, 0.1)),
+    ("P_out", "quadrature", "outage_quadratures", lambda c: outage_quadrature(c, 1.0)),
+    ("Pr_nonzero", "quadrature", "outage_quadratures",
+     lambda c: 1.0 - outage_quadrature(c, 0.0)),
+    ("P_out", "monte-carlo", "count_outage", lambda c: _counted(c, 1.0)),
+    ("Pr_nonzero", "monte-carlo", "count_outage", lambda c: _counted(c, 0.0).complement()),
+]
+
+
 class TestBatchCalls:
     """A run makes one call of each batch it has jobs for, and none of a
     batch it has no job for."""
@@ -935,6 +959,7 @@ class TestBatchCalls:
             (sweeps.montecarlo, "count_outage"),
             (sweeps, "outage_breakdowns"),
             (sweeps, "eps_outage_capacities"),
+            (sweeps, "outage_quadratures"),
         ]:
             def spy(jobs, batch=getattr(owner, name), name=name):
                 calls.append((name, len(jobs)))
@@ -957,7 +982,9 @@ class TestBatchCalls:
             )
         )
         run_sweep(spec)
-        assert batches == [("count_outage", 4), ("outage_breakdowns", 2)]
+        assert batches == [
+            ("count_outage", 4), ("outage_breakdowns", 2), ("outage_quadratures", 2)
+        ]
 
     def test_capacity_preset(self, batches):
         run_preset("fig6")
@@ -965,7 +992,9 @@ class TestBatchCalls:
 
     def test_validate_quick(self, batches):
         validate("quick", n_trials=2000)
-        assert batches == [("outage_breakdowns", 64), ("count_outage", 64)]
+        assert batches == [
+            ("outage_breakdowns", 64), ("count_outage", 64), ("outage_quadratures", 64)
+        ]
 
     @pytest.mark.parametrize(
         "count, text", [(dict(n_trials=0), "n_trials must be >= 1, got 0"),
@@ -978,12 +1007,23 @@ class TestBatchCalls:
         assert batches == []
 
     @pytest.mark.parametrize(
-        "evaluator, expected",
-        [("quadrature", []), ("closed-form", [("outage_breakdowns", 1)])],
+        "metric, evaluator, batch, alone",
+        ROUTE_CASES,
+        ids=[f"{metric}-{evaluator}" for metric, evaluator, *_ in ROUTE_CASES],
     )
-    def test_evaluate(self, batches, evaluator, expected):
-        evaluate(SystemConfig(3, 2, 1, 10.0, 1.0), Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate=1.0)
-        assert batches == expected
+    def test_evaluate(self, batches, metric, evaluator, batch, alone):
+        """Each route makes one call of its batch and gives the value of
+        its public single-point function, called after the batch check."""
+        config = SystemConfig(3, 2, 1, 10.0, 1.0)
+        value = evaluate(
+            config, Scheme.TAS_ALAMOUTI, metric, evaluator,
+            rate=1.0, epsilon=0.1, trials=5000, seed=3,
+        )
+        assert batches == [(batch, 1)]
+        assert value == alone(config)
+
+    def test_every_route_has_a_case(self):
+        assert sorted(sweeps._ROUTES) == sorted((m, e) for m, e, *_ in ROUTE_CASES)
 
 
 
@@ -1061,8 +1101,6 @@ class TestCli:
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         value = float(out.split("value = ")[1].split()[0])
-        from tasalamouti import closed_form_outage
-
         cfg = SystemConfig(3, 2, 1, 10.0, 1.0)
         assert value == pytest.approx(closed_form_outage(cfg, 1.0), rel=1e-12)
 
