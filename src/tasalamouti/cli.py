@@ -98,9 +98,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="has no effect: rows run in order on one thread (must be >= 1)",
     )
-    parser.add_argument(
-        "--timings", action="store_true", help="fill the wall_time_ms column"
-    )
 
 
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:
@@ -226,7 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for ev in spec.evaluators
     )
     spec = replace(spec, evaluators=evaluators)
-    rows = run_sweep(spec, timings=args.timings)
+    rows = run_sweep(spec)
     if spec.output is None:
         write_rows_csv(rows, sys.stdout)
     else:
@@ -236,7 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_preset(args: argparse.Namespace) -> int:
     _check_workers(args)
-    rows = run_preset(args.name, trials=args.trials, seed=args.seed, timings=args.timings)
+    rows = run_preset(args.name, trials=args.trials, seed=args.seed)
     output = args.output if args.output is not None else f"{args.name}.csv"
     write_rows_csv(rows, output)
     print(f"{len(rows)} rows -> {output}")

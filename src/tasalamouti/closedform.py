@@ -43,7 +43,7 @@ from typing import Sequence
 
 from . import _kernels
 from .config import SystemConfig, checked_epsilon, checked_rate
-from .errors import NumericalFailureError, PrecisionExhaustedError
+from .errors import NumericalFailureError, PrecisionExhaustedError, value_of
 
 __all__ = [
     "CLAMP_SLACK",
@@ -230,9 +230,7 @@ def outage_breakdown(config: SystemConfig, rate: float) -> OutageBreakdown:
         value leaves [0, 1] by more than the documented slack.
     """
     (outcome,) = outage_breakdowns([(config, rate)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return value_of(outcome)
 
 
 def closed_form_outage(config: SystemConfig, rate: float) -> float:
@@ -453,9 +451,7 @@ def eps_outage_capacity(
         the last float grid rate.
     """
     (outcome,) = _searched([(config, epsilon)], tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return value_of(outcome)
 
 
 def eps_outage_capacities(searches: Sequence[tuple[SystemConfig, float]]) -> list:

@@ -19,19 +19,11 @@ slice's points below Bob's support bound are the rows of one inner-cdf
 call, each row with its own scale.  Each inner row and each
 outer point is refined on its own, and every sum is taken within its
 row (``_row_sums``), so a point's value has the same bits in any batch,
-and no BLAS call rounds it.  After ``preset fig2`` in the same process,
-on a shared 2-core host (thread time, medians of 10 fresh processes),
-the 1080 default-grid points took 0.10 s in one batch, against 0.20 s
-one point per call with every row of a level refined together and
-summed by a BLAS matrix-vector product.  The per-row refinement and the
-skipped rows above the support bound alone, one point per call, cut
-the inner node evaluations from 6.84 M to 4.35 M, but took 0.26 s: a
-point's cost was then mostly fixed cost per numpy call, which only
-many points per call share out.  Slices of 2048 rows at the first
-level took 0.18 s, most likely because a slice's work arrays, 1 MB
-each, then outgrow the caches; an earlier pass that stacked whole
-chunks of points, with no slices, was no faster than one point per
-call.
+and no BLAS call rounds it.  Many points per call share out the fixed
+cost of each numpy call, which otherwise dominates a point's cost.  A
+slice bounds a level's work arrays so that they stay in the caches; at
+2048 first-level rows per slice they are 1 MB each and outgrow them
+(see ``SLICE_NODES``).
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import SystemConfig, checked_rate
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, value_of
 
 __all__ = [
     "INNER_TOL",
@@ -472,6 +464,4 @@ def outage_quadrature(config: SystemConfig, rate: float) -> float:
     float
     """
     (outcome,) = outage_quadratures([(config, rate)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return value_of(outcome)

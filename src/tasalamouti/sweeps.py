@@ -8,7 +8,8 @@ Every evaluation goes through one table, ``_ROUTES``, that gives a
 (metric, evaluator) pair its kind of batched job (a Monte Carlo count,
 a quadrature, a closed-form breakdown or a C_out search) and its reader
 of that job's outcome; ``_job`` names a point's job and ``_resolved``
-answers many, one batch call per kind present.  ``evaluate`` is the
+answers many, one batch call per kind present, and answers a refusal
+that stands in a job's place with itself.  ``evaluate`` is the
 one single-point entry for all three evaluators, and the command line's
 ``eval`` calls it; a sweep and a preset plan their rows, resolve the
 jobs of all of them in one call, so each distinct Monte Carlo key is
@@ -24,9 +25,8 @@ import csv
 import functools
 import itertools
 import math
-import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -45,7 +45,7 @@ from .config import (
     checked_rate,
     db_to_linear,
 )
-from .errors import NumericalFailureError, PrecisionExhaustedError
+from .errors import NumericalFailureError, PrecisionExhaustedError, value_of
 from .quadrature import outage_quadratures
 
 __all__ = [
@@ -331,9 +331,18 @@ def _entries(raw, what: str):
     return raw
 
 
+def _number(value, what: str) -> float:
+    """A real input from a sweep file, as a float: booleans (YAML reads
+    ``yes`` and ``on`` as true) and strings are refused, not read as 1.0
+    or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SweepSpecError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, what: str) -> int:
     """A count from a sweep file: integral floats such as 3.0 pass, while
-    fractions and booleans are refused instead of truncated."""
+    fractions, booleans and strings are refused instead of truncated."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
@@ -371,7 +380,7 @@ def _spec_from_dict(raw) -> SweepSpec:
             kwargs["schemes"] = tuple(Scheme.from_name(str(s)) for s in subset)
         evaluators.append(EvaluatorSettings(**kwargs))
 
-    values = tuple(float(v) for v in _entries(raw["values"], "values"))
+    values = tuple(_number(v, "values") for v in _entries(raw["values"], "values"))
     # Only the keys present; SweepSpec holds the defaults.
     fixed = {}
     for key in _BASE_FIELDS:
@@ -382,7 +391,7 @@ def _spec_from_dict(raw) -> SweepSpec:
         elif key == "epsilon" and base[key] is None:
             fixed[key] = None
         else:
-            fixed[key] = float(base[key])
+            fixed[key] = _number(base[key], f"base.{key}")
     return SweepSpec(
         name=str(raw.get("name", "sweep")),
         metric=str(raw["metric"]),
@@ -420,25 +429,26 @@ def _config(point: dict) -> SystemConfig:
     )
 
 
-def _found(outcome):
-    """A batch's outcome for one point: its value, or its refusal raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 # (metric, evaluator) -> (kind, read): the kind of batched job that answers
-# the point (see ``_job``), and ``read(outcome)``, the point's value from
-# what that batch found for it, or the refusal found in its place raised.
+# the point (see ``_job``), and ``read(found)``, the point's value from
+# what that batch found for it (see ``_read``).
 _ROUTES = {
-    ("P_out", "closed-form"): ("breakdown", lambda known: _found(known).value),
-    ("Pr_nonzero", "closed-form"): ("breakdown", lambda known: 1.0 - _found(known).value),
-    ("C_out", "closed-form"): ("capacity", _found),
-    ("P_out", "quadrature"): ("quadrature", _found),
-    ("Pr_nonzero", "quadrature"): ("quadrature", lambda known: 1.0 - _found(known)),
-    ("P_out", "monte-carlo"): ("count", _found),
-    ("Pr_nonzero", "monte-carlo"): ("count", lambda known: _found(known).complement()),
+    ("P_out", "closed-form"): ("breakdown", lambda found: found.value),
+    ("Pr_nonzero", "closed-form"): ("breakdown", lambda found: 1.0 - found.value),
+    ("C_out", "closed-form"): ("capacity", lambda found: found),
+    ("P_out", "quadrature"): ("quadrature", lambda found: found),
+    ("Pr_nonzero", "quadrature"): ("quadrature", lambda found: 1.0 - found),
+    ("P_out", "monte-carlo"): ("count", lambda found: found),
+    ("Pr_nonzero", "monte-carlo"): ("count", lambda found: found.complement()),
 }
+
+
+def _read(metric: str, evaluator: str, outcome):
+    """A point's value from its batch's ``outcome``, by its ``_ROUTES``
+    reader; a refusal in the outcome's place is raised before the route
+    is looked up, so a row refused for a pair with no route reads alike."""
+    found = value_of(outcome)
+    return _ROUTES[metric, evaluator][1](found)
 
 
 def _event_rate(metric: str, rate: float) -> float:
@@ -461,9 +471,10 @@ def _job(
     return kind, (config, epsilon if kind == "capacity" else rate)
 
 
-def _resolved(jobs: Sequence[tuple | None]) -> list:
-    """The outcome of each ``_job``, None for a None job, from one call of
-    each batch that has jobs: ``montecarlo.count_outage`` draws each
+def _resolved(jobs: Sequence[tuple | Exception]) -> list:
+    """The outcome of each ``_job``, or the refusal that stands in a job's
+    place, from one call of each batch that has jobs: a refusal is sent
+    to no batch.  ``montecarlo.count_outage`` draws each
     distinct key once, ``eps_outage_capacities`` steps its searches in
     lockstep, and ``outage_quadratures`` integrates each antenna triple's
     points together.  The four names are looked up at each call, not
@@ -475,13 +486,13 @@ def _resolved(jobs: Sequence[tuple | None]) -> list:
         "capacity": eps_outage_capacities,
         "quadrature": outage_quadratures,
     }
-    present = [job for job in jobs if job is not None]
+    present = [job for job in jobs if not isinstance(job, Exception)]
     found = {}
     for kind, batch in batches.items():
         arguments = [argument for job_kind, argument in present if job_kind == kind]
         if arguments:
             found[kind] = iter(batch(arguments))
-    return [None if job is None else next(found[job[0]]) for job in jobs]
+    return [job if isinstance(job, Exception) else next(found[job[0]]) for job in jobs]
 
 
 # The analytic evaluators model only the two-antenna selection scheme.
@@ -495,9 +506,9 @@ def _checked(
     evaluator: str,
     rate: float,
     epsilon: float | None,
-):
-    """The ``_ROUTES`` reader of a point whose inputs pass; raises ``ValueError``
-    otherwise, before anything is drawn or evaluated.  The scheme is
+) -> None:
+    """Raise ``ValueError`` unless a point's inputs pass, before anything
+    is drawn or evaluated.  The scheme is
     checked first, then the (metric, evaluator) pair, then the scheme's
     type, the two antennas of the Alamouti selection scheme and, for
     P_out, the rate or, for C_out, the epsilon.  The average SNRs were
@@ -507,8 +518,7 @@ def _checked(
             f"the {evaluator} evaluator supports only the "
             f"{Scheme.TAS_ALAMOUTI.value} scheme"
         )
-    route = _ROUTES.get((metric, evaluator))
-    if route is None:
+    if (metric, evaluator) not in _ROUTES:
         raise ValueError(f"the {evaluator} evaluator does not support the {metric} metric")
     if not isinstance(scheme, Scheme):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -518,7 +528,6 @@ def _checked(
         checked_rate(rate)
     elif metric == "C_out":
         checked_epsilon(epsilon)
-    return route[1]
 
 
 def evaluate(
@@ -545,18 +554,18 @@ def evaluate(
     are refused; all of that is checked before anything is drawn or
     evaluated.
     """
-    read = _checked(config, scheme, metric, evaluator, rate, epsilon)
+    _checked(config, scheme, metric, evaluator, rate, epsilon)
     (known,) = _resolved([_job(config, scheme, metric, evaluator, rate, epsilon, trials, seed)])
-    return read(known)
+    return _read(metric, evaluator, known)
 
 
 def _sweep_plan(
     spec: SweepSpec, value: float, scheme: Scheme, ev: EvaluatorSettings
-) -> tuple[dict, Callable | None, tuple | None]:
-    """One sweep row, planned: ``(cells, read, job)``.  ``cells`` are the
-    row's input cells; ``read`` is the row's ``_ROUTES`` reader and
-    ``job`` the batched job whose outcome it reads (``_job``), both None
-    for a refused row, whose error cell carries the reason."""
+) -> tuple[dict, tuple | ValueError]:
+    """One sweep row, planned: ``(cells, job)``.  ``cells`` are the row's
+    input cells and ``job`` the batched job whose outcome the row reads
+    (``_job``), or, for a refused row, the refusal of ``_config`` or
+    ``_checked`` in its place."""
     point = _point_fields(spec, value)
     metric = spec.metric
     rate = _event_rate(metric, point["rate_rs"])
@@ -572,45 +581,28 @@ def _sweep_plan(
         evaluator=ev.name,
         **ev.sampling,
     )
-    read = job = None
     try:
         config = _config(point)
-        read = _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
+        _checked(config, scheme, metric, ev.name, rate, point["epsilon"])
     except ValueError as exc:
-        cells["error"] = str(exc)
-    else:
-        job = _job(config, scheme, metric, ev.name, rate, point["epsilon"], ev.trials, ev.seed)
-    return cells, read, job
+        return cells, exc
+    return cells, _job(config, scheme, metric, ev.name, rate, point["epsilon"], ev.trials, ev.seed)
 
 
-def _sweep_row(
-    cells: dict,
-    read: Callable | None,
-    timings: bool,
-    known,
-) -> SweepRow:
+def _sweep_row(cells: dict, known) -> SweepRow:
     """The ``SweepRow`` of a ``_sweep_plan``: its input ``cells`` with the
-    value, standard error or error that ``read`` finds in ``known``, what
-    the row's batch found (nothing to read for a refused row) and, under
-    ``timings``, the wall time."""
-    started = time.perf_counter()
-    outcome = {}
-    if read is not None:
-        try:
-            result = read(known)
-        except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
-            outcome["error"] = str(exc)
-        else:
-            if isinstance(result, montecarlo.EstimatorResult):
-                outcome.update(value=result.estimate, stderr=result.stderr)
-            else:
-                outcome["value"] = result
-    if timings:
-        outcome["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
-    return SweepRow(**cells, **outcome)
+    value, standard error or error that ``_read`` finds in ``known``, what
+    the row's batch found or the row's refusal."""
+    try:
+        result = _read(cells["metric"], cells["evaluator"], known)
+    except (ValueError, PrecisionExhaustedError, NumericalFailureError) as exc:
+        return SweepRow(**cells, error=str(exc))
+    if isinstance(result, montecarlo.EstimatorResult):
+        return SweepRow(**cells, value=result.estimate, stderr=result.stderr)
+    return SweepRow(**cells, value=result)
 
 
-def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
+def _run_specs(specs: Sequence[SweepSpec]) -> list[SweepRow]:
     """The rows of every spec, in spec order.  Every row is planned first,
     and the jobs of all rows are answered in one ``_resolved`` call, so a
     key shared by several specs is drawn once."""
@@ -622,22 +614,18 @@ def _run_specs(specs: Sequence[SweepSpec], timings: bool) -> list[SweepRow]:
         for ev in spec.evaluators
         if ev.applies_to(scheme)
     ]
-    found = _resolved([job for _, _, job in plans])
-    return [
-        _sweep_row(cells, read, timings, known) for (cells, read, _), known in zip(plans, found)
-    ]
+    found = _resolved([job for _, job in plans])
+    return [_sweep_row(cells, known) for (cells, _), known in zip(plans, found)]
 
 
-def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (value, scheme, evaluator) combination of a sweep.
 
     Rows come back ordered by sweep value, then scheme order, then
     evaluator order.  Evaluator failures are recorded in the row's
-    error column instead of aborting.  ``timings`` fills the wall-time
-    column (a Monte Carlo row's time excludes its key's streamed count,
-    which the key's rows share, and a closed-form row's time excludes
-    its batch); leaving it off keeps output files byte-identical across
-    runs.
+    error column instead of aborting.  Every row is a function of its
+    input cells and its batch's outcome alone, so the same spec gives
+    the same bytes on every run; the ``wall_time_ms`` column stays empty.
 
     Rows are built in order on the calling thread, after one call per
     batch the rows need: ``montecarlo.count_outage`` counts every Monte
@@ -648,7 +636,7 @@ def run_sweep(spec: SweepSpec, *, timings: bool = False) -> list[SweepRow]:
     whose searches step in lockstep, and ``quadrature.outage_quadratures``
     the quadrature rows.
     """
-    rows = _run_specs([spec], timings)
+    rows = _run_specs([spec])
     if spec.output is not None:
         write_rows_csv(rows, spec.output)
     return rows
@@ -754,7 +742,6 @@ def run_preset(
     *,
     trials: int = 1_000_000,
     seed: int = 0,
-    timings: bool = False,
 ) -> list[SweepRow]:
     """Run every curve of a preset and return the concatenated rows.
 
@@ -764,7 +751,7 @@ def run_preset(
     order and bytes are those of running each curve through
     ``run_sweep`` in turn.
     """
-    return _run_specs(build_preset(name, trials=trials, seed=seed), timings)
+    return _run_specs(build_preset(name, trials=trials, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -938,14 +925,14 @@ def validation_grid(name: str) -> list[dict]:
 def _validation_row(
     pt: dict,
     closed_form: OutageBreakdown | Exception,
-    quad: float | Exception | None,
-    mc: montecarlo.EstimatorResult | None,
+    quad: float | Exception,
+    mc: montecarlo.EstimatorResult | Exception,
 ) -> ValidationRow:
     """The three-way comparison at one grid point, from the outcomes of
     its ``closed_form``, its quadrature ``quad`` and ``mc``, its
-    TAS-Alamouti outage count; each is the refusal in its place, and
-    ``quad`` and ``mc`` are None for a refused closed form.  The cells are filled in
-    turn, so a refusal part-way keeps those filled before it."""
+    TAS-Alamouti outage count.  The analytic outcomes may be refusals,
+    and a refused closed form stands in for the other two.  The cells are
+    filled in turn, so a refusal part-way keeps those filled before it."""
     rate = float(pt["rate_rs"])
     cells = dict(
         n_alice=pt["n_alice"],
@@ -956,14 +943,14 @@ def _validation_row(
         rate_rs=rate,
     )
     try:
-        closed_form = _found(closed_form)
+        closed_form = value_of(closed_form)
         cells.update(
             closed_form=closed_form.value,
             psi3=closed_form.psi[2],
             psi4=closed_form.psi[3],
             cancellation_ratio=closed_form.cancellation_ratio,
         )
-        quad = _found(quad)
+        quad = value_of(quad)
         cells.update(quadrature=quad, cf_quad_diff=abs(closed_form.value - quad))
         cells.update(mc_estimate=mc.estimate, mc_stderr=mc.stderr)
         cells["mc_z_score"] = montecarlo.binomial_z(mc.n_events, mc.n_trials, closed_form.value)
@@ -1000,35 +987,35 @@ def _validate_points(
 
     ``n_trials`` and ``seed`` are checked first, so a refused count
     evaluates nothing.  Then one ``_resolved`` call evaluates the closed
-    forms; a point whose system is refused has no config, and that
-    refusal stands in for its closed form.  Then one ``_resolved`` call
-    integrates the quadratures and counts the events of the points whose
-    closed form was not refused, drawing each distinct key once in one
-    streamed pass.  Rows keep the order of the points.
+    forms, with the refusal of a point whose system is refused in its
+    job's place.  Then one ``_resolved`` call integrates the quadratures
+    and counts the events, drawing each distinct key once in one
+    streamed pass; a refused closed form stands in for its point's two
+    jobs, so a refused point draws and integrates nothing.  Rows keep
+    the order of the points.
     """
     checked_count("n_trials", n_trials, 1)
     checked_count("seed", seed, 0)
 
-    def job(evaluator: str, config: SystemConfig, pt: dict) -> tuple:
-        rate = float(pt["rate_rs"])
-        return _job(config, Scheme.TAS_ALAMOUTI, "P_out", evaluator, rate, None, n_trials, seed)
-
-    configs, jobs = [], []
+    configs = []
     for pt in grid_points:
         try:
             configs.append(_config(pt))
         except (ArithmeticError, ValueError) as exc:
-            configs.append(None)
-            jobs.append(exc)
-        else:
-            jobs.append(job("closed-form", configs[-1], pt))
-    found = _resolved([None if isinstance(j, Exception) else j for j in jobs])
-    closed_forms = [j if isinstance(j, Exception) else cf for j, cf in zip(jobs, found)]
-    found = _resolved([
-        None if isinstance(closed_form, Exception) else job(evaluator, config, pt)
-        for evaluator in ("quadrature", "monte-carlo")
-        for pt, config, closed_form in zip(grid_points, configs, closed_forms)
-    ])
+            configs.append(exc)
+
+    def jobs(evaluator: str, stand_ins: Sequence) -> list:
+        """Each point's ``evaluator`` job, or its refusal in ``stand_ins``."""
+        return [
+            known if isinstance(known, Exception) else _job(
+                config, Scheme.TAS_ALAMOUTI, "P_out", evaluator,
+                float(pt["rate_rs"]), None, n_trials, seed,
+            )
+            for pt, config, known in zip(grid_points, configs, stand_ins)
+        ]
+
+    closed_forms = _resolved(jobs("closed-form", configs))
+    found = _resolved(jobs("quadrature", closed_forms) + jobs("monte-carlo", closed_forms))
     quads, counts = found[: len(grid_points)], found[len(grid_points) :]
     rows = list(map(_validation_row, grid_points, closed_forms, quads, counts))
 

@@ -26,6 +26,7 @@ from tasalamouti import (
     SystemConfig,
     build_preset,
     closed_form_outage,
+    db_to_linear,
     eps_outage_capacity,
     evaluate,
     find_crossover,
@@ -246,19 +247,6 @@ class TestRunSweep:
         second = rows_to_csv_text(run_sweep(small_spec()))
         assert first == second
 
-    def test_timings_column_only_when_requested(self):
-        bare = run_sweep(small_spec())
-        timed = run_sweep(small_spec(), timings=True)
-        assert all(row.wall_time_ms is None for row in bare)
-        assert all(row.wall_time_ms is not None for row in timed)
-
-    def test_timings_fill_refused_rows_too(self):
-        # The closed form refuses the single-antenna scheme before evaluating.
-        spec = small_spec(evaluators=(EvaluatorSettings(name="closed-form"),))
-        rows = run_sweep(spec, timings=True)
-        assert any(row.error for row in rows)
-        assert all(row.wall_time_ms is not None for row in rows)
-
     def test_analytic_error_row_for_single_antenna_scheme(self):
         spec = small_spec(
             evaluators=(EvaluatorSettings(name="closed-form"),),
@@ -457,6 +445,24 @@ evaluators:
         text = self.GOOD.replace(line, bad)
         assert text != self.GOOD
         with pytest.raises(SweepSpecError, match="must be an integer"):
+            load_sweep_spec(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "line, bad, what",
+        [
+            ("values: [0, 5, 10]", "values: [true, 5]", "values"),
+            ("values: [0, 5, 10]", "values: [0, '5', 10]", "values"),
+            ("  n_alice: 3", "  n_alice: 3\n  gamma_bar_b_db: '10'", "base.gamma_bar_b_db"),
+            ("  gamma_bar_e_db: 0.0", "  gamma_bar_e_db: yes", "base.gamma_bar_e_db"),
+            ("  rate_rs: 1.0", "  rate_rs: on", "base.rate_rs"),
+            ("  rate_rs: 1.0", "  rate_rs: 1.0\n  epsilon: false", "base.epsilon"),
+        ],
+    )
+    def test_non_number_reals_are_refused(self, tmp_path, line, bad, what):
+        # A boolean used to run as 1.0, and a numeric string was parsed.
+        text = self.GOOD.replace(line, bad)
+        assert text != self.GOOD
+        with pytest.raises(SweepSpecError, match=f": {what} must be a number, got "):
             load_sweep_spec(self.write(tmp_path, text))
 
     @pytest.mark.parametrize("bad", [".inf", ".nan"])
@@ -1025,6 +1031,47 @@ class TestBatchCalls:
     def test_every_route_has_a_case(self):
         assert sorted(sweeps._ROUTES) == sorted((m, e) for m, e, *_ in ROUTE_CASES)
 
+    def test_refused_rows_between_accepted_rows(self, batches):
+        """Refused rows (a 4000 dB SNR, and n_alice 1 under TAS-Alamouti)
+        sit between accepted closed-form, quadrature and Monte Carlo rows
+        of one run.  No refused row reaches a batch, and every row is
+        what its lone ``evaluate`` gives: the same value bits, or the
+        same error text."""
+        evaluators = (
+            EvaluatorSettings(name="closed-form", schemes=(Scheme.TAS_ALAMOUTI,)),
+            EvaluatorSettings(name="quadrature", schemes=(Scheme.TAS_ALAMOUTI,)),
+            EvaluatorSettings(name="monte-carlo", trials=3000, seed=3),
+        )
+        specs = [
+            small_spec(values=(0.0, 4000.0), evaluators=evaluators),
+            small_spec(parameter="n_alice", values=(1.0, 2.0), evaluators=evaluators),
+        ]
+        rows = sweeps._run_specs(specs)
+        assert batches == [
+            ("count_outage", 5), ("outage_breakdowns", 2), ("outage_quadratures", 2)
+        ]
+        assert [bool(row.error) for row in rows] == [False] * 4 + [True] * 7 + [False] * 5
+        for row in rows:
+            try:
+                config = SystemConfig(
+                    row.n_alice, row.n_bob, row.n_eve,
+                    db_to_linear(row.gamma_bar_b_db), db_to_linear(row.gamma_bar_e_db),
+                )
+                alone = evaluate(
+                    config, Scheme.from_name(row.scheme), row.metric, row.evaluator,
+                    rate=row.rate_rs, trials=3000, seed=3,
+                )
+            except ValueError as exc:
+                assert (row.value, row.stderr, row.error) == (None, None, str(exc))
+                continue
+            assert not row.error
+            if row.evaluator == "monte-carlo":
+                assert (repr(row.value), repr(row.stderr)) == (
+                    repr(alone.estimate), repr(alone.stderr)
+                )
+            else:
+                assert (repr(row.value), row.stderr) == (repr(alone), None)
+
 
 
 class TestQuadratureBatch:
@@ -1315,18 +1362,28 @@ class TestCli:
     def test_preset_rejects_unknown_name(self, capsys):
         assert cli.main(["preset", "fig9"]) == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "flags, text",
+        [
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--workers", "-3"], "workers must be >= 1, got -3"),
+            # Rows are built from their batch's outcome alone, so there is
+            # no time to report: the flag that filled wall_time_ms is gone.
+            (["--timings"], "unrecognized arguments: --timings"),
+        ],
+        ids=["0", "-3", "timings"],
+    )
     @pytest.mark.parametrize("command", ["sweep", "preset"])
     def test_workers_below_one_is_usage_error(
-        self, tmp_path, capsys, monkeypatch, command, workers
+        self, tmp_path, capsys, monkeypatch, command, flags, text
     ):
         monkeypatch.chdir(tmp_path)
         spec_path = tmp_path / "s.yaml"
         spec_path.write_text(TestLoadSweepSpec.GOOD)
         target = ["--spec", str(spec_path)] if command == "sweep" else ["fig6"]
-        code = cli.main([command, *target, "--workers", workers])
+        code = cli.main([command, *target, *flags])
         assert code == cli.EXIT_USAGE
-        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert text in capsys.readouterr().err
         assert not (tmp_path / "fig6.csv").exists()
 
     @pytest.mark.parametrize(
