@@ -31,11 +31,15 @@ nothing gathers its blocks: counts add over blocks, so each counter adds
 a block's counts and drops it.  Like the analytic routes, both counters
 take ``SystemConfig`` points.  ``count_outage`` counts any number of
 outage events, of any number of keys, and draws each distinct key once;
-non-zero secrecy is ``EstimatorResult.complement`` of its rate-0 count,
-and ``binomial_z``, the exact binomial tail of a count in sigma, scores
-``sweeps.validate``'s estimates.  ``count_outage_grid``, which
-``sweeps.find_crossover`` reads, counts both schemes and their
-intersection at every point of a gamma_bar_b grid.  Either counter
+on each block it builds one threshold per group of events that share
+scheme, scaled gamma_bar_e and rate, and each event of the group is one
+product gamma_bar_b X compared with it.  Non-zero secrecy is
+``EstimatorResult.complement`` of its rate-0 count, and ``binomial_z``,
+the exact binomial tail of a count in sigma, scores ``sweeps.validate``'s
+estimates.  ``count_outage_grid``, which ``sweeps.find_crossover``
+reads, counts both schemes and their intersection at every point of a
+gamma_bar_b grid.  Both counters read one threshold kernel,
+``_threshold``, and one comparison, ``_comparison``.  Either counter
 holds one block's working set and its counts, whatever the trial count.
 """
 
@@ -130,34 +134,47 @@ def _scaled(gamma_bar_b, gamma_bar_e) -> tuple:
     return gamma_bar_b * scale, gamma_bar_e * scale, scale
 
 
-def _below(bob, eve, gamma_bar_b, gamma_bar_e, scale, rate: float) -> np.ndarray:
-    """Boolean per-trial secrecy outage indicators of a scheme's
-    normalized pair (X, Y) = (``bob``, ``eve``), on SNRs scaled by
-    ``_scaled``; the SNRs and the scale are floats or arrays of one per
-    trial, and the rate is below ``_RATE_OVERFLOW``.
+def _threshold(eve, gamma_bar_e, scale, rate: float) -> np.ndarray:
+    """The outage threshold on gamma_bar_b X of a scheme's normalized
+    eavesdropper norms Y = ``eve``, on SNRs scaled by ``_scaled``; the
+    SNR and the scale are floats or arrays of one per trial, and the rate
+    is below ``_RATE_OVERFLOW``.  ``_below`` compares with it.
 
-    The event at ``rate == 0`` is gamma_bar_b X <= gamma_bar_e Y
-    (capacity not strictly positive), the exact complement of the
-    non-zero-secrecy event; at a positive rate it is secrecy capacity
-    below ``rate``, tested without a divide or a logarithm as
-    gamma_bar_b X < gamma_bar_e Y 2^rate + (2^rate - 1), which is
-    2^rate (1 + gamma_bar_e Y) - 1 without the round trip through
-    1 + gamma_bar_e Y: that sum loses gamma_bar_e Y below 2^-53, and
-    2^rate - 1 is taken as expm1(rate ln 2), which keeps a rate so small
-    that 2^rate rounds to 1.  ``_scaled`` brings the larger SNR below
-    2^512 and scales the 2^rate - 1 term with it, so gamma_bar_b X cannot
-    overflow: unscaled, both sides could overflow, and inf <= inf is true
-    where inf < inf is false.  Scaling by 2^-k is exact, so it moves no
-    event unless a scaled product leaves the normal range.  A threshold
-    that overflows becomes +inf, without an error or a warning, and puts
-    the trial in outage."""
+    At ``rate == 0`` it is gamma_bar_e Y; at a positive rate it is
+    gamma_bar_e Y 2^rate + (2^rate - 1), which is 2^rate (1 + gamma_bar_e
+    Y) - 1 without the round trip through 1 + gamma_bar_e Y: that sum
+    loses gamma_bar_e Y below 2^-53, and 2^rate - 1 is taken as
+    expm1(rate ln 2), which keeps a rate so small that 2^rate rounds to
+    1.  ``_scaled`` brings the larger SNR below 2^512 and scales the
+    2^rate - 1 term with it, so gamma_bar_b X cannot overflow: unscaled,
+    both sides could overflow, and inf <= inf is true where inf < inf is
+    false.  Scaling by 2^-k is exact, so it moves no event unless a
+    scaled product leaves the normal range.  A threshold that overflows
+    becomes +inf, without an error or a warning, and puts the trial in
+    outage."""
     with np.errstate(over="ignore"):
         threshold = eve * gamma_bar_e
         if rate > 0.0:
             threshold *= np.exp2(rate)
             threshold += scale * np.expm1(rate * math.log(2.0))
-            return bob * gamma_bar_b < threshold
-        return bob * gamma_bar_b <= threshold
+    return threshold
+
+
+def _comparison(rate: float):
+    """The ufunc that puts a trial in outage, product against threshold:
+    at ``rate == 0`` gamma_bar_b X <= gamma_bar_e Y (capacity not strictly
+    positive), the exact complement of the non-zero-secrecy event; at a
+    positive rate secrecy capacity below ``rate``, gamma_bar_b X below the
+    threshold, tested without a divide or a logarithm."""
+    return np.less if rate > 0.0 else np.less_equal
+
+
+def _below(bob, eve, gamma_bar_b, gamma_bar_e, scale, rate: float) -> np.ndarray:
+    """Boolean per-trial secrecy outage indicators of a scheme's
+    normalized pair (X, Y) = (``bob``, ``eve``): gamma_bar_b X against
+    ``_threshold``, by ``_comparison``; the SNRs and the scale are
+    ``_scaled``'s, floats or arrays of one per trial."""
+    return _comparison(rate)(bob * gamma_bar_b, _threshold(eve, gamma_bar_e, scale, rate))
 
 
 def count_outage(
@@ -169,15 +186,20 @@ def count_outage(
     scheme's outage at ``rate`` and ``config``'s SNRs, on the trials of
     the draw key (n_alice, n_bob, n_eve, n_trials, seed).  Every event is
     checked before anything is drawn, so one refused event draws nothing.
-    Each distinct key is then drawn once, in first-appearance order, and
-    each of its events' outage count on a block (``_below``) is added to
-    its total and the block dropped; results keep the events' order.  A
+    All the events' SNRs are then scaled in one ``_scaled`` call, and
+    each key's events grouped by (scheme, scaled gamma_bar_e, scale,
+    rate), the inputs of ``_threshold``.  Each distinct key is drawn
+    once, in first-appearance order.  On each block, each group's
+    threshold is built once, and each of its events costs one product
+    gamma_bar_b X, one comparison (``_below``'s) and one count, in
+    buffers reused across blocks; the counts are added to the events'
+    totals and the block dropped.  Results keep the events' order.  A
     rate whose 2^rate overflows puts every trial in outage, so every
     finite rate is answered.  Non-zero secrecy is
     ``EstimatorResult.complement`` of the rate-0 count.
     """
-    groups: dict[tuple, list] = {}
-    for index, (config, scheme, rate, n_trials, seed) in enumerate(events):
+    checked = []
+    for config, scheme, rate, n_trials, seed in events:
         rate = checked_rate(rate)
         if not isinstance(scheme, Scheme):
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -185,18 +207,32 @@ def count_outage(
             config.require_two_transmit_antennas()
         checked_count("n_trials", n_trials, 1)
         checked_count("seed", seed, 0)
-        key = (config.n_alice, config.n_bob, config.n_eve, n_trials, seed)
-        scaled = _scaled(config.gamma_bar_b, config.gamma_bar_e)
-        groups.setdefault(key, []).append((index, scheme, scaled, rate))
-    counts = [0] * len(events)
-    for key, members in groups.items():
+        checked.append((config, scheme, rate, n_trials, seed))
+    gamma_bar_bs, gamma_bar_es, scales = (column.tolist() for column in _scaled(
+        np.array([config.gamma_bar_b for config, *_ in checked], float),
+        np.array([config.gamma_bar_e for config, *_ in checked], float),
+    ))
+    counts = [0] * len(checked)
+    keys: dict[tuple, dict[tuple, list]] = {}
+    for index, (config, scheme, rate, n_trials, seed) in enumerate(checked):
+        groups = keys.setdefault((config.n_alice, config.n_bob, config.n_eve, n_trials, seed), {})
+        if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
+            counts[index] = n_trials
+        else:
+            group = (scheme, gamma_bar_es[index], scales[index], rate)
+            groups.setdefault(group, []).append((index, gamma_bar_bs[index]))
+    for key, groups in keys.items():
+        buffers = np.empty(min(key[3], BLOCK_SIZE)), np.empty(min(key[3], BLOCK_SIZE), bool)
         for pairs in _blocks(*key):
-            for index, scheme, scaled, rate in members:
-                if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
-                    counts[index] += pairs[scheme][0].size
-                else:
-                    counts[index] += int(np.count_nonzero(_below(*pairs[scheme], *scaled, rate)))
-    return [_bernoulli_result(count, event[3]) for count, event in zip(counts, events)]
+            for (scheme, gamma_bar_e, scale, rate), members in groups.items():
+                bob, eve = pairs[scheme]
+                threshold = _threshold(eve, gamma_bar_e, scale, rate)
+                compare = _comparison(rate)
+                product, outage = (buffer[: bob.size] for buffer in buffers)
+                for index, gamma_bar_b in members:
+                    compare(np.multiply(bob, gamma_bar_b, out=product), threshold, out=outage)
+                    counts[index] += int(np.count_nonzero(outage))
+    return [_bernoulli_result(count, event[3]) for count, event in zip(counts, checked)]
 
 
 def count_outage_grid(

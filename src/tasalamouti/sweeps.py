@@ -768,7 +768,9 @@ class CrossoverResult:
     nonzero grid points of opposite sign; ``half_width_db`` reaches from
     it to the nearer grid point, on each side, whose difference is
     distinguishable from zero (95% level), or to the bracket end, and is
-    the longer of the two reaches.
+    the longer of the two reaches.  Where there is no sign change,
+    ``message`` gives the difference at the bracket ends and names the
+    scheme whose metric is lower wherever the two differ.
     """
 
     found: bool
@@ -830,7 +832,8 @@ def find_crossover(
     if not len(flips):
         message = (
             f"no sign change of the {metric} difference on "
-            f"[{lo_db}, {hi_db}] dB (endpoints {mean[0]:.3e}, {mean[-1]:.3e})"
+            f"[{lo_db}, {hi_db}] dB (endpoints {mean[0]:.3e}, {mean[-1]:.3e}); "
+            + _lower_scheme(float(np.sign(mean[signed[0]])) if signed.size else 0.0, metric)
         )
         return result(found=False, gamma_db=None, half_width_db=None, message=message)
     root = 0.5 * float(grid[signed[flips[0]]] + grid[signed[flips[0] + 1]])
@@ -838,6 +841,20 @@ def find_crossover(
     below = float(band[band < root].max(initial=lo_db))
     above = float(band[band > root].min(initial=hi_db))
     return result(found=True, gamma_db=root, half_width_db=max(root - below, above - root))
+
+
+def _lower_scheme(sign: float, metric: str) -> str:
+    """Which scheme has the lower ``metric`` where the curves do not
+    cross, from ``sign``, the sign of the paired outage difference
+    (TAS-Alamouti minus single TAS) at every point where it is nonzero,
+    or 0 where it is zero throughout.  Pr_nonzero is the complement of
+    the counted outage, so its sign flips."""
+    if metric == "Pr_nonzero":
+        sign = -sign
+    if sign == 0.0:
+        return "the two schemes are equal at every point"
+    lower = "single TAS" if sign > 0.0 else "TAS-Alamouti"
+    return f"{lower} has the lower {metric} wherever the two differ"
 
 
 # ---------------------------------------------------------------------------

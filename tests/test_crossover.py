@@ -14,15 +14,18 @@ from tasalamouti import montecarlo
 from tasalamouti.sweeps import CROSSOVER_TOL_DB
 
 
-def reference_crossover(grid_db, counts, metric, bracket_db, n_trials, seed):
+def reference_crossover(grid_db, counts, metric, bracket_db, n_trials, seed,
+                        names=("TAS-Alamouti", "single TAS")):
     """Brute-force crossover from a count table: ``counts`` holds, at each
     point of ``grid_db``, the trials in outage under the first scheme,
-    under the second and under both.  The paired difference (first -
-    second) is -1, 0 or 1 per trial, so the counts give its mean and
-    second moment exactly.  The root is the midpoint of the first two
-    nonzero points of opposite sign, and the half width the larger
-    distance from it to the nearest point on each side whose difference
-    is beyond the 95% band (or to the bracket end)."""
+    under the second and under both, and ``names`` names the two.  The
+    paired difference (first - second) is -1, 0 or 1 per trial, so the
+    counts give its mean and second moment exactly.  The root is the
+    midpoint of the first two nonzero points of opposite sign, and the
+    half width the larger distance from it to the nearest point on each
+    side whose difference is beyond the 95% band (or to the bracket end).
+    With no root, the message names the scheme with fewer outage events
+    wherever the two differ (more for Pr_nonzero, their complement)."""
     lo_db, hi_db = float(bracket_db[0]), float(bracket_db[1])
     result = functools.partial(
         CrossoverResult,
@@ -48,13 +51,21 @@ def reference_crossover(grid_db, counts, metric, bracket_db, n_trials, seed):
             break
         previous = (g_db, mean)
     if root is None:
+        differing = {mean > 0.0 for _, mean, _ in points if mean != 0.0}
+        if not differing:
+            verdict = "the two schemes are equal at every point"
+        else:
+            [first_has_more_outage] = differing
+            lower = names[first_has_more_outage == (metric == "P_out")]
+            verdict = f"{lower} has the lower {metric} wherever the two differ"
         return result(
             found=False,
             gamma_db=None,
             half_width_db=None,
             message=(
                 f"no sign change of the {metric} difference on "
-                f"[{lo_db}, {hi_db}] dB (endpoints {points[0][1]:.3e}, {points[-1][1]:.3e})"
+                f"[{lo_db}, {hi_db}] dB (endpoints {points[0][1]:.3e}, {points[-1][1]:.3e}); "
+                + verdict
             ),
         )
     below, above = lo_db, hi_db
@@ -78,7 +89,11 @@ CASES = {
     "pnz-zero-end": ((4, 3, 2, 0.0), "Pr_nonzero", (-7.0, 9.0), 0.0),
     # The difference has one sign on the whole grid: no crossover.
     "no-crossover": ((2, 1, 1, 5.0), "P_out", (0.0, 5.0), 1.0),
+    "pnz-no-crossover": ((4, 3, 2, 0.0), "Pr_nonzero", (-30.0, -20.0), 0.0),
+    # The difference is 0 at every point.
+    "pnz-equal": ((4, 3, 2, 0.0), "Pr_nonzero", (20.0, 30.0), 0.0),
 }
+NO_CROSSOVER = {"no-crossover", "pnz-no-crossover", "pnz-equal"}
 SEEDS = [0, 1, 2, 3, 4, 5]
 N_TRIALS = 20_000
 
@@ -129,7 +144,26 @@ def test_same_result_as_reference(case, seed):
     assert hexed(got.gamma_db) == hexed(expected.gamma_db)
     assert hexed(got.half_width_db) == hexed(expected.half_width_db)
     assert got == expected
-    assert got.found == (case != "no-crossover")
+    assert got.found == (case not in NO_CROSSOVER)
+
+
+@pytest.mark.parametrize(
+    "case, verdict",
+    [
+        # (2,1,1): single TAS is lower throughout, against the paper's
+        # headline claim.
+        ("no-crossover", "single TAS has the lower P_out wherever the two differ"),
+        # TAS-Alamouti has more outage events at rate 0, so the lower
+        # probability of non-zero secrecy.
+        ("pnz-no-crossover", "TAS-Alamouti has the lower Pr_nonzero wherever the two differ"),
+        ("pnz-equal", "the two schemes are equal at every point"),
+    ],
+)
+def test_no_crossover_names_the_lower_scheme(case, verdict):
+    for seed in SEEDS:
+        config, args, rate = case_inputs(case, seed)
+        message = find_crossover(config, *args, rate=rate).message
+        assert message.endswith("); " + verdict), (seed, message)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -139,18 +173,21 @@ def test_reversed_pair_only_negates_the_difference(case, seed):
     # reversed pair, (single TAS, TAS-Alamouti) by swapping the table's
     # first two columns, negates every paired difference, so it finds the
     # same sign change and band: the same root and half width, and a
-    # no-crossover message whose endpoints change sign.
+    # no-crossover message whose endpoints change sign and which names
+    # the same lower scheme.
     config, args, rate = case_inputs(case, seed)
     got = find_crossover(config, *args, rate=rate)
     grid_db, counts = count_table(case, seed)
-    reversed_ = reference_crossover(grid_db, counts[:, [1, 0, 2]], *args)
+    reversed_ = reference_crossover(
+        grid_db, counts[:, [1, 0, 2]], *args, names=("single TAS", "TAS-Alamouti")
+    )
     assert got.found == reversed_.found
     assert hexed(got.gamma_db) == hexed(reversed_.gamma_db)
     assert hexed(got.half_width_db) == hexed(reversed_.half_width_db)
     if got.found:
         assert got == reversed_
     else:
-        endpoints = r"endpoints (\S+), (\S+)\)$"
+        endpoints = r"endpoints (\S+), (\S+)\); "
         own = re.search(endpoints, got.message).groups()
         flipped = re.search(endpoints, reversed_.message).groups()
         assert [float(x) for x in own] == [-float(x) for x in flipped]

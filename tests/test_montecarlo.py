@@ -15,10 +15,10 @@ from reference_channel import (
     select_antennas,
     snr_sample,
 )
-from tasalamouti import Scheme, SystemConfig, db_to_linear, evaluate
+from tasalamouti import Scheme, SystemConfig, db_to_linear, evaluate, montecarlo
 from tasalamouti.montecarlo import BLOCK_SIZE, _scaled, binomial_z, count_outage
 from tasalamouti._kernels import snr_components
-from tasalamouti.sweeps import MC_Z_LIMIT
+from tasalamouti.sweeps import MC_Z_LIMIT, run_preset, validate
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
 MC = "monte-carlo"
@@ -36,6 +36,30 @@ def scaled_snr_outage(pairs, scheme, gamma_bar_b, gamma_bar_e, rate):
     if rate == 0.0:
         return gamma_b <= gamma_e
     return np.log2((1.0 + gamma_b) / (1.0 + gamma_e)) < rate
+
+
+def one_function_outage(bob, eve, gamma_bar_b, gamma_bar_e, scale, rate):
+    """The outage comparison written as one function, threshold and
+    comparison together, as it stood before ``count_outage`` built one
+    threshold per group: an oracle that shares no code with
+    ``montecarlo._threshold``."""
+    with np.errstate(over="ignore"):
+        threshold = eve * gamma_bar_e
+        if rate > 0.0:
+            threshold *= np.exp2(rate)
+            threshold += scale * np.expm1(rate * math.log(2.0))
+            return bob * gamma_bar_b < threshold
+        return bob * gamma_bar_b <= threshold
+
+
+def scalar_scaled(gamma_bar_b, gamma_bar_e):
+    """``montecarlo._scaled`` written with math.frexp and math.ldexp, one
+    point at a time."""
+    exponent = math.frexp(max(gamma_bar_b, gamma_bar_e))[1]
+    if exponent <= 512:
+        return gamma_bar_b, gamma_bar_e, 1.0
+    scale = math.ldexp(1.0, 512 - exponent)
+    return gamma_bar_b * scale, gamma_bar_e * scale, scale
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,6 +263,41 @@ class TestOutageCount:
             else:  # the count sees trials on both sides
                 assert 0 < n_events < key[3]
 
+    def test_counts_equal_the_one_function_oracle_event_by_event(self):
+        # Five keys, the last one three blocks long with a partial last
+        # block, whose events interleave: both schemes, rates from 0 past
+        # the overflow of 2^rate, and gamma_bar_b / gamma_bar_e from -10
+        # to 30 dB.  A pair 3.3 dB apart past 2^512 shares its gamma_bar_e
+        # with an unscaled pair but not its scaled gamma_bar_e, and so
+        # not its threshold.  At the smallest subnormal SNRs both products
+        # round to a few multiples of it, and tie at rate 0.
+        rates = (0.0, 5e-324, 1e-300, 0.5, 1.0, 3.3, 1023.9, 1100.0)
+        snrs = [(10.0 ** (ratio_db / 10.0) * 2.0, 2.0) for ratio_db in range(-10, 31, 4)]
+        near_2_512 = math.ldexp(1.4, 511)
+        snrs += [(0.1 * near_2_512, near_2_512), (math.ldexp(1.5, 512), near_2_512)]
+        snrs.append((5e-324, 5e-324))
+        keys = [(4, 3, 2, 20_000, seed) for seed in range(4)]
+        keys.append((4, 3, 2, 2 * BLOCK_SIZE + 123, 4))
+        cases = [
+            (key, scheme, gamma_bar_b, gamma_bar_e, rate)
+            for scheme in (ALA, SINGLE)
+            for rate in rates
+            for gamma_bar_b, gamma_bar_e in snrs
+            for key in keys
+        ]
+        got = count_outage([
+            (SystemConfig(*key[:3], gamma_bar_b, gamma_bar_e), scheme, rate, *key[3:])
+            for key, scheme, gamma_bar_b, gamma_bar_e, rate in cases
+        ])
+        pairs = {key: gather_blocks(*key) for key in keys}
+        for (key, scheme, gamma_bar_b, gamma_bar_e, rate), counted in zip(cases, got):
+            scaled = scalar_scaled(gamma_bar_b, gamma_bar_e)
+            if rate >= 1024.0:  # 2^rate overflows: every trial is in outage
+                expected = key[3]
+            else:
+                expected = np.count_nonzero(one_function_outage(*pairs[key][scheme], *scaled, rate))
+            assert counted.n_events == expected, (key, scheme, scaled, rate)
+
     @pytest.mark.parametrize(
         "refused, match",
         [
@@ -437,17 +496,65 @@ class TestCountAcrossKeys:
         assert len(set(counts)) == len(counts)
 
 
-class TestScaled:
-    @staticmethod
-    def scalar_scaled(gamma_bar_b, gamma_bar_e):
-        # The scaling written with math.frexp and math.ldexp, one point at
-        # a time.
-        exponent = math.frexp(max(gamma_bar_b, gamma_bar_e))[1]
-        if exponent <= 512:
-            return gamma_bar_b, gamma_bar_e, 1.0
-        scale = math.ldexp(1.0, 512 - exponent)
-        return gamma_bar_b * scale, gamma_bar_e * scale, scale
+class TestWorkPerBlock:
+    """``count_outage`` builds one threshold per group of events sharing
+    (scheme, scaled gamma_bar_e, scale, rate) on each block, and scales
+    every event's SNRs in one ``_scaled`` call."""
 
+    @pytest.fixture
+    def work(self, monkeypatch, block_spy):
+        calls = {"_threshold": 0, "_scaled": 0, "count_outage": 0}
+
+        def counted(name, original):
+            def spy(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(montecarlo, name, spy)
+
+        for name in calls:
+            counted(name, getattr(montecarlo, name))
+        return calls, block_spy
+
+    def test_a_default_grid_key_builds_six_thresholds_per_block(self, work):
+        # 30 events per key: 5 gamma_bar_b for each of 2 gamma_bar_e and
+        # 3 rates, all TAS-Alamouti.  One trial past a block makes two.
+        calls, block_spy = work
+        validate("default", n_trials=BLOCK_SIZE + 1)
+        assert len(block_spy.calls) == 36
+        assert calls["_threshold"] == 6 * 2 * 36
+        assert calls["_scaled"] == calls["count_outage"] == 1
+
+    def test_a_fig2_key_builds_two_thresholds_per_block(self, work):
+        # 22 events per key: 11 gamma_bar_b for each scheme, at one
+        # gamma_bar_e and one rate.
+        calls, block_spy = work
+        run_preset("fig2", trials=BLOCK_SIZE + 1)
+        assert len(block_spy.calls) == 3
+        assert calls["_threshold"] == 2 * 2 * 3
+        assert calls["_scaled"] == calls["count_outage"] == 1
+
+
+def test_many_events_of_one_group_hold_no_events_by_block_array():
+    # 500 events share one threshold on two (8,8,8) blocks.  A temporary
+    # of one value per event and trial would be 31 MiB of booleans alone;
+    # a count holds one block, its threshold and one event's product and
+    # comparison.
+    events = [
+        (SystemConfig(8, 8, 8, 1.0 + 0.01 * k, 2.0), ALA, 1.0, 2 * BLOCK_SIZE, 0)
+        for k in range(500)
+    ]
+    tracemalloc.start()
+    try:
+        counts = count_outage(events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 500
+    assert peak < 16 * 2**20
+
+
+class TestScaled:
     @pytest.mark.parametrize("gamma_bar_e", [5e-324, 2.0, 2.0**512, 1e308])
     def test_an_array_is_scaled_as_each_of_its_points(self, gamma_bar_e):
         # gamma_bar_b across 2^512, from subnormal to 1e308.
@@ -462,7 +569,7 @@ class TestScaled:
         for k, gamma_bar_b in enumerate(gammas.tolist()):
             scalar = _scaled(gamma_bar_b, gamma_bar_e)
             assert tuple(column[k] for column in arrays) == scalar
-            assert scalar == self.scalar_scaled(gamma_bar_b, gamma_bar_e)
+            assert scalar == scalar_scaled(gamma_bar_b, gamma_bar_e)
             assert max(scalar[:2]) < 2.0**512
 
 

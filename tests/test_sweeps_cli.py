@@ -636,7 +636,7 @@ class TestCrossover:
         assert result.gamma_db is None
         assert result.message == (
             "no sign change of the P_out difference on [-60.0, -50.0] dB "
-            "(endpoints 0.000e+00, 0.000e+00)"
+            "(endpoints 0.000e+00, 0.000e+00); the two schemes are equal at every point"
         )
 
     def test_same_seed_is_deterministic(self):
