@@ -2,8 +2,9 @@
 
 Two kernels live here: the per-trial antenna-selection reduction used by
 the Monte Carlo estimators (the values of the legitimate link's two
-largest column norms, by running maxima; Eve's norms are drawn apart,
-since the selection never reads them), and the nested alternating sums
+largest column norms, by running maxima folded in one antenna's row at a
+time; Eve's norms are drawn apart, since the selection never reads
+them), and the nested alternating sums
 behind the closed-form outage expression at many points per call,
 together with the power-expansion coefficients their plan is built from,
 the exactly rounded grouped sum they are reduced with, and ``lockstep``,
@@ -26,7 +27,7 @@ __all__ = [
     "BATCH_SUMMANDS",
     "expansion_coeffs",
     "psi_sums",
-    "snr_components",
+    "running_top_two",
 ]
 
 
@@ -35,18 +36,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def snr_components(bob_norms: np.ndarray):
-    """(top2, top1) of each column of (n_alice, n_trials) squared norms:
-    the sum of its two largest entries and its largest, by a running top
-    two over the contiguous rows.  With one row, top2 equals top1."""
-    top1 = bob_norms[0].copy()
-    second = np.zeros_like(top1)  # every norm is >= 0
-    low = np.empty_like(top1)
-    for row in bob_norms[1:]:
-        np.minimum(top1, row, out=low)
-        np.maximum(second, low, out=second)
-        np.maximum(top1, row, out=top1)
-    return top1 + second, top1
+def running_top_two(top1: np.ndarray, second: np.ndarray, row: np.ndarray):
+    """Fold one row of squared norms, one per trial, into each trial's
+    running top two: returns the new (top1, second), each trial's
+    largest norm so far and its second largest.  ``row`` and ``second``
+    are updated in place; ``top1`` is not, so a top1 handed out before
+    the fold keeps its values.  The running top two of one row is that
+    row and zeros, since every norm is >= 0."""
+    new_top1 = np.maximum(top1, row)
+    np.maximum(second, np.minimum(top1, row, out=row), out=second)
+    return new_top1, second
 
 
 # ---------------------------------------------------------------------------

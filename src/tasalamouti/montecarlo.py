@@ -18,29 +18,39 @@ selected antennas are iid Gamma(n_eve, 1) whatever the selection: each
 trial draws min(n_alice, 2) of them, not n_alice.  The analytic routes
 rest on the same fact (Gamma(2 n_eve) for the pair).  The check that
 the fact holds stays independent: the tests compare these draws in
-distribution with full channel matrices selected by index.  A block's
-working set is an (n_alice, block) array of receiver norms, reduced to
-its top two values by running maxima, and a (min(n_alice, 2), block)
-array of eavesdropper norms.
+distribution with full channel matrices selected by index.
 
 The per-trial channel statistics are normalized (unit average branch
 SNR), so the trials of one draw key (n_alice, n_bob, n_eve, n_trials,
-seed) serve every SNR and rate point and both schemes.  One block
-generator draws every key, block by block, with the same substreams, and
-nothing gathers its blocks: counts add over blocks, so each counter adds
-a block's counts and drops it.  Like the analytic routes, both counters
-take ``SystemConfig`` points.  ``count_outage`` counts any number of
-outage events, of any number of keys, and draws each distinct key once;
-on each block it builds one threshold per group of events that share
-scheme, scaled gamma_bar_e and rate, and each event of the group is one
-product gamma_bar_b X compared with it.  Non-zero secrecy is
+seed) serve every SNR and rate point and both schemes.  A block's
+substream depends on (seed, block) alone, and draws the receiver norms
+first, one antenna's row of Gamma(n_bob, 1) variates after another, then
+the eavesdropper norms.  So the keys of one family (n_bob, n_trials,
+seed) read one stream: a key's receiver rows are the first n_alice rows
+of any wider key of the family, whatever its n_eve, and only its
+eavesdropper norms differ, drawn from the stream's state after its last
+row.  One draw generator, ``_family_blocks``, draws a family's members
+(n_alice, n_eve) in one pass per block: each receiver row once, up to
+the widest member, folded into a running top two, and at each member's
+n_alice each of its n_eve's eavesdropper norms from the kept state.  A
+block's working set is the running top two's few (block,) vectors, one
+receiver row and one member's pairs, whatever the family's size.
+Nothing gathers the blocks: counts add over blocks, so each counter adds
+a member's counts on a block and drops its pairs.  Like the analytic
+routes, both counters take ``SystemConfig`` points.  ``count_outage``
+counts any number of outage events, of any number of keys, and draws
+each family of the keys it counts on once; on each block it builds, per
+member, one threshold per group of events that share scheme, scaled
+gamma_bar_e and rate, and each event of the group is one product
+gamma_bar_b X compared with it.  Non-zero secrecy is
 ``EstimatorResult.complement`` of its rate-0 count, and ``binomial_z``,
 the exact binomial tail of a count in sigma, scores ``sweeps.validate``'s
 estimates.  ``count_outage_grid``, which ``sweeps.find_crossover``
 reads, counts both schemes and their intersection at every point of a
-gamma_bar_b grid.  Both counters read one threshold kernel,
-``_threshold``, and one comparison, ``_comparison``.  Either counter
-holds one block's working set and its counts, whatever the trial count.
+gamma_bar_b grid, on its key drawn as a family's one member.  Both
+counters read one threshold kernel, ``_threshold``, and one comparison,
+``_comparison``.  Either counter holds one block's working set and its
+counts, whatever the trial count.
 """
 
 from __future__ import annotations
@@ -96,33 +106,62 @@ class EstimatorResult:
         return _bernoulli_result(self.n_trials - self.n_events, self.n_trials)
 
 
-def _blocks(n_alice: int, n_bob: int, n_eve: int, n_trials: int, seed: int):
-    """The ``pairs`` of each block of a draw key, in trial order: per
-    scheme, the (receiver, eavesdropper) SNRs of the block's trials at
-    unit average branch SNR.  ``pairs[Scheme.SINGLE_TAS]`` is
-    (top1, eve_first): the largest squared column norm of the legitimate
-    link and one eavesdropper norm.  ``pairs[Scheme.TAS_ALAMOUTI]`` is
-    (top2 / 2, eve_pair / 2): the sum of the two largest legitimate norms
-    and of two eavesdropper norms, the first of them ``eve_first``, each
-    halved by the Alamouti code's power split; it is absent when
-    n_alice == 1.  The counters check the key before they make the
+def _substream(seed: int, block: int) -> np.random.Generator:
+    """The generator of one block: its own substream of (seed, block)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, block]))
+
+
+def _family_blocks(n_bob: int, n_trials: int, seed: int, members):
+    """The trials of a family's members, block by block: yields
+    ``((n_alice, n_eve), pairs)`` for each member of ``members`` on each
+    block, in trial order.  A family is (n_bob, n_trials, seed), and a
+    member (n_alice, n_eve) gives it the draw key (n_alice, n_bob, n_eve,
+    n_trials, seed).
+
+    ``pairs`` holds, per scheme, the (receiver, eavesdropper) SNRs of the
+    block's trials at unit average branch SNR.  ``pairs[Scheme.SINGLE_TAS]``
+    is (top1, eve_first): the largest squared column norm of the
+    legitimate link and one eavesdropper norm.
+    ``pairs[Scheme.TAS_ALAMOUTI]`` is (top2 / 2, eve_pair / 2): the sum of
+    the two largest legitimate norms and of two eavesdropper norms, the
+    first of them ``eve_first``, each halved by the Alamouti code's power
+    split; it is absent when n_alice == 1.  No array is changed once it
+    is yielded.
+
+    The receiver rows are drawn once, up to the family's largest n_alice,
+    into a running top two; at each member's n_alice the generator's
+    state is kept, and each n_eve of that n_alice draws its eavesdropper
+    norms from it, so every member gets the bytes its key would get
+    drawn alone.  The counters check the members before they make the
     iterator, so a refused key draws nothing."""
-    return (
-        _block(n_alice, n_bob, n_eve, seed, block, min(BLOCK_SIZE, n_trials - start))
-        for block, start in enumerate(range(0, n_trials, BLOCK_SIZE))
-    )
-
-
-def _block(n_alice, n_bob, n_eve, seed, block, count):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-    # A column of n unit-power complex Gaussian entries has a squared
-    # norm that is Gamma(n, 1); each is drawn as one variate.
-    top2, top1 = _kernels.snr_components(rng.standard_gamma(n_bob, (n_alice, count)))
-    eve = rng.standard_gamma(n_eve, (min(n_alice, 2), count))
-    pairs = {Scheme.SINGLE_TAS: (top1, eve[0])}
-    if n_alice >= 2:
-        pairs[Scheme.TAS_ALAMOUTI] = (top2 * 0.5, (eve[0] + eve[1]) * 0.5)
-    return pairs
+    eves: dict[int, list[int]] = {}
+    for n_alice, n_eve in members:
+        eves.setdefault(n_alice, []).append(n_eve)
+    widest = max(eves)
+    for block, start in enumerate(range(0, n_trials, BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, n_trials - start)
+        rng = _substream(seed, block)
+        # A column of n unit-power complex Gaussian entries has a squared
+        # norm that is Gamma(n, 1); each is drawn as one variate.
+        top1, second = rng.standard_gamma(n_bob, count), np.zeros(count)
+        for n_alice in range(1, widest + 1):
+            if n_alice > 1:
+                top1, second = _kernels.running_top_two(
+                    top1, second, rng.standard_gamma(n_bob, count)
+                )
+            if n_alice not in eves:
+                continue
+            state = rng.bit_generator.state
+            if n_alice >= 2:
+                half_top2 = (top1 + second) * 0.5
+            for n_eve in eves[n_alice]:
+                rng.bit_generator.state = state
+                eve = rng.standard_gamma(n_eve, (min(n_alice, 2), count))
+                pairs = {Scheme.SINGLE_TAS: (top1, eve[0])}
+                if n_alice >= 2:
+                    pairs[Scheme.TAS_ALAMOUTI] = (half_top2, (eve[0] + eve[1]) * 0.5)
+                yield (n_alice, n_eve), pairs
+            rng.bit_generator.state = state  # the next row follows this one
 
 
 def _scaled(gamma_bar_b, gamma_bar_e) -> tuple:
@@ -186,16 +225,20 @@ def count_outage(
     scheme's outage at ``rate`` and ``config``'s SNRs, on the trials of
     the draw key (n_alice, n_bob, n_eve, n_trials, seed).  Every event is
     checked before anything is drawn, so one refused event draws nothing.
-    All the events' SNRs are then scaled in one ``_scaled`` call, and
-    each key's events grouped by (scheme, scaled gamma_bar_e, scale,
-    rate), the inputs of ``_threshold``.  Each distinct key is drawn
-    once, in first-appearance order.  On each block, each group's
-    threshold is built once, and each of its events costs one product
-    gamma_bar_b X, one comparison (``_below``'s) and one count, in
-    buffers reused across blocks; the counts are added to the events'
-    totals and the block dropped.  Results keep the events' order.  A
-    rate whose 2^rate overflows puts every trial in outage, so every
-    finite rate is answered.  Non-zero secrecy is
+    All the events' SNRs are then scaled in one ``_scaled`` call.  A rate
+    whose 2^rate overflows puts every trial in outage, so every finite
+    rate is answered, and such an event is answered without a draw.  The
+    other events are grouped by family (n_bob, n_trials, seed), then by
+    member (n_alice, n_eve), then by (scheme, scaled gamma_bar_e, scale,
+    rate), the inputs of ``_threshold``.  Each family is drawn in one
+    pass of ``_family_blocks``, in first-appearance order, with only the
+    members that have an event to count: a family with none draws
+    nothing, and a member with none draws no eavesdropper norms.  On
+    each block, each member's groups build their thresholds once, and
+    each event costs one product gamma_bar_b X, one comparison
+    (``_below``'s) and one count, in buffers reused across members and
+    blocks; the counts are added to the events' totals and the member's
+    pairs dropped.  Results keep the events' order.  Non-zero secrecy is
     ``EstimatorResult.complement`` of the rate-0 count.
     """
     checked = []
@@ -213,23 +256,25 @@ def count_outage(
         np.array([config.gamma_bar_e for config, *_ in checked], float),
     ))
     counts = [0] * len(checked)
-    keys: dict[tuple, dict[tuple, list]] = {}
+    families: dict[tuple, dict[tuple, dict[tuple, list]]] = {}
     for index, (config, scheme, rate, n_trials, seed) in enumerate(checked):
-        groups = keys.setdefault((config.n_alice, config.n_bob, config.n_eve, n_trials, seed), {})
         if rate >= _RATE_OVERFLOW:  # an infinite threshold: all in outage
             counts[index] = n_trials
-        else:
-            group = (scheme, gamma_bar_es[index], scales[index], rate)
-            groups.setdefault(group, []).append((index, gamma_bar_bs[index]))
-    for key, groups in keys.items():
-        buffers = np.empty(min(key[3], BLOCK_SIZE)), np.empty(min(key[3], BLOCK_SIZE), bool)
-        for pairs in _blocks(*key):
-            for (scheme, gamma_bar_e, scale, rate), members in groups.items():
+            continue
+        members = families.setdefault((config.n_bob, n_trials, seed), {})
+        groups = members.setdefault((config.n_alice, config.n_eve), {})
+        group = (scheme, gamma_bar_es[index], scales[index], rate)
+        groups.setdefault(group, []).append((index, gamma_bar_bs[index]))
+    for family, members in families.items():
+        size = min(family[1], BLOCK_SIZE)
+        buffers = np.empty(size), np.empty(size, bool)
+        for member, pairs in _family_blocks(*family, tuple(members)):
+            for (scheme, gamma_bar_e, scale, rate), points in members[member].items():
                 bob, eve = pairs[scheme]
                 threshold = _threshold(eve, gamma_bar_e, scale, rate)
                 compare = _comparison(rate)
                 product, outage = (buffer[: bob.size] for buffer in buffers)
-                for index, gamma_bar_b in members:
+                for index, gamma_bar_b in points:
                     compare(np.multiply(bob, gamma_bar_b, out=product), threshold, out=outage)
                     counts[index] += int(np.count_nonzero(outage))
     return [_bernoulli_result(count, event[3]) for count, event in zip(counts, checked)]
@@ -265,7 +310,8 @@ def count_outage_grid(
         return tuple(np.full((3, gammas.size), n_trials, np.int64))
     scaled = _scaled(gammas, config.gamma_bar_e)
     bins = np.zeros((3, gammas.size + 1), np.int64)
-    for pairs in _blocks(config.n_alice, config.n_bob, config.n_eve, n_trials, seed):
+    member = (config.n_alice, config.n_eve)
+    for _, pairs in _family_blocks(config.n_bob, n_trials, seed, (member,)):
         a, b = (
             _outage_prefix(*pairs[scheme], gammas, scaled, config.gamma_bar_e, rate)
             for scheme in (Scheme.TAS_ALAMOUTI, Scheme.SINGLE_TAS)

@@ -13,17 +13,28 @@ import numpy as np
 from tasalamouti import montecarlo
 
 
+def gather_family(n_bob, n_trials, seed, members):
+    """Per member (n_alice, n_eve), per scheme, the (receiver,
+    eavesdropper) arrays of every trial of the member's key: the pairs of
+    one pass of ``montecarlo._family_blocks``, block after block."""
+    pieces = {member: {} for member in members}
+    for member, pairs in montecarlo._family_blocks(n_bob, n_trials, seed, members):
+        for scheme, pair in pairs.items():
+            pieces[member].setdefault(scheme, []).append(pair)
+    return {
+        member: {
+            scheme: tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+            for scheme, blocks in schemes.items()
+        }
+        for member, schemes in pieces.items()
+    }
+
+
 def gather_blocks(n_alice, n_bob, n_eve, n_trials, seed):
     """Per scheme, the (receiver, eavesdropper) arrays of every trial of
-    the key: the pairs of ``montecarlo._blocks``, block after block."""
-    pieces = {}
-    for pairs in montecarlo._blocks(n_alice, n_bob, n_eve, n_trials, seed):
-        for scheme, pair in pairs.items():
-            pieces.setdefault(scheme, []).append(pair)
-    return {
-        scheme: tuple(np.concatenate(arrays) for arrays in zip(*blocks))
-        for scheme, blocks in pieces.items()
-    }
+    the key (n_alice, n_bob, n_eve, n_trials, seed), drawn as the one
+    member of its family."""
+    return gather_family(n_bob, n_trials, seed, ((n_alice, n_eve),))[(n_alice, n_eve)]
 
 
 def gathered_outage(pairs, scheme, gamma_bar_b, gamma_bar_e, rate):

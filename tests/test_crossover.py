@@ -270,7 +270,8 @@ def test_grid_counts_refuse_a_bad_grid_before_drawing(block_spy, gammas, match):
 def test_one_streamed_pass_and_no_draw_set(block_spy):
     config = SystemConfig(3, 2, 2, 10.0, db_to_linear(5.0))
     find_crossover(config, "P_out", (5.0, 15.0), 50_000, 4, rate=1.0)
-    assert block_spy.calls == [(3, 2, 2, 50_000, 4)]
+    assert block_spy.calls == [(2, 50_000, 4, ((3, 2),))]
+    assert block_spy.drawn("rows") == [3] and block_spy.drawn("pairs") == [1]
 
 
 def test_memory_is_one_block_not_a_draw_set():

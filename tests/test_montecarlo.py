@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from gathered import gather_blocks, gathered_outage
+from gathered import gather_blocks, gather_family, gathered_outage
 from reference_channel import (
     draw_channel,
     secrecy_capacity,
@@ -17,7 +18,7 @@ from reference_channel import (
 )
 from tasalamouti import Scheme, SystemConfig, db_to_linear, evaluate, montecarlo
 from tasalamouti.montecarlo import BLOCK_SIZE, _scaled, binomial_z, count_outage
-from tasalamouti._kernels import snr_components
+from tasalamouti._kernels import running_top_two
 from tasalamouti.sweeps import MC_Z_LIMIT, run_preset, validate
 
 CFG = SystemConfig(3, 3, 2, 31.6227766017, 3.16227766017)
@@ -466,7 +467,7 @@ class TestCountOnOneKey:
         # key's blocks, and the values of four lone evaluations.
         events = [(CFG, scheme, rate, 20_000, 4) for scheme in Scheme for rate in (1.0, 0.0)]
         counts = count_outage(events)
-        assert block_spy.calls == [(3, 3, 2, 20_000, 4)]
+        assert block_spy.calls == [(3, 20_000, 4, ((3, 2),))]
         for (_, scheme, rate, _, _), counted in zip(events, counts):
             if rate:
                 expected = evaluate(CFG, scheme, "P_out", MC, rate=rate, trials=20_000, seed=4)
@@ -478,9 +479,9 @@ class TestCountOnOneKey:
 
 class TestCountAcrossKeys:
     def test_interleaved_keys_draw_each_key_once(self, block_spy):
-        # Two keys, one more than a block long, whose events interleave:
-        # one block generator per key, in first-appearance order, and the
-        # counts of one call per key, in input order.
+        # Two keys of two families, one more than a block long, whose
+        # events interleave: one generator per family, in first-appearance
+        # order, and the counts of one call per key, in input order.
         first, second = (CFG322, 20_000, 4), (CFG, BLOCK_SIZE + 77, 9)
         events = [
             (config, scheme, rate, n_trials, seed)
@@ -488,7 +489,9 @@ class TestCountAcrossKeys:
             for config, n_trials, seed in (first, second)
         ]
         counts = count_outage(events)
-        assert block_spy.calls == [(3, 2, 2, 20_000, 4), (3, 3, 2, BLOCK_SIZE + 77, 9)]
+        assert block_spy.calls == [(2, 20_000, 4, ((3, 2),)), (3, BLOCK_SIZE + 77, 9, ((3, 2),))]
+        assert block_spy.drawn("rows") == [3, 3, 3]
+        assert block_spy.drawn("pairs") == [1, 1, 1]
         assert block_spy.most_held == 0
         firsts = iter(count_outage([event for event in events if event[0] is CFG322]))
         seconds = iter(count_outage([event for event in events if event[0] is CFG]))
@@ -519,18 +522,32 @@ class TestWorkPerBlock:
     def test_a_default_grid_key_builds_six_thresholds_per_block(self, work):
         # 30 events per key: 5 gamma_bar_b for each of 2 gamma_bar_e and
         # 3 rates, all TAS-Alamouti.  One trial past a block makes two.
+        # The 36 keys are 3 families (n_bob) of 12 members (n_alice in
+        # {2, 3, 4, 6}, n_eve in {1, 2, 3}): each family block draws 6
+        # receiver rows, up to the widest n_alice, and 12 eavesdropper
+        # pairs.
         calls, block_spy = work
         validate("default", n_trials=BLOCK_SIZE + 1)
-        assert len(block_spy.calls) == 36
+        assert [call[:3] for call in block_spy.calls] == [
+            (n_bob, BLOCK_SIZE + 1, 0) for n_bob in (1, 2, 3)
+        ]
+        assert len(block_spy.keys) == len(set(block_spy.keys)) == 36
+        assert block_spy.drawn("rows") == [6] * (3 * 2)
+        assert block_spy.drawn("pairs") == [12] * (3 * 2)
+        assert block_spy.most_held == 0
         assert calls["_threshold"] == 6 * 2 * 36
         assert calls["_scaled"] == calls["count_outage"] == 1
 
     def test_a_fig2_key_builds_two_thresholds_per_block(self, work):
         # 22 events per key: 11 gamma_bar_b for each scheme, at one
-        # gamma_bar_e and one rate.
+        # gamma_bar_e and one rate.  The 3 keys (n_alice in {2, 3, 4}) are
+        # one family: each block draws 4 receiver rows and 3 pairs.
         calls, block_spy = work
         run_preset("fig2", trials=BLOCK_SIZE + 1)
-        assert len(block_spy.calls) == 3
+        assert block_spy.calls == [(3, BLOCK_SIZE + 1, 0, ((2, 2), (3, 2), (4, 2)))]
+        assert block_spy.drawn("rows") == [4, 4]
+        assert block_spy.drawn("pairs") == [3, 3]
+        assert block_spy.most_held == 0
         assert calls["_threshold"] == 2 * 2 * 3
         assert calls["_scaled"] == calls["count_outage"] == 1
 
@@ -597,7 +614,8 @@ class TestRefusedBeforeDrawing:
 
     def test_accepted_inputs_draw_once(self, block_spy):
         evaluate(CFG, Scheme.SINGLE_TAS, "P_out", MC, rate=1.0, trials=1000, seed=3)
-        assert block_spy.calls == [(3, 3, 2, 1000, 3)]
+        assert block_spy.calls == [(3, 1000, 3, ((3, 2),))]
+        assert block_spy.drawn("rows") == [3] and block_spy.drawn("pairs") == [1]
 
 
 class TestAgainstChannelReference:
@@ -665,19 +683,211 @@ def test_peak_memory_is_one_block_whatever_the_trial_count():
 
 
 class TestSnrComponents:
+    """The running top two that the draw generator folds each receiver
+    row into."""
+
+    @staticmethod
+    def folded(bob):
+        top1, second = bob[0].copy(), np.zeros(bob.shape[1])
+        for row in bob[1:]:
+            top1, second = running_top_two(top1, second, row.copy())
+        return top1 + second, top1
+
     def test_matches_per_trial_selection(self):
         # The running top two against the scalar selection of the physical
         # model, one trial at a time; small integer norms make many ties,
         # which give the same values whichever tied antenna is chosen.
         rng = np.random.default_rng(12)
         bob = rng.integers(0, 4, size=(5, 500)).astype(float)
-        top2, top1 = snr_components(bob)
+        top2, top1 = self.folded(bob)
         for tr in range(bob.shape[1]):
             first, second = select_antennas(bob[:, tr], 2).indices
             assert top1[tr] == bob[first, tr]
             assert top2[tr] == bob[first, tr] + bob[second, tr]
 
     def test_one_antenna(self):
+        # The generator starts the running top two at the first row and
+        # zeros: folding that row into zeros gives the same.
         bob = np.random.default_rng(3).gamma(2.0, 1.0, size=(1, 50))
-        top2, top1 = snr_components(bob)
+        top2, top1 = self.folded(bob)
         assert np.array_equal(top1, bob[0]) and np.array_equal(top2, bob[0])
+        top1, second = running_top_two(np.zeros(50), np.zeros(50), bob[0].copy())
+        assert np.array_equal(top1, bob[0]) and not np.any(second)
+
+    def test_a_top1_handed_out_keeps_its_values(self):
+        top1 = np.array([1.0, 5.0])
+        new_top1, second = running_top_two(top1, np.zeros(2), np.array([3.0, 2.0]))
+        assert top1.tolist() == [1.0, 5.0]
+        assert new_top1.tolist() == [3.0, 5.0] and second.tolist() == [1.0, 2.0]
+
+
+def oracle_snr_components(bob_norms: np.ndarray):
+    """(top2, top1) of each column of (n_alice, n_trials) squared norms:
+    the sum of its two largest entries and its largest, by a running top
+    two over the contiguous rows.  With one row, top2 equals top1."""
+    top1 = bob_norms[0].copy()
+    second = np.zeros_like(top1)  # every norm is >= 0
+    low = np.empty_like(top1)
+    for row in bob_norms[1:]:
+        np.minimum(top1, row, out=low)
+        np.maximum(second, low, out=second)
+        np.maximum(top1, row, out=top1)
+    return top1 + second, top1
+
+
+def oracle_block(n_alice, n_bob, n_eve, seed, block, count):
+    """One block of one key, drawn on its own: the per-key block
+    generator as it stood before keys of one family shared their receiver
+    rows, kept as an oracle that shares no code with the package's."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+    # A column of n unit-power complex Gaussian entries has a squared
+    # norm that is Gamma(n, 1); each is drawn as one variate.
+    top2, top1 = oracle_snr_components(rng.standard_gamma(n_bob, (n_alice, count)))
+    eve = rng.standard_gamma(n_eve, (min(n_alice, 2), count))
+    pairs = {Scheme.SINGLE_TAS: (top1, eve[0])}
+    if n_alice >= 2:
+        pairs[Scheme.TAS_ALAMOUTI] = (top2 * 0.5, (eve[0] + eve[1]) * 0.5)
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_pairs(n_alice, n_bob, n_eve, n_trials, seed):
+    """Per scheme, every trial of the key, from ``oracle_block``."""
+    blocks = [
+        oracle_block(n_alice, n_bob, n_eve, seed, block, min(BLOCK_SIZE, n_trials - start))
+        for block, start in enumerate(range(0, n_trials, BLOCK_SIZE))
+    ]
+    return {
+        scheme: tuple(np.concatenate(arrays) for arrays in zip(*(b[scheme] for b in blocks)))
+        for scheme in blocks[0]
+    }
+
+
+def assert_pairs_equal(got, expected):
+    assert set(got) == set(expected)
+    for scheme in expected:
+        for drawn, oracle in zip(got[scheme], expected[scheme], strict=True):
+            assert drawn.tobytes() == oracle.tobytes(), scheme
+
+
+# n_alice 1-6 by n_eve 1-3, in shuffled order.
+FAMILY_MEMBERS = (
+    (3, 2), (1, 3), (6, 1), (2, 2), (4, 3), (5, 1), (1, 1), (6, 3), (3, 1),
+    (2, 3), (5, 3), (4, 1), (6, 2), (1, 2), (3, 3), (2, 1), (5, 2), (4, 2),
+)
+
+
+class TestFamilyAgainstPerKeyOracle:
+    """Keys that share (n_bob, n_trials, seed) share one pass of the draw
+    generator, and each one's trials are those it would draw alone."""
+
+    @pytest.mark.parametrize("n_bob", [1, 3])
+    def test_each_member_is_its_key_bit_for_bit(self, n_bob):
+        # n_bob = 1 draws its receiver norms as exponentials.
+        gathered = gather_family(n_bob, 5000, 2, FAMILY_MEMBERS)
+        for n_alice, n_eve in FAMILY_MEMBERS:
+            expected = oracle_pairs(n_alice, n_bob, n_eve, 5000, 2)
+            assert_pairs_equal(gathered[(n_alice, n_eve)], expected)
+
+    def test_three_blocks_with_a_partial_last_bit_for_bit(self):
+        members = ((4, 2), (2, 1), (4, 1), (3, 3))
+        gathered = gather_family(2, 2 * BLOCK_SIZE + 123, 0, members)
+        for n_alice, n_eve in members:
+            expected = oracle_pairs(n_alice, 2, n_eve, 2 * BLOCK_SIZE + 123, 0)
+            assert_pairs_equal(gathered[(n_alice, n_eve)], expected)
+
+    def test_one_member_is_its_key_bit_for_bit(self):
+        assert_pairs_equal(gather_blocks(1, 2, 3, 3000, 5), oracle_pairs(1, 2, 3, 3000, 5))
+        assert_pairs_equal(gather_blocks(6, 1, 2, 3000, 5), oracle_pairs(6, 1, 2, 3000, 5))
+
+    def test_counts_equal_the_per_key_oracle_event_by_event(self, block_spy):
+        # Four families in one call, of mixed seeds, trial counts and
+        # n_bob, one of them three blocks long; both schemes, rates from 0
+        # past the overflow of 2^rate, and events in shuffled order.
+        families = [
+            ((2, 5000, 0), FAMILY_MEMBERS),
+            ((2, 5000, 1), ((2, 1), (6, 3))),
+            ((2, 7000, 0), ((4, 2),)),
+            ((3, 2 * BLOCK_SIZE + 123, 0), ((2, 1), (4, 2), (4, 3))),
+        ]
+        snrs = [(10.0 ** (ratio_db / 10.0) * 2.0, 2.0) for ratio_db in (-10, 0, 10, 30)]
+        cases = [
+            ((n_alice, n_bob, n_eve, n_trials, seed), scheme, gamma_bar_b, gamma_bar_e, rate)
+            for (n_bob, n_trials, seed), members in families
+            for n_alice, n_eve in members
+            for scheme in (ALA, SINGLE)
+            if n_alice >= 2 or scheme is SINGLE
+            for rate in (0.0, 1.0, 3.3, 1100.0)
+            for gamma_bar_b, gamma_bar_e in snrs
+        ]
+        random.Random(0).shuffle(cases)
+        got = count_outage([
+            (SystemConfig(*key[:3], gamma_bar_b, gamma_bar_e), scheme, rate, *key[3:])
+            for key, scheme, gamma_bar_b, gamma_bar_e, rate in cases
+        ])
+        for (key, scheme, gamma_bar_b, gamma_bar_e, rate), counted in zip(cases, got):
+            if rate >= 1024.0:  # 2^rate overflows: every trial is in outage
+                expected = key[3]
+            else:
+                pair = oracle_pairs(*key)[scheme]
+                scaled = scalar_scaled(gamma_bar_b, gamma_bar_e)
+                expected = np.count_nonzero(one_function_outage(*pair, *scaled, rate))
+            assert counted.n_events == expected, (key, scheme, gamma_bar_b, rate)
+        # One pass per family, each member drawn once.
+        assert sorted(call[:3] for call in block_spy.calls) == sorted(f for f, _ in families)
+        assert sorted(block_spy.keys) == sorted({case[0] for case in cases})
+
+
+class TestDrawOnlyWhatIsCounted:
+    """Events answered without a draw (a rate whose 2^rate overflows)
+    make no family and no member."""
+
+    def test_a_family_with_no_event_to_count_draws_nothing(self, block_spy):
+        (counted,) = count_outage([(CFG322, SINGLE, 1100.0, 10**6, 0)])
+        assert counted.n_events == 10**6
+        assert block_spy.calls == [] and block_spy.blocks == []
+
+    def test_a_member_with_no_event_to_count_draws_no_pair(self, block_spy):
+        # (4, 2) has only an overflowing rate: its family draws the rows
+        # (2, 1) needs, and one pair per block, (2, 1)'s.
+        n_trials = BLOCK_SIZE + 1
+        narrow, wide = SystemConfig(2, 2, 1, 10.0, 2.0), SystemConfig(4, 2, 2, 10.0, 2.0)
+        events = [(wide, ALA, 1100.0, n_trials, 0), (narrow, ALA, 1.0, n_trials, 0)]
+        assert count_outage(events) == [
+            *count_outage(events[:1]), *count_outage(events[1:])
+        ]
+        assert block_spy.calls[0] == (2, n_trials, 0, ((2, 1),))
+        assert block_spy.drawn("rows")[:2] == [2, 2]
+        assert block_spy.drawn("pairs")[:2] == [1, 1]
+
+    def test_rows_a_wider_member_needs_are_still_drawn(self, block_spy):
+        # Now (2, 1) has only an overflowing rate: its rows are the first
+        # two of (4, 2)'s, which are drawn, but it draws no pair.
+        n_trials = BLOCK_SIZE + 1
+        narrow, wide = SystemConfig(2, 2, 1, 10.0, 2.0), SystemConfig(4, 2, 2, 10.0, 2.0)
+        events = [(narrow, SINGLE, 1100.0, n_trials, 0), (wide, SINGLE, 1.0, n_trials, 0)]
+        count_outage(events)
+        assert block_spy.calls == [(2, n_trials, 0, ((4, 2),))]
+        assert block_spy.drawn("rows") == [4, 4]
+        assert block_spy.drawn("pairs") == [1, 1]
+
+
+def test_a_wide_family_holds_one_member_at_a_time():
+    # 56 members, n_alice 2-8 by n_eve 1-8 at n_bob = 8, on two blocks.
+    # The members' pairs side by side would be 56 blocks of each
+    # scheme's two arrays, 56 MiB; a count holds one member's pairs, the
+    # running top two and its counts.
+    events = [
+        (SystemConfig(n_alice, 8, n_eve, 10.0, 2.0), scheme, 1.0, 2 * BLOCK_SIZE, 0)
+        for n_alice in range(2, 9)
+        for n_eve in range(1, 9)
+        for scheme in (ALA, SINGLE)
+    ]
+    tracemalloc.start()
+    try:
+        counts = count_outage(events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 112
+    assert peak < 16 * 2**20

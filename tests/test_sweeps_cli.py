@@ -787,7 +787,7 @@ class TestValidate:
         assert report.rows[1].error == "n_bob must be >= 1, got 0"
         assert report.rows[1].closed_form is None and report.rows[1].mc_estimate is None
         assert report.error_points == 1 and not report.passed
-        assert set(block_spy.calls) == {(3, 2, 1, 1000, 0)}
+        assert set(block_spy.calls) == {(2, 1000, 0, ((3, 1),))}
 
     def test_refused_points_draw_nothing(self, block_spy):
         # A point whose closed form is refused draws nothing.
@@ -826,21 +826,25 @@ class TestValidate:
 
 class TestDrawOnce:
     """Each distinct draw key (n_alice, n_bob, n_eve, trials, seed) is
-    drawn once per run_preset, run_sweep or validate call, and one block
-    generator is alive at a time."""
+    drawn once per run_preset, run_sweep or validate call, as a member of
+    its family (n_bob, trials, seed), each family is drawn in one pass,
+    and one draw generator is alive at a time."""
 
     @pytest.mark.parametrize(
-        "name, sets", [("fig2", 3), ("fig3", 3), ("fig4", 3), ("fig5", 1), ("fig6", 0)]
+        "name, sets, families",
+        [("fig2", 3, 1), ("fig3", 3, 3), ("fig4", 3, 1), ("fig5", 1, 1), ("fig6", 0, 0)],
     )
-    def test_preset(self, block_spy, name, sets):
+    def test_preset(self, block_spy, name, sets, families):
         run_preset(name, trials=2000, seed=1)
-        assert len(block_spy.calls) == len(set(block_spy.calls)) == sets
+        assert len(block_spy.keys) == len(set(block_spy.keys)) == sets
+        assert len(block_spy.calls) == len(set(block_spy.calls)) == families
         assert block_spy.most_held == 0
         assert block_spy.held() == 0
 
     def test_validate_quick(self, block_spy):
         validate("quick", n_trials=2000)
-        assert len(block_spy.calls) == len(set(block_spy.calls)) == 8
+        assert len(block_spy.keys) == len(set(block_spy.keys)) == 8
+        assert len(block_spy.calls) == len(set(block_spy.calls)) == 2
         assert block_spy.most_held == 0
         assert block_spy.held() == 0
 
@@ -849,7 +853,8 @@ class TestDrawOnce:
         # Each (rate, gamma_b) pair walks all eight antenna triples.
         interleaved = sorted(grid, key=lambda pt: (pt["rate_rs"], pt["gamma_bar_b_db"]))
         rows = sweeps._validate_points(interleaved, n_trials=2000).rows
-        assert len(block_spy.calls) == len(set(block_spy.calls)) == 8
+        assert len(block_spy.keys) == len(set(block_spy.keys)) == 8
+        assert len(block_spy.calls) == len(set(block_spy.calls)) == 2
         assert block_spy.most_held == 0
         in_grid_order = validate("quick", n_trials=2000).rows
         by_point = {tuple(pt.values()): row for pt, row in zip(grid, in_grid_order)}
@@ -861,11 +866,13 @@ class TestDrawOnce:
         assert cli.main([*command, "--output", str(plain)]) == cli.EXIT_OK
         assert cli.main([*command, "--workers", "2", "--output", str(flagged)]) == cli.EXIT_OK
         assert plain.read_bytes() == flagged.read_bytes()
-        assert len(block_spy.calls) == 6
+        assert len(block_spy.keys) == 6
+        assert len(block_spy.calls) == 2
         assert block_spy.most_held == 0
 
     def test_shared_draws_give_the_values_of_lone_evaluations(self, block_spy):
-        # Two seeds over an n_alice sweep: four keys, whose rows interleave.
+        # Two seeds over an n_alice sweep: four keys of two families, whose
+        # rows interleave.
         spec = small_spec(
             parameter="n_alice",
             values=(2.0, 3.0),
@@ -875,9 +882,10 @@ class TestDrawOnce:
             ),
         )
         rows = run_sweep(spec)
-        assert sorted(block_spy.calls) == [
+        assert sorted(block_spy.keys) == [
             (2, 2, 1, 3000, 7), (2, 2, 1, 3000, 8), (3, 2, 1, 3000, 7), (3, 2, 1, 3000, 8),
         ]
+        assert sorted(call[:3] for call in block_spy.calls) == [(2, 3000, 7), (2, 3000, 8)]
         assert block_spy.most_held == 0
         for row in rows:
             config = SystemConfig(row.n_alice, row.n_bob, row.n_eve, 10.0, 1.0)
